@@ -327,10 +327,7 @@ fn main() {
         (Primitive::Sha256, "sha256", &sha_tiers),
         (Primitive::Keccak, "shake256", &shake_tiers),
     ] {
-        let dispatch = match primitive {
-            Primitive::Sha256 => tier::sha256_tier(),
-            Primitive::Keccak => tier::keccak_tier(),
-        };
+        let dispatch = tier::active(primitive);
         let rate_of = |wanted: HashTier| {
             tiers
                 .iter()

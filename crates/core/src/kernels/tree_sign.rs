@@ -197,15 +197,10 @@ pub fn subtree_items(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<Subtr
         .collect()
 }
 
-/// One plannable `TREE_Sign` stage: builds a group of subtrees — from any
-/// mix of layers and messages — with every reduction level halved through
-/// one combined multi-lane sweep
-/// ([`hero_sphincs::merkle::treehash_many`]). Byte-identical per item to
-/// a standalone treehash.
-pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
-    let params = *ctx.params();
-    let n = params.n;
-    let jobs: Vec<hero_sphincs::merkle::TreeHashJob> = items
+/// The treehash job of each item: its subtree's node address and the leaf
+/// whose authentication path is wanted.
+fn treehash_jobs(items: &[SubtreeItem]) -> Vec<hero_sphincs::merkle::TreeHashJob> {
+    items
         .iter()
         .map(|item| {
             let mut node_adrs = hero_sphincs::address::Address::new();
@@ -218,13 +213,21 @@ pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<Lay
                 leaf_offset: 0,
             }
         })
-        .collect();
-    let outs = hero_sphincs::merkle::treehash_many(ctx, params.tree_height(), &jobs, |j, buf| {
-        let item = &items[j];
-        for (i, slot) in buf.chunks_exact_mut(n).enumerate() {
-            hypertree::wots_leaf_into(ctx, sk_seed, item.layer, item.tree_idx, i as u32, slot);
-        }
-    });
+        .collect()
+}
+
+/// One plannable `TREE_Sign` stage: builds a group of subtrees — from any
+/// mix of layers and messages — with every reduction level halved through
+/// one combined multi-lane sweep
+/// ([`hero_sphincs::merkle::treehash_many`]). Byte-identical per item to
+/// a standalone treehash.
+pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
+    let params = *ctx.params();
+    let jobs = treehash_jobs(items);
+    let outs =
+        hero_sphincs::merkle::treehash_many(ctx, params.tree_height(), &jobs, |j, leaves| {
+            hypertree::wots_leaves_into(ctx, sk_seed, items[j].layer, items[j].tree_idx, leaves)
+        });
     items
         .iter()
         .zip(outs)
@@ -252,26 +255,9 @@ pub fn subtree_levels(
     items: &[SubtreeItem],
 ) -> Vec<hero_sphincs::merkle::TreeLevels> {
     let params = *ctx.params();
-    let n = params.n;
-    let jobs: Vec<hero_sphincs::merkle::TreeHashJob> = items
-        .iter()
-        .map(|item| {
-            let mut node_adrs = hero_sphincs::address::Address::new();
-            node_adrs.set_layer(item.layer);
-            node_adrs.set_tree(item.tree_idx);
-            node_adrs.set_type(hero_sphincs::address::AddressType::Tree);
-            hero_sphincs::merkle::TreeHashJob {
-                leaf_idx: item.leaf_idx,
-                node_adrs,
-                leaf_offset: 0,
-            }
-        })
-        .collect();
-    hero_sphincs::merkle::treehash_many_levels(ctx, params.tree_height(), &jobs, |j, buf| {
-        let item = &items[j];
-        for (i, slot) in buf.chunks_exact_mut(n).enumerate() {
-            hypertree::wots_leaf_into(ctx, sk_seed, item.layer, item.tree_idx, i as u32, slot);
-        }
+    let jobs = treehash_jobs(items);
+    hero_sphincs::merkle::treehash_many_levels(ctx, params.tree_height(), &jobs, |j, leaves| {
+        hypertree::wots_leaves_into(ctx, sk_seed, items[j].layer, items[j].tree_idx, leaves)
     })
 }
 

@@ -33,7 +33,7 @@
 //!    and concurrent `sign_batch` calls from different threads interleave
 //!    their work-items on the same workers like kernels from different
 //!    CUDA streams — while the grouped stages keep all SHA lanes full
-//!    across message boundaries (mixed-address `h_many` / `f_many_at`
+//!    across message boundaries (mixed-address `h_many` / `f_chains`
 //!    sweeps).
 //!
 //! ## The batch ↔ GPU-stream analogy

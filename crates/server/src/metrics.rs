@@ -155,17 +155,16 @@ pub fn render(
     let _ = writeln!(out, "hero_server_up {}", if draining { 0 } else { 1 });
     // The resolved hash ISA ladder, as an info-style metric: value is
     // always 1, the tier rides in the label so operators can see (and
-    // alert on) which core every signer in this process dispatches to.
-    let _ = writeln!(
-        out,
-        "hero_hash_tier{{primitive=\"sha256\",tier=\"{}\"}} 1",
-        hero_sphincs::tier::sha256_tier().label()
-    );
-    let _ = writeln!(
-        out,
-        "hero_hash_tier{{primitive=\"keccak\",tier=\"{}\"}} 1",
-        hero_sphincs::tier::keccak_tier().label()
-    );
+    // alert on) which core — and which WOTS+ chain body — every signer
+    // in this process dispatches to.
+    for primitive in hero_sphincs::tier::Primitive::ALL {
+        let _ = writeln!(
+            out,
+            "hero_hash_tier{{primitive=\"{}\",tier=\"{}\"}} 1",
+            primitive.label(),
+            hero_sphincs::tier::active(primitive).label()
+        );
+    }
     let _ = writeln!(
         out,
         "hero_server_connections_total {}",
@@ -334,6 +333,12 @@ mod tests {
         };
         let page = render(&m, &rows, false, 3, &cache);
         assert!(page.contains("hero_server_up 1"), "{page}");
+        for primitive in ["sha256", "sha256_chain", "keccak"] {
+            assert!(
+                page.contains(&format!("hero_hash_tier{{primitive=\"{primitive}\",tier=")),
+                "{page}"
+            );
+        }
         assert!(page.contains("hero_cache_hits_total 9"), "{page}");
         assert!(page.contains("hero_cache_misses_total 4"), "{page}");
         assert!(page.contains("hero_cache_evictions_total 1"), "{page}");

@@ -27,6 +27,10 @@
 //! variants write into caller-provided buffers so a signing loop performs
 //! no per-hash allocations.
 //!
+//! WOTS+ chains are the exception to "one call, one compression through
+//! the engine": [`HashCtx::f_chains`] takes whole chains, and under
+//! SHA-256 runs them without leaving SIMD registers between steps.
+//!
 //! ## The SHAKE-256 instantiation
 //!
 //! [`HashAlg::Shake256`] follows the SPHINCS+-SHAKE *simple* construction
@@ -164,6 +168,18 @@ impl SeededHasher {
     }
 }
 
+/// One WOTS+ chain's work order for [`HashCtx::f_chains`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainJob {
+    /// The chain's `F` address: type `WotsHash` with layer, tree, key
+    /// pair and chain index set. Its hash index is not consulted.
+    pub adrs: Address,
+    /// Hash index of the first step.
+    pub start: u32,
+    /// Number of `F` steps; 0 leaves the node as it is.
+    pub steps: u32,
+}
+
 /// The tweakable hash context: parameters plus the seeded state.
 ///
 /// ```
@@ -269,10 +285,14 @@ impl HashCtx {
         }
     }
 
-    /// Pads lane buffer bytes `[0, tail_len)` as a message tail following
-    /// the seed block, returning the block count.
-    fn pad_lane(buf: &mut [u8; LANE_BUF], tail_len: usize) -> usize {
-        sha256::pad_in_place(buf, tail_len, BLOCK_LEN as u64)
+    /// Lane buffers for tails of `tail_len` bytes following the seed
+    /// block, padded once: the terminator, the zeros and the length sit
+    /// after the tail and depend on nothing else, so a batch rewrites
+    /// only bytes `[0, tail_len)` per call. Returns the block count too.
+    fn padded_lanes(tail_len: usize) -> ([[u8; LANE_BUF]; LANES], usize) {
+        let mut buf = [0u8; LANE_BUF];
+        let nblocks = sha256::pad_in_place(&mut buf, tail_len, BLOCK_LEN as u64);
+        ([buf; LANES], nblocks)
     }
 
     /// Compresses the first `nblocks` blocks of every lane buffer from the
@@ -304,10 +324,7 @@ impl HashCtx {
         let n = self.params.n;
         let count = adrs.len();
         let tail_len = ADRS_LEN + payload_len;
-        let nblocks = (tail_len + 1 + 8).div_ceil(BLOCK_LEN);
-        debug_assert!(tail_len <= LANE_BUF - 9, "tail exceeds lane scratch");
-
-        let mut bufs = [[0u8; LANE_BUF]; LANES];
+        let (mut bufs, nblocks) = Self::padded_lanes(tail_len);
         let mut start = 0usize;
         while start < count {
             let lanes = LANES.min(count - start);
@@ -315,7 +332,6 @@ impl HashCtx {
                 let i = start + l.min(lanes - 1);
                 buf[..ADRS_LEN].copy_from_slice(&adrs[i].to_compressed_bytes());
                 buf[ADRS_LEN..tail_len].copy_from_slice(payload(i));
-                Self::pad_lane(buf, tail_len);
             }
             let mx = self.compress_lanes(&bufs, nblocks);
             for l in 0..lanes {
@@ -403,12 +419,12 @@ impl HashCtx {
         }
     }
 
-    /// In-place scatter variant of [`HashCtx::f_many`] for chain hashing:
-    /// lane `j` reads node `buf[indices[j]*n..]` and overwrites it with
+    /// In-place scatter variant of [`HashCtx::f_many`]: lane `j` reads
+    /// node `buf[indices[j]*n..]` and overwrites it with
     /// `F(adrs[j], node)`. `indices` must be distinct.
     ///
-    /// This is the WOTS+ chain step: every active chain advances one `F`
-    /// without copying nodes out of the flat chain buffer.
+    /// FORS leaves go from secret to leaf through it; whole WOTS+ chains
+    /// go through [`HashCtx::f_chains`].
     ///
     /// # Panics
     ///
@@ -421,8 +437,7 @@ impl HashCtx {
         match self.alg {
             HashAlg::Sha256 => {
                 let tail_len = ADRS_LEN + n;
-                let nblocks = (tail_len + 1 + 8).div_ceil(BLOCK_LEN);
-                let mut bufs = [[0u8; LANE_BUF]; LANES];
+                let (mut bufs, nblocks) = Self::padded_lanes(tail_len);
                 let mut start = 0usize;
                 while start < count {
                     let lanes = LANES.min(count - start);
@@ -431,7 +446,6 @@ impl HashCtx {
                         let slot = indices[j] * n;
                         lane_buf[..ADRS_LEN].copy_from_slice(&adrs[j].to_compressed_bytes());
                         lane_buf[ADRS_LEN..tail_len].copy_from_slice(&buf[slot..slot + n]);
-                        Self::pad_lane(lane_buf, tail_len);
                     }
                     let mx = self.compress_lanes(&bufs, nblocks);
                     for l in 0..lanes {
@@ -473,6 +487,48 @@ impl HashCtx {
                     self.tweak_into(a, &[&node[..n]], &mut buf[slot..slot + n]);
                 }
             }
+        }
+    }
+
+    /// Runs WOTS+ chains to completion: node `i` (`nodes[i*n..]`) is
+    /// replaced by the result of `jobs[i].steps` calls of `F`, the `r`-th
+    /// of them under `jobs[i].adrs` with hash index `jobs[i].start + r` —
+    /// byte-identical to [`crate::wots::chain`] per node.
+    ///
+    /// This is the one entry point to WOTS+ chains. Under SHA-256, on a
+    /// CPU the chain kernel has a body for
+    /// ([`crate::tier::sha256_chain_tier`] above `scalar`), the chains
+    /// stay in SIMD registers from their first step to their last.
+    /// Everything else — SHAKE-256, SHA-512, the `scalar` rung — advances
+    /// all live chains one [`HashCtx::f_many_at`] round at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is not `jobs.len() * n` bytes.
+    pub fn f_chains(&self, nodes: &mut [u8], jobs: &[ChainJob]) {
+        let n = self.params.n;
+        assert_eq!(nodes.len(), jobs.len() * n, "nodes must be count*n bytes");
+        #[cfg(target_arch = "x86_64")]
+        if self.alg == HashAlg::Sha256 {
+            if let Some(kernel) = crate::chain::Kernel::active() {
+                return kernel.run(&self.seeded.state, n, nodes, jobs);
+            }
+        }
+        let rounds = jobs.iter().map(|job| job.steps).max().unwrap_or(0);
+        let mut adrs = Vec::with_capacity(jobs.len());
+        let mut live = Vec::with_capacity(jobs.len());
+        for round in 0..rounds {
+            adrs.clear();
+            live.clear();
+            for (i, job) in jobs.iter().enumerate() {
+                if round < job.steps {
+                    let mut a = job.adrs;
+                    a.set_hash(job.start + round);
+                    adrs.push(a);
+                    live.push(i);
+                }
+            }
+            self.f_many_at(&adrs, nodes, &live);
         }
     }
 

@@ -56,9 +56,18 @@ pub fn wots_leaf(ctx: &HashCtx, sk_seed: &[u8], layer: u32, tree: u64, leaf_idx:
     out
 }
 
-/// [`wots_leaf`] writing the `n`-byte leaf into `out` — the allocation-free
-/// treehash leaf filler (chains batched inside
-/// [`wots::pk_gen_into`]).
+/// The WOTS+ key pair address of leaf `leaf_idx` of the subtree at
+/// (`layer`, `tree`).
+fn keypair_adrs(layer: u32, tree: u64, leaf_idx: u32) -> Address {
+    let mut adrs = Address::new();
+    adrs.set_layer(layer);
+    adrs.set_tree(tree);
+    adrs.set_type(AddressType::WotsHash);
+    adrs.set_keypair(leaf_idx);
+    adrs
+}
+
+/// [`wots_leaf`] writing the `n`-byte leaf into `out`.
 pub fn wots_leaf_into(
     ctx: &HashCtx,
     sk_seed: &[u8],
@@ -67,12 +76,26 @@ pub fn wots_leaf_into(
     leaf_idx: u32,
     out: &mut [u8],
 ) {
+    wots::pk_gen_into(ctx, sk_seed, &keypair_adrs(layer, tree, leaf_idx), out);
+}
+
+/// Fills `out` with leaves `0..out.len()/n` of the subtree at (`layer`,
+/// `tree`) — the treehash leaf filler. All the leaves' chains run as one
+/// sweep ([`wots::pk_gen_many`]), which is what keeps the chain kernel's
+/// lane groups full; byte-identical to [`wots_leaf_into`] per leaf.
+pub fn wots_leaves_into(ctx: &HashCtx, sk_seed: &[u8], layer: u32, tree: u64, out: &mut [u8]) {
+    let leaves = (out.len() / ctx.params().n) as u32;
+    let adrs_list: Vec<Address> = (0..leaves).map(|i| keypair_adrs(layer, tree, i)).collect();
+    wots::pk_gen_many(ctx, sk_seed, &adrs_list, out);
+}
+
+/// The `H` address of the subtree at (`layer`, `tree`).
+fn node_adrs(layer: u32, tree: u64) -> Address {
     let mut adrs = Address::new();
     adrs.set_layer(layer);
     adrs.set_tree(tree);
-    adrs.set_type(AddressType::WotsHash);
-    adrs.set_keypair(leaf_idx);
-    wots::pk_gen_into(ctx, sk_seed, &adrs, out);
+    adrs.set_type(AddressType::Tree);
+    adrs
 }
 
 /// Signs `msg` (an `n`-byte root or FORS pk) with the XMSS tree at
@@ -86,25 +109,14 @@ pub fn xmss_sign(
     tree: u64,
     leaf_idx: u32,
 ) -> (XmssSig, Vec<u8>) {
-    let params = *ctx.params();
-
-    let mut wots_adrs = Address::new();
-    wots_adrs.set_layer(layer);
-    wots_adrs.set_tree(tree);
-    wots_adrs.set_type(AddressType::WotsHash);
-    wots_adrs.set_keypair(leaf_idx);
-    let wots_sig = wots::sign(ctx, msg, sk_seed, &wots_adrs);
-
-    let mut node_adrs = Address::new();
-    node_adrs.set_layer(layer);
-    node_adrs.set_tree(tree);
-    node_adrs.set_type(AddressType::Tree);
-    let out = merkle::treehash(
+    let wots_sig = wots::sign(ctx, msg, sk_seed, &keypair_adrs(layer, tree, leaf_idx));
+    let out = merkle::treehash_flat(
         ctx,
-        params.tree_height(),
+        ctx.params().tree_height(),
         leaf_idx,
-        &node_adrs,
-        |i, slot| wots_leaf_into(ctx, sk_seed, layer, tree, i, slot),
+        &node_adrs(layer, tree),
+        0,
+        |leaves| wots_leaves_into(ctx, sk_seed, layer, tree, leaves),
     );
 
     (
@@ -126,18 +138,15 @@ pub fn xmss_pk_from_sig(
     tree: u64,
     leaf_idx: u32,
 ) -> Vec<u8> {
-    let mut wots_adrs = Address::new();
-    wots_adrs.set_layer(layer);
-    wots_adrs.set_tree(tree);
-    wots_adrs.set_type(AddressType::WotsHash);
-    wots_adrs.set_keypair(leaf_idx);
+    let wots_adrs = keypair_adrs(layer, tree, leaf_idx);
     let leaf = wots::pk_from_sig(ctx, &sig.wots_sig, msg, &wots_adrs);
-
-    let mut node_adrs = Address::new();
-    node_adrs.set_layer(layer);
-    node_adrs.set_tree(tree);
-    node_adrs.set_type(AddressType::Tree);
-    merkle::root_from_auth_path(ctx, &leaf, leaf_idx, &sig.auth_path, &node_adrs)
+    merkle::root_from_auth_path(
+        ctx,
+        &leaf,
+        leaf_idx,
+        &sig.auth_path,
+        &node_adrs(layer, tree),
+    )
 }
 
 /// One signature's share of a batched XMSS layer recomputation: its
@@ -190,14 +199,7 @@ pub fn xmss_pk_from_sig_many(
     }
     let wots_adrs: Vec<Address> = reqs
         .iter()
-        .map(|r| {
-            let mut a = Address::new();
-            a.set_layer(layer);
-            a.set_tree(r.tree);
-            a.set_type(AddressType::WotsHash);
-            a.set_keypair(r.leaf_idx);
-            a
-        })
+        .map(|r| keypair_adrs(layer, r.tree, r.leaf_idx))
         .collect();
     let sigs: Vec<&[Vec<u8>]> = reqs.iter().map(|r| r.sig.wots_sig.as_slice()).collect();
     let msgs: Vec<&[u8]> = reqs.iter().map(|r| r.msg).collect();
@@ -206,18 +208,12 @@ pub fn xmss_pk_from_sig_many(
     let jobs: Vec<merkle::AuthPathJob> = reqs
         .iter()
         .zip(&leaves)
-        .map(|(r, leaf)| {
-            let mut node_adrs = Address::new();
-            node_adrs.set_layer(layer);
-            node_adrs.set_tree(r.tree);
-            node_adrs.set_type(AddressType::Tree);
-            merkle::AuthPathJob {
-                leaf,
-                leaf_idx: r.leaf_idx,
-                auth_path: &r.sig.auth_path,
-                node_adrs,
-                leaf_offset: 0,
-            }
+        .map(|(r, leaf)| merkle::AuthPathJob {
+            leaf,
+            leaf_idx: r.leaf_idx,
+            auth_path: &r.sig.auth_path,
+            node_adrs: node_adrs(layer, r.tree),
+            leaf_offset: 0,
         })
         .collect();
     merkle::roots_from_auth_paths_many(ctx, &jobs)
@@ -270,13 +266,14 @@ pub fn root_from_sig(
 pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
     let params = *ctx.params();
     let layer = params.d as u32 - 1;
-    let mut node_adrs = Address::new();
-    node_adrs.set_layer(layer);
-    node_adrs.set_tree(0);
-    node_adrs.set_type(AddressType::Tree);
-    merkle::treehash(ctx, params.tree_height(), 0, &node_adrs, |i, slot| {
-        wots_leaf_into(ctx, sk_seed, layer, 0, i, slot)
-    })
+    merkle::treehash_flat(
+        ctx,
+        params.tree_height(),
+        0,
+        &node_adrs(layer, 0),
+        0,
+        |leaves| wots_leaves_into(ctx, sk_seed, layer, 0, leaves),
+    )
     .root
 }
 

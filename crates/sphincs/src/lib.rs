@@ -18,8 +18,8 @@
 //!   `H_msg`, each in scalar, into-buffer, and batched (`*_many`) form,
 //!   instantiated over SHA-256, SHA-512 or SHAKE-256
 //!   ([`hash::HashAlg`]).
-//! * [`wots`] — WOTS+ chains (chain-level parallelism; chains advance
-//!   batched across SIMD lanes).
+//! * [`wots`] — WOTS+ chains (chain-level parallelism; a call's chains
+//!   run to completion resident in SIMD lanes, [`hash::HashCtx::f_chains`]).
 //! * [`fors`] — the forest of random subsets (tree-level parallelism,
 //!   the target of HERO-Sign's FORS Fusion; leaves generate batched).
 //! * [`merkle`] — tree hashing with authentication paths (the reduction
@@ -27,8 +27,9 @@
 //! * [`hypertree`] — the `d`-layer hypertree (`TREE_Sign`'s workload).
 //! * [`sign`] — keygen / sign / verify.
 //! * [`tier`] — the runtime ISA ladder (scalar → AVX2 → SHA-NI /
-//!   AVX-512 / NEON) that picks the fastest hash core once per process,
-//!   overridable via `HERO_HASH_TIER`.
+//!   AVX-512 / NEON) that picks the fastest hash core, and the WOTS+
+//!   chain kernel's body, once per process, overridable via
+//!   `HERO_HASH_TIER`.
 //!
 //! ## Lanes as threads
 //!
@@ -80,6 +81,8 @@
 #![warn(missing_docs)]
 
 pub mod address;
+#[cfg(target_arch = "x86_64")]
+mod chain;
 pub mod fors;
 pub mod hash;
 pub mod hypertree;

@@ -1,5 +1,6 @@
 //! Runtime ISA-tier selection for the hash cores — the dispatch ladder
-//! behind [`crate::sha256::compress_x`] and [`crate::keccak::permute_x`].
+//! behind [`crate::sha256::compress_x`], [`crate::keccak::permute_x`] and
+//! the WOTS+ chain kernel ([`crate::hash::HashCtx::f_chains`]).
 //!
 //! A 128f sign burns ~113k compressions, so the primitive core dominates
 //! end-to-end signature throughput. Instead of consulting
@@ -16,17 +17,54 @@
 //! | primitive | x86-64 | aarch64 |
 //! |---|---|---|
 //! | SHA-256 | `sha-ni` → `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
+//! | SHA-256 WOTS+ chains | `avx512` → `avx2` → `scalar` | `scalar` |
 //! | Keccak-f\[1600\] | `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
 //!
-//! SHA-NI outranks the 8-lane AVX-512 interleave for SHA-256 because the
-//! dedicated rounds beat lane interleaving on real WOTS+ chains (short
-//! dependent sequences leave lanes idle; the SHA extensions keep one
-//! chain at full rate). SHA-NI is meaningless for Keccak, so requesting
-//! it there resolves to the best Keccak tier instead.
+//! The SHA-256 ladder is the PR 9 order and is static. On the reference
+//! host it is not the measured order for an 8-block `compress_x` call
+//! (SHA-NI 22.7 M compressions/s, 8-lane AVX-512VL 29.5 M/s); it stays as
+//! it is because `compress_x` no longer carries the WOTS+ chains, which
+//! is where four fifths of a signature's compressions are. SHA-NI is
+//! meaningless for Keccak, so requesting it there resolves to the best
+//! Keccak tier instead.
+//!
+//! ## The chain kernel's ladder is measured
+//!
+//! WOTS+ chains get a ladder of their own, because what suits a chain is
+//! not what suits one block: a chain is `w − 1` dependent compressions
+//! whose message is the previous digest, so a body that keeps 16 chains
+//! in registers for the whole run beats a faster single-block core that
+//! has to be fed through memory at every step. This is the paper's
+//! per-kernel choice between PTX and native code, restated for CPUs.
+//! `scalar` on this ladder means *no resident body*: chains advance one
+//! batched `F` round at a time through `compress_x` at the SHA-256 tier,
+//! as every chain did before the kernel existed.
+//!
+//! The order is what forcing each candidate measured on the reference
+//! host (2 vCPUs of an Intel Xeon, family 6 model 207, AVX-512 and
+//! SHA-NI) for one 8-leaf 128f subtree — 280 `PRF`, 280 chains × 15
+//! steps, 8 `T_len`; µs, range of the medians of three rounds of 400
+//! fills; "busy" = the other hardware thread filling subtrees too.
+//! Forcing pins `compress_x` as well, as `HERO_HASH_TIER` does.
+//!
+//! | candidate | alone | busy | |
+//! |---|---|---|---|
+//! | 16 lanes resident in zmm (AVX-512F) | 110–126 | 111–119 | `avx512` |
+//! | 4 chains resident in xmm, side by side (SHA-NI) | 210 | 211 | not added: level with the rung below (215–225 in the same round) |
+//! | 8 lanes resident in ymm (AVX2) | 236–249 | 233–243 | `avx2` |
+//! | 1 lane resident in general registers | 895–920 | 900–924 | not added: slower than the round loop |
+//! | round loop through `compress_x` (forced scalar) | 661–676 | 679–1119 | `scalar` |
+//!
+//! For scale: the round loop took 282 µs on its default SHA-NI core,
+//! 253 µs forced to AVX-512VL and 347 µs forced to AVX2. A body is on the
+//! ladder only if it beat the rung below it in this table. NEON could
+//! not be measured on this host, so aarch64 keeps the round loop — on
+//! its `vsha256h` core, exactly as before — until someone measures a
+//! resident body against it there.
 //!
 //! ## Overrides and fallback
 //!
-//! `HERO_HASH_TIER=<name>` pins both primitives to one requested tier.
+//! `HERO_HASH_TIER=<name>` pins every primitive to one requested tier.
 //! An unknown name is a typed [`TierError`] listing the valid names
 //! (surfaced eagerly by [`init_from_env`], which `hero serve` and the
 //! benches call before touching the hot path); requesting a tier the
@@ -155,14 +193,33 @@ impl HashTier {
     }
 }
 
-/// Which hash core a ladder decision is for (the two primitives have
-/// different ladders — SHA-NI only exists for SHA-256).
+/// Which hash core a ladder decision is for (each has its own ladder —
+/// SHA-NI only exists for SHA-256, and the chain kernel ranks its bodies
+/// by what they measured on chains, not on single blocks).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Primitive {
     /// The SHA-256 compression core ([`crate::sha256`]).
     Sha256,
     /// The Keccak-f\[1600\] permutation core ([`crate::keccak`]).
     Keccak,
+    /// The lane-resident SHA-256 WOTS+ chain kernel
+    /// ([`crate::hash::HashCtx::f_chains`]).
+    Sha256Chain,
+}
+
+impl Primitive {
+    /// Every primitive, in the order [`ActiveTiers`] and
+    /// [`description`] list them.
+    pub const ALL: [Primitive; 3] = [Primitive::Sha256, Primitive::Sha256Chain, Primitive::Keccak];
+
+    /// The label the metrics page and the serve banner name it by.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Primitive::Sha256 => "sha256",
+            Primitive::Sha256Chain => "sha256_chain",
+            Primitive::Keccak => "keccak",
+        }
+    }
 }
 
 /// The ladder for `primitive` on this architecture, best tier first.
@@ -178,12 +235,15 @@ pub fn ladder(primitive: Primitive) -> &'static [HashTier] {
                 HashTier::Scalar,
             ],
             Primitive::Keccak => &[HashTier::Avx512, HashTier::Avx2, HashTier::Scalar],
+            Primitive::Sha256Chain => &[HashTier::Avx512, HashTier::Avx2, HashTier::Scalar],
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
-        let _ = primitive;
-        &[HashTier::Neon, HashTier::Scalar]
+        match primitive {
+            Primitive::Sha256 | Primitive::Keccak => &[HashTier::Neon, HashTier::Scalar],
+            Primitive::Sha256Chain => &[HashTier::Scalar],
+        }
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
@@ -205,8 +265,11 @@ pub fn supported(primitive: Primitive, tier: HashTier) -> bool {
         HashTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         #[cfg(target_arch = "x86_64")]
         HashTier::Avx512 => {
+            // The chain kernel works on whole zmm registers; the two
+            // `compress_x`/`permute_x` cores on ymm halves (AVX-512VL).
             std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl")
+                && (primitive == Primitive::Sha256Chain
+                    || std::arch::is_x86_feature_detected!("avx512vl"))
         }
         #[cfg(target_arch = "x86_64")]
         HashTier::ShaNi => {
@@ -221,6 +284,8 @@ pub fn supported(primitive: Primitive, tier: HashTier) -> bool {
             // aarch64); the SHA-256 path needs the crypto extension.
             Primitive::Keccak => true,
             Primitive::Sha256 => std::arch::is_aarch64_feature_detected!("sha2"),
+            // No NEON chain body: see the module docs.
+            Primitive::Sha256Chain => false,
         },
         #[allow(unreachable_patterns)]
         _ => false,
@@ -297,14 +362,15 @@ fn env_request() -> &'static Option<Result<HashTier, TierError>> {
 /// caches (no `HashTier` discriminant uses it).
 const UNRESOLVED: u8 = u8::MAX;
 
-static SHA256_ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-static KECCAK_ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
+/// The active tier of each primitive, indexed by `Primitive as usize`.
+static ACTIVE: [AtomicU8; 3] = [
+    AtomicU8::new(UNRESOLVED),
+    AtomicU8::new(UNRESOLVED),
+    AtomicU8::new(UNRESOLVED),
+];
 
 fn active_cell(primitive: Primitive) -> &'static AtomicU8 {
-    match primitive {
-        Primitive::Sha256 => &SHA256_ACTIVE,
-        Primitive::Keccak => &KECCAK_ACTIVE,
-    }
+    &ACTIVE[primitive as usize]
 }
 
 #[cold]
@@ -346,23 +412,32 @@ fn warn_once(msg: &str) {
     }
 }
 
-/// The active SHA-256 tier: one relaxed load on the hot path, with the
-/// ladder walk behind a `#[cold]` first-call slow path.
+/// The active tier of `primitive`: one relaxed load on the hot path,
+/// with the ladder walk behind a `#[cold]` first-call slow path.
 #[inline]
-pub fn sha256_tier() -> HashTier {
-    match HashTier::from_repr(SHA256_ACTIVE.load(Ordering::Relaxed)) {
+pub fn active(primitive: Primitive) -> HashTier {
+    match HashTier::from_repr(active_cell(primitive).load(Ordering::Relaxed)) {
         Some(t) => t,
-        None => resolve_and_cache(Primitive::Sha256),
+        None => resolve_and_cache(primitive),
     }
 }
 
-/// The active Keccak tier (see [`sha256_tier`]).
+/// The active SHA-256 tier (see [`active`]).
+#[inline]
+pub fn sha256_tier() -> HashTier {
+    active(Primitive::Sha256)
+}
+
+/// The active Keccak tier (see [`active`]).
 #[inline]
 pub fn keccak_tier() -> HashTier {
-    match HashTier::from_repr(KECCAK_ACTIVE.load(Ordering::Relaxed)) {
-        Some(t) => t,
-        None => resolve_and_cache(Primitive::Keccak),
-    }
+    active(Primitive::Keccak)
+}
+
+/// The active tier of the SHA-256 WOTS+ chain kernel (see [`active`]).
+#[inline]
+pub fn sha256_chain_tier() -> HashTier {
+    active(Primitive::Sha256Chain)
 }
 
 /// Eagerly applies the `HERO_HASH_TIER` override, returning the typed
@@ -374,44 +449,57 @@ pub fn init_from_env() -> Result<(), TierError> {
     if let Some(Err(e)) = env_request() {
         return Err(e.clone());
     }
-    sha256_tier();
-    keccak_tier();
+    for primitive in Primitive::ALL {
+        active(primitive);
+    }
     Ok(())
 }
 
-/// Forces the active tier for both primitives, resolving each down its
+/// The active tier of every primitive, in [`Primitive::ALL`] order: what
+/// [`force_tier`] hands back for [`restore_tier`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ActiveTiers([HashTier; 3]);
+
+/// The tiers every primitive currently dispatches to.
+pub fn active_tiers() -> ActiveTiers {
+    ActiveTiers(Primitive::ALL.map(active))
+}
+
+/// Forces the active tier for every primitive, resolving each down its
 /// ladder exactly like the env override (so an unsupported request is a
 /// supported fallback, never UB). Returns the previously active tiers
-/// `(sha256, keccak)` so callers can restore them.
+/// so callers can restore them.
 ///
 /// This exists for `bench_hot_path`'s per-tier sections and the forced-
 /// tier test legs. It is process-global: concurrent hashers observe the
 /// change — which is safe, because **every tier produces identical
 /// bytes** (pinned by the per-tier identity tests); only throughput
 /// differs.
-pub fn force_tier(tier: HashTier) -> (HashTier, HashTier) {
-    let prev = (sha256_tier(), keccak_tier());
-    let (sha, _) = resolve(Primitive::Sha256, Some(tier));
-    let (keccak, _) = resolve(Primitive::Keccak, Some(tier));
-    SHA256_ACTIVE.store(sha as u8, Ordering::Relaxed);
-    KECCAK_ACTIVE.store(keccak as u8, Ordering::Relaxed);
+pub fn force_tier(tier: HashTier) -> ActiveTiers {
+    let prev = active_tiers();
+    for primitive in Primitive::ALL {
+        let (resolved, _) = resolve(primitive, Some(tier));
+        active_cell(primitive).store(resolved as u8, Ordering::Relaxed);
+    }
     prev
 }
 
 /// Restores tiers previously returned by [`force_tier`].
-pub fn restore_tier(prev: (HashTier, HashTier)) {
-    let (sha, _) = resolve(Primitive::Sha256, Some(prev.0));
-    let (keccak, _) = resolve(Primitive::Keccak, Some(prev.1));
-    SHA256_ACTIVE.store(sha as u8, Ordering::Relaxed);
-    KECCAK_ACTIVE.store(keccak as u8, Ordering::Relaxed);
+pub fn restore_tier(prev: ActiveTiers) {
+    for (primitive, tier) in Primitive::ALL.into_iter().zip(prev.0) {
+        let (resolved, _) = resolve(primitive, Some(tier));
+        active_cell(primitive).store(resolved as u8, Ordering::Relaxed);
+    }
 }
 
 /// One-line operator-facing description of the resolved ladder, e.g.
-/// `sha256=sha-ni keccak=avx512` (plus the override, when one is set).
-/// Shown by the `hero serve` banner, the metrics page and
+/// `sha256=sha-ni sha256_chain=avx512 keccak=avx512` (plus the override,
+/// when one is set). Shown by the `hero serve` banner and
 /// `bench_hot_path`.
 pub fn description() -> String {
-    let base = format!("sha256={} keccak={}", sha256_tier(), keccak_tier());
+    let base = Primitive::ALL
+        .map(|p| format!("{}={}", p.label(), active(p)))
+        .join(" ");
     match env_request() {
         Some(Ok(t)) => format!("{base} ({ENV_VAR}={t})"),
         Some(Err(e)) => format!("{base} ({ENV_VAR} ignored: unknown tier '{}')", e.name),
@@ -447,7 +535,7 @@ mod tests {
 
     #[test]
     fn ladders_end_in_scalar_and_resolve_supported() {
-        for primitive in [Primitive::Sha256, Primitive::Keccak] {
+        for primitive in Primitive::ALL {
             assert_eq!(*ladder(primitive).last().unwrap(), HashTier::Scalar);
             let tiers = supported_tiers(primitive);
             assert!(tiers.contains(&HashTier::Scalar));
@@ -467,7 +555,7 @@ mod tests {
         // NEON is never supported on x86 (and vice versa); SHA-NI is
         // never in the Keccak ladder. Both must resolve to a supported
         // tier without panicking.
-        for primitive in [Primitive::Sha256, Primitive::Keccak] {
+        for primitive in Primitive::ALL {
             for want in [
                 HashTier::Neon,
                 HashTier::ShaNi,
@@ -485,7 +573,7 @@ mod tests {
 
     #[test]
     fn scalar_request_is_always_honored() {
-        for primitive in [Primitive::Sha256, Primitive::Keccak] {
+        for primitive in Primitive::ALL {
             let (resolved, fell_back) = resolve(primitive, Some(HashTier::Scalar));
             assert_eq!(resolved, HashTier::Scalar);
             assert!(!fell_back);
@@ -495,16 +583,16 @@ mod tests {
     #[test]
     fn force_and_restore_round_trip() {
         let prev = force_tier(HashTier::Scalar);
-        assert_eq!(sha256_tier(), HashTier::Scalar);
-        assert_eq!(keccak_tier(), HashTier::Scalar);
+        assert_eq!(active_tiers(), ActiveTiers([HashTier::Scalar; 3]));
         restore_tier(prev);
-        assert_eq!((sha256_tier(), keccak_tier()), prev);
+        assert_eq!(active_tiers(), prev);
     }
 
     #[test]
-    fn description_names_both_primitives() {
+    fn description_names_every_primitive() {
         let d = description();
-        assert!(d.contains("sha256="), "{d}");
-        assert!(d.contains("keccak="), "{d}");
+        for primitive in Primitive::ALL {
+            assert!(d.contains(&format!("{}=", primitive.label())), "{d}");
+        }
     }
 }

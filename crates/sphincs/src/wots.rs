@@ -6,13 +6,13 @@
 //! independent — the property HERO-Sign's `WOTS+_Sign` kernel exploits with
 //! chain-level thread parallelism.
 //!
-//! On CPU the same independence is exploited across SIMD lanes: all `len`
-//! chains live in one flat `n`-stride buffer and advance one `F` step per
-//! round through [`HashCtx::f_many_at`], with chains that reached their
-//! target length dropping out of the batch ([`pk_gen_into`], [`sign`],
-//! [`pk_from_sig`]). One `pk_gen` performs zero heap allocations. The
-//! chain step is whatever primitive the [`HashCtx`] carries — SHA-256
-//! lanes and SHAKE-256 lanes batch identically.
+//! On CPU the same independence is exploited across SIMD lanes: the
+//! chains of a call — one key pair's, a whole subtree's ([`pk_gen_many`])
+//! or a batch of requests' ([`sign_many`], [`pk_from_sig_many`]) — live in
+//! one flat `n`-stride buffer and run to completion through
+//! [`HashCtx::f_chains`], the only way this crate walks a chain outside
+//! of the scalar oracle [`chain`]. The chain step is whatever primitive
+//! the [`HashCtx`] carries.
 //!
 //! ```
 //! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
@@ -30,15 +30,8 @@
 //! ```
 
 use crate::address::{Address, AddressType};
-use crate::hash::HashCtx;
+use crate::hash::{ChainJob, HashCtx};
 use crate::params::Params;
-
-/// Stack-buffer bound on `wots_len()`: the largest chain count any
-/// parameter set accepted by `Params::validate()` can produce is 133
-/// (`w = 4`, `n = 32`: `len1 = 128`, `len2 = 5`).
-const MAX_LEN: usize = 136;
-/// Stack-buffer bound on `n` (`validate()` caps it at 32).
-const MAX_N: usize = 32;
 
 /// Converts `msg` into `out_len` base-`w` digits (spec Algorithm 1).
 ///
@@ -131,59 +124,43 @@ fn hash_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
     h
 }
 
-/// Fills the per-chain PRF addresses for the key pair at `adrs`.
-fn prf_addresses(adrs: &Address, len: usize, prf_adrs: &mut [Address; MAX_LEN]) {
-    for (i, slot) in prf_adrs[..len].iter_mut().enumerate() {
-        *slot = prf_adrs_for(adrs, i as u32);
-    }
+/// The `T_len` address compressing the chain ends of the key pair at
+/// `adrs`.
+fn pk_adrs_for(adrs: &Address) -> Address {
+    let mut pk_adrs = *adrs;
+    pk_adrs.set_type(AddressType::WotsPk);
+    pk_adrs.set_keypair(adrs.keypair());
+    pk_adrs
 }
 
-/// Fills the per-chain `F` addresses for the key pair at `adrs`.
-/// Verification needs only these — chains start from revealed signature
-/// nodes, so no PRF addresses are built there.
-fn hash_addresses(adrs: &Address, len: usize, hash_adrs: &mut [Address; MAX_LEN]) {
-    for (i, slot) in hash_adrs[..len].iter_mut().enumerate() {
-        *slot = hash_adrs_for(adrs, i as u32);
-    }
-}
-
-/// Advances every chain in the flat `values` buffer (`len` nodes of `n`
-/// bytes): chain `i` runs `steps[i]` iterations of `F` from hash index
-/// `starts[i]`. Each round batches all still-active chains into one
-/// multi-lane sweep — the lockstep execution of the paper's `WOTS+_Sign`
-/// warp, with finished chains retiring like masked-off threads.
-///
-/// `adrs_scratch`/`idx_scratch` are per-round staging buffers of at least
-/// `len` entries, caller-provided so the single-keypair paths stay on
-/// stack arrays while [`sign_many`] spans arbitrarily many keypairs.
-fn advance_chains(
+/// Derives every chain head of every key pair in `adrs_list` in one
+/// [`HashCtx::prf_many`] sweep and runs chain `i` of key pair `r` for
+/// `steps(r, i)` steps through [`HashCtx::f_chains`]. Returns the flat
+/// `n`-stride nodes, key pair after key pair.
+fn chains_from_secret(
     ctx: &HashCtx,
-    values: &mut [u8],
-    hash_adrs: &[Address],
-    starts: &[u32],
-    steps: &[u32],
-    adrs_scratch: &mut [Address],
-    idx_scratch: &mut [usize],
-) {
-    let len = hash_adrs.len();
-    debug_assert!(adrs_scratch.len() >= len && idx_scratch.len() >= len);
-    let max_steps = steps.iter().copied().max().unwrap_or(0);
-    for round in 0..max_steps {
-        let mut active = 0usize;
+    sk_seed: &[u8],
+    adrs_list: &[Address],
+    steps: impl Fn(usize, usize) -> u32,
+) -> Vec<u8> {
+    let len = ctx.params().wots_len();
+    let total = adrs_list.len() * len;
+    let mut prf_adrs = Vec::with_capacity(total);
+    let mut jobs = Vec::with_capacity(total);
+    for (r, adrs) in adrs_list.iter().enumerate() {
         for i in 0..len {
-            if round < steps[i] {
-                let mut a = hash_adrs[i];
-                a.set_hash(starts[i] + round);
-                adrs_scratch[active] = a;
-                idx_scratch[active] = i;
-                active += 1;
-            }
+            prf_adrs.push(prf_adrs_for(adrs, i as u32));
+            jobs.push(ChainJob {
+                adrs: hash_adrs_for(adrs, i as u32),
+                start: 0,
+                steps: steps(r, i),
+            });
         }
-        if active == 0 {
-            break;
-        }
-        ctx.f_many_at(&adrs_scratch[..active], values, &idx_scratch[..active]);
     }
+    let mut nodes = vec![0u8; total * ctx.params().n];
+    ctx.prf_many(&prf_adrs, sk_seed, &mut nodes);
+    ctx.f_chains(&mut nodes, &jobs);
+    nodes
 }
 
 /// Derives the secret element for chain `chain_idx` of the key pair at
@@ -200,101 +177,56 @@ pub fn pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
     out
 }
 
-/// [`pk_gen`] writing the `n`-byte public key into `out`, allocation-free:
-/// all `len` chain seeds derive in one [`HashCtx::prf_many`] sweep, the
-/// chains advance `w-1` batched rounds in a flat stack buffer, and the
-/// final `T_len` compresses that buffer directly.
+/// [`pk_gen`] writing the `n`-byte public key into `out`.
 ///
 /// This is `wots_gen_leaf` — the treehash leaf routine whose ~560 hashes
-/// per leaf dominate signing (§III of the paper).
+/// per leaf dominate signing (§III of the paper). A subtree's leaves are
+/// better filled together ([`pk_gen_many`]).
 pub fn pk_gen_into(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, out: &mut [u8]) {
+    pk_gen_many(ctx, sk_seed, std::slice::from_ref(adrs), out);
+}
+
+/// Computes the WOTS+ public keys of many key pairs, writing key pair
+/// `r`'s into `out[r*n..]`: all `len` chains of all key pairs run their
+/// `w-1` steps as one [`HashCtx::f_chains`] sweep, so the lane groups
+/// are full whatever `len` is (an 8-leaf 128f subtree is 280 chains, 17½
+/// groups of 16), and `T_len` then compresses each key pair's chain ends.
+///
+/// Output is byte-identical to calling [`pk_gen_into`] per key pair.
+///
+/// # Panics
+///
+/// Panics if `out` is not `adrs_list.len() * n` bytes.
+pub fn pk_gen_many(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut [u8]) {
     let params = *ctx.params();
-    let len = params.wots_len();
-    let n = params.n;
-    assert!(
-        len <= MAX_LEN && n <= MAX_N,
-        "parameter set exceeds WOTS+ lane bounds"
-    );
-
-    let mut prf_adrs = [Address::new(); MAX_LEN];
-    let mut hash_adrs = [Address::new(); MAX_LEN];
-    prf_addresses(adrs, len, &mut prf_adrs);
-    hash_addresses(adrs, len, &mut hash_adrs);
-
-    let mut values = [0u8; MAX_LEN * MAX_N];
-    let values = &mut values[..len * n];
-    ctx.prf_many(&prf_adrs[..len], sk_seed, values);
-
-    let starts = [0u32; MAX_LEN];
-    let steps = [params.w as u32 - 1; MAX_LEN];
-    let mut adrs_scratch = [Address::new(); MAX_LEN];
-    let mut idx_scratch = [0usize; MAX_LEN];
-    advance_chains(
-        ctx,
-        values,
-        &hash_adrs[..len],
-        &starts[..len],
-        &steps[..len],
-        &mut adrs_scratch,
-        &mut idx_scratch,
-    );
-
-    let mut pk_adrs = *adrs;
-    pk_adrs.set_type(AddressType::WotsPk);
-    pk_adrs.set_keypair(adrs.keypair());
-    ctx.t_l_flat_into(&pk_adrs, values, out);
+    let (len, n) = (params.wots_len(), params.n);
+    assert_eq!(out.len(), adrs_list.len() * n, "out must be count*n bytes");
+    let top = params.w as u32 - 1;
+    let ends = chains_from_secret(ctx, sk_seed, adrs_list, |_, _| top);
+    for ((adrs, ends), pk) in adrs_list
+        .iter()
+        .zip(ends.chunks_exact(len * n))
+        .zip(out.chunks_exact_mut(n))
+    {
+        ctx.t_l_flat_into(&pk_adrs_for(adrs), ends, pk);
+    }
 }
 
 /// Signs an `n`-byte message, revealing one chain node per digit.
-///
-/// Chains are batched across the `len` lanes; the per-chain step counts
-/// come from the message digits, so lanes retire as their chains finish.
 pub fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let len = params.wots_len();
-    let n = params.n;
-    debug_assert_eq!(msg.len(), n);
-    assert!(
-        len <= MAX_LEN && n <= MAX_N,
-        "parameter set exceeds WOTS+ lane bounds"
-    );
-    let lengths = chain_lengths(&params, msg);
-
-    let mut prf_adrs = [Address::new(); MAX_LEN];
-    let mut hash_adrs = [Address::new(); MAX_LEN];
-    prf_addresses(adrs, len, &mut prf_adrs);
-    hash_addresses(adrs, len, &mut hash_adrs);
-
-    let mut values = [0u8; MAX_LEN * MAX_N];
-    let values = &mut values[..len * n];
-    ctx.prf_many(&prf_adrs[..len], sk_seed, values);
-
-    let starts = [0u32; MAX_LEN];
-    let mut adrs_scratch = [Address::new(); MAX_LEN];
-    let mut idx_scratch = [0usize; MAX_LEN];
-    advance_chains(
-        ctx,
-        values,
-        &hash_adrs[..len],
-        &starts[..len],
-        &lengths,
-        &mut adrs_scratch,
-        &mut idx_scratch,
-    );
-
-    values.chunks_exact(n).map(<[u8]>::to_vec).collect()
+    sign_many(ctx, &[msg], sk_seed, std::slice::from_ref(adrs))
+        .pop()
+        .expect("one signature per message")
 }
 
 /// Signs many `n`-byte messages, each under its own keypair address, with
-/// every chain of every request advancing through one shared multi-lane
-/// batch. This is the cross-message chain group of the batch planner:
-/// where a lone [`sign`] ends its rounds with fewer live chains than SHA
-/// lanes (chains retire at their message digits), a group keeps the lanes
-/// full with chains from the other requests. All requests share
-/// `sk_seed` (one signing key signs the whole batch); `adrs_list[i]`
-/// carries request `i`'s layer/tree/keypair coordinates.
-///
-/// Output is byte-identical to calling [`sign`] per request.
+/// every chain of every request running through one shared
+/// [`HashCtx::f_chains`] sweep. This is the cross-message chain group of
+/// the batch planner: chains stop at their message digits, and sorted by
+/// length across all requests they fill lane groups that a lone request's
+/// `len` chains would leave ragged. All requests share `sk_seed` (one
+/// signing key signs the whole batch); `adrs_list[i]` carries request
+/// `i`'s layer/tree/keypair coordinates.
 ///
 /// # Panics
 ///
@@ -306,63 +238,23 @@ pub fn sign_many(
     adrs_list: &[Address],
 ) -> Vec<Vec<Vec<u8>>> {
     let params = *ctx.params();
-    let len = params.wots_len();
-    let n = params.n;
+    let (len, n) = (params.wots_len(), params.n);
     assert_eq!(msgs.len(), adrs_list.len(), "one address per message");
-    assert!(
-        len <= MAX_LEN && n <= MAX_N,
-        "parameter set exceeds WOTS+ lane bounds"
-    );
-    let count = msgs.len();
-    if count == 0 {
-        return Vec::new();
-    }
-
-    let total = count * len;
-    let mut prf_adrs = vec![Address::new(); total];
-    let mut hash_adrs = vec![Address::new(); total];
-    let mut steps = vec![0u32; total];
-    for (r, (msg, adrs)) in msgs.iter().zip(adrs_list).enumerate() {
-        debug_assert_eq!(msg.len(), n);
-        let lengths = chain_lengths(&params, msg);
-        for i in 0..len {
-            prf_adrs[r * len + i] = prf_adrs_for(adrs, i as u32);
-            hash_adrs[r * len + i] = hash_adrs_for(adrs, i as u32);
-            steps[r * len + i] = lengths[i];
-        }
-    }
-
-    let mut values = vec![0u8; total * n];
-    ctx.prf_many(&prf_adrs, sk_seed, &mut values);
-
-    let starts = vec![0u32; total];
-    let mut adrs_scratch = vec![Address::new(); total];
-    let mut idx_scratch = vec![0usize; total];
-    advance_chains(
-        ctx,
-        &mut values,
-        &hash_adrs,
-        &starts,
-        &steps,
-        &mut adrs_scratch,
-        &mut idx_scratch,
-    );
-
-    (0..count)
-        .map(|r| {
-            values[r * len * n..(r + 1) * len * n]
-                .chunks_exact(n)
-                .map(<[u8]>::to_vec)
-                .collect()
+    let lengths: Vec<Vec<u32>> = msgs
+        .iter()
+        .map(|msg| {
+            debug_assert_eq!(msg.len(), n);
+            chain_lengths(&params, msg)
         })
+        .collect();
+    let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| lengths[r][i]);
+    nodes
+        .chunks_exact(len * n)
+        .map(|sig| sig.chunks_exact(n).map(<[u8]>::to_vec).collect())
         .collect()
 }
 
 /// Recomputes the public key from a signature (verification primitive).
-///
-/// The remaining `w-1-digit` steps of every chain run batched, exactly
-/// mirroring [`sign`]. Only the chain addresses are built — chains start
-/// from the revealed signature nodes, so no PRF material is needed.
 ///
 /// # Panics
 ///
@@ -370,59 +262,18 @@ pub fn sign_many(
 /// (the library verify path checks shapes first and returns a typed
 /// error).
 pub fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
-    let params = *ctx.params();
-    let len = params.wots_len();
-    let n = params.n;
-    assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
-    assert!(
-        len <= MAX_LEN && n <= MAX_N,
-        "parameter set exceeds WOTS+ lane bounds"
-    );
-    let lengths = chain_lengths(&params, msg);
-
-    let mut hash_adrs = [Address::new(); MAX_LEN];
-    hash_addresses(adrs, len, &mut hash_adrs);
-
-    let mut values = [0u8; MAX_LEN * MAX_N];
-    let values = &mut values[..len * n];
-    for (slot, node) in values.chunks_exact_mut(n).zip(sig) {
-        assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
-        slot.copy_from_slice(node);
-    }
-
-    let mut remaining = [0u32; MAX_LEN];
-    for (r, &digit) in remaining.iter_mut().zip(lengths.iter()) {
-        *r = params.w as u32 - 1 - digit;
-    }
-    let mut adrs_scratch = [Address::new(); MAX_LEN];
-    let mut idx_scratch = [0usize; MAX_LEN];
-    advance_chains(
-        ctx,
-        values,
-        &hash_adrs[..len],
-        &lengths,
-        &remaining[..len],
-        &mut adrs_scratch,
-        &mut idx_scratch,
-    );
-
-    let mut pk_adrs = *adrs;
-    pk_adrs.set_type(AddressType::WotsPk);
-    pk_adrs.set_keypair(adrs.keypair());
-    let mut out = vec![0u8; n];
-    ctx.t_l_flat_into(&pk_adrs, values, &mut out);
-    out
+    pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs))
+        .pop()
+        .expect("one public key per signature")
 }
 
 /// Recomputes many WOTS+ public keys from signatures, each under its own
-/// keypair address, with every chain of every request advancing through
-/// one shared multi-lane batch — the verification twin of [`sign_many`].
-/// Where signing runs `msg[i]` steps per chain, verification runs the
-/// complementary `w-1-msg[i]` steps from the revealed node, so chains
-/// retire at mixed lengths; batching across requests keeps the SIMD
-/// lanes full as lone chains drop out (masked retirement).
-///
-/// Output is byte-identical to calling [`pk_from_sig`] per request.
+/// keypair address, with every chain of every request running through
+/// one shared [`HashCtx::f_chains`] sweep — the verification twin of
+/// [`sign_many`]. Where signing runs `msg[i]` steps per chain,
+/// verification runs the complementary `w-1-msg[i]` steps from the
+/// revealed node; only the chain addresses are built, no PRF material is
+/// needed.
 ///
 /// ```
 /// use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
@@ -454,64 +305,35 @@ pub fn pk_from_sig_many(
     adrs_list: &[Address],
 ) -> Vec<Vec<u8>> {
     let params = *ctx.params();
-    let len = params.wots_len();
-    let n = params.n;
+    let (len, n) = (params.wots_len(), params.n);
     assert_eq!(sigs.len(), msgs.len(), "one message per signature");
     assert_eq!(sigs.len(), adrs_list.len(), "one address per signature");
-    assert!(
-        len <= MAX_LEN && n <= MAX_N,
-        "parameter set exceeds WOTS+ lane bounds"
-    );
-    let count = sigs.len();
-    if count == 0 {
-        return Vec::new();
-    }
+    let top = params.w as u32 - 1;
 
-    let total = count * len;
-    let mut hash_adrs = vec![Address::new(); total];
-    let mut starts = vec![0u32; total];
-    let mut steps = vec![0u32; total];
-    let mut values = vec![0u8; total * n];
-    for (r, ((sig, msg), adrs)) in sigs.iter().zip(msgs).zip(adrs_list).enumerate() {
+    let mut jobs = Vec::with_capacity(sigs.len() * len);
+    let mut nodes = Vec::with_capacity(sigs.len() * len * n);
+    for ((sig, msg), adrs) in sigs.iter().zip(msgs).zip(adrs_list) {
         assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
         debug_assert_eq!(msg.len(), n);
-        let lengths = chain_lengths(&params, msg);
-        for i in 0..len {
-            hash_adrs[r * len + i] = hash_adrs_for(adrs, i as u32);
-            starts[r * len + i] = lengths[i];
-            steps[r * len + i] = params.w as u32 - 1 - lengths[i];
-        }
-        for (slot, node) in values[r * len * n..(r + 1) * len * n]
-            .chunks_exact_mut(n)
-            .zip(*sig)
-        {
+        for ((i, node), digit) in sig.iter().enumerate().zip(chain_lengths(&params, msg)) {
             assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
-            slot.copy_from_slice(node);
+            nodes.extend_from_slice(node);
+            jobs.push(ChainJob {
+                adrs: hash_adrs_for(adrs, i as u32),
+                start: digit,
+                steps: top - digit,
+            });
         }
     }
-
-    let mut adrs_scratch = vec![Address::new(); total];
-    let mut idx_scratch = vec![0usize; total];
-    advance_chains(
-        ctx,
-        &mut values,
-        &hash_adrs,
-        &starts,
-        &steps,
-        &mut adrs_scratch,
-        &mut idx_scratch,
-    );
+    ctx.f_chains(&mut nodes, &jobs);
 
     adrs_list
         .iter()
-        .enumerate()
-        .map(|(r, adrs)| {
-            let mut pk_adrs = *adrs;
-            pk_adrs.set_type(AddressType::WotsPk);
-            pk_adrs.set_keypair(adrs.keypair());
-            let mut out = vec![0u8; n];
-            ctx.t_l_flat_into(&pk_adrs, &values[r * len * n..(r + 1) * len * n], &mut out);
-            out
+        .zip(nodes.chunks_exact(len * n))
+        .map(|(adrs, ends)| {
+            let mut pk = vec![0u8; n];
+            ctx.t_l_flat_into(&pk_adrs_for(adrs), ends, &mut pk);
+            pk
         })
         .collect()
 }
@@ -716,16 +538,14 @@ mod tests {
 
     #[test]
     fn small_w_parameter_sets_round_trip() {
-        // Every (w, n) combination validate() accepts must fit the lane
-        // buffers: w=4 with n=32 is the worst case (len = 133). (w=8
-        // requires 3 | n for base_w to have enough digest bits; n=24 is
-        // its only valid size here.)
+        // Small w means many short chains: w=4 with n=32 is the worst
+        // case (len = 133). (w=8 requires 3 | n for base_w to have
+        // enough digest bits; n=24 is its only valid size here.)
         for (w, n) in [(4usize, 16usize), (4, 24), (4, 32), (8, 24)] {
             let mut params = Params::sphincs_256f();
             params.w = w;
             params.n = n;
             params.validate().unwrap();
-            assert!(params.wots_len() <= MAX_LEN, "w={w} n={n}");
             let ctx = HashCtx::new(params, &vec![9u8; n]);
             let sk_seed = vec![3u8; n];
             let mut adrs = Address::new();

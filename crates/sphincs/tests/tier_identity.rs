@@ -12,7 +12,8 @@
 //!    SHA-256 / SHAKE-256 known-answer vectors plus hash-layer batches
 //!    at every partial lane count (masked retirement);
 //! 3. at full scheme scope, by re-running a pinned seed-era signature
-//!    fixture under the forced scalar tier.
+//!    fixture under the forced scalar tier and under every tier that
+//!    selects a body of the WOTS+ chain kernel.
 //!
 //! Forcing the tier is process-global, but concurrent tests stay sound
 //! precisely because of the property under test: all tiers are
@@ -27,13 +28,14 @@ use hero_sphincs::sha256::{self, Sha256};
 use hero_sphincs::sign::keygen_from_seeds_with_alg;
 use hero_sphincs::tier::{
     self, force_tier, restore_tier, supported_keccak_tiers, supported_sha256_tiers, HashTier,
+    Primitive,
 };
 use proptest::prelude::*;
 
 /// Runs `body` with the process-wide tier forced to `tier`, restoring
 /// the previous resolution afterwards even on panic.
 fn with_forced_tier<R>(tier: HashTier, body: impl FnOnce() -> R) -> R {
-    struct Restore((HashTier, HashTier));
+    struct Restore(tier::ActiveTiers);
     impl Drop for Restore {
         fn drop(&mut self) {
             restore_tier(self.0);
@@ -194,7 +196,20 @@ fn kats_replay_under_every_forced_tier() {
 /// `HERO_HASH_TIER=scalar` CI leg re-checks across the full suite.
 #[test]
 fn pinned_signature_fixture_replays_under_forced_scalar() {
-    with_forced_tier(HashTier::Scalar, || {
+    assert_pinned_signature_fixture(HashTier::Scalar);
+}
+
+/// The same fixture under every tier the chain kernel has a body for:
+/// keygen, signing and verification all walk their WOTS+ chains in it.
+#[test]
+fn pinned_signature_fixture_replays_under_every_forced_chain_tier() {
+    for tier in tier::supported_tiers(Primitive::Sha256Chain) {
+        assert_pinned_signature_fixture(tier);
+    }
+}
+
+fn assert_pinned_signature_fixture(tier: HashTier) {
+    with_forced_tier(tier, || {
         let mut params = Params::sphincs_128f();
         params.h = 6;
         params.d = 3;
@@ -214,12 +229,14 @@ fn pinned_signature_fixture_replays_under_forced_scalar() {
         assert_eq!(
             hex(&Sha256::digest(&vk.to_bytes())),
             "0bdcee59d0c5d3b53140a64e70398ea26008a399b6bcc163a2fa3a564be65fe3",
-            "public key drifted under forced scalar tier"
+            "public key drifted under forced tier {}",
+            tier.label()
         );
         assert_eq!(
             hex(&Sha256::digest(&sig.to_bytes(&params))),
             "27ddf7ae9592344331ddb61d129e0690c533cffccf348c940984865556cfd578",
-            "signature bytes drifted under forced scalar tier"
+            "signature bytes drifted under forced tier {}",
+            tier.label()
         );
     });
 }
@@ -229,7 +246,9 @@ fn pinned_signature_fixture_replays_under_forced_scalar() {
 /// message, and a tampered signature, through both the scalar
 /// [`verify`](hero_sphincs::sign::VerifyingKey::verify) path and the
 /// lane-batched [`verify_many`](hero_sphincs::sign::VerifyingKey::verify_many)
-/// path. A rung may only change throughput, never a verdict.
+/// path. A rung may only change throughput, never a verdict. Forcing a
+/// SHA-256 tier forces the WOTS+ chain kernel's body with it, so the
+/// SHA-256 leg walks every chain body too.
 #[test]
 fn verify_verdicts_identical_under_every_forced_tier() {
     use hero_sphincs::sign::SignError;
@@ -295,26 +314,20 @@ fn verify_verdicts_identical_under_every_forced_tier() {
 }
 
 /// The ladder resolution itself: the active tiers are drawn from the
-/// supported sets, and `description` names both primitives.
+/// supported sets, and `description` names every primitive.
 #[test]
 fn resolved_tiers_are_supported() {
-    let sha = tier::sha256_tier();
-    let keccak_t = tier::keccak_tier();
-    assert!(
-        supported_sha256_tiers().contains(&sha),
-        "resolved sha256 tier {} not in supported set",
-        sha.label()
-    );
-    assert!(
-        supported_keccak_tiers().contains(&keccak_t),
-        "resolved keccak tier {} not in supported set",
-        keccak_t.label()
-    );
     let desc = tier::description();
-    assert!(
-        desc.contains("sha256=") && desc.contains("keccak="),
-        "{desc}"
-    );
+    for primitive in Primitive::ALL {
+        let active = tier::active(primitive);
+        assert!(
+            tier::supported_tiers(primitive).contains(&active),
+            "resolved {} tier {} not in supported set",
+            primitive.label(),
+            active.label()
+        );
+        assert!(desc.contains(&format!("{}=", primitive.label())), "{desc}");
+    }
 }
 
 fn hex(bytes: &[u8]) -> String {

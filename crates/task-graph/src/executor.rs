@@ -593,13 +593,17 @@ mod tests {
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Polls until the pool heals back to `n` live workers.
-    fn wait_for_pool(pool: &Executor, n: usize) {
+    /// Polls until the pool has healed back to `n` live workers after
+    /// `respawns` deaths. The live count alone is not enough: a dying
+    /// worker leaves it only once its unwind reaches the respawn hook,
+    /// which backtrace capture (`RUST_BACKTRACE=1`) delays, so the count
+    /// can still read `n` before any death has been accounted for.
+    fn wait_for_pool(pool: &Executor, n: usize, respawns: u64) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.alive_workers() != n {
+        while pool.alive_workers() != n || pool.respawned_workers() != respawns {
             assert!(
                 Instant::now() < deadline,
-                "pool never healed to {n} workers"
+                "pool never healed to {n} workers after {respawns} respawns"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -837,7 +841,7 @@ mod tests {
         crate::chaos::clear();
         assert_eq!(count.into_inner(), 256, "submission must survive deaths");
         assert_eq!(deaths.load(Ordering::SeqCst), 0, "both deaths must fire");
-        wait_for_pool(&pool, 4);
+        wait_for_pool(&pool, 4, 2);
         assert_eq!(pool.respawned_workers(), 2);
         // The healed pool still runs work.
         let after = AtomicUsize::new(0);
