@@ -268,27 +268,13 @@ pub fn tree_requests(
 
 /// One plannable `FORS_Sign` stage: builds a group of trees — from any
 /// mix of messages — returning each tree's revealed secret + auth path
-/// and its root. Secrets derive in one `PRF` sweep and the reductions run
-/// through [`fors::tree_hash_many`]'s combined lanes.
+/// and its root, all from [`fors::tree_hash_many`]'s one pass.
 pub fn sign_trees(
     ctx: &HashCtx,
     sk_seed: &[u8],
     reqs: &[fors::ForsTreeRequest],
 ) -> Vec<(fors::ForsTreeSig, Vec<u8>)> {
-    let sks = fors::sk_elements_many(ctx, sk_seed, reqs);
-    let outs = fors::tree_hash_many(ctx, sk_seed, reqs);
-    sks.into_iter()
-        .zip(outs)
-        .map(|(sk, out)| {
-            (
-                fors::ForsTreeSig {
-                    sk,
-                    auth_path: out.auth_path,
-                },
-                out.root,
-            )
-        })
-        .collect()
+    fors::tree_hash_many(ctx, sk_seed, reqs)
 }
 
 /// The final `T_k` stage: compresses one message's `k` tree roots

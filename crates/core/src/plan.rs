@@ -84,14 +84,15 @@ pub struct PlanShape {
 }
 
 impl PlanShape {
-    /// The shape used by [`sign_batch`]: single-message batches keep
-    /// subtree items at one-per-node (maximum pool balance, matching the
-    /// pre-planner `TREE_Sign` decomposition); multi-message batches pair
-    /// subtrees so reductions merge across items without starving the
-    /// queue.
+    /// The shape used by [`sign_batch`]: FORS items are one group of the
+    /// widest fused tree kernel, whichever messages its trees belong to;
+    /// single-message batches keep subtree items at one-per-node (maximum
+    /// pool balance, matching the pre-planner `TREE_Sign`
+    /// decomposition); multi-message batches pair subtrees so reductions
+    /// merge across items without starving the queue.
     pub fn for_batch(messages: usize) -> Self {
         Self {
-            fors_trees_per_item: 8,
+            fors_trees_per_item: hero_sphincs::fors::FUSED_TREES,
             subtrees_per_item: if messages >= 4 { 2 } else { 1 },
             chains_per_item: 4,
         }
@@ -568,7 +569,7 @@ struct VerifyPreamble {
 /// Plans and verifies a whole batch as one cross-signature stage graph
 /// submitted onto `exec`.
 ///
-/// Signatures are grouped [`VERIFY_GROUP`] at a time; each group's
+/// Signatures are grouped four at a time (`VERIFY_GROUP`); each group's
 /// pipeline — FORS root recovery, then one XMSS root recomputation per
 /// hypertree layer — is a chain of lane-batched DAG nodes, and the
 /// chains of different groups interleave freely on the pool. Shape

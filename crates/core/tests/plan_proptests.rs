@@ -155,3 +155,32 @@ proptest! {
         );
     }
 }
+
+/// FORS items the size of one fused lane group and of one message's
+/// whole forest, on a batch whose `3 · 11 = 16 · 2 + 1` trees leave both
+/// a remainder tree: full groups, the single-tree last group and a group
+/// cut across message boundaries all sign the reference bytes.
+#[test]
+fn fused_fors_item_sizes_sign_reference_bytes() {
+    let mut params = reduced_sets()[0];
+    params.k = 11;
+    params.validate().unwrap();
+    let sk = key_for(params, 0x33);
+    let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
+    let msgs_owned: Vec<Vec<u8>> = (0..3u8).map(|i| vec![0xF0 | i; 7]).collect();
+    let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+    let reference: Vec<_> = msgs.iter().map(|msg| sk.sign(msg)).collect();
+    let exec = Executor::new(4).unwrap();
+    assert_eq!(plan::sign_batch(&ctx, &sk, &msgs, &exec), reference);
+    for fors_trees_per_item in [16, 33] {
+        let shape = PlanShape {
+            fors_trees_per_item,
+            ..PlanShape::for_batch(msgs.len())
+        };
+        assert_eq!(
+            plan::sign_batch_shaped(&ctx, &sk, &msgs, &exec, &shape),
+            reference,
+            "{shape:?}"
+        );
+    }
+}

@@ -129,6 +129,11 @@ impl Address {
         self.words[CHAIN_OR_HEIGHT] = chain;
     }
 
+    /// WOTS+ chain index.
+    pub fn chain(&self) -> u32 {
+        self.words[CHAIN_OR_HEIGHT]
+    }
+
     /// Sets the WOTS+ hash index within a chain.
     pub fn set_hash(&mut self, hash: u32) {
         self.words[HASH_OR_INDEX] = hash;

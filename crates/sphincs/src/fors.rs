@@ -5,11 +5,16 @@
 //! authentication path (§II-A2 of the paper). Tree independence is the
 //! parallelism HERO-Sign's FORS Fusion exploits.
 //!
-//! Leaf generation is fully batched: a tree's `t` leaves derive their
-//! secrets with chunked [`HashCtx::prf_many`] sweeps straight into the
-//! flat treehash buffer and hash to leaves in place with
-//! [`HashCtx::f_many_at`] — the CPU mirror of the fused `Set` filling a
-//! block's shared memory with one leaf per thread (§III-B).
+//! Signing builds trees many at a time ([`tree_hash_many`]). Under
+//! SHA-256 that is the CPU mirror of the paper's Tree Fusion (§III-B):
+//! where the GPU's fused `Set` packs whole trees into one block, a SIMD
+//! register group holds one whole tree per lane and takes them from
+//! `PRF` through `F` to the last `H` without leaving the registers, the
+//! revealed secret and the authentication path falling out on the way.
+//! Elsewhere — and in [`tree_hash`], the scalar-shaped oracle — a tree's
+//! `t` leaves derive their secrets with chunked [`HashCtx::prf_many`]
+//! sweeps into a flat buffer, hash to leaves in place with
+//! [`HashCtx::f_many_at`], and halve level by level.
 //!
 //! ```
 //! use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
@@ -32,6 +37,8 @@
 //! ```
 
 use crate::address::{Address, AddressType};
+#[cfg(target_arch = "x86_64")]
+use crate::forest;
 use crate::hash::HashCtx;
 use crate::merkle::{self, TreeHashOutput};
 use crate::params::Params;
@@ -40,7 +47,7 @@ use crate::params::Params;
 const LEAF_CHUNK: usize = 128;
 
 /// One tree's share of a FORS signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ForsTreeSig {
     /// Revealed secret element (`n` bytes).
     pub sk: Vec<u8>,
@@ -180,8 +187,7 @@ fn fill_tree_leaves(
 ///
 /// The whole bottom layer is generated batched (`fill_tree_leaves`
 /// streams `prf_many`/`f_many_at` chunks into the flat buffer);
-/// [`tree_hash_many`] is the cross-message spelling that fuses several
-/// trees into one sweep.
+/// [`tree_hash_many`] is the cross-message spelling signing uses.
 pub fn tree_hash(
     ctx: &HashCtx,
     sk_seed: &[u8],
@@ -222,18 +228,130 @@ impl ForsTreeRequest {
     }
 }
 
-/// [`tree_hash`] over many trees — possibly belonging to different
-/// messages — in one [`merkle::treehash_many`] sweep: every reduction
-/// level hashes all requests' sibling pairs through one combined
-/// multi-lane batch, so the near-root levels (fewer nodes than lanes for
-/// a single tree) stay full. Byte-identical per request to
-/// [`tree_hash`].
+/// Trees the widest fused body builds at once: request lists are best
+/// cut in multiples of it.
+pub const FUSED_TREES: usize = 16;
+
+/// [`tree_hash`] and [`sk_element`] over many trees — possibly belonging
+/// to different messages — in one pass: each request's revealed secret
+/// and authentication path, and its root. Byte-identical per request to
+/// the two scalar functions.
+///
+/// Under SHA-256, on a CPU the resident ladder has a body for
+/// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
+/// taken a register group at a time and every lane builds one whole tree
+/// — `PRF`, `F` and all `H` levels — without leaving the registers (the
+/// fused kernel, the paper's Tree Fusion). Requests that do not fill a
+/// last group share its lanes out among themselves, a subtree per lane,
+/// and only the few levels above the subtree roots go level by level.
+/// That is how everything goes under SHAKE-256, SHA-512 and the `scalar`
+/// rung ([`merkle::treehash_many`]: every reduction level hashes all
+/// requests' sibling pairs through one combined multi-lane batch).
 pub fn tree_hash_many(
     ctx: &HashCtx,
     sk_seed: &[u8],
     reqs: &[ForsTreeRequest],
-) -> Vec<TreeHashOutput> {
+) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(iv), Some(kernel)) = (
+        ctx.sha256_seed_state(),
+        forest::Kernel::active(ctx.params().n),
+    ) {
+        let full = reqs.len() - reqs.len() % kernel.lanes;
+        let mut out = fused_trees(ctx, &kernel, iv, sk_seed, &reqs[..full], 0);
+        let short = &reqs[full..];
+        if !short.is_empty() {
+            // A last group the requests do not fill gives each tree as
+            // many lanes as go round, a subtree to each.
+            let split = (kernel.lanes / short.len()).ilog2() as usize;
+            let split = split.min(ctx.params().log_t);
+            out.extend(fused_trees(ctx, &kernel, iv, sk_seed, short, split));
+        }
+        return out;
+    }
+    tree_hash_sweep(ctx, sk_seed, reqs)
+}
+
+/// [`tree_hash_many`] in the fused kernel, each tree cut into `2^split`
+/// subtrees of equal height that a lane builds each: the secret and the
+/// lower part of the authentication path come from the lane whose
+/// subtree holds the revealed leaf, the levels above the subtree roots
+/// are halved across all trees at once ([`merkle::treehash_many`]).
+#[cfg(target_arch = "x86_64")]
+fn fused_trees(
+    ctx: &HashCtx,
+    kernel: &forest::Kernel,
+    iv: &[u32; 8],
+    sk_seed: &[u8],
+    reqs: &[ForsTreeRequest],
+    split: usize,
+) -> Vec<(ForsTreeSig, Vec<u8>)> {
     let params = *ctx.params();
+    let n = params.n;
+    let height = params.log_t - split;
+    let trees: Vec<forest::Tree> = reqs
+        .iter()
+        .flat_map(|req| {
+            (0..1u32 << split).map(move |part| forest::Tree {
+                node_adrs: node_adrs_for(&req.keypair_adrs),
+                prf_adrs: prf_adrs_for(&req.keypair_adrs, 0),
+                leaf_offset: req.leaf_offset(&params) + (part << height),
+                leaf_idx: (req.leaf_idx >> height == part)
+                    .then_some(req.leaf_idx & ((1 << height) - 1)),
+            })
+        })
+        .collect();
+    let mut built = kernel.run(iv, n, height, sk_seed, &trees);
+    if split == 0 {
+        return built;
+    }
+
+    let jobs: Vec<merkle::TreeHashJob> = reqs
+        .iter()
+        .map(|req| {
+            let mut node_adrs = node_adrs_for(&req.keypair_adrs);
+            node_adrs.set_tree_height(height as u32);
+            merkle::TreeHashJob {
+                leaf_idx: req.leaf_idx >> height,
+                node_adrs,
+                leaf_offset: req.leaf_offset(&params) >> height,
+            }
+        })
+        .collect();
+    let tops = merkle::treehash_many(ctx, split, &jobs, |j, buf| {
+        for (slot, (_, root)) in buf.chunks_exact_mut(n).zip(&built[j << split..]) {
+            slot.copy_from_slice(root);
+        }
+    });
+    reqs.iter()
+        .zip(tops)
+        .enumerate()
+        .map(|(j, (req, top))| {
+            let part = (j << split) + (req.leaf_idx >> height) as usize;
+            let mut sig = std::mem::take(&mut built[part].0);
+            sig.auth_path.extend(top.auth_path);
+            (sig, top.root)
+        })
+        .collect()
+}
+
+/// [`tree_hash_many`] level by level: the secrets to reveal in one `PRF`
+/// sweep, the leaves tree by tree ([`fill_tree_leaves`]), the reduction
+/// across all requests at once.
+fn tree_hash_sweep(
+    ctx: &HashCtx,
+    sk_seed: &[u8],
+    reqs: &[ForsTreeRequest],
+) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    let params = *ctx.params();
+    let n = params.n;
+    let sk_adrs: Vec<Address> = reqs
+        .iter()
+        .map(|req| prf_adrs_for(&req.keypair_adrs, req.leaf_offset(&params) + req.leaf_idx))
+        .collect();
+    let mut sks = vec![0u8; reqs.len() * n];
+    ctx.prf_many(&sk_adrs, sk_seed, &mut sks);
+
     let jobs: Vec<merkle::TreeHashJob> = reqs
         .iter()
         .map(|req| merkle::TreeHashJob {
@@ -242,7 +360,7 @@ pub fn tree_hash_many(
             leaf_offset: req.leaf_offset(&params),
         })
         .collect();
-    merkle::treehash_many(ctx, params.log_t, &jobs, |j, buf| {
+    let outs = merkle::treehash_many(ctx, params.log_t, &jobs, |j, buf| {
         let req = &reqs[j];
         fill_tree_leaves(
             ctx,
@@ -251,21 +369,14 @@ pub fn tree_hash_many(
             req.leaf_offset(&params),
             buf,
         )
-    })
-}
-
-/// [`sk_element`] over a batch of requests in one `PRF` sweep (the
-/// revealed-leaf secrets of a cross-message tree group).
-pub fn sk_elements_many(ctx: &HashCtx, sk_seed: &[u8], reqs: &[ForsTreeRequest]) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let n = params.n;
-    let adrs: Vec<Address> = reqs
-        .iter()
-        .map(|req| prf_adrs_for(&req.keypair_adrs, req.leaf_offset(&params) + req.leaf_idx))
-        .collect();
-    let mut out = vec![0u8; reqs.len() * n];
-    ctx.prf_many(&adrs, sk_seed, &mut out);
-    out.chunks_exact(n).map(<[u8]>::to_vec).collect()
+    });
+    sks.chunks_exact(n)
+        .zip(outs)
+        .map(|(sk, out)| {
+            let (sk, auth_path) = (sk.to_vec(), out.auth_path);
+            (ForsTreeSig { sk, auth_path }, out.root)
+        })
+        .collect()
 }
 
 /// Signs message digest `md`, producing one revealed leaf per tree.
@@ -565,7 +676,6 @@ mod tests {
             })
             .collect();
         let many = tree_hash_many(&ctx, &sk_seed, &reqs);
-        let sks = sk_elements_many(&ctx, &sk_seed, &reqs);
         for (i, req) in reqs.iter().enumerate() {
             let single = tree_hash(
                 &ctx,
@@ -574,9 +684,11 @@ mod tests {
                 req.tree_idx,
                 req.leaf_idx,
             );
-            assert_eq!(many[i], single, "request {i}");
+            let (sig, root) = &many[i];
+            assert_eq!(*root, single.root, "request {i}");
+            assert_eq!(sig.auth_path, single.auth_path, "request {i}");
             assert_eq!(
-                sks[i],
+                sig.sk,
                 sk_element(
                     &ctx,
                     &sk_seed,

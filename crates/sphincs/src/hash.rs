@@ -29,7 +29,9 @@
 //!
 //! WOTS+ chains are the exception to "one call, one compression through
 //! the engine": [`HashCtx::f_chains`] takes whole chains, and under
-//! SHA-256 runs them without leaving SIMD registers between steps.
+//! SHA-256 runs them — their `PRF` heads included — without leaving SIMD
+//! registers between steps. FORS trees are the other one
+//! ([`crate::fors::tree_hash_many`]).
 //!
 //! ## The SHAKE-256 instantiation
 //!
@@ -64,7 +66,7 @@
 //! assert_eq!(out.len(), 16);
 //! ```
 
-use crate::address::Address;
+use crate::address::{Address, AddressType};
 use crate::keccak::{self, KeccakxN, Shake256};
 use crate::params::Params;
 use crate::sha256::{self, Sha256, Sha256xN, BLOCK_LEN, LANES};
@@ -168,16 +170,41 @@ impl SeededHasher {
     }
 }
 
+/// Where a WOTS+ chain's first node comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChainHead<'a> {
+    /// The `n` bytes already in the chain's slot of `nodes`.
+    Node,
+    /// The chain's secret element, `PRF(prf_adrs, sk_seed)` under
+    /// [`ChainJob::prf_adrs`], from this `n`-byte `sk_seed`: what the slot
+    /// holds beforehand is not read.
+    Secret(&'a [u8]),
+}
+
 /// One WOTS+ chain's work order for [`HashCtx::f_chains`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChainJob {
+pub struct ChainJob<'a> {
     /// The chain's `F` address: type `WotsHash` with layer, tree, key
     /// pair and chain index set. Its hash index is not consulted.
     pub adrs: Address,
+    /// The node `start` and `steps` count from.
+    pub head: ChainHead<'a>,
     /// Hash index of the first step.
     pub start: u32,
-    /// Number of `F` steps; 0 leaves the node as it is.
+    /// Number of `F` steps; 0 leaves the head as it is.
     pub steps: u32,
+}
+
+impl ChainJob<'_> {
+    /// The `WotsPrf` address of the chain's secret element: the chain's
+    /// coordinates under the other type, hash index zero.
+    pub fn prf_adrs(&self) -> Address {
+        let mut prf_adrs = self.adrs;
+        prf_adrs.set_type(AddressType::WotsPrf);
+        prf_adrs.set_keypair(self.adrs.keypair());
+        prf_adrs.set_chain(self.adrs.chain());
+        prf_adrs
+    }
 }
 
 /// The tweakable hash context: parameters plus the seeded state.
@@ -241,6 +268,13 @@ impl HashCtx {
     /// The hash primitive in use.
     pub fn alg(&self) -> HashAlg {
         self.alg
+    }
+
+    /// The SHA-256 state after the seed block, which the resident bodies
+    /// start every call from; `None` under another primitive.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn sha256_seed_state(&self) -> Option<&[u32; 8]> {
+        (self.alg == HashAlg::Sha256).then_some(&self.seeded.state)
     }
 
     /// Seeded tweakable hash over `adrs || parts…`, truncated to `n`.
@@ -423,8 +457,9 @@ impl HashCtx {
     /// node `buf[indices[j]*n..]` and overwrites it with
     /// `F(adrs[j], node)`. `indices` must be distinct.
     ///
-    /// FORS leaves go from secret to leaf through it; whole WOTS+ chains
-    /// go through [`HashCtx::f_chains`].
+    /// FORS leaves go from secret to leaf through it where the fused tree
+    /// kernel has no body; whole WOTS+ chains go through
+    /// [`HashCtx::f_chains`].
     ///
     /// # Panics
     ///
@@ -490,32 +525,49 @@ impl HashCtx {
         }
     }
 
-    /// Runs WOTS+ chains to completion: node `i` (`nodes[i*n..]`) is
-    /// replaced by the result of `jobs[i].steps` calls of `F`, the `r`-th
-    /// of them under `jobs[i].adrs` with hash index `jobs[i].start + r` —
-    /// byte-identical to [`crate::wots::chain`] per node.
+    /// Runs WOTS+ chains to completion: node `i` (`nodes[i*n..]`) becomes
+    /// chain `i`'s head ([`ChainJob::head`]: the node itself, or the
+    /// chain's secret element) advanced by `jobs[i].steps` calls of `F`,
+    /// the `r`-th of them under `jobs[i].adrs` with hash index
+    /// `jobs[i].start + r` — byte-identical to [`crate::wots::sk_element`]
+    /// and [`crate::wots::chain`] per node.
     ///
     /// This is the one entry point to WOTS+ chains. Under SHA-256, on a
     /// CPU the chain kernel has a body for
     /// ([`crate::tier::sha256_chain_tier`] above `scalar`), the chains
-    /// stay in SIMD registers from their first step to their last.
-    /// Everything else — SHAKE-256, SHA-512, the `scalar` rung — advances
-    /// all live chains one [`HashCtx::f_many_at`] round at a time.
+    /// stay in SIMD registers from their heads — `PRF` included — to
+    /// their last step. Everything else — SHAKE-256, SHA-512, the
+    /// `scalar` rung — derives the secret heads with [`HashCtx::prf_many`]
+    /// and advances all live chains one [`HashCtx::f_many_at`] round at a
+    /// time.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is not `jobs.len() * n` bytes.
+    /// Panics if `nodes` is not `jobs.len() * n` bytes, or an `sk_seed`
+    /// not `n`.
     pub fn f_chains(&self, nodes: &mut [u8], jobs: &[ChainJob]) {
         let n = self.params.n;
         assert_eq!(nodes.len(), jobs.len() * n, "nodes must be count*n bytes");
         #[cfg(target_arch = "x86_64")]
         if self.alg == HashAlg::Sha256 {
-            if let Some(kernel) = crate::chain::Kernel::active() {
+            if let Some(kernel) = crate::chain::Kernel::active(n) {
                 return kernel.run(&self.seeded.state, n, nodes, jobs);
             }
         }
-        let rounds = jobs.iter().map(|job| job.steps).max().unwrap_or(0);
         let mut adrs = Vec::with_capacity(jobs.len());
+        // Runs of chains under one `sk_seed` (a call's are, as a rule, one
+        // run) derive their heads in one sweep.
+        let mut first = 0usize;
+        for run in jobs.chunk_by(|a, b| a.head == b.head) {
+            if let ChainHead::Secret(sk_seed) = run[0].head {
+                adrs.clear();
+                adrs.extend(run.iter().map(ChainJob::prf_adrs));
+                let heads = &mut nodes[first * n..(first + run.len()) * n];
+                self.prf_many(&adrs, sk_seed, heads);
+            }
+            first += run.len();
+        }
+        let rounds = jobs.iter().map(|job| job.steps).max().unwrap_or(0);
         let mut live = Vec::with_capacity(jobs.len());
         for round in 0..rounds {
             adrs.clear();
@@ -764,7 +816,6 @@ pub fn split_digest(params: &Params, digest: &[u8]) -> (Vec<u8>, u64, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::AddressType;
 
     fn ctx128() -> HashCtx {
         HashCtx::new(Params::sphincs_128f(), &[7u8; 16])

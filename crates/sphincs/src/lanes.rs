@@ -1,0 +1,411 @@
+//! What the lane-resident SHA-256 bodies are written over: a register of
+//! `u32` lanes ([`Lanes`], in zmm and in ymm), one compression of it
+//! ([`compress`]), and the message of a tweakable-hash call put together
+//! in registers ([`tweak`]). The WOTS+ chain kernel ([`crate::chain`])
+//! and the fused FORS tree kernel ([`crate::forest`]) are the two bodies;
+//! [`crate::tier::sha256_chain_tier`] picks the register width for both.
+//!
+//! Each lane is one independent hash call. Its operands live transposed,
+//! one register per 32-bit word, from the moment a group is loaded
+//! ([`put_words`]) to the moment its results are stored ([`take_words`]);
+//! nothing in between touches bytes.
+
+use crate::address::Address;
+use crate::sha256::{BLOCK_LEN, K};
+
+use std::arch::x86_64::*;
+
+/// Lanes of the widest body (one `u32` per zmm lane). Narrower bodies
+/// use the first lanes of a transposed row.
+pub(crate) const MAX_LANES: usize = 16;
+
+/// Words of the longest node (`n = 32`).
+pub(crate) const MAX_NODE_WORDS: usize = 8;
+
+/// Message words that hold nothing but address: bytes `0..20` of the
+/// 22-byte compressed address, i.e. everything before the low half of
+/// its last field.
+pub(crate) const ADRS_WORDS: usize = 5;
+
+/// One word of every lane: a row of a transposed group.
+pub(crate) type Row = [u32; MAX_LANES];
+
+/// Message words `0..5` of a call under `adrs`, with the last field
+/// (hash index or tree index, which [`tweak`] takes separately) zero.
+///
+/// The compressed address puts the type in the second byte of word 2,
+/// the key pair across words 2 and 3, and the chain index or tree height
+/// across words 3 and 4 ([`height_word`]).
+pub(crate) fn adrs_words(adrs: &Address) -> [u32; ADRS_WORDS] {
+    let mut adrs = *adrs;
+    adrs.set_hash(0);
+    let bytes = adrs.to_compressed_bytes();
+    std::array::from_fn(|i| u32::from_be_bytes(bytes[4 * i..][..4].try_into().expect("4 bytes")))
+}
+
+/// Message word 4 of a tree-node address at `height`: the field's low
+/// half on top, the tree index's high half ([`tweak`] adds it) below.
+/// Word 3 carries the field's high half, zero for every real tree.
+pub(crate) fn height_word(height: u32) -> u32 {
+    debug_assert!(height < 1 << 16);
+    height << 16
+}
+
+/// Writes `bytes` into lane `lane` of `rows` as big-endian words.
+pub(crate) fn put_words(rows: &mut [Row], lane: usize, bytes: &[u8]) {
+    for (row, word) in rows.iter_mut().zip(bytes.chunks_exact(4)) {
+        row[lane] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
+    }
+}
+
+/// Writes [`adrs_words`] of `adrs` into lane `lane` of `rows`.
+pub(crate) fn put_adrs(rows: &mut [Row; ADRS_WORDS], lane: usize, adrs: &Address) {
+    for (row, word) in rows.iter_mut().zip(adrs_words(adrs)) {
+        row[lane] = word;
+    }
+}
+
+/// Reads lane `lane` of `rows` back into `bytes`.
+pub(crate) fn take_words(rows: &[Row], lane: usize, bytes: &mut [u8]) {
+    for (row, word) in rows.iter().zip(bytes.chunks_exact_mut(4)) {
+        word.copy_from_slice(&row[lane].to_be_bytes());
+    }
+}
+
+/// A register of `u32` lanes: what the resident bodies are written over.
+///
+/// Every method is `unsafe` for one reason: it executes instructions of
+/// the implementor's ISA extension, which the CPU must support. The
+/// bodies are the only callers, and each is entered through a function
+/// that carries the matching `#[target_feature]`.
+pub(crate) trait Lanes: Copy {
+    unsafe fn splat(x: u32) -> Self;
+    unsafe fn load(src: &Row) -> Self;
+    unsafe fn store(self, dst: &mut Row);
+    unsafe fn add(self, other: Self) -> Self;
+    unsafe fn or(self, other: Self) -> Self;
+    unsafe fn xor3(self, b: Self, c: Self) -> Self;
+    /// `self ? f : g`, bit by bit.
+    unsafe fn ch(self, f: Self, g: Self) -> Self;
+    unsafe fn maj(self, b: Self, c: Self) -> Self;
+    unsafe fn ror<const R: i32>(self) -> Self;
+    unsafe fn shr(self, count: u32) -> Self;
+    unsafe fn shl(self, count: u32) -> Self;
+    /// Lane by lane, `new` where `round < steps` and `old` elsewhere.
+    unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self;
+    /// Lane by lane, `new` where `a == b` and `old` elsewhere.
+    unsafe fn if_eq(a: Self, b: Self, new: Self, old: Self) -> Self;
+}
+
+/// Sixteen lanes in one zmm register, with the single-instruction
+/// rotates and three-input logic of AVX-512F.
+#[derive(Clone, Copy)]
+pub(crate) struct Zmm(__m512i);
+
+impl Lanes for Zmm {
+    #[inline(always)]
+    unsafe fn splat(x: u32) -> Self {
+        Zmm(_mm512_set1_epi32(x as i32))
+    }
+    #[inline(always)]
+    unsafe fn load(src: &Row) -> Self {
+        Zmm(_mm512_loadu_si512(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut Row) {
+        _mm512_storeu_si512(dst.as_mut_ptr().cast(), self.0);
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Zmm(_mm512_add_epi32(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn or(self, other: Self) -> Self {
+        Zmm(_mm512_or_si512(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn xor3(self, b: Self, c: Self) -> Self {
+        Zmm(_mm512_ternarylogic_epi32::<0x96>(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn ch(self, f: Self, g: Self) -> Self {
+        Zmm(_mm512_ternarylogic_epi32::<0xCA>(self.0, f.0, g.0))
+    }
+    #[inline(always)]
+    unsafe fn maj(self, b: Self, c: Self) -> Self {
+        Zmm(_mm512_ternarylogic_epi32::<0xE8>(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn ror<const R: i32>(self) -> Self {
+        Zmm(_mm512_ror_epi32::<R>(self.0))
+    }
+    #[inline(always)]
+    unsafe fn shr(self, count: u32) -> Self {
+        Zmm(_mm512_srl_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
+    }
+    #[inline(always)]
+    unsafe fn shl(self, count: u32) -> Self {
+        Zmm(_mm512_sll_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
+    }
+    #[inline(always)]
+    unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self {
+        let live = _mm512_cmplt_epu32_mask(Self::splat(round).0, steps.0);
+        Zmm(_mm512_mask_mov_epi32(old.0, live, new.0))
+    }
+    #[inline(always)]
+    unsafe fn if_eq(a: Self, b: Self, new: Self, old: Self) -> Self {
+        Zmm(_mm512_mask_mov_epi32(
+            old.0,
+            _mm512_cmpeq_epi32_mask(a.0, b.0),
+            new.0,
+        ))
+    }
+}
+
+/// Eight lanes in one ymm register. AVX2 has neither rotates nor
+/// three-input logic: a rotate is two shifts and an or.
+#[derive(Clone, Copy)]
+pub(crate) struct Ymm(__m256i);
+
+impl Lanes for Ymm {
+    #[inline(always)]
+    unsafe fn splat(x: u32) -> Self {
+        Ymm(_mm256_set1_epi32(x as i32))
+    }
+    #[inline(always)]
+    unsafe fn load(src: &Row) -> Self {
+        Ymm(_mm256_loadu_si256(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut Row) {
+        _mm256_storeu_si256(dst.as_mut_ptr().cast(), self.0);
+    }
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Ymm(_mm256_add_epi32(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn or(self, other: Self) -> Self {
+        Ymm(_mm256_or_si256(self.0, other.0))
+    }
+    #[inline(always)]
+    unsafe fn xor3(self, b: Self, c: Self) -> Self {
+        Ymm(_mm256_xor_si256(_mm256_xor_si256(self.0, b.0), c.0))
+    }
+    #[inline(always)]
+    unsafe fn ch(self, f: Self, g: Self) -> Self {
+        Ymm(_mm256_xor_si256(
+            g.0,
+            _mm256_and_si256(self.0, _mm256_xor_si256(f.0, g.0)),
+        ))
+    }
+    #[inline(always)]
+    unsafe fn maj(self, b: Self, c: Self) -> Self {
+        Ymm(_mm256_or_si256(
+            _mm256_and_si256(self.0, b.0),
+            _mm256_and_si256(c.0, _mm256_or_si256(self.0, b.0)),
+        ))
+    }
+    #[inline(always)]
+    unsafe fn ror<const R: i32>(self) -> Self {
+        self.shr(R as u32).or(self.shl(32 - R as u32))
+    }
+    // The counts are constants to the compiler wherever the caller's are.
+    #[inline(always)]
+    unsafe fn shr(self, count: u32) -> Self {
+        Ymm(_mm256_srl_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
+    }
+    #[inline(always)]
+    unsafe fn shl(self, count: u32) -> Self {
+        Ymm(_mm256_sll_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
+    }
+    #[inline(always)]
+    unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self {
+        // A signed compare: step counts are far below 2^31.
+        let live = _mm256_cmpgt_epi32(steps.0, Self::splat(round).0);
+        Ymm(_mm256_blendv_epi8(old.0, new.0, live))
+    }
+    #[inline(always)]
+    unsafe fn if_eq(a: Self, b: Self, new: Self, old: Self) -> Self {
+        Ymm(_mm256_blendv_epi8(
+            old.0,
+            new.0,
+            _mm256_cmpeq_epi32(a.0, b.0),
+        ))
+    }
+}
+
+/// Round constants `16t..16t+16`.
+#[inline(always)]
+fn round_constants(t: usize) -> &'static [u32; 16] {
+    K[16 * t..][..16].try_into().expect("16 of 64 constants")
+}
+
+/// One compression of the 16-word message `w` from state `iv`; `w` is
+/// consumed as the rolling schedule.
+///
+/// Inlined into each of a body's calls, so that message and digest stay
+/// in registers: as a call it cost a 128f subtree fill 15 µs of 80.
+/// Unoptimised, each inlined copy would instead cost its caller half a
+/// megabyte of stack (every temporary of the 64 unrolled rounds is a
+/// slot), so there it stays a function of its own.
+///
+/// # Safety
+///
+/// As [`Lanes`].
+#[cfg_attr(not(debug_assertions), inline(always))]
+#[cfg_attr(debug_assertions, inline(never))]
+unsafe fn compress<V: Lanes>(iv: &[V; 8], w: &mut [V; 16]) -> [V; 8] {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *iv;
+
+    // One round on renamed registers (the a..h rotation is in the
+    // argument order, not in moves), extending the schedule in place
+    // first when `$extend`.
+    macro_rules! round {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident,
+         $k:ident, $j:literal, $extend:literal) => {
+            if $extend {
+                let (w2, w15) = (w[($j + 14) % 16], w[($j + 1) % 16]);
+                let s1 = w2.ror::<17>().xor3(w2.ror::<19>(), w2.shr(10));
+                let s0 = w15.ror::<7>().xor3(w15.ror::<18>(), w15.shr(3));
+                w[$j] = w[$j].add(s0).add(w[($j + 9) % 16].add(s1));
+            }
+            let big_s1 = $e.ror::<6>().xor3($e.ror::<11>(), $e.ror::<25>());
+            let t1 = $h
+                .add(big_s1)
+                .add($e.ch($f, $g))
+                .add(V::splat($k[$j]).add(w[$j]));
+            let big_s0 = $a.ror::<2>().xor3($a.ror::<13>(), $a.ror::<22>());
+            $d = $d.add(t1);
+            $h = t1.add(big_s0.add($a.maj($b, $c)));
+        };
+    }
+    macro_rules! rounds16 {
+        ($k:ident, $extend:literal) => {
+            round!(a b c d e f g h, $k, 0, $extend);
+            round!(h a b c d e f g, $k, 1, $extend);
+            round!(g h a b c d e f, $k, 2, $extend);
+            round!(f g h a b c d e, $k, 3, $extend);
+            round!(e f g h a b c d, $k, 4, $extend);
+            round!(d e f g h a b c, $k, 5, $extend);
+            round!(c d e f g h a b, $k, 6, $extend);
+            round!(b c d e f g h a, $k, 7, $extend);
+            round!(a b c d e f g h, $k, 8, $extend);
+            round!(h a b c d e f g, $k, 9, $extend);
+            round!(g h a b c d e f, $k, 10, $extend);
+            round!(f g h a b c d e, $k, 11, $extend);
+            round!(e f g h a b c d, $k, 12, $extend);
+            round!(d e f g h a b c, $k, 13, $extend);
+            round!(c d e f g h a b, $k, 14, $extend);
+            round!(b c d e f g h a, $k, 15, $extend);
+        };
+    }
+
+    let k = round_constants(0);
+    rounds16!(k, false);
+    for t in 1..4 {
+        let k = round_constants(t);
+        rounds16!(k, true);
+    }
+
+    [
+        iv[0].add(a),
+        iv[1].add(b),
+        iv[2].add(c),
+        iv[3].add(d),
+        iv[4].add(e),
+        iv[5].add(f),
+        iv[6].add(g),
+        iv[7].add(h),
+    ]
+}
+
+/// One tweakable-hash call per lane, after the seed block: the digest of
+/// `ADRS_c ‖ payload` continued from state `iv` — `F` and `PRF` on one
+/// node of `NW` words, `H` on the two of a sibling pair. `adrs` is
+/// message words `0..5` ([`adrs_words`]) and `last` the address's last
+/// field.
+///
+/// Bytes `0..22` are `ADRS_c`, whose last four are that field, so the
+/// payload starts in the low half of word 5 and everything after it sits
+/// 16 bits off a word boundary. The terminator follows the payload's last
+/// word; with the bit length it fits one block up to eight payload words
+/// (`F` and `PRF` at every `n`, `H` at `n = 16`) and needs a second one
+/// beyond.
+///
+/// # Safety
+///
+/// As [`Lanes`].
+#[inline(always)]
+pub(crate) unsafe fn tweak<V: Lanes, const NW: usize, const NODES: usize>(
+    iv: &[V; 8],
+    adrs: &[V; ADRS_WORDS],
+    last: V,
+    payload: [&[V; NW]; NODES],
+) -> [V; 8] {
+    let bit_len = ((BLOCK_LEN + 22 + 4 * NW * NODES) * 8) as u32;
+    let mut blocks = [[V::splat(0); 16]; 2];
+    blocks[0][..4].copy_from_slice(&adrs[..4]);
+    blocks[0][4] = adrs[4].or(last.shr(16));
+    let (mut at, mut carry) = (5, last);
+    for node in payload {
+        for &word in node {
+            blocks[at / 16][at % 16] = carry.shl(16).or(word.shr(16));
+            (at, carry) = (at + 1, word);
+        }
+    }
+    blocks[at / 16][at % 16] = carry.shl(16).or(V::splat(0x8000));
+
+    let [first, second] = &mut blocks;
+    if at < 14 {
+        first[15] = V::splat(bit_len);
+        compress(iv, first)
+    } else {
+        second[15] = V::splat(bit_len);
+        let state = compress(iv, first);
+        compress(&state, second)
+    }
+}
+
+/// Defines `body_for(tier, n)`: the generic body `$run::<V, NW>` compiled
+/// for the register width of `tier` and the word count of `n`-byte nodes,
+/// with the lanes it fills — or `None` where the ladder has no body. Each
+/// instantiation is a function of its own.
+macro_rules! lane_bodies {
+    ($run:ident $args:tt) => {
+        fn body_for(
+            tier: $crate::tier::HashTier,
+            n: usize,
+        ) -> Option<(usize, $crate::lanes::lane_bodies!(@fn $args))> {
+            use $crate::lanes::{lane_bodies, Ymm, Zmm};
+            use $crate::tier::HashTier;
+            lane_bodies!(@body zmm_4, "avx512f", $run, Zmm, 4, $args);
+            lane_bodies!(@body zmm_6, "avx512f", $run, Zmm, 6, $args);
+            lane_bodies!(@body zmm_8, "avx512f", $run, Zmm, 8, $args);
+            lane_bodies!(@body ymm_4, "avx2", $run, Ymm, 4, $args);
+            lane_bodies!(@body ymm_6, "avx2", $run, Ymm, 6, $args);
+            lane_bodies!(@body ymm_8, "avx2", $run, Ymm, 8, $args);
+            match (tier, n) {
+                (HashTier::Avx512, 16) => Some((16, zmm_4)),
+                (HashTier::Avx512, 24) => Some((16, zmm_6)),
+                (HashTier::Avx512, 32) => Some((16, zmm_8)),
+                (HashTier::Avx2, 16) => Some((8, ymm_4)),
+                (HashTier::Avx2, 24) => Some((8, ymm_6)),
+                (HashTier::Avx2, 32) => Some((8, ymm_8)),
+                _ => None,
+            }
+        }
+    };
+    (@fn ($($arg:ident: $ty:ty),* $(,)?)) => { unsafe fn($($ty),*) };
+    (@body $name:ident, $feature:literal, $run:ident, $V:ty, $NW:literal,
+     ($($arg:ident: $ty:ty),* $(,)?)) => {
+        /// # Safety
+        ///
+        /// The CPU must support the extension this is compiled for.
+        #[target_feature(enable = $feature)]
+        unsafe fn $name($($arg: $ty),*) {
+            $run::<$V, $NW>($($arg),*)
+        }
+    };
+}
+pub(crate) use lane_bodies;

@@ -19,16 +19,18 @@
 //!   instantiated over SHA-256, SHA-512 or SHAKE-256
 //!   ([`hash::HashAlg`]).
 //! * [`wots`] — WOTS+ chains (chain-level parallelism; a call's chains
-//!   run to completion resident in SIMD lanes, [`hash::HashCtx::f_chains`]).
+//!   run from their secret elements to completion resident in SIMD
+//!   lanes, [`hash::HashCtx::f_chains`]).
 //! * [`fors`] — the forest of random subsets (tree-level parallelism,
-//!   the target of HERO-Sign's FORS Fusion; leaves generate batched).
+//!   the target of HERO-Sign's FORS Fusion; a register group builds one
+//!   whole tree per lane, [`fors::tree_hash_many`]).
 //! * [`merkle`] — tree hashing with authentication paths (the reduction
 //!   of Fig. 7, levels halved in place over one flat buffer).
 //! * [`hypertree`] — the `d`-layer hypertree (`TREE_Sign`'s workload).
 //! * [`sign`] — keygen / sign / verify.
 //! * [`tier`] — the runtime ISA ladder (scalar → AVX2 → SHA-NI /
-//!   AVX-512 / NEON) that picks the fastest hash core, and the WOTS+
-//!   chain kernel's body, once per process, overridable via
+//!   AVX-512 / NEON) that picks the fastest hash core, and the body of
+//!   the two lane-resident kernels, once per process, overridable via
 //!   `HERO_HASH_TIER`.
 //!
 //! ## Lanes as threads
@@ -83,10 +85,14 @@
 pub mod address;
 #[cfg(target_arch = "x86_64")]
 mod chain;
+#[cfg(target_arch = "x86_64")]
+mod forest;
 pub mod fors;
 pub mod hash;
 pub mod hypertree;
 pub mod keccak;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 pub mod merkle;
 pub mod params;
 pub mod sha256;

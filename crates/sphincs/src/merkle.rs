@@ -160,10 +160,13 @@ where
 pub struct TreeHashJob {
     /// Leaf whose authentication path is extracted.
     pub leaf_idx: u32,
-    /// Layer/tree coordinates for node addressing.
+    /// Layer/tree coordinates for node addressing. Its height field is
+    /// the height the job's leaves sit at: 0, unless they are themselves
+    /// roots of subtrees built elsewhere ([`treehash_many`] only).
     pub node_adrs: Address,
-    /// Forest-global leaf offset (0 for hypertree subtrees, `tree·t` for
-    /// FORS trees).
+    /// Forest-global offset of the first leaf, counted in nodes of the
+    /// leaves' height (0 for hypertree subtrees, `tree·t` for FORS
+    /// trees).
     pub leaf_offset: u32,
 }
 
@@ -231,7 +234,7 @@ where
             idxs[j] >>= 1;
 
             let mut adrs = job.node_adrs;
-            adrs.set_tree_height(level_height as u32);
+            adrs.set_tree_height(job.node_adrs.tree_height() + level_height as u32);
             let level_offset = job.leaf_offset >> level_height;
             for i in 0..parents as u32 {
                 let mut a = adrs;

@@ -1,6 +1,8 @@
 //! Runtime ISA-tier selection for the hash cores — the dispatch ladder
 //! behind [`crate::sha256::compress_x`], [`crate::keccak::permute_x`] and
-//! the WOTS+ chain kernel ([`crate::hash::HashCtx::f_chains`]).
+//! the two lane-resident SHA-256 kernels: WOTS+ chains
+//! ([`crate::hash::HashCtx::f_chains`]) and fused FORS trees
+//! ([`crate::fors::tree_hash_many`]).
 //!
 //! A 128f sign burns ~113k compressions, so the primitive core dominates
 //! end-to-end signature throughput. Instead of consulting
@@ -17,7 +19,7 @@
 //! | primitive | x86-64 | aarch64 |
 //! |---|---|---|
 //! | SHA-256 | `sha-ni` → `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
-//! | SHA-256 WOTS+ chains | `avx512` → `avx2` → `scalar` | `scalar` |
+//! | SHA-256 WOTS+ chains and FORS trees | `avx512` → `avx2` → `scalar` | `scalar` |
 //! | Keccak-f\[1600\] | `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
 //!
 //! The SHA-256 ladder is the PR 9 order and is static. On the reference
@@ -61,6 +63,61 @@
 //! not be measured on this host, so aarch64 keeps the round loop — on
 //! its `vsha256h` core, exactly as before — until someone measures a
 //! resident body against it there.
+//!
+//! ## The same ladder carries the fused FORS trees
+//!
+//! The second resident body is the paper's Tree Fusion: a lane owns one
+//! whole FORS tree and takes it from `PRF` through `F` to the last `H` in
+//! registers ([`crate::fors::tree_hash_many`]). It is written over the
+//! same vector vocabulary and the same compression as the chain body,
+//! so it has the same two instantiations, and the chain tier picks
+//! between them — one ladder, one label, one override. `scalar` again
+//! means *no resident body*: trees are filled and halved level by level
+//! through `compress_x`, as all of them were before. With it came
+//! chains that start from their own `PRF` in the lane (no separate sweep
+//! for the secrets, nothing of them in bytes).
+//!
+//! Measured like the table above, on the same host, the parent commit
+//! and this one linked into one binary and alternated in blocks of 40–60
+//! calls (µs, range of the medians of four runs of 15–21 blocks, alone /
+//! the other hardware thread filling subtrees). "16 trees" is one full
+//! zmm group of 128f trees (16 × 191 calls), "33 trees" one message's
+//! forest in items of 16 (8 for the sweep, its item size) including
+//! what the last tree costs, "fill" the 8-leaf subtree of the first
+//! table with its 280 chains headed by their `PRF`:
+//!
+//! | body | 16 trees | 33 trees | fill, `PRF`-headed |
+//! |---|---|---|---|
+//! | 16 trees / chains resident in zmm | 54–56 / 53–57 | 110–144 / 122–124 | 86–90 / 86–93 |
+//! | 8 resident in ymm (forced `avx2`) | 138–139 / 125–139 | 290–309 / 276–321 | 225–226 / 228–230 |
+//! | level-by-level sweep and `prf_many` heads, default SHA-NI `compress_x` (the parent) | 181–188 / 177–190 | 350–447 / 372–384 | 94–97 / 94–100 |
+//! | the same, forced `avx2` | 206–209 / 185–210 | 429–439 / 410–496 | 226–228 / 230–231 |
+//! | the same, forced `scalar` | 410–437 / 470–534 | 820–890 / 950–1390 | 631–685 / 625–775 |
+//!
+//! Both fused bodies beat the sweep on the core they would otherwise
+//! feed (3.4× in zmm, 1.5× in ymm). Heading the chains by their `PRF`
+//! is worth 8 µs of a fill in zmm and nothing measurable in ymm, where
+//! the 8-lane `compress_x` was as good at a `PRF` sweep as the body is;
+//! it is one body either way, so there is no rung to withhold.
+//!
+//! **A last group the requests do not fill** — the 33rd tree of a lone
+//! message, `m mod 16` trees of a batch of `m` — had three candidates:
+//! run the group part empty, hand the left-over trees to the sweep, or
+//! cut each of them into as many subtrees as there are lanes to go round
+//! (one tree: 16 four-leaf subtrees, then the top four levels through
+//! `h_many`). µs for 1 / 2 / 4 / 8 left-over 128f trees, zmm, alone:
+//!
+//! | candidate | 1 | 2 | 4 | 8 | |
+//! |---|---|---|---|---|---|
+//! | group part empty | 48–50 | 48–50 | 48–50 | 48–50 | not kept |
+//! | the sweep | 11–13 | 20–24 | 38–46 | 74–93 | not kept: the rung below |
+//! | trees cut across the lanes | 7.4–9.5 | 11–13 | 16–21 | 26–33 | what runs |
+//!
+//! (ymm: 15 → 11, 27 → 20, 52 → 36 against the sweep forced `avx2`.)
+//! Cutting wins at every size, so it is the rule, and it needs no
+//! threshold: a short group's trees share its lanes out, each lane
+//! building a subtree `⌊log2(lanes / trees)⌋` levels below the root,
+//! and from 9 trees up that is the plain part-empty group.
 //!
 //! ## Overrides and fallback
 //!
@@ -202,8 +259,9 @@ pub enum Primitive {
     Sha256,
     /// The Keccak-f\[1600\] permutation core ([`crate::keccak`]).
     Keccak,
-    /// The lane-resident SHA-256 WOTS+ chain kernel
-    /// ([`crate::hash::HashCtx::f_chains`]).
+    /// The lane-resident SHA-256 kernels: WOTS+ chains
+    /// ([`crate::hash::HashCtx::f_chains`]) and, on the same ladder, fused
+    /// FORS trees ([`crate::fors::tree_hash_many`]).
     Sha256Chain,
 }
 
@@ -265,7 +323,7 @@ pub fn supported(primitive: Primitive, tier: HashTier) -> bool {
         HashTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         #[cfg(target_arch = "x86_64")]
         HashTier::Avx512 => {
-            // The chain kernel works on whole zmm registers; the two
+            // The resident kernels work on whole zmm registers; the two
             // `compress_x`/`permute_x` cores on ymm halves (AVX-512VL).
             std::arch::is_x86_feature_detected!("avx512f")
                 && (primitive == Primitive::Sha256Chain
@@ -434,7 +492,8 @@ pub fn keccak_tier() -> HashTier {
     active(Primitive::Keccak)
 }
 
-/// The active tier of the SHA-256 WOTS+ chain kernel (see [`active`]).
+/// The active tier of the lane-resident SHA-256 kernels — WOTS+ chains
+/// and fused FORS trees (see [`active`]).
 #[inline]
 pub fn sha256_chain_tier() -> HashTier {
     active(Primitive::Sha256Chain)

@@ -30,7 +30,7 @@
 //! ```
 
 use crate::address::{Address, AddressType};
-use crate::hash::{ChainJob, HashCtx};
+use crate::hash::{ChainHead, ChainJob, HashCtx};
 use crate::params::Params;
 
 /// Converts `msg` into `out_len` base-`w` digits (spec Algorithm 1).
@@ -102,9 +102,9 @@ pub fn chain(ctx: &HashCtx, x: &[u8], start: u32, steps: u32, adrs: &mut Address
     value
 }
 
-/// The PRF address deriving chain `chain_idx`'s secret element — the one
-/// place the WotsPrf field sequence is spelled out; scalar
-/// ([`sk_element`]) and batched paths share it.
+/// The PRF address deriving chain `chain_idx`'s secret element, as the
+/// scalar oracle [`sk_element`] spells it ([`ChainJob::prf_adrs`] is what
+/// the chains themselves go by).
 fn prf_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
     let mut a = Address::new();
     a.copy_subtree_from(adrs);
@@ -133,10 +133,11 @@ fn pk_adrs_for(adrs: &Address) -> Address {
     pk_adrs
 }
 
-/// Derives every chain head of every key pair in `adrs_list` in one
-/// [`HashCtx::prf_many`] sweep and runs chain `i` of key pair `r` for
-/// `steps(r, i)` steps through [`HashCtx::f_chains`]. Returns the flat
-/// `n`-stride nodes, key pair after key pair.
+/// Runs chain `i` of key pair `r` from its secret element for
+/// `steps(r, i)` steps, every key pair of `adrs_list` in one
+/// [`HashCtx::f_chains`] call — which derives the heads itself, so no
+/// secret exists outside it. Returns the flat `n`-stride nodes, key pair
+/// after key pair.
 fn chains_from_secret(
     ctx: &HashCtx,
     sk_seed: &[u8],
@@ -144,21 +145,16 @@ fn chains_from_secret(
     steps: impl Fn(usize, usize) -> u32,
 ) -> Vec<u8> {
     let len = ctx.params().wots_len();
-    let total = adrs_list.len() * len;
-    let mut prf_adrs = Vec::with_capacity(total);
-    let mut jobs = Vec::with_capacity(total);
+    let mut jobs = Vec::with_capacity(adrs_list.len() * len);
     for (r, adrs) in adrs_list.iter().enumerate() {
-        for i in 0..len {
-            prf_adrs.push(prf_adrs_for(adrs, i as u32));
-            jobs.push(ChainJob {
-                adrs: hash_adrs_for(adrs, i as u32),
-                start: 0,
-                steps: steps(r, i),
-            });
-        }
+        jobs.extend((0..len).map(|i| ChainJob {
+            adrs: hash_adrs_for(adrs, i as u32),
+            head: ChainHead::Secret(sk_seed),
+            start: 0,
+            steps: steps(r, i),
+        }));
     }
-    let mut nodes = vec![0u8; total * ctx.params().n];
-    ctx.prf_many(&prf_adrs, sk_seed, &mut nodes);
+    let mut nodes = vec![0u8; jobs.len() * ctx.params().n];
     ctx.f_chains(&mut nodes, &jobs);
     nodes
 }
@@ -320,6 +316,7 @@ pub fn pk_from_sig_many(
             nodes.extend_from_slice(node);
             jobs.push(ChainJob {
                 adrs: hash_adrs_for(adrs, i as u32),
+                head: ChainHead::Node,
                 start: digit,
                 steps: top - digit,
             });

@@ -1,34 +1,20 @@
 //! The WOTS+ chain entry point ([`HashCtx::f_chains`]) and the sweeps
-//! built on it, held byte-identical to the scalar oracle
-//! ([`wots::chain`], one `f_into` per step) under every ISA tier the
-//! host supports. Forcing a SHA-256 tier forces the chain kernel's too
+//! built on it, held byte-identical to the scalar oracles
+//! ([`wots::sk_element`] for a head derived in place, [`wots::chain`],
+//! one `f_into` per step, from there) under every ISA tier the host
+//! supports. Forcing a SHA-256 tier forces the chain kernel's too
 //! (`sha-ni`, which has no chain body, selects the ladder's best), so
 //! walking the SHA-256 tiers walks every chain body and the round loop.
-//!
-//! Forcing a tier is process-global, so the tests of this file take
-//! turns ([`TIER_LOCK`]): each one then really runs the body it names.
 
 use hero_sphincs::address::{Address, AddressType};
-use hero_sphincs::hash::{ChainJob, HashAlg, HashCtx};
+use hero_sphincs::hash::{ChainHead, ChainJob, HashAlg, HashCtx};
 use hero_sphincs::params::Params;
-use hero_sphincs::tier::{self, HashTier};
+use hero_sphincs::tier;
 use hero_sphincs::{hypertree, wots};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `body` with every primitive forced to `tier`.
-fn with_forced_tier<R>(tier: HashTier, body: impl FnOnce() -> R) -> R {
-    struct Restore(tier::ActiveTiers);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            tier::restore_tier(self.0);
-        }
-    }
-    let _guard = Restore(tier::force_tier(tier));
-    body()
-}
+mod common;
+use common::{with_forced_tier, Stream, TIER_LOCK};
 
 /// The shapes the kernel is instantiated for: every `n`, the reduced
 /// shape the other suites sign with, and the two ends of `w`.
@@ -49,25 +35,17 @@ fn shapes() -> Vec<Params> {
     shapes
 }
 
-/// xorshift64*: the tests' own stream, so a case is its seed.
-struct Stream(u64);
-
-impl Stream {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, bound: u32) -> u32 {
-        (self.next() % bound as u64) as u32
-    }
-}
-
 /// `count` chains with random coordinates and nodes; starts and step
-/// counts cover `0..w` with both extremes over-represented.
-fn random_chains(params: &Params, count: usize, rng: &mut Stream) -> (Vec<ChainJob>, Vec<u8>) {
+/// counts cover `0..w` with both extremes over-represented. About half
+/// of them start from their secret element under one of `sk_seeds`,
+/// and of those one in three runs no step at all: what a zero digit
+/// makes `wots::sign_many` reveal.
+fn random_chains<'a>(
+    params: &Params,
+    count: usize,
+    sk_seeds: &'a [Vec<u8>; 2],
+    rng: &mut Stream,
+) -> (Vec<ChainJob<'a>>, Vec<u8>) {
     let w = params.w as u32;
     let jobs = (0..count)
         .map(|_| {
@@ -77,7 +55,7 @@ fn random_chains(params: &Params, count: usize, rng: &mut Stream) -> (Vec<ChainJ
             adrs.set_type(AddressType::WotsHash);
             adrs.set_keypair(rng.next() as u32);
             adrs.set_chain(rng.next() as u32);
-            let (start, steps) = match rng.below(8) {
+            let (start, mut steps) = match rng.below(8) {
                 0 => (rng.below(w), 0),
                 1 => (0, w - 1),
                 _ => {
@@ -85,11 +63,27 @@ fn random_chains(params: &Params, count: usize, rng: &mut Stream) -> (Vec<ChainJ
                     (start, rng.below(w - start))
                 }
             };
-            ChainJob { adrs, start, steps }
+            let head = match rng.below(4) {
+                0 | 1 => ChainHead::Node,
+                which => ChainHead::Secret(&sk_seeds[which as usize - 2]),
+            };
+            if head != ChainHead::Node && rng.below(3) == 0 {
+                steps = 0;
+            }
+            ChainJob {
+                adrs,
+                head,
+                start,
+                steps,
+            }
         })
         .collect();
-    let nodes = (0..count * params.n).map(|_| rng.next() as u8).collect();
+    let nodes = rng.bytes(count * params.n);
     (jobs, nodes)
+}
+
+fn random_seeds(params: &Params, rng: &mut Stream) -> [Vec<u8>; 2] {
+    [(); 2].map(|()| rng.bytes(params.n))
 }
 
 /// What `f_chains` must produce, one scalar chain at a time.
@@ -99,7 +93,11 @@ fn oracle(ctx: &HashCtx, jobs: &[ChainJob], nodes: &[u8]) -> Vec<u8> {
         .zip(nodes.chunks_exact(n))
         .flat_map(|(job, node)| {
             let mut adrs = job.adrs;
-            wots::chain(ctx, node, job.start, job.steps, &mut adrs)
+            let head = match job.head {
+                ChainHead::Node => node.to_vec(),
+                ChainHead::Secret(sk_seed) => wots::sk_element(ctx, sk_seed, &adrs, adrs.chain()),
+            };
+            wots::chain(ctx, &head, job.start, job.steps, &mut adrs)
         })
         .collect()
 }
@@ -129,8 +127,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any number of chains up to two key pairs' worth and one more —
-    /// every partial lane group of every body — with any starts and
-    /// step counts, equals the scalar chains under every tier.
+    /// every partial lane group of every body — with any heads, starts
+    /// and step counts, equals the scalar chains under every tier.
     #[test]
     fn f_chains_matches_scalar_chain_under_every_tier(
         shape in 0usize..6,
@@ -141,9 +139,10 @@ proptest! {
         let params = shapes()[shape];
         let count = 1 + (fill as usize * 2 * params.wots_len()) / 999;
         let mut rng = Stream(seed | 1);
-        let pk_seed: Vec<u8> = (0..params.n).map(|_| rng.next() as u8).collect();
+        let pk_seed = rng.bytes(params.n);
         let ctx = HashCtx::new(params, &pk_seed);
-        let (jobs, nodes) = random_chains(&params, count, &mut rng);
+        let sk_seeds = random_seeds(&params, &mut rng);
+        let (jobs, nodes) = random_chains(&params, count, &sk_seeds, &mut rng);
         let expected = oracle(&ctx, &jobs, &nodes);
         for tier in tier::supported_sha256_tiers() {
             let mut got = nodes.clone();
@@ -168,8 +167,8 @@ proptest! {
         let params = shapes()[shape];
         let n = params.n;
         let mut rng = Stream(seed | 1);
-        let pk_seed: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
-        let sk_seed: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
+        let pk_seed = rng.bytes(n);
+        let sk_seed = rng.bytes(n);
         let ctx = HashCtx::new(params, &pk_seed);
         let (layer, tree) = (rng.below(22), rng.next());
         let adrs_list: Vec<Address> = (0..leaves as u32)
@@ -210,7 +209,8 @@ fn f_chains_matches_scalar_chain_for_the_other_primitives() {
     for alg in [HashAlg::Shake256, HashAlg::Sha512] {
         for params in shapes() {
             let ctx = HashCtx::with_alg(params, &vec![7u8; params.n], alg);
-            let (jobs, nodes) = random_chains(&params, params.wots_len() + 3, &mut rng);
+            let sk_seeds = random_seeds(&params, &mut rng);
+            let (jobs, nodes) = random_chains(&params, params.wots_len() + 3, &sk_seeds, &mut rng);
             let mut got = nodes.clone();
             ctx.f_chains(&mut got, &jobs);
             assert_eq!(
@@ -221,6 +221,24 @@ fn f_chains_matches_scalar_chain_for_the_other_primitives() {
                 params.w
             );
         }
+    }
+}
+
+/// A call longer than the kernel sorts at once: the chains are grouped
+/// window by window and land where their jobs are.
+#[test]
+fn f_chains_sorts_long_calls_in_windows() {
+    let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let params = Params::sphincs_128f();
+    let mut rng = Stream(0xd1ce);
+    let ctx = HashCtx::new(params, &[3u8; 16]);
+    let sk_seeds = random_seeds(&params, &mut rng);
+    let (jobs, nodes) = random_chains(&params, 2 * 512 + 37, &sk_seeds, &mut rng);
+    let expected = oracle(&ctx, &jobs, &nodes);
+    for tier in tier::supported_sha256_tiers() {
+        let mut got = nodes.clone();
+        with_forced_tier(tier, || ctx.f_chains(&mut got, &jobs));
+        assert_eq!(got, expected, "under {}", tier.label());
     }
 }
 
@@ -236,6 +254,7 @@ fn f_chains_accepts_empty_work() {
             let mut node = [0xA5u8; 16];
             let idle = ChainJob {
                 adrs: Address::new(),
+                head: ChainHead::Node,
                 start: 9,
                 steps: 0,
             };

@@ -13,7 +13,8 @@
 //!    at every partial lane count (masked retirement);
 //! 3. at full scheme scope, by re-running a pinned seed-era signature
 //!    fixture under the forced scalar tier and under every tier that
-//!    selects a body of the WOTS+ chain kernel.
+//!    selects a body of the two lane-resident kernels (WOTS+ chains,
+//!    fused FORS trees).
 //!
 //! Forcing the tier is process-global, but concurrent tests stay sound
 //! precisely because of the property under test: all tiers are
@@ -199,8 +200,9 @@ fn pinned_signature_fixture_replays_under_forced_scalar() {
     assert_pinned_signature_fixture(HashTier::Scalar);
 }
 
-/// The same fixture under every tier the chain kernel has a body for:
-/// keygen, signing and verification all walk their WOTS+ chains in it.
+/// The same fixture under every tier the resident ladder has a body for:
+/// keygen, signing and verification all walk their WOTS+ chains in it,
+/// and signing builds its FORS trees in the fused body of the same width.
 #[test]
 fn pinned_signature_fixture_replays_under_every_forced_chain_tier() {
     for tier in tier::supported_tiers(Primitive::Sha256Chain) {

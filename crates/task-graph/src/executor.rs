@@ -821,8 +821,14 @@ mod tests {
         // replacements do not die in a loop.
         let deaths = Arc::new(AtomicUsize::new(2));
         let budget = Arc::clone(&deaths);
+        // The hook is process-global and the pools of the tests running
+        // beside this one pass the same point: only this pool's workers
+        // may spend the budget, or the deaths counted below happen
+        // elsewhere.
+        let this_pool = Arc::as_ptr(&pool.shared) as *const () as usize;
         crate::chaos::install(Arc::new(move |point| {
             if point == crate::chaos::WORKER_CLAIM
+                && CURRENT_POOL.with(|p| p.get()) == this_pool
                 && budget
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
                     .is_ok()
