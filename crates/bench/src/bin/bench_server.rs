@@ -155,7 +155,6 @@ fn main() {
 
     let service_config = ServiceConfig {
         max_batch: 64,
-        max_wait: Duration::from_micros(500),
         queue_depth: 1024,
     };
     let start_server = |service: ServiceConfig, inflight: usize| -> Server {

@@ -36,7 +36,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::service::{ServiceConfig, SignService};
@@ -195,7 +195,6 @@ fn main() {
                 sk.clone(),
                 ServiceConfig {
                     max_batch: 64,
-                    max_wait: Duration::from_micros(500),
                     queue_depth: 1024,
                 },
             )

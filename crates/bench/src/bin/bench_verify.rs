@@ -9,9 +9,8 @@
 //!   through FORS / WOTS+ / XMSS levels together so each level's hashes
 //!   go through the multi-lane `f_many`/`thash_many` cores.
 //! * **planned** — `HeroSigner::verify_batch`: the same lane batching,
-//!   but planned as a cross-signature stage DAG on the persistent
-//!   executor, so independent per-signature stages also run across
-//!   worker threads.
+//!   but split into groups that are one node each on the persistent
+//!   executor, so independent groups also run across worker threads.
 //!
 //! A fourth leg runs the mixed sign+verify service: equal numbers of
 //! sign and verify clients sharing one `SignService`, each lane
@@ -22,22 +21,22 @@
 //!
 //! 1. lane-batched must not be slower than scalar at batch 8;
 //! 2. planned must not be slower than lane-batched at batch 64
-//!    (otherwise the stage DAG is pure overhead);
+//!    (otherwise spreading the groups is pure overhead);
 //! 3. planned must reach >= 1.5x the scalar rate at batch 64 — the
 //!    headline batched-verification speedup.
 //!
 //! Gates 2 and 3 need real hardware parallelism: on a host with one
-//! hardware thread `plan::verify_batch` intentionally degrades to the
-//! inline full-width lane pipeline, so gate 2 becomes equality up to
-//! timer noise (0.95) and gate 3 becomes the lane-amortization win
-//! alone (1.1x). The JSON records which thresholds applied.
+//! hardware thread the groups of `plan::verify_batch` have nothing to
+//! run in parallel on, so gate 2 becomes equality up to timer noise
+//! (0.95) and gate 3 becomes the lane-amortization win alone (1.1x).
+//! The JSON records which thresholds applied.
 //!
 //! ```text
 //! bench_verify [--smoke] [--iters N] [--workers W] [--out PATH]
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::service::{ServiceConfig, SignService};
@@ -215,7 +214,6 @@ fn main() {
             sk.clone(),
             ServiceConfig {
                 max_batch: 64,
-                max_wait: Duration::from_micros(500),
                 queue_depth: 1024,
             },
         )
@@ -257,10 +255,9 @@ fn main() {
     println!("  mixed service ({mixed_clients}+{mixed_clients} clients): {mixed_rate:>9.1} ops/s");
 
     // Host-aware thresholds: the planner's scheduling win needs real
-    // hardware parallelism. On a single-hardware-thread host
-    // `plan::verify_batch` intentionally degrades to the inline
-    // full-width lane pipeline, so "planned vs lane" is equality up to
-    // timer noise and the achievable speedup over scalar is the lane
+    // hardware parallelism. On a single-hardware-thread host the
+    // groups run one after another, so "planned vs lane" is equality up
+    // to timer noise and the achievable speedup over scalar is the lane
     // amortization win alone.
     let host_threads = std::thread::available_parallelism()
         .map(|p| p.get())

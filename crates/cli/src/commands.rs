@@ -177,8 +177,8 @@ fn verify(args: &Args) -> CmdResult {
 
 /// The batched `verify --sigs` body: every decodable signature goes
 /// through the selected backend's batch verifier in one call (the HERO
-/// backend plans the whole set as a cross-signature stage graph), and
-/// the report lists one verdict per file. Any verdict other than
+/// backend spreads the set over its executor in lane-batched groups),
+/// and the report lists one verdict per file. Any verdict other than
 /// `valid` fails the command after the full report is assembled.
 fn verify_many(args: &Args, vk: &hero_sphincs::VerifyingKey, sig_list: &str) -> CmdResult {
     let sig_paths: Vec<&str> = sig_list.split(',').filter(|p| !p.is_empty()).collect();
@@ -390,7 +390,6 @@ fn throughput(args: &Args) -> CmdResult {
             .parse()
             .map_err(|_| CliError::Usage(format!("--max-batch: '{v}' is not a number")))?;
     }
-    config.max_wait = Duration::from_micros(args.get_u64("max-wait-us", 500)?);
 
     // Baseline: one thread looping single-message sign on the same
     // backend (every message pays its own stage-graph fill/drain).
@@ -499,7 +498,6 @@ pub(crate) fn start_server(args: &Args) -> Result<hero_server::Server, CliError>
             .parse()
             .map_err(|_| CliError::Usage(format!("--max-batch: '{v}' is not a number")))?;
     }
-    service.max_wait = Duration::from_micros(args.get_u64("max-wait-us", 500)?);
     service.queue_depth = args.get_u32("queue-depth", 1024)? as usize;
 
     let config = hero_server::ServerConfig {

@@ -150,12 +150,12 @@ COMMANDS:
               [--streams <n>]
     throughput [--params <set>] [--clients <n>] [--requests <n>]
               [--backend hero|reference] [--workers <n>] [--max-batch <n>]
-              [--max-wait-us <us>] [--seed <u64>] [--smoke]
+              [--seed <u64>] [--smoke]
               drive the micro-batching SignService from N client threads;
               reports latency percentiles and signs/sec vs looped sign
     serve     --keys <dir> [--addr <host:port>] [--metrics-addr <host:port>]
-              [--workers <n>] [--max-batch <n>] [--max-wait-us <us>]
-              [--queue-depth <n>] [--inflight <n>]
+              [--workers <n>] [--max-batch <n>] [--queue-depth <n>]
+              [--inflight <n>]
               serve sign/sign-batch/verify/keygen/stats over the
               length-prefixed TCP protocol (one tenant per key file);
               runs until stdin closes, then drains gracefully;

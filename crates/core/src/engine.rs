@@ -565,10 +565,10 @@ impl HeroSigner {
     }
 
     /// Planned batch verification on the worker pool (extension: the
-    /// paper accelerates generation only): the batch becomes a
-    /// cross-signature stage graph ([`crate::plan::verify_batch`]) whose
-    /// lane-batched nodes interleave with any in-flight signing work on
-    /// the same executor. Returns one typed
+    /// paper accelerates generation only): the batch becomes one
+    /// lane-batched node per group of signatures
+    /// ([`crate::plan::verify_batch`]), interleaving with any in-flight
+    /// signing work on the same executor. Returns one typed
     /// [`crate::VerifyOutcome`] per message; never short-circuits, like
     /// a GPU batch, and verdicts are bit-for-bit the scalar verifier's.
     ///

@@ -15,9 +15,9 @@
 //! * [`run_batch_lanes`] — one [`VerifyingKey::verify_many`] call, so
 //!   every hash stage sweeps all signatures through the multi-lane hash
 //!   cores at once.
-//! * [`run_batch_planned`] — the lane-batched stages become a
-//!   cross-signature stage graph ([`crate::plan::verify_batch`]) on the
-//!   persistent worker pool.
+//! * [`run_batch_planned`] — the batch is spread over the persistent
+//!   worker pool, one lane-batched node per group of signatures
+//!   ([`crate::plan::verify_batch`]).
 
 use crate::kernels::{calib, KernelConfig};
 use crate::ptx::{self, KernelKind};
@@ -245,10 +245,10 @@ pub fn run_batch_lanes(
         .collect())
 }
 
-/// Planned batch verification: the batch becomes a cross-signature
-/// stage graph on `exec` ([`crate::plan::verify_batch`]) — signature
-/// A's layer-2 WOTS+ recomputation co-schedules with signature B's FORS
-/// root recovery, and every stage node is itself lane-batched. The
+/// Planned batch verification: the batch is split into groups, each one
+/// lane-batched node on `exec` ([`crate::plan::verify_batch`]) that runs
+/// its signatures' whole pipeline — groups co-schedule with each other
+/// and with in-flight signing; a single group runs on the caller. The
 /// engine's path ([`crate::engine::HeroSigner::verify_batch`]).
 ///
 /// Verdicts are bit-for-bit the scalar flavor's.

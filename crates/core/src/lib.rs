@@ -36,8 +36,8 @@
 //!   batches → simulate [`PipelineOptions`] workloads (Figs. 11–14);
 //!   holds the stream runtime in an `Arc` so clones and concurrent
 //!   callers share one worker pool.
-//! * [`service`] — [`SignService`]: the adaptive micro-batching signing
-//!   server; many clients, one coalesced accelerator.
+//! * [`service`] — [`SignService`]: the work-conserving micro-batching
+//!   signing server; many clients, one coalesced accelerator.
 //! * [`stats`] — the shared latency-percentile machinery (p50/p90/p99)
 //!   behind the CLI `throughput` command, `bench_server`, and the
 //!   server's metrics endpoint.

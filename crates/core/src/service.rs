@@ -1,5 +1,5 @@
-//! The adaptive micro-batching sign service: many concurrent callers,
-//! one shared accelerator.
+//! The micro-batching sign service: many concurrent callers, one shared
+//! accelerator.
 //!
 //! ## Why a service
 //!
@@ -11,18 +11,27 @@
 //! [`SignService`] closes that gap the way high-throughput PQC signing
 //! servers do: requests from all callers land in one bounded queue, a
 //! micro-batcher coalesces whatever is pending into a planned
-//! `sign_batch` (up to [`ServiceConfig::max_batch`], waiting at most
-//! [`ServiceConfig::max_wait`] for stragglers), and each caller gets its
-//! signature back through a [`SignTicket`]. This is the CPU analogue of
-//! the paper's stream pipeline: the queue is the host-side staging
-//! buffer, the coalesced batch is the device-filling launch, and
+//! `sign_batch` (up to [`ServiceConfig::max_batch`]), and each caller
+//! gets its signature back through a [`SignTicket`]. This is the CPU
+//! analogue of the paper's stream pipeline: the queue is the host-side
+//! staging buffer, the coalesced batch is the device-filling launch, and
 //! overlapping collection with signing is the PCIe/compute overlap.
 //!
-//! The batcher is *adaptive*: under a single slow caller it shrinks its
-//! coalescing wait (latency mode — no point holding a lone request
-//! hostage), and once concurrent traffic appears it stretches back to
-//! `max_wait` so batches fill (throughput mode). The decision tracks an
-//! EWMA of recent batch sizes.
+//! ## Work-conserving: no coalescing timer
+//!
+//! The batcher never holds a request back. It blocks only while its
+//! queue is empty; otherwise it takes everything queued (up to
+//! `max_batch`) and dispatches at once, so *a batch is whatever
+//! accumulated behind the batch in flight*. Batches still form where
+//! they matter, because requests arrive while the engine is busy — 64
+//! closed-loop callers settle at a mean batch above 40 — and a lone
+//! caller pays no wait at all. A wait for stragglers can only idle the
+//! executor with work in hand: measured, it bought nothing at 16 and 64
+//! callers and cost most at 1–4, where batches cannot form (the callers
+//! curve is in `docs/ARCHITECTURE.md`). Batch size is therefore
+//! emergent, not configured, and is exported per lane:
+//! [`ServiceStats::batches`] and [`ServiceStats::max_batch_observed`]
+//! (mean batch = completed ÷ batches).
 //!
 //! ## The verify lane
 //!
@@ -30,9 +39,7 @@
 //! request carries `(message, signature)` and redeems a
 //! [`VerifyTicket`] for a typed [`VerifyOutcome`]. The verify lane is a
 //! second instance of the *same* bounded-queue machinery — its own
-//! coalescing window and batch-size EWMA (verify batches are far
-//! cheaper than sign batches, so their adaptive signal must not mix),
-//! its own micro-batcher thread feeding the backend's planned
+//! queue and its own micro-batcher thread feeding the backend's planned
 //! [`Signer::verify_batch`] — while sharing the queue-depth bound,
 //! deadline expiry, ticket, and drain-on-shutdown machinery with sign
 //! traffic. Both lanes submit onto the same engine executor, so
@@ -94,10 +101,10 @@ use hero_sphincs::sign::{Signature, SigningKey, VerifyingKey};
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Errors surfaced by the service layer (distinct from [`HeroError`]:
 /// these describe the request path, not the engine).
@@ -149,7 +156,7 @@ impl From<HeroError> for ServiceError {
     }
 }
 
-/// Micro-batcher knobs (applied to both the sign and verify lanes; each
+/// Micro-batcher bounds (applied to both the sign and verify lanes; each
 /// lane coalesces independently under the same bounds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -157,10 +164,6 @@ pub struct ServiceConfig {
     /// the paper's §IV-E1 guidance for latency-sensitive pipelines
     /// ("near 64": compute still hides transfers, fill/drain stays low).
     pub max_batch: usize,
-    /// Longest the batcher waits for stragglers after the first request
-    /// of a batch arrives (throughput mode; the adaptive batcher shrinks
-    /// this under lone-caller traffic).
-    pub max_wait: Duration,
     /// Bound of each lane's pending-request queue; [`SignService::submit`]
     /// blocks (and [`SignService::try_submit`] returns
     /// [`ServiceError::QueueFull`]) while the lane is at depth.
@@ -171,7 +174,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_micros(500),
             queue_depth: 1024,
         }
     }
@@ -329,10 +331,10 @@ struct QueueState<P, T> {
     open: bool,
 }
 
-/// One micro-batching lane: a bounded queue, its adaptive batch-size
-/// EWMA, and its exactly-once accounting. The sign and verify lanes are
-/// two instances of this one machine — shared deadline expiry, shared
-/// backpressure, separate coalescing signals.
+/// One micro-batching lane: a bounded queue and its exactly-once
+/// accounting. The sign and verify lanes are two instances of this one
+/// machine — shared deadline expiry, shared backpressure, separate
+/// queues.
 struct Lane<P, T> {
     queue: Mutex<QueueState<P, T>>,
     not_empty: Condvar,
@@ -342,8 +344,6 @@ struct Lane<P, T> {
     batches: AtomicU64,
     max_batch_observed: AtomicU64,
     deadline_expired: AtomicU64,
-    /// Scaled EWMA (×1000) of recent batch sizes — the adaptive signal.
-    ewma_milli: AtomicUsize,
 }
 
 impl<P, T> Lane<P, T> {
@@ -360,7 +360,6 @@ impl<P, T> Lane<P, T> {
             batches: AtomicU64::new(0),
             max_batch_observed: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            ewma_milli: AtomicUsize::new(1000),
         }
     }
 
@@ -373,6 +372,61 @@ impl<P, T> Lane<P, T> {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Queues `payloads` as one unit — one lock, all of them or none,
+    /// one wake-up — so a multi-item submission is neither half-accepted
+    /// under backpressure nor split by a batcher waking between pushes.
+    /// At `depth`, blocks until all of them fit when `block` is set and
+    /// refuses with [`ServiceError::QueueFull`] otherwise (always, for
+    /// more payloads than `depth` can ever hold).
+    fn enqueue_many(
+        &self,
+        payloads: Vec<P>,
+        deadline: Option<Instant>,
+        block: bool,
+        depth: usize,
+    ) -> Result<Vec<Ticket<T>>, ServiceError> {
+        let count = payloads.len();
+        if deadline.is_some_and(|d| d <= Instant::now()) {
+            self.deadline_expired
+                .fetch_add(count as u64, Ordering::Relaxed);
+            return Err(ServiceError::DeadlineExceeded);
+        }
+        let (requests, tickets): (Vec<_>, Vec<_>) = payloads
+            .into_iter()
+            .map(|payload| {
+                let state = Arc::new(TicketState {
+                    result: Mutex::new(None),
+                    ready: Condvar::new(),
+                });
+                let request = Request {
+                    payload,
+                    ticket: Arc::clone(&state),
+                    deadline,
+                };
+                (request, Ticket { state })
+            })
+            .unzip();
+        {
+            let mut q = self.queue.lock().expect("service queue");
+            loop {
+                if !q.open {
+                    return Err(ServiceError::ShuttingDown);
+                }
+                if q.items.len() + count <= depth {
+                    break;
+                }
+                if !block || count > depth {
+                    return Err(ServiceError::QueueFull);
+                }
+                q = self.not_full.wait(q).expect("service queue");
+            }
+            q.items.extend(requests);
+        }
+        self.submitted.fetch_add(count as u64, Ordering::Relaxed);
+        self.not_empty.notify_one();
+        Ok(tickets)
+    }
+
     fn enqueue(
         &self,
         payload: P,
@@ -380,109 +434,49 @@ impl<P, T> Lane<P, T> {
         block: bool,
         depth: usize,
     ) -> Result<Ticket<T>, ServiceError> {
-        if deadline.is_some_and(|d| d <= Instant::now()) {
-            self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::DeadlineExceeded);
-        }
-        let state = Arc::new(TicketState {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        {
-            let mut q = self.queue.lock().expect("service queue");
-            loop {
-                if !q.open {
-                    return Err(ServiceError::ShuttingDown);
-                }
-                if q.items.len() < depth {
-                    break;
-                }
-                if !block {
-                    return Err(ServiceError::QueueFull);
-                }
-                q = self.not_full.wait(q).expect("service queue");
-            }
-            q.items.push_back(Request {
-                payload,
-                ticket: Arc::clone(&state),
-                deadline,
-            });
-        }
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.not_empty.notify_one();
-        Ok(Ticket { state })
+        self.enqueue_many(vec![payload], deadline, block, depth)
+            .map(|mut tickets| tickets.pop().expect("one ticket per payload"))
     }
 
-    /// Collects one batch from the lane: the first request immediately,
-    /// then stragglers until `max_batch`, the adaptive deadline, or
-    /// shutdown-with-empty-queue. Returns `None` when the service has
-    /// shut down and the queue is fully drained.
+    /// Collects one batch from the lane: everything already queued, up
+    /// to `max_batch`, blocking only while the queue is empty — there is
+    /// no wait for stragglers, so a batch is what accumulated behind the
+    /// batch in flight. Returns `None` when the service has shut down
+    /// and the queue is fully drained.
     ///
     /// Requests whose per-request deadline has already passed are
     /// answered with [`ServiceError::DeadlineExceeded`] at pop time and
     /// never join a batch — an expired request costs the lane a queue
     /// slot, never executor time.
-    fn collect(&self, config: &ServiceConfig) -> Option<Vec<Request<P, T>>> {
+    fn collect(&self, max_batch: usize) -> Option<Vec<Request<P, T>>> {
         let mut q = self.queue.lock().expect("service queue");
-        let first = loop {
-            match q.items.pop_front() {
-                Some(req) if req.deadline.is_some_and(|d| d <= Instant::now()) => {
-                    self.expire(req);
-                }
-                Some(req) => break req,
-                None => {
-                    if !q.open {
-                        return None;
+        let mut batch = Vec::new();
+        while batch.is_empty() {
+            while batch.len() < max_batch {
+                match q.items.pop_front() {
+                    Some(req) if req.deadline.is_some_and(|d| d <= Instant::now()) => {
+                        self.expire(req);
                     }
-                    q = self.not_empty.wait(q).expect("service queue");
+                    Some(req) => batch.push(req),
+                    None => break,
                 }
             }
-        };
-        let mut batch = vec![first];
-
-        // Adaptive coalescing: recent lone-request batches mean a single
-        // caller — waiting max_wait would only add latency. Recent multi-
-        // request batches mean concurrent traffic — wait the full window
-        // so the batch fills. Threshold 1.5 on the batch-size EWMA.
-        let ewma = self.ewma_milli.load(Ordering::Relaxed);
-        let wait = if ewma > 1500 {
-            config.max_wait
-        } else {
-            config.max_wait / 8
-        };
-        let deadline = Instant::now() + wait;
-        while batch.len() < config.max_batch {
-            if let Some(req) = q.items.pop_front() {
-                if req.deadline.is_some_and(|d| d <= Instant::now()) {
-                    self.expire(req);
-                } else {
-                    batch.push(req);
+            if batch.is_empty() {
+                if !q.open {
+                    return None;
                 }
-                continue;
+                // Anything popped above had expired: its slots are free
+                // for blocked submitters before this thread sleeps.
+                self.not_full.notify_all();
+                q = self.not_empty.wait(q).expect("service queue");
             }
-            if !q.open {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(q, deadline - now)
-                .expect("service queue");
-            q = guard;
         }
         drop(q);
         self.not_full.notify_all();
 
-        let len = batch.len();
-        let prev = self.ewma_milli.load(Ordering::Relaxed);
-        self.ewma_milli
-            .store((3 * prev + len * 1000) / 4, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.max_batch_observed
-            .fetch_max(len as u64, Ordering::Relaxed);
+            .fetch_max(batch.len() as u64, Ordering::Relaxed);
         Some(batch)
     }
 
@@ -563,14 +557,14 @@ impl SignService {
             let signer = Arc::clone(&signer);
             std::thread::Builder::new()
                 .name("hero-service-batcher".to_string())
-                .spawn(move || batcher_loop(&shared, signer.as_ref(), &sk, &config))
+                .spawn(move || batcher_loop(&shared, signer.as_ref(), &sk, config.max_batch))
                 .expect("spawn service batcher thread")
         };
         let verifier = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("hero-service-verifier".to_string())
-                .spawn(move || verifier_loop(&shared, signer.as_ref(), &vk, &config))
+                .spawn(move || verifier_loop(&shared, signer.as_ref(), &vk, config.max_batch))
                 .expect("spawn service verifier thread")
         };
         Ok(Self {
@@ -645,6 +639,28 @@ impl SignService {
         self.shared
             .sign
             .enqueue(msg.into(), Some(deadline), false, self.config.queue_depth)
+    }
+
+    /// Non-blocking submission of a whole batch as one unit: every
+    /// message is queued, in order and adjacent (one lock, one batcher
+    /// wake-up), or none is — a batch the queue cannot hold leaves the
+    /// lane exactly as it was. `deadline` applies to every message.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::QueueFull`] when the batch does not fit under
+    /// [`ServiceConfig::queue_depth`] right now (it never does if it is
+    /// longer than `queue_depth`);
+    /// [`ServiceError::DeadlineExceeded`] for an already-passed deadline;
+    /// [`ServiceError::ShuttingDown`] once shutdown has begun.
+    pub fn try_submit_many(
+        &self,
+        msgs: Vec<Vec<u8>>,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<SignTicket>, ServiceError> {
+        self.shared
+            .sign
+            .enqueue_many(msgs, deadline, false, self.config.queue_depth)
     }
 
     /// Submits `(msg, sig)` for verification on the verify lane,
@@ -744,6 +760,26 @@ impl SignService {
         )
     }
 
+    /// [`SignService::try_submit_many`] for the verify lane: all of the
+    /// `(msg, sig)` pairs are queued as one unit, or none is.
+    ///
+    /// # Errors
+    ///
+    /// As [`SignService::try_submit_many`].
+    pub fn try_submit_verify_many(
+        &self,
+        items: Vec<(Vec<u8>, Signature)>,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<VerifyTicket>, ServiceError> {
+        let items = items
+            .into_iter()
+            .map(|(msg, sig)| VerifyItem { msg, sig })
+            .collect();
+        self.shared
+            .verify
+            .enqueue_many(items, deadline, false, self.config.queue_depth)
+    }
+
     /// Sign requests currently queued and not yet claimed by the batcher
     /// (a live gauge for metrics surfaces; racy by nature).
     pub fn queue_depth(&self) -> usize {
@@ -821,14 +857,14 @@ fn batcher_loop(
     shared: &ServiceShared,
     signer: &(dyn Signer + Send + Sync),
     sk: &SigningKey,
-    config: &ServiceConfig,
+    max_batch: usize,
 ) {
     // Warm the backend's hypertree cache for the tenant's key before
     // serving the first batch, so even the first request signs warm.
     // Best-effort: a failed or panicking warm-up costs only the cold
     // fill the first batch would have paid anyway.
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| signer.warm_key(sk)));
-    while let Some(batch) = shared.sign.collect(config) {
+    while let Some(batch) = shared.sign.collect(max_batch) {
         let msgs: Vec<&[u8]> = batch.iter().map(|r| r.payload.as_slice()).collect();
         // Panic isolation: a batch that explodes answers its own tickets
         // with an Internal error and the batcher keeps serving.
@@ -865,9 +901,9 @@ fn verifier_loop(
     shared: &ServiceShared,
     signer: &(dyn Signer + Send + Sync),
     vk: &VerifyingKey,
-    config: &ServiceConfig,
+    max_batch: usize,
 ) {
-    while let Some(batch) = shared.verify.collect(config) {
+    while let Some(batch) = shared.verify.collect(max_batch) {
         // Unzip into contiguous message and signature slices (the
         // planned batch verifier wants them flat), keeping tickets
         // index-aligned.
@@ -918,6 +954,8 @@ mod tests {
     use hero_sphincs::params::Params;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn tiny_params() -> Params {
         let mut p = Params::sphincs_128f();
@@ -1074,10 +1112,9 @@ mod tests {
 
     #[test]
     fn try_submit_reports_backpressure() {
-        // A stopped-up queue (depth 1, engine busy elsewhere is not even
-        // needed — we never start draining because max_wait keeps the
-        // batcher holding the first request only briefly; use depth 1 and
-        // rapid-fire submissions to hit the bound).
+        // Depth 1 and rapid-fire submissions: whenever a request is
+        // still queued behind the batch being signed, the next
+        // try_submit hits the bound.
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(25);
         let (sk, _) = engine.keygen(&mut rng).unwrap();
@@ -1191,6 +1228,139 @@ mod tests {
         service.shutdown();
         let s = service.stats();
         assert_eq!(s.submitted, s.completed, "exactly-once accounting");
+    }
+
+    /// Test backend that makes coalescing deterministic: it records
+    /// every batch it is handed (the first byte of each message), and
+    /// its first call announces itself on `entered` and then blocks on
+    /// `gate` — holding the lane's batcher inside the backend while the
+    /// test queues requests behind it.
+    struct GatedSigner {
+        inner: ReferenceSigner,
+        seen: Mutex<Vec<Vec<u8>>>,
+        entered: Mutex<mpsc::Sender<()>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl GatedSigner {
+        fn record(&self, msgs: &[&[u8]]) {
+            let first = {
+                let mut seen = self.seen.lock().unwrap();
+                seen.push(msgs.iter().map(|m| m[0]).collect());
+                seen.len() == 1
+            };
+            if first {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.gate.lock().unwrap().recv().unwrap();
+            }
+        }
+    }
+
+    impl Signer for GatedSigner {
+        fn params(&self) -> &Params {
+            self.inner.params()
+        }
+
+        fn backend(&self) -> &'static str {
+            "gated-test"
+        }
+
+        fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
+            self.inner.sign(sk, msg)
+        }
+
+        fn sign_batch(&self, sk: &SigningKey, msgs: &[&[u8]]) -> Result<Vec<Signature>, HeroError> {
+            self.record(msgs);
+            self.inner.sign_batch(sk, msgs)
+        }
+
+        fn verify_batch(
+            &self,
+            vk: &VerifyingKey,
+            msgs: &[&[u8]],
+            sigs: &[Signature],
+        ) -> Result<Vec<VerifyOutcome>, HeroError> {
+            self.record(msgs);
+            self.inner.verify_batch(vk, msgs, sigs)
+        }
+    }
+
+    /// One lane, driven through its `try_submit*_many` face (`submit`
+    /// maps one tag byte per request to tickets), with the batcher held
+    /// inside the backend: no sleep, no timing assumption anywhere.
+    fn held_batch_coalesces_what_queued_behind_it<T>(
+        submit: impl Fn(&SignService, &SigningKey, &[u8]) -> Result<Vec<Ticket<T>>, ServiceError>,
+    ) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel();
+        let signer = Arc::new(GatedSigner {
+            inner: ReferenceSigner::new(tiny_params()).unwrap(),
+            seen: Mutex::new(Vec::new()),
+            entered: Mutex::new(entered_tx),
+            gate: Mutex::new(gate_rx),
+        });
+        let (sk, _) = signer.keygen(&mut StdRng::seed_from_u64(29)).unwrap();
+        let config = ServiceConfig {
+            max_batch: 4,
+            queue_depth: 6,
+        };
+        let service = SignService::start(signer.clone(), sk.clone(), config).unwrap();
+        let submitted = || {
+            let s = service.stats();
+            s.submitted + s.verify_submitted
+        };
+
+        // A lone request goes straight to the backend, alone: the
+        // batcher waits for nobody.
+        let mut tickets = submit(&service, &sk, &[0]).unwrap();
+        entered.recv().unwrap();
+        assert_eq!(*signer.seen.lock().unwrap(), [[0]]);
+
+        // The batcher is now held inside the backend; everything below
+        // queues behind the batch in flight.
+        tickets.extend(submit(&service, &sk, &[1, 2]).unwrap());
+        // 2 queued + 5 > depth 6: refused whole, nothing left behind.
+        assert_eq!(
+            submit(&service, &sk, &[3, 4, 5, 6, 7]).unwrap_err(),
+            ServiceError::QueueFull
+        );
+        assert_eq!(submitted(), 3, "a refused batch queues none of its items");
+        tickets.extend(submit(&service, &sk, &[3, 4, 5, 6]).unwrap());
+        assert_eq!(submitted(), 7);
+
+        gate.send(()).unwrap();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        // Exactly one batch of max_batch in submission order, then the
+        // rest — max_batch splits, nothing else does.
+        assert_eq!(
+            *signer.seen.lock().unwrap(),
+            [vec![0], vec![1, 2, 3, 4], vec![5, 6]]
+        );
+        service.shutdown();
+        let s = service.stats();
+        assert_eq!(s.batches + s.verify_batches, 3);
+        assert_eq!(s.max_batch_observed.max(s.verify_max_batch_observed), 4);
+        assert_eq!(s.completed + s.verify_completed, 7, "exactly-once");
+    }
+
+    #[test]
+    fn sign_lane_batches_are_what_queued_behind_the_batch_in_flight() {
+        held_batch_coalesces_what_queued_behind_it(|service, _, tags| {
+            service.try_submit_many(tags.iter().map(|&t| vec![t; 8]).collect(), None)
+        });
+    }
+
+    #[test]
+    fn verify_lane_batches_are_what_queued_behind_the_batch_in_flight() {
+        held_batch_coalesces_what_queued_behind_it(|service, sk, tags| {
+            let items = tags
+                .iter()
+                .map(|&t| (vec![t; 8], sk.sign(&[t; 8])))
+                .collect();
+            service.try_submit_verify_many(items, None)
+        });
     }
 
     #[test]

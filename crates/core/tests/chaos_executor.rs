@@ -42,15 +42,19 @@ fn deterministic_key(params: Params) -> (hero_sphincs::SigningKey, hero_sphincs:
     )
 }
 
-/// Polls until the pool is back to `want` live workers (respawn runs on
-/// the dying thread's unwind path, so it is visible only eventually).
-fn wait_for_pool(runtime: &hero_task_graph::Executor, want: usize) {
+/// Polls until the pool is back to `want` live workers after `respawns`
+/// deaths (respawn runs on the dying thread's unwind path, so it is
+/// visible only eventually — and a worker that has fired its death but
+/// not yet unwound still counts as alive, so the live count alone can
+/// read `want` one death early).
+fn wait_for_pool(runtime: &hero_task_graph::Executor, want: usize, respawns: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while runtime.alive_workers() != want {
+    while runtime.alive_workers() != want || runtime.respawned_workers() != respawns {
         assert!(
             Instant::now() < deadline,
-            "pool stuck at {} of {want} workers",
-            runtime.alive_workers()
+            "pool stuck at {} of {want} workers, {} of {respawns} respawns",
+            runtime.alive_workers(),
+            runtime.respawned_workers()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -99,7 +103,7 @@ fn killed_workers_respawn_and_bytes_stay_oracle_identical() {
     assert_eq!(deaths, DEATHS, "the fault schedule should have fired out");
 
     // The pool heals back to full strength and remembers the toll.
-    wait_for_pool(engine.runtime(), WORKERS);
+    wait_for_pool(engine.runtime(), WORKERS, DEATHS);
     assert_eq!(engine.runtime().respawned_workers(), DEATHS);
     assert_eq!(engine.workers(), WORKERS);
 
@@ -155,7 +159,97 @@ fn plan_stage_fault_fails_one_submission_typed_not_the_engine() {
     );
 
     // Same engine, same message, clean bytes afterwards.
-    wait_for_pool(engine.runtime(), 2);
+    wait_for_pool(engine.runtime(), 2, 0);
     let sig = engine.sign(&sk, &msg).unwrap();
     assert_eq!(sig, oracle);
+}
+
+/// Arms one always-firing spec at the plan stage point.
+fn arm_plan_stage(max_fires: Option<u64>, action: FaultAction) {
+    faults::install(FaultPlan {
+        seed: 7,
+        specs: vec![FaultSpec {
+            point: faults::PLAN_STAGE.to_string(),
+            probability: 1.0,
+            max_fires,
+            action,
+        }],
+    });
+}
+
+#[test]
+fn verify_plan_is_one_node_per_group_and_inline_for_a_single_group() {
+    let _guard = lock();
+    // Signatures per verify node (`plan::VERIFY_GROUP`).
+    const GROUP: usize = 4;
+
+    let params = tiny_params();
+    let (sk, vk) = deterministic_key(params);
+    let engine = HeroSigner::builder(rtx_4090(), params)
+        .workers(2)
+        .build()
+        .unwrap();
+    let msgs_owned: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 12]).collect();
+    let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+    let sigs: Vec<hero_sphincs::Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
+
+    for batch in [1, GROUP, GROUP + 1, 2 * GROUP, 9] {
+        // A zero delay at every node disturbs nothing and makes
+        // `faults::fired(PLAN_STAGE)` the number of nodes the plan ran.
+        arm_plan_stage(None, FaultAction::Delay(Duration::ZERO));
+        let before = engine.runtime().submissions();
+        let outcomes = engine
+            .verify_batch(&vk, &msgs[..batch], &sigs[..batch])
+            .unwrap();
+        let nodes = faults::fired(faults::PLAN_STAGE);
+        faults::clear();
+        assert!(outcomes.iter().all(|o| o.is_valid()), "batch {batch}");
+        assert_eq!(nodes, batch.div_ceil(GROUP) as u64, "batch {batch}");
+        // A single group runs on the calling thread: no submission.
+        assert_eq!(
+            engine.runtime().submissions() - before,
+            u64::from(batch > GROUP),
+            "batch {batch}"
+        );
+    }
+}
+
+#[test]
+fn plan_stage_fault_on_inline_verify_surfaces_like_a_submitted_one() {
+    let _guard = lock();
+    let params = tiny_params();
+    let (sk, vk) = deterministic_key(params);
+    let engine = HeroSigner::builder(rtx_4090(), params)
+        .workers(2)
+        .build()
+        .unwrap();
+    let msgs_owned: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 12]).collect();
+    let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+    let sigs: Vec<hero_sphincs::Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
+
+    // One signature verifies inline on the caller, five go through
+    // `Executor::run`: either way the injected panic re-raises on the
+    // submitting thread with the same payload (the service layer is
+    // what types it), and nothing else is harmed.
+    let mut payloads = Vec::new();
+    for batch in [1, 5] {
+        arm_plan_stage(Some(1), FaultAction::Fail);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.verify_batch(&vk, &msgs[..batch], &sigs[..batch])
+        }));
+        faults::clear();
+        let payload = poisoned.expect_err("the injected panic must re-raise");
+        payloads.push(
+            payload
+                .downcast_ref::<String>()
+                .expect("panic! with a format string carries a String")
+                .clone(),
+        );
+    }
+    assert_eq!(payloads[0], payloads[1]);
+    assert_eq!(payloads[0], "injected fault: plan.stage");
+
+    wait_for_pool(engine.runtime(), 2, 0);
+    let outcomes = engine.verify_batch(&vk, &msgs, &sigs).unwrap();
+    assert!(outcomes.iter().all(|o| o.is_valid()));
 }

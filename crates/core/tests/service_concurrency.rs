@@ -1,6 +1,10 @@
 //! Concurrency stress tests for the persistent runtime and the
 //! micro-batching service: many threads, one engine, byte-identical
 //! signatures, and lossless shutdown under load.
+//!
+//! The service tests build their engine without `.workers(n)`, so the
+//! pool follows `HERO_WORKERS` — CI reruns this file pinned to 1, where
+//! a lane with no coalescing timer is most exposed.
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::service::{ServiceConfig, ServiceError, SignService};
@@ -103,19 +107,13 @@ fn eight_service_clients_get_sequential_bytes() {
 
     let params = tiny_params();
     let (sk, vk) = deterministic_key(params);
-    let engine = Arc::new(
-        HeroSigner::builder(rtx_4090(), params)
-            .workers(4)
-            .build()
-            .unwrap(),
-    );
+    let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).build().unwrap());
     let service = Arc::new(
         SignService::start(
             engine,
             sk.clone(),
             ServiceConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(2),
                 queue_depth: 64,
             },
         )
@@ -140,15 +138,12 @@ fn eight_service_clients_get_sequential_bytes() {
     let stats = service.stats();
     assert_eq!(stats.submitted, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
-    // Concurrent clients must actually coalesce (the whole point of the
-    // micro-batcher): strictly fewer batches than requests.
-    assert!(
-        stats.batches < stats.submitted,
-        "batches {} vs requests {}",
-        stats.batches,
-        stats.submitted
-    );
-    assert!(stats.max_batch_observed >= 2);
+    // How these requests coalesced depends on the scheduler, so it is
+    // not asserted here: `service::tests::*_batches_are_what_queued_
+    // behind_the_batch_in_flight` pin it with a gated backend. What
+    // every interleaving must respect is the bound.
+    assert!(stats.batches >= 1 && stats.batches <= stats.submitted);
+    assert!(stats.max_batch_observed >= 1 && stats.max_batch_observed <= 16);
 }
 
 #[test]
@@ -157,19 +152,13 @@ fn shutdown_under_load_drops_nothing_and_answers_once() {
 
     let params = tiny_params();
     let (sk, vk) = deterministic_key(params);
-    let engine = Arc::new(
-        HeroSigner::builder(rtx_4090(), params)
-            .workers(2)
-            .build()
-            .unwrap(),
-    );
+    let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).build().unwrap());
     let service = Arc::new(
         SignService::start(
             engine,
             sk,
             ServiceConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 256,
             },
         )

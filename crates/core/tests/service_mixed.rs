@@ -3,6 +3,9 @@
 //! engine, every request is answered exactly once, verify verdicts
 //! match the sequential oracle, and shutdown under load drops nothing
 //! on either lane.
+//!
+//! Engines are built without `.workers(n)`, so the pool follows
+//! `HERO_WORKERS` (CI reruns this file pinned to 1).
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::service::{ServiceConfig, ServiceError, SignService};
@@ -45,19 +48,13 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
 
     let params = tiny_params();
     let (sk, vk) = deterministic_key(params);
-    let engine = Arc::new(
-        HeroSigner::builder(rtx_4090(), params)
-            .workers(4)
-            .build()
-            .unwrap(),
-    );
+    let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).build().unwrap());
     let service = Arc::new(
         SignService::start(
             engine,
             sk.clone(),
             ServiceConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(2),
                 queue_depth: 64,
             },
         )
@@ -121,15 +118,11 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
         stats.verify_completed, stats.verify_submitted,
         "verify lane exactly-once"
     );
-    // Both lanes ran; concurrent verify clients must coalesce into
-    // fewer executor trips than items (the point of the lane).
-    assert!(stats.batches >= 1);
-    assert!(
-        stats.verify_batches < stats.verify_submitted,
-        "verify batches {} vs items {}",
-        stats.verify_batches,
-        stats.verify_submitted
-    );
+    // Both lanes ran, each within its bound; how far they coalesced is
+    // the scheduler's business here and pinned with a gated backend in
+    // `service::tests`.
+    assert!(stats.batches >= 1 && stats.verify_batches >= 1);
+    assert!(stats.max_batch_observed <= 16 && stats.verify_max_batch_observed <= 16);
     service.shutdown();
 }
 
@@ -139,19 +132,13 @@ fn shutdown_under_mixed_load_drops_nothing_on_either_lane() {
 
     let params = tiny_params();
     let (sk, vk) = deterministic_key(params);
-    let engine = Arc::new(
-        HeroSigner::builder(rtx_4090(), params)
-            .workers(2)
-            .build()
-            .unwrap(),
-    );
+    let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).build().unwrap());
     let service = Arc::new(
         SignService::start(
             engine,
             sk.clone(),
             ServiceConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 256,
             },
         )

@@ -7,6 +7,7 @@
 //! the [`crate::wire::Op::Stats`] op and the standalone metrics
 //! listener.
 
+use hero_sign::service::ServiceStats;
 use hero_sign::stats::{LatencySummary, LatencyWindow};
 use hero_sign::CacheStats;
 use std::fmt::Write as _;
@@ -136,6 +137,10 @@ pub struct TenantRow {
     pub verify_malformed: u64,
     /// Depth of the tenant's verify-lane queue.
     pub verify_queue_depth: u64,
+    /// The tenant service's per-lane counters. Batch size is emergent
+    /// (whatever queued behind the batch in flight), so the page shows
+    /// it: mean batch = completed ÷ batches.
+    pub service: ServiceStats,
 }
 
 /// Renders the plaintext metrics page. `shard_poison_recoveries` folds
@@ -289,6 +294,21 @@ pub fn render(
             "hero_verify_queue_depth{{tenant=\"{t}\"}} {}",
             row.verify_queue_depth
         );
+        let s = &row.service;
+        for (lane, completed, batches, max_batch) in [
+            ("sign", s.completed, s.batches, s.max_batch_observed),
+            (
+                "verify",
+                s.verify_completed,
+                s.verify_batches,
+                s.verify_max_batch_observed,
+            ),
+        ] {
+            let labels = format!("{{tenant=\"{t}\",lane=\"{lane}\"}}");
+            let _ = writeln!(out, "hero_service_completed_total{labels} {completed}");
+            let _ = writeln!(out, "hero_service_batches_total{labels} {batches}");
+            let _ = writeln!(out, "hero_service_max_batch{labels} {max_batch}");
+        }
     }
     out
 }
@@ -321,6 +341,15 @@ mod tests {
             verify_invalid: 2,
             verify_malformed: 1,
             verify_queue_depth: 4,
+            service: ServiceStats {
+                completed: 90,
+                batches: 30,
+                max_batch_observed: 7,
+                verify_completed: 12,
+                verify_batches: 12,
+                verify_max_batch_observed: 1,
+                ..ServiceStats::default()
+            },
         }];
         m.deadline_expired.fetch_add(4, Ordering::Relaxed);
         let cache = CacheStats {
@@ -388,6 +417,17 @@ mod tests {
             page.contains("hero_verify_queue_depth{tenant=\"validator-1\"} 4"),
             "{page}"
         );
+        // Realised batch sizes, per lane: mean = completed / batches.
+        for line in [
+            "hero_service_completed_total{tenant=\"validator-1\",lane=\"sign\"} 90",
+            "hero_service_batches_total{tenant=\"validator-1\",lane=\"sign\"} 30",
+            "hero_service_max_batch{tenant=\"validator-1\",lane=\"sign\"} 7",
+            "hero_service_completed_total{tenant=\"validator-1\",lane=\"verify\"} 12",
+            "hero_service_batches_total{tenant=\"validator-1\",lane=\"verify\"} 12",
+            "hero_service_max_batch{tenant=\"validator-1\",lane=\"verify\"} 1",
+        ] {
+            assert!(page.contains(line), "{line}\n{page}");
+        }
     }
 
     #[test]

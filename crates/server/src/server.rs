@@ -263,6 +263,7 @@ impl ServerShared {
                 verify_invalid: state.counters.verify_invalid.load(Ordering::Relaxed),
                 verify_malformed: state.counters.verify_malformed.load(Ordering::Relaxed),
                 verify_queue_depth: state.service.verify_queue_depth() as u64,
+                service: state.service.stats(),
             })
             .collect();
         let shard_recoveries = self
@@ -490,6 +491,9 @@ fn accept_loop(
             // (it carried no accepted request).
             return;
         }
+        // A 17 KB signature spans a dozen segments; without this the
+        // short tail waits on the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(read_half) = stream.try_clone() {
@@ -760,16 +764,17 @@ fn op_sign_batch(
         ));
     }
     // One admission slot covers the whole batch, but queue capacity is
-    // still per message: submit all, then wait all.
+    // still per message: the batch is queued whole or refused whole (a
+    // half-queued batch would be signed for nobody), then waited on.
     let mut msgs = Vec::with_capacity(count);
     for _ in 0..count {
         msgs.push(wire::take_bytes(payload, &mut at)?);
     }
     let begin = Instant::now();
-    let mut tickets = Vec::with_capacity(count);
-    for msg in msgs {
-        tickets.push(submit(state, msg, deadline)?);
-    }
+    let tickets = state
+        .service
+        .try_submit_many(msgs, deadline)
+        .map_err(WireError::from)?;
     let mut out = Vec::new();
     out.extend_from_slice(&(count as u32).to_be_bytes());
     for ticket in tickets {
@@ -895,24 +900,26 @@ fn op_verify_batch(
         .counters
         .verify_requests
         .fetch_add(count as u64, Ordering::Relaxed);
-    // Submit everything decodable before waiting on anything, so the
-    // whole batch coalesces on the verify lane; undecodable bytes get a
-    // per-item malformed verdict without costing the lane a slot.
+    // Everything decodable is queued as one unit — whole or refused
+    // whole — so the batch coalesces on the verify lane; undecodable
+    // bytes get a per-item malformed verdict without costing the lane a
+    // slot.
     let begin = Instant::now();
     let params = key.vk.params();
-    let mut verdicts = vec![VERDICT_INVALID; count];
-    let mut tickets: Vec<Option<hero_sign::service::VerifyTicket>> = Vec::with_capacity(count);
-    for (i, (msg, sig_bytes)) in items.into_iter().enumerate() {
-        match hero_sphincs::Signature::from_bytes(params, &sig_bytes) {
-            Ok(sig) => tickets.push(Some(submit_verify(state, msg, sig, deadline)?)),
-            Err(_) => {
-                verdicts[i] = VERDICT_MALFORMED;
-                tickets.push(None);
-            }
-        }
-    }
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let Some(ticket) = ticket else { continue };
+    let mut verdicts = vec![VERDICT_MALFORMED; count];
+    let (decoded_at, decoded): (Vec<usize>, Vec<_>) = items
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, (msg, sig_bytes))| {
+            let sig = hero_sphincs::Signature::from_bytes(params, &sig_bytes).ok()?;
+            Some((i, (msg, sig)))
+        })
+        .unzip();
+    let tickets = state
+        .service
+        .try_submit_verify_many(decoded, deadline)
+        .map_err(WireError::from)?;
+    for (i, ticket) in decoded_at.into_iter().zip(tickets) {
         verdicts[i] = match ticket.wait().map_err(WireError::from)? {
             VerifyOutcome::Valid => VERDICT_VALID,
             VerifyOutcome::Invalid => VERDICT_INVALID,

@@ -368,6 +368,63 @@ fn overload_rejected_typed_and_every_request_answered() {
 }
 
 #[test]
+fn wire_batch_that_does_not_fit_is_refused_whole() {
+    // Depth 2: a batch of 3 can never be queued. It must be refused
+    // typed with *nothing* left behind — items queued before the refusal
+    // would be signed / verified for nobody. The lanes are FIFO, so
+    // leftovers would be served before the batches of 2 that follow and
+    // show up in the per-lane completed counters.
+    let (server, keys) = test_server(
+        &["tenant-a"],
+        ServerConfig {
+            service: ServiceConfig {
+                queue_depth: 2,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    );
+    let (tenant, sk, _) = &keys[0];
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let msgs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 12]).collect();
+    let msg_refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+    let sigs: Vec<Vec<u8>> = msgs
+        .iter()
+        .map(|m| sk.sign(m).to_bytes(sk.params()))
+        .collect();
+    let items: Vec<(&[u8], &[u8])> = msg_refs
+        .iter()
+        .zip(&sigs)
+        .map(|(m, s)| (*m, s.as_slice()))
+        .collect();
+
+    for refused in [
+        client.sign_batch(tenant, &msg_refs).map(|_| ()),
+        client.verify_batch(tenant, &items).map(|_| ()),
+    ] {
+        match refused {
+            Err(ClientError::Wire(e)) => assert!(e.code.is_backpressure(), "{e}"),
+            other => panic!("expected typed backpressure, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        client.sign_batch(tenant, &msg_refs[..2]).unwrap(),
+        sigs[..2]
+    );
+    assert_eq!(client.verify_batch(tenant, &items[..2]).unwrap().len(), 2);
+
+    // Read the counters after the drain: a lane books `completed` just
+    // after it answers, so a live scrape could still miss the last batch.
+    server.shutdown();
+    let page = server.metrics_page();
+    for lane in ["sign", "verify"] {
+        let line = format!("hero_service_completed_total{{tenant=\"tenant-a\",lane=\"{lane}\"}} 2");
+        assert!(page.contains(&line), "{line}\n{page}");
+    }
+}
+
+#[test]
 fn shutdown_under_load_never_drops_or_double_answers() {
     let (server, keys) = test_server(&["tenant-a", "tenant-b"], ServerConfig::default());
     let addr = server.local_addr();
