@@ -7,17 +7,12 @@
 //! servers) batch-verify too. The kernel decomposition mirrors signing:
 //! chains and trees are independent, one block per message.
 //!
-//! Three functional flavors, all returning the same typed
-//! [`VerifyOutcome`] verdicts bit-for-bit:
-//!
-//! * [`run_batch`] / [`run_batch_on`] — scalar per-message verifies
-//!   parallelized across the batch (the oracle).
-//! * [`run_batch_lanes`] — one [`VerifyingKey::verify_many`] call, so
-//!   every hash stage sweeps all signatures through the multi-lane hash
-//!   cores at once.
-//! * [`run_batch_planned`] — the batch is spread over the persistent
-//!   worker pool, one lane-batched node per group of signatures
-//!   ([`crate::plan::verify_batch`]).
+//! The functional side is [`run_batch_planned`]: the batch is spread over
+//! the persistent worker pool, one node per group of signatures
+//! ([`crate::plan::verify_batch`]), each running
+//! [`VerifyingKey::verify_many`] on its group — the same typed
+//! [`VerifyOutcome`] verdicts, bit for bit, that scalar
+//! [`VerifyingKey::verify`] gives signature by signature.
 
 use crate::kernels::{calib, KernelConfig};
 use crate::ptx::{self, KernelKind};
@@ -48,7 +43,8 @@ use hero_sphincs::{Signature, VerifyingKey};
 /// # Examples
 ///
 /// ```
-/// use hero_sign::kernels::verify::{run_batch, VerifyOutcome};
+/// use hero_sign::kernels::verify::{run_batch_planned, VerifyOutcome};
+/// use hero_task_graph::Executor;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut params = hero_sphincs::Params::sphincs_128f();
@@ -63,7 +59,8 @@ use hero_sphincs::{Signature, VerifyingKey};
 /// let mut sigs: Vec<_> = msgs.iter().map(|m| sk.sign(m)).collect();
 /// sigs[1].randomizer[0] ^= 1; // tamper with the second signature
 ///
-/// let outcomes = run_batch(&vk, &msgs, &sigs, 2).unwrap();
+/// let exec = Executor::new(2).unwrap();
+/// let outcomes = run_batch_planned(&vk, &msgs, &sigs, &exec).unwrap();
 /// assert_eq!(outcomes[0], VerifyOutcome::Valid);
 /// assert_eq!(outcomes[1], VerifyOutcome::Invalid);
 /// ```
@@ -170,92 +167,21 @@ pub fn describe(
     desc
 }
 
-/// Functional batch verification, scalar flavor: verifies `sigs[i]`
-/// over `msgs[i]` with independent per-message `vk.verify` calls,
-/// parallelized across messages on a transient worker pool.
+/// Planned batch verification: verifies `sigs[i]` over `msgs[i]`, the
+/// batch split into groups, each one lane-batched node on `exec`
+/// ([`crate::plan::verify_batch`]) that runs its signatures' whole
+/// pipeline — groups co-schedule with each other and with in-flight
+/// signing; a single group runs on the caller. The engine's path
+/// ([`crate::engine::HeroSigner::verify_batch`]).
 ///
-/// Returns one typed [`VerifyOutcome`] per message (all `Valid` for a
-/// valid batch); does not short-circuit, matching a GPU batch that
-/// always runs to completion. This is the correctness oracle the
-/// lane-batched ([`run_batch_lanes`]) and planned ([`run_batch_planned`])
-/// flavors must agree with bit-for-bit.
+/// Returns one typed [`VerifyOutcome`] per message, bit-for-bit what
+/// [`VerifyingKey::verify`] gives it; does not short-circuit, matching a
+/// GPU batch that always runs to completion.
 ///
 /// # Errors
 ///
 /// [`crate::HeroError::BatchMismatch`] when `msgs.len() != sigs.len()`
 /// (nothing is silently paired by the shorter slice).
-pub fn run_batch(
-    vk: &VerifyingKey,
-    msgs: &[&[u8]],
-    sigs: &[Signature],
-    workers: usize,
-) -> Result<Vec<VerifyOutcome>, crate::HeroError> {
-    check_lengths(msgs, sigs)?;
-    Ok(crate::par::par_map_indexed(msgs.len(), workers, |i| {
-        VerifyOutcome::from_result(vk.verify(msgs[i], &sigs[i]))
-    }))
-}
-
-/// [`run_batch`] submitting onto an explicit persistent runtime, so
-/// concurrent verification interleaves with in-flight signing
-/// submissions on the same workers.
-///
-/// # Errors
-///
-/// As [`run_batch`].
-pub fn run_batch_on(
-    vk: &VerifyingKey,
-    msgs: &[&[u8]],
-    sigs: &[Signature],
-    exec: &hero_task_graph::Executor,
-) -> Result<Vec<VerifyOutcome>, crate::HeroError> {
-    check_lengths(msgs, sigs)?;
-    Ok(crate::par::par_map_indexed_on(
-        exec,
-        msgs.len(),
-        exec.workers(),
-        |i| VerifyOutcome::from_result(vk.verify(msgs[i], &sigs[i])),
-    ))
-}
-
-/// Lane-batched batch verification: the whole batch runs through
-/// [`VerifyingKey::verify_many`], so every hash stage — WOTS+ chain
-/// completion, FORS leaf recovery, every auth-path climb — sweeps all
-/// signatures through the multi-lane hash cores in one pass instead of
-/// one signature at a time. Single-threaded but lane-parallel: this is
-/// the flavor to compare against [`run_batch`] to isolate the lane win
-/// from the scheduling win.
-///
-/// Verdicts are bit-for-bit the scalar flavor's.
-///
-/// # Errors
-///
-/// As [`run_batch`].
-pub fn run_batch_lanes(
-    vk: &VerifyingKey,
-    msgs: &[&[u8]],
-    sigs: &[Signature],
-) -> Result<Vec<VerifyOutcome>, crate::HeroError> {
-    check_lengths(msgs, sigs)?;
-    let refs: Vec<&Signature> = sigs.iter().collect();
-    Ok(vk
-        .verify_many(msgs, &refs)
-        .into_iter()
-        .map(VerifyOutcome::from_result)
-        .collect())
-}
-
-/// Planned batch verification: the batch is split into groups, each one
-/// lane-batched node on `exec` ([`crate::plan::verify_batch`]) that runs
-/// its signatures' whole pipeline — groups co-schedule with each other
-/// and with in-flight signing; a single group runs on the caller. The
-/// engine's path ([`crate::engine::HeroSigner::verify_batch`]).
-///
-/// Verdicts are bit-for-bit the scalar flavor's.
-///
-/// # Errors
-///
-/// As [`run_batch`].
 pub fn run_batch_planned(
     vk: &VerifyingKey,
     msgs: &[&[u8]],
@@ -306,12 +232,13 @@ mod tests {
         let slices: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
         let mut sigs: Vec<Signature> = slices.iter().map(|m| sk.sign(m)).collect();
 
-        let results = run_batch(&vk, &slices, &sigs, 4).unwrap();
+        let exec = hero_task_graph::Executor::new(4).unwrap();
+        let results = run_batch_planned(&vk, &slices, &sigs, &exec).unwrap();
         assert!(results.iter().all(VerifyOutcome::is_valid));
 
         // Corrupt one signature: exactly that slot fails, others still pass.
         sigs[2].fors.trees[0].sk[0] ^= 1;
-        let results = run_batch(&vk, &slices, &sigs, 4).unwrap();
+        let results = run_batch_planned(&vk, &slices, &sigs, &exec).unwrap();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(!r.is_valid(), i == 2, "slot {i}");
         }
@@ -319,8 +246,9 @@ mod tests {
     }
 
     /// Satellite regression: a mixed valid / invalid / malformed batch
-    /// reports *which* indices failed and *how*, identically across the
-    /// scalar, lane-batched, and planned flavors.
+    /// reports *which* indices failed and *how*, identically signature by
+    /// signature (scalar `verify`), lane-batched (`verify_many`) and
+    /// planned.
     #[test]
     fn mixed_batch_reports_failing_indices_across_flavors() {
         let mut rng = StdRng::seed_from_u64(79);
@@ -338,7 +266,11 @@ mod tests {
         // hypertree path → Invalid.
         sigs[4].randomizer[0] ^= 0x80;
 
-        let scalar = run_batch(&vk, &slices, &sigs, 4).unwrap();
+        let scalar: Vec<VerifyOutcome> = slices
+            .iter()
+            .zip(&sigs)
+            .map(|(msg, sig)| VerifyOutcome::from_result(vk.verify(msg, sig)))
+            .collect();
         assert_eq!(scalar[0], VerifyOutcome::Valid);
         assert_eq!(scalar[1], VerifyOutcome::Invalid);
         assert_eq!(scalar[2], VerifyOutcome::Valid);
@@ -350,7 +282,12 @@ mod tests {
         assert_eq!(scalar[4], VerifyOutcome::Invalid);
         assert_eq!(scalar[5], VerifyOutcome::Valid);
 
-        let lanes = run_batch_lanes(&vk, &slices, &sigs).unwrap();
+        let refs: Vec<&Signature> = sigs.iter().collect();
+        let lanes: Vec<VerifyOutcome> = vk
+            .verify_many(&slices, &refs)
+            .into_iter()
+            .map(VerifyOutcome::from_result)
+            .collect();
         assert_eq!(lanes, scalar, "lane-batched verdicts must match scalar");
 
         let exec = hero_task_graph::Executor::new(4).unwrap();
@@ -393,11 +330,12 @@ mod tests {
         let params = tiny_params();
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
         let sig = sk.sign(b"one");
-        let err = run_batch(
+        let exec = hero_task_graph::Executor::new(1).unwrap();
+        let err = run_batch_planned(
             &vk,
             &[b"one".as_slice(), b"two".as_slice()],
             std::slice::from_ref(&sig),
-            1,
+            &exec,
         )
         .unwrap_err();
         assert!(
@@ -410,10 +348,10 @@ mod tests {
             ),
             "{err}"
         );
-        // The empty batch is consistent, not mismatched — in every flavor.
-        assert!(run_batch(&vk, &[], &[], 1).unwrap().is_empty());
-        assert!(run_batch_lanes(&vk, &[], &[]).unwrap().is_empty());
-        let exec = hero_task_graph::Executor::new(1).unwrap();
+        // The empty batch is consistent, not mismatched — planned and
+        // lane-batched alike.
         assert!(run_batch_planned(&vk, &[], &[], &exec).unwrap().is_empty());
+        let none: [&[u8]; 0] = [];
+        assert!(vk.verify_many(&none, &[]).is_empty());
     }
 }

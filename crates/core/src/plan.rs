@@ -547,27 +547,43 @@ pub fn warm_cache(
     items.len()
 }
 
-/// Signatures per verify node. One node runs its group's *whole*
-/// pipeline — shape gate, digest, FORS roots, `d` XMSS layers — because
-/// nothing inside a verification can overlap: every stage consumes the
-/// previous stage's root. A chain of `1 + d` nodes per group would buy
-/// no parallelism and make every hop queue FIFO behind the nodes of
-/// whatever sign is in flight (measured: 0.22 ms of hashing took 1.3 ms
-/// on a busy server); parallelism comes from the groups, which share
-/// nothing. Groups of 4 / 8 / 16 / 32 measured 6.4 / 6.3 / 6.2 / 6.2 ms
-/// per batch of 64 — flat, so this stays a constant.
-const VERIFY_GROUP: usize = 4;
+/// Signatures per verify node of a batch of `batch` on `workers` workers.
+///
+/// One node runs its group's *whole* pipeline — shape gate, digest, FORS
+/// roots, `d` XMSS layers — because nothing inside a verification can
+/// overlap: every stage consumes the previous stage's root. A chain of
+/// `1 + d` nodes per group would buy no parallelism and make every hop
+/// queue FIFO behind the nodes of whatever sign is in flight (measured:
+/// 0.22 ms of hashing took 1.3 ms on a busy server); parallelism comes
+/// from the groups, which share nothing.
+///
+/// A node is sized to the lanes: [`VerifyingKey::verify_many`] gives each
+/// signature of a group a lane of its own for `T_k`, `T_len` and the XMSS
+/// authentication paths, so a group of
+/// [`hero_sphincs::fors::LANE_SIGNATURES`] fills the registers a group of
+/// four leaves three quarters empty. It shrinks only so that the batch
+/// still makes a node for every worker, and never below four, the size
+/// every node had before and the largest batch that runs with no
+/// submission whatever the pool. Nodes of 4 / 8 / 16 / 32 measured
+/// 5.0–5.6 / 4.5–4.6 / 4.2–4.3 / 4.2–4.8 ms per 128f batch of 64 on the
+/// two hardware threads of the reference host, 9.3–10.1 / 8.0–8.8 /
+/// 7.6–8.4 / 7.6–8.5 on one (range of the medians of five alternating
+/// rounds of 15 batches; while no stage held a signature per lane the
+/// same four sizes were level, 6.4 / 6.3 / 6.2 / 6.2).
+pub fn verify_node_size(batch: usize, workers: usize) -> usize {
+    (batch / workers.max(1)).clamp(4, hero_sphincs::fors::LANE_SIGNATURES)
+}
 
 /// Plans and verifies a whole batch on `exec`: one node per
-/// `VERIFY_GROUP` signatures, no edges.
+/// [`verify_node_size`] signatures, no edges.
 ///
 /// Each node runs [`VerifyingKey::verify_many`] over its group's slice,
-/// so every hash stage sweeps the group's signatures through the
-/// multi-lane cores together, and different groups interleave freely on
-/// the pool — with each other and with any signing work in flight. A
-/// batch that fits one group has nothing to distribute and runs on the
-/// calling thread without a submission. Verdicts are bit-for-bit what
-/// [`VerifyingKey::verify`] returns, malformed signatures included.
+/// so every hash stage takes the group's signatures through the lanes
+/// together, and different groups interleave freely on the pool — with
+/// each other and with any signing work in flight. A batch that fits one
+/// node has nothing to distribute and runs on the calling thread without
+/// a submission. Verdicts are bit-for-bit what [`VerifyingKey::verify`]
+/// returns, malformed signatures included.
 ///
 /// # Panics
 ///
@@ -619,7 +635,8 @@ pub fn verify_batch(
     if msgs.is_empty() {
         return Vec::new();
     }
-    if msgs.len() <= VERIFY_GROUP {
+    let node = verify_node_size(msgs.len(), exec.workers());
+    if msgs.len() <= node {
         return verify_group(msgs, sigs);
     }
 
@@ -628,9 +645,9 @@ pub fn verify_batch(
     let mut out = vec![VerifyOutcome::Invalid; msgs.len()];
     let mut graph = TaskGraph::new();
     for ((msgs, sigs), out) in msgs
-        .chunks(VERIFY_GROUP)
-        .zip(sigs.chunks(VERIFY_GROUP))
-        .zip(out.chunks_mut(VERIFY_GROUP))
+        .chunks(node)
+        .zip(sigs.chunks(node))
+        .zip(out.chunks_mut(node))
     {
         let verify_group = &verify_group;
         graph.task(move || out.clone_from_slice(&verify_group(msgs, sigs)));
@@ -809,10 +826,11 @@ mod tests {
             let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
             let mut sigs: Vec<Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
             // Tamper with a spread of regions so mixed batches exercise
-            // the per-index verdicts, not just all-pass: the first group
-            // (0..4) mixes invalid, malformed and valid members, the
-            // second (4..8) is malformed throughout once it is full, and
-            // 8 stays valid in a group of its own.
+            // the per-index verdicts, not just all-pass: cut in nodes of
+            // four (as four workers have it; one worker takes the batch
+            // as one node), the first (0..4) mixes invalid, malformed and
+            // valid members, the second (4..8) is malformed throughout
+            // once it is full, and 8 stays valid in a node of its own.
             if batch > 1 {
                 sigs[1].randomizer[0] ^= 1;
             }

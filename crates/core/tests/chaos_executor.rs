@@ -8,7 +8,7 @@
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::faults::{self, FaultAction, FaultPlan, FaultSpec};
-use hero_sign::HeroSigner;
+use hero_sign::{plan, HeroSigner};
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::keygen_from_seeds;
 
@@ -180,37 +180,48 @@ fn arm_plan_stage(max_fires: Option<u64>, action: FaultAction) {
 #[test]
 fn verify_plan_is_one_node_per_group_and_inline_for_a_single_group() {
     let _guard = lock();
-    // Signatures per verify node (`plan::VERIFY_GROUP`).
-    const GROUP: usize = 4;
-
     let params = tiny_params();
     let (sk, vk) = deterministic_key(params);
-    let engine = HeroSigner::builder(rtx_4090(), params)
-        .workers(2)
-        .build()
-        .unwrap();
-    let msgs_owned: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 12]).collect();
+    let lanes = hero_sphincs::fors::LANE_SIGNATURES;
+    let msgs_owned: Vec<Vec<u8>> = (0..2 * lanes as u8 + 3).map(|i| vec![i; 12]).collect();
     let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
     let sigs: Vec<hero_sphincs::Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
 
-    for batch in [1, GROUP, GROUP + 1, 2 * GROUP, 9] {
-        // A zero delay at every node disturbs nothing and makes
-        // `faults::fired(PLAN_STAGE)` the number of nodes the plan ran.
-        arm_plan_stage(None, FaultAction::Delay(Duration::ZERO));
-        let before = engine.runtime().submissions();
-        let outcomes = engine
-            .verify_batch(&vk, &msgs[..batch], &sigs[..batch])
+    // The rule itself: a lane-width node, shrunk so that every worker
+    // gets one, never below four.
+    assert_eq!(plan::verify_node_size(64, 2), lanes);
+    assert_eq!(plan::verify_node_size(64, 8), 8);
+    assert_eq!(plan::verify_node_size(64, 64), 4);
+    assert_eq!(plan::verify_node_size(3, 1), 4);
+
+    for workers in [1usize, 2, 4] {
+        let engine = HeroSigner::builder(rtx_4090(), params)
+            .workers(workers)
+            .build()
             .unwrap();
-        let nodes = faults::fired(faults::PLAN_STAGE);
-        faults::clear();
-        assert!(outcomes.iter().all(|o| o.is_valid()), "batch {batch}");
-        assert_eq!(nodes, batch.div_ceil(GROUP) as u64, "batch {batch}");
-        // A single group runs on the calling thread: no submission.
-        assert_eq!(
-            engine.runtime().submissions() - before,
-            u64::from(batch > GROUP),
-            "batch {batch}"
-        );
+        // Around the floor, around a node the workers shrink, around a
+        // lane-width node, and two of those and a bit.
+        for batch in [1, 4, 5, 8, 9, lanes, lanes + 1, 2 * lanes, 2 * lanes + 3] {
+            let node = plan::verify_node_size(batch, workers);
+            // A zero delay at every node disturbs nothing and makes
+            // `faults::fired(PLAN_STAGE)` the number of nodes the plan ran.
+            arm_plan_stage(None, FaultAction::Delay(Duration::ZERO));
+            let before = engine.runtime().submissions();
+            let outcomes = engine
+                .verify_batch(&vk, &msgs[..batch], &sigs[..batch])
+                .unwrap();
+            let nodes = faults::fired(faults::PLAN_STAGE);
+            faults::clear();
+            let what = format!("batch {batch} on {workers} workers");
+            assert!(outcomes.iter().all(|o| o.is_valid()), "{what}");
+            assert_eq!(nodes, batch.div_ceil(node) as u64, "{what}");
+            // A single group runs on the calling thread: no submission.
+            assert_eq!(
+                engine.runtime().submissions() - before,
+                u64::from(batch > node),
+                "{what}"
+            );
+        }
     }
 }
 

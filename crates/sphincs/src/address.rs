@@ -175,6 +175,23 @@ impl Address {
         out
     }
 
+    /// Bytes `0..20` of [`Address::to_compressed_bytes`] as big-endian
+    /// words, the last field taken as zero: what the lane-resident
+    /// SHA-256 bodies hold an address as. The type sits in the second
+    /// byte of word 2, the key pair across words 2 and 3, the chain index
+    /// or tree height across words 3 and 4.
+    #[cfg(any(target_arch = "x86_64", test))]
+    pub(crate) fn compressed_words(&self) -> [u32; 5] {
+        let tree = self.tree();
+        [
+            self.words[LAYER] << 24 | (tree >> 40) as u32,
+            (tree >> 8) as u32,
+            (tree as u32) << 24 | (self.words[TYPE] & 0xff) << 16 | self.words[KEYPAIR] >> 16,
+            self.words[KEYPAIR] << 16 | self.words[CHAIN_OR_HEIGHT] >> 16,
+            self.words[CHAIN_OR_HEIGHT] << 16,
+        ]
+    }
+
     /// Copies the subtree coordinates (layer + tree) from `other`,
     /// the common pattern when deriving leaf addresses from a tree address.
     pub fn copy_subtree_from(&mut self, other: &Address) {
@@ -237,6 +254,33 @@ mod tests {
         a.set_layer(0x0102_0304);
         let bytes = a.to_bytes();
         assert_eq!(&bytes[..4], &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn compressed_words_are_the_compressed_bytes_before_the_last_field() {
+        let mut a = Address::new();
+        for (layer, tree, ty, keypair, chain) in [
+            (0, 0, AddressType::WotsHash, 0, 0),
+            (
+                21,
+                (1 << 63) - 1,
+                AddressType::WotsPrf,
+                u32::MAX,
+                0x0102_0304,
+            ),
+            (0x1ff, 0x0123_4567_89ab_cdef, AddressType::ForsTree, 7, 66),
+        ] {
+            a.set_layer(layer);
+            a.set_tree(tree);
+            a.set_type(ty);
+            a.set_keypair(keypair);
+            a.set_chain(chain);
+            let bytes = a.to_compressed_bytes();
+            a.set_hash(0xdead_beef);
+            for (i, word) in a.compressed_words().into_iter().enumerate() {
+                assert_eq!(word.to_be_bytes(), bytes[4 * i..][..4], "word {i}");
+            }
+        }
     }
 
     #[test]

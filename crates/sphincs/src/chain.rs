@@ -24,29 +24,51 @@
 //! so the lanes of a group retire together: a lane whose chain is done
 //! keeps its node (a masked move) while the rest of its group finishes.
 //!
+//! Where the chains come from and where their ends go is the caller's
+//! ([`Chains`]): [`crate::hash::HashCtx::f_chains`] runs nodes in place in
+//! a flat buffer ([`InPlace`]), batched verification loads heads straight
+//! from the signatures and leaves the ends transposed for `T_len`
+//! ([`crate::wots`]).
+//!
 //! One generic body ([`run_group`]) is written over the vector vocabulary
 //! of [`crate::lanes`] and instantiated for zmm and for ymm registers;
 //! which one runs is [`crate::tier::sha256_chain_tier`]'s decision.
 
 use crate::hash::{ChainHead, ChainJob};
 use crate::lanes::{
-    adrs_words, lane_bodies, put_adrs, put_words, take_words, tweak, Lanes, Row, ADRS_WORDS,
+    lane_bodies, put_adrs, put_words, take_words, tweak, Lanes, Row, ADRS_WORDS, MAX_LANES,
     MAX_NODE_WORDS,
 };
 use crate::tier;
 
-/// Chains sorted at a time: what bounds the sort's scratch. A longer
-/// call is sorted window by window, at the cost of one ragged group per
-/// window.
-const WINDOW: usize = 512;
+/// Chains sorted at a time: what bounds the sort's scratch. It holds
+/// one WOTS+ key per lane of the widest body at the longest key of a
+/// `w = 16` set (`len = 67` at `n = 32`), so that the chains of a
+/// lane-width group of signatures are sorted whole. A longer call is
+/// sorted window by window, at the cost of one ragged group per window.
+const WINDOW: usize = MAX_LANES * 67;
 
 /// Buckets of the counting sort. Chains longer than that share the last
 /// one, which costs their groups some lockstep and nothing else.
 const BUCKETS: usize = 256;
 
+/// The chains of one call, as the kernel sees them: how long each is,
+/// how one is loaded into a lane, and where its end goes.
+pub(crate) trait Chains {
+    /// Number of chains.
+    fn len(&self) -> usize;
+    /// Calls of `F` chain `i` runs.
+    fn steps(&self, i: usize) -> u32;
+    /// Loads chain `i` into lane `lane` of `group`: [`Group::set_chain`],
+    /// then its head.
+    fn load(&self, i: usize, lane: usize, group: &mut Group);
+    /// Takes chain `i`'s end, lane `lane` of `node`.
+    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]);
+}
+
 /// A group of chains in transposed form: `x[word][lane]`.
 #[derive(Default)]
-struct Group {
+pub(crate) struct Group {
     /// Message words `0..5` of each lane, with a zero hash index.
     adrs: [Row; ADRS_WORDS],
     /// Message word 2 of each lane's `PRF` call.
@@ -60,6 +82,69 @@ struct Group {
     /// Each lane's node as big-endian words; `sk_seed` to begin with
     /// where the lane starts at its secret element.
     node: [Row; MAX_NODE_WORDS],
+}
+
+impl Group {
+    /// Lane `lane` runs `steps` calls of `F` under the address whose
+    /// message words `0..5` are `adrs`, the first with hash index `start`.
+    pub(crate) fn set_chain(
+        &mut self,
+        lane: usize,
+        adrs: [u32; ADRS_WORDS],
+        start: u32,
+        steps: u32,
+    ) {
+        put_adrs(&mut self.adrs, lane, adrs);
+        self.hash[lane] = start;
+        self.steps[lane] = steps;
+    }
+
+    /// Lane `lane` starts at `node`.
+    pub(crate) fn set_head(&mut self, lane: usize, node: &[u8]) {
+        put_words(&mut self.node, lane, node);
+    }
+
+    /// Lane `lane` starts at its secret element: `PRF` of `sk_seed` under
+    /// its own address with `prf_word2` for message word 2.
+    fn set_secret_head(&mut self, lane: usize, prf_word2: u32, sk_seed: &[u8]) {
+        self.prf_word2[lane] = prf_word2;
+        self.from_secret[lane] = u32::MAX;
+        put_words(&mut self.node, lane, sk_seed);
+    }
+}
+
+/// The chains of [`crate::hash::HashCtx::f_chains`]: `n`-byte nodes in
+/// one flat buffer, run in place.
+pub(crate) struct InPlace<'a> {
+    pub n: usize,
+    pub nodes: &'a mut [u8],
+    pub jobs: &'a [ChainJob<'a>],
+}
+
+impl Chains for InPlace<'_> {
+    fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn steps(&self, i: usize) -> u32 {
+        self.jobs[i].steps
+    }
+
+    fn load(&self, i: usize, lane: usize, group: &mut Group) {
+        let (n, job) = (self.n, &self.jobs[i]);
+        group.set_chain(lane, job.adrs.compressed_words(), job.start, job.steps);
+        match job.head {
+            ChainHead::Node => group.set_head(lane, &self.nodes[i * n..(i + 1) * n]),
+            ChainHead::Secret(sk_seed) => {
+                assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
+                group.set_secret_head(lane, job.prf_adrs().compressed_words()[2], sk_seed);
+            }
+        }
+    }
+
+    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]) {
+        take_words(node, lane, &mut self.nodes[i * self.n..(i + 1) * self.n]);
+    }
 }
 
 /// The resident body of one ISA tier and node width.
@@ -83,68 +168,51 @@ impl Kernel {
     /// The body of the active chain tier for `n`-byte nodes; `None` on
     /// the `scalar` rung, which has none.
     pub(crate) fn active(n: usize) -> Option<Self> {
+        debug_assert!(n.is_multiple_of(4) && n / 4 <= MAX_NODE_WORDS);
         body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel { lanes, body })
     }
 
-    /// Brings chain `i` — the `n`-byte node at `nodes[i*n..]` — to its
-    /// head and advances it by `jobs[i].steps` calls of `F` from the
-    /// seeded SHA-256 state `iv`.
-    pub(crate) fn run(&self, iv: &[u32; 8], n: usize, nodes: &mut [u8], jobs: &[ChainJob]) {
-        debug_assert!(n.is_multiple_of(4) && n / 4 <= MAX_NODE_WORDS);
-        for (jobs, nodes) in jobs.chunks(WINDOW).zip(nodes.chunks_mut(WINDOW * n)) {
-            self.run_window(iv, n, nodes, jobs);
+    /// Brings every chain of `chains` to its head and advances it by its
+    /// steps, calls of `F` from the seeded SHA-256 state `iv`.
+    pub(crate) fn run(&self, iv: &[u32; 8], chains: &mut impl Chains) {
+        for first in (0..chains.len()).step_by(WINDOW) {
+            self.run_window(iv, chains, first, WINDOW.min(chains.len() - first));
         }
     }
 
-    fn run_window(&self, iv: &[u32; 8], n: usize, nodes: &mut [u8], jobs: &[ChainJob]) {
-        // Counting sort, longest chain first; chains with nothing to do
-        // are left out.
-        let idle = |job: &ChainJob| job.steps == 0 && job.head == ChainHead::Node;
-        let bucket = |job: &ChainJob| BUCKETS - 1 - (job.steps as usize).min(BUCKETS - 1);
+    /// [`Kernel::run`] for chains `first..first + count`.
+    fn run_window(&self, iv: &[u32; 8], chains: &mut impl Chains, first: usize, count: usize) {
+        // Counting sort, longest chain first.
+        let bucket = |steps: u32| BUCKETS - 1 - (steps as usize).min(BUCKETS - 1);
         let mut next = [0u16; BUCKETS];
-        for job in jobs.iter().filter(|job| !idle(job)) {
-            next[bucket(job)] += 1;
+        for i in first..first + count {
+            next[bucket(chains.steps(i))] += 1;
         }
-        let mut live = 0u16;
+        let mut before = 0u16;
         for slot in &mut next {
-            live += std::mem::replace(slot, live);
+            before += std::mem::replace(slot, before);
         }
         let mut order = [0u16; WINDOW];
-        for (i, job) in jobs.iter().enumerate().filter(|(_, job)| !idle(job)) {
-            let slot = &mut next[bucket(job)];
+        for i in 0..count {
+            let slot = &mut next[bucket(chains.steps(first + i))];
             order[*slot as usize] = i as u16;
             *slot += 1;
         }
 
-        for members in order[..live as usize].chunks(self.lanes) {
+        for members in order[..count].chunks(self.lanes) {
             let mut group = Group::default();
-            let (mut rounds, mut any_secret) = (0, false);
             for (lane, &i) in members.iter().enumerate() {
-                let (i, job) = (i as usize, &jobs[i as usize]);
-                put_adrs(&mut group.adrs, lane, &job.adrs);
-                group.hash[lane] = job.start;
-                group.steps[lane] = job.steps;
-                rounds = rounds.max(job.steps);
-                let head = match job.head {
-                    ChainHead::Node => &nodes[i * n..(i + 1) * n],
-                    ChainHead::Secret(sk_seed) => {
-                        assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
-                        group.prf_word2[lane] = adrs_words(&job.prf_adrs())[2];
-                        group.from_secret[lane] = u32::MAX;
-                        any_secret = true;
-                        sk_seed
-                    }
-                };
-                put_words(&mut group.node, lane, head);
+                chains.load(first + i as usize, lane, &mut group);
             }
+            let rounds = group.steps.into_iter().max().unwrap_or(0);
+            let any_secret = group.from_secret != [0; MAX_LANES];
             // SAFETY: `Kernel::active` is the only constructor; it pairs
             // each body with the tier it was compiled for, and the tier
             // cache only ever holds a tier whose CPU features
             // `tier::supported` detected.
             unsafe { (self.body)(iv, any_secret, rounds, &mut group) };
             for (lane, &i) in members.iter().enumerate() {
-                let i = i as usize;
-                take_words(&group.node, lane, &mut nodes[i * n..(i + 1) * n]);
+                chains.store(first + i as usize, lane, &group.node);
             }
         }
     }

@@ -24,7 +24,7 @@
 use crate::address::Address;
 use crate::fors::ForsTreeSig;
 use crate::lanes::{
-    adrs_words, height_word, lane_bodies, put_adrs, take_words, tweak, Lanes, Row, ADRS_WORDS,
+    first, height_word, lane_bodies, put_adrs, take_words, tweak, Lanes, Row, ADRS_WORDS,
     MAX_NODE_WORDS,
 };
 use crate::tier;
@@ -127,8 +127,8 @@ impl Kernel {
                     tree.leaf_offset.is_multiple_of(1 << height),
                     "leaf offset must be a multiple of the tree size"
                 );
-                put_adrs(&mut group.adrs, lane, &tree.node_adrs);
-                group.prf_word2[lane] = adrs_words(&tree.prf_adrs)[2];
+                put_adrs(&mut group.adrs, lane, tree.node_adrs.compressed_words());
+                group.prf_word2[lane] = tree.prf_adrs.compressed_words()[2];
                 group.leaf_offset[lane] = tree.leaf_offset;
                 group.leaf_idx[lane] = leaf_idx;
             }
@@ -226,10 +226,4 @@ unsafe fn run_group<V: Lanes, const NW: usize>(
             word.store(slot);
         }
     }
-}
-
-/// The `n`-byte truncation of a digest.
-#[inline(always)]
-fn first<V: Copy, const NW: usize>(digest: [V; 8]) -> [V; NW] {
-    std::array::from_fn(|i| digest[i])
 }

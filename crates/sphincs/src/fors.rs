@@ -37,11 +37,11 @@
 //! ```
 
 use crate::address::{Address, AddressType};
-#[cfg(target_arch = "x86_64")]
-use crate::forest;
 use crate::hash::HashCtx;
 use crate::merkle::{self, TreeHashOutput};
 use crate::params::Params;
+#[cfg(target_arch = "x86_64")]
+use crate::{ascent, forest};
 
 /// Leaves batched per scratch refill while filling a tree's bottom layer.
 const LEAF_CHUNK: usize = 128;
@@ -152,6 +152,16 @@ fn node_adrs_for(keypair_adrs: &Address) -> Address {
     node_adrs
 }
 
+/// The `T_k` address compressing the roots of the forest at
+/// `keypair_adrs`.
+fn roots_adrs_for(keypair_adrs: &Address) -> Address {
+    let mut roots_adrs = Address::new();
+    roots_adrs.copy_subtree_from(keypair_adrs);
+    roots_adrs.set_type(AddressType::ForsRoots);
+    roots_adrs.set_keypair(keypair_adrs.keypair());
+    roots_adrs
+}
+
 /// Streams one tree's whole bottom layer into `buf`: chunks of
 /// [`LEAF_CHUNK`] leaves run `PRF` then `F` through the multi-lane engine
 /// directly into the flat level buffer.
@@ -231,6 +241,23 @@ impl ForsTreeRequest {
 /// Trees the widest fused body builds at once: request lists are best
 /// cut in multiples of it.
 pub const FUSED_TREES: usize = 16;
+
+/// Signatures the widest resident ascent verifies at once, a lane each
+/// ([`pk_from_sig_many`], [`crate::hypertree::xmss_pk_from_sig_many`]):
+/// batches are best cut in multiples of it.
+pub const LANE_SIGNATURES: usize = 16;
+
+/// Whether a group of `signatures` has its `T_k`, its `T_len`s and its
+/// XMSS authentication paths run a signature per lane of a body of
+/// `lanes`, or signature by signature on bytes. A lane-wide `T_len` costs
+/// its ten compressions of the whole register whatever the group holds, a
+/// scalar one a signature's worth each; in the measured table of
+/// [`crate::tier`] the lanes are first ahead at four signatures in zmm
+/// and at two in ymm, and a body is not selected where it is not ahead.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn ascends_in_lanes(lanes: usize, signatures: usize) -> bool {
+    signatures >= if lanes == LANE_SIGNATURES { 4 } else { 2 }
+}
 
 /// [`tree_hash`] and [`sk_element`] over many trees — possibly belonging
 /// to different messages — in one pass: each request's revealed secret
@@ -436,23 +463,29 @@ pub fn pk_from_sig(
         })
         .collect();
 
-    let mut roots_adrs = Address::new();
-    roots_adrs.copy_subtree_from(keypair_adrs);
-    roots_adrs.set_type(AddressType::ForsRoots);
-    roots_adrs.set_keypair(keypair_adrs.keypair());
     let parts: Vec<&[u8]> = roots.iter().map(Vec::as_slice).collect();
-    ctx.t_l(&roots_adrs, &parts)
+    ctx.t_l(&roots_adrs_for(keypair_adrs), &parts)
 }
 
 /// Recomputes many FORS public keys from signatures in one batched
-/// sweep — the verification twin of [`tree_hash_many`]. All `count · k`
-/// revealed leaves hash in one [`HashCtx::f_many`] call, every tree of
-/// every signature climbs its authentication path through the combined
-/// per-level [`merkle::roots_from_auth_paths_many`] sweep (trees from
-/// different signatures share SIMD lanes), and each signature compresses
-/// its `k` roots with `T_k`.
+/// pass — the verification twin of [`tree_hash_many`]. Output is
+/// byte-identical to calling [`pk_from_sig`] per signature.
 ///
-/// Output is byte-identical to calling [`pk_from_sig`] per signature.
+/// Under SHA-256, on a CPU the resident ladder has a body for
+/// ([`crate::tier::sha256_chain_tier`] above `scalar`), every tree of
+/// every signature is one lane of a register group: `F` of the revealed
+/// secret at its forest-global address, then the `log_t` levels of its
+/// authentication path, the node blended left or right of its sibling by
+/// the leaf index's bit, without leaving the registers — trees of
+/// different signatures side by side, a last group simply part empty.
+/// Where [`LANE_SIGNATURES`] applies the roots never become bytes either:
+/// each signature's `T_k` is a lane of its own.
+///
+/// Under SHAKE-256, SHA-512 and the `scalar` rung all `count · k`
+/// revealed leaves hash in one [`HashCtx::f_many`] call, every tree
+/// climbs through the combined per-level
+/// [`merkle::roots_from_auth_paths_many`] sweep, and each signature
+/// compresses its `k` roots with `T_k`.
 ///
 /// ```
 /// use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
@@ -481,16 +514,121 @@ pub fn pk_from_sig_many(
     mds: &[&[u8]],
     keypair_adrs_list: &[Address],
 ) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let n = params.n;
-    let k = params.k;
-    let t = params.t() as u32;
     assert_eq!(sigs.len(), mds.len(), "one digest per signature");
     assert_eq!(
         sigs.len(),
         keypair_adrs_list.len(),
         "one address per signature"
     );
+    for sig in sigs {
+        assert_eq!(sig.trees.len(), ctx.params().k, "FORS signature tree count");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(iv), Some(kernel)) = (
+        ctx.sha256_seed_state(),
+        ascent::Kernel::active(ctx.params().n),
+    ) {
+        let width = kernel.lanes;
+        return sigs
+            .chunks(width)
+            .zip(mds.chunks(width))
+            .zip(keypair_adrs_list.chunks(width))
+            .flat_map(|((sigs, mds), adrs)| pks_in_lanes(ctx, &kernel, iv, sigs, mds, adrs))
+            .collect();
+    }
+    pks_sweep(ctx, sigs, mds, keypair_adrs_list)
+}
+
+/// [`pk_from_sig_many`] for at most a register group of signatures, a
+/// tree per lane of the resident ascent.
+#[cfg(target_arch = "x86_64")]
+fn pks_in_lanes(
+    ctx: &HashCtx,
+    kernel: &ascent::Kernel,
+    iv: &[u32; 8],
+    sigs: &[&ForsSignature],
+    mds: &[&[u8]],
+    keypair_adrs_list: &[Address],
+) -> Vec<Vec<u8>> {
+    let params = *ctx.params();
+    let (n, k, t) = (params.n, params.k, params.t() as u32);
+    let count = sigs.len();
+    let indices: Vec<Vec<u32>> = mds
+        .iter()
+        .map(|md| message_to_indices(&params, md))
+        .collect();
+
+    // The roots go where `T_k` will find them: transposed, node `tree` of
+    // lane `s` of a group of forests, or flat bytes.
+    let mut forests = ascends_in_lanes(kernel.lanes, count).then(|| ascent::Group::new(n, k, 0));
+    let mut roots = vec![0u8; if forests.is_some() { 0 } else { count * k * n }];
+
+    let mut trees = ascent::Group::new(n, 1, params.log_t);
+    let climbs: Vec<(usize, usize)> = (0..count)
+        .flat_map(|s| (0..k).map(move |tree| (s, tree)))
+        .collect();
+    for members in climbs.chunks(kernel.lanes) {
+        for (lane, &(s, tree)) in members.iter().enumerate() {
+            let tree_sig = &sigs[s].trees[tree];
+            let leaf_idx = tree as u32 * t + indices[s][tree];
+            trees.set_lane(
+                lane,
+                &ascent::Climb {
+                    leaf_adrs: leaf_adrs_for(&keypair_adrs_list[s], leaf_idx),
+                    node_adrs: node_adrs_for(&keypair_adrs_list[s]),
+                    leaf_idx,
+                    auth_path: &tree_sig.auth_path,
+                },
+            );
+            trees.set_leaf(lane, &tree_sig.sk);
+        }
+        kernel.run(iv, &mut trees);
+        for (lane, &(s, tree)) in members.iter().enumerate() {
+            match &mut forests {
+                Some(forests) => trees.root_to_leaf(lane, forests, s, tree),
+                None => trees.root_into(lane, &mut roots[(s * k + tree) * n..][..n]),
+            }
+        }
+    }
+
+    let Some(mut forests) = forests else {
+        return keypair_adrs_list
+            .iter()
+            .zip(roots.chunks_exact(k * n))
+            .map(|(adrs, roots)| {
+                let mut pk = vec![0u8; n];
+                ctx.t_l_flat_into(&roots_adrs_for(adrs), roots, &mut pk);
+                pk
+            })
+            .collect();
+    };
+    for (lane, adrs) in keypair_adrs_list.iter().enumerate() {
+        let roots_adrs = roots_adrs_for(adrs);
+        forests.set_lane(
+            lane,
+            &ascent::Climb {
+                leaf_adrs: roots_adrs,
+                node_adrs: roots_adrs,
+                leaf_idx: 0,
+                auth_path: &[],
+            },
+        );
+    }
+    kernel.run(iv, &mut forests);
+    (0..count).map(|lane| forests.root(lane)).collect()
+}
+
+/// [`pk_from_sig_many`] level by level through the multi-lane engine.
+fn pks_sweep(
+    ctx: &HashCtx,
+    sigs: &[&ForsSignature],
+    mds: &[&[u8]],
+    keypair_adrs_list: &[Address],
+) -> Vec<Vec<u8>> {
+    let params = *ctx.params();
+    let n = params.n;
+    let k = params.k;
+    let t = params.t() as u32;
     let count = sigs.len();
     if count == 0 {
         return Vec::new();
@@ -502,7 +640,6 @@ pub fn pk_from_sig_many(
     let mut leaf_adrs = Vec::with_capacity(count * k);
     let mut sk_flat = vec![0u8; count * k * n];
     for (s, (sig, md)) in sigs.iter().zip(mds).enumerate() {
-        assert_eq!(sig.trees.len(), k, "FORS signature tree count");
         let idxs = message_to_indices(&params, md);
         for (tree_idx, (tree_sig, &leaf_idx)) in sig.trees.iter().zip(&idxs).enumerate() {
             assert_eq!(tree_sig.sk.len(), n, "FORS sk element must be n bytes");
@@ -542,15 +679,11 @@ pub fn pk_from_sig_many(
 
     (0..count)
         .map(|s| {
-            let mut roots_adrs = Address::new();
-            roots_adrs.copy_subtree_from(&keypair_adrs_list[s]);
-            roots_adrs.set_type(AddressType::ForsRoots);
-            roots_adrs.set_keypair(keypair_adrs_list[s].keypair());
             let parts: Vec<&[u8]> = roots[s * k..(s + 1) * k]
                 .iter()
                 .map(Vec::as_slice)
                 .collect();
-            ctx.t_l(&roots_adrs, &parts)
+            ctx.t_l(&roots_adrs_for(&keypair_adrs_list[s]), &parts)
         })
         .collect()
 }

@@ -31,7 +31,9 @@
 //! the engine": [`HashCtx::f_chains`] takes whole chains, and under
 //! SHA-256 runs them — their `PRF` heads included — without leaving SIMD
 //! registers between steps. FORS trees are the other one
-//! ([`crate::fors::tree_hash_many`]).
+//! ([`crate::fors::tree_hash_many`]), and batched verification the third
+//! ([`crate::fors::pk_from_sig_many`],
+//! [`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
 //! ## The SHAKE-256 instantiation
 //!
@@ -551,7 +553,8 @@ impl HashCtx {
         #[cfg(target_arch = "x86_64")]
         if self.alg == HashAlg::Sha256 {
             if let Some(kernel) = crate::chain::Kernel::active(n) {
-                return kernel.run(&self.seeded.state, n, nodes, jobs);
+                let mut chains = crate::chain::InPlace { n, nodes, jobs };
+                return kernel.run(&self.seeded.state, &mut chains);
             }
         }
         let mut adrs = Vec::with_capacity(jobs.len());

@@ -27,6 +27,8 @@ use crate::hash::HashCtx;
 use crate::merkle;
 use crate::params::Params;
 use crate::wots;
+#[cfg(target_arch = "x86_64")]
+use crate::{ascent, chain, fors};
 
 /// One layer of a hypertree signature: a WOTS+ signature over the layer
 /// below's root plus the authentication path of the signing leaf.
@@ -164,14 +166,22 @@ pub struct XmssVerifyRequest<'a> {
     pub leaf_idx: u32,
 }
 
-/// [`xmss_pk_from_sig`] across many signatures sharing one layer: every
-/// request's WOTS+ chains complete through one shared
-/// [`wots::pk_from_sig_many`] lane batch, then every recovered leaf
-/// climbs its authentication path in one combined
-/// [`merkle::roots_from_auth_paths_many`] sweep. This is the batched
-/// stage body the verify planner schedules per layer.
+/// [`xmss_pk_from_sig`] across many signatures sharing one layer — the
+/// batched stage body verification runs per layer. Output is
+/// byte-identical to calling [`xmss_pk_from_sig`] per request.
 ///
-/// Output is byte-identical to calling [`xmss_pk_from_sig`] per request.
+/// Under SHA-256, on a CPU the resident ladder has a body for
+/// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
+/// taken a register group at a time, a signature per lane: the group's
+/// chains run in the chain kernel from the revealed nodes and leave their
+/// ends transposed, each lane absorbs its own `T_len` over them and
+/// climbs its `h'` authentication nodes, and only the roots come out as
+/// bytes. A group too narrow to pay for whole registers
+/// ([`crate::fors::LANE_SIGNATURES`]) goes the other way, as everything
+/// does under SHAKE-256, SHA-512 and the `scalar` rung: every request's
+/// chains complete through one [`wots::pk_from_sig_many`] call, then
+/// every recovered leaf climbs in one combined
+/// [`merkle::roots_from_auth_paths_many`] sweep.
 ///
 /// ```
 /// use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
@@ -194,6 +204,64 @@ pub fn xmss_pk_from_sig_many(
     layer: u32,
     reqs: &[XmssVerifyRequest],
 ) -> Vec<Vec<u8>> {
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(iv), Some(chains), Some(kernel)) = (
+        ctx.sha256_seed_state(),
+        chain::Kernel::active(ctx.params().n),
+        ascent::Kernel::active(ctx.params().n),
+    ) {
+        return reqs
+            .chunks(kernel.lanes)
+            .flat_map(|reqs| {
+                if fors::ascends_in_lanes(kernel.lanes, reqs.len()) {
+                    xmss_roots_in_lanes(ctx, &chains, &kernel, iv, layer, reqs)
+                } else {
+                    xmss_roots_sweep(ctx, layer, reqs)
+                }
+            })
+            .collect();
+    }
+    xmss_roots_sweep(ctx, layer, reqs)
+}
+
+/// [`xmss_pk_from_sig_many`] for at most a register group of requests, a
+/// signature per lane of the resident ascent.
+#[cfg(target_arch = "x86_64")]
+fn xmss_roots_in_lanes(
+    ctx: &HashCtx,
+    chains: &chain::Kernel,
+    kernel: &ascent::Kernel,
+    iv: &[u32; 8],
+    layer: u32,
+    reqs: &[XmssVerifyRequest],
+) -> Vec<Vec<u8>> {
+    let params = ctx.params();
+    let mut group = ascent::Group::new(params.n, params.wots_len(), params.tree_height());
+    let wots_adrs: Vec<Address> = reqs
+        .iter()
+        .map(|r| keypair_adrs(layer, r.tree, r.leaf_idx))
+        .collect();
+    for (lane, (r, wots_adrs)) in reqs.iter().zip(&wots_adrs).enumerate() {
+        group.set_lane(
+            lane,
+            &ascent::Climb {
+                leaf_adrs: wots::pk_adrs_for(wots_adrs),
+                node_adrs: node_adrs(layer, r.tree),
+                leaf_idx: r.leaf_idx,
+                auth_path: &r.sig.auth_path,
+            },
+        );
+    }
+    let sigs: Vec<&[Vec<u8>]> = reqs.iter().map(|r| r.sig.wots_sig.as_slice()).collect();
+    let msgs: Vec<&[u8]> = reqs.iter().map(|r| r.msg).collect();
+    wots::chain_ends_in_lanes(ctx, chains, iv, &sigs, &msgs, &wots_adrs, group.leaf_rows());
+    kernel.run(iv, &mut group);
+    (0..reqs.len()).map(|lane| group.root(lane)).collect()
+}
+
+/// [`xmss_pk_from_sig_many`] through [`HashCtx::f_chains`] and the
+/// multi-lane engine, stage by stage on bytes.
+fn xmss_roots_sweep(ctx: &HashCtx, layer: u32, reqs: &[XmssVerifyRequest]) -> Vec<Vec<u8>> {
     if reqs.is_empty() {
         return Vec::new();
     }

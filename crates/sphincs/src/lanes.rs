@@ -1,16 +1,17 @@
 //! What the lane-resident SHA-256 bodies are written over: a register of
 //! `u32` lanes ([`Lanes`], in zmm and in ymm), one compression of it
 //! ([`compress`]), and the message of a tweakable-hash call put together
-//! in registers ([`tweak`]). The WOTS+ chain kernel ([`crate::chain`])
-//! and the fused FORS tree kernel ([`crate::forest`]) are the two bodies;
-//! [`crate::tier::sha256_chain_tier`] picks the register width for both.
+//! in registers — of one or two nodes ([`tweak`]), or of as many as a
+//! `T_l` compresses ([`absorb`]). The WOTS+ chain kernel
+//! ([`crate::chain`]), the fused FORS tree kernel ([`crate::forest`]) and
+//! the verification ascent ([`crate::ascent`]) are the three bodies;
+//! [`crate::tier::sha256_chain_tier`] picks the register width for all.
 //!
 //! Each lane is one independent hash call. Its operands live transposed,
 //! one register per 32-bit word, from the moment a group is loaded
 //! ([`put_words`]) to the moment its results are stored ([`take_words`]);
 //! nothing in between touches bytes.
 
-use crate::address::Address;
 use crate::sha256::{BLOCK_LEN, K};
 
 use std::arch::x86_64::*;
@@ -30,25 +31,22 @@ pub(crate) const ADRS_WORDS: usize = 5;
 /// One word of every lane: a row of a transposed group.
 pub(crate) type Row = [u32; MAX_LANES];
 
-/// Message words `0..5` of a call under `adrs`, with the last field
-/// (hash index or tree index, which [`tweak`] takes separately) zero.
-///
-/// The compressed address puts the type in the second byte of word 2,
-/// the key pair across words 2 and 3, and the chain index or tree height
-/// across words 3 and 4 ([`height_word`]).
-pub(crate) fn adrs_words(adrs: &Address) -> [u32; ADRS_WORDS] {
-    let mut adrs = *adrs;
-    adrs.set_hash(0);
-    let bytes = adrs.to_compressed_bytes();
-    std::array::from_fn(|i| u32::from_be_bytes(bytes[4 * i..][..4].try_into().expect("4 bytes")))
-}
-
 /// Message word 4 of a tree-node address at `height`: the field's low
 /// half on top, the tree index's high half ([`tweak`] adds it) below.
 /// Word 3 carries the field's high half, zero for every real tree.
 pub(crate) fn height_word(height: u32) -> u32 {
     debug_assert!(height < 1 << 16);
     height << 16
+}
+
+/// Message words `0..5` of chain `chain` of the WOTS+ key pair whose
+/// words ([`crate::address::Address::compressed_words`], chain index zero) are `keypair`:
+/// the index goes across words 3 and 4, nothing else differs.
+pub(crate) fn chain_words(keypair: &[u32; ADRS_WORDS], chain: u32) -> [u32; ADRS_WORDS] {
+    let mut words = *keypair;
+    words[3] |= chain >> 16;
+    words[4] = chain << 16;
+    words
 }
 
 /// Writes `bytes` into lane `lane` of `rows` as big-endian words.
@@ -58,9 +56,11 @@ pub(crate) fn put_words(rows: &mut [Row], lane: usize, bytes: &[u8]) {
     }
 }
 
-/// Writes [`adrs_words`] of `adrs` into lane `lane` of `rows`.
-pub(crate) fn put_adrs(rows: &mut [Row; ADRS_WORDS], lane: usize, adrs: &Address) {
-    for (row, word) in rows.iter_mut().zip(adrs_words(adrs)) {
+/// Writes message words `0..5` of a call — [`crate::address::Address::compressed_words`],
+/// the last field (hash index or tree index) being [`tweak`]'s to add —
+/// into lane `lane` of `rows`.
+pub(crate) fn put_adrs(rows: &mut [Row; ADRS_WORDS], lane: usize, words: [u32; ADRS_WORDS]) {
+    for (row, word) in rows.iter_mut().zip(words) {
         row[lane] = word;
     }
 }
@@ -69,6 +69,14 @@ pub(crate) fn put_adrs(rows: &mut [Row; ADRS_WORDS], lane: usize, adrs: &Address
 pub(crate) fn take_words(rows: &[Row], lane: usize, bytes: &mut [u8]) {
     for (row, word) in rows.iter().zip(bytes.chunks_exact_mut(4)) {
         word.copy_from_slice(&row[lane].to_be_bytes());
+    }
+}
+
+/// Copies lane `from` of `src` to lane `to` of `dst`, row for row: a
+/// node goes from one group to another as the words it is.
+pub(crate) fn move_words(src: &[Row], from: usize, dst: &mut [Row], to: usize) {
+    for (src, dst) in src.iter().zip(dst) {
+        dst[to] = src[from];
     }
 }
 
@@ -323,7 +331,7 @@ unsafe fn compress<V: Lanes>(iv: &[V; 8], w: &mut [V; 16]) -> [V; 8] {
 /// One tweakable-hash call per lane, after the seed block: the digest of
 /// `ADRS_c ‖ payload` continued from state `iv` — `F` and `PRF` on one
 /// node of `NW` words, `H` on the two of a sibling pair. `adrs` is
-/// message words `0..5` ([`adrs_words`]) and `last` the address's last
+/// message words `0..5` ([`put_adrs`]) and `last` the address's last
 /// field.
 ///
 /// Bytes `0..22` are `ADRS_c`, whose last four are that field, so the
@@ -365,6 +373,61 @@ pub(crate) unsafe fn tweak<V: Lanes, const NW: usize, const NODES: usize>(
         let state = compress(iv, first);
         compress(&state, second)
     }
+}
+
+/// The `n`-byte truncation of a digest.
+#[inline(always)]
+pub(crate) fn first<V: Copy, const NW: usize>(digest: [V; 8]) -> [V; NW] {
+    std::array::from_fn(|i| digest[i])
+}
+
+/// One `T_l` call per lane, after the seed block: the digest of
+/// `ADRS_c ‖ payload` continued from state `iv`, for a payload of any
+/// number of words — row `i` of `payload` holds word `i` of every lane's
+/// (a WOTS+ key's `len` chain ends, a forest's `k` roots, node after
+/// node). `adrs` and `last` are [`tweak`]'s, and so is the layout: every
+/// payload word sits 16 bits off a word boundary, the terminator follows
+/// the last, and the bit length closes the last block; a block is
+/// compressed as soon as it is full, so the message is never laid out
+/// whole.
+///
+/// # Safety
+///
+/// As [`Lanes`].
+#[inline(always)]
+pub(crate) unsafe fn absorb<V: Lanes>(
+    iv: &[V; 8],
+    adrs: &[V; ADRS_WORDS],
+    last: V,
+    payload: &[Row],
+) -> [V; 8] {
+    let bit_len = ((BLOCK_LEN + 22 + 4 * payload.len()) * 8) as u32;
+    let zero = V::splat(0);
+    let mut state = *iv;
+    let mut block = [zero; 16];
+    block[..4].copy_from_slice(&adrs[..4]);
+    block[4] = adrs[4].or(last.shr(16));
+    let (mut at, mut carry) = (5, last);
+    for row in payload {
+        let word = V::load(row);
+        block[at] = carry.shl(16).or(word.shr(16));
+        (at, carry) = (at + 1, word);
+        if at == 16 {
+            state = compress(&state, &mut block);
+            at = 0;
+        }
+    }
+    block[at] = carry.shl(16).or(V::splat(0x8000));
+    at += 1;
+    // The bit length takes the last two words of a block.
+    if at > 14 {
+        block[at..].fill(zero);
+        state = compress(&state, &mut block);
+        at = 0;
+    }
+    block[at..15].fill(zero);
+    block[15] = V::splat(bit_len);
+    compress(&state, &mut block)
 }
 
 /// Defines `body_for(tier, n)`: the generic body `$run::<V, NW>` compiled

@@ -84,6 +84,8 @@
 
 pub mod address;
 #[cfg(target_arch = "x86_64")]
+mod ascent;
+#[cfg(target_arch = "x86_64")]
 mod chain;
 #[cfg(target_arch = "x86_64")]
 mod forest;

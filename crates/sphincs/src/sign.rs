@@ -446,9 +446,14 @@ impl VerifyingKey {
     /// Verifies many signatures lane-batched: shape-invalid signatures
     /// short-circuit to their typed error, and the rest recompute
     /// together — all FORS roots in one [`fors::pk_from_sig_many`]
-    /// sweep, then every hypertree layer across all signatures in one
+    /// call, then every hypertree layer across all signatures in one
     /// [`hypertree::xmss_pk_from_sig_many`] call, so signature A's
-    /// chains share SIMD lanes with signature B's. Verdicts are
+    /// chains share SIMD lanes with signature B's. Under SHA-256 both
+    /// are lane-resident: a FORS tree per lane, and from
+    /// [`fors::LANE_SIGNATURES`]' threshold up a signature per lane for
+    /// `T_k`, `T_len` and the XMSS authentication paths, so that between
+    /// a layer's revealed nodes and its root nothing is bytes — the batch
+    /// is best handed over in multiples of that constant. Verdicts are
     /// bit-for-bit those of [`VerifyingKey::verify`] per pair, and the
     /// batch never short-circuits on a bad signature (like a GPU batch
     /// that always runs to completion).

@@ -1,8 +1,10 @@
 //! Runtime ISA-tier selection for the hash cores — the dispatch ladder
 //! behind [`crate::sha256::compress_x`], [`crate::keccak::permute_x`] and
-//! the two lane-resident SHA-256 kernels: WOTS+ chains
-//! ([`crate::hash::HashCtx::f_chains`]) and fused FORS trees
-//! ([`crate::fors::tree_hash_many`]).
+//! the three lane-resident SHA-256 kernels: WOTS+ chains
+//! ([`crate::hash::HashCtx::f_chains`]), fused FORS trees
+//! ([`crate::fors::tree_hash_many`]) and the verification ascent
+//! ([`crate::fors::pk_from_sig_many`],
+//! [`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
 //! A 128f sign burns ~113k compressions, so the primitive core dominates
 //! end-to-end signature throughput. Instead of consulting
@@ -19,7 +21,7 @@
 //! | primitive | x86-64 | aarch64 |
 //! |---|---|---|
 //! | SHA-256 | `sha-ni` → `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
-//! | SHA-256 WOTS+ chains and FORS trees | `avx512` → `avx2` → `scalar` | `scalar` |
+//! | SHA-256 WOTS+ chains, FORS trees and verification ascent | `avx512` → `avx2` → `scalar` | `scalar` |
 //! | Keccak-f\[1600\] | `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
 //!
 //! The SHA-256 ladder is the PR 9 order and is static. On the reference
@@ -118,6 +120,57 @@
 //! threshold: a short group's trees share its lanes out, each lane
 //! building a subtree `⌊log2(lanes / trees)⌋` levels below the root,
 //! and from 9 trees up that is the plain part-empty group.
+//!
+//! ## And the verification ascent
+//!
+//! The third resident body is the other side's: a verifier is handed a
+//! tree's nodes instead of building them, so a lane owns a climb — a
+//! leaf hashed from what the signature reveals, then one `H` per
+//! authentication node ([`crate::fors::pk_from_sig_many`],
+//! [`crate::hypertree::xmss_pk_from_sig_many`]). Lane = tree for the FORS
+//! climb (`F(sk)`, `log_t` levels: 33 trees × 16 signatures are 33 full
+//! zmm groups of 7 calls), lane = signature for `T_k`, `T_len` and the
+//! XMSS authentication path, whose chain ends the chain kernel leaves
+//! transposed where `T_len` absorbs them. Same vocabulary, same
+//! compression, same two instantiations, same ladder; `scalar` is the
+//! level sweep through `compress_x` and the round loop, as before.
+//!
+//! The FORS climb runs at every width: a lone 128f signature's 33 trees
+//! are two full groups and one lane, 21 calls in registers where the
+//! sweep marshalled 231 through `f_many` and `h_many` as bytes (22.9 →
+//! 8.7 µs of that signature, 14.8 → 4.6 µs per signature at sixteen; a
+//! last group simply runs part empty). Lane = signature is different:
+//! `T_len` is ten compressions of the *whole* register whatever the
+//! group holds, against ten of one SHA-NI lane per signature on bytes,
+//! so a narrow group must keep the byte tail for that stage — which
+//! includes every `verify` that comes through the service alone. Measured
+//! on the reference host, one thread, 48 signatures of 128f through
+//! [`crate::sign::VerifyingKey::verify_many`] in groups of `w`, the
+//! selection forced either way: µs per signature, best of 40 alternating
+//! blocks of 4 passes (the host runs at one of two speeds a quarter
+//! apart for minutes at a time, so the fastest block is the comparable
+//! figure), and the median over the 40 pairs of byte tail ÷ in lanes:
+//!
+//! | group width `w` | 1 | 2 | 3 | 4 | 8 | 16 |
+//! |---|---|---|---|---|---|---|
+//! | zmm, in lanes | 199 | 145 | 128 | 119 | 106 | 100 |
+//! | zmm, byte tail (SHA-NI `compress_x`) | 172 | 137 | 126 | 120 | 113 | 110 |
+//! | byte tail ÷ in lanes | 0.86 | 0.93–0.95 | 0.99–1.00 | 1.01–1.02 | 1.06–1.07 | 1.11–1.12 |
+//! | ymm, in lanes (forced `avx2`) | 359 | 292 | 268 | 260 | 242 | 241 |
+//! | ymm, byte tail (forced `avx2`) | 359 | 318 | 305 | 300 | 290 | 289 |
+//! | byte tail ÷ in lanes | 1.00 | 1.09–1.11 | 1.14 | 1.16–1.18 | 1.20 | 1.20 |
+//!
+//! (The parent commit, whose FORS climb and chain jobs were all bytes,
+//! in zmm at `w` = 1 / 2 / 4 / 16: 189 / 152 / 135 / 130–164. Stage by
+//! stage at `w = 16` the 22 XMSS layers went 108 → 92 µs per signature,
+//! of which the chains' own 5846 `F` steps are 83.)
+//!
+//! By the chain ladder's rule a body is selected only where it beat the
+//! rung below it, at its own width: in lanes from four signatures in
+//! zmm, from two in ymm ([`crate::fors::LANE_SIGNATURES`] has the rule,
+//! a function of the primitive, this ladder's tier and the group's width
+//! and of nothing else). `plan::verify_batch` in `hero-sign` sizes its
+//! nodes to the lanes for the same reason.
 //!
 //! ## Overrides and fallback
 //!
@@ -261,7 +314,8 @@ pub enum Primitive {
     Keccak,
     /// The lane-resident SHA-256 kernels: WOTS+ chains
     /// ([`crate::hash::HashCtx::f_chains`]) and, on the same ladder, fused
-    /// FORS trees ([`crate::fors::tree_hash_many`]).
+    /// FORS trees ([`crate::fors::tree_hash_many`]) and the verification
+    /// ascent ([`crate::fors::pk_from_sig_many`]).
     Sha256Chain,
 }
 
@@ -492,8 +546,8 @@ pub fn keccak_tier() -> HashTier {
     active(Primitive::Keccak)
 }
 
-/// The active tier of the lane-resident SHA-256 kernels — WOTS+ chains
-/// and fused FORS trees (see [`active`]).
+/// The active tier of the lane-resident SHA-256 kernels — WOTS+ chains,
+/// fused FORS trees and the verification ascent (see [`active`]).
 #[inline]
 pub fn sha256_chain_tier() -> HashTier {
     active(Primitive::Sha256Chain)

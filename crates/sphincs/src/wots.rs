@@ -10,9 +10,12 @@
 //! chains of a call — one key pair's, a whole subtree's ([`pk_gen_many`])
 //! or a batch of requests' ([`sign_many`], [`pk_from_sig_many`]) — live in
 //! one flat `n`-stride buffer and run to completion through
-//! [`HashCtx::f_chains`], the only way this crate walks a chain outside
-//! of the scalar oracle [`chain`]. The chain step is whatever primitive
-//! the [`HashCtx`] carries.
+//! [`HashCtx::f_chains`], the way this crate walks a chain outside of the
+//! scalar oracle [`chain`]. The chain step is whatever primitive the
+//! [`HashCtx`] carries. Batched verification under SHA-256 hands the
+//! chain kernel the signatures themselves instead, and takes the chain
+//! ends transposed, a signature per lane, as `T_len` absorbs them
+//! ([`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
 //! ```
 //! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
@@ -30,7 +33,11 @@
 //! ```
 
 use crate::address::{Address, AddressType};
+#[cfg(target_arch = "x86_64")]
+use crate::chain;
 use crate::hash::{ChainHead, ChainJob, HashCtx};
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{chain_words, move_words, Row, ADRS_WORDS, MAX_NODE_WORDS};
 use crate::params::Params;
 
 /// Converts `msg` into `out_len` base-`w` digits (spec Algorithm 1).
@@ -126,7 +133,7 @@ fn hash_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
 
 /// The `T_len` address compressing the chain ends of the key pair at
 /// `adrs`.
-fn pk_adrs_for(adrs: &Address) -> Address {
+pub(crate) fn pk_adrs_for(adrs: &Address) -> Address {
     let mut pk_adrs = *adrs;
     pk_adrs.set_type(AddressType::WotsPk);
     pk_adrs.set_keypair(adrs.keypair());
@@ -333,6 +340,94 @@ pub fn pk_from_sig_many(
             pk
         })
         .collect()
+}
+
+/// The chains of a group of signatures under verification, for the
+/// chain kernel: heads straight from the signatures, ends left transposed
+/// where `T_len` absorbs them.
+#[cfg(target_arch = "x86_64")]
+struct SigChains<'a> {
+    sigs: &'a [&'a [Vec<u8>]],
+    /// Message words `0..5` of each signature's `F` address at chain 0.
+    keypairs: Vec<[u32; ADRS_WORDS]>,
+    /// `(signature, chain, digit)` of every chain, signature after
+    /// signature.
+    links: Vec<(u16, u16, u32)>,
+    /// `w − 1`: where every chain ends.
+    top: u32,
+    /// Words of a node.
+    nw: usize,
+    /// Word `word` of lane `s`'s chain `c` end: `ends[c · nw + word][s]`.
+    ends: &'a mut [Row],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl chain::Chains for SigChains<'_> {
+    fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    fn steps(&self, i: usize) -> u32 {
+        self.top - self.links[i].2
+    }
+
+    fn load(&self, i: usize, lane: usize, group: &mut chain::Group) {
+        let (s, c, digit) = self.links[i];
+        let adrs = chain_words(&self.keypairs[s as usize], c as u32);
+        group.set_chain(lane, adrs, digit, self.top - digit);
+        group.set_head(lane, &self.sigs[s as usize][c as usize]);
+    }
+
+    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]) {
+        let (s, c, _) = self.links[i];
+        let end = &mut self.ends[c as usize * self.nw..][..self.nw];
+        move_words(node, lane, end, s as usize);
+    }
+}
+
+/// The chain half of [`pk_from_sig_many`] for at most a register group
+/// of signatures, in the chain kernel from the seeded state `iv`:
+/// signature `s`'s chain `c` runs from the revealed node to its end, and
+/// the end lands in lane `s` of rows `c · n/4 ..` of `ends` — what a lane
+/// = signature `T_len` absorbs — without having been bytes.
+///
+/// # Panics
+///
+/// As [`pk_from_sig_many`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn chain_ends_in_lanes(
+    ctx: &HashCtx,
+    kernel: &chain::Kernel,
+    iv: &[u32; 8],
+    sigs: &[&[Vec<u8>]],
+    msgs: &[&[u8]],
+    adrs_list: &[Address],
+    ends: &mut [Row],
+) {
+    let params = *ctx.params();
+    let (len, n) = (params.wots_len(), params.n);
+    assert!(len <= usize::from(u16::MAX), "chain index must fit 16 bits");
+    let mut links = Vec::with_capacity(sigs.len() * len);
+    for (s, (sig, msg)) in sigs.iter().zip(msgs).enumerate() {
+        assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
+        debug_assert_eq!(msg.len(), n);
+        for (c, (node, digit)) in sig.iter().zip(chain_lengths(&params, msg)).enumerate() {
+            assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
+            links.push((s as u16, c as u16, digit));
+        }
+    }
+    let mut chains = SigChains {
+        sigs,
+        keypairs: adrs_list
+            .iter()
+            .map(|adrs| hash_adrs_for(adrs, 0).compressed_words())
+            .collect(),
+        links,
+        top: params.w as u32 - 1,
+        nw: n / 4,
+        ends,
+    };
+    kernel.run(iv, &mut chains);
 }
 
 /// Total `F` invocations of one `wots_gen_leaf` (pk_gen): `len · (w-1)`

@@ -233,7 +233,8 @@ fn f_chains_sorts_long_calls_in_windows() {
     let mut rng = Stream(0xd1ce);
     let ctx = HashCtx::new(params, &[3u8; 16]);
     let sk_seeds = random_seeds(&params, &mut rng);
-    let (jobs, nodes) = random_chains(&params, 2 * 512 + 37, &sk_seeds, &mut rng);
+    // Two of the kernel's windows (16 keys of 67 chains each) and a bit.
+    let (jobs, nodes) = random_chains(&params, 2 * 16 * 67 + 37, &sk_seeds, &mut rng);
     let expected = oracle(&ctx, &jobs, &nodes);
     for tier in tier::supported_sha256_tiers() {
         let mut got = nodes.clone();
