@@ -17,7 +17,7 @@ use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
 use hero_gpu_sim::occupancy::BlockResources;
 
 use hero_sphincs::address::Address;
-use hero_sphincs::fors::{self, ForsSignature};
+use hero_sphincs::fors;
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
 
@@ -289,41 +289,6 @@ pub fn roots_to_pk(ctx: &HashCtx, keypair_adrs: &Address, roots_flat: &[u8]) -> 
     pk
 }
 
-/// Functional `FORS_Sign`: computes the FORS signature and public key for
-/// one message digest, parallelized across the `k` trees (the data
-/// independence of §II-A2). Run-to-completion wrapper over the plannable
-/// stages ([`sign_trees`] per tree, then [`roots_to_pk`]).
-///
-/// The output is bit-identical to [`hero_sphincs::fors::sign`] /
-/// [`hero_sphincs::fors::pk_from_sig`].
-pub fn run(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    md: &[u8],
-    keypair_adrs: &Address,
-    workers: usize,
-) -> (ForsSignature, Vec<u8>) {
-    let params = *ctx.params();
-    let reqs = tree_requests(&params, md, keypair_adrs);
-
-    let trees = crate::par::par_map_indexed(params.k, workers, |tree_idx| {
-        sign_trees(ctx, sk_seed, &reqs[tree_idx..tree_idx + 1])
-            .pop()
-            .expect("one output per request")
-    });
-
-    let n = params.n;
-    let mut tree_sigs = Vec::with_capacity(params.k);
-    let mut roots_flat = vec![0u8; params.k * n];
-    for (tree_idx, (sig, root)) in trees.into_iter().enumerate() {
-        tree_sigs.push(sig);
-        roots_flat[tree_idx * n..(tree_idx + 1) * n].copy_from_slice(&root);
-    }
-    let pk = roots_to_pk(ctx, keypair_adrs, &roots_flat);
-
-    (ForsSignature { trees: tree_sigs }, pk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +402,12 @@ mod tests {
         adrs.set_keypair(5);
         let md = vec![0xB4u8; 4];
 
-        let (sig, pk) = run(&ctx, &sk_seed, &md, &adrs, 8);
+        let trees = sign_trees(&ctx, &sk_seed, &tree_requests(&params, &md, &adrs));
+        let roots_flat: Vec<u8> = trees.iter().flat_map(|(_, root)| root.clone()).collect();
+        let pk = roots_to_pk(&ctx, &adrs, &roots_flat);
+        let sig = fors::ForsSignature {
+            trees: trees.into_iter().map(|(sig, _)| sig).collect(),
+        };
         let reference = fors::sign(&ctx, &md, &sk_seed, &adrs);
         assert_eq!(sig, reference);
         assert_eq!(pk, fors::pk_from_sig(&ctx, &reference, &md, &adrs));

@@ -7,9 +7,8 @@
 //!   [`tree_sign::subtrees`], [`wots_sign::sign_chain_groups`]) that the
 //!   cross-message batch planner ([`crate::plan`]) schedules as DAG
 //!   nodes — one stage may carry work from several messages, filling the
-//!   SHA lanes across message boundaries. The run-to-completion wrappers
-//!   ([`fors_sign::run`], [`tree_sign::run`], [`wots_sign::run`]) drive
-//!   the same stages over the worker pool for single-message use, and
+//!   SHA lanes across message boundaries; the planner is their one
+//!   driver, for a single message too — and
 //! * an **analytic** face (`describe`) that emits a
 //!   [`hero_gpu_sim::KernelDesc`] for the timing engine, with
 //!   bank-conflict counts *measured* by replaying the kernel's shared-

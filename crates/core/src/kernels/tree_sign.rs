@@ -216,18 +216,28 @@ fn treehash_jobs(items: &[SubtreeItem]) -> Vec<hero_sphincs::merkle::TreeHashJob
         .collect()
 }
 
+/// Fills `leaves` with every item's WOTS+ leaf layer, item after item,
+/// all key pairs in one sweep
+/// ([`hero_sphincs::hypertree::wots_leaves_many_into`]).
+fn fill_leaves(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem], leaves: &mut [u8]) {
+    let subtrees: Vec<(u32, u64)> = items
+        .iter()
+        .map(|item| (item.layer, item.tree_idx))
+        .collect();
+    hypertree::wots_leaves_many_into(ctx, sk_seed, &subtrees, leaves);
+}
+
 /// One plannable `TREE_Sign` stage: builds a group of subtrees — from any
-/// mix of layers and messages — with every reduction level halved through
-/// one combined multi-lane sweep
+/// mix of layers and messages — their leaves filled in one sweep and
+/// every reduction level halved through one combined multi-lane sweep
 /// ([`hero_sphincs::merkle::treehash_many`]). Byte-identical per item to
 /// a standalone treehash.
 pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
     let params = *ctx.params();
     let jobs = treehash_jobs(items);
-    let outs =
-        hero_sphincs::merkle::treehash_many(ctx, params.tree_height(), &jobs, |j, leaves| {
-            hypertree::wots_leaves_into(ctx, sk_seed, items[j].layer, items[j].tree_idx, leaves)
-        });
+    let outs = hero_sphincs::merkle::treehash_many(ctx, params.tree_height(), &jobs, |leaves| {
+        fill_leaves(ctx, sk_seed, items, leaves)
+    });
     items
         .iter()
         .zip(outs)
@@ -256,8 +266,8 @@ pub fn subtree_levels(
 ) -> Vec<hero_sphincs::merkle::TreeLevels> {
     let params = *ctx.params();
     let jobs = treehash_jobs(items);
-    hero_sphincs::merkle::treehash_many_levels(ctx, params.tree_height(), &jobs, |j, leaves| {
-        hypertree::wots_leaves_into(ctx, sk_seed, items[j].layer, items[j].tree_idx, leaves)
+    hero_sphincs::merkle::treehash_many_levels(ctx, params.tree_height(), &jobs, |leaves| {
+        fill_leaves(ctx, sk_seed, items, leaves)
     })
 }
 
@@ -275,29 +285,6 @@ pub fn layer_tree_from_levels(
         root,
         auth_path,
     }
-}
-
-/// Functional `TREE_Sign`: computes every layer's subtree (root + auth
-/// path + signing coordinates) in parallel. Run-to-completion wrapper
-/// over the plannable [`subtrees`] stage, one item per layer.
-///
-/// Outputs are bit-identical to running
-/// [`hero_sphincs::hypertree::xmss_sign`] layer by layer.
-pub fn run(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    tree_idx: u64,
-    leaf_idx: u32,
-    workers: usize,
-) -> Vec<LayerTree> {
-    let params = *ctx.params();
-    let items = subtree_items(&params, tree_idx, leaf_idx);
-
-    crate::par::par_map_indexed(params.d, workers, |layer| {
-        subtrees(ctx, sk_seed, &items[layer..layer + 1])
-            .pop()
-            .expect("one output per item")
-    })
 }
 
 #[cfg(test)]
@@ -370,7 +357,7 @@ mod tests {
         params.d = 3;
         let ctx = HashCtx::new(params, &[8u8; 16]);
         let sk_seed = vec![2u8; 16];
-        let layers = run(&ctx, &sk_seed, 0b10_01, 2, 8);
+        let layers = subtrees(&ctx, &sk_seed, &subtree_items(&params, 0b10_01, 2));
         assert_eq!(layers.len(), 3);
 
         // Compare each layer against xmss_sign's treehash output.

@@ -131,45 +131,6 @@ pub fn sign_chain_groups(
     wots::sign_many(ctx, &msgs, sk_seed, &adrs_list)
 }
 
-/// Functional `WOTS+_Sign`: signs `fors_pk` at layer 0 and each lower
-/// layer's root above it, chains parallelized across workers.
-/// Run-to-completion wrapper over the plannable [`sign_chain_groups`]
-/// stage, one item per layer.
-///
-/// `roots[i]` is layer `i`'s subtree root (from
-/// [`crate::kernels::tree_sign::run`]); `coords[i]` its `(tree, leaf)`.
-/// Output is bit-identical to [`hero_sphincs::wots::sign`] per layer.
-pub fn run(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    fors_pk: &[u8],
-    roots: &[Vec<u8>],
-    coords: &[(u64, u32)],
-    workers: usize,
-) -> Vec<Vec<Vec<u8>>> {
-    let params = *ctx.params();
-    assert_eq!(roots.len(), params.d);
-    assert_eq!(coords.len(), params.d);
-
-    crate::par::par_map_indexed(params.d, workers, |layer| {
-        let msg = if layer == 0 {
-            fors_pk
-        } else {
-            &roots[layer - 1]
-        };
-        let (tree, leaf) = coords[layer];
-        let item = ChainGroupItem {
-            msg,
-            layer: layer as u32,
-            tree,
-            leaf,
-        };
-        sign_chain_groups(ctx, sk_seed, &[item])
-            .pop()
-            .expect("one output per item")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,10 +176,24 @@ mod tests {
         let sk_seed = vec![6u8; 16];
         let fors_pk = vec![0x11u8; 16];
 
-        let layers = tree_sign::run(&ctx, &sk_seed, 2, 1, 8);
+        let layers = tree_sign::subtrees(&ctx, &sk_seed, &tree_sign::subtree_items(&params, 2, 1));
         let roots: Vec<Vec<u8>> = layers.iter().map(|l| l.root.clone()).collect();
         let coords: Vec<(u64, u32)> = layers.iter().map(|l| (l.tree_idx, l.leaf_idx)).collect();
-        let sigs = run(&ctx, &sk_seed, &fors_pk, &roots, &coords, 8);
+        // Layer 0 signs the FORS pk, layer l the root below it: all of
+        // them one chain group.
+        let items: Vec<ChainGroupItem<'_>> = (0..params.d)
+            .map(|layer| ChainGroupItem {
+                msg: if layer == 0 {
+                    &fors_pk
+                } else {
+                    &roots[layer - 1]
+                },
+                layer: layer as u32,
+                tree: coords[layer].0,
+                leaf: coords[layer].1,
+            })
+            .collect();
+        let sigs = sign_chain_groups(&ctx, &sk_seed, &items);
 
         // Each layer's WOTS+ signature must reconstruct that layer's leaf,
         // i.e. equal the reference signer's output.

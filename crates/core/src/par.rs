@@ -11,11 +11,11 @@
 //!   [`crate::builder::HeroSignerBuilder::runtime`]) an executor sized by
 //!   its `workers` setting — engine signing submits there through
 //!   [`par_map_indexed_on`];
-//! * the free functions [`par_map_indexed`]/[`par_map`] submit onto a
-//!   lazily created process-wide [`shared_executor`], so standalone
-//!   kernel entry points keep their `workers: usize` signatures without
-//!   spinning a `std::thread::scope` up per call (the per-call-pool
-//!   behavior the persistent runtime replaced).
+//! * the free function [`par_map_indexed`] submits onto a lazily created
+//!   process-wide [`shared_executor`], so a caller with nothing but a
+//!   `workers: usize` (the `table10_avx2` bin) need not spin a
+//!   `std::thread::scope` up per call (the per-call-pool behavior the
+//!   persistent runtime replaced).
 
 use hero_task_graph::{Executor, TaskGraph};
 
@@ -46,11 +46,10 @@ fn env_workers() -> Option<usize> {
         .map(|n| n.min(256))
 }
 
-/// The process-wide executor backing the free `par_map*` functions,
-/// created on first use with [`default_workers`] threads. Engines built
-/// through [`crate::builder::HeroSignerBuilder`] get their own (or an
-/// explicitly shared) pool instead; this one serves standalone kernel
-/// calls and tests.
+/// The process-wide executor backing [`par_map_indexed`], created on
+/// first use with [`default_workers`] threads. Engines built through
+/// [`crate::builder::HeroSignerBuilder`] get their own (or an explicitly
+/// shared) pool instead.
 pub fn shared_executor() -> &'static Arc<Executor> {
     static POOL: OnceLock<Arc<Executor>> = OnceLock::new();
     POOL.get_or_init(|| Arc::new(Executor::new(default_workers()).expect("default_workers() >= 1")))
@@ -135,17 +134,8 @@ where
         .collect()
 }
 
-/// Applies `f` to every element of `items` in parallel, preserving order.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), workers, |i| f(&items[i]))
-}
-
-/// [`par_map`] on an explicit executor.
+/// Applies `f` to every element of `items` in parallel on `exec`,
+/// preserving order.
 pub fn par_map_on<T, R, F>(exec: &Executor, items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -198,13 +188,6 @@ mod tests {
     fn single_worker_path() {
         let out = par_map_indexed(10, 1, |i| i + 1);
         assert_eq!(out[9], 10);
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items = vec!["a", "bb", "ccc"];
-        let out = par_map(&items, 4, |s| s.len());
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

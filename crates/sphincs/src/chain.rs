@@ -11,14 +11,23 @@
 //! bytes into words and transposing them, and transposing the digest
 //! back, `w − 1` times per chain. Here a group of chains is loaded once:
 //! each lane's node lives as big-endian words in one SIMD register per
-//! word, the message of the next step is put together in registers
-//! ([`crate::lanes::tweak`]), and bytes are touched again only when the
-//! group has run to completion.
+//! word, the message of the next step is put together in registers, and
+//! bytes are touched again only when the group has run to completion.
+//!
+//! The step itself is [`crate::lanes::ChainStep`], the one the leaf
+//! kernel ([`crate::leaf`]) takes too: what a chain's address and the
+//! message length come to is worked out once per group, after the load,
+//! and a step hashes only what the hash index and the node change. It
+//! holds the hash index in half a word, so a group in which some chain
+//! would count past 2¹⁶ — no `w ≤ 256` gets near, but
+//! [`crate::hash::ChainJob::start`] is the caller's — keeps the generic
+//! call ([`crate::lanes::tweak`]), decided when the group is loaded.
 //!
 //! A chain that starts at its secret element never has a head in bytes:
 //! the lane is loaded with `sk_seed` where the node would be, and step
 //! zero is `PRF` — the `F` message under the chain's `WotsPrf` address,
-//! which differs from its `F` address in the type byte alone.
+//! which differs from its `F` address in the type byte alone
+//! ([`crate::lanes::retyped`]).
 //!
 //! Chains of one call are sorted by step count before groups are formed,
 //! so the lanes of a group retire together: a lane whose chain is done
@@ -26,18 +35,21 @@
 //!
 //! Where the chains come from and where their ends go is the caller's
 //! ([`Chains`]): [`crate::hash::HashCtx::f_chains`] runs nodes in place in
-//! a flat buffer ([`InPlace`]), batched verification loads heads straight
+//! a flat buffer ([`InPlace`]) — WOTS+ signing, whose chains stop at
+//! their message digits — and batched verification loads heads straight
 //! from the signatures and leaves the ends transposed for `T_len`
-//! ([`crate::wots`]).
+//! ([`crate::wots`]). The chains of a public key, all full length, do not
+//! come here at all: [`crate::leaf`] runs them a key pair to a lane.
 //!
 //! One generic body ([`run_group`]) is written over the vector vocabulary
 //! of [`crate::lanes`] and instantiated for zmm and for ymm registers;
 //! which one runs is [`crate::tier::sha256_chain_tier`]'s decision.
 
+use crate::address::AddressType;
 use crate::hash::{ChainHead, ChainJob};
 use crate::lanes::{
-    lane_bodies, put_adrs, put_words, take_words, tweak, Lanes, Row, ADRS_WORDS, MAX_LANES,
-    MAX_NODE_WORDS,
+    first, lane_bodies, put_adrs, put_words, retyped, take_words, tweak, ChainStep, Lanes, Row,
+    ADRS_WORDS, MAX_LANES, MAX_NODE_WORDS,
 };
 use crate::tier;
 
@@ -132,12 +144,13 @@ impl Chains for InPlace<'_> {
 
     fn load(&self, i: usize, lane: usize, group: &mut Group) {
         let (n, job) = (self.n, &self.jobs[i]);
-        group.set_chain(lane, job.adrs.compressed_words(), job.start, job.steps);
+        let adrs = job.adrs.compressed_words();
+        group.set_chain(lane, adrs, job.start, job.steps);
         match job.head {
             ChainHead::Node => group.set_head(lane, &self.nodes[i * n..(i + 1) * n]),
             ChainHead::Secret(sk_seed) => {
                 assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
-                group.set_secret_head(lane, job.prf_adrs().compressed_words()[2], sk_seed);
+                group.set_secret_head(lane, retyped(adrs[2], AddressType::WotsPrf), sk_seed);
             }
         }
     }
@@ -152,14 +165,16 @@ pub(crate) struct Kernel {
     /// Lanes of a [`Group`] the body fills.
     lanes: usize,
     /// Runs a group's lanes for `rounds` steps from the seeded state
-    /// `iv`, after a `PRF` step if `any_secret`. The CPU must support the
-    /// ISA the body was compiled for.
-    body: unsafe fn(iv: &[u32; 8], any_secret: bool, rounds: u32, group: &mut Group),
+    /// `iv`, after a `PRF` step if `any_secret`; `narrow` says that no
+    /// lane's hash index reaches 2¹⁶. The CPU must support the ISA the
+    /// body was compiled for.
+    body: unsafe fn(iv: &[u32; 8], any_secret: bool, narrow: bool, rounds: u32, group: &mut Group),
 }
 
 lane_bodies!(run_group(
     iv: &[u32; 8],
     any_secret: bool,
+    narrow: bool,
     rounds: u32,
     group: &mut Group
 ));
@@ -206,11 +221,14 @@ impl Kernel {
             }
             let rounds = group.steps.into_iter().max().unwrap_or(0);
             let any_secret = group.from_secret != [0; MAX_LANES];
+            // What `ChainStep` asks for. `w ≤ 256` never gets near.
+            let narrow = (group.hash.iter().zip(&group.steps))
+                .all(|(&start, &steps)| u64::from(start) + u64::from(steps) <= 1 << 16);
             // SAFETY: `Kernel::active` is the only constructor; it pairs
             // each body with the tier it was compiled for, and the tier
             // cache only ever holds a tier whose CPU features
             // `tier::supported` detected.
-            unsafe { (self.body)(iv, any_secret, rounds, &mut group) };
+            unsafe { (self.body)(iv, any_secret, narrow, rounds, &mut group) };
             for (lane, &i) in members.iter().enumerate() {
                 chains.store(first + i as usize, lane, &group.node);
             }
@@ -219,7 +237,9 @@ impl Kernel {
 }
 
 /// The kernel proper: `rounds` steps of `F` on every lane of `group`,
-/// nodes of `NW` words.
+/// nodes of `NW` words — through [`ChainStep`] where the group is
+/// `narrow`, through [`tweak`] where a hash index outgrows the half word
+/// the step holds it in.
 ///
 /// # Safety
 ///
@@ -228,6 +248,7 @@ impl Kernel {
 unsafe fn run_group<V: Lanes, const NW: usize>(
     iv: &[u32; 8],
     any_secret: bool,
+    narrow: bool,
     rounds: u32,
     group: &mut Group,
 ) {
@@ -249,12 +270,19 @@ unsafe fn run_group<V: Lanes, const NW: usize>(
         }
     }
 
+    let step = ChainStep::<V, NW>::new(&iv, &adrs);
+    let mut hash_high = hash.shl(16);
     for round in 0..rounds {
-        let digest = tweak(&iv, &adrs, hash, [&node]);
-        for (word, new) in node.iter_mut().zip(digest) {
+        let next = if narrow {
+            step.f(&iv, hash_high, &node)
+        } else {
+            first(tweak(&iv, &adrs, hash, [&node]))
+        };
+        for (word, new) in node.iter_mut().zip(next) {
             *word = V::if_live(round, steps, new, *word);
         }
         hash = hash.add(V::splat(1));
+        hash_high = hash_high.add(V::splat(1 << 16));
     }
 
     for (word, slot) in node.into_iter().zip(&mut group.node) {

@@ -24,8 +24,8 @@
 use crate::address::Address;
 use crate::fors::ForsTreeSig;
 use crate::lanes::{
-    first, height_word, lane_bodies, put_adrs, take_words, tweak, Lanes, Row, ADRS_WORDS,
-    MAX_NODE_WORDS,
+    first, height_word, lane_bodies, put_adrs, seed_words, take_words, tweak, Lanes, Row,
+    ADRS_WORDS, MAX_NODE_WORDS,
 };
 use crate::tier;
 
@@ -109,10 +109,7 @@ impl Kernel {
     ) -> Vec<(ForsTreeSig, Vec<u8>)> {
         assert!(height <= MAX_HEIGHT, "tree taller than log_t may be");
         assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
-        let mut seed_words = [0u32; MAX_NODE_WORDS];
-        for (word, bytes) in seed_words.iter_mut().zip(sk_seed.chunks_exact(4)) {
-            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
-        }
+        let seed_words = seed_words(sk_seed);
 
         let mut built = Vec::with_capacity(trees.len());
         for members in trees.chunks(self.lanes) {

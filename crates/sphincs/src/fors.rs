@@ -345,8 +345,8 @@ fn fused_trees(
             }
         })
         .collect();
-    let tops = merkle::treehash_many(ctx, split, &jobs, |j, buf| {
-        for (slot, (_, root)) in buf.chunks_exact_mut(n).zip(&built[j << split..]) {
+    let tops = merkle::treehash_many(ctx, split, &jobs, |buf| {
+        for (slot, (_, root)) in buf.chunks_exact_mut(n).zip(&built) {
             slot.copy_from_slice(root);
         }
     });
@@ -387,15 +387,16 @@ fn tree_hash_sweep(
             leaf_offset: req.leaf_offset(&params),
         })
         .collect();
-    let outs = merkle::treehash_many(ctx, params.log_t, &jobs, |j, buf| {
-        let req = &reqs[j];
-        fill_tree_leaves(
-            ctx,
-            sk_seed,
-            &req.keypair_adrs,
-            req.leaf_offset(&params),
-            buf,
-        )
+    let outs = merkle::treehash_many(ctx, params.log_t, &jobs, |buf| {
+        for (req, buf) in reqs.iter().zip(buf.chunks_exact_mut(params.t() * n)) {
+            fill_tree_leaves(
+                ctx,
+                sk_seed,
+                &req.keypair_adrs,
+                req.leaf_offset(&params),
+                buf,
+            )
+        }
     });
     sks.chunks_exact(n)
         .zip(outs)

@@ -5,6 +5,13 @@
 //! Every layer's Merkle tree is independent once its leaf index is known —
 //! the tree-level parallelism behind HERO-Sign's `TREE_Sign` kernel.
 //!
+//! A subtree's cost is its leaves: each is a whole WOTS+ public key. They
+//! are filled together ([`wots_leaves_into`]; several subtrees' in one
+//! call, [`wots_leaves_many_into`]) through [`wots::pk_gen_many`], which
+//! under SHA-256 gives every key pair a SIMD lane of its own from `PRF`
+//! to `T_len`; the `2^h' − 1` nodes above them go level by level
+//! ([`merkle`]).
+//!
 //! ```
 //! use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
 //!
@@ -82,12 +89,40 @@ pub fn wots_leaf_into(
 }
 
 /// Fills `out` with leaves `0..out.len()/n` of the subtree at (`layer`,
-/// `tree`) — the treehash leaf filler. All the leaves' chains run as one
-/// sweep ([`wots::pk_gen_many`]), which is what keeps the chain kernel's
-/// lane groups full; byte-identical to [`wots_leaf_into`] per leaf.
+/// `tree`) — the treehash leaf filler. All the leaves' key pairs go
+/// through one [`wots::pk_gen_many`] call, which is what keeps its lane
+/// groups full; byte-identical to [`wots_leaf_into`] per leaf.
 pub fn wots_leaves_into(ctx: &HashCtx, sk_seed: &[u8], layer: u32, tree: u64, out: &mut [u8]) {
-    let leaves = (out.len() / ctx.params().n) as u32;
-    let adrs_list: Vec<Address> = (0..leaves).map(|i| keypair_adrs(layer, tree, i)).collect();
+    wots_leaves_many_into(ctx, sk_seed, &[(layer, tree)], out);
+}
+
+/// [`wots_leaves_into`] for several subtrees at once, `(layer, tree)`
+/// each: `out` takes an equal share of leaves for every one of them,
+/// subtree after subtree, and all of them come from one
+/// [`wots::pk_gen_many`] call — two 8-leaf subtrees are one full zmm
+/// group where each alone is half of one.
+///
+/// # Panics
+///
+/// Panics if `out` does not divide into whole leaves, as many for each
+/// subtree.
+pub fn wots_leaves_many_into(
+    ctx: &HashCtx,
+    sk_seed: &[u8],
+    subtrees: &[(u32, u64)],
+    out: &mut [u8],
+) {
+    let leaves = out.len() / ctx.params().n;
+    let each = leaves.checked_div(subtrees.len()).unwrap_or(0);
+    assert_eq!(
+        out.len(),
+        subtrees.len() * each * ctx.params().n,
+        "out must hold as many whole leaves for each subtree"
+    );
+    let adrs_list: Vec<Address> = subtrees
+        .iter()
+        .flat_map(|&(layer, tree)| (0..each as u32).map(move |i| keypair_adrs(layer, tree, i)))
+        .collect();
     wots::pk_gen_many(ctx, sk_seed, &adrs_list, out);
 }
 

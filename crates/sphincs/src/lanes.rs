@@ -1,18 +1,23 @@
 //! What the lane-resident SHA-256 bodies are written over: a register of
 //! `u32` lanes ([`Lanes`], in zmm and in ymm), one compression of it
 //! ([`compress`]), and the message of a tweakable-hash call put together
-//! in registers — of one or two nodes ([`tweak`]), or of as many as a
-//! `T_l` compresses ([`absorb`]). The WOTS+ chain kernel
-//! ([`crate::chain`]), the fused FORS tree kernel ([`crate::forest`]) and
-//! the verification ascent ([`crate::ascent`]) are the three bodies;
-//! [`crate::tier::sha256_chain_tier`] picks the register width for all.
+//! in registers — of one or two nodes ([`tweak`]), of as many as a `T_l`
+//! compresses ([`absorb`]), or of the one shape a WOTS+ chain step has
+//! ([`ChainStep`]). The WOTS+ chain kernel ([`crate::chain`]), the fused
+//! FORS tree kernel ([`crate::forest`]), the verification ascent
+//! ([`crate::ascent`]) and the WOTS+ leaf kernel ([`crate::leaf`]) are the
+//! four bodies; [`crate::tier::sha256_chain_tier`] picks the register
+//! width for all. `PRF` and `H` are [`tweak`]'s in every one of them,
+//! `T_l` is [`absorb`]'s, and `F` along a chain — in the chain kernel and
+//! in the leaf kernel — is [`ChainStep`]'s.
 //!
 //! Each lane is one independent hash call. Its operands live transposed,
 //! one register per 32-bit word, from the moment a group is loaded
 //! ([`put_words`]) to the moment its results are stored ([`take_words`]);
 //! nothing in between touches bytes.
 
-use crate::sha256::{BLOCK_LEN, K};
+use crate::address::AddressType;
+use crate::sha256::{small_sigma0, small_sigma1, BLOCK_LEN, K};
 
 use std::arch::x86_64::*;
 
@@ -46,6 +51,24 @@ pub(crate) fn chain_words(keypair: &[u32; ADRS_WORDS], chain: u32) -> [u32; ADRS
     let mut words = *keypair;
     words[3] |= chain >> 16;
     words[4] = chain << 16;
+    words
+}
+
+/// Message word 2 of an address whose word under some type is `word2`,
+/// under type `ty`: the type is the word's second byte and no other word
+/// holds any of it. A chain's `PRF` address and a key pair's `T_len`
+/// address are its `F` address under another type.
+pub(crate) fn retyped(word2: u32, ty: AddressType) -> u32 {
+    word2 & !(0xff << 16) | (ty as u32) << 16
+}
+
+/// An `n`-byte seed as the big-endian words a body splats across its
+/// lanes.
+pub(crate) fn seed_words(seed: &[u8]) -> [u32; MAX_NODE_WORDS] {
+    let mut words = [0u32; MAX_NODE_WORDS];
+    for (word, bytes) in words.iter_mut().zip(seed.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
     words
 }
 
@@ -249,6 +272,79 @@ fn round_constants(t: usize) -> &'static [u32; 16] {
     K[16 * t..][..16].try_into().expect("16 of 64 constants")
 }
 
+/// `Σ0` of a round.
+#[inline(always)]
+unsafe fn big_sigma0<V: Lanes>(x: V) -> V {
+    x.ror::<2>().xor3(x.ror::<13>(), x.ror::<22>())
+}
+
+/// `Σ1` of a round.
+#[inline(always)]
+unsafe fn big_sigma1<V: Lanes>(x: V) -> V {
+    x.ror::<6>().xor3(x.ror::<11>(), x.ror::<25>())
+}
+
+/// `σ0` of the schedule.
+#[inline(always)]
+unsafe fn sigma0<V: Lanes>(x: V) -> V {
+    x.ror::<7>().xor3(x.ror::<18>(), x.shr(3))
+}
+
+/// `σ1` of the schedule.
+#[inline(always)]
+unsafe fn sigma1<V: Lanes>(x: V) -> V {
+    x.ror::<17>().xor3(x.ror::<19>(), x.shr(10))
+}
+
+/// One round on renamed registers (the a..h rotation is in the argument
+/// order, not in moves); `$kw` is the round constant plus the message
+/// word.
+macro_rules! round {
+    ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $kw:expr) => {
+        let t1 = $h.add(big_sigma1($e)).add($e.ch($f, $g)).add($kw);
+        $d = $d.add(t1);
+        $h = t1.add(big_sigma0($a).add($a.maj($b, $c)));
+    };
+}
+
+/// Sixteen rounds from where the registers are `a..h` again, round `j`
+/// adding `$k[j]` and word `j` of the rolling schedule `$w`, which
+/// `$ready!(j)` sees to first.
+macro_rules! rounds16 {
+    ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident,
+     $k:ident, $w:ident, $ready:ident) => {
+        rounds16!(@ $k, $w, $ready, 0, $a $b $c $d $e $f $g $h);
+        rounds16!(@ $k, $w, $ready, 1, $h $a $b $c $d $e $f $g);
+        rounds16!(@ $k, $w, $ready, 2, $g $h $a $b $c $d $e $f);
+        rounds16!(@ $k, $w, $ready, 3, $f $g $h $a $b $c $d $e);
+        rounds16!(@ $k, $w, $ready, 4, $e $f $g $h $a $b $c $d);
+        rounds16!(@ $k, $w, $ready, 5, $d $e $f $g $h $a $b $c);
+        rounds16!(@ $k, $w, $ready, 6, $c $d $e $f $g $h $a $b);
+        rounds16!(@ $k, $w, $ready, 7, $b $c $d $e $f $g $h $a);
+        rounds16!(@ $k, $w, $ready, 8, $a $b $c $d $e $f $g $h);
+        rounds16!(@ $k, $w, $ready, 9, $h $a $b $c $d $e $f $g);
+        rounds16!(@ $k, $w, $ready, 10, $g $h $a $b $c $d $e $f);
+        rounds16!(@ $k, $w, $ready, 11, $f $g $h $a $b $c $d $e);
+        rounds16!(@ $k, $w, $ready, 12, $e $f $g $h $a $b $c $d);
+        rounds16!(@ $k, $w, $ready, 13, $d $e $f $g $h $a $b $c);
+        rounds16!(@ $k, $w, $ready, 14, $c $d $e $f $g $h $a $b);
+        rounds16!(@ $k, $w, $ready, 15, $b $c $d $e $f $g $h $a);
+    };
+    (@ $k:ident, $w:ident, $ready:ident, $j:literal, $($regs:ident)+) => {
+        $ready!($j);
+        round!($($regs)+, V::splat($k[$j]).add($w[$j]));
+    };
+}
+
+/// Word `j` of the rolling schedule `$w`, sixteen words on, in place.
+macro_rules! extend {
+    ($w:ident, $j:literal) => {
+        $w[$j] = $w[$j]
+            .add(sigma0($w[($j + 1) % 16]))
+            .add($w[($j + 9) % 16].add(sigma1($w[($j + 14) % 16])));
+    };
+}
+
 /// One compression of the 16-word message `w` from state `iv`; `w` is
 /// consumed as the rolling schedule.
 ///
@@ -266,54 +362,19 @@ fn round_constants(t: usize) -> &'static [u32; 16] {
 unsafe fn compress<V: Lanes>(iv: &[V; 8], w: &mut [V; 16]) -> [V; 8] {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *iv;
 
-    // One round on renamed registers (the a..h rotation is in the
-    // argument order, not in moves), extending the schedule in place
-    // first when `$extend`.
-    macro_rules! round {
-        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident,
-         $k:ident, $j:literal, $extend:literal) => {
-            if $extend {
-                let (w2, w15) = (w[($j + 14) % 16], w[($j + 1) % 16]);
-                let s1 = w2.ror::<17>().xor3(w2.ror::<19>(), w2.shr(10));
-                let s0 = w15.ror::<7>().xor3(w15.ror::<18>(), w15.shr(3));
-                w[$j] = w[$j].add(s0).add(w[($j + 9) % 16].add(s1));
-            }
-            let big_s1 = $e.ror::<6>().xor3($e.ror::<11>(), $e.ror::<25>());
-            let t1 = $h
-                .add(big_s1)
-                .add($e.ch($f, $g))
-                .add(V::splat($k[$j]).add(w[$j]));
-            let big_s0 = $a.ror::<2>().xor3($a.ror::<13>(), $a.ror::<22>());
-            $d = $d.add(t1);
-            $h = t1.add(big_s0.add($a.maj($b, $c)));
+    macro_rules! as_it_is {
+        ($j:literal) => {};
+    }
+    macro_rules! extended {
+        ($j:literal) => {
+            extend!(w, $j)
         };
     }
-    macro_rules! rounds16 {
-        ($k:ident, $extend:literal) => {
-            round!(a b c d e f g h, $k, 0, $extend);
-            round!(h a b c d e f g, $k, 1, $extend);
-            round!(g h a b c d e f, $k, 2, $extend);
-            round!(f g h a b c d e, $k, 3, $extend);
-            round!(e f g h a b c d, $k, 4, $extend);
-            round!(d e f g h a b c, $k, 5, $extend);
-            round!(c d e f g h a b, $k, 6, $extend);
-            round!(b c d e f g h a, $k, 7, $extend);
-            round!(a b c d e f g h, $k, 8, $extend);
-            round!(h a b c d e f g, $k, 9, $extend);
-            round!(g h a b c d e f, $k, 10, $extend);
-            round!(f g h a b c d e, $k, 11, $extend);
-            round!(e f g h a b c d, $k, 12, $extend);
-            round!(d e f g h a b c, $k, 13, $extend);
-            round!(c d e f g h a b, $k, 14, $extend);
-            round!(b c d e f g h a, $k, 15, $extend);
-        };
-    }
-
     let k = round_constants(0);
-    rounds16!(k, false);
+    rounds16!(a b c d e f g h, k, w, as_it_is);
     for t in 1..4 {
         let k = round_constants(t);
-        rounds16!(k, true);
+        rounds16!(a b c d e f g h, k, w, extended);
     }
 
     [
@@ -379,6 +440,175 @@ pub(crate) unsafe fn tweak<V: Lanes, const NW: usize, const NODES: usize>(
 #[inline(always)]
 pub(crate) fn first<V: Copy, const NW: usize>(digest: [V; 8]) -> [V; NW] {
     std::array::from_fn(|i| digest[i])
+}
+
+/// The `F` call of one WOTS+ chain per lane, compiled for the one message
+/// shape a chain step ever hashes.
+///
+/// Along a chain only the hash index and the node change. Words `0..5`
+/// are the chain's address (the index stays in the low half of word 5 as
+/// long as it is below 2¹⁶, which is the caller's to see to), words
+/// `5..=5 + NW` the index, the node and the terminator, word 15 the
+/// length, and every word between is zero. So rounds 0–4 are taken once
+/// per chain, a round whose word is zero adds its constant alone, and in
+/// the first sixteen words of the extended schedule a term whose word is
+/// zero is dropped and one whose words are all the chain's or the
+/// length's is taken once per chain too ([`ChainStep::scheduled`]); from
+/// word 32 on the schedule is [`compress`]'s. Of the digest, only the
+/// node is added back. At `n = 16` that leaves 1440 of [`tweak`]'s ≈ 1650
+/// vector operations; what it measures to is in [`crate::tier`].
+pub(crate) struct ChainStep<V, const NW: usize> {
+    /// The registers after rounds 0–4, `a..h` as [`round!`] names them.
+    midstate: [V; 8],
+    /// What the address and the length make up of schedule words
+    /// `16..=21`.
+    fixed: [V; 6],
+}
+
+impl<V: Lanes, const NW: usize> ChainStep<V, NW> {
+    /// Word 15 of the message: its length in bits, seed block included.
+    const BIT_LEN: u32 = ((BLOCK_LEN + 22 + 4 * NW) * 8) as u32;
+
+    /// Whether word `t` of the message changes along a chain: the words
+    /// from the hash index to the terminator.
+    const fn live(t: usize) -> bool {
+        5 <= t && t <= 5 + NW
+    }
+
+    /// Whether word `t` of the schedule, past the message, has no term
+    /// that changes along a chain. At `n = 16` two have none: word 17,
+    /// made of words 1, 2, 10 and 15, and word 19, made of words 3, 4, 12
+    /// and 17.
+    const fn settled(t: usize) -> bool {
+        NW == 4 && (t == 17 || t == 19)
+    }
+
+    /// The step of the chains whose message words `0..5` are `adrs`, from
+    /// the seeded state `iv`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`].
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[cfg_attr(debug_assertions, inline(never))]
+    pub(crate) unsafe fn new(iv: &[V; 8], adrs: &[V; ADRS_WORDS]) -> Self {
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *iv;
+        round!(a b c d e f g h, V::splat(K[0]).add(adrs[0]));
+        round!(h a b c d e f g, V::splat(K[1]).add(adrs[1]));
+        round!(g h a b c d e f, V::splat(K[2]).add(adrs[2]));
+        round!(f g h a b c d e, V::splat(K[3]).add(adrs[3]));
+        round!(e f g h a b c d, V::splat(K[4]).add(adrs[4]));
+
+        let word17 = adrs[1]
+            .add(sigma0(adrs[2]))
+            .add(V::splat(small_sigma1(Self::BIT_LEN)));
+        let mut word19 = adrs[3].add(sigma0(adrs[4]));
+        let mut word21 = V::splat(0);
+        if Self::settled(17) {
+            word19 = word19.add(sigma1(word17));
+            word21 = sigma1(word19);
+        }
+        ChainStep {
+            midstate: [a, b, c, d, e, f, g, h],
+            fixed: [
+                adrs[0].add(sigma0(adrs[1])),
+                word17,
+                adrs[2].add(sigma0(adrs[3])),
+                word19,
+                adrs[4],
+                word21,
+            ],
+        }
+    }
+
+    /// Word `T` of the schedule, `16 ≤ T < 32`, from the rolling schedule
+    /// `w`: of `σ1(W[T−2]) + W[T−7] + σ0(W[T−15]) + W[T−16]`, the terms
+    /// that change along the chain on top of what the address and the
+    /// length come to. A settled word is in `w` like any other; only its
+    /// `σ1` is taken once per chain.
+    #[inline(always)]
+    unsafe fn scheduled<const T: usize>(&self, w: &[V; 16]) -> V {
+        let mut word = match T {
+            16..=21 => self.fixed[T - 16],
+            22 | 31 => V::splat(Self::BIT_LEN),
+            30 => V::splat(small_sigma0(Self::BIT_LEN)),
+            _ => V::splat(0),
+        };
+        if T - 2 >= 16 && !Self::settled(T - 2) {
+            word = word.add(sigma1(w[(T - 2) % 16]));
+        }
+        if T - 7 >= 16 || Self::live(T - 7) {
+            word = word.add(w[(T - 7) % 16]);
+        }
+        if T - 15 == 16 || Self::live(T - 15) {
+            word = word.add(sigma0(w[(T - 15) % 16]));
+        }
+        if Self::live(T - 16) {
+            word = word.add(w[T - 16]);
+        }
+        word
+    }
+
+    /// `F` of `node` at the hash index whose low half is the high half of
+    /// `index_high`: the first `NW` words of what
+    /// `tweak(iv, adrs, index, [node])` returns.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`].
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[cfg_attr(debug_assertions, inline(never))]
+    pub(crate) unsafe fn f(&self, iv: &[V; 8], index_high: V, node: &[V; NW]) -> [V; NW] {
+        let mut w = [V::splat(0); 16];
+        let mut carry = index_high;
+        for (i, &word) in node.iter().enumerate() {
+            w[5 + i] = carry.or(word.shr(16));
+            carry = word.shl(16);
+        }
+        w[5 + NW] = carry.or(V::splat(0x8000));
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.midstate;
+        macro_rules! message {
+            ($j:literal) => {
+                if Self::live($j) {
+                    V::splat(K[$j]).add(w[$j])
+                } else {
+                    V::splat(K[$j])
+                }
+            };
+        }
+        round!(d e f g h a b c, message!(5));
+        round!(c d e f g h a b, message!(6));
+        round!(b c d e f g h a, message!(7));
+        round!(a b c d e f g h, message!(8));
+        round!(h a b c d e f g, message!(9));
+        round!(g h a b c d e f, message!(10));
+        round!(f g h a b c d e, message!(11));
+        round!(e f g h a b c d, message!(12));
+        round!(d e f g h a b c, message!(13));
+        round!(c d e f g h a b, message!(14));
+        round!(b c d e f g h a, V::splat(K[15].wrapping_add(Self::BIT_LEN)));
+
+        macro_rules! folded {
+            ($j:literal) => {
+                w[$j] = self.scheduled::<{ 16 + $j }>(&w)
+            };
+        }
+        macro_rules! extended {
+            ($j:literal) => {
+                extend!(w, $j)
+            };
+        }
+        let k = round_constants(1);
+        rounds16!(a b c d e f g h, k, w, folded);
+        for t in 2..4 {
+            let k = round_constants(t);
+            rounds16!(a b c d e f g h, k, w, extended);
+        }
+
+        let digest = [a, b, c, d, e, f, g, h];
+        std::array::from_fn(|i| unsafe { iv[i].add(digest[i]) })
+    }
 }
 
 /// One `T_l` call per lane, after the seed block: the digest of
@@ -472,3 +702,48 @@ macro_rules! lane_bodies {
     };
 }
 pub(crate) use lane_bodies;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::address::Address;
+    use crate::hash::{ChainHead, ChainJob};
+    use crate::wots::pk_adrs_for;
+
+    #[test]
+    fn retyped_word_is_the_other_address_own() {
+        for layer in [0, 255] {
+            for tree in [0, (1 << 63) - 1] {
+                for (keypair, chain) in [(0, 0), (7, 34), (1 << 16, 1 << 16), (u32::MAX, u32::MAX)]
+                {
+                    let mut adrs = Address::new();
+                    adrs.set_layer(layer);
+                    adrs.set_tree(tree);
+                    adrs.set_type(AddressType::WotsHash);
+                    adrs.set_keypair(keypair);
+                    adrs.set_chain(chain);
+                    let job = ChainJob {
+                        adrs,
+                        head: ChainHead::Node,
+                        start: 0,
+                        steps: 0,
+                    };
+                    let f_words = adrs.compressed_words();
+                    let mut prf_words = f_words;
+                    prf_words[2] = retyped(f_words[2], AddressType::WotsPrf);
+                    assert_eq!(
+                        prf_words,
+                        job.prf_adrs().compressed_words(),
+                        "layer {layer} tree {tree} key pair {keypair} chain {chain}"
+                    );
+
+                    // A key pair's `T_len` address is its chain 0 retyped.
+                    adrs.set_chain(0);
+                    let mut pk_words = adrs.compressed_words();
+                    pk_words[2] = retyped(pk_words[2], AddressType::WotsPk);
+                    assert_eq!(pk_words, pk_adrs_for(&adrs).compressed_words());
+                }
+            }
+        }
+    }
+}

@@ -20,7 +20,8 @@
 //!   ([`hash::HashAlg`]).
 //! * [`wots`] — WOTS+ chains (chain-level parallelism; a call's chains
 //!   run from their secret elements to completion resident in SIMD
-//!   lanes, [`hash::HashCtx::f_chains`]).
+//!   lanes, [`hash::HashCtx::f_chains`], and a public key is made in one
+//!   lane from its first `PRF` to its `T_len`, [`wots::pk_gen_many`]).
 //! * [`fors`] — the forest of random subsets (tree-level parallelism,
 //!   the target of HERO-Sign's FORS Fusion; a register group builds one
 //!   whole tree per lane, [`fors::tree_hash_many`]).
@@ -30,7 +31,7 @@
 //! * [`sign`] — keygen / sign / verify.
 //! * [`tier`] — the runtime ISA ladder (scalar → AVX2 → SHA-NI /
 //!   AVX-512 / NEON) that picks the fastest hash core, and the body of
-//!   the two lane-resident kernels, once per process, overridable via
+//!   the lane-resident kernels, once per process, overridable via
 //!   `HERO_HASH_TIER`.
 //!
 //! ## Lanes as threads
@@ -95,6 +96,8 @@ pub mod hypertree;
 pub mod keccak;
 #[cfg(target_arch = "x86_64")]
 mod lanes;
+#[cfg(target_arch = "x86_64")]
+mod leaf;
 pub mod merkle;
 pub mod params;
 pub mod sha256;

@@ -178,8 +178,10 @@ pub struct TreeHashJob {
 /// cross-message batching of the batch planner); per-job output is
 /// byte-identical to calling [`treehash_flat`] per tree.
 ///
-/// `fill_leaves(j, buf)` writes job `j`'s whole `2^height · n`-byte leaf
-/// layer.
+/// `fill_leaves(buf)` writes every job's `2^height · n`-byte leaf layer,
+/// job after job, in one call — so a filler that batches across leaves
+/// (a WOTS+ fill keeps a register group full that way) batches across
+/// the jobs too.
 ///
 /// # Panics
 ///
@@ -188,10 +190,10 @@ pub fn treehash_many<F>(
     ctx: &HashCtx,
     height: usize,
     jobs: &[TreeHashJob],
-    mut fill_leaves: F,
+    fill_leaves: F,
 ) -> Vec<TreeHashOutput>
 where
-    F: FnMut(usize, &mut [u8]),
+    F: FnOnce(&mut [u8]),
 {
     let n = ctx.params().n;
     let num_leaves = 1usize << height;
@@ -214,9 +216,7 @@ where
     // stride shrinks as levels halve, keeping each job's nodes contiguous
     // so sibling pairs never straddle a job boundary.
     let mut level = vec![0u8; jn * num_leaves * n];
-    for (j, region) in level.chunks_exact_mut(num_leaves * n).enumerate() {
-        fill_leaves(j, region);
-    }
+    fill_leaves(&mut level);
     let mut next = vec![0u8; jn * (num_leaves / 2).max(1) * n];
     let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn * num_leaves / 2);
 
@@ -348,24 +348,22 @@ pub fn treehash_levels<F>(
 where
     F: FnOnce(&mut [u8]),
 {
-    let mut fill = Some(fill_leaves);
     let job = TreeHashJob {
         leaf_idx: 0,
         node_adrs: *node_adrs,
         leaf_offset,
     };
-    treehash_many_levels(ctx, height, &[job], |_, buf| {
-        (fill.take().expect("single job"))(buf)
-    })
-    .pop()
-    .expect("one output per job")
+    treehash_many_levels(ctx, height, &[job], fill_leaves)
+        .pop()
+        .expect("one output per job")
 }
 
 /// [`treehash_many`] that retains every job's levels, for memoization:
 /// the same combined per-level [`HashCtx::h_many`] sweep across all jobs,
 /// but instead of one leaf's authentication path, each job keeps its
 /// whole node pyramid ([`TreeLevels`]) so any leaf can be served later.
-/// Jobs' `leaf_idx` fields are not consulted.
+/// Jobs' `leaf_idx` fields are not consulted; `fill_leaves` is
+/// [`treehash_many`]'s.
 ///
 /// # Panics
 ///
@@ -374,10 +372,10 @@ pub fn treehash_many_levels<F>(
     ctx: &HashCtx,
     height: usize,
     jobs: &[TreeHashJob],
-    mut fill_leaves: F,
+    fill_leaves: F,
 ) -> Vec<TreeLevels>
 where
-    F: FnMut(usize, &mut [u8]),
+    F: FnOnce(&mut [u8]),
 {
     let n = ctx.params().n;
     let num_leaves = 1usize << height;
@@ -402,9 +400,9 @@ where
     // Same flat shrinking-stride layout as `treehash_many`; each level is
     // copied out per job as it is produced.
     let mut level = vec![0u8; jn * num_leaves * n];
-    for (j, region) in level.chunks_exact_mut(num_leaves * n).enumerate() {
-        fill_leaves(j, region);
-        out[j].levels.push(region.to_vec());
+    fill_leaves(&mut level);
+    for (levels, region) in out.iter_mut().zip(level.chunks_exact(num_leaves * n)) {
+        levels.levels.push(region.to_vec());
     }
     let mut next = vec![0u8; jn * (num_leaves / 2).max(1) * n];
     let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn * num_leaves / 2);
@@ -791,9 +789,11 @@ mod tests {
             })
             .collect();
         // Leaves differ per job so cross-job mixups would be caught.
-        let many = treehash_many(&ctx, height, &jobs, |j, buf| {
-            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(i as u32 + 100 * j as u32, slot);
+        let many = treehash_many(&ctx, height, &jobs, |buf| {
+            for (j, buf) in buf.chunks_exact_mut(16 << height).enumerate() {
+                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
+                    leaf(i as u32 + 100 * j as u32, slot);
+                }
             }
         });
         for (j, job) in jobs.iter().enumerate() {
@@ -822,13 +822,13 @@ mod tests {
             node_adrs: adrs,
             leaf_offset: 0,
         };
-        let many = treehash_many(&ctx, 3, &[job], |_, buf| {
+        let many = treehash_many(&ctx, 3, &[job], |buf| {
             for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
                 leaf(i as u32, slot);
             }
         });
         assert_eq!(many[0], treehash(&ctx, 3, 2, &adrs, leaf));
-        assert!(treehash_many(&ctx, 3, &[], |_, _| {}).is_empty());
+        assert!(treehash_many(&ctx, 3, &[], |_| {}).is_empty());
     }
 
     #[test]
@@ -846,7 +846,11 @@ mod tests {
                 leaf_offset: 5,
             },
         ];
-        let out = treehash_many(&ctx, 0, &jobs, |j, buf| leaf(j as u32, buf));
+        let out = treehash_many(&ctx, 0, &jobs, |buf| {
+            for (j, slot) in buf.chunks_exact_mut(16).enumerate() {
+                leaf(j as u32, slot);
+            }
+        });
         assert_eq!(out[0].root, leaf_vec(0));
         assert_eq!(out[1].root, leaf_vec(1));
         assert!(out[0].auth_path.is_empty());
@@ -887,9 +891,11 @@ mod tests {
                 }
             })
             .collect();
-        let many = treehash_many_levels(&ctx, height, &jobs, |j, buf| {
-            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(i as u32 + 50 * j as u32, slot);
+        let many = treehash_many_levels(&ctx, height, &jobs, |buf| {
+            for (j, buf) in buf.chunks_exact_mut(16 << height).enumerate() {
+                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
+                    leaf(i as u32 + 50 * j as u32, slot);
+                }
             }
         });
         for (j, job) in jobs.iter().enumerate() {
@@ -907,7 +913,7 @@ mod tests {
             });
             assert_eq!(many[j].output_for(5), fresh, "job {j}");
         }
-        assert!(treehash_many_levels(&ctx, height, &[], |_, _| {}).is_empty());
+        assert!(treehash_many_levels(&ctx, height, &[], |_| {}).is_empty());
     }
 
     #[test]

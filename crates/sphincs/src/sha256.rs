@@ -57,12 +57,12 @@ fn big_sigma1(x: u32) -> u32 {
 }
 
 #[inline(always)]
-fn small_sigma0(x: u32) -> u32 {
+pub(crate) fn small_sigma0(x: u32) -> u32 {
     x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3)
 }
 
 #[inline(always)]
-fn small_sigma1(x: u32) -> u32 {
+pub(crate) fn small_sigma1(x: u32) -> u32 {
     x.rotate_right(17) ^ x.rotate_right(19) ^ (x >> 10)
 }
 

@@ -1,7 +1,8 @@
 //! Runtime ISA-tier selection for the hash cores — the dispatch ladder
 //! behind [`crate::sha256::compress_x`], [`crate::keccak::permute_x`] and
-//! the three lane-resident SHA-256 kernels: WOTS+ chains
-//! ([`crate::hash::HashCtx::f_chains`]), fused FORS trees
+//! the four lane-resident SHA-256 kernels: WOTS+ chains
+//! ([`crate::hash::HashCtx::f_chains`]), WOTS+ leaves
+//! ([`crate::wots::pk_gen_many`]), fused FORS trees
 //! ([`crate::fors::tree_hash_many`]) and the verification ascent
 //! ([`crate::fors::pk_from_sig_many`],
 //! [`crate::hypertree::xmss_pk_from_sig_many`]).
@@ -21,7 +22,7 @@
 //! | primitive | x86-64 | aarch64 |
 //! |---|---|---|
 //! | SHA-256 | `sha-ni` → `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
-//! | SHA-256 WOTS+ chains, FORS trees and verification ascent | `avx512` → `avx2` → `scalar` | `scalar` |
+//! | SHA-256 WOTS+ chains and leaves, FORS trees and verification ascent | `avx512` → `avx2` → `scalar` | `scalar` |
 //! | Keccak-f\[1600\] | `avx512` → `avx2` → `scalar` | `neon` → `scalar` |
 //!
 //! The SHA-256 ladder is the PR 9 order and is static. On the reference
@@ -172,6 +173,104 @@
 //! and of nothing else). `plan::verify_batch` in `hero-sign` sizes its
 //! nodes to the lanes for the same reason.
 //!
+//! ## And the WOTS+ leaves
+//!
+//! The fourth resident body is where a signature's time is: a subtree's
+//! leaves are whole WOTS+ public keys, and 17 to 22 subtrees are filled
+//! per signature. [`crate::wots::pk_gen_many`] had the chain kernel run
+//! all the chains of a fill as jobs — an address, a sort slot and a byte
+//! node each — and compressed every key's 35 ends through one SHA-NI lane
+//! on bytes. Now a lane owns a key pair from its first `PRF` to its
+//! `T_len` (the `leaf` module): chains in lockstep, nothing per chain but
+//! its index, ends absorbed where they lie. Same vocabulary, same
+//! compression, same two instantiations, same ladder; `scalar` is the
+//! chain sweep and `T_len` on bytes, as before.
+//!
+//! With it, every resident chain — the leaf body's and the chain
+//! kernel's — takes one `F` step compiled for the message shape a chain
+//! step has (`lanes::ChainStep`): of the generic call's (`lanes::tweak`)
+//! ≈ 1650 vector operations a call, 1440 at `n = 16`. The compiler had
+//! found some of the difference by itself: with the generic call inlined
+//! into the step loop it hoists the rounds that hash only the address and
+//! folds the zero words of the first block, 1545 operations a step in the
+//! leaf body, which is what the step is measured against here — not the
+//! 1650, which a stand-alone prototype compares with (1.12–1.16 × there).
+//!
+//! Measured like the tables above: the reference host, one thread, the
+//! parent commit, this one and this one with the step withheld linked
+//! into one binary and alternated in blocks of 5–40 calls; µs per call,
+//! range of the medians of three runs of 31–41 alternating blocks, and
+//! the range of the three medians of the per-block ratio. The other
+//! hardware thread filling subtrees meanwhile moved no ratio by more
+//! than 0.02 in this round, so one column. `ymm` is forced `avx2`, which
+//! pins `compress_x` too, as `HERO_HASH_TIER` does.
+//!
+//! **The step against the generic call**, in the leaf body (16 key pairs,
+//! `w = 16`: 35 / 51 / 67 passes of `PRF` + 15 steps, then `T_len`) and in
+//! the chain kernel through `f_chains` (128 chains of 15 steps from node
+//! heads, sort, load and store included):
+//!
+//! | | `n = 16` | `n = 24` | `n = 32` |
+//! |---|---|---|---|
+//! | zmm leaf body, generic ÷ step | 165.0–165.2 ÷ 155.1–155.4 = 1.062–1.064 | 243.3–244.1 ÷ 234.1–234.4 = 1.038–1.039 | 326.9–328.9 ÷ 312.6–315.8 = 1.032–1.044 |
+//! | ymm leaf body, generic ÷ step | 444.7–445.2 ÷ 422.2–427.3 = 1.041–1.060 | 652.9–657.4 ÷ 629.0–633.1 = 1.036–1.043 | 868.2–869.7 ÷ 840.4–842.5 = 1.033–1.035 |
+//! | zmm chain kernel, generic ÷ step | 36.7–41.6 ÷ 34.6–39.5 = 1.051–1.063 | 37.2–42.5 ÷ 35.4–41.0 = 1.040–1.055 | 37.0–41.3 ÷ 36.2–40.3 = 1.019–1.025 |
+//! | ymm chain kernel, generic ÷ step | 98.2–99.0 ÷ 90.9–95.6 = 1.053–1.064 | 99.3–103.3 ÷ 94.7–101.0 = 1.030–1.047 | 96.6–108.2 ÷ 94.0–109.4 = 1.020–1.047 |
+//!
+//! The zmm kernels run at the vector ports' rate (two 512-bit ports at
+//! 2.55 GHz retire 5.1 operations a nanosecond here; a 16-lane step takes
+//! 0.28 µs), so the step is worth what it saves in operations and no
+//! more: most at `n = 16`, where the padding is longest and two schedule
+//! words have no term left that changes. All six instantiations are ahead
+//! of the generic call at their own width, so all six are selected.
+//!
+//! **A fill**: one 8-leaf 128f subtree (what a lone signature's plan
+//! hands a node) and two of them (a plan item from batch 4 up; one
+//! [`crate::hypertree::wots_leaves_many_into`] call now, two
+//! `wots_leaves_into` calls in the parent), and for scale one 16-leaf
+//! 256f subtree:
+//!
+//! | | parent | leaf body, generic step | leaf body, the step | parent ÷ it |
+//! |---|---|---|---|---|
+//! | zmm, one subtree | 93.4–102.6 | 87.5–88.5 | 83.2–89.8 | 1.134–1.150 |
+//! | zmm, two subtrees | 185.9–193.6 | 167.5–172.5 | 156.3–157.3 | 1.193–1.198 |
+//! | zmm, 256f subtree | 367.0–371.2 | | 313.6–319.6 | 1.163–1.171 |
+//! | ymm, one subtree | 249.6–260.4 | 224.6–234.3 | 211.9–219.1 | 1.179–1.181 |
+//! | ymm, two subtrees | 498.8–503.3 | 445.4–450.0 | 424.0–426.6 | 1.177–1.180 |
+//! | ymm, 256f subtree | 1034.8–1071.2 | | 847.3–869.0 | 1.216–1.227 |
+//!
+//! (Two subtrees in two calls of the new body: 164.1–167.7 in zmm, 1.053–
+//! 1.058 × the one call — each call's 18th pass runs half empty; 423–449
+//! in ymm, level, since eight key pairs fill a ymm group.) One subtree in
+//! zmm is 18 passes of 16 calls and ten compressions of `T_len`, 298
+//! 16-lane compressions in 83 µs, against 17½ groups' worth of chains and
+//! five of `T_len` if nothing were ever idle: what is left to a fill is
+//! the eight lanes of its last pass.
+//!
+//! **A group the key pairs do not fill** had two candidates: run it part
+//! empty, a key pair a lane, or share the lanes out, `⌊lanes / m⌋` to
+//! each of `m` key pairs. µs for 1 / 2 / 4 / 8 key pairs of 128f:
+//!
+//! | candidate | 1 | 2 | 4 | 8 | |
+//! |---|---|---|---|---|---|
+//! | zmm, group part empty | 155.2–156.3 | 155.3–155.6 | 155.3–155.5 | 155.1–157.1 | not kept |
+//! | zmm, lanes shared out | 16.9 | 25.4–25.6 | 42.8–42.9 | 81.6–82.6 | what runs |
+//! | zmm, the parent's sweep | 15.3 | 25.5–25.8 | 46.2–50.9 | 92.6–92.9 | the rung below |
+//! | ymm, group part empty | 211.0–215.9 | 210.7–217.6 | 211.2–215.5 | 211.0–219.2 | not kept |
+//! | ymm, lanes shared out | 34.6–35.1 | 57.9–59.5 | 111.3–113.3 | 210.8–219.0 | what runs |
+//! | ymm, the parent's sweep | 35.1–36.6 | 64.1–65.6 | 127.8–131.0 | 249.0–254.3 | the rung below |
+//!
+//! Sharing out wins at every size, so it is the rule and needs no
+//! threshold; from 9 key pairs up (5 in ymm) it is the plain part-empty
+//! group. Against the sweep it replaced it is ahead from four key pairs,
+//! level at two, and behind at one in zmm, 16.9 against 15.3 µs: a lone
+//! key's `T_len` is ten compressions of a whole register where the sweep
+//! ran ten of one SHA-NI lane. Nothing that signs, generates a key or
+//! fills a cache asks for fewer than a subtree's eight leaves — a lone
+//! [`crate::wots::pk_gen`] is the documentation's and the tests' — so no
+//! selection was written for that one count; the number stands here for
+//! whoever finds a caller for it.
+//!
 //! ## Overrides and fallback
 //!
 //! `HERO_HASH_TIER=<name>` pins every primitive to one requested tier.
@@ -313,9 +412,10 @@ pub enum Primitive {
     /// The Keccak-f\[1600\] permutation core ([`crate::keccak`]).
     Keccak,
     /// The lane-resident SHA-256 kernels: WOTS+ chains
-    /// ([`crate::hash::HashCtx::f_chains`]) and, on the same ladder, fused
-    /// FORS trees ([`crate::fors::tree_hash_many`]) and the verification
-    /// ascent ([`crate::fors::pk_from_sig_many`]).
+    /// ([`crate::hash::HashCtx::f_chains`]) and, on the same ladder, WOTS+
+    /// leaves ([`crate::wots::pk_gen_many`]), fused FORS trees
+    /// ([`crate::fors::tree_hash_many`]) and the verification ascent
+    /// ([`crate::fors::pk_from_sig_many`]).
     Sha256Chain,
 }
 
@@ -546,8 +646,9 @@ pub fn keccak_tier() -> HashTier {
     active(Primitive::Keccak)
 }
 
-/// The active tier of the lane-resident SHA-256 kernels — WOTS+ chains,
-/// fused FORS trees and the verification ascent (see [`active`]).
+/// The active tier of the lane-resident SHA-256 kernels — WOTS+ chains
+/// and leaves, fused FORS trees and the verification ascent (see
+/// [`active`]).
 #[inline]
 pub fn sha256_chain_tier() -> HashTier {
     active(Primitive::Sha256Chain)

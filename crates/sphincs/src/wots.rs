@@ -7,13 +7,16 @@
 //! chain-level thread parallelism.
 //!
 //! On CPU the same independence is exploited across SIMD lanes: the
-//! chains of a call — one key pair's, a whole subtree's ([`pk_gen_many`])
-//! or a batch of requests' ([`sign_many`], [`pk_from_sig_many`]) — live in
-//! one flat `n`-stride buffer and run to completion through
+//! chains of a batch of requests ([`sign_many`], [`pk_from_sig_many`])
+//! live in one flat `n`-stride buffer and run to completion through
 //! [`HashCtx::f_chains`], the way this crate walks a chain outside of the
 //! scalar oracle [`chain`]. The chain step is whatever primitive the
-//! [`HashCtx`] carries. Batched verification under SHA-256 hands the
-//! chain kernel the signatures themselves instead, and takes the chain
+//! [`HashCtx`] carries. Under SHA-256 the two sides that work on whole
+//! keys stay in the lanes beyond the chains. Public keys ([`pk_gen_many`]:
+//! every subtree fill, which is most of a signature) are made a key pair
+//! to a lane, from the first `PRF` through `len` full chains to `T_len`,
+//! and no chain of theirs is ever a job or a byte. Batched verification
+//! hands the chain kernel the signatures themselves and takes the chain
 //! ends transposed, a signature per lane, as `T_len` absorbs them
 //! ([`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
@@ -38,6 +41,8 @@ use crate::chain;
 use crate::hash::{ChainHead, ChainJob, HashCtx};
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::{chain_words, move_words, Row, ADRS_WORDS, MAX_NODE_WORDS};
+#[cfg(target_arch = "x86_64")]
+use crate::leaf;
 use crate::params::Params;
 
 /// Converts `msg` into `out_len` base-`w` digits (spec Algorithm 1).
@@ -123,7 +128,7 @@ fn prf_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
 
 /// The `F`-chain address of chain `chain_idx` (hash index set per step by
 /// the caller).
-fn hash_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
+pub(crate) fn hash_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
     let mut h = *adrs;
     h.set_type(AddressType::WotsHash);
     h.set_keypair(adrs.keypair());
@@ -190,10 +195,17 @@ pub fn pk_gen_into(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, out: &mut [u8]
 }
 
 /// Computes the WOTS+ public keys of many key pairs, writing key pair
-/// `r`'s into `out[r*n..]`: all `len` chains of all key pairs run their
-/// `w-1` steps as one [`HashCtx::f_chains`] sweep, so the lane groups
-/// are full whatever `len` is (an 8-leaf 128f subtree is 280 chains, 17½
-/// groups of 16), and `T_len` then compresses each key pair's chain ends.
+/// `r`'s into `out[r*n..]` — the one seam every subtree fill goes through.
+///
+/// Under SHA-256, on a CPU the resident ladder has a body for
+/// ([`crate::tier::sha256_chain_tier`] above `scalar`), a lane owns a key
+/// pair from its first `PRF` to its leaf: the key pairs of a register
+/// group run their chains in lockstep and absorb their own `T_len`, and
+/// where they do not fill the group they share its lanes out, so an
+/// 8-leaf 128f subtree is 18 passes of 16 chains and two of them, in one
+/// call, 35. Everything else — SHAKE-256, SHA-512, the `scalar` rung —
+/// runs all `len` chains of all key pairs as one [`HashCtx::f_chains`]
+/// sweep and compresses each key pair's chain ends on bytes.
 ///
 /// Output is byte-identical to calling [`pk_gen_into`] per key pair.
 ///
@@ -201,9 +213,23 @@ pub fn pk_gen_into(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, out: &mut [u8]
 ///
 /// Panics if `out` is not `adrs_list.len() * n` bytes.
 pub fn pk_gen_many(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut [u8]) {
+    let params = ctx.params();
+    assert_eq!(
+        out.len(),
+        adrs_list.len() * params.n,
+        "out must be count*n bytes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(iv), Some(kernel)) = (ctx.sha256_seed_state(), leaf::Kernel::active(params)) {
+        return kernel.run(iv, params, sk_seed, adrs_list, out);
+    }
+    pk_gen_sweep(ctx, sk_seed, adrs_list, out);
+}
+
+/// [`pk_gen_many`] through [`HashCtx::f_chains`] and `T_len` on bytes.
+fn pk_gen_sweep(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut [u8]) {
     let params = *ctx.params();
     let (len, n) = (params.wots_len(), params.n);
-    assert_eq!(out.len(), adrs_list.len() * n, "out must be count*n bytes");
     let top = params.w as u32 - 1;
     let ends = chains_from_secret(ctx, sk_seed, adrs_list, |_, _| top);
     for ((adrs, ends), pk) in adrs_list

@@ -1,0 +1,315 @@
+//! The WOTS+ leaf entry points ([`wots::pk_gen_many`],
+//! [`hypertree::wots_leaves_into`] and its several-subtree form) held
+//! byte-identical to a public key put together from the scalar pieces —
+//! [`wots::sk_element`], [`wots::chain`] one `f_into` per step, `t_l` —
+//! which never enter a resident body, under every ISA tier the host
+//! supports. Forcing a SHA-256 tier forces the resident ladder's too
+//! (`sha-ni`, which has no body there, selects the ladder's best), so
+//! walking the SHA-256 tiers walks both widths of the leaf body and the
+//! sweep on bytes.
+//!
+//! And the chain step the leaf body and the chain kernel share, held to
+//! the same scalar chain through [`HashCtx::f_chains`] on both sides of
+//! the hash index at which the kernel must leave it for the generic
+//! call.
+
+use hero_sphincs::address::{Address, AddressType};
+use hero_sphincs::hash::{ChainHead, ChainJob, HashAlg, HashCtx};
+use hero_sphincs::params::Params;
+use hero_sphincs::tier;
+use hero_sphincs::{hypertree, wots};
+
+mod common;
+use common::{with_forced_tier, Stream, TIER_LOCK};
+
+/// Key pairs per case: two of the widest groups and one more, so that
+/// every way a group is shared out (16, 8, 5, 4, 3, 2 and 1 lanes to a
+/// key pair; 8, 4, 2 and 1 in ymm), counts that leave lanes over, a full
+/// group and a 17th key pair all occur.
+const KEYPAIRS: usize = 33;
+
+/// The key pair counts a case is cut to: all of them where the bodies are
+/// compiled as they ship (`cargo test --release`, which CI runs), and
+/// where they are not — unoptimised they run a hundred times slower —
+/// every share of the narrower body, counts that divide neither width,
+/// and a group and one more; of chains of 255 steps, two counts alone.
+fn counts(params: &Params) -> Vec<usize> {
+    match (cfg!(debug_assertions), params.w) {
+        (false, _) => (0..=KEYPAIRS).collect(),
+        (true, 256) => vec![3, 9],
+        (true, _) => vec![0, 1, 2, 3, 4, 5, 8, 11, 17],
+    }
+}
+
+/// Every node width at both ends of `w` and in the middle: `T_len` over
+/// 18 to 133 chain ends, 10, 20 and 34 blocks of them at `w = 16`.
+fn shapes() -> Vec<Params> {
+    let mut shapes = Vec::new();
+    for set in Params::fast_sets() {
+        for w in [4, 16, 256] {
+            let mut params = set;
+            params.w = w;
+            params.validate().expect("a shape the library accepts");
+            shapes.push(params);
+        }
+    }
+    shapes
+}
+
+/// The WOTS+ public key of the key pair at `adrs`, from the scalar
+/// pieces only.
+fn oracle_pk(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
+    let params = *ctx.params();
+    let ends: Vec<Vec<u8>> = (0..params.wots_len() as u32)
+        .map(|i| {
+            let secret = wots::sk_element(ctx, sk_seed, adrs, i);
+            let mut hash_adrs = *adrs;
+            hash_adrs.set_type(AddressType::WotsHash);
+            hash_adrs.set_keypair(adrs.keypair());
+            hash_adrs.set_chain(i);
+            wots::chain(ctx, &secret, 0, params.w as u32 - 1, &mut hash_adrs)
+        })
+        .collect();
+    let mut pk_adrs = *adrs;
+    pk_adrs.set_type(AddressType::WotsPk);
+    pk_adrs.set_keypair(adrs.keypair());
+    let parts: Vec<&[u8]> = ends.iter().map(Vec::as_slice).collect();
+    ctx.t_l(&pk_adrs, &parts)
+}
+
+fn keypair_adrs(layer: u32, tree: u64, keypair: u32) -> Address {
+    let mut adrs = Address::new();
+    adrs.set_layer(layer);
+    adrs.set_tree(tree);
+    adrs.set_type(AddressType::WotsHash);
+    adrs.set_keypair(keypair);
+    adrs
+}
+
+/// Key pairs anywhere: both ends of every coordinate over-represented,
+/// and no two of a list need share a subtree.
+fn random_keypairs(count: usize, rng: &mut Stream) -> Vec<Address> {
+    (0..count)
+        .map(|_| {
+            let layer = [0, 21, 255, rng.below(256)][rng.below(4) as usize];
+            let tree = [0, (1 << 63) - 1, rng.next() >> 1][rng.below(3) as usize];
+            let keypair = match rng.below(4) {
+                0 => rng.below(8),
+                1 => (1 << 16) + rng.below(1 << 16),
+                2 => u32::MAX,
+                _ => rng.next() as u32,
+            };
+            keypair_adrs(layer, tree, keypair)
+        })
+        .collect()
+}
+
+/// Any number of key pairs from none to two groups and one, anywhere in
+/// the hypertree, equals the scalar public keys under every tier.
+#[test]
+fn pk_gen_many_matches_scalar_keys_under_every_tier() {
+    let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (case, params) in shapes().into_iter().enumerate() {
+        let n = params.n;
+        let counts = counts(&params);
+        let most = *counts.last().expect("some counts");
+        let mut rng = Stream(0x1eaf ^ (case as u64) << 32 | 1);
+        let (pk_seed, sk_seed) = (rng.bytes(n), rng.bytes(n));
+        let ctx = HashCtx::new(params, &pk_seed);
+        let adrs_list = random_keypairs(most, &mut rng);
+        let expected: Vec<u8> = adrs_list
+            .iter()
+            .flat_map(|adrs| oracle_pk(&ctx, &sk_seed, adrs))
+            .collect();
+        for tier in tier::supported_sha256_tiers() {
+            with_forced_tier(tier, || {
+                for &count in &counts {
+                    let mut got = vec![0u8; count * n];
+                    wots::pk_gen_many(&ctx, &sk_seed, &adrs_list[..count], &mut got);
+                    assert_eq!(
+                        got,
+                        expected[..count * n],
+                        "{} w={} {count} key pairs under {}",
+                        params.name(),
+                        params.w,
+                        tier.label()
+                    );
+                }
+                let lone = wots::pk_gen(&ctx, &sk_seed, &adrs_list[most - 1]);
+                assert_eq!(lone, expected[(most - 1) * n..]);
+            });
+        }
+    }
+}
+
+/// A subtree's leaves, and several subtrees' in one fill, at the corners
+/// of the hypertree.
+#[test]
+fn subtree_fills_match_scalar_leaves_under_every_tier() {
+    let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let corners: Vec<(u32, u64)> = [0, 21, 255]
+        .into_iter()
+        .flat_map(|layer| [0, (1 << 63) - 1].map(|tree| (layer, tree)))
+        .collect();
+    for (case, params) in Params::fast_sets().into_iter().enumerate() {
+        let n = params.n;
+        let leaves = params.subtree_leaves();
+        let mut rng = Stream(0xf111 ^ (case as u64) << 32 | 1);
+        let (pk_seed, sk_seed) = (rng.bytes(n), rng.bytes(n));
+        let ctx = HashCtx::new(params, &pk_seed);
+        let expected: Vec<Vec<u8>> = corners
+            .iter()
+            .map(|&(layer, tree)| {
+                (0..leaves as u32)
+                    .flat_map(|leaf| oracle_pk(&ctx, &sk_seed, &keypair_adrs(layer, tree, leaf)))
+                    .collect()
+            })
+            .collect();
+        for tier in tier::supported_sha256_tiers() {
+            with_forced_tier(tier, || {
+                for (&(layer, tree), expected) in corners.iter().zip(&expected) {
+                    // A part of the layer that fills no group and, where
+                    // the bodies run at speed, the whole of it.
+                    let whole = (!cfg!(debug_assertions)).then_some(leaves);
+                    for count in whole.into_iter().chain([3]) {
+                        let mut got = vec![0u8; count * n];
+                        hypertree::wots_leaves_into(&ctx, &sk_seed, layer, tree, &mut got);
+                        assert_eq!(
+                            got,
+                            expected[..count * n],
+                            "{} layer {layer} tree {tree} under {}",
+                            params.name(),
+                            tier.label()
+                        );
+                    }
+                    let leaf = hypertree::wots_leaf(&ctx, &sk_seed, layer, tree, leaves as u32 - 1);
+                    assert_eq!(leaf, expected[(leaves - 1) * n..]);
+                }
+                // One, two (a plan item from batch 4 up) and all six in
+                // one fill.
+                for together in [1, 2, corners.len()] {
+                    let mut got = vec![0u8; together * leaves * n];
+                    hypertree::wots_leaves_many_into(
+                        &ctx,
+                        &sk_seed,
+                        &corners[..together],
+                        &mut got,
+                    );
+                    assert_eq!(
+                        got,
+                        expected[..together].concat(),
+                        "{} {together} subtrees under {}",
+                        params.name(),
+                        tier.label()
+                    );
+                }
+                hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[], &mut []);
+            });
+        }
+    }
+}
+
+/// SHAKE-256 and SHA-512 go through the same entry points, with the
+/// sweep behind them.
+#[test]
+fn leaf_entry_points_match_scalar_keys_for_the_other_primitives() {
+    let mut rng = Stream(0x07e5);
+    for alg in [HashAlg::Shake256, HashAlg::Sha512] {
+        for params in shapes() {
+            let n = params.n;
+            let (pk_seed, sk_seed) = (rng.bytes(n), rng.bytes(n));
+            let ctx = HashCtx::with_alg(params, &pk_seed, alg);
+            let adrs_list = random_keypairs(2, &mut rng);
+            let expected: Vec<u8> = adrs_list
+                .iter()
+                .flat_map(|adrs| oracle_pk(&ctx, &sk_seed, adrs))
+                .collect();
+            let mut got = vec![0u8; 2 * n];
+            wots::pk_gen_many(&ctx, &sk_seed, &adrs_list, &mut got);
+            assert_eq!(got, expected, "{alg:?} {} w={}", params.name(), params.w);
+
+            let expected = oracle_pk(&ctx, &sk_seed, &keypair_adrs(21, 5, 0));
+            let mut got = vec![0u8; n];
+            hypertree::wots_leaves_into(&ctx, &sk_seed, 21, 5, &mut got);
+            assert_eq!(got, expected, "{alg:?} {} w={}", params.name(), params.w);
+        }
+    }
+}
+
+/// What `f_chains` must produce, one scalar chain at a time.
+fn oracle_chains(ctx: &HashCtx, jobs: &[ChainJob], nodes: &[u8]) -> Vec<u8> {
+    let n = ctx.params().n;
+    jobs.iter()
+        .zip(nodes.chunks_exact(n))
+        .flat_map(|(job, node)| {
+            let mut adrs = job.adrs;
+            let head = match job.head {
+                ChainHead::Node => node.to_vec(),
+                ChainHead::Secret(sk_seed) => wots::sk_element(ctx, sk_seed, &adrs, adrs.chain()),
+            };
+            wots::chain(ctx, &head, job.start, job.steps, &mut adrs)
+        })
+        .collect()
+}
+
+/// The step holds the hash index in half a word. Chains of one length
+/// whose last index is the last that fits take the step, chains that go
+/// one further take the generic call, chains beyond never see the step,
+/// and a call that mixes them sorts them into groups of either kind:
+/// all equal the scalar chain, which has the whole word.
+#[test]
+fn chain_step_gives_way_where_the_hash_index_outgrows_it() {
+    let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Stream(0x57e9);
+    for params in shapes() {
+        let n = params.n;
+        let steps = params.w as u32 - 1;
+        let ctx = HashCtx::new(params, &rng.bytes(n));
+        let sk_seed = rng.bytes(n);
+        let edge = (1 << 16) - steps;
+        let kinds: [&[u32]; 4] = [
+            &[edge, edge - 1, 0],
+            &[edge + 1],
+            &[1 << 16, u32::MAX - steps],
+            &[edge, edge + 1, edge - 1, 1 << 16, 0, (1 << 16) - 1],
+        ];
+        for starts in kinds {
+            // Two groups of the widest body and a part of one.
+            let jobs: Vec<ChainJob> = (0..37)
+                .map(|i| {
+                    let mut adrs = keypair_adrs(rng.below(256), rng.next() >> 1, rng.next() as u32);
+                    adrs.set_chain(rng.next() as u32);
+                    let start = starts[i % starts.len()];
+                    ChainJob {
+                        adrs,
+                        head: match rng.below(3) {
+                            0 => ChainHead::Secret(&sk_seed),
+                            _ => ChainHead::Node,
+                        },
+                        start,
+                        // Mostly whole chains; a few that stop short.
+                        steps: if rng.below(4) == 0 {
+                            rng.below(steps + 1)
+                        } else {
+                            steps
+                        },
+                    }
+                })
+                .collect();
+            let nodes = rng.bytes(jobs.len() * n);
+            let expected = oracle_chains(&ctx, &jobs, &nodes);
+            for tier in tier::supported_sha256_tiers() {
+                let mut got = nodes.clone();
+                with_forced_tier(tier, || ctx.f_chains(&mut got, &jobs));
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} w={} starts {starts:?} under {}",
+                    params.name(),
+                    params.w,
+                    tier.label()
+                );
+            }
+        }
+    }
+}
