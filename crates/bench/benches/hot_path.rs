@@ -82,9 +82,14 @@ fn bench_treehash(c: &mut Criterion) {
     let ctx = HashCtx::new(params, &[3u8; 16]);
     let adrs = Address::new();
     let height = 8;
-    c.bench_function("treehash_flat_256_leaves", |b| {
+    let job = merkle::TreeHashJob {
+        leaf_idx: 0,
+        node_adrs: adrs,
+        leaf_offset: 0,
+    };
+    c.bench_function("treehash_256_leaves", |b| {
         b.iter(|| {
-            merkle::treehash_flat(&ctx, height, 0, &adrs, 0, |buf| {
+            merkle::treehash_many(&ctx, height, &[job], |buf| {
                 for (i, slot) in buf.chunks_exact_mut(n).enumerate() {
                     slot[..4].copy_from_slice(&(i as u32).to_be_bytes());
                     slot[4..].fill(0);

@@ -1,13 +1,14 @@
-//! The pre-batching scalar signing path, preserved for benchmarking.
+//! The pre-batching scalar signing path, preserved as an oracle.
 //!
 //! This module replays the seed-era implementation shape: every hash goes
 //! through the scalar single-call `Vec<u8>` APIs, Merkle levels are
-//! `Vec<Vec<u8>>`, and WOTS+ chains advance one `F` at a time. It is the
-//! *pre-PR baseline* that `bench_hot_path` measures at runtime so
-//! `BENCH_hot_path.json` records an honest batched-vs-scalar ratio on the
-//! machine running the bench, and it doubles as a correctness oracle:
-//! [`sign`] must produce byte-identical signatures to the batched
-//! [`hero_sphincs::sign::SigningKey::sign`].
+//! `Vec<Vec<u8>>`, and WOTS+ chains advance one `F` at a time. It shares
+//! no tree builder, no leaf fill and no chain kernel with the signers
+//! that ship — its treehash is its own — so [`sign`] producing
+//! byte-identical signatures to
+//! [`hero_sphincs::sign::SigningKey::sign`] and to the planned batch
+//! signer holds both to something outside themselves. The
+//! `hot_path` criterion bench times it beside the batched signer.
 
 use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::fors::{self, ForsSignature, ForsTreeSig};
@@ -173,7 +174,8 @@ fn ht_sign(
 }
 
 /// Signs `msg` with the scalar pre-batching path. Byte-identical to
-/// [`SigningKey::sign`] (asserted by `bench_hot_path` and tests).
+/// [`SigningKey::sign`] and to the batch planner (asserted by this
+/// module's tests).
 pub fn sign(sk: &SigningKey, msg: &[u8]) -> Signature {
     let params = *sk.params();
     let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
@@ -199,6 +201,9 @@ pub fn sign(sk: &SigningKey, msg: &[u8]) -> Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hero_gpu_sim::device::rtx_4090;
+    use hero_sign::HeroSigner;
+    use hero_sphincs::hash::HashAlg;
     use hero_sphincs::params::Params;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -216,5 +221,24 @@ mod tests {
         let scalar = sign(&sk, msg);
         assert_eq!(scalar, sk.sign(msg));
         vk.verify(msg, &scalar).unwrap();
+
+        // The planner too: a batch signed cold (every subtree built and
+        // published) and again warm (every subtree sliced from the
+        // cache), under both hash families.
+        let msgs: [&[u8]; 3] = [b"planned one", b"planned two", b"planned three"];
+        for alg in [HashAlg::Sha256, HashAlg::Shake256] {
+            let (sk, _) = hero_sphincs::keygen_with_alg(params, alg, &mut rng).unwrap();
+            let expected: Vec<Signature> = msgs.iter().map(|m| sign(&sk, m)).collect();
+            let engine = HeroSigner::builder(rtx_4090(), params).build().unwrap();
+            for state in ["cold", "warm"] {
+                assert_eq!(
+                    engine.sign_batch(&sk, &msgs).unwrap(),
+                    expected,
+                    "{alg:?} {state}"
+                );
+            }
+            let stats = engine.cache_stats();
+            assert_eq!(stats.hits, (msgs.len() * params.d) as u64, "{alg:?}");
+        }
     }
 }

@@ -495,9 +495,8 @@ impl HypertreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hero_sphincs::address::{Address, AddressType};
     use hero_sphincs::hash::HashCtx;
-    use hero_sphincs::merkle;
+    use hero_sphincs::hypertree;
 
     fn tiny_params() -> Params {
         let mut p = Params::sphincs_128f();
@@ -521,22 +520,8 @@ mod tests {
 
     fn levels_for(sk: &SigningKey, layer: u32, tree: u64) -> Arc<TreeLevels> {
         let ctx = HashCtx::with_alg(*sk.params(), sk.pk_seed(), sk.alg());
-        let mut adrs = Address::new();
-        adrs.set_layer(layer);
-        adrs.set_tree(tree);
-        adrs.set_type(AddressType::Tree);
-        let n = sk.params().n;
-        Arc::new(merkle::treehash_levels(
-            &ctx,
-            sk.params().tree_height(),
-            &adrs,
-            0,
-            |buf| {
-                for (i, slot) in buf.chunks_exact_mut(n).enumerate() {
-                    slot.fill(i as u8);
-                }
-            },
-        ))
+        let mut built = hypertree::subtrees(&ctx, sk.sk_seed(), &[(layer, tree)]);
+        Arc::new(built.pop().expect("one pyramid per subtree"))
     }
 
     #[test]

@@ -197,82 +197,39 @@ pub fn subtree_items(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<Subtr
         .collect()
 }
 
-/// The treehash job of each item: its subtree's node address and the leaf
-/// whose authentication path is wanted.
-fn treehash_jobs(items: &[SubtreeItem]) -> Vec<hero_sphincs::merkle::TreeHashJob> {
-    items
-        .iter()
-        .map(|item| {
-            let mut node_adrs = hero_sphincs::address::Address::new();
-            node_adrs.set_layer(item.layer);
-            node_adrs.set_tree(item.tree_idx);
-            node_adrs.set_type(hero_sphincs::address::AddressType::Tree);
-            hero_sphincs::merkle::TreeHashJob {
-                leaf_idx: item.leaf_idx,
-                node_adrs,
-                leaf_offset: 0,
-            }
-        })
-        .collect()
-}
-
-/// Fills `leaves` with every item's WOTS+ leaf layer, item after item,
-/// all key pairs in one sweep
-/// ([`hero_sphincs::hypertree::wots_leaves_many_into`]).
-fn fill_leaves(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem], leaves: &mut [u8]) {
-    let subtrees: Vec<(u32, u64)> = items
-        .iter()
-        .map(|item| (item.layer, item.tree_idx))
-        .collect();
-    hypertree::wots_leaves_many_into(ctx, sk_seed, &subtrees, leaves);
-}
-
 /// One plannable `TREE_Sign` stage: builds a group of subtrees — from any
-/// mix of layers and messages — their leaves filled in one sweep and
-/// every reduction level halved through one combined multi-lane sweep
-/// ([`hero_sphincs::merkle::treehash_many`]). Byte-identical per item to
-/// a standalone treehash.
-pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
-    let params = *ctx.params();
-    let jobs = treehash_jobs(items);
-    let outs = hero_sphincs::merkle::treehash_many(ctx, params.tree_height(), &jobs, |leaves| {
-        fill_leaves(ctx, sk_seed, items, leaves)
-    });
-    items
-        .iter()
-        .zip(outs)
-        .map(|(item, TreeHashOutput { root, auth_path })| LayerTree {
-            layer: item.layer,
-            tree_idx: item.tree_idx,
-            leaf_idx: item.leaf_idx,
-            root,
-            auth_path,
-        })
-        .collect()
-}
-
-/// Node-retaining variant of [`subtrees`]: builds each item's *entire*
-/// subtree pyramid via
-/// [`hero_sphincs::merkle::treehash_many_levels`] — same combined
-/// multi-lane sweeps, but every level survives, so the result can be
-/// memoized and later serve **any** leaf's root and authentication path.
-/// [`LayerTree`]s sliced from the result
-/// ([`layer_tree_from_levels`]) are byte-identical to [`subtrees`]'
-/// output for the same coordinates.
+/// mix of layers and messages — in one call
+/// ([`hero_sphincs::hypertree::subtrees`]: their leaves filled in one
+/// sweep, every reduction level halved through one combined multi-lane
+/// sweep) and keeps every node of each, so the result can be memoized and
+/// serve **any** leaf's root and authentication path
+/// ([`layer_tree_from_levels`]). Items' `leaf_idx` fields are not
+/// consulted; a subtree's nodes do not depend on what else is in the
+/// call.
 pub fn subtree_levels(
     ctx: &HashCtx,
     sk_seed: &[u8],
     items: &[SubtreeItem],
 ) -> Vec<hero_sphincs::merkle::TreeLevels> {
-    let params = *ctx.params();
-    let jobs = treehash_jobs(items);
-    hero_sphincs::merkle::treehash_many_levels(ctx, params.tree_height(), &jobs, |leaves| {
-        fill_leaves(ctx, sk_seed, items, leaves)
-    })
+    let coords: Vec<(u32, u64)> = items
+        .iter()
+        .map(|item| (item.layer, item.tree_idx))
+        .collect();
+    hypertree::subtrees(ctx, sk_seed, &coords)
 }
 
-/// Slices one item's [`LayerTree`] out of a retained subtree pyramid —
-/// the warm-path counterpart of [`subtrees`], no hashing involved.
+/// [`subtree_levels`] sliced at each item's own leaf: the root and the
+/// authentication path a signature needs of every subtree in the group.
+pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
+    items
+        .iter()
+        .zip(subtree_levels(ctx, sk_seed, items))
+        .map(|(item, levels)| layer_tree_from_levels(&levels, item))
+        .collect()
+}
+
+/// Slices one item's [`LayerTree`] out of a retained subtree pyramid,
+/// fresh or resident in the cache — no hashing involved.
 pub fn layer_tree_from_levels(
     levels: &hero_sphincs::merkle::TreeLevels,
     item: &SubtreeItem,
@@ -350,50 +307,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn functional_output_matches_reference() {
+    fn tiny_ctx() -> (Params, HashCtx, Vec<u8>) {
         let mut params = Params::sphincs_128f();
         params.h = 6;
         params.d = 3;
-        let ctx = HashCtx::new(params, &[8u8; 16]);
-        let sk_seed = vec![2u8; 16];
-        let layers = subtrees(&ctx, &sk_seed, &subtree_items(&params, 0b10_01, 2));
+        (params, HashCtx::new(params, &[8u8; 16]), vec![2u8; 16])
+    }
+
+    /// What an item's [`LayerTree`] must be, by a model that shares no
+    /// code with the builder: every leaf one [`hero_sphincs::wots::pk_gen`],
+    /// every node above one scalar `H` under an address set here.
+    fn scalar_layer_tree(ctx: &HashCtx, sk_seed: &[u8], item: &SubtreeItem) -> LayerTree {
+        use hero_sphincs::address::{Address, AddressType};
+        let mut adrs = Address::new();
+        adrs.set_layer(item.layer);
+        adrs.set_tree(item.tree_idx);
+        adrs.set_type(AddressType::WotsHash);
+        let mut level: Vec<Vec<u8>> = (0..ctx.params().subtree_leaves() as u32)
+            .map(|leaf| {
+                adrs.set_keypair(leaf);
+                hero_sphincs::wots::pk_gen(ctx, sk_seed, &adrs)
+            })
+            .collect();
+        adrs.set_type(AddressType::Tree);
+        let mut auth_path = Vec::new();
+        let mut idx = item.leaf_idx as usize;
+        for height in 1..=ctx.params().tree_height() as u32 {
+            auth_path.push(level[idx ^ 1].clone());
+            adrs.set_tree_height(height);
+            level = (0..level.len() / 2)
+                .map(|i| {
+                    adrs.set_tree_index(i as u32);
+                    ctx.h(&adrs, &level[2 * i], &level[2 * i + 1])
+                })
+                .collect();
+            idx >>= 1;
+        }
+        LayerTree {
+            layer: item.layer,
+            tree_idx: item.tree_idx,
+            leaf_idx: item.leaf_idx,
+            root: level.pop().expect("root"),
+            auth_path,
+        }
+    }
+
+    #[test]
+    fn functional_output_matches_reference() {
+        let (params, ctx, sk_seed) = tiny_ctx();
+        let items = subtree_items(&params, 0b10_01, 2);
+        let layers = subtrees(&ctx, &sk_seed, &items);
         assert_eq!(layers.len(), 3);
 
-        // Compare each layer against xmss_sign's treehash output.
-        let msg = vec![0xAAu8; 16];
-        let mut root = msg.clone();
+        // Each layer against the scalar model, and the model against the
+        // verification climb of a signature over the layer below.
+        let mut root = vec![0xAAu8; 16];
         let coords = layer_coordinates(&params, 0b10_01, 2);
         for (layer, lt) in layers.iter().enumerate() {
             let (tree, leaf) = coords[layer];
             assert_eq!((lt.tree_idx, lt.leaf_idx), (tree, leaf));
+            assert_eq!(lt, &scalar_layer_tree(&ctx, &sk_seed, &items[layer]));
             let (sig, tree_root) =
                 hypertree::xmss_sign(&ctx, &root, &sk_seed, layer as u32, tree, leaf);
-            assert_eq!(lt.root, tree_root);
-            assert_eq!(lt.auth_path, sig.auth_path);
+            assert_eq!(
+                hypertree::xmss_pk_from_sig(&ctx, &sig, &root, layer as u32, tree, leaf),
+                lt.root
+            );
             root = tree_root;
         }
     }
 
     #[test]
     fn retained_subtree_levels_slice_byte_identically() {
-        let mut params = Params::sphincs_128f();
-        params.h = 6;
-        params.d = 3;
-        let ctx = HashCtx::new(params, &[8u8; 16]);
-        let sk_seed = vec![2u8; 16];
+        let (params, ctx, sk_seed) = tiny_ctx();
         let items = subtree_items(&params, 0b10_01, 2);
-        let fresh = subtrees(&ctx, &sk_seed, &items);
         let retained = subtree_levels(&ctx, &sk_seed, &items);
-        for ((item, fresh), levels) in items.iter().zip(&fresh).zip(&retained) {
-            assert_eq!(&layer_tree_from_levels(levels, item), fresh);
-            // The pyramid serves other leaves of the same tree too.
-            let other = SubtreeItem {
-                leaf_idx: item.leaf_idx ^ 1,
-                ..*item
-            };
-            let fresh_other = subtrees(&ctx, &sk_seed, &[other]).pop().unwrap();
-            assert_eq!(layer_tree_from_levels(levels, &other), fresh_other);
+        for (item, levels) in items.iter().zip(&retained) {
+            // The pyramid serves every leaf of its tree, whichever leaf
+            // the item that built it asked for.
+            for leaf_idx in 0..params.subtree_leaves() as u32 {
+                let other = SubtreeItem { leaf_idx, ..*item };
+                assert_eq!(
+                    layer_tree_from_levels(levels, &other),
+                    scalar_layer_tree(&ctx, &sk_seed, &other)
+                );
+            }
         }
     }
 

@@ -39,8 +39,8 @@
 //! * [`service`] — [`SignService`]: the work-conserving micro-batching
 //!   signing server; many clients, one coalesced accelerator.
 //! * [`stats`] — the shared latency-percentile machinery (p50/p90/p99)
-//!   behind the CLI `throughput` command, `bench_server`, and the
-//!   server's metrics endpoint.
+//!   behind the CLI `throughput` command and the server's metrics
+//!   endpoint.
 //! * [`workload`] — exact hash-work censuses per kernel.
 //! * [`par`] — parallel maps over the persistent runtime.
 //!

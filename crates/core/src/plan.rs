@@ -17,10 +17,11 @@
 //!
 //! 1. [`sign_batch`] decomposes every message into stage work-items —
 //!    FORS tree groups ([`crate::kernels::fors_sign::sign_trees`]),
-//!    per-layer subtree treehashes
-//!    ([`crate::kernels::tree_sign::subtrees`]), and WOTS+ chain groups
-//!    ([`crate::kernels::wots_sign::sign_chain_groups`]) — where one item
-//!    may carry work from *several* messages.
+//!    subtree builds, one per distinct `(layer, tree)` of the batch that
+//!    is not resident in the cache
+//!    ([`crate::kernels::tree_sign::subtree_levels`]), and WOTS+ chain
+//!    groups ([`crate::kernels::wots_sign::sign_chain_groups`]) — where
+//!    one item may carry work from *several* messages.
 //! 2. The items become closure nodes of a
 //!    [`hero_task_graph::TaskGraph`], with edges only where the signature
 //!    really demands them: a message's `T_k` FORS-pk compression waits
@@ -66,7 +67,6 @@ use hero_sphincs::params::Params;
 use hero_sphincs::sign::{Signature, SigningKey, VerifyingKey};
 use hero_task_graph::{Executor, TaskGraph};
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Work-item grouping of one planned batch: how many per-message units
@@ -77,7 +77,7 @@ use std::sync::{Arc, Mutex};
 pub struct PlanShape {
     /// FORS trees per [`fors_sign::sign_trees`] node.
     pub fors_trees_per_item: usize,
-    /// Hypertree subtrees per [`tree_sign::subtrees`] node.
+    /// Hypertree subtrees per [`tree_sign::subtree_levels`] node.
     pub subtrees_per_item: usize,
     /// WOTS+ layer signs per [`wots_sign::sign_chain_groups`] node.
     pub chains_per_item: usize,
@@ -108,7 +108,9 @@ pub struct PlanSummary {
     pub fors_items: usize,
     /// Per-message `T_k` FORS-pk nodes.
     pub fors_pk_items: usize,
-    /// Subtree treehash nodes.
+    /// Subtree build nodes, at most: one subtree per layer of every
+    /// message. A plan builds a subtree that messages share once, and
+    /// none that is resident in the cache.
     pub subtree_items: usize,
     /// WOTS+ chain-group nodes.
     pub chain_items: usize,
@@ -122,7 +124,10 @@ impl PlanSummary {
 }
 
 /// The node census [`sign_batch_shaped`] would build for `messages`
-/// messages of `params` under `shape`, without signing anything.
+/// messages of `params` under `shape`, without signing anything — of
+/// messages that share no subtree, which is what a full-size parameter
+/// set's bottom layers make of any batch (see
+/// [`PlanSummary::subtree_items`]).
 pub fn summarize(params: &Params, messages: usize, shape: &PlanShape) -> PlanSummary {
     let flat_trees = messages * params.k;
     let flat_layers = messages * params.d;
@@ -213,12 +218,11 @@ pub fn sign_batch(
 }
 
 /// [`sign_batch`] consulting a per-key hypertree memoization cache:
-/// memoized subtrees are sliced at plan time (warm path — no node, no
-/// hashing), and memoizable misses become first-class *fill* stage nodes
-/// that build the whole retained pyramid, publish it to `cache`, and
-/// co-schedule on `exec` like any other work. Output is byte-identical
-/// to [`sign_batch`] — a disabled or empty cache merely changes what
-/// the stage graph recomputes.
+/// resident subtrees are sliced at plan time (warm — no node, no
+/// hashing), and the build nodes of everything else publish the pyramids
+/// of the layers `cache` memoizes. Output is byte-identical to
+/// [`sign_batch`] — a disabled or empty cache merely changes what the
+/// stage graph recomputes.
 pub fn sign_batch_cached(
     ctx: &HashCtx,
     sk: &SigningKey,
@@ -288,45 +292,35 @@ fn sign_batch_inner(
     let tg = shape.subtrees_per_item.max(1);
     let wg = shape.chains_per_item.max(1);
 
-    // Subtree stage classification, optionally memoized. Each flat
-    // (message, layer) item is classified once at plan time:
+    // Subtree stage, optionally memoized. Each flat (message, layer) item
+    // is settled once at plan time:
     //   * warm — the subtree's retained pyramid is resident in the
     //     cache; its LayerTree is sliced immediately (no node, no
     //     hashing — the steady-state payoff).
-    //   * fill — memoizable but missing; *distinct* coordinates become
-    //     first-class fill nodes that build the whole pyramid, publish
-    //     it to the cache, and slice every dependent item's LayerTree
-    //     (a batch's repeated upper trees are built once, not per
-    //     message).
-    //   * plain — not memoizable (layer too wide for the cache policy,
-    //     or no cache at all): the original auth-path-only treehash
-    //     groups, with no dependencies (coordinates derive from the
-    //     digest alone — the independence §III-A exploits).
+    //   * build — anything else joins the build group of its
+    //     (layer, tree): *distinct* coordinates are built once per batch
+    //     (a batch's repeated upper trees are not rebuilt per message),
+    //     with no dependencies (coordinates derive from the digest alone
+    //     — the independence §III-A exploits), and slice every
+    //     dependent item's LayerTree. Sorting the unbuilt items by their
+    //     coordinates puts the ones that share a subtree side by side.
     //
-    // Declared before the graph so the node closures borrowing these
-    // lists outlive it.
-    let mut plain_items: Vec<(usize, tree_sign::SubtreeItem)> = Vec::new();
-    let mut fill_groups: Vec<(tree_sign::SubtreeItem, Vec<(usize, tree_sign::SubtreeItem)>)> =
-        Vec::new();
-    let mut fill_index: HashMap<(u32, u64), usize> = HashMap::new();
+    // Declared before the graph so the node closures borrowing the
+    // groups outlive it.
+    let memoizing = |layer: u32| cache.filter(|cache| cache.caches_layer(&params, layer));
+    let mut unbuilt: Vec<(usize, tree_sign::SubtreeItem)> = Vec::new();
     for (flat, item) in subtree_items.iter().copied().enumerate() {
-        match cache {
-            Some(cache) if cache.caches_layer(&params, item.layer) => {
-                if let Some(levels) = cache.get(sk, item.layer, item.tree_idx) {
-                    layer_slots.set(flat, tree_sign::layer_tree_from_levels(&levels, &item));
-                } else {
-                    let group = *fill_index
-                        .entry((item.layer, item.tree_idx))
-                        .or_insert_with(|| {
-                            fill_groups.push((item, Vec::new()));
-                            fill_groups.len() - 1
-                        });
-                    fill_groups[group].1.push((flat, item));
-                }
+        match memoizing(item.layer).and_then(|c| c.get(sk, item.layer, item.tree_idx)) {
+            Some(levels) => {
+                layer_slots.set(flat, tree_sign::layer_tree_from_levels(&levels, &item))
             }
-            _ => plain_items.push((flat, item)),
+            None => unbuilt.push((flat, item)),
         }
     }
+    let coords = |&(_, item): &(usize, tree_sign::SubtreeItem)| (item.layer, item.tree_idx);
+    unbuilt.sort_by_key(coords);
+    let build_groups: Vec<&[(usize, tree_sign::SubtreeItem)]> =
+        unbuilt.chunk_by(|a, b| coords(a) == coords(b)).collect();
 
     let mut graph = TaskGraph::new();
 
@@ -375,43 +369,30 @@ fn sign_batch_inner(
         .collect();
 
     // Producer node of each flat subtree slot (`None` = sliced warm at
-    // plan time, nothing to wait for).
+    // plan time, nothing to wait for). A build node takes a chunk of
+    // groups through one `subtree_levels` call, and publishes what the
+    // cache's layer policy wants kept.
     let mut subtree_dep: Vec<Option<hero_task_graph::NodeId>> = vec![None; m * d];
-    for chunk in plain_items.chunks(tg) {
-        let layer_slots = &layer_slots;
+    for chunk in build_groups.chunks(tg) {
+        let (layer_slots, memoizing) = (&layer_slots, &memoizing);
         let node = graph.task(move || {
             crate::faults::stage(crate::faults::PLAN_STAGE);
-            let items: Vec<tree_sign::SubtreeItem> = chunk.iter().map(|&(_, item)| item).collect();
-            for (&(flat, _), out) in chunk.iter().zip(tree_sign::subtrees(ctx, sk_seed, &items)) {
-                layer_slots.set(flat, out);
-            }
-        });
-        for &(flat, _) in chunk {
-            subtree_dep[flat] = Some(node);
-        }
-    }
-    for group_chunk in fill_groups.chunks(tg) {
-        let layer_slots = &layer_slots;
-        let cache = cache.expect("fill groups only exist with a cache");
-        let node = graph.task(move || {
-            crate::faults::stage(crate::faults::PLAN_STAGE);
-            let items: Vec<tree_sign::SubtreeItem> =
-                group_chunk.iter().map(|(item, _)| *item).collect();
-            for ((item, dependents), levels) in group_chunk
+            let items: Vec<tree_sign::SubtreeItem> = chunk.iter().map(|group| group[0].1).collect();
+            for (group, levels) in chunk
                 .iter()
                 .zip(tree_sign::subtree_levels(ctx, sk_seed, &items))
             {
-                let levels = Arc::new(levels);
-                cache.insert(sk, item.layer, item.tree_idx, Arc::clone(&levels));
-                for &(flat, item) in dependents {
-                    layer_slots.set(flat, tree_sign::layer_tree_from_levels(&levels, &item));
+                for (flat, item) in *group {
+                    layer_slots.set(*flat, tree_sign::layer_tree_from_levels(&levels, item));
+                }
+                let (_, item) = group[0];
+                if let Some(cache) = memoizing(item.layer) {
+                    cache.insert(sk, item.layer, item.tree_idx, Arc::new(levels));
                 }
             }
         });
-        for (_, dependents) in group_chunk {
-            for &(flat, _) in dependents {
-                subtree_dep[flat] = Some(node);
-            }
+        for &(flat, _) in chunk.iter().copied().flatten() {
+            subtree_dep[flat] = Some(node);
         }
     }
 
@@ -767,7 +748,7 @@ mod tests {
             vk.verify(msg, sig).unwrap();
         }
 
-        // A disabled cache routes everything down the plain path.
+        // A disabled cache builds everything and keeps nothing.
         let off = crate::cache::HypertreeCache::new(crate::cache::CacheConfig::disabled());
         assert_eq!(sign_batch_cached(&ctx, &sk, &msgs, &exec, &off), reference);
         assert_eq!(off.stats(), crate::cache::CacheStats::default());

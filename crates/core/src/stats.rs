@@ -1,9 +1,9 @@
 //! Shared latency statistics: the percentile machinery every
 //! throughput-measuring surface uses.
 //!
-//! The CLI `throughput` command, the `bench_server` load generator, and
-//! the server's metrics endpoint all report the same p50/p90/p99 shape;
-//! this module is the single implementation behind all three. The
+//! The CLI `throughput` command and the server's metrics endpoint
+//! report the same p50/p90/p99 shape; this module is the single
+//! implementation behind both. The
 //! percentile is nearest-rank on the sorted sample set — the convention
 //! the CLI has reported since the service landed — so numbers stay
 //! comparable across surfaces.

@@ -7,11 +7,15 @@
 //! the sequential reference oracle.
 
 use hero_gpu_sim::device::rtx_4090;
+use hero_sign::cache::CacheConfig;
 use hero_sign::faults::{self, FaultAction, FaultPlan, FaultSpec};
+use hero_sign::kernels::tree_sign;
 use hero_sign::{plan, HeroSigner};
+use hero_sphincs::hash::{split_digest, HashCtx};
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::keygen_from_seeds;
 
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -222,6 +226,60 @@ fn verify_plan_is_one_node_per_group_and_inline_for_a_single_group() {
                 "{what}"
             );
         }
+    }
+}
+
+#[test]
+fn sign_plan_builds_each_distinct_subtree_once() {
+    let _guard = lock();
+    // Sixteen bottom trees, four above them and one at the top: sixteen
+    // messages are bound to share subtrees on every layer.
+    let params = tiny_params();
+    let (sk, _vk) = deterministic_key(params);
+    let msgs_owned: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 12]).collect();
+    let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+    let oracle: Vec<hero_sphincs::Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
+
+    // The subtrees the batch needs, from each message's digest walk.
+    let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
+    let distinct: HashSet<(u32, u64)> = msgs
+        .iter()
+        .flat_map(|msg| {
+            let randomizer = ctx.prf_msg(sk.sk_prf(), sk.pk_seed(), msg);
+            let digest = ctx.h_msg(&randomizer, sk.pk_root(), msg);
+            let (_, tree_idx, leaf_idx) = split_digest(&params, &digest);
+            tree_sign::subtree_items(&params, tree_idx, leaf_idx)
+        })
+        .map(|item| (item.layer, item.tree_idx))
+        .collect();
+    assert!(distinct.len() < msgs.len() * params.d, "nothing is shared");
+
+    let shape = plan::PlanShape::for_batch(msgs.len());
+    let census = plan::summarize(&params, msgs.len(), &shape);
+    let other_nodes = (census.fors_items + census.fors_pk_items + census.chain_items) as u64;
+    let build_nodes = distinct.len().div_ceil(shape.subtrees_per_item) as u64;
+
+    let engine_with = |cache: CacheConfig| {
+        HeroSigner::builder(rtx_4090(), params)
+            .workers(2)
+            .cache_config(cache)
+            .build()
+            .unwrap()
+    };
+    let uncached = engine_with(CacheConfig::disabled());
+    let cached = engine_with(CacheConfig::default());
+    for (engine, unresident, what) in [
+        (&uncached, build_nodes, "cache disabled"),
+        (&cached, build_nodes, "cache enabled and cold"),
+        (&cached, 0, "cache warm"),
+    ] {
+        // As above: the zero delay makes `fired` the plan's node count.
+        arm_plan_stage(None, FaultAction::Delay(Duration::ZERO));
+        let sigs = engine.sign_batch(&sk, &msgs).unwrap();
+        let nodes = faults::fired(faults::PLAN_STAGE);
+        faults::clear();
+        assert_eq!(sigs, oracle, "{what}");
+        assert_eq!(nodes, other_nodes + unresident, "{what}");
     }
 }
 

@@ -3,8 +3,8 @@
 //! One [`Client`] wraps one TCP connection and issues requests
 //! synchronously (write frame, read frame). The server pipelines across
 //! *connections*, not within one, so closed-loop load generators open
-//! one client per concurrent stream — exactly what `bench_server` and
-//! the CLI `remote-sign` command do.
+//! one client per concurrent stream — exactly what `perfbench`'s
+//! `wire_mixed` workload and the CLI `remote-sign` command do.
 //!
 //! # Timeouts, reconnect, and retry
 //!

@@ -18,7 +18,7 @@
 //!   control, fair dequeueing on the shared executor, graceful drain
 //!   (every accepted request answered exactly once), plaintext metrics;
 //! * [`client`] — a blocking client used by the CLI's `serve` /
-//!   `remote-sign` commands and by `bench_server`;
+//!   `remote-sign` commands and by `perfbench`'s `wire_mixed` workload;
 //! * [`metrics`] — counters and latency percentiles behind the `stats`
 //!   op and the metrics listener.
 //!

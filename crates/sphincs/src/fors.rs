@@ -209,14 +209,15 @@ pub fn tree_hash(
     // Node addresses are forest-global: tree `j` occupies leaf slots
     // [j·t, (j+1)·t).
     let leaf_offset = tree_idx * params.t() as u32;
-    merkle::treehash_flat(
-        ctx,
-        params.log_t,
+    let job = merkle::TreeHashJob {
         leaf_idx,
-        &node_adrs_for(keypair_adrs),
+        node_adrs: node_adrs_for(keypair_adrs),
         leaf_offset,
-        |buf| fill_tree_leaves(ctx, sk_seed, keypair_adrs, leaf_offset, buf),
-    )
+    };
+    let mut out = merkle::treehash_many(ctx, params.log_t, &[job], |buf| {
+        fill_tree_leaves(ctx, sk_seed, keypair_adrs, leaf_offset, buf)
+    });
+    out.pop().expect("one output per job")
 }
 
 /// One FORS tree of one message in a cross-message batch: the message's

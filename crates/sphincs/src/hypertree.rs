@@ -10,7 +10,8 @@
 //! call, [`wots_leaves_many_into`]) through [`wots::pk_gen_many`], which
 //! under SHA-256 gives every key pair a SIMD lane of its own from `PRF`
 //! to `T_len`; the `2^h' − 1` nodes above them go level by level
-//! ([`merkle`]).
+//! ([`merkle`]). [`subtrees`] is the one builder: signing, key generation
+//! and the planner's build nodes all take what they need from its result.
 //!
 //! ```
 //! use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
@@ -135,6 +136,27 @@ fn node_adrs(layer: u32, tree: u64) -> Address {
     adrs
 }
 
+/// Builds the XMSS subtrees at the given `(layer, tree)` coordinates,
+/// every node of each retained — the one way a subtree is ever built:
+/// all the subtrees' WOTS+ leaves in one fill
+/// ([`wots_leaves_many_into`]), every level above them halved across all
+/// the subtrees at once ([`merkle::treehash_many_levels`]). Signing
+/// slices a leaf's authentication path out of the result, key generation
+/// its root, and a cache keeps it whole.
+pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], subtrees: &[(u32, u64)]) -> Vec<merkle::TreeLevels> {
+    let jobs: Vec<merkle::TreeHashJob> = subtrees
+        .iter()
+        .map(|&(layer, tree)| merkle::TreeHashJob {
+            leaf_idx: 0,
+            node_adrs: node_adrs(layer, tree),
+            leaf_offset: 0,
+        })
+        .collect();
+    merkle::treehash_many_levels(ctx, ctx.params().tree_height(), &jobs, |leaves| {
+        wots_leaves_many_into(ctx, sk_seed, subtrees, leaves)
+    })
+}
+
 /// Signs `msg` (an `n`-byte root or FORS pk) with the XMSS tree at
 /// (`layer`, `tree`), using leaf `leaf_idx`. Returns the signature and the
 /// tree's root.
@@ -147,14 +169,7 @@ pub fn xmss_sign(
     leaf_idx: u32,
 ) -> (XmssSig, Vec<u8>) {
     let wots_sig = wots::sign(ctx, msg, sk_seed, &keypair_adrs(layer, tree, leaf_idx));
-    let out = merkle::treehash_flat(
-        ctx,
-        ctx.params().tree_height(),
-        leaf_idx,
-        &node_adrs(layer, tree),
-        0,
-        |leaves| wots_leaves_into(ctx, sk_seed, layer, tree, leaves),
-    );
+    let out = subtrees(ctx, sk_seed, &[(layer, tree)])[0].output_for(leaf_idx);
 
     (
         XmssSig {
@@ -367,17 +382,8 @@ pub fn root_from_sig(
 
 /// The hypertree public root: the root of the single top-layer tree.
 pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
-    let params = *ctx.params();
-    let layer = params.d as u32 - 1;
-    merkle::treehash_flat(
-        ctx,
-        params.tree_height(),
-        0,
-        &node_adrs(layer, 0),
-        0,
-        |leaves| wots_leaves_into(ctx, sk_seed, layer, 0, leaves),
-    )
-    .root
+    let top = ctx.params().d as u32 - 1;
+    subtrees(ctx, sk_seed, &[(top, 0)])[0].root().to_vec()
 }
 
 /// `F`-call census for one hypertree signature: `d` subtrees, each with

@@ -180,8 +180,8 @@ pub fn permute_x(states: &mut [[u64; LANES]; STATE_WORDS]) {
 }
 
 /// [`permute_x`] under an explicit tier instead of the process-wide
-/// resolved one — the seam the per-tier byte-identity tests and
-/// `bench_hot_path`'s per-tier sections drive directly.
+/// resolved one — the seam the per-tier byte-identity tests drive
+/// directly.
 ///
 /// A tier the host CPU lacks (or that does not apply to Keccak, such as
 /// SHA-NI) falls back to the portable body, mirroring the dispatch

@@ -5,13 +5,19 @@
 //! GPU kernels' tree-based reduction (Fig. 7 of the paper): compute all
 //! leaves, then halve level by level.
 //!
-//! The hot path is allocation-free in the steady state: leaves are
-//! produced into one flat `n`-stride buffer ([`treehash_flat`]), every
-//! level is halved with one batched [`HashCtx::h_many`] sweep (the CPU
-//! analogue of a warp hashing sibling pairs in lockstep), and
-//! authentication-path siblings are sliced straight out of the flat level
-//! buffer instead of cloning `Vec<Vec<u8>>` levels. Everything is
-//! generic over the hash primitive carried by the [`HashCtx`].
+//! A tree is built one way. A call takes any number of same-height trees
+//! ([`TreeHashJob`]; a single tree is a one-job slice), has the caller
+//! fill all their leaves into one flat `n`-stride buffer, and halves
+//! every level of every tree with one batched [`HashCtx::h_many`] sweep
+//! (the CPU analogue of a warp hashing sibling pairs in lockstep), each
+//! level's parents written right behind it in the same buffer — one
+//! allocation holds every node of the call. What the caller gets is a
+//! projection of that buffer: [`treehash_many`] slices the root and one
+//! leaf's authentication path out of it per tree, [`treehash_many_levels`]
+//! hands each tree its whole pyramid ([`TreeLevels`]), from which any
+//! leaf can be served later. [`treehash`] is the per-leaf-closure
+//! spelling of the first, for one tree. Everything is generic over the
+//! hash primitive carried by the [`HashCtx`].
 //!
 //! ```
 //! use hero_sphincs::{address::Address, hash::HashCtx, merkle, params::Params};
@@ -41,7 +47,8 @@ pub struct TreeHashOutput {
 
 /// Computes the Merkle root and the authentication path of `leaf_idx` for a
 /// tree of `height` levels whose leaves are produced by
-/// `leaf_fn(i, slot)` writing leaf `i` into the `n`-byte `slot`.
+/// `leaf_fn(i, slot)` writing leaf `i` into the `n`-byte `slot`: the
+/// one-job [`treehash_many`] with a per-leaf filler.
 ///
 /// `node_adrs` carries the layer/tree coordinates; tree-height and
 /// tree-index fields are set here for every internal `H` call.
@@ -54,144 +61,87 @@ pub fn treehash<F>(
     height: usize,
     leaf_idx: u32,
     node_adrs: &Address,
-    leaf_fn: F,
-) -> TreeHashOutput
-where
-    F: FnMut(u32, &mut [u8]),
-{
-    treehash_with_offset(ctx, height, leaf_idx, node_adrs, 0, leaf_fn)
-}
-
-/// [`treehash`] for a tree embedded in a forest: node addresses at level
-/// `z` use index `(leaf_offset >> z) + i`, so each of the `k` FORS trees
-/// hashes under forest-global coordinates (as the reference implementation
-/// does).
-///
-/// # Panics
-///
-/// Panics if `leaf_idx >= 2^height` or `leaf_offset` is not a multiple of
-/// `2^height`.
-pub fn treehash_with_offset<F>(
-    ctx: &HashCtx,
-    height: usize,
-    leaf_idx: u32,
-    node_adrs: &Address,
-    leaf_offset: u32,
     mut leaf_fn: F,
 ) -> TreeHashOutput
 where
     F: FnMut(u32, &mut [u8]),
 {
-    let n = ctx.params().n;
-    treehash_flat(ctx, height, leaf_idx, node_adrs, leaf_offset, |leaves| {
-        for (i, slot) in leaves.chunks_exact_mut(n).enumerate() {
+    let job = TreeHashJob {
+        leaf_idx,
+        node_adrs: *node_adrs,
+        leaf_offset: 0,
+    };
+    let fill = |leaves: &mut [u8]| {
+        for (i, slot) in leaves.chunks_exact_mut(ctx.params().n).enumerate() {
             leaf_fn(i as u32, slot);
         }
-    })
+    };
+    let mut out = treehash_many(ctx, height, &[job], fill);
+    out.pop().expect("one output per job")
 }
 
-/// The flat-buffer treehash core: `fill_leaves` writes all `2^height`
-/// leaves into one `2^height * n`-byte buffer at once (letting the caller
-/// batch leaf generation across the whole bottom layer), then levels halve
-/// in place via [`HashCtx::h_many`].
-///
-/// # Panics
-///
-/// As [`treehash_with_offset`].
-pub fn treehash_flat<F>(
-    ctx: &HashCtx,
-    height: usize,
-    leaf_idx: u32,
-    node_adrs: &Address,
-    leaf_offset: u32,
-    fill_leaves: F,
-) -> TreeHashOutput
-where
-    F: FnOnce(&mut [u8]),
-{
-    let n = ctx.params().n;
-    let num_leaves = 1usize << height;
-    assert!((leaf_idx as usize) < num_leaves, "leaf index out of range");
-    assert!(
-        (leaf_offset as usize).is_multiple_of(num_leaves),
-        "leaf offset must be a multiple of the tree size"
-    );
-
-    // Ping-pong level buffers: `level` holds the current level's nodes
-    // contiguously, `next` receives the parents.
-    let mut level = vec![0u8; num_leaves * n];
-    fill_leaves(&mut level);
-    let mut next = vec![0u8; (num_leaves / 2).max(1) * n];
-    let mut adrs_buf: Vec<Address> = Vec::with_capacity(num_leaves / 2);
-
-    let mut auth_path = Vec::with_capacity(height);
-    let mut idx = leaf_idx;
-    let mut adrs = *node_adrs;
-    let mut len = num_leaves;
-
-    for level_height in 1..=height {
-        let sibling = (idx ^ 1) as usize;
-        auth_path.push(level[sibling * n..(sibling + 1) * n].to_vec());
-
-        adrs.set_tree_height(level_height as u32);
-        let level_offset = leaf_offset >> level_height;
-        let parents = len / 2;
-        adrs_buf.clear();
-        for i in 0..parents as u32 {
-            let mut a = adrs;
-            a.set_tree_index(level_offset + i);
-            adrs_buf.push(a);
-        }
-        ctx.h_many(&adrs_buf, &level[..len * n], &mut next[..parents * n]);
-        std::mem::swap(&mut level, &mut next);
-        len = parents;
-        idx >>= 1;
-    }
-
-    debug_assert_eq!(len, 1);
-    TreeHashOutput {
-        root: level[..n].to_vec(),
-        auth_path,
-    }
-}
-
-/// One tree's coordinates in a combined [`treehash_many`] sweep.
+/// One tree's coordinates in a combined sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TreeHashJob {
-    /// Leaf whose authentication path is extracted.
+    /// Leaf whose authentication path is extracted ([`treehash_many`]
+    /// only).
     pub leaf_idx: u32,
     /// Layer/tree coordinates for node addressing. Its height field is
     /// the height the job's leaves sit at: 0, unless they are themselves
-    /// roots of subtrees built elsewhere ([`treehash_many`] only).
+    /// roots of subtrees built elsewhere.
     pub node_adrs: Address,
     /// Forest-global offset of the first leaf, counted in nodes of the
     /// leaves' height (0 for hypertree subtrees, `tree·t` for FORS
-    /// trees).
+    /// trees): node addresses at level `z` use index
+    /// `(leaf_offset >> z) + i`, so each of the `k` FORS trees hashes
+    /// under forest-global coordinates (as the reference implementation
+    /// does).
     pub leaf_offset: u32,
 }
 
-/// Builds many same-height trees in one sweep: every tree's level is
-/// halved by a *single* combined [`HashCtx::h_many`] call over all jobs,
-/// so the near-root levels — where one tree has fewer nodes than SHA
-/// lanes — still fill the multi-lane engine with siblings from the other
-/// jobs. The jobs may belong to different messages entirely (the
-/// cross-message batching of the batch planner); per-job output is
-/// byte-identical to calling [`treehash_flat`] per tree.
-///
-/// `fill_leaves(buf)` writes every job's `2^height · n`-byte leaf layer,
-/// job after job, in one call — so a filler that batches across leaves
-/// (a WOTS+ fill keeps a register group full that way) batches across
-/// the jobs too.
-///
-/// # Panics
-///
-/// As [`treehash_with_offset`], per job.
-pub fn treehash_many<F>(
-    ctx: &HashCtx,
+/// Every node of `jobs` same-height trees in one buffer, level-major:
+/// all trees' leaves first (tree after tree), each level's parents right
+/// behind it, the roots last. A tree's nodes are contiguous within a
+/// level, so sibling pairs never straddle a tree boundary.
+struct Pyramid<'a> {
+    n: usize,
     height: usize,
-    jobs: &[TreeHashJob],
-    fill_leaves: F,
-) -> Vec<TreeHashOutput>
+    jobs: usize,
+    nodes: &'a [u8],
+}
+
+impl<'a> Pyramid<'a> {
+    /// The `2^(height − level)` nodes of tree `job` at `level`.
+    fn level(&self, level: usize, job: usize) -> &'a [u8] {
+        let width = 1usize << (self.height - level);
+        // Nodes per tree below this level: 2^(h+1) − 2^(h+1−level).
+        let below = (2usize << self.height) - 2 * width;
+        &self.nodes[(below * self.jobs + width * job) * self.n..][..width * self.n]
+    }
+
+    /// The sibling of `leaf_idx`'s ancestor at every level of tree `job`,
+    /// from the leaf's level up.
+    fn auth_path(&self, job: usize, leaf_idx: u32) -> Vec<Vec<u8>> {
+        assert!(
+            (leaf_idx as usize) < (1usize << self.height),
+            "leaf index out of range"
+        );
+        (0..self.height)
+            .map(|z| {
+                let sibling = (leaf_idx as usize >> z) ^ 1;
+                self.level(z, job)[sibling * self.n..][..self.n].to_vec()
+            })
+            .collect()
+    }
+}
+
+/// The level loop, the only one there is: `fill_leaves` writes every
+/// job's leaf layer, then each level of all jobs is halved by a *single*
+/// combined [`HashCtx::h_many`] call, so the near-root levels — where one
+/// tree has fewer nodes than SHA lanes — still fill the multi-lane engine
+/// with siblings from the other jobs. Returns the nodes in [`Pyramid`]
+/// order.
+fn build<F>(ctx: &HashCtx, height: usize, jobs: &[TreeHashJob], fill_leaves: F) -> Vec<u8>
 where
     F: FnOnce(&mut [u8]),
 {
@@ -203,112 +153,122 @@ where
     }
     for job in jobs {
         assert!(
-            (job.leaf_idx as usize) < num_leaves,
-            "leaf index out of range"
-        );
-        assert!(
             (job.leaf_offset as usize).is_multiple_of(num_leaves),
             "leaf offset must be a multiple of the tree size"
         );
     }
 
-    // One flat buffer holds every job's current level back to back; the
-    // stride shrinks as levels halve, keeping each job's nodes contiguous
-    // so sibling pairs never straddle a job boundary.
-    let mut level = vec![0u8; jn * num_leaves * n];
-    fill_leaves(&mut level);
-    let mut next = vec![0u8; jn * (num_leaves / 2).max(1) * n];
+    let mut nodes = vec![0u8; jn * (2 * num_leaves - 1) * n];
+    fill_leaves(&mut nodes[..jn * num_leaves * n]);
     let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn * num_leaves / 2);
 
-    let mut auth_paths: Vec<Vec<Vec<u8>>> = (0..jn).map(|_| Vec::with_capacity(height)).collect();
-    let mut idxs: Vec<u32> = jobs.iter().map(|job| job.leaf_idx).collect();
-    let mut len = num_leaves;
-
-    for level_height in 1..=height {
-        let parents = len / 2;
+    // `children` walks up the buffer: the level being halved, with its
+    // parents' level starting where it ends.
+    let mut children = 0usize;
+    for level in 1..=height {
+        let parents = num_leaves >> level;
         adrs_buf.clear();
-        for (j, job) in jobs.iter().enumerate() {
-            let sibling = (idxs[j] ^ 1) as usize;
-            let base = j * len * n;
-            auth_paths[j].push(level[base + sibling * n..base + (sibling + 1) * n].to_vec());
-            idxs[j] >>= 1;
-
+        for job in jobs {
             let mut adrs = job.node_adrs;
-            adrs.set_tree_height(job.node_adrs.tree_height() + level_height as u32);
-            let level_offset = job.leaf_offset >> level_height;
-            for i in 0..parents as u32 {
+            adrs.set_tree_height(job.node_adrs.tree_height() + level as u32);
+            let level_offset = job.leaf_offset >> level;
+            adrs_buf.extend((0..parents as u32).map(|i| {
                 let mut a = adrs;
                 a.set_tree_index(level_offset + i);
-                adrs_buf.push(a);
-            }
+                a
+            }));
         }
-        ctx.h_many(
-            &adrs_buf,
-            &level[..jn * len * n],
-            &mut next[..jn * parents * n],
-        );
-        std::mem::swap(&mut level, &mut next);
-        len = parents;
+        let len = jn * 2 * parents * n;
+        let (below, above) = nodes[children..].split_at_mut(len);
+        ctx.h_many(&adrs_buf, below, &mut above[..len / 2]);
+        children += len;
     }
+    nodes
+}
 
-    debug_assert_eq!(len, 1);
-    auth_paths
-        .into_iter()
+/// Builds many same-height trees in one sweep (see the module docs) and
+/// returns each job's root and the authentication path of its
+/// `leaf_idx`. The jobs may belong to different messages entirely (the
+/// cross-message batching of the batch planner); a job's output does not
+/// depend on what else is in the call.
+///
+/// `fill_leaves(buf)` writes every job's `2^height · n`-byte leaf layer,
+/// job after job, in one call — so a filler that batches across leaves
+/// (a WOTS+ fill keeps a register group full that way) batches across
+/// the jobs too.
+///
+/// # Panics
+///
+/// Panics if any job's `leaf_idx >= 2^height` or its `leaf_offset` is
+/// not a multiple of `2^height`.
+pub fn treehash_many<F>(
+    ctx: &HashCtx,
+    height: usize,
+    jobs: &[TreeHashJob],
+    fill_leaves: F,
+) -> Vec<TreeHashOutput>
+where
+    F: FnOnce(&mut [u8]),
+{
+    let nodes = build(ctx, height, jobs, fill_leaves);
+    let all = Pyramid {
+        n: ctx.params().n,
+        height,
+        jobs: jobs.len(),
+        nodes: &nodes,
+    };
+    jobs.iter()
         .enumerate()
-        .map(|(j, auth_path)| TreeHashOutput {
-            root: level[j * n..(j + 1) * n].to_vec(),
-            auth_path,
+        .map(|(j, job)| TreeHashOutput {
+            root: all.level(height, j).to_vec(),
+            auth_path: all.auth_path(j, job.leaf_idx),
         })
         .collect()
 }
 
-/// Every level of a built Merkle tree, bottom to top: level `0` is the
-/// flat leaf layer (`2^height · n` bytes), level `z` the flat layer of
-/// `2^(height−z)` nodes, and the top level the `n`-byte root.
+/// Every node of a built Merkle tree in one flat buffer of
+/// `(2^(height+1) − 1) · n` bytes, bottom to top: the `2^height` leaves,
+/// then each level's `2^(height−z)` nodes, and the `n`-byte root last.
 ///
-/// Retaining the levels is what makes a subtree *memoizable*: the root
+/// Retaining the nodes is what makes a subtree *memoizable*: the root
 /// and the authentication path of **any** leaf can be sliced out later
 /// without re-hashing ([`TreeLevels::output_for`]), byte-identical to
-/// what [`treehash_flat`] would have extracted for that leaf.
+/// what [`treehash_many`] extracts for that leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeLevels {
     n: usize,
-    levels: Vec<Vec<u8>>,
+    height: usize,
+    nodes: Vec<u8>,
 }
 
 impl TreeLevels {
+    fn pyramid(&self) -> Pyramid<'_> {
+        Pyramid {
+            n: self.n,
+            height: self.height,
+            jobs: 1,
+            nodes: &self.nodes,
+        }
+    }
+
     /// Tree height (number of halving levels retained above the leaves).
     pub fn height(&self) -> usize {
-        self.levels.len() - 1
+        self.height
     }
 
     /// The `n`-byte Merkle root.
     pub fn root(&self) -> &[u8] {
-        &self.levels[self.levels.len() - 1]
+        self.pyramid().level(self.height, 0)
     }
 
     /// The authentication path of `leaf_idx`, sliced from the retained
-    /// levels — byte-identical to [`treehash_flat`]'s path for the same
-    /// leaf.
+    /// nodes.
     ///
     /// # Panics
     ///
     /// Panics if `leaf_idx >= 2^height`.
     pub fn auth_path(&self, leaf_idx: u32) -> Vec<Vec<u8>> {
-        let n = self.n;
-        assert!(
-            (leaf_idx as usize) < (1usize << self.height()),
-            "leaf index out of range"
-        );
-        let mut idx = leaf_idx as usize;
-        (0..self.height())
-            .map(|z| {
-                let sibling = idx ^ 1;
-                let node = self.levels[z][sibling * n..(sibling + 1) * n].to_vec();
-                idx >>= 1;
-                node
-            })
-            .collect()
+        self.pyramid().auth_path(0, leaf_idx)
     }
 
     /// Root plus `leaf_idx`'s authentication path, as the
@@ -327,43 +287,14 @@ impl TreeLevels {
     /// Total retained node bytes (`(2^(height+1) − 1) · n`) — the
     /// memoization layer's accounting unit for its memory bound.
     pub fn byte_len(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.nodes.len()
     }
 }
 
-/// [`treehash_flat`] that retains every level instead of ping-ponging
-/// them away, for memoization. The per-level hashing is the same batched
-/// [`HashCtx::h_many`] sweep, so node bytes are identical.
-///
-/// # Panics
-///
-/// Panics if `leaf_offset` is not a multiple of `2^height`.
-pub fn treehash_levels<F>(
-    ctx: &HashCtx,
-    height: usize,
-    node_adrs: &Address,
-    leaf_offset: u32,
-    fill_leaves: F,
-) -> TreeLevels
-where
-    F: FnOnce(&mut [u8]),
-{
-    let job = TreeHashJob {
-        leaf_idx: 0,
-        node_adrs: *node_adrs,
-        leaf_offset,
-    };
-    treehash_many_levels(ctx, height, &[job], fill_leaves)
-        .pop()
-        .expect("one output per job")
-}
-
-/// [`treehash_many`] that retains every job's levels, for memoization:
-/// the same combined per-level [`HashCtx::h_many`] sweep across all jobs,
-/// but instead of one leaf's authentication path, each job keeps its
-/// whole node pyramid ([`TreeLevels`]) so any leaf can be served later.
-/// Jobs' `leaf_idx` fields are not consulted; `fill_leaves` is
-/// [`treehash_many`]'s.
+/// [`treehash_many`] that keeps every node, for memoization: instead of
+/// one leaf's authentication path, each job gets its whole pyramid
+/// ([`TreeLevels`]) so any leaf can be served later. Jobs' `leaf_idx`
+/// fields are not consulted; `fill_leaves` is [`treehash_many`]'s.
 ///
 /// # Panics
 ///
@@ -378,64 +309,26 @@ where
     F: FnOnce(&mut [u8]),
 {
     let n = ctx.params().n;
-    let num_leaves = 1usize << height;
-    let jn = jobs.len();
-    if jn == 0 {
-        return Vec::new();
-    }
-    for job in jobs {
-        assert!(
-            (job.leaf_offset as usize).is_multiple_of(num_leaves),
-            "leaf offset must be a multiple of the tree size"
-        );
-    }
-
-    let mut out: Vec<TreeLevels> = (0..jn)
-        .map(|_| TreeLevels {
-            n,
-            levels: Vec::with_capacity(height + 1),
-        })
-        .collect();
-
-    // Same flat shrinking-stride layout as `treehash_many`; each level is
-    // copied out per job as it is produced.
-    let mut level = vec![0u8; jn * num_leaves * n];
-    fill_leaves(&mut level);
-    for (levels, region) in out.iter_mut().zip(level.chunks_exact(num_leaves * n)) {
-        levels.levels.push(region.to_vec());
-    }
-    let mut next = vec![0u8; jn * (num_leaves / 2).max(1) * n];
-    let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn * num_leaves / 2);
-
-    let mut len = num_leaves;
-    for level_height in 1..=height {
-        let parents = len / 2;
-        adrs_buf.clear();
-        for job in jobs {
-            let mut adrs = job.node_adrs;
-            adrs.set_tree_height(level_height as u32);
-            let level_offset = job.leaf_offset >> level_height;
-            for i in 0..parents as u32 {
-                let mut a = adrs;
-                a.set_tree_index(level_offset + i);
-                adrs_buf.push(a);
+    let nodes = build(ctx, height, jobs, fill_leaves);
+    let all = Pyramid {
+        n,
+        height,
+        jobs: jobs.len(),
+        nodes: &nodes,
+    };
+    (0..jobs.len())
+        .map(|j| {
+            let mut own = Vec::with_capacity(nodes.len() / jobs.len());
+            for level in 0..=height {
+                own.extend_from_slice(all.level(level, j));
             }
-        }
-        ctx.h_many(
-            &adrs_buf,
-            &level[..jn * len * n],
-            &mut next[..jn * parents * n],
-        );
-        for (j, region) in next[..jn * parents * n]
-            .chunks_exact(parents * n)
-            .enumerate()
-        {
-            out[j].levels.push(region.to_vec());
-        }
-        std::mem::swap(&mut level, &mut next);
-        len = parents;
-    }
-    out
+            TreeLevels {
+                n,
+                height,
+                nodes: own,
+            }
+        })
+        .collect()
 }
 
 /// Recomputes a Merkle root from a leaf and its authentication path
@@ -450,7 +343,8 @@ pub fn root_from_auth_path(
     root_from_auth_path_with_offset(ctx, leaf, leaf_idx, auth_path, node_adrs, 0)
 }
 
-/// Verification counterpart of [`treehash_with_offset`].
+/// [`root_from_auth_path`] for a tree embedded in a forest at
+/// `leaf_offset` ([`TreeHashJob::leaf_offset`]).
 pub fn root_from_auth_path_with_offset(
     ctx: &HashCtx,
     leaf: &[u8],
@@ -605,6 +499,75 @@ mod tests {
         v
     }
 
+    /// Fills one tree's leaf layer with `leaf(first + i)`.
+    fn fill_from(first: u32, buf: &mut [u8]) {
+        for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
+            leaf(first + i as u32, slot);
+        }
+    }
+
+    /// The scalar model every builder in this module is held to: explicit
+    /// `Vec<Vec<u8>>` levels, each parent one scalar two-to-one `H` under
+    /// an address worked out here (the seed-era implementation). It
+    /// shares no code with [`build`]. Returns every level of the tree
+    /// whose leaves are `leaf(first_leaf + i)`, leaves first.
+    fn scalar_model(
+        ctx: &HashCtx,
+        height: usize,
+        job: &TreeHashJob,
+        first_leaf: u32,
+    ) -> Vec<Vec<Vec<u8>>> {
+        let base_height = job.node_adrs.tree_height();
+        let mut adrs = job.node_adrs;
+        let mut levels = vec![(0..1u32 << height)
+            .map(|i| leaf_vec(first_leaf + i))
+            .collect::<Vec<_>>()];
+        for level_height in 1..=height {
+            adrs.set_tree_height(base_height + level_height as u32);
+            let level_offset = job.leaf_offset >> level_height;
+            let below = &levels[level_height - 1];
+            let level = (0..below.len() / 2)
+                .map(|i| {
+                    adrs.set_tree_index(level_offset + i as u32);
+                    ctx.h(&adrs, &below[2 * i], &below[2 * i + 1])
+                })
+                .collect();
+            levels.push(level);
+        }
+        levels
+    }
+
+    /// Root and `leaf_idx`'s authentication path, read off the model.
+    fn model_output(levels: &[Vec<Vec<u8>>], leaf_idx: u32) -> TreeHashOutput {
+        let height = levels.len() - 1;
+        TreeHashOutput {
+            root: levels[height][0].clone(),
+            auth_path: (0..height)
+                .map(|z| levels[z][(leaf_idx as usize >> z) ^ 1].clone())
+                .collect(),
+        }
+    }
+
+    /// The model's nodes as the pyramid [`treehash_many_levels`] must
+    /// return: level after level, node after node.
+    fn model_levels(levels: &[Vec<Vec<u8>>]) -> TreeLevels {
+        TreeLevels {
+            n: 16,
+            height: levels.len() - 1,
+            nodes: levels.iter().flatten().flatten().copied().collect(),
+        }
+    }
+
+    fn job(leaf_idx: u32, tree: u64, leaf_offset: u32) -> TreeHashJob {
+        let mut node_adrs = Address::new();
+        node_adrs.set_tree(tree);
+        TreeHashJob {
+            leaf_idx,
+            node_adrs,
+            leaf_offset,
+        }
+    }
+
     #[test]
     fn auth_path_reconstructs_root_every_leaf() {
         let ctx = ctx();
@@ -624,47 +587,22 @@ mod tests {
         let ctx = ctx();
         let adrs = Address::new();
         for leaf_idx in [0u32, 3, 7] {
+            let model = model_output(&scalar_model(&ctx, 3, &job(leaf_idx, 0, 0), 0), leaf_idx);
             let per_leaf = treehash(&ctx, 3, leaf_idx, &adrs, leaf);
-            let flat = treehash_flat(&ctx, 3, leaf_idx, &adrs, 0, |buf| {
-                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                    leaf(i as u32, slot);
-                }
-            });
-            assert_eq!(per_leaf, flat);
+            let flat = treehash_many(&ctx, 3, &[job(leaf_idx, 0, 0)], |buf| fill_from(0, buf));
+            assert_eq!(per_leaf, model);
+            assert_eq!(flat, [model]);
         }
     }
 
     #[test]
     fn scalar_oracle_agrees_with_batched_levels() {
-        // Reference model: explicit Vec<Vec<u8>> levels hashed with the
-        // scalar two-to-one H (the seed-era implementation).
         let ctx = ctx();
-        let mut base = Address::new();
-        base.set_tree(3);
         let height = 5;
-        let leaf_offset = 3 << height;
-        let leaf_idx = 11u32;
-
-        let mut level: Vec<Vec<u8>> = (0..1u32 << height).map(leaf_vec).collect();
-        let mut idx = leaf_idx;
-        let mut adrs = base;
-        let mut expected_path = Vec::new();
-        for level_height in 1..=height {
-            expected_path.push(level[(idx ^ 1) as usize].clone());
-            adrs.set_tree_height(level_height as u32);
-            let level_offset = leaf_offset >> level_height;
-            level = (0..level.len() / 2)
-                .map(|i| {
-                    adrs.set_tree_index(level_offset + i as u32);
-                    ctx.h(&adrs, &level[2 * i], &level[2 * i + 1])
-                })
-                .collect();
-            idx >>= 1;
-        }
-
-        let out = treehash_with_offset(&ctx, height, leaf_idx, &base, leaf_offset, leaf);
-        assert_eq!(out.root, level[0]);
-        assert_eq!(out.auth_path, expected_path);
+        let job = job(11, 3, 3 << height);
+        let model = scalar_model(&ctx, height, &job, 0);
+        let out = treehash_many(&ctx, height, &[job], |buf| fill_from(0, buf));
+        assert_eq!(out, [model_output(&model, 11)]);
     }
 
     #[test]
@@ -675,42 +613,37 @@ mod tests {
         let ctx = ctx();
         for jn in [1usize, 2, 5, 8] {
             let height = 4;
-            let outs: Vec<(u32, u32, Address, TreeHashOutput)> = (0..jn)
-                .map(|t| {
-                    let mut adrs = Address::new();
-                    adrs.set_tree(t as u64);
-                    let leaf_idx = (t as u32 * 5) % (1 << height);
-                    let leaf_offset = (t as u32) << height;
-                    let out =
-                        treehash_with_offset(&ctx, height, leaf_idx, &adrs, leaf_offset, leaf);
-                    (leaf_idx, leaf_offset, adrs, out)
-                })
+            let built: Vec<TreeHashJob> = (0..jn as u32)
+                .map(|t| job((t * 5) % (1 << height), t as u64, t << height))
                 .collect();
-            let leaves: Vec<Vec<u8>> = outs.iter().map(|(idx, ..)| leaf_vec(*idx)).collect();
-            let jobs: Vec<AuthPathJob> = outs
+            let outs = treehash_many(&ctx, height, &built, |buf| {
+                buf.chunks_exact_mut(16 << height)
+                    .for_each(|tree| fill_from(0, tree))
+            });
+            let leaves: Vec<Vec<u8>> = built.iter().map(|job| leaf_vec(job.leaf_idx)).collect();
+            let jobs: Vec<AuthPathJob> = built
                 .iter()
+                .zip(&outs)
                 .zip(&leaves)
-                .map(|((leaf_idx, leaf_offset, adrs, out), leaf)| AuthPathJob {
+                .map(|((job, out), leaf)| AuthPathJob {
                     leaf,
-                    leaf_idx: *leaf_idx,
+                    leaf_idx: job.leaf_idx,
                     auth_path: &out.auth_path,
-                    node_adrs: *adrs,
-                    leaf_offset: *leaf_offset,
+                    node_adrs: job.node_adrs,
+                    leaf_offset: job.leaf_offset,
                 })
                 .collect();
             let roots = roots_from_auth_paths_many(&ctx, &jobs);
             assert_eq!(roots.len(), jn);
-            for (j, ((leaf_idx, leaf_offset, adrs, out), root)) in
-                outs.iter().zip(&roots).enumerate()
-            {
+            for (j, ((job, out), root)) in built.iter().zip(&outs).zip(&roots).enumerate() {
                 assert_eq!(root, &out.root, "jn={jn} job {j} root");
                 let scalar = root_from_auth_path_with_offset(
                     &ctx,
                     &leaves[j],
-                    *leaf_idx,
+                    job.leaf_idx,
                     &out.auth_path,
-                    adrs,
-                    *leaf_offset,
+                    &job.node_adrs,
+                    job.leaf_offset,
                 );
                 assert_eq!(root, &scalar, "jn={jn} job {j} scalar");
             }
@@ -764,93 +697,59 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "leaf offset must be a multiple of the tree size")]
+    fn leaf_offset_alignment_checked() {
+        let _ = treehash_many(&ctx(), 2, &[job(0, 0, 6)], |buf| fill_from(0, buf));
+    }
+
+    #[test]
     fn internal_counts() {
         assert_eq!(internal_node_count(0), 0);
         assert_eq!(internal_node_count(6), 63);
         assert_eq!(internal_node_count(9), 511);
     }
 
+    /// Jobs with different addresses, offsets, and leaf indices (as a
+    /// cross-message batch would mix), leaves differing per job so that
+    /// cross-job mixups would be caught.
+    fn mixed_jobs(count: u32, height: usize, tree_step: u64) -> Vec<TreeHashJob> {
+        (0..count)
+            .map(|j| job(j % (1 << height), j as u64 * tree_step, j << height))
+            .collect()
+    }
+
+    fn fill_mixed(height: usize, leaf_step: u32, buf: &mut [u8]) {
+        for (j, tree) in buf.chunks_exact_mut(16 << height).enumerate() {
+            fill_from(leaf_step * j as u32, tree);
+        }
+    }
+
     #[test]
     fn treehash_many_matches_per_tree_flat() {
-        // Jobs with different addresses, offsets, and leaf indices (as a
-        // cross-message batch would mix) must each reproduce the
-        // single-tree output exactly.
         let ctx = ctx();
         let height = 3;
-        let jobs: Vec<TreeHashJob> = (0..5u32)
-            .map(|j| {
-                let mut adrs = Address::new();
-                adrs.set_tree(j as u64 * 7);
-                TreeHashJob {
-                    leaf_idx: j % (1 << height),
-                    node_adrs: adrs,
-                    leaf_offset: j * (1 << height),
-                }
-            })
-            .collect();
-        // Leaves differ per job so cross-job mixups would be caught.
-        let many = treehash_many(&ctx, height, &jobs, |buf| {
-            for (j, buf) in buf.chunks_exact_mut(16 << height).enumerate() {
-                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                    leaf(i as u32 + 100 * j as u32, slot);
-                }
-            }
-        });
+        let jobs = mixed_jobs(5, height, 7);
+        let many = treehash_many(&ctx, height, &jobs, |buf| fill_mixed(height, 100, buf));
         for (j, job) in jobs.iter().enumerate() {
-            let single = treehash_flat(
-                &ctx,
-                height,
-                job.leaf_idx,
-                &job.node_adrs,
-                job.leaf_offset,
-                |buf| {
-                    for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                        leaf(i as u32 + 100 * j as u32, slot);
-                    }
-                },
-            );
-            assert_eq!(many[j], single, "job {j}");
+            let model = scalar_model(&ctx, height, job, 100 * j as u32);
+            assert_eq!(many[j], model_output(&model, job.leaf_idx), "job {j}");
         }
     }
 
     #[test]
     fn treehash_many_single_job_and_empty() {
         let ctx = ctx();
-        let adrs = Address::new();
-        let job = TreeHashJob {
-            leaf_idx: 2,
-            node_adrs: adrs,
-            leaf_offset: 0,
-        };
-        let many = treehash_many(&ctx, 3, &[job], |buf| {
-            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(i as u32, slot);
-            }
-        });
-        assert_eq!(many[0], treehash(&ctx, 3, 2, &adrs, leaf));
+        let job = job(2, 0, 0);
+        let many = treehash_many(&ctx, 3, &[job], |buf| fill_from(0, buf));
+        assert_eq!(many, [model_output(&scalar_model(&ctx, 3, &job, 0), 2)]);
         assert!(treehash_many(&ctx, 3, &[], |_| {}).is_empty());
     }
 
     #[test]
     fn treehash_many_height_zero() {
         let ctx = ctx();
-        let jobs = [
-            TreeHashJob {
-                leaf_idx: 0,
-                node_adrs: Address::new(),
-                leaf_offset: 0,
-            },
-            TreeHashJob {
-                leaf_idx: 0,
-                node_adrs: Address::new(),
-                leaf_offset: 5,
-            },
-        ];
-        let out = treehash_many(&ctx, 0, &jobs, |buf| {
-            for (j, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(j as u32, slot);
-            }
-        });
+        let jobs = [job(0, 0, 0), job(0, 0, 5)];
+        let out = treehash_many(&ctx, 0, &jobs, |buf| fill_from(0, buf));
         assert_eq!(out[0].root, leaf_vec(0));
         assert_eq!(out[1].root, leaf_vec(1));
         assert!(out[0].auth_path.is_empty());
@@ -859,20 +758,20 @@ mod tests {
     #[test]
     fn retained_levels_serve_every_leaf_byte_identically() {
         let ctx = ctx();
-        let mut adrs = Address::new();
-        adrs.set_tree(9);
         let height = 4;
-        let fill = |buf: &mut [u8]| {
-            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(i as u32, slot);
-            }
-        };
-        let levels = treehash_levels(&ctx, height, &adrs, 0, fill);
+        let job = job(0, 9, 0);
+        let model = scalar_model(&ctx, height, &job, 0);
+        let levels = treehash_many_levels(&ctx, height, &[job], |buf| fill_from(0, buf));
+        let levels = &levels[0];
         assert_eq!(levels.height(), height);
         assert_eq!(levels.byte_len(), ((1 << (height + 1)) - 1) * 16);
+        assert_eq!(levels.root(), &model[height][0][..]);
         for leaf_idx in 0..(1u32 << height) {
-            let fresh = treehash_flat(&ctx, height, leaf_idx, &adrs, 0, fill);
-            assert_eq!(levels.output_for(leaf_idx), fresh, "leaf {leaf_idx}");
+            assert_eq!(
+                levels.output_for(leaf_idx),
+                model_output(&model, leaf_idx),
+                "leaf {leaf_idx}"
+            );
         }
     }
 
@@ -880,47 +779,56 @@ mod tests {
     fn many_levels_match_single_levels_with_offsets() {
         let ctx = ctx();
         let height = 3;
-        let jobs: Vec<TreeHashJob> = (0..4u32)
-            .map(|j| {
-                let mut adrs = Address::new();
-                adrs.set_tree(j as u64 * 5);
-                TreeHashJob {
-                    leaf_idx: 0,
-                    node_adrs: adrs,
-                    leaf_offset: j * (1 << height),
-                }
-            })
-            .collect();
-        let many = treehash_many_levels(&ctx, height, &jobs, |buf| {
-            for (j, buf) in buf.chunks_exact_mut(16 << height).enumerate() {
-                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                    leaf(i as u32 + 50 * j as u32, slot);
-                }
-            }
-        });
+        let jobs = mixed_jobs(4, height, 5);
+        let many = treehash_many_levels(&ctx, height, &jobs, |buf| fill_mixed(height, 50, buf));
         for (j, job) in jobs.iter().enumerate() {
-            let single = treehash_levels(&ctx, height, &job.node_adrs, job.leaf_offset, |buf| {
-                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                    leaf(i as u32 + 50 * j as u32, slot);
-                }
-            });
-            assert_eq!(many[j], single, "job {j}");
-            // And the sliced output matches the auth-path treehash.
-            let fresh = treehash_flat(&ctx, height, 5, &job.node_adrs, job.leaf_offset, |buf| {
-                for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                    leaf(i as u32 + 50 * j as u32, slot);
-                }
-            });
-            assert_eq!(many[j].output_for(5), fresh, "job {j}");
+            let model = scalar_model(&ctx, height, job, 50 * j as u32);
+            assert_eq!(many[j], model_levels(&model), "job {j}");
+            // And the sliced output is the auth-path treehash's.
+            assert_eq!(many[j].output_for(5), model_output(&model, 5), "job {j}");
         }
         assert!(treehash_many_levels(&ctx, height, &[], |_| {}).is_empty());
     }
 
     #[test]
+    fn leaves_above_height_zero_hash_under_their_own_heights() {
+        // The split top of a fused FORS tree: the jobs' leaves are roots
+        // of height-2 subtrees built elsewhere, so level `z` of a job
+        // sits at tree height 2 + z. Both projections, offsets and leaf
+        // indices mixed across jobs.
+        let ctx = ctx();
+        let height = 3;
+        for count in [1u32, 2, 5] {
+            let mut jobs = mixed_jobs(count, height, 3);
+            for job in &mut jobs {
+                job.node_adrs.set_tree_height(2);
+            }
+            let outs = treehash_many(&ctx, height, &jobs, |buf| fill_mixed(height, 20, buf));
+            let levels =
+                treehash_many_levels(&ctx, height, &jobs, |buf| fill_mixed(height, 20, buf));
+            for (j, job) in jobs.iter().enumerate() {
+                let model = scalar_model(&ctx, height, job, 20 * j as u32);
+                assert_eq!(
+                    outs[j],
+                    model_output(&model, job.leaf_idx),
+                    "{count} jobs, {j}"
+                );
+                assert_eq!(levels[j], model_levels(&model), "{count} jobs, {j}");
+                // The base height is part of every address: the same job
+                // on leaves at height 0 is another tree.
+                let mut flat_job = *job;
+                flat_job.node_adrs.set_tree_height(0);
+                let flat = scalar_model(&ctx, height, &flat_job, 20 * j as u32);
+                assert_ne!(model[height], flat[height]);
+            }
+        }
+    }
+
+    #[test]
     fn levels_height_zero() {
         let ctx = ctx();
-        let adrs = Address::new();
-        let levels = treehash_levels(&ctx, 0, &adrs, 0, |buf| leaf(7, buf));
+        let levels = treehash_many_levels(&ctx, 0, &[job(0, 0, 0)], |buf| leaf(7, buf));
+        let levels = &levels[0];
         assert_eq!(levels.height(), 0);
         assert_eq!(levels.root(), &leaf_vec(7)[..]);
         assert!(levels.auth_path(0).is_empty());
@@ -931,13 +839,8 @@ mod tests {
     #[should_panic(expected = "leaf index out of range")]
     fn levels_leaf_bounds_checked() {
         let ctx = ctx();
-        let adrs = Address::new();
-        let levels = treehash_levels(&ctx, 2, &adrs, 0, |buf| {
-            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-                leaf(i as u32, slot);
-            }
-        });
-        let _ = levels.auth_path(4);
+        let levels = treehash_many_levels(&ctx, 2, &[job(0, 0, 0)], |buf| fill_from(0, buf));
+        let _ = levels[0].auth_path(4);
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub fn compress_x(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LA
 
 /// [`compress_x`] under an explicit tier instead of the process-wide
 /// resolved one — the seam the per-tier byte-identity tests and
-/// `bench_hot_path`'s per-tier sections drive directly.
+/// `perfbench`'s `hash_core.sha256_tier_*` rungs drive directly.
 ///
 /// A tier the host CPU lacks (or that does not apply to SHA-256) falls
 /// back to the portable body, mirroring the dispatch ladder's

@@ -357,7 +357,7 @@ impl std::fmt::Display for HashTier {
 impl HashTier {
     /// The canonical label — the inverse of [`HashTier::from_label`];
     /// used by the env override, the serve banner, the metrics page,
-    /// and `BENCH_hot_path.json`.
+    /// and `perfbench`'s host fingerprint.
     pub const fn label(self) -> &'static str {
         match self {
             HashTier::Scalar => "scalar",
@@ -506,7 +506,7 @@ pub fn supported(primitive: Primitive, tier: HashTier) -> bool {
 
 /// Every tier of `primitive`'s ladder the host supports, best first
 /// (always non-empty: scalar is universal). This is what the per-tier
-/// identity tests and `bench_hot_path`'s per-tier sections iterate.
+/// identity tests iterate.
 pub fn supported_tiers(primitive: Primitive) -> Vec<HashTier> {
     ladder(primitive)
         .iter()
@@ -684,11 +684,10 @@ pub fn active_tiers() -> ActiveTiers {
 /// supported fallback, never UB). Returns the previously active tiers
 /// so callers can restore them.
 ///
-/// This exists for `bench_hot_path`'s per-tier sections and the forced-
-/// tier test legs. It is process-global: concurrent hashers observe the
-/// change — which is safe, because **every tier produces identical
-/// bytes** (pinned by the per-tier identity tests); only throughput
-/// differs.
+/// This exists for the forced-tier test legs. It is process-global:
+/// concurrent hashers observe the change — which is safe, because
+/// **every tier produces identical bytes** (pinned by the per-tier
+/// identity tests); only throughput differs.
 pub fn force_tier(tier: HashTier) -> ActiveTiers {
     let prev = active_tiers();
     for primitive in Primitive::ALL {
@@ -708,8 +707,7 @@ pub fn restore_tier(prev: ActiveTiers) {
 
 /// One-line operator-facing description of the resolved ladder, e.g.
 /// `sha256=sha-ni sha256_chain=avx512 keccak=avx512` (plus the override,
-/// when one is set). Shown by the `hero serve` banner and
-/// `bench_hot_path`.
+/// when one is set). Shown by the `hero serve` banner.
 pub fn description() -> String {
     let base = Primitive::ALL
         .map(|p| format!("{}={}", p.label(), active(p)))

@@ -266,11 +266,17 @@ proptest! {
             idx >>= 1;
         }
 
-        let out = merkle::treehash_flat(&ctx, height, leaf_idx, &base, leaf_offset, |buf| {
+        let job = merkle::TreeHashJob { leaf_idx, node_adrs: base, leaf_offset };
+        let out = merkle::treehash_many(&ctx, height, &[job], |buf| {
             buf.copy_from_slice(&leaves);
         });
-        prop_assert_eq!(&out.root, &level[0]);
-        prop_assert_eq!(&out.auth_path, &oracle_path);
+        prop_assert_eq!(&out[0].root, &level[0]);
+        prop_assert_eq!(&out[0].auth_path, &oracle_path);
+        // The retained pyramid serves the same leaf the same bytes.
+        let kept = merkle::treehash_many_levels(&ctx, height, &[job], |buf| {
+            buf.copy_from_slice(&leaves);
+        });
+        prop_assert_eq!(kept[0].output_for(leaf_idx), out[0].clone());
     }
 
     #[test]
