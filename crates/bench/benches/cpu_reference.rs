@@ -1,12 +1,13 @@
 //! Criterion benches of the real cryptographic substrate: SHA-256
-//! compression throughput, tweakable-hash calls, WOTS+ chains, FORS
-//! trees, and full (reduced-parameter) signatures — the Table X raw
-//! material.
+//! compression throughput, tweakable-hash calls, the scalar reference's
+//! WOTS+ chains, FORS trees and signatures beside the shipping
+//! (reduced-parameter) sign and verify — the Table X raw material.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hero_sphincs::address::Address;
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::sha256::Sha256;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +45,7 @@ fn bench_wots_chain(c: &mut Criterion) {
     c.bench_function("wots_chain_w15", |b| {
         b.iter(|| {
             let mut adrs = Address::new();
-            hero_sphincs::wots::chain(&ctx, &x, 0, 15, &mut adrs)
+            reference::chain(&ctx, &x, 0, 15, &mut adrs)
         })
     });
 }
@@ -55,7 +56,7 @@ fn bench_fors_tree(c: &mut Criterion) {
     let sk_seed = vec![2u8; 16];
     let adrs = Address::new();
     c.bench_function("fors_tree_hash_16_leaves", |b| {
-        b.iter(|| hero_sphincs::fors::tree_hash(&ctx, &sk_seed, &adrs, 0, 3))
+        b.iter(|| reference::fors_tree(&ctx, &sk_seed, &adrs, 0, 3))
     });
 }
 
@@ -68,6 +69,12 @@ fn bench_full_sign_verify(c: &mut Criterion) {
     });
     c.bench_function("verify_reduced_params", |b| {
         b.iter(|| vk.verify(b"bench message", &sig).expect("valid"))
+    });
+    c.bench_function("reference_sign_reduced_params", |b| {
+        b.iter(|| reference::sign(&sk, b"bench message"))
+    });
+    c.bench_function("reference_verify_reduced_params", |b| {
+        b.iter(|| reference::verify(&vk, b"bench message", &sig).expect("valid"))
     });
 }
 

@@ -1,7 +1,7 @@
 //! Criterion benches of the batched hot path against the scalar
 //! single-call APIs: multi-lane `F`/`H`/`PRF`, flat-buffer treehash, WOTS+
-//! leaf generation, and end-to-end reduced-parameter `sign` (batched vs
-//! the preserved scalar baseline).
+//! leaf generation, and end-to-end reduced-parameter `sign` (the signer
+//! that ships vs `hero_sphincs::reference`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hero_sphincs::address::{Address, AddressType};
@@ -103,12 +103,16 @@ fn bench_wots_leaf(c: &mut Criterion) {
     let params = Params::sphincs_128f();
     let ctx = HashCtx::new(params, &[5u8; 16]);
     let sk_seed = vec![4u8; 16];
+    let adrs = Address::new();
     c.bench_function("wots_gen_leaf_batched", |b| {
         let mut out = vec![0u8; params.n];
         b.iter(|| {
-            hero_sphincs::hypertree::wots_leaf_into(&ctx, &sk_seed, 0, 0, 0, &mut out);
+            hero_sphincs::wots::pk_gen_many(&ctx, &sk_seed, &[adrs], &mut out);
             out.clone()
         })
+    });
+    c.bench_function("wots_gen_leaf_reference", |b| {
+        b.iter(|| hero_sphincs::reference::wots_pk_gen(&ctx, &sk_seed, &adrs))
     });
 }
 
@@ -120,8 +124,8 @@ fn bench_end_to_end_sign(c: &mut Criterion) {
     c.bench_function("sign_batched_reduced_params", |b| {
         b.iter(|| sk.sign(b"hot path bench"))
     });
-    c.bench_function("sign_scalar_baseline_reduced_params", |b| {
-        b.iter(|| hero_bench::baseline::sign(&sk, b"hot path bench"))
+    c.bench_function("sign_reference_reduced_params", |b| {
+        b.iter(|| hero_sphincs::reference::sign(&sk, b"hot path bench"))
     });
 }
 

@@ -2,7 +2,6 @@
 //! published numbers (for side-by-side comparison), external reference
 //! data (FPGA/ASIC/AVX2 comparators), and table formatting.
 
-pub mod baseline;
 pub mod paper;
 pub mod reference;
 

@@ -2,8 +2,9 @@
 //! printable output, performing file I/O at the edges only.
 
 use crate::args::Args;
-use crate::{keyfile, parse_alg, parse_device, parse_params, CliError, CmdResult};
+use crate::{parse_alg, parse_device, parse_params, CliError, CmdResult};
 
+use hero_server::keyfile;
 use hero_sign::service::{ServiceConfig, SignService, SignTicket};
 use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer};
 use hero_sphincs::hash::HashAlg;

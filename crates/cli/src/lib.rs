@@ -1,5 +1,5 @@
-//! Library backing the `hero-sign` command-line tool: argument parsing,
-//! hex key serialization, and the subcommands (keygen, sign, verify,
+//! Library backing the `hero-sign` command-line tool: argument parsing
+//! and the subcommands (keygen, sign, verify,
 //! export-pubkey, tune, simulate, devices).
 //!
 //! Kept as a library so every code path is unit-testable without
@@ -8,7 +8,6 @@
 
 pub mod args;
 pub mod commands;
-pub mod keyfile;
 
 use hero_sign::HeroError;
 use hero_sphincs::sign::SignError;
@@ -107,6 +106,12 @@ impl From<hero_sign::service::ServiceError> for CliError {
 impl From<SignError> for CliError {
     fn from(e: SignError) -> Self {
         CliError::Signature(e)
+    }
+}
+
+impl From<hero_server::keyfile::KeyfileError> for CliError {
+    fn from(e: hero_server::keyfile::KeyfileError) -> Self {
+        CliError::Keyfile(e.0)
     }
 }
 
@@ -234,6 +239,16 @@ pub fn parse_device(name: Option<&str>) -> Result<hero_gpu_sim::DeviceProps, Cli
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_files_map_to_cli_keyfile_errors() {
+        fn decode(text: &str) -> Result<(), CliError> {
+            hero_server::keyfile::decode(text)?;
+            Ok(())
+        }
+        let err = decode("garbage").unwrap_err();
+        assert!(matches!(err, CliError::Keyfile(_)), "{err:?}");
+    }
 
     #[test]
     fn parses_param_labels() {

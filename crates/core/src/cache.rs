@@ -18,12 +18,11 @@
 //!
 //! ## Structure
 //!
-//! - **Key**: a 64-bit FNV-1a fingerprint over the hash algorithm, the
-//!   shape-critical parameter fields (`n`, `h`, `d`, `log_t`, `k`), and
-//!   the secret/public seeds. The fingerprint picks the shard and the map
-//!   slot; every hit then compares the *full* identity (algorithm,
-//!   parameters, both seeds), so a fingerprint collision degrades to a
-//!   miss — it can never serve another key's nodes.
+//! - **Key**: one SHA-256 identity ([`KeyId`]) over the hash algorithm,
+//!   the shape-critical parameter fields (`n`, `h`, `d`, `log_t`, `k`),
+//!   and the secret/public seeds. It picks the shard, keys the map and is
+//!   what equality means; the planner computes it once per call, where it
+//!   holds the key anyway, so no seed is kept by the cache.
 //! - **Value**: per key, a map from `(layer, tree_idx)` to the subtree's
 //!   `Arc<TreeLevels>`; slicing a root + authentication path out of it is
 //!   byte-identical to a fresh treehash.
@@ -45,13 +44,14 @@ use crate::error::HeroError;
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::merkle::TreeLevels;
 use hero_sphincs::params::Params;
+use hero_sphincs::sha256::Sha256;
 use hero_sphincs::sign::SigningKey;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Shard count; fingerprints spread across shards by their high bits.
+/// Shard count; identities spread across shards by their first byte.
 const SHARDS: usize = 16;
 
 /// Knobs of the per-key hypertree memoization layer.
@@ -163,74 +163,49 @@ pub fn layer_tree_count(params: &Params, layer: u32) -> u64 {
     }
 }
 
-/// Full identity of a cached key, compared on every hit so a fingerprint
-/// collision can only ever read as a miss.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct KeyIdent {
-    alg: HashAlg,
-    n: usize,
-    h: usize,
-    d: usize,
-    log_t: usize,
-    k: usize,
-    sk_seed: Vec<u8>,
-    pk_seed: Vec<u8>,
-}
+/// The cache identity of a signing key: SHA-256 over the hash algorithm,
+/// the parameter fields a subtree's bytes depend on and both seeds. Two
+/// keys share subtrees exactly when they share all of those, and the
+/// digest stands for them without keeping a seed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct KeyId([u8; 32]);
 
-impl KeyIdent {
-    fn of(sk: &SigningKey) -> Self {
+impl KeyId {
+    /// The identity of `sk`. Costs a few compressions: compute it once
+    /// per planned call, not per lookup.
+    pub fn of(sk: &SigningKey) -> Self {
         let p = sk.params();
-        Self {
-            alg: sk.alg(),
-            n: p.n,
-            h: p.h,
-            d: p.d,
-            log_t: p.log_t,
-            k: p.k,
-            sk_seed: sk.sk_seed().to_vec(),
-            pk_seed: sk.pk_seed().to_vec(),
+        let mut hash = Sha256::new();
+        hash.update(&[match sk.alg() {
+            HashAlg::Sha256 => 1,
+            HashAlg::Sha512 => 2,
+            HashAlg::Shake256 => 3,
+        }]);
+        for field in [p.n, p.h, p.d, p.log_t, p.k] {
+            hash.update(&(field as u64).to_le_bytes());
         }
+        hash.update(sk.sk_seed());
+        hash.update(sk.pk_seed());
+        Self(hash.finalize())
+    }
+
+    fn shard(&self) -> usize {
+        self.0[0] as usize % SHARDS
     }
 }
 
 /// One resident key: its subtrees plus LRU bookkeeping.
 struct KeyEntry {
-    ident: KeyIdent,
     subtrees: HashMap<(u32, u64), Arc<TreeLevels>>,
     bytes: usize,
     last_used: u64,
-}
-
-/// 64-bit FNV-1a fingerprint of a signing key's cache identity.
-pub fn fingerprint(sk: &SigningKey) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    let p = sk.params();
-    eat(&[match sk.alg() {
-        HashAlg::Sha256 => 1,
-        HashAlg::Sha512 => 2,
-        HashAlg::Shake256 => 3,
-    }]);
-    for field in [p.n, p.h, p.d, p.log_t, p.k] {
-        eat(&(field as u64).to_le_bytes());
-    }
-    eat(sk.sk_seed());
-    eat(sk.pk_seed());
-    hash
 }
 
 /// The sharded per-key subtree store — see the module docs for the
 /// design. Shared by all clones of one engine; thread-safe.
 pub struct HypertreeCache {
     config: CacheConfig,
-    shards: Vec<Mutex<HashMap<u64, KeyEntry>>>,
+    shards: Vec<Mutex<HashMap<KeyId, KeyEntry>>>,
     /// Global logical clock for exact LRU recency.
     clock: AtomicU64,
     hits: AtomicU64,
@@ -308,7 +283,7 @@ impl HypertreeCache {
     /// poisons the lock, but shard contents are always internally
     /// consistent (accounting lives in atomics updated outside the
     /// critical sections), so the poison is cleared and the data reused.
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, HashMap<u64, KeyEntry>> {
+    fn lock_shard(&self, index: usize) -> MutexGuard<'_, HashMap<KeyId, KeyEntry>> {
         let shard = &self.shards[index];
         shard.lock().unwrap_or_else(|poisoned| {
             shard.clear_poison();
@@ -316,32 +291,24 @@ impl HypertreeCache {
         })
     }
 
-    fn shard_of(fp: u64) -> usize {
-        (fp >> 48) as usize % SHARDS
-    }
-
-    /// Looks up one subtree for `sk`, bumping the key's recency. Counts a
-    /// hit or a miss; a fired [`crate::faults::HYPERTREE_CACHE`] fail
-    /// spec on the hit path force-evicts the key and serves a miss.
-    pub fn get(&self, sk: &SigningKey, layer: u32, tree_idx: u64) -> Option<Arc<TreeLevels>> {
+    /// Looks up one subtree of the key `key`, bumping the key's recency.
+    /// Counts a hit or a miss; a fired [`crate::faults::HYPERTREE_CACHE`]
+    /// fail spec on the hit path force-evicts the key and serves a miss.
+    pub fn get(&self, key: &KeyId, layer: u32, tree_idx: u64) -> Option<Arc<TreeLevels>> {
         if !self.config.enabled {
             return None;
         }
-        let fp = fingerprint(sk);
         let found = {
-            let mut shard = self.lock_shard(Self::shard_of(fp));
-            shard
-                .get_mut(&fp)
-                .filter(|entry| entry.ident == KeyIdent::of(sk))
-                .and_then(|entry| {
-                    entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                    entry.subtrees.get(&(layer, tree_idx)).cloned()
-                })
+            let mut shard = self.lock_shard(key.shard());
+            shard.get_mut(key).and_then(|entry| {
+                entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
+                entry.subtrees.get(&(layer, tree_idx)).cloned()
+            })
         };
         match found {
             Some(levels) => {
                 if crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
-                    self.evict_fingerprint(fp);
+                    self.evict_key(key);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
@@ -357,61 +324,34 @@ impl HypertreeCache {
 
     /// Whether a subtree is resident, without touching recency or the
     /// hit/miss counters (used to skip redundant warm fills).
-    pub fn contains(&self, sk: &SigningKey, layer: u32, tree_idx: u64) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
-        let fp = fingerprint(sk);
-        let shard = self.lock_shard(Self::shard_of(fp));
-        shard
-            .get(&fp)
-            .filter(|entry| entry.ident == KeyIdent::of(sk))
-            .is_some_and(|entry| entry.subtrees.contains_key(&(layer, tree_idx)))
+    pub fn contains(&self, key: &KeyId, layer: u32, tree_idx: u64) -> bool {
+        self.config.enabled
+            && self
+                .lock_shard(key.shard())
+                .get(key)
+                .is_some_and(|entry| entry.subtrees.contains_key(&(layer, tree_idx)))
     }
 
-    /// Stores one freshly built subtree for `sk`, then enforces the key
-    /// and byte bounds by LRU eviction. A fired
+    /// Stores one freshly built subtree of the key `key`, then enforces
+    /// the key and byte bounds by LRU eviction. A fired
     /// [`crate::faults::HYPERTREE_CACHE`] fail spec drops the fill (the
     /// signature already has the fresh nodes; the next sign pays cold).
-    pub fn insert(&self, sk: &SigningKey, layer: u32, tree_idx: u64, levels: Arc<TreeLevels>) {
+    pub fn insert(&self, key: &KeyId, layer: u32, tree_idx: u64, levels: Arc<TreeLevels>) {
         if !self.config.enabled || crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
             return;
         }
-        let fp = fingerprint(sk);
         let bytes = levels.byte_len();
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
-            let mut shard = self.lock_shard(Self::shard_of(fp));
-            let entry = match shard.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    let entry = slot.into_mut();
-                    if entry.ident != KeyIdent::of(sk) {
-                        // Fingerprint collision: the resident key loses
-                        // its slot (counted as an eviction).
-                        self.resident_bytes
-                            .fetch_sub(entry.bytes as u64, Ordering::Relaxed);
-                        self.resident_subtrees
-                            .fetch_sub(entry.subtrees.len() as u64, Ordering::Relaxed);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        *entry = KeyEntry {
-                            ident: KeyIdent::of(sk),
-                            subtrees: HashMap::new(),
-                            bytes: 0,
-                            last_used: now,
-                        };
-                    }
-                    entry
+            let mut shard = self.lock_shard(key.shard());
+            let entry = shard.entry(*key).or_insert_with(|| {
+                self.resident_keys.fetch_add(1, Ordering::Relaxed);
+                KeyEntry {
+                    subtrees: HashMap::new(),
+                    bytes: 0,
+                    last_used: now,
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    self.resident_keys.fetch_add(1, Ordering::Relaxed);
-                    slot.insert(KeyEntry {
-                        ident: KeyIdent::of(sk),
-                        subtrees: HashMap::new(),
-                        bytes: 0,
-                        last_used: now,
-                    })
-                }
-            };
+            });
             entry.last_used = now;
             if entry.subtrees.insert((layer, tree_idx), levels).is_none() {
                 entry.bytes += bytes;
@@ -439,19 +379,19 @@ impl HypertreeCache {
 
     /// Removes the globally least-recently-used key; `false` when empty.
     fn evict_lru(&self) -> bool {
-        let mut victim: Option<(usize, u64, u64)> = None;
+        let mut victim: Option<(KeyId, u64)> = None;
         for index in 0..SHARDS {
             let shard = self.lock_shard(index);
-            for (fp, entry) in shard.iter() {
-                if victim.is_none_or(|(_, _, last)| entry.last_used < last) {
-                    victim = Some((index, *fp, entry.last_used));
+            for (key, entry) in shard.iter() {
+                if victim.is_none_or(|(_, last)| entry.last_used < last) {
+                    victim = Some((*key, entry.last_used));
                 }
             }
         }
-        let Some((index, fp, _)) = victim else {
+        let Some((key, _)) = victim else {
             return false;
         };
-        let removed = self.lock_shard(index).remove(&fp);
+        let removed = self.lock_shard(key.shard()).remove(&key);
         match removed {
             Some(entry) => {
                 self.book_eviction(&entry);
@@ -463,8 +403,8 @@ impl HypertreeCache {
     }
 
     /// Forced eviction of one key (the chaos path).
-    fn evict_fingerprint(&self, fp: u64) {
-        let removed = self.lock_shard(Self::shard_of(fp)).remove(&fp);
+    fn evict_key(&self, key: &KeyId) {
+        let removed = self.lock_shard(key.shard()).remove(key);
         if let Some(entry) = removed {
             self.book_eviction(&entry);
         }
@@ -528,12 +468,12 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let cache = HypertreeCache::new(CacheConfig::default());
         let sk = key(10);
-        assert!(cache.get(&sk, 2, 0).is_none());
+        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
         let levels = levels_for(&sk, 2, 0);
-        cache.insert(&sk, 2, 0, Arc::clone(&levels));
-        assert_eq!(cache.get(&sk, 2, 0).as_deref(), Some(&*levels));
-        assert!(cache.contains(&sk, 2, 0));
-        assert!(!cache.contains(&sk, 2, 1));
+        cache.insert(&KeyId::of(&sk), 2, 0, Arc::clone(&levels));
+        assert_eq!(cache.get(&KeyId::of(&sk), 2, 0).as_deref(), Some(&*levels));
+        assert!(cache.contains(&KeyId::of(&sk), 2, 0));
+        assert!(!cache.contains(&KeyId::of(&sk), 2, 1));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
         assert_eq!(s.resident_keys, 1);
@@ -545,8 +485,8 @@ mod tests {
     fn disabled_cache_is_inert() {
         let cache = HypertreeCache::new(CacheConfig::disabled());
         let sk = key(11);
-        cache.insert(&sk, 2, 0, levels_for(&sk, 2, 0));
-        assert!(cache.get(&sk, 2, 0).is_none());
+        cache.insert(&KeyId::of(&sk), 2, 0, levels_for(&sk, 2, 0));
+        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
         assert!(!cache.caches_layer(sk.params(), 2));
         assert!(cache.warm_coordinates(sk.params()).is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -556,13 +496,13 @@ mod tests {
     fn keys_do_not_alias() {
         let cache = HypertreeCache::new(CacheConfig::default());
         let (a, b) = (key(20), key(30));
-        cache.insert(&a, 2, 0, levels_for(&a, 2, 0));
-        assert!(cache.get(&b, 2, 0).is_none());
+        cache.insert(&KeyId::of(&a), 2, 0, levels_for(&a, 2, 0));
+        assert!(cache.get(&KeyId::of(&b), 2, 0).is_none());
         assert_eq!(cache.stats().resident_keys, 1);
-        cache.insert(&b, 2, 0, levels_for(&b, 2, 0));
+        cache.insert(&KeyId::of(&b), 2, 0, levels_for(&b, 2, 0));
         assert_ne!(
-            cache.get(&a, 2, 0).unwrap().root(),
-            cache.get(&b, 2, 0).unwrap().root()
+            cache.get(&KeyId::of(&a), 2, 0).unwrap().root(),
+            cache.get(&KeyId::of(&b), 2, 0).unwrap().root()
         );
     }
 
@@ -574,17 +514,23 @@ mod tests {
         });
         let keys: Vec<SigningKey> = (0..4).map(|i| key(40 + i * 5)).collect();
         for sk in &keys[..3] {
-            cache.insert(sk, 2, 0, levels_for(sk, 2, 0));
+            cache.insert(&KeyId::of(sk), 2, 0, levels_for(sk, 2, 0));
         }
         // Touch key 0 so key 1 becomes the LRU.
-        assert!(cache.get(&keys[0], 2, 0).is_some());
+        assert!(cache.get(&KeyId::of(&keys[0]), 2, 0).is_some());
         assert_eq!(cache.stats().evictions, 0);
-        cache.insert(&keys[3], 2, 0, levels_for(&keys[3], 2, 0));
+        cache.insert(&KeyId::of(&keys[3]), 2, 0, levels_for(&keys[3], 2, 0));
         let s = cache.stats();
         assert_eq!(s.evictions, 1, "exactly one eviction");
         assert_eq!(s.resident_keys, 3);
-        assert!(cache.contains(&keys[0], 2, 0), "recently touched survives");
-        assert!(!cache.contains(&keys[1], 2, 0), "LRU key evicted");
+        assert!(
+            cache.contains(&KeyId::of(&keys[0]), 2, 0),
+            "recently touched survives"
+        );
+        assert!(
+            !cache.contains(&KeyId::of(&keys[1]), 2, 0),
+            "LRU key evicted"
+        );
     }
 
     #[test]
@@ -596,17 +542,17 @@ mod tests {
             max_bytes: one.byte_len() * 2,
             ..CacheConfig::default()
         });
-        cache.insert(&sk, 2, 0, Arc::clone(&one));
-        cache.insert(&sk, 1, 0, levels_for(&sk, 1, 0));
+        cache.insert(&KeyId::of(&sk), 2, 0, Arc::clone(&one));
+        cache.insert(&KeyId::of(&sk), 1, 0, levels_for(&sk, 1, 0));
         assert_eq!(cache.stats().evictions, 0);
         // Third subtree pushes the single resident key over the byte
         // bound: the whole key evicts, then the insert-before-enforce
         // ordering leaves the cache empty — cold, never an error.
-        cache.insert(&sk, 1, 1, levels_for(&sk, 1, 1));
+        cache.insert(&KeyId::of(&sk), 1, 1, levels_for(&sk, 1, 1));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, 0);
-        assert!(cache.get(&sk, 2, 0).is_none());
+        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
     }
 
     #[test]
@@ -646,7 +592,7 @@ mod tests {
     fn fingerprints_separate_params_alg_and_seeds() {
         let a = key(10);
         let b = key(11);
-        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_ne!(KeyId::of(&a), KeyId::of(&b));
         let p = tiny_params();
         let shake = hero_sphincs::keygen_from_seeds_with_alg(
             p,
@@ -656,12 +602,12 @@ mod tests {
             vec![12; p.n],
         )
         .0;
-        assert_ne!(fingerprint(&a), fingerprint(&shake));
+        assert_ne!(KeyId::of(&a), KeyId::of(&shake));
         let mut wider = p;
         wider.k = 9;
         let other =
             hero_sphincs::keygen_from_seeds(wider, vec![10; p.n], vec![11; p.n], vec![12; p.n]).0;
-        assert_ne!(fingerprint(&a), fingerprint(&other));
+        assert_ne!(KeyId::of(&a), KeyId::of(&other));
     }
 
     #[test]

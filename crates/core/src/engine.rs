@@ -493,7 +493,7 @@ impl HeroSigner {
 
     /// Functional signing of one message: a planned batch of one
     /// ([`HeroSigner::sign_batch`]). Bit-identical to
-    /// [`SigningKey::sign`].
+    /// [`hero_sphincs::reference::sign`].
     ///
     /// # Errors
     ///
@@ -522,12 +522,13 @@ impl HeroSigner {
     pub fn sign_batch(&self, sk: &SigningKey, msgs: &[&[u8]]) -> Result<Vec<Signature>, HeroError> {
         check_key(&self.params, sk.params())?;
         let ctx = HashCtx::with_alg(self.params, sk.pk_seed(), sk.alg());
-        Ok(crate::plan::sign_batch_cached(
+        Ok(crate::plan::sign_batch(
             &ctx,
             sk,
             msgs,
             &self.executor,
             &self.cache,
+            &crate::plan::PlanShape::for_batch(msgs.len()),
         ))
     }
 
@@ -570,7 +571,8 @@ impl HeroSigner {
     /// ([`crate::plan::verify_batch`]), interleaving with any in-flight
     /// signing work on the same executor. Returns one typed
     /// [`crate::VerifyOutcome`] per message; never short-circuits, like
-    /// a GPU batch, and verdicts are bit-for-bit the scalar verifier's.
+    /// a GPU batch, and verdicts are bit-for-bit those of
+    /// [`hero_sphincs::reference::verify`].
     ///
     /// # Errors
     ///

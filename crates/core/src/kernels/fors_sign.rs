@@ -16,9 +16,6 @@ use hero_gpu_sim::isa::InstrClass;
 use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
 use hero_gpu_sim::occupancy::BlockResources;
 
-use hero_sphincs::address::Address;
-use hero_sphincs::fors;
-use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
 
 /// How FORS trees are mapped onto thread blocks.
@@ -246,48 +243,13 @@ pub fn describe(
     desc
 }
 
-/// Builds the `FORS_Sign` work-item list for one message: one
-/// [`fors::ForsTreeRequest`] per tree, leaf indices decoded from `md`.
-/// The batch planner concatenates these lists across messages and chunks
-/// them into [`sign_trees`] stages.
-pub fn tree_requests(
-    params: &Params,
-    md: &[u8],
-    keypair_adrs: &Address,
-) -> Vec<fors::ForsTreeRequest> {
-    fors::message_to_indices(params, md)
-        .into_iter()
-        .enumerate()
-        .map(|(tree_idx, leaf_idx)| fors::ForsTreeRequest {
-            keypair_adrs: *keypair_adrs,
-            tree_idx: tree_idx as u32,
-            leaf_idx,
-        })
-        .collect()
-}
-
-/// One plannable `FORS_Sign` stage: builds a group of trees — from any
-/// mix of messages — returning each tree's revealed secret + auth path
-/// and its root, all from [`fors::tree_hash_many`]'s one pass.
-pub fn sign_trees(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    reqs: &[fors::ForsTreeRequest],
-) -> Vec<(fors::ForsTreeSig, Vec<u8>)> {
-    fors::tree_hash_many(ctx, sk_seed, reqs)
-}
-
-/// The final `T_k` stage: compresses one message's `k` tree roots
-/// (concatenated in `roots_flat`) into its FORS public key.
-pub fn roots_to_pk(ctx: &HashCtx, keypair_adrs: &Address, roots_flat: &[u8]) -> Vec<u8> {
-    let mut roots_adrs = Address::new();
-    roots_adrs.copy_subtree_from(keypair_adrs);
-    roots_adrs.set_type(hero_sphincs::address::AddressType::ForsRoots);
-    roots_adrs.set_keypair(keypair_adrs.keypair());
-    let mut pk = vec![0u8; ctx.params().n];
-    ctx.t_l_flat_into(&roots_adrs, roots_flat, &mut pk);
-    pk
-}
+/// The functional face, straight from the substrate: the per-message
+/// work-item list ([`tree_requests`], one request per tree, which the
+/// batch planner concatenates across messages and cuts into stages), one
+/// plannable stage ([`sign_trees`]: a group of trees from any mix of
+/// messages, each tree's revealed secret + auth path and its root in one
+/// pass), and the final `T_k` ([`roots_to_pk`]).
+pub use hero_sphincs::fors::{roots_to_pk, tree_hash_many as sign_trees, tree_requests};
 
 #[cfg(test)]
 mod tests {
@@ -388,6 +350,9 @@ mod tests {
 
     #[test]
     fn functional_output_matches_reference() {
+        use hero_sphincs::address::Address;
+        use hero_sphincs::hash::HashCtx;
+        use hero_sphincs::{fors, reference};
         let params = {
             let mut p = Params::sphincs_128f();
             p.k = 8;
@@ -408,9 +373,7 @@ mod tests {
         let sig = fors::ForsSignature {
             trees: trees.into_iter().map(|(sig, _)| sig).collect(),
         };
-        let reference = fors::sign(&ctx, &md, &sk_seed, &adrs);
-        assert_eq!(sig, reference);
-        assert_eq!(pk, fors::pk_from_sig(&ctx, &reference, &md, &adrs));
+        assert_eq!((sig, pk), reference::fors_sign(&ctx, &md, &sk_seed, &adrs));
     }
 
     #[test]

@@ -38,16 +38,7 @@ pub struct LayerTree {
     pub auth_path: Vec<Vec<u8>>,
 }
 
-/// The `(layer, tree, leaf)` walk derived from the digest (Fig. 2's loop).
-pub fn layer_coordinates(params: &Params, mut tree_idx: u64, mut leaf_idx: u32) -> Vec<(u64, u32)> {
-    let mut coords = Vec::with_capacity(params.d);
-    for _ in 0..params.d {
-        coords.push((tree_idx, leaf_idx));
-        leaf_idx = (tree_idx & ((1 << params.tree_height()) - 1)) as u32;
-        tree_idx >>= params.tree_height();
-    }
-    coords
-}
+pub use hero_sphincs::hypertree::layer_coordinates;
 
 /// Effective registers per thread after optional `__launch_bounds__`
 /// capping.
@@ -250,6 +241,7 @@ mod tests {
     use hero_gpu_sim::device::rtx_4090;
     use hero_gpu_sim::engine::simulate_kernel;
     use hero_gpu_sim::isa::Sha2Path;
+    use hero_sphincs::reference;
 
     #[test]
     fn coordinates_walk_matches_reference_loop() {
@@ -314,40 +306,27 @@ mod tests {
         (params, HashCtx::new(params, &[8u8; 16]), vec![2u8; 16])
     }
 
-    /// What an item's [`LayerTree`] must be, by a model that shares no
-    /// code with the builder: every leaf one [`hero_sphincs::wots::pk_gen`],
-    /// every node above one scalar `H` under an address set here.
+    /// What an item's [`LayerTree`] must be: the reference's tree hash
+    /// over the reference's WOTS+ leaves.
     fn scalar_layer_tree(ctx: &HashCtx, sk_seed: &[u8], item: &SubtreeItem) -> LayerTree {
         use hero_sphincs::address::{Address, AddressType};
+        use hero_sphincs::reference;
         let mut adrs = Address::new();
         adrs.set_layer(item.layer);
         adrs.set_tree(item.tree_idx);
-        adrs.set_type(AddressType::WotsHash);
-        let mut level: Vec<Vec<u8>> = (0..ctx.params().subtree_leaves() as u32)
-            .map(|leaf| {
-                adrs.set_keypair(leaf);
-                hero_sphincs::wots::pk_gen(ctx, sk_seed, &adrs)
-            })
-            .collect();
         adrs.set_type(AddressType::Tree);
-        let mut auth_path = Vec::new();
-        let mut idx = item.leaf_idx as usize;
-        for height in 1..=ctx.params().tree_height() as u32 {
-            auth_path.push(level[idx ^ 1].clone());
-            adrs.set_tree_height(height);
-            level = (0..level.len() / 2)
-                .map(|i| {
-                    adrs.set_tree_index(i as u32);
-                    ctx.h(&adrs, &level[2 * i], &level[2 * i + 1])
-                })
-                .collect();
-            idx >>= 1;
-        }
+        let height = ctx.params().tree_height();
+        let (root, auth_path) = reference::treehash(ctx, height, item.leaf_idx, &adrs, 0, |leaf| {
+            let mut adrs = adrs;
+            adrs.set_type(AddressType::WotsHash);
+            adrs.set_keypair(leaf);
+            reference::wots_pk_gen(ctx, sk_seed, &adrs)
+        });
         LayerTree {
             layer: item.layer,
             tree_idx: item.tree_idx,
             leaf_idx: item.leaf_idx,
-            root: level.pop().expect("root"),
+            root,
             auth_path,
         }
     }
@@ -359,8 +338,8 @@ mod tests {
         let layers = subtrees(&ctx, &sk_seed, &items);
         assert_eq!(layers.len(), 3);
 
-        // Each layer against the scalar model, and the model against the
-        // verification climb of a signature over the layer below.
+        // Each layer against the reference's tree, and that against the
+        // reference's signature over the layer below and its climb.
         let mut root = vec![0xAAu8; 16];
         let coords = layer_coordinates(&params, 0b10_01, 2);
         for (layer, lt) in layers.iter().enumerate() {
@@ -368,9 +347,10 @@ mod tests {
             assert_eq!((lt.tree_idx, lt.leaf_idx), (tree, leaf));
             assert_eq!(lt, &scalar_layer_tree(&ctx, &sk_seed, &items[layer]));
             let (sig, tree_root) =
-                hypertree::xmss_sign(&ctx, &root, &sk_seed, layer as u32, tree, leaf);
+                reference::xmss_sign(&ctx, &root, &sk_seed, layer as u32, tree, leaf);
+            assert_eq!(sig.auth_path, lt.auth_path);
             assert_eq!(
-                hypertree::xmss_pk_from_sig(&ctx, &sig, &root, layer as u32, tree, leaf),
+                reference::xmss_pk_from_sig(&ctx, &sig, &root, layer as u32, tree, leaf),
                 lt.root
             );
             root = tree_root;

@@ -106,7 +106,7 @@ impl std::fmt::Display for VerifyOutcome {
     }
 }
 
-fn check_lengths(msgs: &[&[u8]], sigs: &[Signature]) -> Result<(), crate::HeroError> {
+pub(crate) fn check_lengths(msgs: &[&[u8]], sigs: &[Signature]) -> Result<(), crate::HeroError> {
     if msgs.len() != sigs.len() {
         return Err(crate::HeroError::BatchMismatch {
             messages: msgs.len(),

@@ -109,8 +109,8 @@ pub struct ChainGroupItem<'a> {
 /// One plannable `WOTS+_Sign` stage: all chains of every item advance
 /// through one shared multi-lane batch ([`wots::sign_many`]), so chains
 /// retiring early in one item leave lanes to the others — the
-/// cross-message mirror of the kernel's masked-thread retirement. Output
-/// is bit-identical per item to [`hero_sphincs::wots::sign`].
+/// cross-message mirror of the kernel's masked-thread retirement. An
+/// item's signature does not depend on what else is in the group.
 pub fn sign_chain_groups(
     ctx: &HashCtx,
     sk_seed: &[u8],
@@ -211,7 +211,7 @@ mod tests {
             adrs.set_keypair(leaf);
             assert_eq!(
                 *sig,
-                wots::sign(&ctx, msg, &sk_seed, &adrs),
+                hero_sphincs::reference::wots_sign(&ctx, msg, &sk_seed, &adrs),
                 "layer {layer}"
             );
         }

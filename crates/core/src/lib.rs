@@ -7,9 +7,10 @@
 //!
 //! ## What's here
 //!
-//! * [`signer`] — the backend-agnostic [`Signer`] trait and the plain
-//!   CPU [`ReferenceSigner`]; services program against `dyn Signer` and
-//!   pick a backend at the edge.
+//! * [`signer`] — the backend-agnostic [`Signer`] trait and
+//!   [`ReferenceSigner`], the scalar second implementation
+//!   (`hero_sphincs::reference`) behind it; services program against
+//!   `dyn Signer` and pick a backend at the edge.
 //! * [`builder`] — fallible, cached construction of [`HeroSigner`]
 //!   engines ([`HeroSigner::builder`]).
 //! * [`error`] — the typed [`HeroError`] every fallible operation
@@ -42,7 +43,8 @@
 //!   behind the CLI `throughput` command and the server's metrics
 //!   endpoint.
 //! * [`workload`] — exact hash-work censuses per kernel.
-//! * [`par`] — parallel maps over the persistent runtime.
+//! * [`par`] — the process-wide executor and the parallel map over a
+//!   runtime.
 //!
 //! ## Quickstart
 //!
@@ -68,7 +70,8 @@
 //! let sig = engine.sign(&sk, b"hello")?;
 //! vk.verify(b"hello", &sig)?;
 //!
-//! // Any backend produces identical bytes: swap in the CPU reference.
+//! // Any backend produces identical bytes: the scalar reference is a
+//! // second implementation of the scheme, and agrees.
 //! let backends: Vec<Box<dyn Signer>> =
 //!     vec![Box::new(engine.clone()), Box::new(ReferenceSigner::new(params)?)];
 //! for backend in &backends {

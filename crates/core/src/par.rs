@@ -9,13 +9,10 @@
 //!
 //! * every [`crate::engine::HeroSigner`] owns (or shares, via
 //!   [`crate::builder::HeroSignerBuilder::runtime`]) an executor sized by
-//!   its `workers` setting — engine signing submits there through
-//!   [`par_map_indexed_on`];
-//! * the free function [`par_map_indexed`] submits onto a lazily created
-//!   process-wide [`shared_executor`], so a caller with nothing but a
-//!   `workers: usize` (the `table10_avx2` bin) need not spin a
-//!   `std::thread::scope` up per call (the per-call-pool behavior the
-//!   persistent runtime replaced).
+//!   its `workers` setting — the planner's per-message preamble submits
+//!   there through [`par_map_on`];
+//! * a lazily created process-wide [`shared_executor`], which the server's
+//!   default engine factory hands every tenant's engine.
 
 use hero_task_graph::{Executor, TaskGraph};
 
@@ -46,8 +43,8 @@ fn env_workers() -> Option<usize> {
         .map(|n| n.min(256))
 }
 
-/// The process-wide executor backing [`par_map_indexed`], created on
-/// first use with [`default_workers`] threads. Engines built through
+/// The process-wide executor, created on first use with
+/// [`default_workers`] threads. Engines built through
 /// [`crate::builder::HeroSignerBuilder`] get their own (or an explicitly
 /// shared) pool instead.
 pub fn shared_executor() -> &'static Arc<Executor> {
@@ -55,25 +52,10 @@ pub fn shared_executor() -> &'static Arc<Executor> {
     POOL.get_or_init(|| Arc::new(Executor::new(default_workers()).expect("default_workers() >= 1")))
 }
 
-/// Applies `f` to every index in `0..len` on the process-wide
-/// [`shared_executor`], returning results in index order. `workers`
-/// bounds the submission's parallelism (number of chunk-claiming nodes),
-/// not the pool size; `workers == 1` runs sequentially on the caller.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_map_indexed<R, F>(len: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_on(shared_executor(), len, workers, f)
-}
-
-/// [`par_map_indexed`] on an explicit executor: the engine's hot path,
-/// submitting onto the runtime the [`crate::engine::HeroSigner`] holds
-/// instead of the process-wide pool.
+/// Applies `f` to every index in `0..len` on `exec`, returning results
+/// in index order. `workers` bounds the submission's parallelism (number
+/// of chunk-claiming nodes), not the pool size; `workers == 1` runs
+/// sequentially on the caller.
 ///
 /// Work-steals via an atomic cursor that hands out *chunks* of indices:
 /// each of the `workers` submission nodes claims
@@ -174,26 +156,26 @@ mod tests {
 
     #[test]
     fn preserves_order() {
-        let out = par_map_indexed(100, 8, |i| i * 2);
+        let out = par_map_indexed_on(shared_executor(), 100, 8, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u32> = par_map_indexed(0, 8, |_| unreachable!());
+        let out: Vec<u32> = par_map_indexed_on(shared_executor(), 0, 8, |_| unreachable!());
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_worker_path() {
-        let out = par_map_indexed(10, 1, |i| i + 1);
+        let out = par_map_indexed_on(shared_executor(), 10, 1, |i| i + 1);
         assert_eq!(out[9], 10);
     }
 
     #[test]
     fn uneven_work_balances() {
         // Items with wildly different costs still all complete correctly.
-        let out = par_map_indexed(64, 8, |i| {
+        let out = par_map_indexed_on(shared_executor(), 64, 8, |i| {
             let mut acc = 0u64;
             for _ in 0..(i % 7) * 10_000 {
                 acc = acc.wrapping_mul(31).wrapping_add(i as u64);
@@ -207,7 +189,7 @@ mod tests {
 
     #[test]
     fn workers_capped_to_len() {
-        let out = par_map_indexed(3, 64, |i| i);
+        let out = par_map_indexed_on(shared_executor(), 3, 64, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
     }
 
@@ -217,7 +199,7 @@ mod tests {
         // index exactly once.
         for len in [1usize, 7, 97, 1000, 1025] {
             for workers in [2usize, 3, 8] {
-                let out = par_map_indexed(len, workers, |i| i);
+                let out = par_map_indexed_on(shared_executor(), len, workers, |i| i);
                 assert_eq!(out, (0..len).collect::<Vec<_>>(), "len={len} w={workers}");
             }
         }

@@ -52,19 +52,20 @@
 //!
 //! Planned output is byte-identical to sequential signing: every hash
 //! call keeps its exact address and input bytes; only the packing into
-//! lanes and the execution order of *independent* calls change (pinned by
-//! proptests and the pre-refactor fixtures).
+//! lanes and the execution order of *independent* calls change (held to
+//! [`hero_sphincs::reference`] by this module's tests and proptests, cold
+//! and warm, and to the pre-refactor fixtures).
 
-use crate::cache::HypertreeCache;
+use crate::cache::{HypertreeCache, KeyId};
 use crate::kernels::verify::VerifyOutcome;
 use crate::kernels::{fors_sign, tree_sign, wots_sign};
 
-use hero_sphincs::address::{Address, AddressType};
+use hero_sphincs::address::Address;
 use hero_sphincs::fors::{ForsSignature, ForsTreeRequest, ForsTreeSig};
-use hero_sphincs::hash::{self, HashCtx};
+use hero_sphincs::hash::HashCtx;
 use hero_sphincs::hypertree::{HtSignature, XmssSig};
 use hero_sphincs::params::Params;
-use hero_sphincs::sign::{Signature, SigningKey, VerifyingKey};
+use hero_sphincs::sign::{self, Signature, SigningKey, VerifyingKey};
 use hero_task_graph::{Executor, TaskGraph};
 
 use std::sync::{Arc, Mutex};
@@ -72,7 +73,7 @@ use std::sync::{Arc, Mutex};
 /// Work-item grouping of one planned batch: how many per-message units
 /// each stage node carries. Larger groups amortize scheduling and fill
 /// lanes across messages; smaller groups give the ready queue more
-/// balance. The defaults come from [`PlanShape::for_batch`].
+/// balance. The engine signs with [`PlanShape::for_batch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanShape {
     /// FORS trees per [`fors_sign::sign_trees`] node.
@@ -84,7 +85,7 @@ pub struct PlanShape {
 }
 
 impl PlanShape {
-    /// The shape used by [`sign_batch`]: FORS items are one group of the
+    /// The shape the engine signs with: FORS items are one group of the
     /// widest fused tree kernel, whichever messages its trees belong to;
     /// single-message batches keep subtree items at one-per-node (maximum
     /// pool balance, matching the pre-planner `TREE_Sign`
@@ -123,7 +124,7 @@ impl PlanSummary {
     }
 }
 
-/// The node census [`sign_batch_shaped`] would build for `messages`
+/// The node census [`sign_batch`] would build for `messages`
 /// messages of `params` under `shape`, without signing anything — of
 /// messages that share no subtree, which is what a full-size parameter
 /// set's bottom layers make of any batch (see
@@ -156,20 +157,12 @@ struct Preamble {
 fn preamble(ctx: &HashCtx, sk: &SigningKey, msg: &[u8]) -> Preamble {
     let params = ctx.params();
     let randomizer = ctx.prf_msg(sk.sk_prf(), sk.pk_seed(), msg);
-    let digest = ctx.h_msg(&randomizer, sk.pk_root(), msg);
-    let (md, tree_idx, leaf_idx) = hash::split_digest(params, &digest);
-
-    let mut keypair_adrs = Address::new();
-    keypair_adrs.set_layer(0);
-    keypair_adrs.set_tree(tree_idx);
-    keypair_adrs.set_type(AddressType::ForsTree);
-    keypair_adrs.set_keypair(leaf_idx);
-
+    let pre = sign::preamble(ctx, sk.pk_root(), &randomizer, msg);
     Preamble {
         randomizer,
-        keypair_adrs,
-        subtrees: tree_sign::subtree_items(params, tree_idx, leaf_idx),
-        fors_reqs: fors_sign::tree_requests(params, &md, &keypair_adrs),
+        keypair_adrs: pre.keypair_adrs,
+        subtrees: tree_sign::subtree_items(params, pre.tree_idx, pre.leaf_idx),
+        fors_reqs: fors_sign::tree_requests(params, &pre.md, &pre.keypair_adrs),
     }
 }
 
@@ -205,59 +198,20 @@ impl<T> Slots<T> {
 }
 
 /// Plans and signs a whole batch as one stage graph submitted onto
-/// `exec`, with the default [`PlanShape`] — see the module docs for the
-/// decomposition. Output is byte-identical to signing each message
-/// sequentially.
+/// `exec`, its work items grouped as `shape` says — see the module docs
+/// for the decomposition. Output is byte-identical to signing each
+/// message sequentially, whatever the shape and whatever `cache` holds:
+/// resident subtrees are sliced at plan time (warm — no node, no
+/// hashing), and the build nodes of everything else publish the pyramids
+/// of the layers `cache` memoizes; a disabled or empty cache merely
+/// changes what the stage graph recomputes.
 pub fn sign_batch(
     ctx: &HashCtx,
     sk: &SigningKey,
     msgs: &[&[u8]],
     exec: &Executor,
-) -> Vec<Signature> {
-    sign_batch_shaped(ctx, sk, msgs, exec, &PlanShape::for_batch(msgs.len()))
-}
-
-/// [`sign_batch`] consulting a per-key hypertree memoization cache:
-/// resident subtrees are sliced at plan time (warm — no node, no
-/// hashing), and the build nodes of everything else publish the pyramids
-/// of the layers `cache` memoizes. Output is byte-identical to
-/// [`sign_batch`] — a disabled or empty cache merely changes what the
-/// stage graph recomputes.
-pub fn sign_batch_cached(
-    ctx: &HashCtx,
-    sk: &SigningKey,
-    msgs: &[&[u8]],
-    exec: &Executor,
     cache: &HypertreeCache,
-) -> Vec<Signature> {
-    sign_batch_inner(
-        ctx,
-        sk,
-        msgs,
-        exec,
-        &PlanShape::for_batch(msgs.len()),
-        Some(cache),
-    )
-}
-
-/// [`sign_batch`] with an explicit work-item grouping.
-pub fn sign_batch_shaped(
-    ctx: &HashCtx,
-    sk: &SigningKey,
-    msgs: &[&[u8]],
-    exec: &Executor,
     shape: &PlanShape,
-) -> Vec<Signature> {
-    sign_batch_inner(ctx, sk, msgs, exec, shape, None)
-}
-
-fn sign_batch_inner(
-    ctx: &HashCtx,
-    sk: &SigningKey,
-    msgs: &[&[u8]],
-    exec: &Executor,
-    shape: &PlanShape,
-    cache: Option<&HypertreeCache>,
 ) -> Vec<Signature> {
     let params = *ctx.params();
     let m = msgs.len();
@@ -307,10 +261,14 @@ fn sign_batch_inner(
     //
     // Declared before the graph so the node closures borrowing the
     // groups outlive it.
-    let memoizing = |layer: u32| cache.filter(|cache| cache.caches_layer(&params, layer));
+    let key = KeyId::of(sk);
     let mut unbuilt: Vec<(usize, tree_sign::SubtreeItem)> = Vec::new();
     for (flat, item) in subtree_items.iter().copied().enumerate() {
-        match memoizing(item.layer).and_then(|c| c.get(sk, item.layer, item.tree_idx)) {
+        let resident = cache
+            .caches_layer(&params, item.layer)
+            .then(|| cache.get(&key, item.layer, item.tree_idx))
+            .flatten();
+        match resident {
             Some(levels) => {
                 layer_slots.set(flat, tree_sign::layer_tree_from_levels(&levels, &item))
             }
@@ -374,7 +332,7 @@ fn sign_batch_inner(
     // cache's layer policy wants kept.
     let mut subtree_dep: Vec<Option<hero_task_graph::NodeId>> = vec![None; m * d];
     for chunk in build_groups.chunks(tg) {
-        let (layer_slots, memoizing) = (&layer_slots, &memoizing);
+        let (layer_slots, key) = (&layer_slots, &key);
         let node = graph.task(move || {
             crate::faults::stage(crate::faults::PLAN_STAGE);
             let items: Vec<tree_sign::SubtreeItem> = chunk.iter().map(|group| group[0].1).collect();
@@ -386,8 +344,8 @@ fn sign_batch_inner(
                     layer_slots.set(*flat, tree_sign::layer_tree_from_levels(&levels, item));
                 }
                 let (_, item) = group[0];
-                if let Some(cache) = memoizing(item.layer) {
-                    cache.insert(sk, item.layer, item.tree_idx, Arc::new(levels));
+                if cache.caches_layer(&params, item.layer) {
+                    cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
                 }
             }
         });
@@ -499,10 +457,11 @@ pub fn warm_cache(
 ) -> usize {
     let params = ctx.params();
     let sk_seed = sk.sk_seed();
+    let key = &KeyId::of(sk);
     let items: Vec<tree_sign::SubtreeItem> = cache
         .warm_coordinates(params)
         .into_iter()
-        .filter(|&(layer, tree_idx)| !cache.contains(sk, layer, tree_idx))
+        .filter(|&(layer, tree_idx)| !cache.contains(key, layer, tree_idx))
         .map(|(layer, tree_idx)| tree_sign::SubtreeItem {
             layer,
             tree_idx,
@@ -520,7 +479,7 @@ pub fn warm_cache(
                 .iter()
                 .zip(tree_sign::subtree_levels(ctx, sk_seed, chunk))
             {
-                cache.insert(sk, item.layer, item.tree_idx, Arc::new(levels));
+                cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
             }
         });
     }
@@ -563,8 +522,9 @@ pub fn verify_node_size(batch: usize, workers: usize) -> usize {
 /// together, and different groups interleave freely on the pool — with
 /// each other and with any signing work in flight. A batch that fits one
 /// node has nothing to distribute and runs on the calling thread without
-/// a submission. Verdicts are bit-for-bit what [`VerifyingKey::verify`]
-/// returns, malformed signatures included.
+/// a submission. Verdicts are bit-for-bit what
+/// [`hero_sphincs::reference::verify`] returns, malformed signatures
+/// included.
 ///
 /// # Panics
 ///
@@ -641,6 +601,8 @@ pub fn verify_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheConfig, CacheStats};
+    use hero_sphincs::reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -657,26 +619,40 @@ mod tests {
         HashCtx::with_alg(*sk.params(), sk.pk_seed(), sk.alg())
     }
 
+    fn no_cache() -> HypertreeCache {
+        HypertreeCache::new(CacheConfig::disabled())
+    }
+
+    /// [`sign_batch`] under the shape the engine uses.
+    fn sign_default(
+        sk: &SigningKey,
+        msgs: &[&[u8]],
+        exec: &Executor,
+        cache: &HypertreeCache,
+    ) -> Vec<Signature> {
+        let shape = PlanShape::for_batch(msgs.len());
+        sign_batch(&ctx_for(sk), sk, msgs, exec, cache, &shape)
+    }
+
     #[test]
     fn planned_batch_matches_sequential_reference() {
         let mut rng = StdRng::seed_from_u64(41);
         let params = tiny_params();
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let ctx = ctx_for(&sk);
         for batch in [1usize, 2, 5] {
             let msgs_owned: Vec<Vec<u8>> = (0..batch).map(|i| vec![i as u8; 24 + i]).collect();
             let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
             for workers in [1usize, 4] {
                 let exec = Executor::new(workers).unwrap();
-                let sigs = sign_batch(&ctx, &sk, &msgs, &exec);
+                let sigs = sign_default(&sk, &msgs, &exec, &no_cache());
                 assert_eq!(sigs.len(), batch);
                 for (i, (msg, sig)) in msgs.iter().zip(&sigs).enumerate() {
                     assert_eq!(
                         *sig,
-                        sk.sign(msg),
+                        reference::sign(&sk, msg),
                         "batch={batch} workers={workers} msg {i}"
                     );
-                    vk.verify(msg, sig).unwrap();
+                    reference::verify(&vk, msg, sig).unwrap();
                 }
             }
         }
@@ -692,7 +668,8 @@ mod tests {
         let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
         let exec2 = Executor::new(2).unwrap();
         let exec3 = Executor::new(3).unwrap();
-        let reference = sign_batch(&ctx, &sk, &msgs, &exec2);
+        let expected: Vec<Signature> = msgs.iter().map(|m| reference::sign(&sk, m)).collect();
+        assert_eq!(sign_default(&sk, &msgs, &exec2, &no_cache()), expected);
         for shape in [
             PlanShape {
                 fors_trees_per_item: 1,
@@ -711,8 +688,8 @@ mod tests {
             },
         ] {
             assert_eq!(
-                sign_batch_shaped(&ctx, &sk, &msgs, &exec3, &shape),
-                reference,
+                sign_batch(&ctx, &sk, &msgs, &exec3, &no_cache(), &shape),
+                expected,
                 "{shape:?}"
             );
         }
@@ -723,21 +700,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(44);
         let params = tiny_params();
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let ctx = ctx_for(&sk);
         let exec = Executor::new(4).unwrap();
-        let cache = crate::cache::HypertreeCache::new(crate::cache::CacheConfig::default());
+        let cache = HypertreeCache::new(CacheConfig::default());
         let msgs_owned: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 20]).collect();
         let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-        let reference = sign_batch(&ctx, &sk, &msgs, &exec);
+        let expected: Vec<Signature> = msgs.iter().map(|m| reference::sign(&sk, m)).collect();
 
-        let cold = sign_batch_cached(&ctx, &sk, &msgs, &exec, &cache);
-        assert_eq!(cold, reference, "cold fill path");
+        let cold = sign_default(&sk, &msgs, &exec, &cache);
+        assert_eq!(cold, expected, "cold fill path");
         let after_cold = cache.stats();
         assert!(after_cold.misses > 0 && after_cold.resident_subtrees > 0);
         assert_eq!(after_cold.hits, 0);
 
-        let warm = sign_batch_cached(&ctx, &sk, &msgs, &exec, &cache);
-        assert_eq!(warm, reference, "warm slice path");
+        let warm = sign_default(&sk, &msgs, &exec, &cache);
+        assert_eq!(warm, expected, "warm slice path");
         let after_warm = cache.stats();
         assert_eq!(
             after_warm.hits,
@@ -749,9 +725,9 @@ mod tests {
         }
 
         // A disabled cache builds everything and keeps nothing.
-        let off = crate::cache::HypertreeCache::new(crate::cache::CacheConfig::disabled());
-        assert_eq!(sign_batch_cached(&ctx, &sk, &msgs, &exec, &off), reference);
-        assert_eq!(off.stats(), crate::cache::CacheStats::default());
+        let off = no_cache();
+        assert_eq!(sign_default(&sk, &msgs, &exec, &off), expected);
+        assert_eq!(off.stats(), CacheStats::default());
     }
 
     #[test]
@@ -760,13 +736,13 @@ mod tests {
         let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let ctx = ctx_for(&sk);
         let exec = Executor::new(4).unwrap();
-        let cache = crate::cache::HypertreeCache::new(crate::cache::CacheConfig::default());
+        let cache = HypertreeCache::new(CacheConfig::default());
         // Tiny shape: 16 + 4 + 1 trees, all within the default budget.
         assert_eq!(warm_cache(&ctx, &sk, &exec, &cache), 21);
         assert_eq!(warm_cache(&ctx, &sk, &exec, &cache), 0, "idempotent");
 
-        let sigs = sign_batch_cached(&ctx, &sk, &[b"warmed"], &exec, &cache);
-        assert_eq!(sigs[0], sk.sign(b"warmed"));
+        let sigs = sign_default(&sk, &[b"warmed"], &exec, &cache);
+        assert_eq!(sigs[0], reference::sign(&sk, b"warmed"));
         let stats = cache.stats();
         assert_eq!(stats.hits, 3, "all layers pre-filled");
         assert_eq!(stats.misses, 0);
@@ -780,16 +756,15 @@ mod tests {
         let (sk_b, _) = hero_sphincs::keygen(params, &mut rng).unwrap();
         let exec = Executor::new(2).unwrap();
         // One resident key: every key switch evicts the other.
-        let cache = crate::cache::HypertreeCache::new(crate::cache::CacheConfig {
+        let cache = HypertreeCache::new(CacheConfig {
             max_keys: 1,
-            ..crate::cache::CacheConfig::default()
+            ..CacheConfig::default()
         });
         for round in 0..3u8 {
             for sk in [&sk_a, &sk_b] {
-                let ctx = ctx_for(sk);
                 let msg = vec![round; 9];
-                let sigs = sign_batch_cached(&ctx, sk, &[&msg], &exec, &cache);
-                assert_eq!(sigs[0], sk.sign(&msg), "round {round}");
+                let sigs = sign_default(sk, &[&msg], &exec, &cache);
+                assert_eq!(sigs[0], reference::sign(sk, &msg), "round {round}");
             }
         }
         let stats = cache.stats();
@@ -827,7 +802,8 @@ mod tests {
                 let outcomes = verify_batch(&vk, &msgs, &sigs, &exec);
                 assert_eq!(outcomes.len(), batch);
                 for (i, outcome) in outcomes.iter().enumerate() {
-                    let scalar = VerifyOutcome::from_result(vk.verify(msgs[i], &sigs[i]));
+                    let scalar =
+                        VerifyOutcome::from_result(reference::verify(&vk, msgs[i], &sigs[i]));
                     assert_eq!(*outcome, scalar, "batch={batch} workers={workers} sig {i}");
                 }
             }
@@ -857,9 +833,8 @@ mod tests {
     fn empty_batch_is_empty() {
         let mut rng = StdRng::seed_from_u64(43);
         let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
-        let ctx = ctx_for(&sk);
         let exec = Executor::new(4).unwrap();
-        assert!(sign_batch(&ctx, &sk, &[], &exec).is_empty());
+        assert!(sign_default(&sk, &[], &exec, &no_cache()).is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! HERO-Sign's throughput rests on *batches*: the device (here, the
 //! persistent [`Executor`](hero_task_graph::Executor) runtime inside
-//! [`HeroSigner`]) only saturates when one
+//! [`HeroSigner`](crate::engine::HeroSigner)) only saturates when one
 //! submission carries many messages. Real signing servers don't receive
 //! batches — they receive single requests from many clients. The
 //! [`SignService`] closes that gap the way high-throughput PQC signing
@@ -68,7 +68,7 @@
 //! let service = Arc::new(SignService::start(
 //!     engine.clone(),
 //!     sk,
-//!     ServiceConfig::tuned_for(&engine),
+//!     ServiceConfig::default(),
 //! )?);
 //!
 //! // Each client: submit, keep the ticket, wait when the result is needed.
@@ -92,7 +92,6 @@
 //! # }
 //! ```
 
-use crate::engine::HeroSigner;
 use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
 use crate::signer::{check_key, Signer};
@@ -197,28 +196,6 @@ impl ServiceConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Defaults derived from the engine's cached Auto Tree Tuning result
-    /// (`tune_auto_cached` ran at engine construction): the batch is
-    /// sized so the simulated device fills — one fused FORS block per SM
-    /// covers `sm_count · concurrent_trees / k` messages — then clamped
-    /// to `[16, 128]`, the upper bound keeping latency near the paper's
-    /// batch-64 guidance. Without a tuning result (fusion off or
-    /// degenerate shape), falls back to 8 messages per worker.
-    pub fn tuned_for(engine: &HeroSigner) -> Self {
-        let params = engine.params();
-        let fill = match engine.tuning() {
-            Some(t) => {
-                let sm = engine.device().sm_count as usize;
-                (sm * t.best.concurrent_trees() as usize) / params.k.max(1)
-            }
-            None => engine.workers() * 8,
-        };
-        Self {
-            max_batch: fill.clamp(16, 128),
-            ..Self::default()
-        }
     }
 }
 
@@ -949,6 +926,7 @@ fn verifier_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HeroSigner;
     use crate::signer::ReferenceSigner;
     use hero_gpu_sim::device::rtx_4090;
     use hero_sphincs::params::Params;
@@ -1146,14 +1124,6 @@ mod tests {
         // Not asserting `full > 0`: a fast batcher may keep up. The
         // invariant is that QueueFull is the only rejection reason.
         let _ = full;
-    }
-
-    #[test]
-    fn tuned_config_tracks_the_engine() {
-        let engine = engine();
-        let tuned = ServiceConfig::tuned_for(&engine);
-        assert!(tuned.max_batch >= 16 && tuned.max_batch <= 128, "{tuned:?}");
-        tuned.validate().unwrap();
     }
 
     #[test]
@@ -1372,8 +1342,9 @@ mod tests {
         let service = SignService::start(signer, sk, ServiceConfig::default()).unwrap();
         let sig = service.submit(b"ref".to_vec()).unwrap().wait().unwrap();
         vk.verify(b"ref", &sig).unwrap();
-        // The verify lane rides the reference backend's default
-        // (sequential oracle) verify_batch.
+        // The verify lane rides the reference backend's pair-by-pair
+        // scalar verify_batch: signed by one implementation, accepted by
+        // the other, in both directions.
         let verdict = service
             .submit_verify(b"ref".to_vec(), sig)
             .unwrap()

@@ -6,10 +6,12 @@
 //! * [`crate::engine::HeroSigner`] — the paper's three-kernel
 //!   decomposition, running functionally on the scoped worker pool with
 //!   the simulated-GPU performance model attached.
-//! * [`ReferenceSigner`] — a plain wrapper over the `hero-sphincs`
-//!   reference signer: single-threaded, no tuning, no simulation; the
-//!   correctness oracle and the fallback backend for environments where
-//!   the engine's worker pool is unwanted.
+//! * [`ReferenceSigner`] — [`hero_sphincs::reference`] behind the trait:
+//!   the scalar second implementation of the scheme, sign and verify, one
+//!   hash call at a time on the calling thread. It shares no tree
+//!   builder, chain kernel or lane engine with the engine, which is what
+//!   makes it the correctness oracle: a `dyn Signer` agreement test is a
+//!   cross-implementation check. Some ten times slower than the engine.
 //!
 //! Every backend produces bit-identical signatures for the same key and
 //! message; backends differ in *how* the work is executed, never in the
@@ -20,6 +22,7 @@ use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
 
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::sign::{Signature, SigningKey, VerifyingKey};
 use rand::RngCore;
 
@@ -103,9 +106,9 @@ pub trait Signer {
 
     /// Verifies every `sigs[i]` over `msgs[i]`, returning one typed
     /// [`VerifyOutcome`] per message — a mixed batch reports exactly
-    /// which indices failed, and never short-circuits. The default is
-    /// the sequential scalar oracle; engine backends override it with
-    /// the planned, lane-batched path and must agree bit-for-bit.
+    /// which indices failed, and never short-circuits. The reference
+    /// backend goes pair by pair through the scalar verifier, the engine
+    /// through the planned, lane-batched path; they agree bit-for-bit.
     ///
     /// # Errors
     ///
@@ -116,20 +119,7 @@ pub trait Signer {
         vk: &VerifyingKey,
         msgs: &[&[u8]],
         sigs: &[Signature],
-    ) -> Result<Vec<VerifyOutcome>, HeroError> {
-        check_key(self.params(), vk.params())?;
-        if msgs.len() != sigs.len() {
-            return Err(HeroError::BatchMismatch {
-                messages: msgs.len(),
-                signatures: sigs.len(),
-            });
-        }
-        Ok(msgs
-            .iter()
-            .zip(sigs)
-            .map(|(msg, sig)| VerifyOutcome::from_result(vk.verify(msg, sig)))
-            .collect())
-    }
+    ) -> Result<Vec<VerifyOutcome>, HeroError>;
 }
 
 /// Rejects keys generated for a different parameter set.
@@ -145,8 +135,9 @@ pub(crate) fn check_key(engine: &Params, key: &Params) -> Result<(), HeroError> 
     }
 }
 
-/// The plain CPU reference backend: `hero-sphincs` signing with no
-/// kernel decomposition, worker pool, tuning, or device model.
+/// The scalar reference backend: [`hero_sphincs::reference`] signing and
+/// verification, with no kernel decomposition, lanes, worker pool,
+/// tuning, or device model.
 #[derive(Clone, Debug)]
 pub struct ReferenceSigner {
     params: Params,
@@ -175,7 +166,27 @@ impl Signer for ReferenceSigner {
 
     fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
         check_key(&self.params, sk.params())?;
-        Ok(sk.sign(msg))
+        Ok(reference::sign(sk, msg))
+    }
+
+    fn verify(&self, vk: &VerifyingKey, msg: &[u8], sig: &Signature) -> Result<(), HeroError> {
+        check_key(&self.params, vk.params())?;
+        reference::verify(vk, msg, sig).map_err(HeroError::from)
+    }
+
+    fn verify_batch(
+        &self,
+        vk: &VerifyingKey,
+        msgs: &[&[u8]],
+        sigs: &[Signature],
+    ) -> Result<Vec<VerifyOutcome>, HeroError> {
+        check_key(&self.params, vk.params())?;
+        crate::kernels::verify::check_lengths(msgs, sigs)?;
+        Ok(msgs
+            .iter()
+            .zip(sigs)
+            .map(|(msg, sig)| VerifyOutcome::from_result(reference::verify(vk, msg, sig)))
+            .collect())
     }
 }
 

@@ -2,22 +2,35 @@
 //! to sequential signing.
 //!
 //! The planner reorders and regroups *independent* hash calls only; every
-//! signature byte must match the `hero-sphincs` reference signer
-//! (`SigningKey::sign`) — the same oracle `HeroSigner::sign` has been
-//! pinned against since the seed. Shapes cover all four widths the paper
-//! names (128f/128s/192f/256f, reduced in h/d/log_t/k for test speed but
-//! keeping each set's `n` and `w`, which drive the hash-path
+//! signature byte must match `hero_sphincs::reference::sign`, the scalar
+//! second implementation that shares no tree builder, chain kernel or
+//! lane engine with what the planner drives. Shapes cover all four widths
+//! the paper names (128f/128s/192f/256f, reduced in h/d/log_t/k for test
+//! speed but keeping each set's `n` and `w`, which drive the hash-path
 //! differences), worker counts 1/4/8, and batch sizes 1–17 (odd sizes
 //! exercise partial lane and group fill).
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::plan::{self, PlanShape};
-use hero_sign::HeroSigner;
+use hero_sign::{CacheConfig, HeroSigner, HypertreeCache};
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::keygen_from_seeds;
+use hero_sphincs::{reference, Signature, SigningKey};
 use hero_task_graph::Executor;
 use proptest::prelude::*;
+
+/// The planner on its own: nothing resident, nothing kept.
+fn plan_sign(
+    sk: &SigningKey,
+    msgs: &[&[u8]],
+    exec: &Executor,
+    shape: &PlanShape,
+) -> Vec<Signature> {
+    let ctx = HashCtx::with_alg(*sk.params(), sk.pk_seed(), sk.alg());
+    let cache = HypertreeCache::new(CacheConfig::disabled());
+    plan::sign_batch(&ctx, sk, msgs, exec, &cache, shape)
+}
 
 /// Reduced shapes: one per paper parameter family. The -s member keeps a
 /// taller subtree (h' = 4) and more FORS trees than its -f siblings, the
@@ -50,7 +63,7 @@ fn reduced_sets() -> [Params; 4] {
     [p128f, p128s, p192f, p256f]
 }
 
-fn key_for(params: Params, seed_byte: u8) -> hero_sphincs::SigningKey {
+fn key_for(params: Params, seed_byte: u8) -> SigningKey {
     let n = params.n;
     let (sk, _) = keygen_from_seeds(
         params,
@@ -76,7 +89,6 @@ proptest! {
         let params = reduced_sets()[set_idx];
         let workers = [1usize, 4, 8][workers_idx];
         let sk = key_for(params, set_idx as u8);
-        let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
 
         let msgs_owned: Vec<Vec<u8>> = (0..batch)
             .map(|i| {
@@ -88,12 +100,11 @@ proptest! {
         let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
 
         let exec = Executor::new(workers).unwrap();
-        let planned = plan::sign_batch(&ctx, &sk, &msgs, &exec);
+        let planned = plan_sign(&sk, &msgs, &exec, &PlanShape::for_batch(batch));
         prop_assert_eq!(planned.len(), batch);
         for (i, (msg, sig)) in msgs.iter().zip(&planned).enumerate() {
-            let reference = sk.sign(msg);
             prop_assert_eq!(
-                sig, &reference,
+                sig, &reference::sign(&sk, msg),
                 "set={} workers={} batch={} slot={}",
                 params.name(), workers, batch, i
             );
@@ -123,7 +134,7 @@ proptest! {
             prop_assert_eq!(sig, &single);
             prop_assert_eq!(
                 sig.to_bytes(&params),
-                sk.sign(msg).to_bytes(&params)
+                reference::sign(&sk, msg).to_bytes(&params)
             );
         }
     }
@@ -139,7 +150,6 @@ proptest! {
     ) {
         let params = reduced_sets()[0];
         let sk = key_for(params, 7);
-        let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
         let msgs_owned: Vec<Vec<u8>> = (0..batch).map(|i| vec![0xC0 | i as u8; 5]).collect();
         let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
         let shape = PlanShape {
@@ -149,8 +159,8 @@ proptest! {
         };
         let exec = Executor::new(4).unwrap();
         prop_assert_eq!(
-            plan::sign_batch_shaped(&ctx, &sk, &msgs, &exec, &shape),
-            plan::sign_batch(&ctx, &sk, &msgs, &exec),
+            plan_sign(&sk, &msgs, &exec, &shape),
+            plan_sign(&sk, &msgs, &exec, &PlanShape::for_batch(batch)),
             "{:?}", shape
         );
     }
@@ -166,21 +176,17 @@ fn fused_fors_item_sizes_sign_reference_bytes() {
     params.k = 11;
     params.validate().unwrap();
     let sk = key_for(params, 0x33);
-    let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
     let msgs_owned: Vec<Vec<u8>> = (0..3u8).map(|i| vec![0xF0 | i; 7]).collect();
     let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-    let reference: Vec<_> = msgs.iter().map(|msg| sk.sign(msg)).collect();
+    let expected: Vec<_> = msgs.iter().map(|msg| reference::sign(&sk, msg)).collect();
     let exec = Executor::new(4).unwrap();
-    assert_eq!(plan::sign_batch(&ctx, &sk, &msgs, &exec), reference);
+    let default = PlanShape::for_batch(msgs.len());
+    assert_eq!(plan_sign(&sk, &msgs, &exec, &default), expected);
     for fors_trees_per_item in [16, 33] {
         let shape = PlanShape {
             fors_trees_per_item,
-            ..PlanShape::for_batch(msgs.len())
+            ..default
         };
-        assert_eq!(
-            plan::sign_batch_shaped(&ctx, &sk, &msgs, &exec, &shape),
-            reference,
-            "{shape:?}"
-        );
+        assert_eq!(plan_sign(&sk, &msgs, &exec, &shape), expected, "{shape:?}");
     }
 }

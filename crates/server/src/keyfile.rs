@@ -292,6 +292,14 @@ mod tests {
     }
 
     #[test]
+    fn sha512_keyfiles_roundtrip() {
+        let p = Params::sphincs_128f();
+        let text = encode(&p, HashAlg::Sha512, &[4; 16], &[5; 16], &[6; 16]);
+        let (sk, _) = decode(&text).expect("decode");
+        assert_eq!(sk.alg(), HashAlg::Sha512);
+    }
+
+    #[test]
     fn shake_keyfiles_roundtrip() {
         let p = Params::shake_128f();
         let text = encode(&p, HashAlg::Shake256, &[4; 16], &[5; 16], &[6; 16]);

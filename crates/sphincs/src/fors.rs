@@ -11,10 +11,11 @@
 //! register group holds one whole tree per lane and takes them from
 //! `PRF` through `F` to the last `H` without leaving the registers, the
 //! revealed secret and the authentication path falling out on the way.
-//! Elsewhere — and in [`tree_hash`], the scalar-shaped oracle — a tree's
-//! `t` leaves derive their secrets with chunked [`HashCtx::prf_many`]
-//! sweeps into a flat buffer, hash to leaves in place with
-//! [`HashCtx::f_many_at`], and halve level by level.
+//! Elsewhere a tree's `t` leaves derive their secrets with chunked
+//! [`HashCtx::prf_many`] sweeps into a flat buffer, hash to leaves in
+//! place with [`HashCtx::f_many_at`], and halve level by level. The
+//! scalar spelling of all of it is [`crate::reference`], which every
+//! routine here is tested against.
 //!
 //! ```
 //! use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
@@ -29,16 +30,15 @@
 //!
 //! // The message digest picks one leaf per tree (k·log_t = 32 bits).
 //! let md = [0b1011_0001u8, 0x7f, 0x33, 0x04];
-//! let sig = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
+//! let (sig, pk) = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
 //! assert_eq!(sig.trees.len(), params.k);
 //! // Verification recomputes the k roots and compresses them.
-//! let pk = fors::pk_from_sig(&ctx, &sig, &md, &adrs);
-//! assert_eq!(pk.len(), params.n);
+//! assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
 //! ```
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
-use crate::merkle::{self, TreeHashOutput};
+use crate::merkle;
 use crate::params::Params;
 #[cfg(target_arch = "x86_64")]
 use crate::{ascent, forest};
@@ -90,7 +90,7 @@ pub fn message_to_indices(params: &Params, md: &[u8]) -> Vec<u32> {
 
 /// The PRF address of the forest-global leaf slot `global_idx`
 /// (`tree_idx · t + leaf_idx`) — the single place the ForsPrf field
-/// sequence is spelled out; scalar and batched paths share it.
+/// sequence is spelled out.
 fn prf_adrs_for(keypair_adrs: &Address, global_idx: u32) -> Address {
     let mut adrs = Address::new();
     adrs.copy_subtree_from(keypair_adrs);
@@ -110,36 +110,6 @@ fn leaf_adrs_for(keypair_adrs: &Address, global_idx: u32) -> Address {
     adrs.set_tree_height(0);
     adrs.set_tree_index(global_idx);
     adrs
-}
-
-/// Derives the secret element for leaf `leaf_idx` of FORS tree `tree_idx`.
-///
-/// The global leaf offset `tree_idx · t + leaf_idx` is the tree-index
-/// field, matching the reference implementation's addressing.
-pub fn sk_element(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    keypair_adrs: &Address,
-    tree_idx: u32,
-    leaf_idx: u32,
-) -> Vec<u8> {
-    let params = ctx.params();
-    let global = tree_idx * params.t() as u32 + leaf_idx;
-    ctx.prf(&prf_adrs_for(keypair_adrs, global), sk_seed)
-}
-
-/// Computes leaf `leaf_idx` of tree `tree_idx`: `F(PRF(..))`.
-pub fn leaf(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    keypair_adrs: &Address,
-    tree_idx: u32,
-    leaf_idx: u32,
-) -> Vec<u8> {
-    let params = ctx.params();
-    let sk = sk_element(ctx, sk_seed, keypair_adrs, tree_idx, leaf_idx);
-    let global = tree_idx * params.t() as u32 + leaf_idx;
-    ctx.f(&leaf_adrs_for(keypair_adrs, global), &sk)
 }
 
 /// The forest-global node address carried by every internal `H` of a
@@ -192,34 +162,6 @@ fn fill_tree_leaves(
     }
 }
 
-/// Tree-hashes FORS tree `tree_idx`, returning root and auth path for
-/// `leaf_idx`.
-///
-/// The whole bottom layer is generated batched (`fill_tree_leaves`
-/// streams `prf_many`/`f_many_at` chunks into the flat buffer);
-/// [`tree_hash_many`] is the cross-message spelling signing uses.
-pub fn tree_hash(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    keypair_adrs: &Address,
-    tree_idx: u32,
-    leaf_idx: u32,
-) -> TreeHashOutput {
-    let params = *ctx.params();
-    // Node addresses are forest-global: tree `j` occupies leaf slots
-    // [j·t, (j+1)·t).
-    let leaf_offset = tree_idx * params.t() as u32;
-    let job = merkle::TreeHashJob {
-        leaf_idx,
-        node_adrs: node_adrs_for(keypair_adrs),
-        leaf_offset,
-    };
-    let mut out = merkle::treehash_many(ctx, params.log_t, &[job], |buf| {
-        fill_tree_leaves(ctx, sk_seed, keypair_adrs, leaf_offset, buf)
-    });
-    out.pop().expect("one output per job")
-}
-
 /// One FORS tree of one message in a cross-message batch: the message's
 /// keypair address (layer-0 tree/leaf coordinates) plus which of its `k`
 /// trees to build and which leaf the digest selected.
@@ -260,10 +202,9 @@ pub(crate) fn ascends_in_lanes(lanes: usize, signatures: usize) -> bool {
     signatures >= if lanes == LANE_SIGNATURES { 4 } else { 2 }
 }
 
-/// [`tree_hash`] and [`sk_element`] over many trees — possibly belonging
-/// to different messages — in one pass: each request's revealed secret
-/// and authentication path, and its root. Byte-identical per request to
-/// the two scalar functions.
+/// Builds many trees — possibly belonging to different messages — in one
+/// pass: each request's revealed secret and authentication path, and its
+/// root. A request's output does not depend on what else is in the call.
 ///
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
@@ -408,70 +349,47 @@ fn tree_hash_sweep(
         .collect()
 }
 
-/// Signs message digest `md`, producing one revealed leaf per tree.
-pub fn sign(ctx: &HashCtx, md: &[u8], sk_seed: &[u8], keypair_adrs: &Address) -> ForsSignature {
-    let params = *ctx.params();
-    let indices = message_to_indices(&params, md);
-    let trees = indices
-        .iter()
-        .enumerate()
-        .map(|(tree_idx, &leaf_idx)| {
-            let sk = sk_element(ctx, sk_seed, keypair_adrs, tree_idx as u32, leaf_idx);
-            let out = tree_hash(ctx, sk_seed, keypair_adrs, tree_idx as u32, leaf_idx);
-            ForsTreeSig {
-                sk,
-                auth_path: out.auth_path,
-            }
+/// One [`ForsTreeRequest`] per tree of the forest at `keypair_adrs`, leaf
+/// indices decoded from `md`. The batch planner concatenates these lists
+/// across messages and cuts them into [`tree_hash_many`] calls.
+pub fn tree_requests(params: &Params, md: &[u8], keypair_adrs: &Address) -> Vec<ForsTreeRequest> {
+    (0u32..)
+        .zip(message_to_indices(params, md))
+        .map(|(tree_idx, leaf_idx)| ForsTreeRequest {
+            keypair_adrs: *keypair_adrs,
+            tree_idx,
+            leaf_idx,
         })
-        .collect();
-    ForsSignature { trees }
+        .collect()
 }
 
-/// Recomputes the FORS public key from a signature and digest.
-pub fn pk_from_sig(
+/// `T_k`: compresses a forest's `k` roots (concatenated in `roots_flat`)
+/// into its FORS public key.
+pub fn roots_to_pk(ctx: &HashCtx, keypair_adrs: &Address, roots_flat: &[u8]) -> Vec<u8> {
+    let mut pk = vec![0u8; ctx.params().n];
+    ctx.t_l_flat_into(&roots_adrs_for(keypair_adrs), roots_flat, &mut pk);
+    pk
+}
+
+/// Signs message digest `md`: one revealed leaf per tree, all `k` trees
+/// through one [`tree_hash_many`] call; and the FORS public key, `T_k`
+/// over the roots that call returns.
+pub fn sign(
     ctx: &HashCtx,
-    sig: &ForsSignature,
     md: &[u8],
+    sk_seed: &[u8],
     keypair_adrs: &Address,
-) -> Vec<u8> {
-    let params = *ctx.params();
-    let indices = message_to_indices(&params, md);
-    assert_eq!(sig.trees.len(), params.k, "FORS signature tree count");
-
-    let mut node_adrs = Address::new();
-    node_adrs.copy_subtree_from(keypair_adrs);
-    node_adrs.set_type(AddressType::ForsTree);
-    node_adrs.set_keypair(keypair_adrs.keypair());
-
-    let roots: Vec<Vec<u8>> = sig
-        .trees
-        .iter()
-        .zip(indices.iter())
-        .enumerate()
-        .map(|(tree_idx, (tree_sig, &leaf_idx))| {
-            // Leaf = F(sk) at the forest-global index.
-            let mut leaf_adrs = node_adrs;
-            leaf_adrs.set_tree_height(0);
-            leaf_adrs.set_tree_index(tree_idx as u32 * params.t() as u32 + leaf_idx);
-            let leaf = ctx.f(&leaf_adrs, &tree_sig.sk);
-            merkle::root_from_auth_path_with_offset(
-                ctx,
-                &leaf,
-                leaf_idx,
-                &tree_sig.auth_path,
-                &node_adrs,
-                tree_idx as u32 * params.t() as u32,
-            )
-        })
-        .collect();
-
-    let parts: Vec<&[u8]> = roots.iter().map(Vec::as_slice).collect();
-    ctx.t_l(&roots_adrs_for(keypair_adrs), &parts)
+) -> (ForsSignature, Vec<u8>) {
+    let reqs = tree_requests(ctx.params(), md, keypair_adrs);
+    let (trees, roots): (Vec<ForsTreeSig>, Vec<Vec<u8>>) =
+        tree_hash_many(ctx, sk_seed, &reqs).into_iter().unzip();
+    let pk = roots_to_pk(ctx, keypair_adrs, &roots.concat());
+    (ForsSignature { trees }, pk)
 }
 
 /// Recomputes many FORS public keys from signatures in one batched
-/// pass — the verification twin of [`tree_hash_many`]. Output is
-/// byte-identical to calling [`pk_from_sig`] per signature.
+/// pass — the verification twin of [`tree_hash_many`]. A signature's
+/// public key does not depend on what else is in the call.
 ///
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), every tree of
@@ -499,10 +417,9 @@ pub fn pk_from_sig(
 /// let mut adrs = Address::new();
 /// adrs.set_type(AddressType::ForsTree);
 /// let md = [0xB1u8, 0x7f, 0x33, 0x04];
-/// let sig = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
+/// let (sig, pk) = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
 ///
-/// let pks = fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]);
-/// assert_eq!(pks[0], fors::pk_from_sig(&ctx, &sig, &md, &adrs));
+/// assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
 /// ```
 ///
 /// # Panics
@@ -597,11 +514,7 @@ fn pks_in_lanes(
         return keypair_adrs_list
             .iter()
             .zip(roots.chunks_exact(k * n))
-            .map(|(adrs, roots)| {
-                let mut pk = vec![0u8; n];
-                ctx.t_l_flat_into(&roots_adrs_for(adrs), roots, &mut pk);
-                pk
-            })
+            .map(|(adrs, roots)| roots_to_pk(ctx, adrs, roots))
             .collect();
     };
     for (lane, adrs) in keypair_adrs_list.iter().enumerate() {
@@ -679,14 +592,10 @@ fn pks_sweep(
         .collect();
     let roots = merkle::roots_from_auth_paths_many(ctx, &jobs);
 
-    (0..count)
-        .map(|s| {
-            let parts: Vec<&[u8]> = roots[s * k..(s + 1) * k]
-                .iter()
-                .map(Vec::as_slice)
-                .collect();
-            ctx.t_l(&roots_adrs_for(&keypair_adrs_list[s]), &parts)
-        })
+    keypair_adrs_list
+        .iter()
+        .zip(roots.chunks_exact(k))
+        .map(|(adrs, roots)| roots_to_pk(ctx, adrs, &roots.concat()))
         .collect()
 }
 
@@ -700,6 +609,12 @@ pub fn sign_hash_count(params: &Params) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+
+    /// One signature's public key: [`pk_from_sig_many`] at batch 1.
+    fn pk_from_sig(ctx: &HashCtx, sig: &ForsSignature, md: &[u8], adrs: &Address) -> Vec<u8> {
+        pk_from_sig_many(ctx, &[sig], &[md], std::slice::from_ref(adrs)).remove(0)
+    }
 
     fn setup() -> (Params, HashCtx, Vec<u8>, Address) {
         let params = Params::sphincs_128f();
@@ -742,12 +657,12 @@ mod tests {
     fn sign_pk_roundtrip() {
         let (params, ctx, sk_seed, adrs) = setup();
         let md = digest_for(&params, 0xA7);
-        let sig = sign(&ctx, &md, &sk_seed, &adrs);
+        let (sig, pk) = sign(&ctx, &md, &sk_seed, &adrs);
         assert_eq!(sig.trees.len(), params.k);
-        let pk1 = pk_from_sig(&ctx, &sig, &md, &adrs);
-        let pk2 = pk_from_sig(&ctx, &sig, &md, &adrs);
-        assert_eq!(pk1, pk2);
-        assert_eq!(pk1.len(), params.n);
+        assert_eq!(pk.len(), params.n);
+        assert_eq!(pk_from_sig(&ctx, &sig, &md, &adrs), pk);
+        assert_eq!(reference::fors_pk_from_sig(&ctx, &sig, &md, &adrs), pk);
+        assert_eq!(reference::fors_sign(&ctx, &md, &sk_seed, &adrs), (sig, pk));
     }
 
     #[test]
@@ -755,19 +670,15 @@ mod tests {
         let (params, ctx, sk_seed, adrs) = setup();
         let md = digest_for(&params, 0xA7);
         let md2 = digest_for(&params, 0xA6);
-        let sig = sign(&ctx, &md, &sk_seed, &adrs);
-        assert_ne!(
-            pk_from_sig(&ctx, &sig, &md, &adrs),
-            pk_from_sig(&ctx, &sig, &md2, &adrs)
-        );
+        let (sig, pk) = sign(&ctx, &md, &sk_seed, &adrs);
+        assert_ne!(pk_from_sig(&ctx, &sig, &md2, &adrs), pk);
     }
 
     #[test]
     fn tampered_sk_changes_pk() {
         let (params, ctx, sk_seed, adrs) = setup();
         let md = digest_for(&params, 0x33);
-        let sig = sign(&ctx, &md, &sk_seed, &adrs);
-        let pk = pk_from_sig(&ctx, &sig, &md, &adrs);
+        let (sig, pk) = sign(&ctx, &md, &sk_seed, &adrs);
         let mut bad = sig.clone();
         bad.trees[0].sk[0] ^= 1;
         assert_ne!(pk_from_sig(&ctx, &bad, &md, &adrs), pk);
@@ -775,30 +686,26 @@ mod tests {
 
     #[test]
     fn consistency_sign_derives_same_roots_as_treehash() {
-        // The pk from a signature must equal the pk from recomputing all
-        // trees directly.
+        // The pk a signature carries must equal the pk from recomputing
+        // all trees directly, node by node.
         let (params, ctx, sk_seed, adrs) = setup();
         let md = digest_for(&params, 0x55);
         let indices = message_to_indices(&params, &md);
-        let sig = sign(&ctx, &md, &sk_seed, &adrs);
-        let pk = pk_from_sig(&ctx, &sig, &md, &adrs);
+        let (sig, pk) = sign(&ctx, &md, &sk_seed, &adrs);
+        assert_eq!(pk_from_sig(&ctx, &sig, &md, &adrs), pk);
 
-        // Direct computation.
         let roots: Vec<Vec<u8>> = (0..params.k as u32)
-            .map(|t| tree_hash(&ctx, &sk_seed, &adrs, t, indices[t as usize]).root)
+            .map(|t| reference::fors_tree(&ctx, &sk_seed, &adrs, t, indices[t as usize]).0)
             .collect();
-        let mut roots_adrs = Address::new();
-        roots_adrs.copy_subtree_from(&adrs);
-        roots_adrs.set_type(AddressType::ForsRoots);
-        roots_adrs.set_keypair(adrs.keypair());
         let parts: Vec<&[u8]> = roots.iter().map(Vec::as_slice).collect();
-        assert_eq!(ctx.t_l(&roots_adrs, &parts), pk);
+        assert_eq!(ctx.t_l(&roots_adrs_for(&adrs), &parts), pk);
     }
 
     #[test]
     fn tree_hash_many_matches_per_tree() {
         // Trees from two different "messages" (distinct keypair
-        // addresses) interleaved in one request batch.
+        // addresses) interleaved in one request batch, each against the
+        // reference's tree and secret.
         let (params, ctx, sk_seed, adrs) = setup();
         let mut adrs2 = Address::new();
         adrs2.set_tree(12);
@@ -812,25 +719,14 @@ mod tests {
             .collect();
         let many = tree_hash_many(&ctx, &sk_seed, &reqs);
         for (i, req) in reqs.iter().enumerate() {
-            let single = tree_hash(
-                &ctx,
-                &sk_seed,
-                &req.keypair_adrs,
-                req.tree_idx,
-                req.leaf_idx,
-            );
-            let (sig, root) = &many[i];
-            assert_eq!(*root, single.root, "request {i}");
-            assert_eq!(sig.auth_path, single.auth_path, "request {i}");
+            let (keypair_adrs, tree, leaf) = (&req.keypair_adrs, req.tree_idx, req.leaf_idx);
+            let (root, auth_path) = reference::fors_tree(&ctx, &sk_seed, keypair_adrs, tree, leaf);
+            let (sig, got_root) = &many[i];
+            assert_eq!(*got_root, root, "request {i}");
+            assert_eq!(sig.auth_path, auth_path, "request {i}");
             assert_eq!(
                 sig.sk,
-                sk_element(
-                    &ctx,
-                    &sk_seed,
-                    &req.keypair_adrs,
-                    req.tree_idx,
-                    req.leaf_idx
-                ),
+                reference::fors_sk(&ctx, &sk_seed, keypair_adrs, tree, leaf),
                 "request {i} sk"
             );
         }
@@ -841,7 +737,7 @@ mod tests {
     fn pk_from_sig_many_matches_per_signature() {
         // Signatures under distinct keypair addresses and digests — the
         // cross-signature verify batch — must each recover a public key
-        // byte-identical to the scalar pk_from_sig.
+        // byte-identical to the reference's.
         let (params, ctx, sk_seed, _) = setup();
         for count in [1usize, 2, 4] {
             let sigs_md: Vec<(ForsSignature, Vec<u8>, Address)> = (0..count)
@@ -850,7 +746,7 @@ mod tests {
                     a.set_tree(i as u64 * 3 + 1);
                     a.set_keypair(i as u32);
                     let md = digest_for(&params, 0x41 + i as u8);
-                    (sign(&ctx, &md, &sk_seed, &a), md, a)
+                    (sign(&ctx, &md, &sk_seed, &a).0, md, a)
                 })
                 .collect();
             let sigs: Vec<&ForsSignature> = sigs_md.iter().map(|(s, ..)| s).collect();
@@ -861,7 +757,7 @@ mod tests {
             for (i, (sig, md, a)) in sigs_md.iter().enumerate() {
                 assert_eq!(
                     batched[i],
-                    pk_from_sig(&ctx, sig, md, a),
+                    reference::fors_pk_from_sig(&ctx, sig, md, a),
                     "count={count} signature {i}"
                 );
             }

@@ -531,8 +531,8 @@ impl HashCtx {
     /// chain `i`'s head ([`ChainJob::head`]: the node itself, or the
     /// chain's secret element) advanced by `jobs[i].steps` calls of `F`,
     /// the `r`-th of them under `jobs[i].adrs` with hash index
-    /// `jobs[i].start + r` — byte-identical to [`crate::wots::sk_element`]
-    /// and [`crate::wots::chain`] per node.
+    /// `jobs[i].start + r` — byte-identical to [`crate::reference::wots_sk`]
+    /// and [`crate::reference::chain`] per node.
     ///
     /// This is the one entry point to WOTS+ chains. Under SHA-256, on a
     /// CPU the chain kernel has a body for

@@ -6,15 +6,17 @@
 //! the tree-level parallelism behind HERO-Sign's `TREE_Sign` kernel.
 //!
 //! A subtree's cost is its leaves: each is a whole WOTS+ public key. They
-//! are filled together ([`wots_leaves_into`]; several subtrees' in one
-//! call, [`wots_leaves_many_into`]) through [`wots::pk_gen_many`], which
+//! are filled together, several subtrees' in one call
+//! ([`wots_leaves_many_into`]), through [`wots::pk_gen_many`], which
 //! under SHA-256 gives every key pair a SIMD lane of its own from `PRF`
 //! to `T_len`; the `2^h' − 1` nodes above them go level by level
 //! ([`merkle`]). [`subtrees`] is the one builder: signing, key generation
 //! and the planner's build nodes all take what they need from its result.
+//! The layer-by-layer spelling of the scheme is [`crate::reference`],
+//! which every routine here is tested against.
 //!
 //! ```
-//! use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
+//! use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference};
 //!
 //! // Reduced shape (h=6, d=3): three layers of height-2 subtrees.
 //! let mut params = Params::sphincs_128f();
@@ -27,7 +29,8 @@
 //! // Sign an n-byte value (a FORS public key in the full scheme).
 //! let sig = hypertree::sign(&ctx, &[9u8; 16], &sk_seed, 2, 1);
 //! assert_eq!(sig.layers.len(), params.d);
-//! assert_eq!(hypertree::root_from_sig(&ctx, &sig, &[9u8; 16], 2, 1), root);
+//! // The reference climbs it back to the root, one layer at a time.
+//! assert_eq!(reference::ht_root_from_sig(&ctx, &sig, &[9u8; 16], 2, 1), root);
 //! ```
 
 use crate::address::{Address, AddressType};
@@ -55,17 +58,6 @@ pub struct HtSignature {
     pub layers: Vec<XmssSig>,
 }
 
-/// Computes the WOTS+ leaf `leaf_idx` of the subtree at (`layer`, `tree`):
-/// the compressed public key of that leaf's WOTS+ key pair.
-///
-/// This is `wots_gen_leaf` in the reference code — the register-hungry
-/// routine Table III profiles.
-pub fn wots_leaf(ctx: &HashCtx, sk_seed: &[u8], layer: u32, tree: u64, leaf_idx: u32) -> Vec<u8> {
-    let mut out = vec![0u8; ctx.params().n];
-    wots_leaf_into(ctx, sk_seed, layer, tree, leaf_idx, &mut out);
-    out
-}
-
 /// The WOTS+ key pair address of leaf `leaf_idx` of the subtree at
 /// (`layer`, `tree`).
 fn keypair_adrs(layer: u32, tree: u64, leaf_idx: u32) -> Address {
@@ -77,29 +69,9 @@ fn keypair_adrs(layer: u32, tree: u64, leaf_idx: u32) -> Address {
     adrs
 }
 
-/// [`wots_leaf`] writing the `n`-byte leaf into `out`.
-pub fn wots_leaf_into(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    layer: u32,
-    tree: u64,
-    leaf_idx: u32,
-    out: &mut [u8],
-) {
-    wots::pk_gen_into(ctx, sk_seed, &keypair_adrs(layer, tree, leaf_idx), out);
-}
-
-/// Fills `out` with leaves `0..out.len()/n` of the subtree at (`layer`,
-/// `tree`) — the treehash leaf filler. All the leaves' key pairs go
-/// through one [`wots::pk_gen_many`] call, which is what keeps its lane
-/// groups full; byte-identical to [`wots_leaf_into`] per leaf.
-pub fn wots_leaves_into(ctx: &HashCtx, sk_seed: &[u8], layer: u32, tree: u64, out: &mut [u8]) {
-    wots_leaves_many_into(ctx, sk_seed, &[(layer, tree)], out);
-}
-
-/// [`wots_leaves_into`] for several subtrees at once, `(layer, tree)`
-/// each: `out` takes an equal share of leaves for every one of them,
-/// subtree after subtree, and all of them come from one
+/// The treehash leaf filler, for several subtrees at once, `(layer,
+/// tree)` each: `out` takes an equal share of leaves `0..` for every one
+/// of them, subtree after subtree, and all of them come from one
 /// [`wots::pk_gen_many`] call — two 8-leaf subtrees are one full zmm
 /// group where each alone is half of one.
 ///
@@ -157,50 +129,6 @@ pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], subtrees: &[(u32, u64)]) -> Vec<m
     })
 }
 
-/// Signs `msg` (an `n`-byte root or FORS pk) with the XMSS tree at
-/// (`layer`, `tree`), using leaf `leaf_idx`. Returns the signature and the
-/// tree's root.
-pub fn xmss_sign(
-    ctx: &HashCtx,
-    msg: &[u8],
-    sk_seed: &[u8],
-    layer: u32,
-    tree: u64,
-    leaf_idx: u32,
-) -> (XmssSig, Vec<u8>) {
-    let wots_sig = wots::sign(ctx, msg, sk_seed, &keypair_adrs(layer, tree, leaf_idx));
-    let out = subtrees(ctx, sk_seed, &[(layer, tree)])[0].output_for(leaf_idx);
-
-    (
-        XmssSig {
-            wots_sig,
-            auth_path: out.auth_path,
-        },
-        out.root,
-    )
-}
-
-/// Recomputes the root of the XMSS tree at (`layer`, `tree`) from a
-/// signature over `msg` at `leaf_idx`.
-pub fn xmss_pk_from_sig(
-    ctx: &HashCtx,
-    sig: &XmssSig,
-    msg: &[u8],
-    layer: u32,
-    tree: u64,
-    leaf_idx: u32,
-) -> Vec<u8> {
-    let wots_adrs = keypair_adrs(layer, tree, leaf_idx);
-    let leaf = wots::pk_from_sig(ctx, &sig.wots_sig, msg, &wots_adrs);
-    merkle::root_from_auth_path(
-        ctx,
-        &leaf,
-        leaf_idx,
-        &sig.auth_path,
-        &node_adrs(layer, tree),
-    )
-}
-
 /// One signature's share of a batched XMSS layer recomputation: its
 /// layer signature, the node it authenticates (FORS pk at layer 0, the
 /// layer below's recovered root above), and its tree/leaf coordinates.
@@ -216,9 +144,10 @@ pub struct XmssVerifyRequest<'a> {
     pub leaf_idx: u32,
 }
 
-/// [`xmss_pk_from_sig`] across many signatures sharing one layer — the
-/// batched stage body verification runs per layer. Output is
-/// byte-identical to calling [`xmss_pk_from_sig`] per request.
+/// Recomputes the roots of XMSS trees of one layer from signatures, each
+/// over its own `msg` at its own (`tree`, `leaf_idx`) — the batched stage
+/// body verification runs per layer. A request's root does not depend on
+/// what else is in the call.
 ///
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
@@ -240,13 +169,14 @@ pub struct XmssVerifyRequest<'a> {
 /// params.h = 6;
 /// params.d = 3;
 /// let ctx = HashCtx::new(params, &[0u8; 16]);
-/// let (sig, root) = hypertree::xmss_sign(&ctx, &[9u8; 16], &[1u8; 16], 0, 2, 1);
+/// let sig = hypertree::sign(&ctx, &[9u8; 16], &[1u8; 16], 2, 1);
 /// let reqs = [hypertree::XmssVerifyRequest {
-///     sig: &sig,
+///     sig: &sig.layers[0],
 ///     msg: &[9u8; 16],
 ///     tree: 2,
 ///     leaf_idx: 1,
 /// }];
+/// let root = hypertree::subtrees(&ctx, &[1u8; 16], &[(0, 2)])[0].root().to_vec();
 /// assert_eq!(hypertree::xmss_pk_from_sig_many(&ctx, 0, &reqs), vec![root]);
 /// ```
 pub fn xmss_pk_from_sig_many(
@@ -337,47 +267,54 @@ fn xmss_roots_sweep(ctx: &HashCtx, layer: u32, reqs: &[XmssVerifyRequest]) -> Ve
     merkle::roots_from_auth_paths_many(ctx, &jobs)
 }
 
-/// Signs `msg` under the full hypertree, walking from (`tree_idx`,
-/// `leaf_idx`) at layer 0 up to the top (the loop of Fig. 2 in the paper).
+/// The `(tree, leaf)` a signature uses at every layer, bottom to top,
+/// from the pair the digest selects at layer 0 (Fig. 2's loop): a tree's
+/// position within its parent is the leaf that signs its root.
+pub fn layer_coordinates(params: &Params, mut tree_idx: u64, mut leaf_idx: u32) -> Vec<(u64, u32)> {
+    let mut coords = Vec::with_capacity(params.d);
+    for _ in 0..params.d {
+        coords.push((tree_idx, leaf_idx));
+        leaf_idx = (tree_idx & ((1 << params.tree_height()) - 1)) as u32;
+        tree_idx >>= params.tree_height();
+    }
+    coords
+}
+
+/// Signs `msg` under the full hypertree from (`tree_idx`, `leaf_idx`) at
+/// layer 0 up to the top. The coordinates depend on nothing but the
+/// digest (§III-A), so all `d` subtrees are built in one [`subtrees`]
+/// call; and since each layer signs the root of the one below, which that
+/// call has produced, all `d` WOTS+ signatures come from one
+/// [`wots::sign_many`] — the planner's stage sequence for one message.
 pub fn sign(
     ctx: &HashCtx,
     msg: &[u8],
     sk_seed: &[u8],
-    mut tree_idx: u64,
-    mut leaf_idx: u32,
+    tree_idx: u64,
+    leaf_idx: u32,
 ) -> HtSignature {
-    let params = *ctx.params();
-    let mut layers = Vec::with_capacity(params.d);
-    let mut root = msg.to_vec();
-    for layer in 0..params.d as u32 {
-        let (sig, new_root) = xmss_sign(ctx, &root, sk_seed, layer, tree_idx, leaf_idx);
-        layers.push(sig);
-        root = new_root;
-        // Next layer: this tree's position within its parent.
-        leaf_idx = (tree_idx & ((1 << params.tree_height()) - 1)) as u32;
-        tree_idx >>= params.tree_height();
-    }
+    let coords = layer_coordinates(ctx.params(), tree_idx, leaf_idx);
+    let placed: Vec<(u32, u64)> = (0u32..).zip(&coords).map(|(l, &(t, _))| (l, t)).collect();
+    let built = subtrees(ctx, sk_seed, &placed);
+    let msgs: Vec<&[u8]> = std::iter::once(msg)
+        .chain(built.iter().map(merkle::TreeLevels::root))
+        .take(coords.len())
+        .collect();
+    let adrs_list: Vec<Address> = placed
+        .iter()
+        .zip(&coords)
+        .map(|(&(layer, tree), &(_, leaf))| keypair_adrs(layer, tree, leaf))
+        .collect();
+    let layers = wots::sign_many(ctx, &msgs, sk_seed, &adrs_list)
+        .into_iter()
+        .zip(&built)
+        .zip(&coords)
+        .map(|((wots_sig, tree), &(_, leaf))| XmssSig {
+            wots_sig,
+            auth_path: tree.auth_path(leaf),
+        })
+        .collect();
     HtSignature { layers }
-}
-
-/// Verifies a hypertree signature over `msg`, returning the reconstructed
-/// top root (compare against `pk_root`).
-pub fn root_from_sig(
-    ctx: &HashCtx,
-    sig: &HtSignature,
-    msg: &[u8],
-    mut tree_idx: u64,
-    mut leaf_idx: u32,
-) -> Vec<u8> {
-    let params = *ctx.params();
-    assert_eq!(sig.layers.len(), params.d, "hypertree layer count");
-    let mut node = msg.to_vec();
-    for (layer, layer_sig) in sig.layers.iter().enumerate() {
-        node = xmss_pk_from_sig(ctx, layer_sig, &node, layer as u32, tree_idx, leaf_idx);
-        leaf_idx = (tree_idx & ((1 << params.tree_height()) - 1)) as u32;
-        tree_idx >>= params.tree_height();
-    }
-    node
 }
 
 /// The hypertree public root: the root of the single top-layer tree.
@@ -399,6 +336,7 @@ pub fn sign_hash_count(params: &Params) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     /// Reduced parameters keep hypertree tests fast: h=6, d=3 (h'=2).
     fn tiny_params() -> Params {
@@ -414,13 +352,46 @@ mod tests {
         (params, ctx, vec![6u8; 16])
     }
 
+    /// The top root a hypertree signature reconstructs, layer by layer
+    /// through [`xmss_pk_from_sig_many`] at batch 1 (what
+    /// `VerifyingKey::verify_many` does across signatures).
+    fn root_from_sig(
+        ctx: &HashCtx,
+        sig: &HtSignature,
+        msg: &[u8],
+        tree_idx: u64,
+        leaf_idx: u32,
+    ) -> Vec<u8> {
+        let coords = layer_coordinates(ctx.params(), tree_idx, leaf_idx);
+        let mut node = msg.to_vec();
+        for ((layer, sig), &(tree, leaf_idx)) in (0u32..).zip(&sig.layers).zip(&coords) {
+            let req = XmssVerifyRequest {
+                sig,
+                msg: &node,
+                tree,
+                leaf_idx,
+            };
+            node = xmss_pk_from_sig_many(ctx, layer, &[req]).remove(0);
+        }
+        node
+    }
+
     #[test]
     fn xmss_roundtrip_all_leaves() {
         let (params, ctx, sk_seed) = setup();
         let msg = vec![0xC3u8; params.n];
+        let built = &subtrees(&ctx, &sk_seed, &[(0, 3)])[0];
         for leaf_idx in 0..params.subtree_leaves() as u32 {
-            let (sig, root) = xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
-            assert_eq!(xmss_pk_from_sig(&ctx, &sig, &msg, 0, 3, leaf_idx), root);
+            let (sig, root) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
+            assert_eq!(built.root(), root);
+            assert_eq!(built.auth_path(leaf_idx), sig.auth_path);
+            let req = XmssVerifyRequest {
+                sig: &sig,
+                msg: &msg,
+                tree: 3,
+                leaf_idx,
+            };
+            assert_eq!(xmss_pk_from_sig_many(&ctx, 0, &[req]), [root]);
         }
     }
 
@@ -434,9 +405,19 @@ mod tests {
             for leaf_idx in [0u32, params.subtree_leaves() as u32 - 1] {
                 let sig = sign(&ctx, &msg, &sk_seed, tree_idx, leaf_idx);
                 assert_eq!(
+                    sig,
+                    reference::ht_sign(&ctx, &msg, &sk_seed, tree_idx, leaf_idx),
+                    "tree={tree_idx} leaf={leaf_idx}"
+                );
+                assert_eq!(
                     root_from_sig(&ctx, &sig, &msg, tree_idx, leaf_idx),
                     pk_root,
                     "tree={tree_idx} leaf={leaf_idx}"
+                );
+                assert_eq!(
+                    reference::ht_root_from_sig(&ctx, &sig, &msg, tree_idx, leaf_idx),
+                    pk_root,
+                    "tree={tree_idx} leaf={leaf_idx} reference"
                 );
             }
         }
@@ -446,7 +427,7 @@ mod tests {
     fn xmss_pk_from_sig_many_matches_per_request() {
         // Requests spanning different trees and leaves of one layer —
         // the verify planner's per-layer stage — must each recover a
-        // root byte-identical to the scalar xmss_pk_from_sig.
+        // root byte-identical to the reference's.
         let (params, ctx, sk_seed) = setup();
         for count in [1usize, 2, 5] {
             let made: Vec<(XmssSig, Vec<u8>, u64, u32)> = (0..count)
@@ -454,7 +435,7 @@ mod tests {
                     let msg: Vec<u8> = (0..params.n).map(|b| (i * 29 + b) as u8).collect();
                     let tree = i as u64 % 4;
                     let leaf_idx = i as u32 % params.subtree_leaves() as u32;
-                    let (sig, _) = xmss_sign(&ctx, &msg, &sk_seed, 1, tree, leaf_idx);
+                    let (sig, _) = reference::xmss_sign(&ctx, &msg, &sk_seed, 1, tree, leaf_idx);
                     (sig, msg, tree, leaf_idx)
                 })
                 .collect();
@@ -472,7 +453,7 @@ mod tests {
             for (i, (sig, msg, tree, leaf_idx)) in made.iter().enumerate() {
                 assert_eq!(
                     batched[i],
-                    xmss_pk_from_sig(&ctx, sig, msg, 1, *tree, *leaf_idx),
+                    reference::xmss_pk_from_sig(&ctx, sig, msg, 1, *tree, *leaf_idx),
                     "count={count} request {i}"
                 );
             }
@@ -502,12 +483,23 @@ mod tests {
 
     #[test]
     fn wots_leaf_deterministic_and_positional() {
-        let (_, ctx, sk_seed) = setup();
-        let a = wots_leaf(&ctx, &sk_seed, 0, 0, 0);
-        assert_eq!(a, wots_leaf(&ctx, &sk_seed, 0, 0, 0));
-        assert_ne!(a, wots_leaf(&ctx, &sk_seed, 0, 0, 1));
-        assert_ne!(a, wots_leaf(&ctx, &sk_seed, 0, 1, 0));
-        assert_ne!(a, wots_leaf(&ctx, &sk_seed, 1, 0, 0));
+        let (params, ctx, sk_seed) = setup();
+        let n = params.n;
+        // Leaves 0 and 1 of the subtree at (layer, tree).
+        let leaves = |layer: u32, tree: u64| {
+            let mut out = vec![0u8; 2 * n];
+            wots_leaves_many_into(&ctx, &sk_seed, &[(layer, tree)], &mut out);
+            out
+        };
+        let a = leaves(0, 0);
+        assert_eq!(a, leaves(0, 0));
+        assert_ne!(a[..n], a[n..]);
+        assert_ne!(a[..n], leaves(0, 1)[..n]);
+        assert_ne!(a[..n], leaves(1, 0)[..n]);
+        assert_eq!(
+            a[n..],
+            reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(0, 0, 1))
+        );
     }
 
     #[test]

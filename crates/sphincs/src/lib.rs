@@ -1,9 +1,24 @@
 //! # hero-sphincs
 //!
 //! A from-scratch implementation of the SPHINCS+ stateless hash-based
-//! signature scheme (SHA-256 *simple* instantiation), serving as the
-//! reference substrate and correctness oracle for the
-//! [HERO-Sign](https://arxiv.org/abs/2512.23969) GPU reproduction.
+//! signature scheme (SHA-256 *simple* instantiation), the substrate of
+//! the [HERO-Sign](https://arxiv.org/abs/2512.23969) GPU reproduction.
+//!
+//! ## Two implementations, each whole
+//!
+//! * **The one that ships** — [`sign::SigningKey::sign`],
+//!   [`sign::VerifyingKey::verify`] / [`sign::VerifyingKey::verify_many`]
+//!   and the `*_many` routines of [`wots`], [`fors`], [`merkle`] and
+//!   [`hypertree`] beneath them: every stage takes many independent work
+//!   items per call and packs them into SIMD lanes. A single signature
+//!   or verification is the same code at batch 1, and `hero-sign`'s batch
+//!   planner drives the same routines across messages.
+//! * **[`mod@reference`]** — the scheme as the specification writes it, one
+//!   `F` / `H` / `T_l` / `PRF` call at a time, sign and verify. It shares
+//!   nothing with the lanes and nothing above calls it; it exists so that
+//!   "byte-identical" is a statement about two implementations. Tests
+//!   hold every `*_many` routine and every lane-resident body to it, and
+//!   it to digests pinned when the repository was seeded.
 //!
 //! The crate exposes every layer the paper parallelizes:
 //!
@@ -29,6 +44,7 @@
 //!   of Fig. 7, levels halved in place over one flat buffer).
 //! * [`hypertree`] — the `d`-layer hypertree (`TREE_Sign`'s workload).
 //! * [`sign`] — keygen / sign / verify.
+//! * [`mod@reference`] — the scalar second implementation (above).
 //! * [`tier`] — the runtime ISA ladder (scalar → AVX2 → SHA-NI /
 //!   AVX-512 / NEON) that picks the fastest hash core, and the body of
 //!   the lane-resident kernels, once per process, overridable via
@@ -44,16 +60,16 @@
 //! state and runs the compression rounds in lockstep, and the SHAKE-256
 //! engine advances [`keccak::LANES`] sponges per permutation — the CPU
 //! shape of the paper's warp batching and of its Table 10 AVX2 baseline.
-//! Batched and scalar APIs are byte-identical by construction and by
-//! proptest.
+//! How work is packed never changes a byte: the batched routines are
+//! held to [`mod@reference`] by proptest under every ISA tier.
 //!
 //! ## Quickstart
 //!
-//! This crate is the *substrate*: validated parameters, keygen, the
-//! reference signer, and wire-format round-trips. Higher layers build on
-//! it — the `hero-sign` crate wraps this signer as the
-//! `ReferenceSigner` backend of its `Signer` trait, next to the
-//! GPU-modeled `HeroSigner` engine.
+//! This crate is the *substrate*: validated parameters, keygen, signing
+//! and verification, and wire-format round-trips. Higher layers build on
+//! it — the `hero-sign` crate drives the `*_many` routines from its batch
+//! planner (the `HeroSigner` engine) and wraps [`mod@reference`] as the
+//! `ReferenceSigner` backend of its `Signer` trait.
 //!
 //! ```
 //! use hero_sphincs::{params::Params, sign, Signature};
@@ -73,6 +89,8 @@
 //! let (sk, vk) = sign::keygen(params, &mut rng)?;
 //! let sig = sk.sign(b"attack at dawn");
 //! vk.verify(b"attack at dawn", &sig)?;
+//! // The scalar reference produces and accepts the same bytes.
+//! assert_eq!(hero_sphincs::reference::sign(&sk, b"attack at dawn"), sig);
 //!
 //! // Signatures round-trip through the fixed-size wire format.
 //! let parsed = Signature::from_bytes(&params, &sig.to_bytes(&params))?;
@@ -100,6 +118,7 @@ mod lanes;
 mod leaf;
 pub mod merkle;
 pub mod params;
+pub mod reference;
 pub mod sha256;
 pub mod sha512;
 pub mod sign;

@@ -15,22 +15,32 @@
 //! projection of that buffer: [`treehash_many`] slices the root and one
 //! leaf's authentication path out of it per tree, [`treehash_many_levels`]
 //! hands each tree its whole pyramid ([`TreeLevels`]), from which any
-//! leaf can be served later. [`treehash`] is the per-leaf-closure
-//! spelling of the first, for one tree. Everything is generic over the
-//! hash primitive carried by the [`HashCtx`].
+//! leaf can be served later. Verification climbs many authentication
+//! paths the same way, a level of all of them per sweep
+//! ([`roots_from_auth_paths_many`]). Everything is generic over the hash
+//! primitive carried by the [`HashCtx`]; the node-by-node spelling both
+//! directions are tested against is [`crate::reference::treehash`] and
+//! [`crate::reference::root_from_auth_path`].
 //!
 //! ```
-//! use hero_sphincs::{address::Address, hash::HashCtx, merkle, params::Params};
+//! use hero_sphincs::{address::Address, hash::HashCtx, merkle, params::Params, reference};
 //!
 //! let ctx = HashCtx::new(Params::sphincs_128f(), &[0u8; 16]);
-//! let adrs = Address::new();
 //! // A height-3 tree whose leaf i is [i; 16]; extract leaf 5's path.
-//! let out = merkle::treehash(&ctx, 3, 5, &adrs, |i, slot: &mut [u8]| {
-//!     slot.fill(i as u8);
-//! });
+//! let job = merkle::TreeHashJob {
+//!     leaf_idx: 5,
+//!     node_adrs: Address::new(),
+//!     leaf_offset: 0,
+//! };
+//! let out = &merkle::treehash_many(&ctx, 3, &[job], |leaves| {
+//!     for (i, slot) in leaves.chunks_exact_mut(16).enumerate() {
+//!         slot.fill(i as u8);
+//!     }
+//! })[0];
 //! assert_eq!(out.auth_path.len(), 3);
-//! let rebuilt = merkle::root_from_auth_path(&ctx, &[5u8; 16], 5, &out.auth_path, &adrs);
-//! assert_eq!(rebuilt, out.root);
+//! // The reference builds the same tree one `H` at a time.
+//! let by_hand = reference::treehash(&ctx, 3, 5, &job.node_adrs, 0, |i| vec![i as u8; 16]);
+//! assert_eq!(by_hand, (out.root.clone(), out.auth_path.clone()));
 //! ```
 
 use crate::address::Address;
@@ -43,41 +53,6 @@ pub struct TreeHashOutput {
     pub root: Vec<u8>,
     /// Sibling nodes from the leaf's level up (each `n` bytes).
     pub auth_path: Vec<Vec<u8>>,
-}
-
-/// Computes the Merkle root and the authentication path of `leaf_idx` for a
-/// tree of `height` levels whose leaves are produced by
-/// `leaf_fn(i, slot)` writing leaf `i` into the `n`-byte `slot`: the
-/// one-job [`treehash_many`] with a per-leaf filler.
-///
-/// `node_adrs` carries the layer/tree coordinates; tree-height and
-/// tree-index fields are set here for every internal `H` call.
-///
-/// # Panics
-///
-/// Panics if `leaf_idx >= 2^height`.
-pub fn treehash<F>(
-    ctx: &HashCtx,
-    height: usize,
-    leaf_idx: u32,
-    node_adrs: &Address,
-    mut leaf_fn: F,
-) -> TreeHashOutput
-where
-    F: FnMut(u32, &mut [u8]),
-{
-    let job = TreeHashJob {
-        leaf_idx,
-        node_adrs: *node_adrs,
-        leaf_offset: 0,
-    };
-    let fill = |leaves: &mut [u8]| {
-        for (i, slot) in leaves.chunks_exact_mut(ctx.params().n).enumerate() {
-            leaf_fn(i as u32, slot);
-        }
-    };
-    let mut out = treehash_many(ctx, height, &[job], fill);
-    out.pop().expect("one output per job")
 }
 
 /// One tree's coordinates in a combined sweep.
@@ -331,52 +306,10 @@ where
         .collect()
 }
 
-/// Recomputes a Merkle root from a leaf and its authentication path
-/// (verification side of [`treehash`]).
-pub fn root_from_auth_path(
-    ctx: &HashCtx,
-    leaf: &[u8],
-    leaf_idx: u32,
-    auth_path: &[Vec<u8>],
-    node_adrs: &Address,
-) -> Vec<u8> {
-    root_from_auth_path_with_offset(ctx, leaf, leaf_idx, auth_path, node_adrs, 0)
-}
-
-/// [`root_from_auth_path`] for a tree embedded in a forest at
-/// `leaf_offset` ([`TreeHashJob::leaf_offset`]).
-pub fn root_from_auth_path_with_offset(
-    ctx: &HashCtx,
-    leaf: &[u8],
-    leaf_idx: u32,
-    auth_path: &[Vec<u8>],
-    node_adrs: &Address,
-    leaf_offset: u32,
-) -> Vec<u8> {
-    let n = ctx.params().n;
-    let mut node = leaf.to_vec();
-    let mut out = vec![0u8; n];
-    let mut idx = leaf_idx;
-    let mut adrs = *node_adrs;
-    for (level, sibling) in auth_path.iter().enumerate() {
-        let height = level as u32 + 1;
-        adrs.set_tree_height(height);
-        adrs.set_tree_index((leaf_offset >> height) + (idx >> 1));
-        if idx & 1 == 0 {
-            ctx.h_into(&adrs, &node, sibling, &mut out);
-        } else {
-            ctx.h_into(&adrs, sibling, &node, &mut out);
-        }
-        std::mem::swap(&mut node, &mut out);
-        idx >>= 1;
-    }
-    node
-}
-
 /// One leaf-to-root recomputation in a batched auth-path sweep: the
 /// verification-side analogue of [`TreeHashJob`]. `leaf_offset` embeds
-/// the job's tree in a forest exactly as in
-/// [`root_from_auth_path_with_offset`].
+/// the job's tree in a forest exactly as [`TreeHashJob::leaf_offset`]
+/// does.
 pub struct AuthPathJob<'a> {
     /// The recomputed leaf node (`n` bytes).
     pub leaf: &'a [u8],
@@ -399,23 +332,30 @@ pub struct AuthPathJob<'a> {
 /// both FORS forests, `log_t` per tree, and XMSS layers, `tree_height`
 /// per layer).
 ///
-/// Output is byte-identical to calling [`root_from_auth_path_with_offset`]
-/// per job.
+/// A job's root does not depend on what else is in the call.
 ///
 /// ```
 /// use hero_sphincs::{address::Address, hash::HashCtx, merkle, params::Params};
 ///
 /// let ctx = HashCtx::new(Params::sphincs_128f(), &[0u8; 16]);
-/// let adrs = Address::new();
-/// let out = merkle::treehash(&ctx, 3, 5, &adrs, |i, slot: &mut [u8]| slot.fill(i as u8));
-/// let jobs = [merkle::AuthPathJob {
+/// let job = merkle::TreeHashJob {
+///     leaf_idx: 5,
+///     node_adrs: Address::new(),
+///     leaf_offset: 0,
+/// };
+/// let out = &merkle::treehash_many(&ctx, 3, &[job], |leaves| {
+///     for (i, slot) in leaves.chunks_exact_mut(16).enumerate() {
+///         slot.fill(i as u8);
+///     }
+/// })[0];
+/// let climb = merkle::AuthPathJob {
 ///     leaf: &[5u8; 16],
 ///     leaf_idx: 5,
 ///     auth_path: &out.auth_path,
-///     node_adrs: adrs,
+///     node_adrs: job.node_adrs,
 ///     leaf_offset: 0,
-/// }];
-/// assert_eq!(merkle::roots_from_auth_paths_many(&ctx, &jobs), vec![out.root]);
+/// };
+/// assert_eq!(merkle::roots_from_auth_paths_many(&ctx, &[climb]), [out.root.clone()]);
 /// ```
 ///
 /// # Panics
@@ -483,78 +423,64 @@ pub fn internal_node_count(height: usize) -> usize {
 mod tests {
     use super::*;
     use crate::params::Params;
+    use crate::reference;
 
     fn ctx() -> HashCtx {
         HashCtx::new(Params::sphincs_128f(), &[11u8; 16])
     }
 
-    fn leaf(i: u32, slot: &mut [u8]) {
-        slot.fill(0);
-        slot[..4].copy_from_slice(&i.to_be_bytes());
-    }
-
     fn leaf_vec(i: u32) -> Vec<u8> {
         let mut v = vec![0u8; 16];
-        leaf(i, &mut v);
+        v[..4].copy_from_slice(&i.to_be_bytes());
         v
     }
 
-    /// Fills one tree's leaf layer with `leaf(first + i)`.
+    /// Fills one tree's leaf layer with `leaf_vec(first + i)`.
     fn fill_from(first: u32, buf: &mut [u8]) {
         for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
-            leaf(first + i as u32, slot);
+            slot.copy_from_slice(&leaf_vec(first + i as u32));
         }
     }
 
-    /// The scalar model every builder in this module is held to: explicit
-    /// `Vec<Vec<u8>>` levels, each parent one scalar two-to-one `H` under
-    /// an address worked out here (the seed-era implementation). It
-    /// shares no code with [`build`]. Returns every level of the tree
-    /// whose leaves are `leaf(first_leaf + i)`, leaves first.
-    fn scalar_model(
+    /// What every builder in this module is held to: the root and
+    /// `leaf_idx`'s authentication path of the tree at `job` whose leaves
+    /// are `leaf_vec(first_leaf + i)`, from the reference's node-by-node
+    /// tree hash.
+    fn model(
         ctx: &HashCtx,
         height: usize,
         job: &TreeHashJob,
         first_leaf: u32,
-    ) -> Vec<Vec<Vec<u8>>> {
-        let base_height = job.node_adrs.tree_height();
-        let mut adrs = job.node_adrs;
-        let mut levels = vec![(0..1u32 << height)
-            .map(|i| leaf_vec(first_leaf + i))
-            .collect::<Vec<_>>()];
-        for level_height in 1..=height {
-            adrs.set_tree_height(base_height + level_height as u32);
-            let level_offset = job.leaf_offset >> level_height;
-            let below = &levels[level_height - 1];
-            let level = (0..below.len() / 2)
-                .map(|i| {
-                    adrs.set_tree_index(level_offset + i as u32);
-                    ctx.h(&adrs, &below[2 * i], &below[2 * i + 1])
-                })
-                .collect();
-            levels.push(level);
-        }
-        levels
+        leaf_idx: u32,
+    ) -> TreeHashOutput {
+        let (root, auth_path) = reference::treehash(
+            ctx,
+            height,
+            leaf_idx,
+            &job.node_adrs,
+            job.leaf_offset,
+            |i| leaf_vec(first_leaf + i),
+        );
+        TreeHashOutput { root, auth_path }
     }
 
-    /// Root and `leaf_idx`'s authentication path, read off the model.
-    fn model_output(levels: &[Vec<Vec<u8>>], leaf_idx: u32) -> TreeHashOutput {
-        let height = levels.len() - 1;
-        TreeHashOutput {
-            root: levels[height][0].clone(),
-            auth_path: (0..height)
-                .map(|z| levels[z][(leaf_idx as usize >> z) ^ 1].clone())
-                .collect(),
-        }
-    }
-
-    /// The model's nodes as the pyramid [`treehash_many_levels`] must
-    /// return: level after level, node after node.
-    fn model_levels(levels: &[Vec<Vec<u8>>]) -> TreeLevels {
-        TreeLevels {
-            n: 16,
-            height: levels.len() - 1,
-            nodes: levels.iter().flatten().flatten().copied().collect(),
+    /// A retained pyramid serves every leaf of its tree as the reference
+    /// would — which reads every node it holds.
+    fn assert_levels_match(
+        ctx: &HashCtx,
+        levels: &TreeLevels,
+        job: &TreeHashJob,
+        first_leaf: u32,
+        what: &str,
+    ) {
+        let height = levels.height();
+        assert_eq!(levels.byte_len(), ((2 << height) - 1) * 16, "{what}");
+        for leaf_idx in 0..1u32 << height {
+            assert_eq!(
+                levels.output_for(leaf_idx),
+                model(ctx, height, job, first_leaf, leaf_idx),
+                "{what}, leaf {leaf_idx}"
+            );
         }
     }
 
@@ -568,30 +494,63 @@ mod tests {
         }
     }
 
+    /// One tree at `adrs` over the leaves `leaf_vec(0..)`.
+    fn one(ctx: &HashCtx, height: usize, leaf_idx: u32, adrs: &Address) -> TreeHashOutput {
+        let job = TreeHashJob {
+            leaf_idx,
+            node_adrs: *adrs,
+            leaf_offset: 0,
+        };
+        treehash_many(ctx, height, &[job], |buf| fill_from(0, buf)).remove(0)
+    }
+
+    /// One climb from `leaf` at `leaf_idx` of the tree at `adrs`.
+    fn climb(
+        ctx: &HashCtx,
+        leaf: &[u8],
+        leaf_idx: u32,
+        auth_path: &[Vec<u8>],
+        adrs: &Address,
+    ) -> Vec<u8> {
+        let job = AuthPathJob {
+            leaf,
+            leaf_idx,
+            auth_path,
+            node_adrs: *adrs,
+            leaf_offset: 0,
+        };
+        roots_from_auth_paths_many(ctx, &[job]).remove(0)
+    }
+
     #[test]
     fn auth_path_reconstructs_root_every_leaf() {
         let ctx = ctx();
         let adrs = Address::new();
         let height = 4;
         for leaf_idx in 0..(1u32 << height) {
-            let out = treehash(&ctx, height, leaf_idx, &adrs, leaf);
+            let out = one(&ctx, height, leaf_idx, &adrs);
             assert_eq!(out.auth_path.len(), height);
-            let rebuilt =
-                root_from_auth_path(&ctx, &leaf_vec(leaf_idx), leaf_idx, &out.auth_path, &adrs);
-            assert_eq!(rebuilt, out.root, "leaf {leaf_idx}");
+            let leaf = leaf_vec(leaf_idx);
+            assert_eq!(
+                climb(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs),
+                out.root,
+                "leaf {leaf_idx}"
+            );
+            assert_eq!(
+                reference::root_from_auth_path(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs, 0),
+                out.root,
+                "leaf {leaf_idx} reference"
+            );
         }
     }
 
     #[test]
     fn flat_fill_matches_per_leaf_fill() {
         let ctx = ctx();
-        let adrs = Address::new();
         for leaf_idx in [0u32, 3, 7] {
-            let model = model_output(&scalar_model(&ctx, 3, &job(leaf_idx, 0, 0), 0), leaf_idx);
-            let per_leaf = treehash(&ctx, 3, leaf_idx, &adrs, leaf);
-            let flat = treehash_many(&ctx, 3, &[job(leaf_idx, 0, 0)], |buf| fill_from(0, buf));
-            assert_eq!(per_leaf, model);
-            assert_eq!(flat, [model]);
+            let job = job(leaf_idx, 0, 0);
+            let flat = treehash_many(&ctx, 3, &[job], |buf| fill_from(0, buf));
+            assert_eq!(flat, [model(&ctx, 3, &job, 0, leaf_idx)]);
         }
     }
 
@@ -600,16 +559,15 @@ mod tests {
         let ctx = ctx();
         let height = 5;
         let job = job(11, 3, 3 << height);
-        let model = scalar_model(&ctx, height, &job, 0);
         let out = treehash_many(&ctx, height, &[job], |buf| fill_from(0, buf));
-        assert_eq!(out, [model_output(&model, 11)]);
+        assert_eq!(out, [model(&ctx, height, &job, 0, 11)]);
     }
 
     #[test]
     fn batched_auth_path_sweep_matches_scalar_climb() {
         // Jobs spanning different trees of a forest, different leaves,
         // and offsets — the FORS verification mix — must each be
-        // byte-identical to a lone root_from_auth_path_with_offset.
+        // byte-identical to the reference's lone climb.
         let ctx = ctx();
         for jn in [1usize, 2, 5, 8] {
             let height = 4;
@@ -637,7 +595,7 @@ mod tests {
             assert_eq!(roots.len(), jn);
             for (j, ((job, out), root)) in built.iter().zip(&outs).zip(&roots).enumerate() {
                 assert_eq!(root, &out.root, "jn={jn} job {j} root");
-                let scalar = root_from_auth_path_with_offset(
+                let scalar = reference::root_from_auth_path(
                     &ctx,
                     &leaves[j],
                     job.leaf_idx,
@@ -655,35 +613,36 @@ mod tests {
     fn root_independent_of_chosen_leaf() {
         let ctx = ctx();
         let adrs = Address::new();
-        let r0 = treehash(&ctx, 3, 0, &adrs, leaf).root;
-        let r7 = treehash(&ctx, 3, 7, &adrs, leaf).root;
-        assert_eq!(r0, r7);
+        assert_eq!(one(&ctx, 3, 0, &adrs).root, one(&ctx, 3, 7, &adrs).root);
     }
 
     #[test]
     fn wrong_leaf_fails_reconstruction() {
         let ctx = ctx();
         let adrs = Address::new();
-        let out = treehash(&ctx, 3, 2, &adrs, leaf);
-        let rebuilt = root_from_auth_path(&ctx, &leaf_vec(3), 2, &out.auth_path, &adrs);
-        assert_ne!(rebuilt, out.root);
+        let out = one(&ctx, 3, 2, &adrs);
+        assert_ne!(
+            climb(&ctx, &leaf_vec(3), 2, &out.auth_path, &adrs),
+            out.root
+        );
     }
 
     #[test]
     fn tampered_path_fails_reconstruction() {
         let ctx = ctx();
         let adrs = Address::new();
-        let mut out = treehash(&ctx, 3, 5, &adrs, leaf);
+        let mut out = one(&ctx, 3, 5, &adrs);
         out.auth_path[1][0] ^= 0x80;
-        let rebuilt = root_from_auth_path(&ctx, &leaf_vec(5), 5, &out.auth_path, &adrs);
-        assert_ne!(rebuilt, out.root);
+        assert_ne!(
+            climb(&ctx, &leaf_vec(5), 5, &out.auth_path, &adrs),
+            out.root
+        );
     }
 
     #[test]
     fn height_zero_tree() {
         let ctx = ctx();
-        let adrs = Address::new();
-        let out = treehash(&ctx, 0, 0, &adrs, leaf);
+        let out = one(&ctx, 0, 0, &Address::new());
         assert_eq!(out.root, leaf_vec(0));
         assert!(out.auth_path.is_empty());
     }
@@ -691,9 +650,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "leaf index out of range")]
     fn leaf_index_bounds_checked() {
-        let ctx = ctx();
-        let adrs = Address::new();
-        let _ = treehash(&ctx, 2, 4, &adrs, leaf);
+        let _ = one(&ctx(), 2, 4, &Address::new());
     }
 
     #[test]
@@ -731,8 +688,8 @@ mod tests {
         let jobs = mixed_jobs(5, height, 7);
         let many = treehash_many(&ctx, height, &jobs, |buf| fill_mixed(height, 100, buf));
         for (j, job) in jobs.iter().enumerate() {
-            let model = scalar_model(&ctx, height, job, 100 * j as u32);
-            assert_eq!(many[j], model_output(&model, job.leaf_idx), "job {j}");
+            let expected = model(&ctx, height, job, 100 * j as u32, job.leaf_idx);
+            assert_eq!(many[j], expected, "job {j}");
         }
     }
 
@@ -741,7 +698,7 @@ mod tests {
         let ctx = ctx();
         let job = job(2, 0, 0);
         let many = treehash_many(&ctx, 3, &[job], |buf| fill_from(0, buf));
-        assert_eq!(many, [model_output(&scalar_model(&ctx, 3, &job, 0), 2)]);
+        assert_eq!(many, [model(&ctx, 3, &job, 0, 2)]);
         assert!(treehash_many(&ctx, 3, &[], |_| {}).is_empty());
     }
 
@@ -760,19 +717,10 @@ mod tests {
         let ctx = ctx();
         let height = 4;
         let job = job(0, 9, 0);
-        let model = scalar_model(&ctx, height, &job, 0);
         let levels = treehash_many_levels(&ctx, height, &[job], |buf| fill_from(0, buf));
-        let levels = &levels[0];
-        assert_eq!(levels.height(), height);
-        assert_eq!(levels.byte_len(), ((1 << (height + 1)) - 1) * 16);
-        assert_eq!(levels.root(), &model[height][0][..]);
-        for leaf_idx in 0..(1u32 << height) {
-            assert_eq!(
-                levels.output_for(leaf_idx),
-                model_output(&model, leaf_idx),
-                "leaf {leaf_idx}"
-            );
-        }
+        assert_eq!(levels[0].height(), height);
+        assert_eq!(levels[0].root(), model(&ctx, height, &job, 0, 0).root);
+        assert_levels_match(&ctx, &levels[0], &job, 0, "one job");
     }
 
     #[test]
@@ -782,10 +730,7 @@ mod tests {
         let jobs = mixed_jobs(4, height, 5);
         let many = treehash_many_levels(&ctx, height, &jobs, |buf| fill_mixed(height, 50, buf));
         for (j, job) in jobs.iter().enumerate() {
-            let model = scalar_model(&ctx, height, job, 50 * j as u32);
-            assert_eq!(many[j], model_levels(&model), "job {j}");
-            // And the sliced output is the auth-path treehash's.
-            assert_eq!(many[j].output_for(5), model_output(&model, 5), "job {j}");
+            assert_levels_match(&ctx, &many[j], job, 50 * j as u32, &format!("job {j}"));
         }
         assert!(treehash_many_levels(&ctx, height, &[], |_| {}).is_empty());
     }
@@ -807,19 +752,16 @@ mod tests {
             let levels =
                 treehash_many_levels(&ctx, height, &jobs, |buf| fill_mixed(height, 20, buf));
             for (j, job) in jobs.iter().enumerate() {
-                let model = scalar_model(&ctx, height, job, 20 * j as u32);
-                assert_eq!(
-                    outs[j],
-                    model_output(&model, job.leaf_idx),
-                    "{count} jobs, {j}"
-                );
-                assert_eq!(levels[j], model_levels(&model), "{count} jobs, {j}");
+                let first = 20 * j as u32;
+                let expected = model(&ctx, height, job, first, job.leaf_idx);
+                assert_eq!(outs[j], expected, "{count} jobs, {j}");
+                assert_levels_match(&ctx, &levels[j], job, first, &format!("{count} jobs, {j}"));
                 // The base height is part of every address: the same job
                 // on leaves at height 0 is another tree.
                 let mut flat_job = *job;
                 flat_job.node_adrs.set_tree_height(0);
-                let flat = scalar_model(&ctx, height, &flat_job, 20 * j as u32);
-                assert_ne!(model[height], flat[height]);
+                let flat = model(&ctx, height, &flat_job, first, job.leaf_idx);
+                assert_ne!(expected.root, flat.root);
             }
         }
     }
@@ -827,7 +769,7 @@ mod tests {
     #[test]
     fn levels_height_zero() {
         let ctx = ctx();
-        let levels = treehash_many_levels(&ctx, 0, &[job(0, 0, 0)], |buf| leaf(7, buf));
+        let levels = treehash_many_levels(&ctx, 0, &[job(0, 0, 0)], |buf| fill_from(7, buf));
         let levels = &levels[0];
         assert_eq!(levels.height(), 0);
         assert_eq!(levels.root(), &leaf_vec(7)[..]);
@@ -849,9 +791,6 @@ mod tests {
         let a = Address::new();
         let mut b = Address::new();
         b.set_tree(1);
-        assert_ne!(
-            treehash(&ctx, 2, 0, &a, leaf).root,
-            treehash(&ctx, 2, 0, &b, leaf).root
-        );
+        assert_ne!(one(&ctx, 2, 0, &a).root, one(&ctx, 2, 0, &b).root);
     }
 }

@@ -288,6 +288,40 @@ pub fn keygen_from_seeds_with_alg(
     (sk, vk)
 }
 
+/// What a message selects of a key pair (the host preamble of Fig. 2):
+/// the FORS digest and the hypertree leaf its signature hangs from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Preamble {
+    /// The `k · log_t` bits that pick one leaf per FORS tree.
+    pub md: Vec<u8>,
+    /// Bottom-layer tree of the hypertree.
+    pub tree_idx: u64,
+    /// Leaf of that tree: the FORS key pair.
+    pub leaf_idx: u32,
+    /// Address of that FORS key pair.
+    pub keypair_adrs: Address,
+}
+
+/// `H_msg` → [`hash::split_digest`] → FORS key pair address, the one
+/// spelling signing, verification and the batch planner share. A signer
+/// passes the `PRF_msg` output as `randomizer`, a verifier the
+/// signature's.
+pub fn preamble(ctx: &HashCtx, pk_root: &[u8], randomizer: &[u8], msg: &[u8]) -> Preamble {
+    let digest = ctx.h_msg(randomizer, pk_root, msg);
+    let (md, tree_idx, leaf_idx) = hash::split_digest(ctx.params(), &digest);
+    let mut keypair_adrs = Address::new();
+    keypair_adrs.set_layer(0);
+    keypair_adrs.set_tree(tree_idx);
+    keypair_adrs.set_type(AddressType::ForsTree);
+    keypair_adrs.set_keypair(leaf_idx);
+    Preamble {
+        md,
+        tree_idx,
+        leaf_idx,
+        keypair_adrs,
+    }
+}
+
 impl SigningKey {
     /// The parameter set of this key.
     pub fn params(&self) -> &Params {
@@ -332,32 +366,28 @@ impl SigningKey {
 
     /// Signs `msg`. `opt_rand` (`n` bytes) randomizes the signature;
     /// deterministic signing passes the public seed (the spec default).
+    ///
+    /// This is the batch planner's stage sequence for one message on the
+    /// calling thread: the `k` FORS trees in one [`fors::sign`], every
+    /// layer's subtree and then every layer's chains in one
+    /// [`hypertree::sign`]. [`crate::reference::sign`] is the
+    /// implementation it is held to.
     pub fn sign_with_rand(&self, msg: &[u8], opt_rand: &[u8]) -> Signature {
         let ctx = HashCtx::with_alg(self.params, &self.pk_seed, self.alg);
         let randomizer = ctx.prf_msg(&self.sk_prf, opt_rand, msg);
-        let digest = ctx.h_msg(&randomizer, &self.pk_root, msg);
-        let (md, tree_idx, leaf_idx) = hash::split_digest(&self.params, &digest);
-
-        let mut keypair_adrs = Address::new();
-        keypair_adrs.set_layer(0);
-        keypair_adrs.set_tree(tree_idx);
-        keypair_adrs.set_type(AddressType::ForsTree);
-        keypair_adrs.set_keypair(leaf_idx);
-
-        let fors_sig = fors::sign(&ctx, &md, &self.sk_seed, &keypair_adrs);
-        let fors_pk = fors::pk_from_sig(&ctx, &fors_sig, &md, &keypair_adrs);
-        let ht_sig = hypertree::sign(&ctx, &fors_pk, &self.sk_seed, tree_idx, leaf_idx);
+        let pre = preamble(&ctx, &self.pk_root, &randomizer, msg);
+        let (fors, fors_pk) = fors::sign(&ctx, &pre.md, &self.sk_seed, &pre.keypair_adrs);
+        let ht = hypertree::sign(&ctx, &fors_pk, &self.sk_seed, pre.tree_idx, pre.leaf_idx);
         Signature {
             randomizer,
-            fors: fors_sig,
-            ht: ht_sig,
+            fors,
+            ht,
         }
     }
 
     /// Signs `msg` deterministically (opt_rand = pk_seed).
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let pk_seed = self.pk_seed.clone();
-        self.sign_with_rand(msg, &pk_seed)
+        self.sign_with_rand(msg, &self.pk_seed)
     }
 }
 
@@ -414,33 +444,16 @@ impl VerifyingKey {
         &self.pk_root
     }
 
-    /// Verifies `sig` over `msg`.
+    /// Verifies `sig` over `msg`: [`VerifyingKey::verify_many`] of one.
     ///
     /// # Errors
     ///
     /// [`SignError::MalformedSignature`] if dimensions are wrong,
     /// [`SignError::VerificationFailed`] if the root does not match.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), SignError> {
-        let params = &self.params;
-        sig.check_shape(params)?;
-
-        let ctx = HashCtx::with_alg(*params, &self.pk_seed, self.alg);
-        let digest = ctx.h_msg(&sig.randomizer, &self.pk_root, msg);
-        let (md, tree_idx, leaf_idx) = hash::split_digest(params, &digest);
-
-        let mut keypair_adrs = Address::new();
-        keypair_adrs.set_layer(0);
-        keypair_adrs.set_tree(tree_idx);
-        keypair_adrs.set_type(AddressType::ForsTree);
-        keypair_adrs.set_keypair(leaf_idx);
-
-        let fors_pk = fors::pk_from_sig(&ctx, &sig.fors, &md, &keypair_adrs);
-        let root = hypertree::root_from_sig(&ctx, &sig.ht, &fors_pk, tree_idx, leaf_idx);
-        if root == self.pk_root {
-            Ok(())
-        } else {
-            Err(SignError::VerificationFailed)
-        }
+        self.verify_many(&[msg], &[sig])
+            .pop()
+            .expect("one verdict per signature")
     }
 
     /// Verifies many signatures lane-batched: shape-invalid signatures
@@ -454,7 +467,7 @@ impl VerifyingKey {
     /// `T_k`, `T_len` and the XMSS authentication paths, so that between
     /// a layer's revealed nodes and its root nothing is bytes — the batch
     /// is best handed over in multiples of that constant. Verdicts are
-    /// bit-for-bit those of [`VerifyingKey::verify`] per pair, and the
+    /// those of [`crate::reference::verify`] per pair, and the
     /// batch never short-circuits on a bad signature (like a GPU batch
     /// that always runs to completion).
     ///
@@ -501,45 +514,33 @@ impl VerifyingKey {
         }
 
         let ctx = HashCtx::with_alg(*params, &self.pk_seed, self.alg);
-        let mut mds = Vec::with_capacity(live.len());
-        let mut tree_idxs = Vec::with_capacity(live.len());
-        let mut leaf_idxs = Vec::with_capacity(live.len());
-        let mut keypair_adrs_list = Vec::with_capacity(live.len());
-        for &i in &live {
-            let digest = ctx.h_msg(&sigs[i].randomizer, &self.pk_root, msgs[i]);
-            let (md, tree_idx, leaf_idx) = hash::split_digest(params, &digest);
-            let mut keypair_adrs = Address::new();
-            keypair_adrs.set_layer(0);
-            keypair_adrs.set_tree(tree_idx);
-            keypair_adrs.set_type(AddressType::ForsTree);
-            keypair_adrs.set_keypair(leaf_idx);
-            mds.push(md);
-            tree_idxs.push(tree_idx);
-            leaf_idxs.push(leaf_idx);
-            keypair_adrs_list.push(keypair_adrs);
-        }
+        let pres: Vec<Preamble> = live
+            .iter()
+            .map(|&i| preamble(&ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
+            .collect();
+        let coords: Vec<Vec<(u64, u32)>> = pres
+            .iter()
+            .map(|pre| hypertree::layer_coordinates(params, pre.tree_idx, pre.leaf_idx))
+            .collect();
+        let keypair_adrs_list: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
 
         let fors_sigs: Vec<&ForsSignature> = live.iter().map(|&i| &sigs[i].fors).collect();
-        let md_refs: Vec<&[u8]> = mds.iter().map(Vec::as_slice).collect();
+        let md_refs: Vec<&[u8]> = pres.iter().map(|pre| pre.md.as_slice()).collect();
         let mut nodes = fors::pk_from_sig_many(&ctx, &fors_sigs, &md_refs, &keypair_adrs_list);
 
-        for layer in 0..params.d as u32 {
+        for layer in 0..params.d {
             let reqs: Vec<hypertree::XmssVerifyRequest> = live
                 .iter()
-                .enumerate()
-                .map(|(j, &i)| hypertree::XmssVerifyRequest {
-                    sig: &sigs[i].ht.layers[layer as usize],
-                    msg: &nodes[j],
-                    tree: tree_idxs[j],
-                    leaf_idx: leaf_idxs[j],
+                .zip(&coords)
+                .zip(&nodes)
+                .map(|((&i, coords), node)| hypertree::XmssVerifyRequest {
+                    sig: &sigs[i].ht.layers[layer],
+                    msg: node,
+                    tree: coords[layer].0,
+                    leaf_idx: coords[layer].1,
                 })
                 .collect();
-            let next = hypertree::xmss_pk_from_sig_many(&ctx, layer, &reqs);
-            for j in 0..live.len() {
-                leaf_idxs[j] = (tree_idxs[j] & ((1 << params.tree_height()) - 1)) as u32;
-                tree_idxs[j] >>= params.tree_height();
-            }
-            nodes = next;
+            nodes = hypertree::xmss_pk_from_sig_many(&ctx, layer as u32, &reqs);
         }
 
         for (j, &i) in live.iter().enumerate() {
@@ -554,6 +555,7 @@ impl VerifyingKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -647,8 +649,9 @@ mod tests {
     #[test]
     fn verify_many_matches_scalar_verdicts() {
         // A batch mixing valid, root-mismatching, and shape-invalid
-        // signatures: every verdict must be bit-for-bit the scalar
-        // verify's, in place, with no cross-contamination.
+        // signatures: every verdict must be the reference verifier's, in
+        // place, with no cross-contamination — and `verify`, the batch of
+        // one, must return it too.
         let mut rng = StdRng::seed_from_u64(46);
         let (sk, vk) = keygen(tiny_params(), &mut rng).unwrap();
         let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 11]).collect();
@@ -662,7 +665,12 @@ mod tests {
         let batched = vk.verify_many(&msg_refs, &sig_refs);
         assert_eq!(batched.len(), sigs.len());
         for (i, verdict) in batched.iter().enumerate() {
-            assert_eq!(verdict, &vk.verify(&msgs[i], &sigs[i]), "index {i}");
+            assert_eq!(
+                verdict,
+                &reference::verify(&vk, &msgs[i], &sigs[i]),
+                "index {i}"
+            );
+            assert_eq!(verdict, &vk.verify(&msgs[i], &sigs[i]), "index {i} alone");
         }
         assert!(batched[0].is_ok());
         assert_eq!(batched[1], Err(SignError::VerificationFailed));
@@ -671,6 +679,37 @@ mod tests {
         // All-malformed batches never touch the lane sweeps.
         let empty: Vec<&[u8]> = Vec::new();
         assert!(vk.verify_many(&empty, &[]).is_empty());
+    }
+
+    #[test]
+    fn sign_matches_reference_under_every_family() {
+        // The shipping signer against the scalar second implementation:
+        // deterministic and randomised, every hash family, and the
+        // reference verifier accepts what either produced.
+        for (alg, params) in [
+            (HashAlg::Sha256, tiny_params()),
+            (HashAlg::Sha512, tiny_params()),
+            (HashAlg::Shake256, {
+                let mut p = Params::shake_128f();
+                (p.h, p.d, p.log_t, p.k) = (6, 3, 4, 8);
+                p
+            }),
+        ] {
+            let n = params.n;
+            let (sk, vk) =
+                keygen_from_seeds_with_alg(params, alg, vec![7; n], vec![8; n], vec![9; n]);
+            for msg in [&b""[..], b"m", &[0x5a; 200]] {
+                let sig = sk.sign(msg);
+                assert_eq!(sig, reference::sign(&sk, msg), "{alg:?}");
+                reference::verify(&vk, msg, &sig).unwrap();
+                let opt_rand = vec![0xC3; n];
+                assert_eq!(
+                    sk.sign_with_rand(msg, &opt_rand),
+                    reference::sign_with_rand(&sk, msg, &opt_rand),
+                    "{alg:?} randomised"
+                );
+            }
+        }
     }
 
     #[test]

@@ -266,8 +266,7 @@
 //! level at two, and behind at one in zmm, 16.9 against 15.3 µs: a lone
 //! key's `T_len` is ten compressions of a whole register where the sweep
 //! ran ten of one SHA-NI lane. Nothing that signs, generates a key or
-//! fills a cache asks for fewer than a subtree's eight leaves — a lone
-//! [`crate::wots::pk_gen`] is the documentation's and the tests' — so no
+//! fills a cache asks for fewer than a subtree's eight leaves, so no
 //! selection was written for that one count; the number stands here for
 //! whoever finds a caller for it.
 //!

@@ -10,8 +10,8 @@
 //! chains of a batch of requests ([`sign_many`], [`pk_from_sig_many`])
 //! live in one flat `n`-stride buffer and run to completion through
 //! [`HashCtx::f_chains`], the way this crate walks a chain outside of the
-//! scalar oracle [`chain`]. The chain step is whatever primitive the
-//! [`HashCtx`] carries. Under SHA-256 the two sides that work on whole
+//! step-by-step [`crate::reference::chain`] its tests hold it to. The
+//! chain step is whatever primitive the [`HashCtx`] carries. Under SHA-256 the two sides that work on whole
 //! keys stay in the lanes beyond the chains. Public keys ([`pk_gen_many`]:
 //! every subtree fill, which is most of a signature) are made a key pair
 //! to a lane, from the first `PRF` through `len` full chains to `T_len`,
@@ -29,10 +29,12 @@
 //! let mut adrs = Address::new();
 //! adrs.set_keypair(3);
 //!
-//! let pk = wots::pk_gen(&ctx, &sk_seed, &adrs);
-//! let sig = wots::sign(&ctx, &[7u8; 16], &sk_seed, &adrs);
+//! let mut pk = [0u8; 16];
+//! wots::pk_gen_many(&ctx, &sk_seed, &[adrs], &mut pk);
+//! let sigs = wots::sign_many(&ctx, &[&[7u8; 16]], &sk_seed, &[adrs]);
 //! // Verification recomputes the public key by finishing the chains.
-//! assert_eq!(wots::pk_from_sig(&ctx, &sig, &[7u8; 16], &adrs), pk);
+//! let recovered = wots::pk_from_sig_many(&ctx, &[&sigs[0]], &[&[7u8; 16]], &[adrs]);
+//! assert_eq!(recovered[0], pk);
 //! ```
 
 use crate::address::{Address, AddressType};
@@ -99,33 +101,6 @@ pub fn chain_lengths(params: &Params, msg: &[u8]) -> Vec<u32> {
     lengths
 }
 
-/// Applies the chaining function: `steps` iterations of `F` starting from
-/// position `start` (spec Algorithm 2).
-///
-/// `adrs` must have its chain index set; the hash index is written here.
-pub fn chain(ctx: &HashCtx, x: &[u8], start: u32, steps: u32, adrs: &mut Address) -> Vec<u8> {
-    let mut value = x.to_vec();
-    let mut out = vec![0u8; value.len()];
-    for i in start..start + steps {
-        adrs.set_hash(i);
-        ctx.f_into(adrs, &value, &mut out);
-        std::mem::swap(&mut value, &mut out);
-    }
-    value
-}
-
-/// The PRF address deriving chain `chain_idx`'s secret element, as the
-/// scalar oracle [`sk_element`] spells it ([`ChainJob::prf_adrs`] is what
-/// the chains themselves go by).
-fn prf_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
-    let mut a = Address::new();
-    a.copy_subtree_from(adrs);
-    a.set_type(AddressType::WotsPrf);
-    a.set_keypair(adrs.keypair());
-    a.set_chain(chain_idx);
-    a
-}
-
 /// The `F`-chain address of chain `chain_idx` (hash index set per step by
 /// the caller).
 pub(crate) fn hash_adrs_for(adrs: &Address, chain_idx: u32) -> Address {
@@ -171,31 +146,10 @@ fn chains_from_secret(
     nodes
 }
 
-/// Derives the secret element for chain `chain_idx` of the key pair at
-/// `adrs` (which carries layer/tree/keypair coordinates).
-pub fn sk_element(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, chain_idx: u32) -> Vec<u8> {
-    ctx.prf(&prf_adrs_for(adrs, chain_idx), sk_seed)
-}
-
-/// Computes the WOTS+ public key (the `T_len` compression of all chain
-/// ends) for the key pair at `adrs`.
-pub fn pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
-    let mut out = vec![0u8; ctx.params().n];
-    pk_gen_into(ctx, sk_seed, adrs, &mut out);
-    out
-}
-
-/// [`pk_gen`] writing the `n`-byte public key into `out`.
-///
-/// This is `wots_gen_leaf` — the treehash leaf routine whose ~560 hashes
-/// per leaf dominate signing (§III of the paper). A subtree's leaves are
-/// better filled together ([`pk_gen_many`]).
-pub fn pk_gen_into(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, out: &mut [u8]) {
-    pk_gen_many(ctx, sk_seed, std::slice::from_ref(adrs), out);
-}
-
-/// Computes the WOTS+ public keys of many key pairs, writing key pair
-/// `r`'s into `out[r*n..]` — the one seam every subtree fill goes through.
+/// Computes the WOTS+ public keys of many key pairs (`wots_gen_leaf`,
+/// the treehash leaf routine whose ~560 hashes per leaf dominate signing,
+/// §III of the paper), writing key pair `r`'s into `out[r*n..]` — the one
+/// seam every subtree fill goes through.
 ///
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), a lane owns a key
@@ -207,7 +161,7 @@ pub fn pk_gen_into(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address, out: &mut [u8]
 /// runs all `len` chains of all key pairs as one [`HashCtx::f_chains`]
 /// sweep and compresses each key pair's chain ends on bytes.
 ///
-/// Output is byte-identical to calling [`pk_gen_into`] per key pair.
+/// A key pair's output does not depend on what else is in the call.
 ///
 /// # Panics
 ///
@@ -241,15 +195,9 @@ fn pk_gen_sweep(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut 
     }
 }
 
-/// Signs an `n`-byte message, revealing one chain node per digit.
-pub fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
-    sign_many(ctx, &[msg], sk_seed, std::slice::from_ref(adrs))
-        .pop()
-        .expect("one signature per message")
-}
-
-/// Signs many `n`-byte messages, each under its own keypair address, with
-/// every chain of every request running through one shared
+/// Signs many `n`-byte messages, each under its own keypair address and
+/// revealing one chain node per digit, with every chain of every request
+/// running through one shared
 /// [`HashCtx::f_chains`] sweep. This is the cross-message chain group of
 /// the batch planner: chains stop at their message digits, and sorted by
 /// length across all requests they fill lane groups that a lone request's
@@ -283,19 +231,6 @@ pub fn sign_many(
         .collect()
 }
 
-/// Recomputes the public key from a signature (verification primitive).
-///
-/// # Panics
-///
-/// Panics if `sig` does not hold `wots_len()` nodes of `n` bytes each
-/// (the library verify path checks shapes first and returns a typed
-/// error).
-pub fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
-    pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs))
-        .pop()
-        .expect("one public key per signature")
-}
-
 /// Recomputes many WOTS+ public keys from signatures, each under its own
 /// keypair address, with every chain of every request running through
 /// one shared [`HashCtx::f_chains`] sweep — the verification twin of
@@ -318,8 +253,9 @@ pub fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -
 ///
 /// let sigs = wots::sign_many(&ctx, &msgs, &sk_seed, &[a0, a1]);
 /// let pks = wots::pk_from_sig_many(&ctx, &[&sigs[0], &sigs[1]], &msgs, &[a0, a1]);
-/// assert_eq!(pks[0], wots::pk_gen(&ctx, &sk_seed, &a0));
-/// assert_eq!(pks[1], wots::pk_gen(&ctx, &sk_seed, &a1));
+/// let mut generated = [0u8; 32];
+/// wots::pk_gen_many(&ctx, &sk_seed, &[a0, a1], &mut generated);
+/// assert_eq!(pks.concat(), generated);
 /// ```
 ///
 /// # Panics
@@ -466,6 +402,37 @@ pub fn pk_gen_hash_count(params: &Params) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+
+    /// One key pair's public key, signature and recovered key: the `_many`
+    /// routines at batch 1.
+    fn pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
+        let mut pk = vec![0u8; ctx.params().n];
+        pk_gen_many(ctx, sk_seed, std::slice::from_ref(adrs), &mut pk);
+        pk
+    }
+
+    fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
+        sign_many(ctx, &[msg], sk_seed, std::slice::from_ref(adrs)).remove(0)
+    }
+
+    fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
+        pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs)).remove(0)
+    }
+
+    /// `steps` steps of the chain at `adrs` from `x` at position `start`,
+    /// through the one entry point chains have.
+    fn chain(ctx: &HashCtx, x: &[u8], start: u32, steps: u32, adrs: &Address) -> Vec<u8> {
+        let mut node = x.to_vec();
+        let job = ChainJob {
+            adrs: *adrs,
+            head: ChainHead::Node,
+            start,
+            steps,
+        };
+        ctx.f_chains(&mut node, &[job]);
+        node
+    }
 
     fn setup() -> (Params, HashCtx, Vec<u8>, Address) {
         let params = Params::sphincs_128f();
@@ -507,21 +474,18 @@ mod tests {
     fn chain_composes() {
         let (_, ctx, _, adrs) = setup();
         let x = vec![1u8; 16];
-        let mut a1 = adrs;
-        let full = chain(&ctx, &x, 0, 10, &mut a1);
-        let mut a2 = adrs;
-        let half = chain(&ctx, &x, 0, 4, &mut a2);
-        let mut a3 = adrs;
-        let rest = chain(&ctx, &half, 4, 6, &mut a3);
-        assert_eq!(full, rest);
+        let full = chain(&ctx, &x, 0, 10, &adrs);
+        let half = chain(&ctx, &x, 0, 4, &adrs);
+        assert_eq!(full, chain(&ctx, &half, 4, 6, &adrs));
+        assert_eq!(full, reference::chain(&ctx, &x, 0, 10, &mut { adrs }));
     }
 
     #[test]
     fn chain_zero_steps_is_identity() {
         let (_, ctx, _, adrs) = setup();
         let x = vec![1u8; 16];
-        let mut a = adrs;
-        assert_eq!(chain(&ctx, &x, 3, 0, &mut a), x);
+        assert_eq!(chain(&ctx, &x, 3, 0, &adrs), x);
+        assert_eq!(reference::chain(&ctx, &x, 3, 0, &mut { adrs }), x);
     }
 
     #[test]
@@ -558,7 +522,7 @@ mod tests {
     fn sign_many_matches_per_request_sign() {
         // Requests at different layers/trees/keypairs — the mix a
         // cross-message chain group carries — must each be byte-identical
-        // to a lone sign() call, for odd group sizes too.
+        // to the reference's signature, for odd group sizes too.
         let (params, ctx, sk_seed, _) = setup();
         for count in [1usize, 2, 5] {
             let msgs_owned: Vec<Vec<u8>> = (0..count)
@@ -579,7 +543,7 @@ mod tests {
             for i in 0..count {
                 assert_eq!(
                     batched[i],
-                    sign(&ctx, msgs[i], &sk_seed, &adrs_list[i]),
+                    reference::wots_sign(&ctx, msgs[i], &sk_seed, &adrs_list[i]),
                     "count={count} request {i}"
                 );
             }
@@ -591,7 +555,8 @@ mod tests {
     fn pk_from_sig_many_matches_per_request() {
         // The verification twin of sign_many_matches_per_request_sign:
         // mixed layers/trees/keypairs, odd group sizes, every recovered
-        // public key byte-identical to a lone pk_from_sig() call.
+        // public key byte-identical to the reference's, recovered and
+        // generated.
         let (params, ctx, sk_seed, _) = setup();
         for count in [1usize, 2, 5] {
             let msgs_owned: Vec<Vec<u8>> = (0..count)
@@ -614,12 +579,12 @@ mod tests {
             for i in 0..count {
                 assert_eq!(
                     batched[i],
-                    pk_from_sig(&ctx, &sigs[i], msgs[i], &adrs_list[i]),
+                    reference::wots_pk_from_sig(&ctx, &sigs[i], msgs[i], &adrs_list[i]),
                     "count={count} request {i}"
                 );
                 assert_eq!(
                     batched[i],
-                    pk_gen(&ctx, &sk_seed, &adrs_list[i]),
+                    reference::wots_pk_gen(&ctx, &sk_seed, &adrs_list[i]),
                     "count={count} request {i} pk"
                 );
             }

@@ -1,8 +1,7 @@
 //! The WOTS+ chain entry point ([`HashCtx::f_chains`]) and the sweeps
-//! built on it, held byte-identical to the scalar oracles
-//! ([`wots::sk_element`] for a head derived in place, [`wots::chain`],
-//! one `f_into` per step, from there) under every ISA tier the host
-//! supports. Forcing a SHA-256 tier forces the chain kernel's too
+//! built on it, held byte-identical to [`hero_sphincs::reference`]
+//! (`wots_sk` for a head derived in place, `chain`, one `F` per step, from
+//! there) under every ISA tier the host supports. Forcing a SHA-256 tier forces the chain kernel's too
 //! (`sha-ni`, which has no chain body, selects the ladder's best), so
 //! walking the SHA-256 tiers walks every chain body and the round loop.
 
@@ -10,11 +9,11 @@ use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::hash::{ChainHead, ChainJob, HashAlg, HashCtx};
 use hero_sphincs::params::Params;
 use hero_sphincs::tier;
-use hero_sphincs::{hypertree, wots};
+use hero_sphincs::{hypertree, reference, wots};
 use proptest::prelude::*;
 
 mod common;
-use common::{with_forced_tier, Stream, TIER_LOCK};
+use common::{reference_chains, with_forced_tier, Stream, TIER_LOCK};
 
 /// The shapes the kernel is instantiated for: every `n`, the reduced
 /// shape the other suites sign with, and the two ends of `w`.
@@ -86,43 +85,6 @@ fn random_seeds(params: &Params, rng: &mut Stream) -> [Vec<u8>; 2] {
     [(); 2].map(|()| rng.bytes(params.n))
 }
 
-/// What `f_chains` must produce, one scalar chain at a time.
-fn oracle(ctx: &HashCtx, jobs: &[ChainJob], nodes: &[u8]) -> Vec<u8> {
-    let n = ctx.params().n;
-    jobs.iter()
-        .zip(nodes.chunks_exact(n))
-        .flat_map(|(job, node)| {
-            let mut adrs = job.adrs;
-            let head = match job.head {
-                ChainHead::Node => node.to_vec(),
-                ChainHead::Secret(sk_seed) => wots::sk_element(ctx, sk_seed, &adrs, adrs.chain()),
-            };
-            wots::chain(ctx, &head, job.start, job.steps, &mut adrs)
-        })
-        .collect()
-}
-
-/// The WOTS+ public key of the key pair at `adrs`, from the scalar
-/// pieces only.
-fn oracle_pk(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
-    let params = *ctx.params();
-    let ends: Vec<Vec<u8>> = (0..params.wots_len() as u32)
-        .map(|i| {
-            let secret = wots::sk_element(ctx, sk_seed, adrs, i);
-            let mut hash_adrs = *adrs;
-            hash_adrs.set_type(AddressType::WotsHash);
-            hash_adrs.set_keypair(adrs.keypair());
-            hash_adrs.set_chain(i);
-            wots::chain(ctx, &secret, 0, params.w as u32 - 1, &mut hash_adrs)
-        })
-        .collect();
-    let mut pk_adrs = *adrs;
-    pk_adrs.set_type(AddressType::WotsPk);
-    pk_adrs.set_keypair(adrs.keypair());
-    let parts: Vec<&[u8]> = ends.iter().map(Vec::as_slice).collect();
-    ctx.t_l(&pk_adrs, &parts)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -143,7 +105,7 @@ proptest! {
         let ctx = HashCtx::new(params, &pk_seed);
         let sk_seeds = random_seeds(&params, &mut rng);
         let (jobs, nodes) = random_chains(&params, count, &sk_seeds, &mut rng);
-        let expected = oracle(&ctx, &jobs, &nodes);
+        let expected = reference_chains(&ctx, &jobs, &nodes);
         for tier in tier::supported_sha256_tiers() {
             let mut got = nodes.clone();
             with_forced_tier(tier, || ctx.f_chains(&mut got, &jobs));
@@ -183,7 +145,7 @@ proptest! {
             .collect();
         let expected: Vec<u8> = adrs_list
             .iter()
-            .flat_map(|adrs| oracle_pk(&ctx, &sk_seed, adrs))
+            .flat_map(|adrs| reference::wots_pk_gen(&ctx, &sk_seed, adrs))
             .collect();
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
@@ -191,10 +153,12 @@ proptest! {
                 wots::pk_gen_many(&ctx, &sk_seed, &adrs_list, &mut many);
                 prop_assert_eq!(&many, &expected, "pk_gen_many under {}", tier.label());
                 let mut filled = vec![0u8; leaves * n];
-                hypertree::wots_leaves_into(&ctx, &sk_seed, layer, tree, &mut filled);
-                prop_assert_eq!(&filled, &expected, "wots_leaves_into under {}", tier.label());
+                hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[(layer, tree)], &mut filled);
+                prop_assert_eq!(&filled, &expected, "wots_leaves_many_into under {}", tier.label());
                 for (adrs, leaf) in adrs_list.iter().zip(expected.chunks_exact(n)) {
-                    prop_assert_eq!(&wots::pk_gen(&ctx, &sk_seed, adrs)[..], leaf);
+                    let mut lone = vec![0u8; n];
+                    wots::pk_gen_many(&ctx, &sk_seed, std::slice::from_ref(adrs), &mut lone);
+                    prop_assert_eq!(&lone[..], leaf);
                 }
             });
         }
@@ -215,7 +179,7 @@ fn f_chains_matches_scalar_chain_for_the_other_primitives() {
             ctx.f_chains(&mut got, &jobs);
             assert_eq!(
                 got,
-                oracle(&ctx, &jobs, &nodes),
+                reference_chains(&ctx, &jobs, &nodes),
                 "{alg:?} {} w={}",
                 params.name(),
                 params.w
@@ -235,7 +199,7 @@ fn f_chains_sorts_long_calls_in_windows() {
     let sk_seeds = random_seeds(&params, &mut rng);
     // Two of the kernel's windows (16 keys of 67 chains each) and a bit.
     let (jobs, nodes) = random_chains(&params, 2 * 16 * 67 + 37, &sk_seeds, &mut rng);
-    let expected = oracle(&ctx, &jobs, &nodes);
+    let expected = reference_chains(&ctx, &jobs, &nodes);
     for tier in tier::supported_sha256_tiers() {
         let mut got = nodes.clone();
         with_forced_tier(tier, || ctx.f_chains(&mut got, &jobs));

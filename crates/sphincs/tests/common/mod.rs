@@ -1,10 +1,13 @@
-//! What the forced-tier suites share: a deterministic stream, and the
-//! way they force a tier.
+//! What the forced-tier suites share: a deterministic stream, the way
+//! they force a tier, and how a list of chain jobs reads in the
+//! reference's terms.
 //!
 //! Forcing a tier is process-global, so the tests of a file that do it
 //! take turns ([`TIER_LOCK`]): each one then really runs the body it
 //! names.
 
+use hero_sphincs::hash::{ChainHead, ChainJob, HashCtx};
+use hero_sphincs::reference;
 use hero_sphincs::tier::{self, HashTier};
 use std::sync::Mutex;
 
@@ -40,4 +43,22 @@ impl Stream {
     pub fn bytes(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| self.next() as u8).collect()
     }
+}
+
+/// What `f_chains` must leave in `nodes`: every job one
+/// [`reference::chain`], from the node or from [`reference::wots_sk`].
+/// (Not every suite that shares this file runs chains.)
+#[allow(dead_code)]
+pub fn reference_chains(ctx: &HashCtx, jobs: &[ChainJob], nodes: &[u8]) -> Vec<u8> {
+    jobs.iter()
+        .zip(nodes.chunks_exact(ctx.params().n))
+        .flat_map(|(job, node)| {
+            let mut adrs = job.adrs;
+            let head = match job.head {
+                ChainHead::Node => node.to_vec(),
+                ChainHead::Secret(sk_seed) => reference::wots_sk(ctx, sk_seed, &adrs, adrs.chain()),
+            };
+            reference::chain(ctx, &head, job.start, job.steps, &mut adrs)
+        })
+        .collect()
 }

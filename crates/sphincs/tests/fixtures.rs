@@ -3,10 +3,14 @@
 //! These digests were captured from the pre-batching scalar
 //! implementation; any refactor of the hashing hot path must keep
 //! signatures byte-identical. A deterministic key (fixed seeds) signs a
-//! fixed message, and the SHA-256 of the serialized signature is pinned.
+//! fixed message, and the SHA-256 of the serialized signature is pinned —
+//! for the signer that ships and for [`hero_sphincs::reference`], the
+//! scalar second implementation everything else is held to, which this
+//! file anchors to something outside the repository's present code.
 
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::sha256::Sha256;
 use hero_sphincs::sign::keygen_from_seeds_with_alg;
 
@@ -55,8 +59,11 @@ fn signature_digest(params: Params, alg: HashAlg) -> (String, String) {
         (200..200 + n as u8).collect(),
     );
     let msg = b"seed-era fixture message";
-    let sig = sk.sign(msg);
-    vk.verify(msg, &sig).expect("fixture signature verifies");
+    let sig = reference::sign(&sk, msg);
+    reference::verify(&vk, msg, &sig).expect("fixture signature verifies");
+    assert_eq!(sk.sign(msg), sig, "the shipping signer left the reference");
+    vk.verify(msg, &sig)
+        .expect("fixture signature verifies in lanes");
     (
         hex(&Sha256::digest(&vk.to_bytes())),
         hex(&Sha256::digest(&sig.to_bytes(&params))),

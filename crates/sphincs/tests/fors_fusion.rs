@@ -1,8 +1,8 @@
 //! The FORS tree entry point ([`fors::tree_hash_many`]) held
 //! byte-identical — root, revealed secret and every authentication node
-//! — to the scalar-shaped oracles [`fors::tree_hash`] and
-//! [`fors::sk_element`], which never enter the fused kernel, under every
-//! ISA tier the host supports. Forcing a SHA-256 tier forces the
+//! — to [`reference::fors_tree`] and [`reference::fors_sk`], which build
+//! a tree one `PRF`, `F` and `H` at a time, under every ISA tier the host
+//! supports. Forcing a SHA-256 tier forces the
 //! resident ladder's too (`sha-ni`, which has no body there, selects the
 //! ladder's best), so walking the SHA-256 tiers walks both fused bodies
 //! and the level-by-level sweep.
@@ -11,6 +11,7 @@ use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::fors::{self, ForsTreeRequest};
 use hero_sphincs::hash::{HashAlg, HashCtx};
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::tier;
 use proptest::prelude::*;
 
@@ -60,21 +61,19 @@ fn random_requests(params: &Params, count: usize, rng: &mut Stream) -> Vec<ForsT
         .collect()
 }
 
-/// Holds `tree_hash_many` over `reqs` to the oracles, request by request.
+/// Holds `tree_hash_many` over `reqs` to the reference, request by
+/// request.
 fn assert_matches_oracles(ctx: &HashCtx, sk_seed: &[u8], reqs: &[ForsTreeRequest], what: &str) {
     let many = fors::tree_hash_many(ctx, sk_seed, reqs);
     assert_eq!(many.len(), reqs.len(), "{what}");
     for (i, (req, (sig, root))) in reqs.iter().zip(&many).enumerate() {
         let (adrs, tree, leaf) = (&req.keypair_adrs, req.tree_idx, req.leaf_idx);
-        let oracle = fors::tree_hash(ctx, sk_seed, adrs, tree, leaf);
-        assert_eq!(*root, oracle.root, "{what}: root of request {i}");
-        assert_eq!(
-            sig.auth_path, oracle.auth_path,
-            "{what}: path of request {i}"
-        );
+        let (oracle_root, oracle_path) = reference::fors_tree(ctx, sk_seed, adrs, tree, leaf);
+        assert_eq!(*root, oracle_root, "{what}: root of request {i}");
+        assert_eq!(sig.auth_path, oracle_path, "{what}: path of request {i}");
         assert_eq!(
             sig.sk,
-            fors::sk_element(ctx, sk_seed, adrs, tree, leaf),
+            reference::fors_sk(ctx, sk_seed, adrs, tree, leaf),
             "{what}: secret of request {i}"
         );
     }
@@ -86,7 +85,7 @@ proptest! {
     /// Any number of trees up to two of the widest groups and one more —
     /// every full and every partly filled group of every body, however
     /// the latter is shared out — from any mix of messages, equals the
-    /// scalar-shaped oracles under every tier.
+    /// reference under every tier.
     #[test]
     fn tree_hash_many_matches_the_oracles_under_every_tier(
         width in 0usize..3,

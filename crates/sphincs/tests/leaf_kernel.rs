@@ -1,15 +1,14 @@
 //! The WOTS+ leaf entry points ([`wots::pk_gen_many`],
-//! [`hypertree::wots_leaves_into`] and its several-subtree form) held
-//! byte-identical to a public key put together from the scalar pieces —
-//! [`wots::sk_element`], [`wots::chain`] one `f_into` per step, `t_l` —
-//! which never enter a resident body, under every ISA tier the host
+//! [`hypertree::wots_leaves_many_into`]) held byte-identical to
+//! [`reference::wots_pk_gen`] — `PRF`, one `F` per chain step, `t_l` —
+//! which never enters a resident body, under every ISA tier the host
 //! supports. Forcing a SHA-256 tier forces the resident ladder's too
 //! (`sha-ni`, which has no body there, selects the ladder's best), so
 //! walking the SHA-256 tiers walks both widths of the leaf body and the
 //! sweep on bytes.
 //!
 //! And the chain step the leaf body and the chain kernel share, held to
-//! the same scalar chain through [`HashCtx::f_chains`] on both sides of
+//! [`reference::chain`] through [`HashCtx::f_chains`] on both sides of
 //! the hash index at which the kernel must leave it for the generic
 //! call.
 
@@ -17,10 +16,10 @@ use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::hash::{ChainHead, ChainJob, HashAlg, HashCtx};
 use hero_sphincs::params::Params;
 use hero_sphincs::tier;
-use hero_sphincs::{hypertree, wots};
+use hero_sphincs::{hypertree, reference, wots};
 
 mod common;
-use common::{with_forced_tier, Stream, TIER_LOCK};
+use common::{reference_chains, with_forced_tier, Stream, TIER_LOCK};
 
 /// Key pairs per case: two of the widest groups and one more, so that
 /// every way a group is shared out (16, 8, 5, 4, 3, 2 and 1 lanes to a
@@ -54,27 +53,6 @@ fn shapes() -> Vec<Params> {
         }
     }
     shapes
-}
-
-/// The WOTS+ public key of the key pair at `adrs`, from the scalar
-/// pieces only.
-fn oracle_pk(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
-    let params = *ctx.params();
-    let ends: Vec<Vec<u8>> = (0..params.wots_len() as u32)
-        .map(|i| {
-            let secret = wots::sk_element(ctx, sk_seed, adrs, i);
-            let mut hash_adrs = *adrs;
-            hash_adrs.set_type(AddressType::WotsHash);
-            hash_adrs.set_keypair(adrs.keypair());
-            hash_adrs.set_chain(i);
-            wots::chain(ctx, &secret, 0, params.w as u32 - 1, &mut hash_adrs)
-        })
-        .collect();
-    let mut pk_adrs = *adrs;
-    pk_adrs.set_type(AddressType::WotsPk);
-    pk_adrs.set_keypair(adrs.keypair());
-    let parts: Vec<&[u8]> = ends.iter().map(Vec::as_slice).collect();
-    ctx.t_l(&pk_adrs, &parts)
 }
 
 fn keypair_adrs(layer: u32, tree: u64, keypair: u32) -> Address {
@@ -119,7 +97,7 @@ fn pk_gen_many_matches_scalar_keys_under_every_tier() {
         let adrs_list = random_keypairs(most, &mut rng);
         let expected: Vec<u8> = adrs_list
             .iter()
-            .flat_map(|adrs| oracle_pk(&ctx, &sk_seed, adrs))
+            .flat_map(|adrs| reference::wots_pk_gen(&ctx, &sk_seed, adrs))
             .collect();
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
@@ -135,8 +113,6 @@ fn pk_gen_many_matches_scalar_keys_under_every_tier() {
                         tier.label()
                     );
                 }
-                let lone = wots::pk_gen(&ctx, &sk_seed, &adrs_list[most - 1]);
-                assert_eq!(lone, expected[(most - 1) * n..]);
             });
         }
     }
@@ -161,7 +137,9 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
             .iter()
             .map(|&(layer, tree)| {
                 (0..leaves as u32)
-                    .flat_map(|leaf| oracle_pk(&ctx, &sk_seed, &keypair_adrs(layer, tree, leaf)))
+                    .flat_map(|leaf| {
+                        reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(layer, tree, leaf))
+                    })
                     .collect()
             })
             .collect();
@@ -173,7 +151,12 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
                     let whole = (!cfg!(debug_assertions)).then_some(leaves);
                     for count in whole.into_iter().chain([3]) {
                         let mut got = vec![0u8; count * n];
-                        hypertree::wots_leaves_into(&ctx, &sk_seed, layer, tree, &mut got);
+                        hypertree::wots_leaves_many_into(
+                            &ctx,
+                            &sk_seed,
+                            &[(layer, tree)],
+                            &mut got,
+                        );
                         assert_eq!(
                             got,
                             expected[..count * n],
@@ -182,8 +165,6 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
                             tier.label()
                         );
                     }
-                    let leaf = hypertree::wots_leaf(&ctx, &sk_seed, layer, tree, leaves as u32 - 1);
-                    assert_eq!(leaf, expected[(leaves - 1) * n..]);
                 }
                 // One, two (a plan item from batch 4 up) and all six in
                 // one fill.
@@ -222,34 +203,18 @@ fn leaf_entry_points_match_scalar_keys_for_the_other_primitives() {
             let adrs_list = random_keypairs(2, &mut rng);
             let expected: Vec<u8> = adrs_list
                 .iter()
-                .flat_map(|adrs| oracle_pk(&ctx, &sk_seed, adrs))
+                .flat_map(|adrs| reference::wots_pk_gen(&ctx, &sk_seed, adrs))
                 .collect();
             let mut got = vec![0u8; 2 * n];
             wots::pk_gen_many(&ctx, &sk_seed, &adrs_list, &mut got);
             assert_eq!(got, expected, "{alg:?} {} w={}", params.name(), params.w);
 
-            let expected = oracle_pk(&ctx, &sk_seed, &keypair_adrs(21, 5, 0));
+            let expected = reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(21, 5, 0));
             let mut got = vec![0u8; n];
-            hypertree::wots_leaves_into(&ctx, &sk_seed, 21, 5, &mut got);
+            hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[(21, 5)], &mut got);
             assert_eq!(got, expected, "{alg:?} {} w={}", params.name(), params.w);
         }
     }
-}
-
-/// What `f_chains` must produce, one scalar chain at a time.
-fn oracle_chains(ctx: &HashCtx, jobs: &[ChainJob], nodes: &[u8]) -> Vec<u8> {
-    let n = ctx.params().n;
-    jobs.iter()
-        .zip(nodes.chunks_exact(n))
-        .flat_map(|(job, node)| {
-            let mut adrs = job.adrs;
-            let head = match job.head {
-                ChainHead::Node => node.to_vec(),
-                ChainHead::Secret(sk_seed) => wots::sk_element(ctx, sk_seed, &adrs, adrs.chain()),
-            };
-            wots::chain(ctx, &head, job.start, job.steps, &mut adrs)
-        })
-        .collect()
 }
 
 /// The step holds the hash index in half a word. Chains of one length
@@ -297,7 +262,7 @@ fn chain_step_gives_way_where_the_hash_index_outgrows_it() {
                 })
                 .collect();
             let nodes = rng.bytes(jobs.len() * n);
-            let expected = oracle_chains(&ctx, &jobs, &nodes);
+            let expected = reference_chains(&ctx, &jobs, &nodes);
             for tier in tier::supported_sha256_tiers() {
                 let mut got = nodes.clone();
                 with_forced_tier(tier, || ctx.f_chains(&mut got, &jobs));

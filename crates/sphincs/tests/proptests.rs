@@ -6,7 +6,7 @@ use hero_sphincs::hash::{HashAlg, HashCtx};
 use hero_sphincs::merkle;
 use hero_sphincs::params::Params;
 use hero_sphincs::sha256::{self, Sha256};
-use hero_sphincs::{fors, wots, Signature};
+use hero_sphincs::{fors, reference, wots, Signature};
 use proptest::prelude::*;
 
 fn tiny_params() -> Params {
@@ -101,10 +101,21 @@ proptest! {
             v[..8].copy_from_slice(&(seed ^ i as u64).to_le_bytes());
             v
         };
-        let out = merkle::treehash(&ctx, height, leaf_idx, &adrs, |i, slot: &mut [u8]| {
-            slot.copy_from_slice(&leaf(i));
-        });
-        let rebuilt = merkle::root_from_auth_path(&ctx, &leaf(leaf_idx), leaf_idx, &out.auth_path, &adrs);
+        let job = merkle::TreeHashJob { leaf_idx, node_adrs: adrs, leaf_offset: 0 };
+        let out = merkle::treehash_many(&ctx, height, &[job], |buf| {
+            for (i, slot) in buf.chunks_exact_mut(16).enumerate() {
+                slot.copy_from_slice(&leaf(i as u32));
+            }
+        }).remove(0);
+        let climb = merkle::AuthPathJob {
+            leaf: &leaf(leaf_idx),
+            leaf_idx,
+            auth_path: &out.auth_path,
+            node_adrs: adrs,
+            leaf_offset: 0,
+        };
+        prop_assert_eq!(&merkle::roots_from_auth_paths_many(&ctx, &[climb])[0], &out.root);
+        let rebuilt = reference::root_from_auth_path(&ctx, &leaf(leaf_idx), leaf_idx, &out.auth_path, &adrs, 0);
         prop_assert_eq!(rebuilt, out.root);
     }
 
@@ -115,9 +126,12 @@ proptest! {
         let sk_seed = seed.to_be_bytes().repeat(2);
         let mut adrs = Address::new();
         adrs.set_keypair(3);
-        let pk = wots::pk_gen(&ctx, &sk_seed, &adrs);
-        let sig = wots::sign(&ctx, &msg, &sk_seed, &adrs);
-        prop_assert_eq!(wots::pk_from_sig(&ctx, &sig, &msg, &adrs), pk);
+        let mut pk = vec![0u8; p.n];
+        wots::pk_gen_many(&ctx, &sk_seed, &[adrs], &mut pk);
+        let sig = wots::sign_many(&ctx, &[&msg], &sk_seed, &[adrs]).remove(0);
+        prop_assert_eq!(&sig, &reference::wots_sign(&ctx, &msg, &sk_seed, &adrs));
+        prop_assert_eq!(&wots::pk_from_sig_many(&ctx, &[&sig], &[&msg], &[adrs])[0], &pk);
+        prop_assert_eq!(reference::wots_pk_from_sig(&ctx, &sig, &msg, &adrs), pk);
     }
 
     #[test]
@@ -141,10 +155,12 @@ proptest! {
         use rand::SeedableRng;
         let (sk, vk) = hero_sphincs::keygen_with_alg(p, alg, &mut rng).unwrap();
         let sig = sk.sign(&msg);
+        prop_assert_eq!(&sig, &reference::sign(&sk, &msg));
         let bytes = sig.to_bytes(&p);
         let parsed = Signature::from_bytes(&p, &bytes).unwrap();
         prop_assert_eq!(&parsed, &sig);
         prop_assert!(vk.verify(&msg, &parsed).is_ok());
+        prop_assert!(reference::verify(&vk, &msg, &parsed).is_ok());
     }
 
     #[test]
@@ -222,8 +238,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The flat-buffer batched treehash (root AND auth path) must be
-        // byte-identical to the seed-era Vec<Vec<u8>> formulation with
-        // per-node scalar `H` calls and cloned siblings.
+        // byte-identical to the reference's Vec<Vec<u8>> formulation with
+        // per-node `H` calls and cloned siblings.
         let params = [
             Params::sphincs_128f(),
             Params::sphincs_128s(),
@@ -247,30 +263,16 @@ proptest! {
         base.set_tree(rng.next_u64());
         base.set_type(AddressType::Tree);
 
-        // Scalar oracle.
-        let mut level: Vec<Vec<u8>> =
-            leaves.chunks_exact(n).map(<[u8]>::to_vec).collect();
-        let mut idx = leaf_idx;
-        let mut adrs = base;
-        let mut oracle_path: Vec<Vec<u8>> = Vec::new();
-        for level_height in 1..=height {
-            oracle_path.push(level[(idx ^ 1) as usize].clone());
-            adrs.set_tree_height(level_height as u32);
-            let level_offset = leaf_offset >> level_height;
-            level = (0..level.len() / 2)
-                .map(|i| {
-                    adrs.set_tree_index(level_offset + i as u32);
-                    ctx.h(&adrs, &level[2 * i], &level[2 * i + 1])
-                })
-                .collect();
-            idx >>= 1;
-        }
+        let (oracle_root, oracle_path) = reference::treehash(
+            &ctx, height, leaf_idx, &base, leaf_offset,
+            |i| leaves[i as usize * n..][..n].to_vec(),
+        );
 
         let job = merkle::TreeHashJob { leaf_idx, node_adrs: base, leaf_offset };
         let out = merkle::treehash_many(&ctx, height, &[job], |buf| {
             buf.copy_from_slice(&leaves);
         });
-        prop_assert_eq!(&out[0].root, &level[0]);
+        prop_assert_eq!(&out[0].root, &oracle_root);
         prop_assert_eq!(&out[0].auth_path, &oracle_path);
         // The retained pyramid serves the same leaf the same bytes.
         let kept = merkle::treehash_many_levels(&ctx, height, &[job], |buf| {
@@ -291,5 +293,6 @@ proptest! {
         bytes[pos] ^= 0x01;
         let parsed = Signature::from_bytes(&p, &bytes).unwrap();
         prop_assert!(vk.verify(msg, &parsed).is_err(), "flip at {} survived", pos);
+        prop_assert!(reference::verify(&vk, msg, &parsed).is_err(), "flip at {} survived the reference", pos);
     }
 }

@@ -6,18 +6,20 @@
 //! 1. **Every region rejects** — flipping one bit anywhere in a valid
 //!    signature (randomizer, any FORS secret element, any FORS auth
 //!    node, any WOTS+ chain at any layer, any XMSS auth node at any
-//!    layer) must make scalar [`VerifyingKey::verify`] *and* the
-//!    lane-batched [`VerifyingKey::verify_many`] reject it.
+//!    layer) must make the scalar [`reference::verify`], the
+//!    lane-batched [`VerifyingKey::verify_many`] *and* its batch of one,
+//!    [`VerifyingKey::verify`], reject it.
 //! 2. **Bit-for-bit agreement** — over ten thousand random
-//!    valid/mismatched/tampered `(message, signature)` mixes, the
-//!    batched verdicts equal the scalar verdicts exactly (same
-//!    `Result`, same typed error).
+//!    valid/mismatched/tampered `(message, signature)` mixes, all three
+//!    return the same verdicts exactly (same `Result`, same typed
+//!    error).
 //!
 //! [`VerifyingKey::verify`]: hero_sphincs::sign::VerifyingKey::verify
 //! [`VerifyingKey::verify_many`]: hero_sphincs::sign::VerifyingKey::verify_many
 
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::sign::{SignError, Signature, SigningKey, VerifyingKey};
 
 use rand::rngs::StdRng;
@@ -119,15 +121,22 @@ fn every_region_bit_flip_rejects_scalar_and_batched() {
             let (sk, vk) = keypair(params, alg, 40 + params.n as u8);
             let msg = format!("adversarial fixture {name} {alg:?}").into_bytes();
             let sig = sk.sign(&msg);
-            vk.verify(&msg, &sig).expect("untampered fixture verifies");
+            reference::verify(&vk, &msg, &sig).expect("untampered fixture verifies");
+            vk.verify(&msg, &sig)
+                .expect("untampered fixture verifies alone");
 
             let tampered = tampered_per_region(&sig, &params, &mut rng);
-            // Scalar: every region flip must reject.
+            // Scalar, and the batch of one: every region flip must reject.
             for (region, s) in &tampered {
+                assert_eq!(
+                    reference::verify(&vk, &msg, s),
+                    Err(SignError::VerificationFailed),
+                    "{name}/{alg:?}: flip in {region} survived scalar verify"
+                );
                 assert_eq!(
                     vk.verify(&msg, s),
                     Err(SignError::VerificationFailed),
-                    "{name}/{alg:?}: flip in {region} survived scalar verify"
+                    "{name}/{alg:?}: flip in {region} survived verify alone"
                 );
             }
             // Lane-batched: the whole tampered set (plus the valid
@@ -156,7 +165,8 @@ fn every_region_bit_flip_rejects_scalar_and_batched() {
 }
 
 /// Shared body for the mix tests: `mixes` random valid / mismatched /
-/// bit-flipped pairs, batched verdicts equal scalar verdicts exactly.
+/// bit-flipped pairs, batched verdicts — of the whole mix and of each
+/// pair alone — equal scalar verdicts exactly.
 fn random_mixes_agree(mixes: usize) {
     const FIXTURES: usize = 8;
 
@@ -212,10 +222,15 @@ fn random_mixes_agree(mixes: usize) {
         assert_eq!(batched.len(), mixes);
         let mut valid = 0usize;
         for i in 0..mixes {
-            let scalar = vk.verify(msgs[i], &sigs[i]);
+            let scalar = reference::verify(&vk, msgs[i], &sigs[i]);
             assert_eq!(
                 batched[i], scalar,
                 "{alg:?}: mix {i} diverged between batched and scalar"
+            );
+            assert_eq!(
+                vk.verify(msgs[i], &sigs[i]),
+                scalar,
+                "{alg:?}: mix {i} diverged between a batch of one and scalar"
             );
             if scalar.is_ok() {
                 valid += 1;

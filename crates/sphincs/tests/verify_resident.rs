@@ -1,7 +1,7 @@
 //! The batched verification entry points ([`fors::pk_from_sig_many`],
-//! [`hypertree::xmss_pk_from_sig_many`]) held byte-identical to the
-//! scalar [`fors::pk_from_sig`] and [`hypertree::xmss_pk_from_sig`],
-//! which never enter a resident body, under every ISA tier the host
+//! [`hypertree::xmss_pk_from_sig_many`]) held byte-identical to
+//! [`reference::fors_pk_from_sig`] and [`reference::xmss_pk_from_sig`],
+//! one `F` / `H` / `T_l` at a time, under every ISA tier the host
 //! supports. Forcing a SHA-256 tier forces the resident ladder's too
 //! (`sha-ni`, which has no body there, selects the ladder's best), so
 //! walking the SHA-256 tiers walks both widths of the lane = tree climb
@@ -17,6 +17,7 @@ use hero_sphincs::fors::{self, ForsSignature, ForsTreeSig};
 use hero_sphincs::hash::{HashAlg, HashCtx};
 use hero_sphincs::hypertree::{self, XmssSig, XmssVerifyRequest};
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use hero_sphincs::tier;
 
 mod common;
@@ -97,7 +98,7 @@ fn random_fors_case(params: &Params, rng: &mut Stream) -> ForsCase {
 fn fors_oracle(ctx: &HashCtx, cases: &[ForsCase]) -> Vec<Vec<u8>> {
     cases
         .iter()
-        .map(|case| fors::pk_from_sig(ctx, &case.sig, &case.md, &case.keypair_adrs))
+        .map(|case| reference::fors_pk_from_sig(ctx, &case.sig, &case.md, &case.keypair_adrs))
         .collect()
 }
 
@@ -143,7 +144,7 @@ fn random_xmss_case(params: &Params, rng: &mut Stream) -> XmssCase {
 fn xmss_oracle(ctx: &HashCtx, layer: u32, cases: &[XmssCase]) -> Vec<Vec<u8>> {
     cases
         .iter()
-        .map(|c| hypertree::xmss_pk_from_sig(ctx, &c.sig, &c.msg, layer, c.tree, c.leaf_idx))
+        .map(|c| reference::xmss_pk_from_sig(ctx, &c.sig, &c.msg, layer, c.tree, c.leaf_idx))
         .collect()
 }
 
