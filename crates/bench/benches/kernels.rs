@@ -4,15 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::engine::HeroSigner;
+use hero_sign::model::SimModel;
 use hero_sphincs::params::Params;
 
 fn bench_kernel_simulation(c: &mut Criterion) {
     let device = rtx_4090();
     let mut group = c.benchmark_group("table8_kernel_reports");
     for p in Params::fast_sets() {
-        let baseline = HeroSigner::baseline(device.clone(), p).unwrap();
-        let hero = HeroSigner::hero(device.clone(), p).unwrap();
+        let baseline = SimModel::baseline(device.clone(), p).unwrap();
+        let hero = SimModel::hero(device.clone(), p).unwrap();
         group.bench_with_input(BenchmarkId::new("baseline", p.name()), &baseline, |b, e| {
             b.iter(|| e.kernel_reports(1024))
         });
@@ -38,8 +38,8 @@ fn bench_bank_measurement(c: &mut Criterion) {
     let mut group = c.benchmark_group("table6_bank_measurement");
     let device = rtx_4090();
     for p in Params::fast_sets() {
-        let engine = HeroSigner::hero(device.clone(), p).unwrap();
-        let geometry = engine.fors_layout().geometry(&p);
+        let model = SimModel::hero(device.clone(), p).unwrap();
+        let geometry = model.fors_layout().geometry(&p);
         group.bench_with_input(BenchmarkId::from_parameter(p.name()), &p, |b, p| {
             b.iter(|| {
                 hero_sign::kernels::fors_sign::measure_reduction(

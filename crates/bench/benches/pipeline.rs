@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::engine::{HeroSigner, OptConfig, PipelineOptions};
+use hero_sign::model::{OptConfig, PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -12,14 +12,11 @@ fn bench_pipeline(c: &mut Criterion) {
     let p = Params::sphincs_128f();
     let mut group = c.benchmark_group("fig12_pipeline_simulation");
 
-    let hero = HeroSigner::hero(device.clone(), p).unwrap();
+    let hero = SimModel::hero(device.clone(), p).unwrap();
     let mut stream_cfg = OptConfig::hero();
     stream_cfg.graph = false;
-    let hero_stream = HeroSigner::builder(device.clone(), p)
-        .config(stream_cfg)
-        .build()
-        .unwrap();
-    let baseline = HeroSigner::baseline(device.clone(), p).unwrap();
+    let hero_stream = SimModel::new(device.clone(), p, stream_cfg).unwrap();
+    let baseline = SimModel::baseline(device.clone(), p).unwrap();
 
     group.bench_function("hero_graph_512", |b| {
         b.iter(|| {
@@ -55,16 +52,16 @@ fn bench_pipeline(c: &mut Criterion) {
     sweep.finish();
 }
 
-fn bench_engine_construction(c: &mut Criterion) {
+fn bench_model_construction(c: &mut Criterion) {
     let device = rtx_4090();
-    c.bench_function("hero_engine_new_with_tuning_and_selection", |b| {
-        b.iter(|| HeroSigner::hero(device.clone(), Params::sphincs_128f()).unwrap())
+    c.bench_function("sim_model_new_with_tuning_and_selection", |b| {
+        b.iter(|| SimModel::hero(device.clone(), Params::sphincs_128f()).unwrap())
     });
 }
 
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pipeline, bench_engine_construction
+    targets = bench_pipeline, bench_model_construction
 );
 criterion_main!(benches);

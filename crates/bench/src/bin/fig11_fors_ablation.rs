@@ -3,7 +3,7 @@
 //! cumulative speedups for all three parameter sets on the RTX 4090.
 
 use hero_bench::{fmt_x, header, paper, primary_device, rule, EVAL_MESSAGES};
-use hero_sign::engine::{HeroSigner, OptConfig};
+use hero_sign::model::{OptConfig, SimModel};
 use hero_sphincs::params::Params;
 
 fn main() {
@@ -24,11 +24,8 @@ fn main() {
         let mut prev = f64::NAN;
         let paper_row = paper::FIG11[set_idx];
         for (i, (label, cfg)) in OptConfig::ablation_ladder().into_iter().enumerate() {
-            let engine = HeroSigner::builder(device.clone(), *p)
-                .config(cfg)
-                .build()
-                .unwrap();
-            let fors = &engine.kernel_reports(EVAL_MESSAGES)[0];
+            let model = SimModel::new(device.clone(), *p, cfg).unwrap();
+            let fors = &model.kernel_reports(EVAL_MESSAGES)[0];
             let kops = EVAL_MESSAGES as f64 / fors.time_us * 1.0e3;
             if i == 0 {
                 first = kops;

@@ -8,7 +8,7 @@
 //! ≥512-message batches (§IV-E1) bound to a few non-blocking streams.
 
 use hero_bench::{fmt_x, header, paper, primary_device, rule};
-use hero_sign::engine::{HeroSigner, OptConfig, PipelineOptions, PipelineReport};
+use hero_sign::model::{OptConfig, PipelineOptions, PipelineReport, SimModel};
 use hero_sphincs::params::Params;
 
 const MESSAGES: u32 = 1024;
@@ -20,17 +20,14 @@ fn run(
     graph: bool,
 ) -> PipelineReport {
     cfg.graph = graph;
-    let engine = HeroSigner::builder(device.clone(), p)
-        .config(cfg)
-        .build()
-        .unwrap();
+    let model = SimModel::new(device.clone(), p, cfg).unwrap();
     if cfg.mmtp {
-        engine
+        model
             .simulate(PipelineOptions::new(MESSAGES).batch_size(512).streams(4))
             .unwrap()
     } else {
         // Baseline: per-message kernels, streams ≈ tasks/cores (CUSPX).
-        engine
+        model
             .simulate(PipelineOptions::new(MESSAGES).batch_size(1).streams(128))
             .unwrap()
     }

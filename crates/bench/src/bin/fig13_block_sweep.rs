@@ -6,7 +6,7 @@
 //! dominate tiny launches), and ≥512 maximizes absolute throughput.
 
 use hero_bench::{fmt_x, header, paper, primary_device, rule};
-use hero_sign::engine::{HeroSigner, OptConfig, PipelineOptions};
+use hero_sign::model::{OptConfig, PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 const MESSAGES: u32 = 1024;
@@ -19,13 +19,10 @@ fn main() {
     );
 
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let baseline = HeroSigner::baseline(device.clone(), *p).unwrap();
+        let baseline = SimModel::baseline(device.clone(), *p).unwrap();
         let mut hero_cfg = OptConfig::hero();
         hero_cfg.graph = true;
-        let hero = HeroSigner::builder(device.clone(), *p)
-            .config(hero_cfg)
-            .build()
-            .unwrap();
+        let hero = SimModel::new(device.clone(), *p, hero_cfg).unwrap();
 
         println!("\n{}:", p.name());
         println!(

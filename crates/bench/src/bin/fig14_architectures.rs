@@ -4,7 +4,7 @@
 
 use hero_bench::{fmt_x, header, paper, rule};
 use hero_gpu_sim::device;
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 const MESSAGES: u32 = 1024;
@@ -32,7 +32,7 @@ fn main() {
     let mut pascal_mean = 0.0;
     for (di, d) in devices.iter().enumerate() {
         for (pi, p) in Params::fast_sets().iter().enumerate() {
-            let base = HeroSigner::baseline(d.clone(), *p)
+            let base = SimModel::baseline(d.clone(), *p)
                 .unwrap()
                 .simulate(
                     PipelineOptions::new(MESSAGES)
@@ -40,7 +40,7 @@ fn main() {
                         .streams(d.sm_count as usize),
                 )
                 .unwrap();
-            let hero = HeroSigner::hero(d.clone(), *p)
+            let hero = SimModel::hero(d.clone(), *p)
                 .unwrap()
                 .simulate(PipelineOptions::new(MESSAGES).batch_size(512).streams(4))
                 .unwrap();
@@ -70,11 +70,11 @@ fn main() {
     println!();
     // RTX 4090 absolute-performance cross-check (§IV-F).
     let p256 = Params::sphincs_256f();
-    let ada = HeroSigner::hero(device::rtx_4090(), p256)
+    let ada = SimModel::hero(device::rtx_4090(), p256)
         .unwrap()
         .simulate(PipelineOptions::new(MESSAGES).batch_size(512).streams(4))
         .unwrap();
-    let hopper = HeroSigner::hero(device::h100(), p256)
+    let hopper = SimModel::hero(device::h100(), p256)
         .unwrap()
         .simulate(PipelineOptions::new(MESSAGES).batch_size(512).streams(4))
         .unwrap();

@@ -7,7 +7,7 @@
 //! exactly the paper's finding.
 
 use hero_bench::{fmt_x, header, paper, primary_device, rule};
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 const MESSAGES: u32 = 1024;
@@ -33,8 +33,8 @@ fn main() {
             "Bytes", "Base KOPS", "HERO KOPS", "Speedup"
         );
         rule(48);
-        let baseline = HeroSigner::baseline(device.clone(), *p).unwrap();
-        let hero = HeroSigner::hero(device.clone(), *p).unwrap();
+        let baseline = SimModel::baseline(device.clone(), *p).unwrap();
+        let hero = SimModel::hero(device.clone(), *p).unwrap();
         let mut speedups = Vec::new();
         // Message length only shifts the host-side hashing term; the
         // pipeline simulations are length-invariant, so run them once.

@@ -5,7 +5,7 @@
 //! two-sided recommendation.
 
 use hero_bench::{header, primary_device, rule};
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 const MESSAGES: u32 = 1024;
@@ -18,7 +18,7 @@ fn main() {
         "Batch-size trade-off with host-device transfers (1 KiB messages)",
     );
     for p in Params::fast_sets() {
-        let hero = HeroSigner::hero(device.clone(), p).unwrap();
+        let hero = SimModel::hero(device.clone(), p).unwrap();
         println!("\n{} (signature {} B):", p.name(), p.sig_bytes());
         println!(
             "  {:<8} {:>10} {:>10} {:>10} {:>12} {:>12}",

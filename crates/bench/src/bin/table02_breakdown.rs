@@ -3,7 +3,7 @@
 //! RTX 4090.
 
 use hero_bench::{header, paper, primary_device, rule, EVAL_MESSAGES};
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 fn main() {
@@ -18,10 +18,10 @@ fn main() {
     );
     rule(100);
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let engine = HeroSigner::baseline(device.clone(), *p).unwrap();
-        let reports = engine.kernel_reports(EVAL_MESSAGES);
+        let model = SimModel::baseline(device.clone(), *p).unwrap();
+        let reports = model.kernel_reports(EVAL_MESSAGES);
         // Idle: measured from the baseline per-message stream schedule.
-        let pipeline = engine
+        let pipeline = model
             .simulate(
                 PipelineOptions::new(EVAL_MESSAGES)
                     .batch_size(1)

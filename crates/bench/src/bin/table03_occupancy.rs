@@ -3,15 +3,15 @@
 //! under SPHINCS+-128f on the RTX 4090.
 
 use hero_bench::{header, paper, primary_device, rule, EVAL_MESSAGES};
-use hero_sign::engine::HeroSigner;
+use hero_sign::model::SimModel;
 use hero_sphincs::params::Params;
 
 fn main() {
     let device = primary_device();
     let p = Params::sphincs_128f();
-    let engine = HeroSigner::baseline(device, p).unwrap();
-    let reports = engine.kernel_reports(EVAL_MESSAGES);
-    let descs = engine.kernel_descs(EVAL_MESSAGES);
+    let model = SimModel::baseline(device, p).unwrap();
+    let reports = model.kernel_reports(EVAL_MESSAGES);
+    let descs = model.kernel_descs(EVAL_MESSAGES);
 
     header(
         "Table III",

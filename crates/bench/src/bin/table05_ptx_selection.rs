@@ -3,7 +3,7 @@
 
 use hero_bench::{header, primary_device, rule};
 use hero_gpu_sim::isa::Sha2Path;
-use hero_sign::engine::HeroSigner;
+use hero_sign::model::SimModel;
 use hero_sign::ptx::KernelKind;
 use hero_sphincs::params::Params;
 
@@ -26,8 +26,8 @@ fn main() {
     );
     rule(80);
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let engine = HeroSigner::hero(device.clone(), *p).unwrap();
-        let sel = engine.selection();
+        let model = SimModel::hero(device.clone(), *p).unwrap();
+        let sel = model.selection();
         let (pf, pt, pw) = hero_bench::paper::TABLE5[i];
         let fmt_paper = |b: bool| if b { "PTX" } else { "native" };
         println!(

@@ -10,8 +10,8 @@
 
 use hero_bench::{header, paper, primary_device, rule};
 use hero_gpu_sim::banks::PaddingScheme;
-use hero_sign::engine::HeroSigner;
 use hero_sign::kernels::{fors_sign, tree_sign};
+use hero_sign::model::SimModel;
 use hero_sphincs::params::Params;
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
     rule(110);
 
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let engine = HeroSigner::hero(device.clone(), *p).unwrap();
-        let geometry = engine.fors_layout().geometry(&p.clone());
+        let model = SimModel::hero(device.clone(), *p).unwrap();
+        let geometry = model.fors_layout().geometry(&p.clone());
         let none = PaddingScheme::none();
         let padded = PaddingScheme::for_width(p.n);
 

@@ -3,7 +3,7 @@
 //! HERO-Sign, on the RTX 4090 with 1024-message batches.
 
 use hero_bench::{fmt_x, header, paper, primary_device, rule, EVAL_MESSAGES};
-use hero_sign::engine::HeroSigner;
+use hero_sign::model::SimModel;
 use hero_sphincs::params::Params;
 
 fn kops(messages: u32, time_us: f64) -> f64 {
@@ -33,10 +33,10 @@ fn main() {
     rule(118);
 
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let base = HeroSigner::baseline(device.clone(), *p)
+        let base = SimModel::baseline(device.clone(), *p)
             .unwrap()
             .kernel_reports(EVAL_MESSAGES);
-        let hero = HeroSigner::hero(device.clone(), *p)
+        let hero = SimModel::hero(device.clone(), *p)
             .unwrap()
             .kernel_reports(EVAL_MESSAGES);
         let paper_row = &paper::TABLE8[i];

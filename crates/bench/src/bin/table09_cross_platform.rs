@@ -8,7 +8,7 @@
 //! simulated signing rate, as the paper's PPS metric does.
 
 use hero_bench::{header, reference, rule};
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 const RTX_4090_BOARD_WATTS: f64 = 450.0;
@@ -23,7 +23,7 @@ fn main() {
     let device = hero_bench::primary_device();
     let mut ours = [0.0f64; 3];
     for (i, p) in Params::fast_sets().iter().enumerate() {
-        let report = HeroSigner::hero(device.clone(), *p)
+        let report = SimModel::hero(device.clone(), *p)
             .unwrap()
             .simulate(PipelineOptions::new(1024).batch_size(512).streams(4))
             .unwrap();

@@ -9,14 +9,14 @@
 
 use hero_bench::primary_device;
 use hero_gpu_sim::trace::chrome_trace;
-use hero_sign::engine::{HeroSigner, PipelineOptions};
+use hero_sign::model::{PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = primary_device();
     let params = Params::sphincs_128f();
 
-    let baseline = HeroSigner::baseline(device.clone(), params).unwrap();
+    let baseline = SimModel::baseline(device.clone(), params).unwrap();
     // 64 messages keep the trace readable; per-message kernels on many
     // streams, the baseline's submission pattern.
     let (base_report, base_tl) = baseline
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap();
     std::fs::write("hero_baseline_trace.json", chrome_trace(&base_tl))?;
 
-    let hero = HeroSigner::hero(device, params).unwrap();
+    let hero = SimModel::hero(device, params).unwrap();
     let (hero_report, hero_tl) = hero
         .simulate_traced(PipelineOptions::new(1024).batch_size(256).streams(4))
         .unwrap();

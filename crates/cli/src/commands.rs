@@ -6,7 +6,7 @@ use crate::{parse_alg, parse_device, parse_params, CliError, CmdResult};
 
 use hero_server::keyfile;
 use hero_sign::service::{ServiceConfig, SignService, SignTicket};
-use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer};
+use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::Signature;
 
@@ -73,16 +73,14 @@ fn keygen(args: &Args) -> CmdResult {
     ))
 }
 
-/// Builds the backend selected by `--backend` (default: the HERO engine
-/// on the `--device` GPU model).
+/// Builds the backend selected by `--backend` (default: the HERO engine).
 fn select_backend(
     args: &Args,
     params: hero_sphincs::Params,
 ) -> Result<Box<dyn Signer + Send + Sync>, CliError> {
     match args.get("backend").unwrap_or("hero") {
         "hero" => {
-            let device = parse_device(args.get("device"))?;
-            let mut builder = HeroSigner::builder(device, params);
+            let mut builder = HeroSigner::builder(hero_gpu_sim::device::rtx_4090(), params);
             match args.get("workers") {
                 Some(v) => {
                     let workers: usize = v.parse().map_err(|_| {
@@ -267,8 +265,7 @@ fn tune(args: &Args) -> CmdResult {
         Some(label) => vec![parse_params(label)?],
         None => hero_sphincs::Params::fast_sets().to_vec(),
     };
-    // The primitive keys the tuning-cache fingerprint (SHA and SHAKE
-    // entries never collide); --alg overrides the shape's default.
+    // --alg overrides the shape's default primitive.
     let hash = match args.get("alg") {
         Some(label) => parse_alg(label)?,
         None => sets[0].preferred_alg(),
@@ -285,10 +282,7 @@ fn tune(args: &Args) -> CmdResult {
 
     let mut out = format!("Auto Tree Tuning on {} (Algorithm 1)\n", device.name);
     for p in sets {
-        // The cached entry point: repeated CLI invocations in one process
-        // (and the simulate command below) share the search result.
-        let r =
-            hero_sign::tune_auto_cached(&device, &p, &opts).map_err(hero_sign::HeroError::from)?;
+        let r = hero_sign::tune_auto(&device, &p, &opts).map_err(hero_sign::HeroError::from)?;
         let b = r.best;
         out.push_str(&format!(
             "{}: T_set={} N_tree={} F={} U_T={:.3} U_S={:.3} smem={}B relax_depth={} ({} candidates)\n",
@@ -316,8 +310,8 @@ fn simulate(args: &Args) -> CmdResult {
         .batch_size(args.get_u32("batch", 512.min(messages.max(1)))?)
         .streams(args.get_u32("streams", 4)? as usize);
 
-    let hero = HeroSigner::hero(device.clone(), params)?;
-    let baseline = HeroSigner::baseline(device.clone(), params)?;
+    let hero = SimModel::hero(device.clone(), params)?;
+    let baseline = SimModel::baseline(device.clone(), params)?;
     let h = hero.simulate(opts)?;
     let b = baseline.simulate(
         PipelineOptions::new(opts.messages)

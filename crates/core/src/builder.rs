@@ -1,43 +1,40 @@
 //! Fallible construction of [`HeroSigner`] engines.
 //!
-//! [`HeroSignerBuilder`] replaces the old panicking
-//! `HeroSigner::new(device, params, config)` constructor: every
-//! precondition — parameter validation, worker counts, tuning outcomes —
-//! surfaces as a [`HeroError`] instead of a panic, and the expensive
-//! Auto Tree Tuning search is answered from the process-wide cache
-//! ([`crate::tuning::tune_auto_cached`]) so building the same engine
-//! twice runs the search once.
+//! A signer is a parameter set, a worker pool and a hypertree cache, so
+//! that is all [`HeroSignerBuilder`] configures — three knobs — and
+//! [`HeroSignerBuilder::build`] costs what starting the workers costs
+//! (≈ 0.1 ms; nothing when a shared [`HeroSignerBuilder::runtime`] is
+//! attached). Every precondition — parameter validation, worker counts,
+//! cache bounds — surfaces as a [`HeroError`] instead of a panic. Tuning
+//! and PTX selection belong to [`crate::SimModel`], which a signer never
+//! builds.
 
 use crate::cache::{CacheConfig, HypertreeCache};
-use crate::engine::{HeroSigner, OptConfig};
+use crate::engine::HeroSigner;
 use crate::error::HeroError;
-use crate::tuning::{self, TuningOptions, TuningResult};
 
 use hero_gpu_sim::device::DeviceProps;
-use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
 use hero_task_graph::Executor;
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Step-by-step configuration for a [`HeroSigner`].
 ///
-/// Obtained from [`HeroSigner::builder`]; defaults to the fully
-/// optimized HERO configuration with the paper's tuning options and the
-/// machine's available parallelism.
+/// Obtained from [`HeroSigner::builder`]; defaults to the machine's
+/// available parallelism and the default cache.
 ///
 /// ```
 /// use hero_gpu_sim::device::rtx_4090;
-/// use hero_sign::{HeroSigner, OptConfig};
+/// use hero_sign::HeroSigner;
 /// use hero_sphincs::Params;
 ///
 /// # fn main() -> Result<(), hero_sign::HeroError> {
 /// let engine = HeroSigner::builder(rtx_4090(), Params::sphincs_128f())
-///     .config(OptConfig::hero())
 ///     .workers(8)
 ///     .build()?;
 /// assert_eq!(engine.params().name(), "SPHINCS+-128f");
+/// assert_eq!(engine.workers(), 8);
 /// # Ok(())
 /// # }
 /// ```
@@ -45,13 +42,8 @@ use std::sync::Arc;
 pub struct HeroSignerBuilder {
     device: DeviceProps,
     params: Params,
-    config: OptConfig,
-    tuning: TuningOptions,
     workers: Option<usize>,
     runtime: Option<Arc<Executor>>,
-    strict_tuning: bool,
-    use_cache: bool,
-    cache_dir: Option<PathBuf>,
     cache_config: CacheConfig,
 }
 
@@ -60,44 +52,10 @@ impl HeroSignerBuilder {
         Self {
             device,
             params,
-            config: OptConfig::hero(),
-            tuning: TuningOptions {
-                hash: params.preferred_alg(),
-                ..TuningOptions::default()
-            },
             workers: None,
             runtime: None,
-            strict_tuning: false,
-            use_cache: true,
-            cache_dir: None,
             cache_config: CacheConfig::default(),
         }
-    }
-
-    /// Selects the optimization set (defaults to [`OptConfig::hero`]).
-    pub fn config(mut self, config: OptConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Overrides the Auto Tree Tuning search knobs.
-    pub fn tuning_options(mut self, tuning: TuningOptions) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Records the hash primitive in the tuning-cache fingerprint
-    /// (shorthand for setting [`TuningOptions::hash`]), so SHA and
-    /// SHAKE engines never share a cached or persisted tuning entry.
-    /// Defaults to the shape's [`Params::preferred_alg`].
-    ///
-    /// This keys the *cache*, not the kernels: the primitive actually
-    /// hashed with is carried by the signing key (`SigningKey::alg`),
-    /// and [`crate::Signer::keygen`] derives it from the engine's
-    /// parameter shape.
-    pub fn hash_alg(mut self, alg: HashAlg) -> Self {
-        self.tuning.hash = alg;
-        self
     }
 
     /// Sets the functional-signing worker-thread count (defaults to the
@@ -118,16 +76,6 @@ impl HeroSignerBuilder {
         self
     }
 
-    /// Enables the on-disk tuning cache under `dir`: Auto Tree Tuning
-    /// results are persisted as versioned JSON keyed by a
-    /// device+params+options digest, so process restarts skip the sweep
-    /// entirely. Corrupt, stale, or version-mismatched files fall back
-    /// to the in-memory search (and are rewritten).
-    pub fn tuning_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
     /// Configures the per-key hypertree memoization cache
     /// ([`crate::cache::HypertreeCache`]) the engine signs through:
     /// capacity bounds, the per-layer memoization policy, and the warm
@@ -138,37 +86,14 @@ impl HeroSignerBuilder {
         self
     }
 
-    /// Makes a failed tuning search fatal.
-    ///
-    /// By default a failed search degrades gracefully: the engine falls
-    /// back to the unfused MMTP (or baseline) FORS layout, matching the
-    /// paper's treatment of shapes plain fusion cannot serve. Strict
-    /// mode instead surfaces [`HeroError::Tuning`], for callers that
-    /// must know fusion is active (e.g. the ablation harness).
-    pub fn strict_tuning(mut self) -> Self {
-        self.strict_tuning = true;
-        self
-    }
-
-    /// Bypasses the process-wide tuning cache (the search re-runs even
-    /// for a cached key). Intended for tuning-ablation rigs that mutate
-    /// search internals between runs.
-    pub fn no_tuning_cache(mut self) -> Self {
-        self.use_cache = false;
-        self
-    }
-
-    /// Validates the configuration, resolves the tuning search (through
-    /// the process-wide cache) and the adaptive PTX selection, and
-    /// constructs the engine.
+    /// Validates the configuration, starts the worker pool (unless a
+    /// runtime was attached) and constructs the engine.
     ///
     /// # Errors
     ///
     /// * [`HeroError::InvalidParams`] — `params` failed validation.
     /// * [`HeroError::InvalidOptions`] — `workers(0)`, or an enabled
     ///   [`HeroSignerBuilder::cache_config`] with a zero capacity bound.
-    /// * [`HeroError::Tuning`] — the search failed under
-    ///   [`HeroSignerBuilder::strict_tuning`].
     pub fn build(self) -> Result<HeroSigner, HeroError> {
         self.params.validate().map_err(HeroError::InvalidParams)?;
         self.cache_config.validate()?;
@@ -187,42 +112,18 @@ impl HeroSignerBuilder {
                     })?)
                 }
             };
-
-        let tuning: Option<TuningResult> = if self.config.fusion {
-            let searched = if self.use_cache {
-                tuning::tune_auto_cached_at(
-                    &self.device,
-                    &self.params,
-                    &self.tuning,
-                    self.cache_dir.as_deref(),
-                )
-            } else {
-                tuning::tune_auto(&self.device, &self.params, &self.tuning)
-            };
-            match searched {
-                Ok(result) => Some(result),
-                Err(e) if self.strict_tuning => return Err(HeroError::Tuning(e)),
-                Err(_) => None,
-            }
-        } else {
-            None
-        };
-
-        Ok(HeroSigner::construct(
-            self.device,
-            self.params,
-            self.config,
-            tuning,
+        Ok(HeroSigner {
+            device: self.device,
+            params: self.params,
             executor,
-            Arc::new(HypertreeCache::new(self.cache_config)),
-        ))
+            cache: Arc::new(HypertreeCache::new(self.cache_config)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuning::TuneError;
     use hero_gpu_sim::device::rtx_4090;
 
     #[test]
@@ -255,23 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_tuning_surfaces_search_failures() {
-        // k = 1 with a tiny tree leaves nothing worth fusing: the search
-        // legitimately returns NoCandidate, which strict mode raises.
-        let mut p = Params::sphincs_128f();
-        p.log_t = 1;
-        p.k = 1;
-        let strict = HeroSigner::builder(rtx_4090(), p).strict_tuning().build();
-        assert_eq!(
-            strict.unwrap_err(),
-            HeroError::Tuning(TuneError::NoCandidate)
-        );
-        // Default mode degrades to an unfused layout instead.
-        let lenient = HeroSigner::builder(rtx_4090(), p).build().unwrap();
-        assert!(lenient.tuning().is_none());
-    }
-
-    #[test]
     fn engines_can_share_one_runtime() {
         let runtime = Arc::new(Executor::new(3).unwrap());
         let a = HeroSigner::builder(rtx_4090(), Params::sphincs_128f())
@@ -294,14 +178,5 @@ mod tests {
         // Clones share the pool too (stream semantics, not device copies).
         let d = a.clone();
         assert!(Arc::ptr_eq(a.runtime(), d.runtime()));
-    }
-
-    #[test]
-    fn builder_defaults_to_hero_config() {
-        let engine = HeroSigner::builder(rtx_4090(), Params::sphincs_128f())
-            .build()
-            .unwrap();
-        assert_eq!(*engine.config(), OptConfig::hero());
-        assert!(engine.tuning().is_some());
     }
 }

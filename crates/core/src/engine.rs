@@ -1,29 +1,20 @@
-//! The HERO-Sign engine: configuration, tuning, adaptive branch
-//! selection, functional batch signing, and full-pipeline simulation.
+//! The HERO-Sign signer: a parameter set, a persistent worker pool and a
+//! per-key hypertree cache.
 //!
-//! This is the integration point of everything the paper proposes:
-//! [`OptConfig`] switches each optimization on independently (the Fig. 11
-//! ablation ladder), [`HeroSigner::builder`] runs the offline Tree Tuning
-//! search (through the process-wide cache) and the profiling-driven
-//! PTX/native selection, and [`HeroSigner::simulate`] replays multi-batch
-//! signing over streams or CUDA-Graph-style task graphs (Fig. 12) under a
-//! [`PipelineOptions`] description of the workload.
+//! [`HeroSigner`] plans each batch as one stage graph ([`crate::plan`])
+//! and runs it on its [`Executor`]. It prices nothing: the GPU model —
+//! tuning, PTX selection, pipeline simulation — is [`crate::SimModel`],
+//! and nothing on the signing path reads it, so building a signer costs
+//! what starting its workers costs.
 
 use crate::builder::HeroSignerBuilder;
 use crate::cache::{CacheStats, HypertreeCache};
 use crate::error::HeroError;
-use crate::kernels::{fors_sign, tree_sign, wots_sign, KernelConfig};
-use crate::ptx::{BranchSelection, KernelKind};
+use crate::model::{PipelineOptions, PipelineReport, SimModel};
 use crate::signer::{check_key, Signer};
-use crate::tuning::TuningResult;
 
 use hero_gpu_sim::device::DeviceProps;
-use hero_gpu_sim::engine::{simulate_kernel, KernelReport};
-use hero_gpu_sim::isa::Sha2Path;
-use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
-use hero_gpu_sim::pcie::PipelinedTransfers;
-use hero_gpu_sim::stream::{LaunchMode, Timeline};
-use hero_task_graph::{Executor, GraphBuilder};
+use hero_task_graph::Executor;
 
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
@@ -31,237 +22,7 @@ use hero_sphincs::sign::{Signature, SigningKey};
 
 use std::sync::Arc;
 
-/// PTX branch policy (§III-C2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PtxPolicy {
-    /// Native code everywhere (baseline).
-    #[default]
-    Off,
-    /// Profile both paths per kernel and keep the winner (HERO-Sign).
-    Adaptive,
-    /// Force the PTX path everywhere (for ablation).
-    ForceAll,
-}
-
-/// Independent switches for every optimization in the paper.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OptConfig {
-    /// §III-A multiple-Merkle-tree parallelization.
-    pub mmtp: bool,
-    /// §III-B FORS fusion via the Auto Tree Tuning search.
-    pub fusion: bool,
-    /// §III-C PTX branch policy.
-    pub ptx: PtxPolicy,
-    /// §III-D hybrid memory allocation.
-    pub hybrid_memory: bool,
-    /// §III-E bank-conflict padding.
-    pub free_bank: bool,
-    /// `__launch_bounds__` register capping on `TREE_Sign`.
-    pub launch_bounds: bool,
-    /// §III-F task-graph batch execution.
-    pub graph: bool,
-}
-
-impl OptConfig {
-    /// The TCAS-SPHINCSp baseline: hypertree parallelism only.
-    pub const fn baseline() -> Self {
-        Self {
-            mmtp: false,
-            fusion: false,
-            ptx: PtxPolicy::Off,
-            hybrid_memory: false,
-            free_bank: false,
-            launch_bounds: false,
-            graph: false,
-        }
-    }
-
-    /// Fully optimized HERO-Sign.
-    pub const fn hero() -> Self {
-        Self {
-            mmtp: true,
-            fusion: true,
-            ptx: PtxPolicy::Adaptive,
-            hybrid_memory: true,
-            free_bank: true,
-            launch_bounds: true,
-            graph: true,
-        }
-    }
-
-    /// The Fig. 11 ablation ladder: each step adds one optimization.
-    /// Returns `(label, config)` pairs in the paper's order.
-    pub fn ablation_ladder() -> Vec<(&'static str, OptConfig)> {
-        let mut cfg = OptConfig::baseline();
-        let mut steps = vec![("Baseline", cfg)];
-        cfg.mmtp = true;
-        steps.push(("MMTP", cfg));
-        cfg.fusion = true;
-        steps.push(("+FS", cfg));
-        cfg.ptx = PtxPolicy::Adaptive;
-        steps.push(("+PTX", cfg));
-        cfg.hybrid_memory = true;
-        steps.push(("+HybridME", cfg));
-        cfg.free_bank = true;
-        steps.push(("+FreeBank", cfg));
-        steps
-    }
-}
-
-/// How a simulated pipeline issues work to the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LaunchPolicy {
-    /// Follow the engine's [`OptConfig::graph`] switch.
-    #[default]
-    Auto,
-    /// Force CUDA-Graph-style batched launches.
-    Graph,
-    /// Force per-kernel stream launches.
-    Streams,
-}
-
-/// A description of one simulated signing workload, replacing the old
-/// positional `simulate_pipeline(messages, batch_size, streams)` family.
-///
-/// ```
-/// use hero_sign::PipelineOptions;
-///
-/// let opts = PipelineOptions::new(1024).batch_size(64).streams(8);
-/// assert_eq!(opts.messages, 1024);
-/// // Defaults: batch 512, 4 streams, launch mode follows the engine.
-/// assert_eq!(PipelineOptions::default().batch_size, 512);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PipelineOptions {
-    /// Total messages to sign.
-    pub messages: u32,
-    /// Messages per device batch. Must not exceed `messages`
-    /// ([`PipelineOptions::validate`] reports the mismatch as a typed
-    /// error instead of silently clamping); the final batch may still be
-    /// short when `batch_size` does not divide `messages`.
-    pub batch_size: u32,
-    /// Concurrent streams batches rotate across.
-    pub streams: usize,
-    /// Launch mode override.
-    pub launch: LaunchPolicy,
-    /// When `Some(msg_bytes)`, the simulation includes PCIe transfers
-    /// (§IV-E1): each batch uploads `msg_bytes`-byte messages and
-    /// downloads its signatures, with copies overlapping compute on
-    /// dedicated copy engines. The resulting
-    /// [`PipelineReport::transfers`] is populated.
-    pub pcie_msg_bytes: Option<u32>,
-}
-
-impl Default for PipelineOptions {
-    /// The paper's standard workload: 1024 messages in 512-message
-    /// batches over 4 streams, engine-selected launch mode, no PCIe
-    /// modeling.
-    fn default() -> Self {
-        Self {
-            messages: 1024,
-            batch_size: 512,
-            streams: 4,
-            launch: LaunchPolicy::Auto,
-            pcie_msg_bytes: None,
-        }
-    }
-}
-
-impl PipelineOptions {
-    /// A workload of `messages` messages with default batching (the
-    /// standard 512-message batch, shrunk to `messages` for small
-    /// workloads so the default always passes
-    /// [`PipelineOptions::validate`]).
-    pub fn new(messages: u32) -> Self {
-        let defaults = Self::default();
-        Self {
-            messages,
-            batch_size: defaults.batch_size.min(messages.max(1)),
-            ..defaults
-        }
-    }
-
-    /// Sets the per-batch message count.
-    pub fn batch_size(mut self, batch_size: u32) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the stream count.
-    pub fn streams(mut self, streams: usize) -> Self {
-        self.streams = streams;
-        self
-    }
-
-    /// Overrides the launch mode.
-    pub fn launch(mut self, launch: LaunchPolicy) -> Self {
-        self.launch = launch;
-        self
-    }
-
-    /// Enables PCIe transfer modeling with `msg_bytes`-byte messages.
-    pub fn pcie_overlap(mut self, msg_bytes: u32) -> Self {
-        self.pcie_msg_bytes = Some(msg_bytes);
-        self
-    }
-
-    /// Checks the workload description for unusable values.
-    ///
-    /// # Errors
-    ///
-    /// [`HeroError::InvalidOptions`] naming the offending field —
-    /// including `batch_size > messages`, which used to be clamped
-    /// silently; a dispatcher that wants a short final batch says so by
-    /// sizing batches to the workload, not the other way around.
-    pub fn validate(&self) -> Result<(), HeroError> {
-        if self.messages == 0 {
-            return Err(HeroError::InvalidOptions(
-                "messages must be >= 1".to_string(),
-            ));
-        }
-        if self.batch_size == 0 {
-            return Err(HeroError::InvalidOptions(
-                "batch_size must be >= 1".to_string(),
-            ));
-        }
-        if self.batch_size > self.messages {
-            return Err(HeroError::InvalidOptions(format!(
-                "batch_size ({}) must not exceed messages ({})",
-                self.batch_size, self.messages
-            )));
-        }
-        if self.streams == 0 {
-            return Err(HeroError::InvalidOptions(
-                "streams must be >= 1".to_string(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Full-pipeline simulation result (the Fig. 12 quantities).
-#[derive(Clone, Debug)]
-pub struct PipelineReport {
-    /// End-to-end time for all batches (µs), including transfers when
-    /// PCIe modeling is enabled.
-    pub makespan_us: f64,
-    /// Signatures per second / 1000.
-    pub kops: f64,
-    /// Cumulative host launch overhead (µs) — Fig. 12's latency panel.
-    pub launch_overhead_us: f64,
-    /// Host launches performed.
-    pub launch_count: u64,
-    /// Device idle time between kernel executions (µs) — Table II's
-    /// "Idle Time" column.
-    pub idle_us: f64,
-    /// Per-kernel device time for one batch (µs): FORS, TREE, WOTS+.
-    pub kernel_batch_us: [f64; 3],
-    /// PCIe transfer breakdown, when
-    /// [`PipelineOptions::pcie_msg_bytes`] was set.
-    pub transfers: Option<PipelinedTransfers>,
-}
-
-/// The HERO-Sign engine for one (device, parameter set, configuration).
+/// The HERO-Sign signing engine for one parameter set.
 ///
 /// Holds an [`Executor`] — the persistent stream runtime — in an
 /// [`Arc`]: cloning the engine shares the same worker pool, the way
@@ -270,99 +31,30 @@ pub struct PipelineReport {
 /// instead of serializing behind per-call thread pools.
 #[derive(Clone, Debug)]
 pub struct HeroSigner {
-    device: DeviceProps,
-    params: Params,
-    config: OptConfig,
-    tuning: Option<TuningResult>,
-    selection: BranchSelection,
-    executor: Arc<Executor>,
+    /// Read by [`HeroSigner::simulate`] and by nothing that signs.
+    pub(crate) device: DeviceProps,
+    pub(crate) params: Params,
+    pub(crate) executor: Arc<Executor>,
     /// Per-key hypertree memoization, shared by clones (like the
     /// executor): many services signing through clones of one engine
     /// pool their warm subtrees.
-    cache: Arc<HypertreeCache>,
+    pub(crate) cache: Arc<HypertreeCache>,
 }
 
 impl HeroSigner {
     /// Starts configuring an engine; see [`HeroSignerBuilder`].
+    ///
+    /// `device` steers nothing the engine computes. The argument stays
+    /// because the repository benchmark compiles against this signature
+    /// (`perfbench/src/workloads.rs:255`); it is only handed on to
+    /// [`HeroSigner::simulate`].
     pub fn builder(device: DeviceProps, params: Params) -> HeroSignerBuilder {
         HeroSignerBuilder::new(device, params)
-    }
-
-    /// Convenience: fully optimized engine with default options.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeroSignerBuilder::build`].
-    pub fn hero(device: DeviceProps, params: Params) -> Result<Self, HeroError> {
-        Self::builder(device, params).build()
-    }
-
-    /// Convenience: baseline engine with default options.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeroSignerBuilder::build`].
-    pub fn baseline(device: DeviceProps, params: Params) -> Result<Self, HeroError> {
-        Self::builder(device, params)
-            .config(OptConfig::baseline())
-            .build()
-    }
-
-    /// Assembles a validated engine: resolves the profiling-driven
-    /// PTX/native selection for the given configuration. Called by
-    /// [`HeroSignerBuilder::build`] after validation and tuning.
-    pub(crate) fn construct(
-        device: DeviceProps,
-        params: Params,
-        config: OptConfig,
-        tuning: Option<TuningResult>,
-        executor: Arc<Executor>,
-        cache: Arc<HypertreeCache>,
-    ) -> Self {
-        let mut engine = Self {
-            device,
-            params,
-            config,
-            tuning,
-            selection: BranchSelection::all_native(),
-            executor,
-            cache,
-        };
-        engine.selection = match config.ptx {
-            PtxPolicy::Off => BranchSelection::all_native(),
-            PtxPolicy::ForceAll => BranchSelection {
-                fors: Sha2Path::Ptx,
-                tree: Sha2Path::Ptx,
-                wots: Sha2Path::Ptx,
-            },
-            PtxPolicy::Adaptive => engine.profile_branch_selection(),
-        };
-        engine
-    }
-
-    /// The device this engine targets.
-    pub fn device(&self) -> &DeviceProps {
-        &self.device
     }
 
     /// The parameter set.
     pub fn params(&self) -> &Params {
         &self.params
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &OptConfig {
-        &self.config
-    }
-
-    /// The tuning result, if fusion is enabled and the search succeeded.
-    pub fn tuning(&self) -> Option<&TuningResult> {
-        self.tuning.as_ref()
-    }
-
-    /// The resolved PTX/native selection (Table V's row for this set).
-    pub fn selection(&self) -> BranchSelection {
-        self.selection
     }
 
     /// The functional-signing worker-thread count of the runtime.
@@ -376,119 +68,6 @@ impl HeroSigner {
     /// their own [`hero_task_graph::TaskGraph`] submissions with signing.
     pub fn runtime(&self) -> &Arc<Executor> {
         &self.executor
-    }
-
-    /// The FORS block layout implied by the configuration.
-    pub fn fors_layout(&self) -> fors_sign::ForsLayout {
-        match (&self.tuning, self.config.mmtp, self.config.fusion) {
-            (Some(t), _, true) => {
-                if t.best.relax_depth > 0 {
-                    fors_sign::ForsLayout::Relax(t.best)
-                } else {
-                    fors_sign::ForsLayout::Fused(t.best)
-                }
-            }
-            (_, true, _) => fors_sign::ForsLayout::Mmtp,
-            _ => fors_sign::ForsLayout::Baseline,
-        }
-    }
-
-    /// Per-kernel code-generation config implied by the optimization set.
-    pub fn kernel_config(&self, kind: KernelKind) -> KernelConfig {
-        let path = self.selection.path(kind);
-        let placement = if self.config.hybrid_memory {
-            match (kind, self.params.n) {
-                // §III-D: TREE_Sign's read-only data stays in global
-                // memory with vectorized loads for 192f.
-                (KernelKind::TreeSign, 24) => RoDataPlacement::GlobalVectorized,
-                _ => RoDataPlacement::Constant,
-            }
-        } else {
-            RoDataPlacement::Global
-        };
-        KernelConfig {
-            path,
-            placement,
-            padding: self.config.free_bank,
-            launch_bounds: self.config.launch_bounds,
-            // The shift rewrite ships with MMTP's kernel rewrite.
-            index_shift_rewrite: self.config.mmtp,
-        }
-    }
-
-    /// Analytic descriptors for the three kernels over `messages` messages.
-    pub fn kernel_descs(&self, messages: u32) -> [KernelDesc; 3] {
-        let layout = self.fors_layout();
-        [
-            fors_sign::describe(
-                &self.device,
-                &self.params,
-                messages,
-                &layout,
-                &self.kernel_config(KernelKind::ForsSign),
-            ),
-            tree_sign::describe(
-                &self.device,
-                &self.params,
-                messages,
-                &self.kernel_config(KernelKind::TreeSign),
-            ),
-            wots_sign::describe(
-                &self.device,
-                &self.params,
-                messages,
-                &self.kernel_config(KernelKind::WotsSign),
-            ),
-        ]
-    }
-
-    /// Simulated timing reports for the three kernels.
-    pub fn kernel_reports(&self, messages: u32) -> [KernelReport; 3] {
-        self.kernel_descs(messages)
-            .map(|d| simulate_kernel(&self.device, &d))
-    }
-
-    /// Profiling-driven branch selection: simulate each kernel under both
-    /// paths, keep the winner (§III-C2's "more intuitive approach").
-    fn profile_branch_selection(&self) -> BranchSelection {
-        let pick = |kind: KernelKind| {
-            let mut best = (f64::INFINITY, Sha2Path::Native);
-            for path in [Sha2Path::Native, Sha2Path::Ptx] {
-                let mut cfg = self.kernel_config_with_path(kind, path);
-                cfg.padding = self.config.free_bank;
-                let desc = match kind {
-                    KernelKind::ForsSign => fors_sign::describe(
-                        &self.device,
-                        &self.params,
-                        1024,
-                        &self.fors_layout(),
-                        &cfg,
-                    ),
-                    KernelKind::TreeSign => {
-                        tree_sign::describe(&self.device, &self.params, 1024, &cfg)
-                    }
-                    KernelKind::WotsSign => {
-                        wots_sign::describe(&self.device, &self.params, 1024, &cfg)
-                    }
-                };
-                let t = simulate_kernel(&self.device, &desc).time_us;
-                if t < best.0 {
-                    best = (t, path);
-                }
-            }
-            best.1
-        };
-        BranchSelection {
-            fors: pick(KernelKind::ForsSign),
-            tree: pick(KernelKind::TreeSign),
-            wots: pick(KernelKind::WotsSign),
-        }
-    }
-
-    fn kernel_config_with_path(&self, kind: KernelKind, path: Sha2Path) -> KernelConfig {
-        let mut cfg = self.kernel_config(kind);
-        cfg.path = path;
-        cfg
     }
 
     /// Functional signing of one message: a planned batch of one
@@ -587,133 +166,16 @@ impl HeroSigner {
         crate::kernels::verify::run_batch_planned(vk, msgs, sigs, &self.executor)
     }
 
-    /// Simulated batch-verification throughput (KOPS) for `messages`
-    /// signatures on this device.
-    pub fn simulate_verify_kops(&self, messages: u32) -> f64 {
-        let cfg = self.kernel_config(KernelKind::WotsSign);
-        let desc = crate::kernels::verify::describe(&self.device, &self.params, messages, &cfg);
-        let report = simulate_kernel(&self.device, &desc);
-        messages as f64 / report.time_us * 1.0e3
-    }
-
-    /// Simulates end-to-end pipeline execution of the workload described
-    /// by `opts` (Fig. 12 / Fig. 13): `opts.messages` messages split into
-    /// `opts.batch_size`-message batches over `opts.streams` concurrent
-    /// streams, launched per the engine configuration or the
-    /// [`PipelineOptions::launch`] override, with PCIe transfer modeling
-    /// when [`PipelineOptions::pcie_msg_bytes`] is set (§IV-E1 — where
-    /// the paper's two-sided batch guidance emerges: compute hides
-    /// transfers at moderate batches, but pipeline fill/drain grows with
-    /// batch size, so latency-sensitive deployments prefer batches "near
-    /// 64").
+    /// [`SimModel::simulate`] on a fresh [`SimModel::hero`] for the
+    /// builder's device. Stays because the repository benchmark calls it
+    /// (`perfbench/src/ladder.rs:839`); everything else that prices builds
+    /// a [`SimModel`] and keeps it.
     ///
     /// # Errors
     ///
-    /// [`HeroError::InvalidOptions`] via [`PipelineOptions::validate`].
+    /// As [`SimModel::hero`] and [`SimModel::simulate`].
     pub fn simulate(&self, opts: PipelineOptions) -> Result<PipelineReport, HeroError> {
-        Ok(self.simulate_traced(opts)?.0)
-    }
-
-    /// [`HeroSigner::simulate`], also returning the populated
-    /// [`Timeline`] — e.g. for [`hero_gpu_sim::trace::chrome_trace`]
-    /// schedule visualization.
-    ///
-    /// # Errors
-    ///
-    /// As [`HeroSigner::simulate`].
-    pub fn simulate_traced(
-        &self,
-        opts: PipelineOptions,
-    ) -> Result<(PipelineReport, Timeline), HeroError> {
-        opts.validate()?;
-        let messages = opts.messages;
-        let batch_size = opts.batch_size;
-        let streams = opts.streams;
-        let batches = messages.div_ceil(batch_size);
-
-        let reports = self.kernel_reports(batch_size);
-        let [fors_us, tree_us, wots_us] =
-            [reports[0].time_us, reports[1].time_us, reports[2].time_us];
-        let descs = self.kernel_descs(batch_size);
-        let sms = |d: &KernelDesc| d.grid_blocks.min(self.device.sm_count);
-
-        let use_graph = match opts.launch {
-            LaunchPolicy::Auto => self.config.graph,
-            LaunchPolicy::Graph => true,
-            LaunchPolicy::Streams => false,
-        };
-
-        let mut tl = Timeline::new(self.device.clone());
-
-        if use_graph {
-            let mut g = GraphBuilder::new();
-            let f = g.kernel("FORS_Sign", fors_us, sms(&descs[0]));
-            let t = g.kernel("TREE_Sign", tree_us, sms(&descs[1]));
-            let w = g.kernel("WOTS+_Sign", wots_us, sms(&descs[2]));
-            g.depends_on(w, f);
-            g.depends_on(w, t);
-            let exe = g.instantiate(&self.device);
-            for b in 0..batches {
-                exe.launch(&mut tl, b as usize % streams);
-            }
-        } else {
-            for b in 0..batches {
-                let s = tl.stream(b as usize % streams);
-                let f = tl.launch(
-                    "FORS_Sign",
-                    s,
-                    fors_us,
-                    sms(&descs[0]),
-                    LaunchMode::Stream,
-                    &[],
-                );
-                let t = tl.launch(
-                    "TREE_Sign",
-                    s,
-                    tree_us,
-                    sms(&descs[1]),
-                    LaunchMode::Stream,
-                    &[],
-                );
-                tl.launch(
-                    "WOTS+_Sign",
-                    s,
-                    wots_us,
-                    sms(&descs[2]),
-                    LaunchMode::Stream,
-                    &[f, t],
-                );
-            }
-        }
-
-        let makespan = tl.makespan_us();
-        let mut report = PipelineReport {
-            makespan_us: makespan,
-            kops: messages as f64 / makespan * 1.0e3,
-            launch_overhead_us: tl.launch_overhead_total_us(),
-            launch_count: tl.launch_count(),
-            idle_us: tl.idle_us() + tl.dispatch_idle_total_us(),
-            kernel_batch_us: [fors_us, tree_us, wots_us],
-            transfers: None,
-        };
-
-        if let Some(msg_bytes) = opts.pcie_msg_bytes {
-            let per_batch_compute_us = report.makespan_us / batches as f64;
-            let h2d = batch_size as u64 * (msg_bytes as u64 + 2 * self.params.n as u64);
-            let d2h = batch_size as u64 * self.params.sig_bytes() as u64;
-            let transfers = hero_gpu_sim::pcie::pipeline_with_transfers(
-                &self.device,
-                batches,
-                per_batch_compute_us,
-                h2d,
-                d2h,
-            );
-            report.makespan_us = transfers.makespan_us;
-            report.kops = messages as f64 / transfers.makespan_us * 1.0e3;
-            report.transfers = Some(transfers);
-        }
-
-        Ok((report, tl))
+        SimModel::hero(self.device.clone(), self.params)?.simulate(opts)
     }
 }
 
@@ -755,7 +217,10 @@ impl Signer for HeroSigner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::fors_sign;
+    use crate::model::{LaunchPolicy, OptConfig};
     use hero_gpu_sim::device::rtx_4090;
+    use hero_gpu_sim::isa::Sha2Path;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -768,11 +233,12 @@ mod tests {
         p
     }
 
-    fn build(device: DeviceProps, params: Params, cfg: OptConfig) -> HeroSigner {
-        HeroSigner::builder(device, params)
-            .config(cfg)
-            .build()
-            .unwrap()
+    fn signer(params: Params) -> HeroSigner {
+        HeroSigner::builder(rtx_4090(), params).build().unwrap()
+    }
+
+    fn build(device: DeviceProps, params: Params, cfg: OptConfig) -> SimModel {
+        SimModel::new(device, params, cfg).unwrap()
     }
 
     fn pipe(messages: u32, batch: u32, streams: usize) -> PipelineOptions {
@@ -786,7 +252,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let params = tiny_params();
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
+        let engine = signer(params);
         let msg = b"hero-sign functional equivalence";
         let hero_sig = engine.sign(&sk, msg).unwrap();
         let reference = sk.sign(msg);
@@ -799,7 +265,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let params = tiny_params();
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
+        let engine = signer(params);
         let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 20]).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
         let sigs = engine.sign_batch(&sk, &refs).unwrap();
@@ -813,10 +279,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let key_params = tiny_params();
         let (sk, _) = hero_sphincs::keygen(key_params, &mut rng).unwrap();
-        let engine = HeroSigner::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+        let engine = signer(Params::sphincs_128f());
         let err = engine.sign(&sk, b"mismatch").unwrap_err();
         assert!(matches!(err, HeroError::KeyMismatch(_)), "{err}");
     }
+
+    #[test]
+    fn engine_signs_with_sha512_keys() {
+        use hero_sphincs::hash::HashAlg;
+        let mut rng = StdRng::seed_from_u64(64);
+        let params = tiny_params();
+        let (sk, vk) = hero_sphincs::keygen_with_alg(params, HashAlg::Sha512, &mut rng).unwrap();
+        let engine = signer(params);
+        let sig = engine.sign(&sk, b"sha512 through the kernels").unwrap();
+        assert_eq!(sig, sk.sign(b"sha512 through the kernels"));
+        vk.verify(b"sha512 through the kernels", &sig).unwrap();
+    }
+
+    #[test]
+    fn simulate_forwards_to_the_hero_model() {
+        let params = Params::sphincs_128f();
+        let opts = pipe(1024, 64, 4).pcie_overlap(64);
+        let direct = SimModel::hero(rtx_4090(), params)
+            .unwrap()
+            .simulate(opts)
+            .unwrap();
+        assert_eq!(signer(params).simulate(opts).unwrap(), direct);
+    }
+
+    // From here down the tests price: each builds a `SimModel`, never a
+    // signer. They keep the `engine::tests` path they were recorded under.
 
     #[test]
     fn adaptive_selection_reproduces_table_v() {
@@ -824,8 +316,8 @@ mod tests {
         // 128f/192f, PTX at 256f.
         let d = rtx_4090();
         for p in Params::fast_sets() {
-            let engine = HeroSigner::hero(d.clone(), p).unwrap();
-            let sel = engine.selection();
+            let model = SimModel::hero(d.clone(), p).unwrap();
+            let sel = model.selection();
             assert_eq!(sel.fors, Sha2Path::Ptx, "{} FORS", p.name());
             let expect = if p.n == 32 {
                 Sha2Path::Ptx
@@ -841,10 +333,10 @@ mod tests {
     fn hero_outperforms_baseline_per_kernel() {
         let d = rtx_4090();
         for p in Params::fast_sets() {
-            let base = HeroSigner::baseline(d.clone(), p)
+            let base = SimModel::baseline(d.clone(), p)
                 .unwrap()
                 .kernel_reports(1024);
-            let hero = HeroSigner::hero(d.clone(), p).unwrap().kernel_reports(1024);
+            let hero = SimModel::hero(d.clone(), p).unwrap().kernel_reports(1024);
             for (b, h) in base.iter().zip(hero.iter()) {
                 assert!(
                     h.time_us < b.time_us,
@@ -866,8 +358,8 @@ mod tests {
         let p = Params::sphincs_128f();
         let mut last = f64::INFINITY;
         for (label, cfg) in OptConfig::ablation_ladder() {
-            let engine = build(d.clone(), p, cfg);
-            let fors = &engine.kernel_reports(1024)[0];
+            let model = build(d.clone(), p, cfg);
+            let fors = &model.kernel_reports(1024)[0];
             assert!(
                 fors.time_us <= last * 1.005,
                 "{label}: {} vs previous {last}",
@@ -881,14 +373,14 @@ mod tests {
     fn graph_pipeline_slashes_launch_overhead() {
         let d = rtx_4090();
         let p = Params::sphincs_128f();
-        let hero = HeroSigner::hero(d.clone(), p).unwrap();
+        let hero = SimModel::hero(d.clone(), p).unwrap();
         let hero_graph = hero.simulate(pipe(1024, 64, 4)).unwrap();
-        // The same engine replayed with per-kernel stream launches.
+        // The same model replayed with per-kernel stream launches.
         let hero_stream = hero
             .simulate(pipe(1024, 64, 4).launch(LaunchPolicy::Streams))
             .unwrap();
         // Two orders of magnitude vs per-message baseline launches.
-        let baseline = HeroSigner::baseline(d.clone(), p)
+        let baseline = SimModel::baseline(d.clone(), p)
             .unwrap()
             .simulate(pipe(1024, 1, 4))
             .unwrap();
@@ -910,11 +402,11 @@ mod tests {
         // batches (§IV-E1's throughput guidance).
         let d = rtx_4090();
         let p = Params::sphincs_128f();
-        let base = HeroSigner::baseline(d.clone(), p)
+        let base = SimModel::baseline(d.clone(), p)
             .unwrap()
             .simulate(pipe(1024, 1, 128))
             .unwrap();
-        let hero = HeroSigner::hero(d.clone(), p)
+        let hero = SimModel::hero(d.clone(), p)
             .unwrap()
             .simulate(pipe(1024, 512, 4))
             .unwrap();
@@ -930,7 +422,7 @@ mod tests {
 
     #[test]
     fn s_variants_supported_via_deep_relax() {
-        // The -s sets run end to end on the engine thanks to the
+        // The -s sets run end to end on the model thanks to the
         // generalized Relax Buffer (extension beyond the paper's -f scope).
         let d = rtx_4090();
         for p in [
@@ -938,12 +430,12 @@ mod tests {
             Params::sphincs_192s(),
             Params::sphincs_256s(),
         ] {
-            let engine = HeroSigner::hero(d.clone(), p).unwrap();
+            let model = SimModel::hero(d.clone(), p).unwrap();
             assert!(matches!(
-                engine.fors_layout(),
+                model.fors_layout(),
                 fors_sign::ForsLayout::Relax(_)
             ));
-            let reports = engine.kernel_reports(256);
+            let reports = model.kernel_reports(256);
             for r in &reports {
                 assert!(
                     r.time_us.is_finite() && r.time_us > 0.0,
@@ -958,8 +450,8 @@ mod tests {
                 24 => Params::sphincs_192f(),
                 _ => Params::sphincs_256f(),
             };
-            let s_pipe = engine.simulate(pipe(512, 256, 4)).unwrap();
-            let f_pipe = HeroSigner::hero(d.clone(), f_equiv)
+            let s_pipe = model.simulate(pipe(512, 256, 4)).unwrap();
+            let f_pipe = SimModel::hero(d.clone(), f_equiv)
                 .unwrap()
                 .simulate(pipe(512, 256, 4))
                 .unwrap();
@@ -968,23 +460,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_signs_with_sha512_keys() {
-        use hero_sphincs::hash::HashAlg;
-        let mut rng = StdRng::seed_from_u64(64);
-        let params = tiny_params();
-        let (sk, vk) = hero_sphincs::keygen_with_alg(params, HashAlg::Sha512, &mut rng).unwrap();
-        let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
-        let sig = engine.sign(&sk, b"sha512 through the kernels").unwrap();
-        assert_eq!(sig, sk.sign(b"sha512 through the kernels"));
-        vk.verify(b"sha512 through the kernels", &sig).unwrap();
-    }
-
-    #[test]
     fn fors_layout_tracks_config() {
         let d = rtx_4090();
         let p = Params::sphincs_128f();
         assert!(matches!(
-            HeroSigner::baseline(d.clone(), p).unwrap().fors_layout(),
+            SimModel::baseline(d.clone(), p).unwrap().fors_layout(),
             fors_sign::ForsLayout::Baseline
         ));
         let mut cfg = OptConfig::baseline();
@@ -994,11 +474,11 @@ mod tests {
             fors_sign::ForsLayout::Mmtp
         ));
         assert!(matches!(
-            HeroSigner::hero(d.clone(), p).unwrap().fors_layout(),
+            SimModel::hero(d.clone(), p).unwrap().fors_layout(),
             fors_sign::ForsLayout::Fused(_)
         ));
         assert!(matches!(
-            HeroSigner::hero(d, Params::sphincs_256f())
+            SimModel::hero(d, Params::sphincs_256f())
                 .unwrap()
                 .fors_layout(),
             fors_sign::ForsLayout::Relax(_)
@@ -1007,14 +487,14 @@ mod tests {
 
     #[test]
     fn pipeline_options_are_validated() {
-        let engine = HeroSigner::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+        let model = SimModel::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
         for bad in [
             PipelineOptions::new(0),
             PipelineOptions::new(64).batch_size(0),
             PipelineOptions::new(64).streams(0),
             PipelineOptions::new(64).batch_size(65),
         ] {
-            let err = engine.simulate(bad).unwrap_err();
+            let err = model.simulate(bad).unwrap_err();
             assert!(
                 matches!(err, HeroError::InvalidOptions(_)),
                 "{bad:?}: {err}"
@@ -1024,10 +504,10 @@ mod tests {
 
     #[test]
     fn pcie_option_populates_transfers() {
-        let engine = HeroSigner::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
-        let pure = engine.simulate(pipe(512, 128, 4)).unwrap();
+        let model = SimModel::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+        let pure = model.simulate(pipe(512, 128, 4)).unwrap();
         assert!(pure.transfers.is_none());
-        let with_pcie = engine.simulate(pipe(512, 128, 4).pcie_overlap(64)).unwrap();
+        let with_pcie = model.simulate(pipe(512, 128, 4).pcie_overlap(64)).unwrap();
         let transfers = with_pcie.transfers.expect("transfer breakdown");
         assert!(transfers.makespan_us >= pure.makespan_us);
         assert!(with_pcie.kops <= pure.kops);

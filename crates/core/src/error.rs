@@ -20,9 +20,9 @@ pub enum HeroError {
     /// An option carried an unusable value (zero workers, zero messages,
     /// zero streams, …); the message names the offending field.
     InvalidOptions(String),
-    /// The Auto Tree Tuning search failed and the builder was configured
-    /// to treat that as fatal (see
-    /// [`crate::builder::HeroSignerBuilder::strict_tuning`]).
+    /// The Auto Tree Tuning search failed and the caller asked for its
+    /// result ([`crate::tuning::tune_auto`]; a [`crate::SimModel`] falls
+    /// back to an unfused layout instead of raising this).
     Tuning(TuneError),
     /// A key built for one parameter set was used with an engine built
     /// for another. Boxed to keep the error small; carries the full

@@ -69,14 +69,6 @@ pub const PLAN_STAGE: &str = "plan.stage";
 /// specs model a slow cache tier.
 pub const HYPERTREE_CACHE: &str = "hypertree.cache";
 
-/// Tuning-cache persistence point: a fired **fail** spec makes the disk
-/// write fail (the cache degrades to in-memory, never corrupts).
-pub const TUNING_DISK_WRITE: &str = "tuning.disk.write";
-
-/// Tuning-cache load point: a fired **fail** spec makes the disk read
-/// miss (falls back to the search).
-pub const TUNING_DISK_READ: &str = "tuning.disk.read";
-
 /// What a matched spec does at its point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {

@@ -11,8 +11,8 @@
 //!   [`ReferenceSigner`], the scalar second implementation
 //!   (`hero_sphincs::reference`) behind it; services program against
 //!   `dyn Signer` and pick a backend at the edge.
-//! * [`builder`] — fallible, cached construction of [`HeroSigner`]
-//!   engines ([`HeroSigner::builder`]).
+//! * [`builder`] — fallible construction of [`HeroSigner`] engines
+//!   ([`HeroSigner::builder`]): parameters, workers, cache.
 //! * [`error`] — the typed [`HeroError`] every fallible operation
 //!   reports.
 //! * [`faults`] — deterministic, seeded fault injection (`HERO_FAULTS`)
@@ -21,8 +21,7 @@
 //!   retained subtree node pyramids, so steady-state signing with one
 //!   key pays only FORS plus the churning bottom layers.
 //! * [`tuning`] — the offline **Auto Tree Tuning** search (Algorithm 1)
-//!   and the Relax-FORS variant, behind a process-wide memoization cache;
-//!   reproduces Table IV.
+//!   and the Relax-FORS variant; reproduces Table IV.
 //! * [`kernels`] — the three component kernels (`FORS_Sign`, `TREE_Sign`,
 //!   `WOTS+_Sign`), each with a functional face (real parallel signing on
 //!   CPU workers) and an analytic face (simulator descriptors with
@@ -33,10 +32,13 @@
 //!   becomes one stage graph (FORS tree groups, subtree treehashes,
 //!   WOTS+ chain groups spanning messages) submitted onto the persistent
 //!   [`hero_task_graph::Executor`] runtime.
-//! * [`engine`] — [`HeroSigner`]: tune → select branches → plan and sign
-//!   batches → simulate [`PipelineOptions`] workloads (Figs. 11–14);
-//!   holds the stream runtime in an `Arc` so clones and concurrent
-//!   callers share one worker pool.
+//! * [`engine`] — [`HeroSigner`], the signer: plans and signs batches,
+//!   verifies them, warms keys; holds the stream runtime and the
+//!   hypertree cache in `Arc`s so clones and concurrent callers share one
+//!   worker pool. Reads nothing of the model below.
+//! * [`model`] — [`SimModel`], the GPU pricing model: tune → select
+//!   branches → simulate [`PipelineOptions`] workloads (Figs. 11–14). No
+//!   worker pool, no cache; built only by whoever prices.
 //! * [`service`] — [`SignService`]: the work-conserving micro-batching
 //!   signing server; many clients, one coalesced accelerator.
 //! * [`stats`] — the shared latency-percentile machinery (p50/p90/p99)
@@ -48,13 +50,13 @@
 //!
 //! ## Quickstart
 //!
-//! Build an engine through the fallible builder, sign through the
-//! [`Signer`] trait, and simulate the same workload on the modeled
-//! RTX 4090:
+//! Build an engine through the fallible builder and sign through the
+//! [`Signer`] trait; build a [`SimModel`] to price the same workload on
+//! the modeled RTX 4090:
 //!
 //! ```
 //! use hero_gpu_sim::device::rtx_4090;
-//! use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer};
+//! use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
 //! use hero_sphincs::params::Params;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -79,7 +81,8 @@
 //! }
 //!
 //! // Simulated RTX 4090 throughput for a 1024-message batch pipeline:
-//! let report = engine.simulate(PipelineOptions::new(1024).batch_size(64))?;
+//! let model = SimModel::hero(rtx_4090(), params)?;
+//! let report = model.simulate(PipelineOptions::new(1024).batch_size(64))?;
 //! assert!(report.kops > 0.0);
 //! # Ok(())
 //! # }
@@ -93,6 +96,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod kernels;
+pub mod model;
 pub mod par;
 pub mod plan;
 pub mod ptx;
@@ -104,10 +108,11 @@ pub mod workload;
 
 pub use builder::HeroSignerBuilder;
 pub use cache::{CacheConfig, CacheStats, HypertreeCache};
-pub use engine::{HeroSigner, LaunchPolicy, OptConfig, PipelineOptions, PipelineReport, PtxPolicy};
+pub use engine::HeroSigner;
 pub use error::HeroError;
 pub use faults::{FaultAction, FaultPlan, FaultSpec};
 pub use kernels::verify::VerifyOutcome;
+pub use model::{LaunchPolicy, OptConfig, PipelineOptions, PipelineReport, PtxPolicy, SimModel};
 pub use plan::{PlanShape, PlanSummary};
 pub use ptx::{BranchSelection, KernelKind};
 pub use service::{
@@ -115,8 +120,4 @@ pub use service::{
 };
 pub use signer::{ReferenceSigner, Signer};
 pub use stats::{LatencySummary, LatencyWindow};
-pub use tuning::{
-    tune, tune_auto, tune_auto_cached, tune_auto_cached_at, tune_relax, tuning_cache_disk_path,
-    tuning_cache_stats, FusionCandidate, TuningCacheStats, TuningOptions, TuningResult,
-    TUNING_CACHE_DISK_VERSION,
-};
+pub use tuning::{tune, tune_auto, tune_relax, FusionCandidate, TuningOptions, TuningResult};

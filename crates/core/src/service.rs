@@ -571,51 +571,25 @@ impl SignService {
             .enqueue(msg.into(), None, true, self.config.queue_depth)
     }
 
-    /// [`SignService::submit`] with a deadline: if `deadline` passes
-    /// while the request is still queued, it is answered with
-    /// [`ServiceError::DeadlineExceeded`] instead of being signed —
-    /// expired work never reaches the executor.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DeadlineExceeded`] immediately when `deadline`
-    /// has already passed; otherwise as [`SignService::submit`].
-    pub fn submit_with_deadline(
-        &self,
-        msg: impl Into<Vec<u8>>,
-        deadline: Instant,
-    ) -> Result<SignTicket, ServiceError> {
-        self.shared
-            .sign
-            .enqueue(msg.into(), Some(deadline), true, self.config.queue_depth)
-    }
-
-    /// Non-blocking [`SignService::submit`].
+    /// Non-blocking [`SignService::submit`], with an optional deadline:
+    /// if `deadline` passes while the request is still queued, it is
+    /// answered with [`ServiceError::DeadlineExceeded`] instead of being
+    /// signed — expired work never reaches the executor.
     ///
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] instead of blocking;
-    /// [`ServiceError::ShuttingDown`] once shutdown has begun.
-    pub fn try_submit(&self, msg: impl Into<Vec<u8>>) -> Result<SignTicket, ServiceError> {
-        self.shared
-            .sign
-            .enqueue(msg.into(), None, false, self.config.queue_depth)
-    }
-
-    /// Non-blocking [`SignService::submit_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SignService::try_submit`], plus
-    /// [`ServiceError::DeadlineExceeded`] for an already-passed deadline.
-    pub fn try_submit_with_deadline(
+    /// [`ServiceError::DeadlineExceeded`] immediately when `deadline`
+    /// has already passed; [`ServiceError::ShuttingDown`] once shutdown
+    /// has begun.
+    pub fn try_submit(
         &self,
         msg: impl Into<Vec<u8>>,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Result<SignTicket, ServiceError> {
         self.shared
             .sign
-            .enqueue(msg.into(), Some(deadline), false, self.config.queue_depth)
+            .enqueue(msg.into(), deadline, false, self.config.queue_depth)
     }
 
     /// Non-blocking submission of a whole batch as one unit: every
@@ -666,72 +640,25 @@ impl SignService {
         )
     }
 
-    /// [`SignService::submit_verify`] with a deadline — expired verify
-    /// work never reaches the executor, same as the sign lane.
+    /// Non-blocking [`SignService::submit_verify`], with an optional
+    /// deadline — expired verify work never reaches the executor, same
+    /// as the sign lane.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::DeadlineExceeded`] immediately when `deadline`
-    /// has already passed; otherwise as [`SignService::submit_verify`].
-    pub fn submit_verify_with_deadline(
-        &self,
-        msg: impl Into<Vec<u8>>,
-        sig: Signature,
-        deadline: Instant,
-    ) -> Result<VerifyTicket, ServiceError> {
-        self.shared.verify.enqueue(
-            VerifyItem {
-                msg: msg.into(),
-                sig,
-            },
-            Some(deadline),
-            true,
-            self.config.queue_depth,
-        )
-    }
-
-    /// Non-blocking [`SignService::submit_verify`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::QueueFull`] instead of blocking;
-    /// [`ServiceError::ShuttingDown`] once shutdown has begun.
+    /// As [`SignService::try_submit`].
     pub fn try_submit_verify(
         &self,
         msg: impl Into<Vec<u8>>,
         sig: Signature,
+        deadline: Option<Instant>,
     ) -> Result<VerifyTicket, ServiceError> {
         self.shared.verify.enqueue(
             VerifyItem {
                 msg: msg.into(),
                 sig,
             },
-            None,
-            false,
-            self.config.queue_depth,
-        )
-    }
-
-    /// Non-blocking [`SignService::submit_verify_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::QueueFull`] instead of blocking;
-    /// [`ServiceError::DeadlineExceeded`] immediately when `deadline`
-    /// has already passed; [`ServiceError::ShuttingDown`] once shutdown
-    /// has begun.
-    pub fn try_submit_verify_with_deadline(
-        &self,
-        msg: impl Into<Vec<u8>>,
-        sig: Signature,
-        deadline: Instant,
-    ) -> Result<VerifyTicket, ServiceError> {
-        self.shared.verify.enqueue(
-            VerifyItem {
-                msg: msg.into(),
-                sig,
-            },
-            Some(deadline),
+            deadline,
             false,
             self.config.queue_depth,
         )
@@ -1018,7 +945,7 @@ mod tests {
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
             service
-                .submit_verify_with_deadline(b"v".to_vec(), sig.clone(), past)
+                .try_submit_verify(b"v".to_vec(), sig.clone(), Some(past))
                 .unwrap_err(),
             ServiceError::DeadlineExceeded
         );
@@ -1112,7 +1039,7 @@ mod tests {
         let mut accepted = Vec::new();
         let mut full = 0;
         for i in 0..64u8 {
-            match service.try_submit(vec![i; 8]) {
+            match service.try_submit(vec![i; 8], None) {
                 Ok(t) => accepted.push(t),
                 Err(ServiceError::QueueFull) => full += 1,
                 Err(e) => panic!("unexpected: {e}"),
@@ -1135,7 +1062,7 @@ mod tests {
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
             service
-                .submit_with_deadline(b"late".to_vec(), past)
+                .try_submit(b"late".to_vec(), Some(past))
                 .unwrap_err(),
             ServiceError::DeadlineExceeded
         );
@@ -1143,7 +1070,7 @@ mod tests {
         // A generous deadline signs normally.
         let far = Instant::now() + Duration::from_secs(60);
         service
-            .submit_with_deadline(b"on time".to_vec(), far)
+            .try_submit(b"on time".to_vec(), Some(far))
             .unwrap()
             .wait()
             .unwrap();
@@ -1172,9 +1099,8 @@ mod tests {
         let mut doomed = Vec::new();
         let mut expired = 0u64;
         for i in 0..4u8 {
-            match service
-                .submit_with_deadline(vec![i; 8], Instant::now() + Duration::from_millis(1))
-            {
+            let soon = Instant::now() + Duration::from_millis(1);
+            match service.try_submit(vec![i; 8], Some(soon)) {
                 Ok(t) => doomed.push(t),
                 // A harsh scheduler may expire it before enqueue even runs.
                 Err(ServiceError::DeadlineExceeded) => expired += 1,

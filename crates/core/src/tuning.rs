@@ -11,10 +11,6 @@ use hero_gpu_sim::device::{DeviceProps, SmemPolicy};
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
-
 /// One candidate fusion configuration from the search.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FusionCandidate {
@@ -76,13 +72,11 @@ pub struct TuningOptions {
     /// Exclude configurations that saturate *both* threads and shared
     /// memory (lines 18–19: full saturation raises contention).
     pub exclude_full_saturation: bool,
-    /// The hash primitive the tuned kernels will run. The search itself
-    /// is modelled at hash-invocation granularity (thread and
-    /// shared-memory budgets do not depend on the primitive), but the
-    /// primitive is part of the cache fingerprint so in-memory and
-    /// on-disk entries for the SHA-2 and SHAKE kernel families never
-    /// collide — per-primitive cost models can later diverge without a
-    /// cache-format change.
+    /// The hash primitive the tuned kernels will run. The search never
+    /// reads it: it is modelled at hash-invocation granularity, and
+    /// thread and shared-memory budgets do not depend on the primitive.
+    /// The field stays because the repository benchmark sets it
+    /// (`perfbench/src/ladder.rs:843`).
     pub hash: HashAlg,
 }
 
@@ -332,425 +326,10 @@ pub fn tune_auto(
     }
 }
 
-/// Cache key for one `(device, params, options)` search. Devices have no
-/// `Hash` impl (they carry floats), so the full `Debug` rendering —
-/// which covers every field, including mutations test rigs make to
-/// catalog devices — stands in as the fingerprint.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TuneCacheKey {
-    device: String,
-    params: Params,
-    alpha_bits: u64,
-    smem_policy: SmemPolicy,
-    exclude_full_saturation: bool,
-    hash: HashAlg,
-}
-
-impl TuneCacheKey {
-    fn new(device: &DeviceProps, params: &Params, opts: &TuningOptions) -> Self {
-        Self {
-            device: format!("{device:?}"),
-            params: *params,
-            alpha_bits: opts.alpha.to_bits(),
-            smem_policy: opts.smem_policy,
-            exclude_full_saturation: opts.exclude_full_saturation,
-            hash: opts.hash,
-        }
-    }
-
-    /// Canonical rendering used for the disk fingerprint: every field
-    /// that participates in the in-memory key, plus the format version.
-    fn canonical(&self) -> String {
-        format!(
-            "v{}|{}|{:?}|{}|{:?}|{}|{:?}",
-            TUNING_CACHE_DISK_VERSION,
-            self.device,
-            self.params,
-            self.alpha_bits,
-            self.smem_policy,
-            self.exclude_full_saturation,
-            self.hash,
-        )
-    }
-}
-
-/// One cache slot: filled exactly once, by whichever thread gets there
-/// first; other threads asking for the same key block only on that
-/// slot, never on the map.
-type TuneCacheCell = Arc<OnceLock<Result<TuningResult, TuneError>>>;
-
-struct TuneCache {
-    map: HashMap<TuneCacheKey, TuneCacheCell>,
-    hits: u64,
-    misses: u64,
-    disk_hits: u64,
-}
-
-fn cache() -> &'static Mutex<TuneCache> {
-    static CACHE: OnceLock<Mutex<TuneCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(TuneCache {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            disk_hits: 0,
-        })
-    })
-}
-
-/// A snapshot of the process-wide tuning-cache counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TuningCacheStats {
-    /// Lookups answered from the in-memory cache.
-    pub hits: u64,
-    /// Lookups that ran the full Algorithm 1 search.
-    pub misses: u64,
-    /// Lookups answered by loading a persisted entry from disk (no
-    /// search ran; not counted as `hits` or `misses`).
-    pub disk_hits: u64,
-    /// Entries currently cached in memory.
-    pub entries: usize,
-}
-
-/// Returns the current process-wide tuning-cache counters.
-pub fn tuning_cache_stats() -> TuningCacheStats {
-    let c = cache().lock().expect("tuning cache poisoned");
-    TuningCacheStats {
-        hits: c.hits,
-        misses: c.misses,
-        disk_hits: c.disk_hits,
-        entries: c.map.len(),
-    }
-}
-
-/// Empties the process-wide tuning cache (counters are preserved).
-/// Intended for tests and long-lived services that hot-swap device
-/// catalogs.
-pub fn clear_tuning_cache() {
-    cache().lock().expect("tuning cache poisoned").map.clear();
-}
-
-/// [`tune_auto`] behind a process-wide memoization cache keyed on
-/// `(device, params, options)`.
-///
-/// The offline search is by far the most expensive part of engine
-/// construction; services and CLIs that build one engine per request
-/// would otherwise re-run it every time. The first call for a key runs
-/// the search (a *miss*), every later call clones the stored result (a
-/// *hit*) — including stored failures, which are deterministic for a
-/// given key.
-///
-/// # Errors
-///
-/// Same as [`tune_auto`].
-pub fn tune_auto_cached(
-    device: &DeviceProps,
-    params: &Params,
-    opts: &TuningOptions,
-) -> Result<TuningResult, TuneError> {
-    tune_auto_cached_at(device, params, opts, None)
-}
-
-/// [`tune_auto_cached`] with an optional on-disk persistence layer.
-///
-/// With `cache_dir` set, an in-memory miss first consults the versioned
-/// JSON entry at [`tuning_cache_disk_path`]; a valid entry is loaded
-/// without searching (counted as a *disk hit*), so process restarts skip
-/// the tuning sweep. Invalid entries — unparsable bytes, a different
-/// format version, or a fingerprint that does not match this exact
-/// `(device, params, options)` — fall back to the in-memory search, and
-/// a successful search is written back (I/O failures are ignored: the
-/// disk layer is an accelerator, never a correctness dependency).
-/// Search *failures* are cached in memory only.
-///
-/// # Errors
-///
-/// Same as [`tune_auto`].
-pub fn tune_auto_cached_at(
-    device: &DeviceProps,
-    params: &Params,
-    opts: &TuningOptions,
-    cache_dir: Option<&Path>,
-) -> Result<TuningResult, TuneError> {
-    let key = TuneCacheKey::new(device, params, opts);
-    let canonical = key.canonical();
-    // Take the map lock only long enough to fetch (or create) the key's
-    // slot; the search itself runs outside it, so concurrent
-    // constructions of *different* engines proceed in parallel while
-    // concurrent constructions of the *same* engine still dedupe on the
-    // slot's one-time initialization.
-    let cell: TuneCacheCell = {
-        let mut c = cache().lock().expect("tuning cache poisoned");
-        c.map.entry(key).or_default().clone()
-    };
-    let mut searched = false;
-    let mut disk_loaded = false;
-    let result = cell
-        .get_or_init(|| {
-            if let Some(dir) = cache_dir {
-                if let Some(loaded) = disk::load(&disk::entry_path(dir, &canonical), &canonical) {
-                    disk_loaded = true;
-                    return Ok(loaded);
-                }
-            }
-            searched = true;
-            let fresh = tune_auto(device, params, opts);
-            if let (Some(dir), Ok(result)) = (cache_dir, &fresh) {
-                disk::store(dir, &canonical, result);
-            }
-            fresh
-        })
-        .clone();
-    {
-        let mut c = cache().lock().expect("tuning cache poisoned");
-        if searched {
-            c.misses += 1;
-        } else if disk_loaded {
-            c.disk_hits += 1;
-        } else {
-            c.hits += 1;
-        }
-    }
-    result
-}
-
-/// Version stamp of the on-disk tuning-cache format. Bumped whenever the
-/// entry layout or the meaning of a cached result changes; entries
-/// written under any other version are ignored (and rewritten).
-///
-/// v2: the hash primitive joined the fingerprint, so v1 entries (which
-/// implicitly meant SHA-256) can no longer be disambiguated and are
-/// invalidated wholesale.
-pub const TUNING_CACHE_DISK_VERSION: u32 = 2;
-
-/// The file a persisted tuning entry for `(device, params, opts)` lives
-/// at under `dir` — exposed so operators and tests can inspect, seed, or
-/// invalidate specific entries.
-pub fn tuning_cache_disk_path(
-    dir: &Path,
-    device: &DeviceProps,
-    params: &Params,
-    opts: &TuningOptions,
-) -> PathBuf {
-    disk::entry_path(dir, &TuneCacheKey::new(device, params, opts).canonical())
-}
-
-/// The on-disk persistence layer: versioned single-entry JSON files,
-/// hand-rolled (the workspace is offline — no serde), written and parsed
-/// defensively. Every parse failure degrades to "no entry".
-mod disk {
-    use super::{FusionCandidate, TuningResult, TUNING_CACHE_DISK_VERSION};
-    use std::path::{Path, PathBuf};
-
-    /// FNV-1a 64 over `bytes`, from `basis` — filename-friendly digest.
-    fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
-        let mut h = basis;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
-    /// 128-bit filename digest of the canonical key (two FNV streams).
-    /// Collisions are guarded by the full fingerprint stored *inside*
-    /// the entry, which [`load`] compares before trusting anything.
-    fn digest(canonical: &str) -> String {
-        let a = fnv1a(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-        let b = fnv1a(canonical.as_bytes(), 0x6c62_272e_07bb_0142);
-        format!("{a:016x}{b:016x}")
-    }
-
-    pub(super) fn entry_path(dir: &Path, canonical: &str) -> PathBuf {
-        dir.join(format!(
-            "hero-tune-v{TUNING_CACHE_DISK_VERSION}-{}.json",
-            digest(canonical)
-        ))
-    }
-
-    fn hex_encode(s: &str) -> String {
-        s.bytes().map(|b| format!("{b:02x}")).collect()
-    }
-
-    fn render(canonical: &str, result: &TuningResult) -> String {
-        let candidates: Vec<String> = result
-            .candidates
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"threads_per_set\": {}, \"trees_per_set\": {}, \"fused_sets\": {}, \
-                     \"thread_utilization\": {:?}, \"smem_utilization\": {:?}, \
-                     \"sync_points\": {:?}, \"smem_bytes\": {}, \"relax_depth\": {}}}",
-                    c.threads_per_set,
-                    c.trees_per_set,
-                    c.fused_sets,
-                    c.thread_utilization,
-                    c.smem_utilization,
-                    c.sync_points,
-                    c.smem_bytes,
-                    c.relax_depth,
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"version\": {TUNING_CACHE_DISK_VERSION},\n  \"key_hex\": \"{}\",\n  \
-             \"candidates\": [\n{}\n  ]\n}}\n",
-            hex_encode(canonical),
-            candidates.join(",\n"),
-        )
-    }
-
-    /// Best-effort write; the disk cache is an accelerator, so I/O
-    /// failures (read-only FS, permissions, injected faults) are
-    /// silently ignored.
-    ///
-    /// Crash-safe: the entry is rendered into a process-unique temp file
-    /// in the same directory and atomically renamed into place, so a
-    /// crash (or an injected fault) mid-write can never leave a torn
-    /// entry at the final path — readers see the old entry or the new
-    /// one, never a prefix.
-    pub(super) fn store(dir: &Path, canonical: &str, result: &TuningResult) {
-        if crate::faults::fire(crate::faults::TUNING_DISK_WRITE) {
-            return;
-        }
-        let _ = std::fs::create_dir_all(dir);
-        let path = entry_path(dir, canonical);
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = dir.join(format!(
-            ".hero-tune-{}-{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        ));
-        if std::fs::write(&tmp, render(canonical, result)).is_ok()
-            && std::fs::rename(&tmp, &path).is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
-
-    fn field_f64(obj: &str, name: &str) -> Option<f64> {
-        let pat = format!("\"{name}\":");
-        let at = obj.find(&pat)? + pat.len();
-        let rest = obj[at..].trim_start();
-        let end = rest
-            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    fn field_u32(obj: &str, name: &str) -> Option<u32> {
-        let v = field_f64(obj, name)?;
-        (v.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&v)).then_some(v as u32)
-    }
-
-    fn field_str<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
-        let pat = format!("\"{name}\":");
-        let at = obj.find(&pat)? + pat.len();
-        let rest = obj[at..].trim_start().strip_prefix('"')?;
-        rest.split('"').next()
-    }
-
-    fn parse(text: &str, canonical: &str) -> Option<TuningResult> {
-        if field_u32(text, "version")? != TUNING_CACHE_DISK_VERSION {
-            return None;
-        }
-        // Full-fingerprint comparison: a digest collision, a copied
-        // file, or a stale device description all fail here.
-        if field_str(text, "key_hex")? != hex_encode(canonical) {
-            return None;
-        }
-        let list = &text[text.find("\"candidates\"")?..];
-        let list = &list[list.find('[')? + 1..list.rfind(']')?];
-        let mut candidates = Vec::new();
-        let mut rest = list;
-        while let Some(open) = rest.find('{') {
-            let close = rest[open..].find('}')? + open;
-            let obj = &rest[open..=close];
-            candidates.push(FusionCandidate {
-                threads_per_set: field_u32(obj, "threads_per_set")?,
-                trees_per_set: field_u32(obj, "trees_per_set")?,
-                fused_sets: field_u32(obj, "fused_sets")?,
-                thread_utilization: field_f64(obj, "thread_utilization")?,
-                smem_utilization: field_f64(obj, "smem_utilization")?,
-                sync_points: field_f64(obj, "sync_points")?,
-                smem_bytes: field_u32(obj, "smem_bytes")?,
-                relax_depth: field_u32(obj, "relax_depth")?,
-            });
-            rest = &rest[close + 1..];
-        }
-        let best = *candidates.first()?;
-        Some(TuningResult { best, candidates })
-    }
-
-    pub(super) fn load(path: &Path, canonical: &str) -> Option<TuningResult> {
-        if crate::faults::fire(crate::faults::TUNING_DISK_READ) {
-            return None;
-        }
-        parse(&std::fs::read_to_string(path).ok()?, canonical)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn sample() -> TuningResult {
-            let a = FusionCandidate {
-                threads_per_set: 704,
-                trees_per_set: 11,
-                fused_sets: 3,
-                thread_utilization: 0.6875,
-                smem_utilization: 0.687_500_000_000_001,
-                sync_points: 6.0,
-                smem_bytes: 33792,
-                relax_depth: 0,
-            };
-            let mut b = a;
-            b.fused_sets = 2;
-            b.sync_points = 9.0;
-            TuningResult {
-                best: a,
-                candidates: vec![a, b],
-            }
-        }
-
-        #[test]
-        fn render_parse_round_trip_is_exact() {
-            let canonical = "v1|Device { name: \"X\" }|params|0|Static|true";
-            let text = render(canonical, &sample());
-            let back = parse(&text, canonical).expect("round trip");
-            assert_eq!(back.best, sample().best);
-            assert_eq!(back.candidates, sample().candidates);
-            // Floats survive bit-exactly via the {:?} shortest repr.
-            assert_eq!(
-                back.best.smem_utilization.to_bits(),
-                sample().best.smem_utilization.to_bits()
-            );
-        }
-
-        #[test]
-        fn foreign_fingerprint_rejected() {
-            let text = render("key-A", &sample());
-            assert!(parse(&text, "key-A").is_some());
-            assert!(parse(&text, "key-B").is_none());
-        }
-
-        #[test]
-        fn wrong_version_rejected() {
-            let text = render("key", &sample()).replace(
-                &format!("\"version\": {TUNING_CACHE_DISK_VERSION}"),
-                "\"version\": 0",
-            );
-            assert!(parse(&text, "key").is_none());
-        }
-
-        #[test]
-        fn garbage_rejected() {
-            for bad in ["", "{", "not json at all", "{\"version\": 1}"] {
-                assert!(parse(bad, "key").is_none(), "{bad:?}");
-            }
-        }
-    }
-}
+/// Does nothing: searches are no longer memoized (one takes
+/// microseconds). The name stays because the repository benchmark calls
+/// it before every engine build (`perfbench/src/workloads.rs:254`).
+pub fn clear_tuning_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -758,32 +337,27 @@ mod tests {
     use hero_gpu_sim::device::{gtx_1070, h100, rtx_4090};
 
     #[test]
-    fn hash_primitive_separates_cache_fingerprints() {
-        // A SHAKE engine and a SHA engine with otherwise identical
-        // options must hit different in-memory keys AND different
-        // on-disk entries — a persisted SHA tuning result must never be
-        // served to a SHAKE engine.
-        let device = rtx_4090();
-        let p = Params::sphincs_128f();
-        let sha = TuningOptions::default();
+    fn search_is_a_function_of_device_and_params() {
+        // Equal inputs give equal results, whichever primitive the
+        // options name; another device or parameter set gives another.
+        let opts = TuningOptions::default();
         let shake = TuningOptions {
             hash: HashAlg::Shake256,
-            ..sha
+            ..opts
         };
-        assert_ne!(
-            TuneCacheKey::new(&device, &p, &sha).canonical(),
-            TuneCacheKey::new(&device, &p, &shake).canonical()
-        );
-        let dir = std::path::Path::new("/tmp/hero-fingerprint-test");
-        assert_ne!(
-            tuning_cache_disk_path(dir, &device, &p, &sha),
-            tuning_cache_disk_path(dir, &device, &p, &shake)
-        );
-        // The shake-named shapes separate entries even at equal options.
-        assert_ne!(
-            tuning_cache_disk_path(dir, &device, &Params::shake_128f(), &shake),
-            tuning_cache_disk_path(dir, &device, &p, &shake)
-        );
+        let (d, p) = (rtx_4090(), Params::sphincs_128f());
+        let first = tune_auto(&d, &p, &opts).unwrap();
+        for again in [tune_auto(&d, &p, &opts), tune_auto(&d, &p, &shake)] {
+            let again = again.unwrap();
+            assert_eq!(again.best, first.best);
+            assert_eq!(again.candidates, first.candidates);
+        }
+        let other_set = tune_auto(&d, &Params::sphincs_192f(), &opts).unwrap();
+        assert_ne!(other_set.best, first.best);
+        let mut small = rtx_4090();
+        small.smem_static_per_block /= 2;
+        let other_device = tune_auto(&small, &p, &opts).unwrap();
+        assert_ne!(other_device.best, first.best);
     }
 
     #[test]

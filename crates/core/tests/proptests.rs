@@ -3,9 +3,9 @@
 //! layout geometry conservation, and functional/analytic consistency.
 
 use hero_gpu_sim::device::{catalog, rtx_4090};
-use hero_sign::engine::{HeroSigner, OptConfig};
 use hero_sign::kernels::fors_sign::{self, ForsLayout};
 use hero_sign::kernels::KernelConfig;
+use hero_sign::model::{OptConfig, SimModel};
 use hero_sign::tuning::{tune, tune_auto, TuneError, TuningOptions};
 use hero_sphincs::params::Params;
 use proptest::prelude::*;
@@ -94,8 +94,8 @@ proptest! {
     #[test]
     fn descriptors_always_resident_and_finite(p in arb_params(), messages in 1u32..2048) {
         let device = rtx_4090();
-        let engine = HeroSigner::hero(device.clone(), p).unwrap();
-        for desc in engine.kernel_descs(messages) {
+        let model = SimModel::hero(device.clone(), p).unwrap();
+        for desc in model.kernel_descs(messages) {
             let occ = hero_gpu_sim::occupancy::occupancy(&device, &desc.block);
             prop_assert!(occ.blocks_per_sm >= 1, "{:?}", desc.block);
             let report = hero_gpu_sim::engine::simulate_kernel(&device, &desc);
@@ -106,8 +106,8 @@ proptest! {
     #[test]
     fn hero_beats_baseline_for_any_fors_shape(p in arb_params()) {
         let device = rtx_4090();
-        let base = HeroSigner::baseline(device.clone(), p).unwrap().kernel_reports(256)[0].time_us;
-        let hero = HeroSigner::hero(device.clone(), p).unwrap().kernel_reports(256)[0].time_us;
+        let base = SimModel::baseline(device.clone(), p).unwrap().kernel_reports(256)[0].time_us;
+        let hero = SimModel::hero(device.clone(), p).unwrap().kernel_reports(256)[0].time_us;
         prop_assert!(hero <= base * 1.05, "hero {hero} vs base {base} for {p:?}");
     }
 
@@ -119,7 +119,7 @@ proptest! {
         let times: Vec<f64> = ladder
             .iter()
             .map(|(_, cfg)| {
-                HeroSigner::builder(device.clone(), p).config(*cfg).build().unwrap().kernel_reports(msgs)[0].time_us
+                SimModel::new(device.clone(), p, *cfg).unwrap().kernel_reports(msgs)[0].time_us
             })
             .collect();
         let first = times[0];
@@ -133,8 +133,8 @@ proptest! {
     #[test]
     fn kernel_config_padding_reduces_or_keeps_time(p in arb_params()) {
         let device = rtx_4090();
-        let engine = HeroSigner::hero(device.clone(), p).unwrap();
-        let layout = engine.fors_layout();
+        let model = SimModel::hero(device.clone(), p).unwrap();
+        let layout = model.fors_layout();
         let mut cfg = KernelConfig::hero(hero_gpu_sim::isa::Sha2Path::Ptx);
         cfg.padding = false;
         let unpadded = fors_sign::describe(&device, &p, 256, &layout, &cfg);

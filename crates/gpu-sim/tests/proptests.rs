@@ -1,9 +1,12 @@
 //! Property-based tests over the GPU model: padding/bank invariants,
-//! occupancy monotonicity, timing-model sanity, timeline conservation.
+//! occupancy monotonicity, timing-model sanity, timeline conservation,
+//! and graph replay: dependency correctness, cycle detection, and makespan
+//! bounds on random DAGs.
 
 use hero_gpu_sim::banks::{warp_access_conflicts, PaddingScheme, BANK_WIDTH};
 use hero_gpu_sim::device::{catalog, rtx_4090};
 use hero_gpu_sim::engine::simulate_kernel;
+use hero_gpu_sim::graph::{GraphBuilder, GraphError};
 use hero_gpu_sim::isa::{InstrClass, Sha2Path};
 use hero_gpu_sim::kernel::KernelDesc;
 use hero_gpu_sim::occupancy::{occupancy, BlockResources};
@@ -158,5 +161,141 @@ proptest! {
                 .sum();
             prop_assert!(used <= cap, "usage {used} at t={t}");
         }
+    }
+}
+
+/// A random layered DAG: `widths[i]` nodes in layer i, each depending on
+/// a random subset of the previous layer (index-encoded by `edge_bits`).
+fn build_layered(
+    widths: &[usize],
+    durations: &[f64],
+    edge_bits: u64,
+) -> (GraphBuilder, Vec<Vec<usize>>, Vec<f64>) {
+    let mut g = GraphBuilder::new();
+    let mut layers: Vec<Vec<_>> = Vec::new();
+    let mut layer_starts: Vec<usize> = Vec::new();
+    let mut deps_of: Vec<Vec<usize>> = Vec::new();
+    let mut durs: Vec<f64> = Vec::new();
+    let mut flat = 0usize;
+    let mut bit = 0u32;
+    for (li, &w) in widths.iter().enumerate() {
+        layer_starts.push(flat);
+        let mut layer = Vec::new();
+        for _ in 0..w {
+            let dur = durations[flat % durations.len()].max(1.0);
+            let node = g.kernel(format!("n{flat}"), dur, 8);
+            durs.push(dur);
+            let mut deps = Vec::new();
+            if li > 0 {
+                let prev_start = layer_starts[li - 1];
+                for (pi, &prev) in layers[li - 1].iter().enumerate() {
+                    let take = (edge_bits >> (bit % 64)) & 1 == 1;
+                    bit += 1;
+                    // Always connect to at least the first parent so layers
+                    // stay ordered.
+                    if take || pi == 0 {
+                        g.depends_on(node, prev);
+                        deps.push(prev_start + pi);
+                    }
+                }
+            }
+            deps_of.push(deps);
+            layer.push(node);
+            flat += 1;
+        }
+        layers.push(layer);
+    }
+    (g, deps_of, durs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn random_dags_respect_dependencies(
+        widths in proptest::collection::vec(1usize..4, 1..5),
+        durations in proptest::collection::vec(1.0f64..50.0, 1..8),
+        edge_bits in any::<u64>()
+    ) {
+        let (g, deps_of, _) = build_layered(&widths, &durations, edge_bits);
+        let exe = g.instantiate(&rtx_4090());
+        let mut tl = Timeline::new(rtx_4090());
+        exe.launch(&mut tl, 0);
+
+        // Executed order: map node name back to flat index.
+        let mut span_of = vec![(0.0f64, 0.0f64); deps_of.len()];
+        for k in tl.executed() {
+            let idx: usize = k.name[1..].parse().expect("n<idx>");
+            span_of[idx] = (k.start_us, k.end_us);
+        }
+        for (node, deps) in deps_of.iter().enumerate() {
+            for &d in deps {
+                prop_assert!(
+                    span_of[node].0 >= span_of[d].1 - 1e-9,
+                    "node {node} started {} before dep {d} ended {}",
+                    span_of[node].0,
+                    span_of[d].1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn makespan_at_least_critical_path(
+        widths in proptest::collection::vec(1usize..4, 1..5),
+        durations in proptest::collection::vec(1.0f64..50.0, 1..8),
+        edge_bits in any::<u64>()
+    ) {
+        let (g, deps_of, durs) = build_layered(&widths, &durations, edge_bits);
+        let exe = g.instantiate(&rtx_4090());
+        let mut tl = Timeline::new(rtx_4090());
+        let end = exe.launch(&mut tl, 0);
+
+        // Longest path through the DAG is a lower bound on the makespan.
+        let mut longest = vec![0.0f64; deps_of.len()];
+        for node in 0..deps_of.len() {
+            let base = deps_of[node].iter().map(|&d| longest[d]).fold(0.0f64, f64::max);
+            longest[node] = base + durs[node];
+        }
+        let critical = longest.iter().fold(0.0f64, |a, &b| a.max(b));
+        prop_assert!(end + 1e-6 >= critical, "end {end} < critical {critical}");
+    }
+
+    #[test]
+    fn any_back_edge_makes_a_cycle(
+        n in 2usize..8,
+        from in 0usize..8,
+        to in 0usize..8
+    ) {
+        let from = from % n;
+        let to = to % n;
+        prop_assume!(from < to); // back edge target earlier in chain
+        let mut g = GraphBuilder::new();
+        let nodes: Vec<_> = (0..n).map(|i| g.kernel(format!("k{i}"), 1.0, 1)).collect();
+        for w in nodes.windows(2) {
+            g.depends_on(w[1], w[0]);
+        }
+        // Forward chain + one backward edge = cycle.
+        g.depends_on(nodes[from], nodes[to]);
+        prop_assert_eq!(
+            g.try_instantiate(&rtx_4090()).unwrap_err(),
+            GraphError::CycleDetected
+        );
+    }
+
+    #[test]
+    fn repeated_launches_are_deterministic_per_stream_group(
+        widths in proptest::collection::vec(1usize..3, 1..4),
+        durations in proptest::collection::vec(1.0f64..20.0, 1..4)
+    ) {
+        let (g, _, _) = build_layered(&widths, &durations, u64::MAX);
+        let exe = g.instantiate(&rtx_4090());
+        let mut tl1 = Timeline::new(rtx_4090());
+        let mut tl2 = Timeline::new(rtx_4090());
+        let a1 = exe.launch(&mut tl1, 0);
+        let a2 = exe.launch(&mut tl2, 0);
+        prop_assert!((a1 - a2).abs() < 1e-9, "identical launches must agree");
+        let b1 = exe.launch(&mut tl1, 0);
+        prop_assert!(b1 >= a1, "same-group relaunch serializes");
     }
 }

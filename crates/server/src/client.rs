@@ -172,13 +172,18 @@ impl RetryPolicy {
     }
 }
 
+/// The retry-jitter stream's start for a connection bound to local
+/// `port`: the golden-ratio constant with the port mixed in.
+fn jitter_seed(port: u16) -> u64 {
+    0x9e37_79b9_7f4a_7c15 ^ u64::from(port)
+}
+
 /// A blocking connection to a hero-server.
 pub struct Client {
     stream: TcpStream,
     /// Resolved peer, kept so retry can reconnect after transport loss.
     addr: SocketAddr,
     next_id: u64,
-    max_frame: u32,
     io_timeout: Option<Duration>,
     retry: Option<RetryPolicy>,
     jitter_state: u64,
@@ -209,14 +214,16 @@ impl Client {
             io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
         })?;
         let stream = Self::open(addr, Some(DEFAULT_IO_TIMEOUT))?;
+        // Two connections to one listener never share a local port, so
+        // clients that start together still back off apart.
+        let jitter_state = jitter_seed(stream.local_addr()?.port());
         Ok(Self {
             stream,
             addr,
             next_id: 1,
-            max_frame: DEFAULT_MAX_FRAME,
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
             retry: None,
-            jitter_state: 0x9e3779b97f4a7c15,
+            jitter_state,
             reconnects: 0,
         })
     }
@@ -230,12 +237,6 @@ impl Client {
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)?;
         Ok(stream)
-    }
-
-    /// Caps how large a *response* frame this client will accept
-    /// (defaults to [`DEFAULT_MAX_FRAME`]).
-    pub fn set_max_frame(&mut self, max_frame: u32) {
-        self.max_frame = max_frame;
     }
 
     /// Overrides the socket read/write timeout (`None` blocks forever).
@@ -256,12 +257,6 @@ impl Client {
     /// docs.
     pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
         self.retry = policy;
-    }
-
-    /// Seeds the retry jitter stream (tests pin this for reproducible
-    /// backoff schedules; load generators seed it per-stream).
-    pub fn set_jitter_seed(&mut self, seed: u64) {
-        self.jitter_state = seed | 1;
     }
 
     /// How many times this client has re-established its connection
@@ -295,7 +290,7 @@ impl Client {
             payload,
         };
         wire::write_frame(&mut self.stream, &wire::encode_request(&req))?;
-        let body = match wire::read_frame(&mut self.stream, self.max_frame)? {
+        let body = match wire::read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
             Frame::Body(body) => body,
             Frame::Eof => {
                 return Err(ClientError::Io(io::Error::new(
@@ -305,9 +300,8 @@ impl Client {
             }
             Frame::Oversized { declared, .. } => {
                 return Err(ClientError::Protocol(format!(
-                    "response frame of {declared} bytes exceeds client max_frame {}",
-                    self.max_frame
-                )))
+                "response frame of {declared} bytes exceeds client max_frame {DEFAULT_MAX_FRAME}"
+            )))
             }
         };
         let resp = wire::decode_response(&body)
@@ -606,6 +600,24 @@ mod tests {
         }
         // The cap binds: retries 5+ share the same exponential floor.
         assert!(a[5] <= Duration::from_millis(300));
+    }
+
+    #[test]
+    fn clients_of_one_listener_draw_different_first_backoffs() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut a = Client::connect(addr).unwrap();
+        let mut b = Client::connect(addr).unwrap();
+        let policy = RetryPolicy::default();
+        let first_a = policy.backoff(0, &mut a.jitter_state);
+        let first_b = policy.backoff(0, &mut b.jitter_state);
+        assert_ne!(
+            first_a, first_b,
+            "synchronized clients must not back off in lockstep"
+        );
+        // One client's schedule is still a pure function of its seed.
+        let mut replay = jitter_seed(a.stream.local_addr().unwrap().port());
+        assert_eq!(policy.backoff(0, &mut replay), first_a);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! reader-writer locks.
 //!
 //! Sharding keeps key lookups off a single global lock: the tenant name
-//! hashes (FNV-1a — the same cheap hash the tuning cache uses for file
-//! names) to one of [`ShardedMap::SHARDS`] independent `RwLock`s, so
+//! hashes (FNV-1a) to one of [`ShardedMap::SHARDS`] independent `RwLock`s, so
 //! concurrent connections for different tenants never contend, and even
 //! same-shard readers share the read lock. Writes (key loading, keygen)
 //! are rare and touch one shard.

@@ -75,9 +75,9 @@ const METRICS_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 pub type SignerFactory =
     dyn Fn(Params) -> Result<Arc<dyn Signer + Send + Sync>, HeroError> + Send + Sync;
 
-/// A [`SignerFactory`] building [`HeroSigner`] engines on the modeled
-/// RTX 4090, all sharing one persistent worker pool (`workers` threads;
-/// `None` = the `HERO_WORKERS`-aware default).
+/// A [`SignerFactory`] building [`HeroSigner`] engines, all sharing one
+/// persistent worker pool (`workers` threads; `None` = the
+/// `HERO_WORKERS`-aware default).
 ///
 /// # Errors
 ///
@@ -212,9 +212,9 @@ struct ServerShared {
 
 impl ServerShared {
     fn engine_for(&self, params: Params) -> Result<Arc<dyn Signer + Send + Sync>, WireError> {
-        // The constructor runs outside the shard lock (engine
-        // construction runs the tuning search); a racing duplicate is
-        // dropped harmlessly in favor of the first insert.
+        // The constructor runs outside the shard lock (a factory may
+        // start a worker pool); a racing duplicate is dropped harmlessly
+        // in favor of the first insert.
         self.engines.get_or_try_insert_with(params.name(), || {
             (self.factory)(params).map_err(WireError::from)
         })
@@ -712,22 +712,6 @@ fn dispatch(
     }
 }
 
-/// Submits one message to the tenant's service, threading the deadline
-/// through so the batcher can shed it typed if it expires while queued.
-fn submit(
-    state: &TenantState,
-    msg: Vec<u8>,
-    deadline: Option<Instant>,
-) -> Result<hero_sign::service::SignTicket, WireError> {
-    // Overload is a typed rejection, not a stall: try_submit surfaces a
-    // full queue as QueueFull instead of blocking the connection.
-    match deadline {
-        Some(d) => state.service.try_submit_with_deadline(msg, d),
-        None => state.service.try_submit(msg),
-    }
-    .map_err(WireError::from)
-}
-
 fn op_sign(
     shared: &Arc<ServerShared>,
     state: &TenantState,
@@ -736,7 +720,14 @@ fn op_sign(
     deadline: Option<Instant>,
 ) -> Result<Vec<u8>, WireError> {
     let begin = Instant::now();
-    let ticket = submit(state, payload.to_vec(), deadline)?;
+    // Overload is a typed rejection, not a stall: try_submit surfaces a
+    // full queue as QueueFull instead of blocking the connection, and the
+    // deadline rides along so the batcher can shed the request typed if
+    // it expires while queued.
+    let ticket = state
+        .service
+        .try_submit(payload.to_vec(), deadline)
+        .map_err(WireError::from)?;
     let sig = ticket.wait().map_err(WireError::from)?;
     shared.metrics.record_latency(begin.elapsed());
     Ok(sig.to_bytes(key.sk.params()))
@@ -793,21 +784,6 @@ fn op_sign_batch(
     Ok(out)
 }
 
-/// Submits one `(msg, sig)` pair to the tenant's verify lane. Like
-/// [`submit`], overload is a typed rejection, never a stall.
-fn submit_verify(
-    state: &TenantState,
-    msg: Vec<u8>,
-    sig: hero_sphincs::Signature,
-    deadline: Option<Instant>,
-) -> Result<hero_sign::service::VerifyTicket, WireError> {
-    match deadline {
-        Some(d) => state.service.try_submit_verify_with_deadline(msg, sig, d),
-        None => state.service.try_submit_verify(msg, sig),
-    }
-    .map_err(WireError::from)
-}
-
 fn op_verify(
     shared: &Arc<ServerShared>,
     state: &TenantState,
@@ -834,7 +810,11 @@ fn op_verify(
         }
     };
     let begin = Instant::now();
-    let ticket = submit_verify(state, msg, sig, deadline)?;
+    // Like the sign lane: overload is a typed rejection, never a stall.
+    let ticket = state
+        .service
+        .try_submit_verify(msg, sig, deadline)
+        .map_err(WireError::from)?;
     let outcome = ticket.wait().map_err(WireError::from)?;
     shared.metrics.record_verify_latency(begin.elapsed());
     match outcome {

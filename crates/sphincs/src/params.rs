@@ -145,8 +145,8 @@ impl Params {
     /// SPHINCS+-SHAKE-128f: the 128f shape under the SHAKE-256
     /// instantiation. Signature, key and digest sizes depend only on
     /// `(n, h, d, log t, k, w)`, so they match [`Params::sphincs_128f`];
-    /// the name differs so tuning-cache fingerprints, key files and CLI
-    /// labels never conflate the two hash families.
+    /// the name differs so key files and CLI labels never conflate the
+    /// two hash families.
     pub const fn shake_128f() -> Self {
         Self {
             name: "SPHINCS+-SHAKE-128f",

@@ -1,42 +1,35 @@
 //! # hero-task-graph
 //!
-//! A CUDA-Graph-style task DAG executor (§III-F of the HERO-Sign paper),
-//! with two faces:
+//! The CPU execution substrate of the HERO-Sign reproduction: a
+//! CUDA-Graph-style task DAG ([`TaskGraph`], §III-F of the paper) whose
+//! nodes carry real closures, run on the persistent [`Executor`] worker
+//! pool with ready-queue scheduling. A node becomes runnable the instant
+//! its last dependency finishes, so independent work from *different*
+//! parts of the graph (in HERO-Sign: different messages of one signing
+//! batch) co-schedules and keeps every worker busy. The executor is
+//! submission-aware — several graphs run concurrently and their nodes
+//! interleave on the same workers, like kernels from different CUDA
+//! streams sharing SMs (see [`executor`]).
 //!
-//! * **Analytic** — [`GraphBuilder`]/[`ExecutableGraph`] replay kernel
-//!   nodes onto the simulated GPU timeline. Workflow mirrors CUDA Graphs:
-//!   capture nodes with explicit dependencies,
-//!   [`GraphBuilder::instantiate`] once (paying instantiation cost), then
-//!   [`ExecutableGraph::launch`] repeatedly — one host-side launch fee for
-//!   the whole DAG instead of one per kernel, which is where the paper's
-//!   two-orders-of-magnitude launch latency reduction (221.3×) comes from.
-//! * **Functional** — [`TaskGraph`] carries a real closure per node and
-//!   runs on the persistent [`Executor`] worker pool with ready-queue
-//!   scheduling: a node becomes runnable the instant its last
-//!   dependency finishes, so independent work from *different* parts of
-//!   the graph (in HERO-Sign: different messages of one signing batch)
-//!   co-schedules and keeps every worker busy. The executor is
-//!   submission-aware — several graphs run concurrently and their nodes
-//!   interleave on the same workers, like kernels from different CUDA
-//!   streams sharing SMs (see [`executor`]). This is what lets the
-//!   `core::plan` batch planner drive actual signing through the same DAG
-//!   shape the simulator launches.
+//! The crate prices nothing: the analytic twin of this DAG,
+//! replayed onto a simulated device timeline, is `hero_gpu_sim::graph`,
+//! and this crate does not depend on the simulator.
 //!
 //! ```
-//! use hero_gpu_sim::device::rtx_4090;
-//! use hero_gpu_sim::stream::Timeline;
-//! use hero_task_graph::GraphBuilder;
+//! use hero_task_graph::{Executor, TaskGraph};
+//! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
-//! let mut g = GraphBuilder::new();
-//! let fors = g.kernel("FORS_Sign", 80.0, 64);
-//! let tree = g.kernel("TREE_Sign", 120.0, 64);
-//! let wots = g.kernel("WOTS+_Sign", 20.0, 64);
-//! g.depends_on(wots, fors);
-//! g.depends_on(wots, tree);
-//! let exe = g.instantiate(&rtx_4090());
-//! let mut tl = Timeline::new(rtx_4090());
-//! let end = exe.launch(&mut tl, 0);
-//! assert!(end >= 120.0 + 20.0);
+//! // One pool, two submissions: their nodes share the workers.
+//! let pool = Executor::new(2).unwrap();
+//! let done = AtomicUsize::new(0);
+//! for _ in 0..2 {
+//!     let mut g = TaskGraph::new();
+//!     let a = g.task(|| { done.fetch_add(1, Ordering::Relaxed); });
+//!     let b = g.task(|| { done.fetch_add(1, Ordering::Relaxed); });
+//!     g.depends_on(b, a);
+//!     pool.run(g).unwrap();
+//! }
+//! assert_eq!(done.load(Ordering::Relaxed), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,31 +39,15 @@ pub mod executor;
 
 pub use executor::Executor;
 
-use hero_gpu_sim::device::DeviceProps;
-use hero_gpu_sim::stream::{LaunchMode, Timeline};
-
-/// Handle to a node inside a [`GraphBuilder`].
+/// Handle to a node inside a [`TaskGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId(usize);
 
-/// One kernel node in the DAG.
-#[derive(Clone, Debug)]
-struct Node {
-    name: String,
-    duration_us: f64,
-    sms_demand: u32,
-    deps: Vec<NodeId>,
-}
-
-/// Errors from graph construction, instantiation, and execution.
+/// Errors from graph execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphError {
-    /// A dependency edge references an unknown node.
-    UnknownNode,
     /// The dependency relation contains a cycle.
     CycleDetected,
-    /// The graph has no nodes.
-    Empty,
     /// An [`Executor`] was requested with zero worker threads.
     ZeroWorkers,
 }
@@ -78,180 +55,13 @@ pub enum GraphError {
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GraphError::UnknownNode => f.write_str("dependency references unknown node"),
             GraphError::CycleDetected => f.write_str("task graph contains a cycle"),
-            GraphError::Empty => f.write_str("task graph is empty"),
             GraphError::ZeroWorkers => f.write_str("executor needs at least one worker thread"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
-
-/// A task graph under construction (the "capture" phase).
-#[derive(Clone, Debug, Default)]
-pub struct GraphBuilder {
-    nodes: Vec<Node>,
-}
-
-impl GraphBuilder {
-    /// Empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a kernel node with a simulated `duration_us` occupying
-    /// `sms_demand` SMs. Returns its handle.
-    pub fn kernel(&mut self, name: impl Into<String>, duration_us: f64, sms_demand: u32) -> NodeId {
-        self.nodes.push(Node {
-            name: name.into(),
-            duration_us,
-            sms_demand,
-            deps: Vec::new(),
-        });
-        NodeId(self.nodes.len() - 1)
-    }
-
-    /// Declares that `node` must wait for `dep`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either handle is from a different builder (out of range).
-    pub fn depends_on(&mut self, node: NodeId, dep: NodeId) {
-        assert!(
-            node.0 < self.nodes.len() && dep.0 < self.nodes.len(),
-            "foreign node handle"
-        );
-        self.nodes[node.0].deps.push(dep);
-    }
-
-    /// Number of nodes captured so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the builder has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Validates and instantiates the graph for `device`
-    /// (CUDA's `cudaGraphInstantiate`). Topologically sorts nodes and
-    /// precomputes the launch schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid graph; use [`GraphBuilder::try_instantiate`]
-    /// for error handling.
-    pub fn instantiate(self, device: &DeviceProps) -> ExecutableGraph {
-        self.try_instantiate(device).expect("valid task graph")
-    }
-
-    /// Fallible [`GraphBuilder::instantiate`].
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::Empty`] for empty graphs, [`GraphError::CycleDetected`]
-    /// if dependencies are cyclic.
-    pub fn try_instantiate(self, device: &DeviceProps) -> Result<ExecutableGraph, GraphError> {
-        if self.nodes.is_empty() {
-            return Err(GraphError::Empty);
-        }
-        // Kahn topological sort.
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for dep in &node.deps {
-                if dep.0 >= n {
-                    return Err(GraphError::UnknownNode);
-                }
-                indegree[i] += 1;
-                dependents[dep.0].push(i);
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            order.push(i);
-            for &j in &dependents[i] {
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(GraphError::CycleDetected);
-        }
-        Ok(ExecutableGraph {
-            nodes: self.nodes,
-            topo_order: order,
-            instantiation_us: device.graph_launch_overhead_us,
-            graph_launch_us: device.graph_launch_overhead_us,
-        })
-    }
-}
-
-/// An instantiated, repeatedly launchable task graph
-/// (CUDA's `cudaGraphExec_t`).
-#[derive(Clone, Debug)]
-pub struct ExecutableGraph {
-    nodes: Vec<Node>,
-    topo_order: Vec<usize>,
-    instantiation_us: f64,
-    graph_launch_us: f64,
-}
-
-impl ExecutableGraph {
-    /// Number of kernel nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph has no nodes (never true post-instantiation).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// One-time instantiation cost (µs), excluded from Fig. 12's latency
-    /// comparison as the paper does.
-    pub fn instantiation_us(&self) -> f64 {
-        self.instantiation_us
-    }
-
-    /// Replays the whole DAG onto `timeline`. `stream_idx` identifies the
-    /// graph's stream group (one non-blocking group per graph, as §III-F's
-    /// block-based strategy binds one graph per stream). Returns the
-    /// completion time.
-    ///
-    /// Independent nodes run on distinct internal streams — ordering comes
-    /// *only* from the DAG edges, matching CUDA Graph semantics. The host
-    /// pays one graph-launch fee; per-node dispatch is driver-side and
-    /// near-free ([`LaunchMode::Graph`]).
-    pub fn launch(&self, timeline: &mut Timeline, stream_idx: usize) -> f64 {
-        timeline.host_pay(self.graph_launch_us);
-        let base = stream_idx * self.nodes.len();
-        let mut finish = vec![0.0f64; self.nodes.len()];
-        let mut makespan: f64 = 0.0;
-        for &i in &self.topo_order {
-            let node = &self.nodes[i];
-            let stream = timeline.stream(base + i);
-            let deps: Vec<f64> = node.deps.iter().map(|d| finish[d.0]).collect();
-            let end = timeline.launch(
-                node.name.clone(),
-                stream,
-                node.duration_us,
-                node.sms_demand,
-                LaunchMode::Graph,
-                &deps,
-            );
-            finish[i] = end;
-            makespan = makespan.max(end);
-        }
-        makespan
-    }
-}
 
 /// A boxed node work closure.
 type NodeFn<'a> = Box<dyn FnOnce() + Send + 'a>;
@@ -264,9 +74,7 @@ pub(crate) struct TaskNode<'a> {
 
 /// A task DAG whose nodes carry real work: each node is a closure, each
 /// edge a happens-before constraint. [`TaskGraph::execute`] runs the DAG
-/// on `workers` threads with ready-queue scheduling — the functional twin
-/// of [`ExecutableGraph::launch`], executing computation instead of
-/// replaying simulated durations.
+/// on `workers` threads with ready-queue scheduling.
 ///
 /// Nodes typically communicate through interior-mutable slots owned by
 /// the caller (each node writes its output under a lock; dependents read
@@ -363,152 +171,6 @@ impl<'a> TaskGraph<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hero_gpu_sim::device::rtx_4090;
-
-    fn diamond() -> GraphBuilder {
-        // fors ─┐
-        //       ├─> wots
-        // tree ─┘
-        let mut g = GraphBuilder::new();
-        let fors = g.kernel("FORS_Sign", 80.0, 48);
-        let tree = g.kernel("TREE_Sign", 120.0, 48);
-        let wots = g.kernel("WOTS+_Sign", 20.0, 48);
-        g.depends_on(wots, fors);
-        g.depends_on(wots, tree);
-        g
-    }
-
-    #[test]
-    fn dependencies_respected() {
-        let exe = diamond().instantiate(&rtx_4090());
-        let mut tl = Timeline::new(rtx_4090());
-        let end = exe.launch(&mut tl, 0);
-        // WOTS starts only after the longer of FORS/TREE.
-        assert!(end >= 140.0);
-        let wots = tl
-            .executed()
-            .iter()
-            .find(|k| k.name == "WOTS+_Sign")
-            .unwrap();
-        let tree = tl
-            .executed()
-            .iter()
-            .find(|k| k.name == "TREE_Sign")
-            .unwrap();
-        assert!(wots.start_us >= tree.end_us);
-    }
-
-    #[test]
-    fn independent_nodes_overlap() {
-        let exe = diamond().instantiate(&rtx_4090());
-        let mut tl = Timeline::new(rtx_4090());
-        exe.launch(&mut tl, 0);
-        let fors = tl
-            .executed()
-            .iter()
-            .find(|k| k.name == "FORS_Sign")
-            .unwrap();
-        let tree = tl
-            .executed()
-            .iter()
-            .find(|k| k.name == "TREE_Sign")
-            .unwrap();
-        // 48 + 48 SMs fit in 128: FORS and TREE overlap.
-        assert!(fors.start_us < tree.end_us && tree.start_us < fors.end_us);
-    }
-
-    #[test]
-    fn cycle_rejected() {
-        let mut g = GraphBuilder::new();
-        let a = g.kernel("a", 1.0, 1);
-        let b = g.kernel("b", 1.0, 1);
-        g.depends_on(a, b);
-        g.depends_on(b, a);
-        assert_eq!(
-            g.try_instantiate(&rtx_4090()).unwrap_err(),
-            GraphError::CycleDetected
-        );
-    }
-
-    #[test]
-    fn empty_rejected() {
-        assert_eq!(
-            GraphBuilder::new()
-                .try_instantiate(&rtx_4090())
-                .unwrap_err(),
-            GraphError::Empty
-        );
-    }
-
-    #[test]
-    fn graph_launch_overhead_beats_streams() {
-        // 3 kernels × 100 batches: stream mode pays 300 launch fees, graph
-        // mode pays 100 graph fees with near-free node dispatch.
-        let device = rtx_4090();
-        let exe = diamond().instantiate(&device);
-
-        let mut graph_tl = Timeline::new(device.clone());
-        for batch in 0..100 {
-            exe.launch(&mut graph_tl, batch % 4);
-        }
-
-        let mut stream_tl = Timeline::new(device.clone());
-        for batch in 0..100 {
-            let s = stream_tl.stream(batch % 4);
-            let f = stream_tl.launch("FORS_Sign", s, 80.0, 48, LaunchMode::Stream, &[]);
-            let t = stream_tl.launch("TREE_Sign", s, 120.0, 48, LaunchMode::Stream, &[]);
-            stream_tl.launch("WOTS+_Sign", s, 20.0, 48, LaunchMode::Stream, &[f, t]);
-        }
-
-        let graph_overhead = graph_tl.launch_overhead_total_us();
-        let stream_overhead = stream_tl.launch_overhead_total_us();
-        // A 3-node graph amortizes poorly (one graph fee vs 3 kernel
-        // fees); the two-orders-of-magnitude wins of Fig. 12 come from
-        // replaying one graph over many per-message stream launches —
-        // tested at the engine level. Here: strictly cheaper and no
-        // slower.
-        assert!(
-            stream_overhead / graph_overhead > 1.2,
-            "graph {graph_overhead} vs stream {stream_overhead}"
-        );
-        // Makespans match within greedy-placement noise (both runs are
-        // capacity-bound; the win here is host overhead, not makespan).
-        assert!(graph_tl.makespan_us() <= stream_tl.makespan_us() * 1.02);
-    }
-
-    #[test]
-    fn repeat_launches_accumulate() {
-        let exe = diamond().instantiate(&rtx_4090());
-        let mut tl = Timeline::new(rtx_4090());
-        let first = exe.launch(&mut tl, 0);
-        let second = exe.launch(&mut tl, 0);
-        assert!(second > first);
-        assert_eq!(tl.executed().len(), 6);
-    }
-
-    #[test]
-    fn chain_order_is_serial() {
-        let mut g = GraphBuilder::new();
-        let mut prev = g.kernel("k0", 10.0, 8);
-        for i in 1..5 {
-            let k = g.kernel(format!("k{i}"), 10.0, 8);
-            g.depends_on(k, prev);
-            prev = k;
-        }
-        let exe = g.instantiate(&rtx_4090());
-        let mut tl = Timeline::new(rtx_4090());
-        let end = exe.launch(&mut tl, 0);
-        assert!(end >= 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "foreign node handle")]
-    fn foreign_handle_panics() {
-        let mut g1 = GraphBuilder::new();
-        let a = g1.kernel("a", 1.0, 1);
-        let mut g2 = GraphBuilder::new();
-        g2.depends_on(a, a);
-    }
 
     mod functional {
         use super::*;

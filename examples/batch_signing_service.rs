@@ -14,7 +14,9 @@
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer};
+use hero_sign::{
+    HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer, SimModel,
+};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -77,11 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("all {} transaction signatures verified", queue.len());
 
-    // The GPU engine additionally offers pooled batch verification and
-    // the simulated performance model; fetch one for capacity planning
-    // regardless of which backend served the queue.
+    // Capacity planning needs no signer at all: the simulated
+    // performance model is its own type, whichever backend served the
+    // queue.
     let full = Params::sphincs_128f();
-    let hero = HeroSigner::hero(rtx_4090(), full)?;
+    let hero = SimModel::hero(rtx_4090(), full)?;
     println!(
         "simulated batch-verification throughput: {:.0} KOPS (verification is ~{}x lighter than signing)",
         hero.simulate_verify_kops(1024),
@@ -90,9 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Capacity planning: what does a 1M-transaction day look like on the
-    // simulated GPU, baseline vs HERO? One engine, three workloads — the
+    // simulated GPU, baseline vs HERO? One model, three workloads — the
     // launch mode is a PipelineOptions override, not a rebuild.
-    let baseline = HeroSigner::baseline(rtx_4090(), full)?
+    let baseline = SimModel::baseline(rtx_4090(), full)?
         .simulate(PipelineOptions::new(1024).batch_size(1).streams(128))?;
     let standard = PipelineOptions::new(1024).batch_size(512).streams(4);
     let hero_graph = hero.simulate(standard)?;

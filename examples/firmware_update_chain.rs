@@ -8,7 +8,7 @@
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, PipelineOptions, Signer};
+use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
 use hero_sphincs::params::Params;
 use hero_sphincs::sha256::Sha256;
 use hero_sphincs::Signature;
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fleet planning: how fast could a build farm sign nightly images for
     // a 100k-device fleet with per-device statements?
     let full = Params::sphincs_128f();
-    let report = HeroSigner::hero(rtx_4090(), full)?.simulate(PipelineOptions::new(1024))?;
+    let report = SimModel::hero(rtx_4090(), full)?.simulate(PipelineOptions::new(1024))?;
     println!(
         "\nsimulated RTX 4090 ({}): {:.1} KOPS -> 100k per-device signatures in {:.2}s",
         full.name(),

@@ -1,15 +1,15 @@
 //! Quickstart: build a HERO-Sign engine through the fallible builder,
 //! generate a SPHINCS+ key pair through the `Signer` trait, sign with
 //! the three-kernel decomposition, cross-check against the CPU
-//! reference backend, and look at the simulated RTX 4090 performance of
-//! the same workload.
+//! reference backend, and price the same workload on a `SimModel` of the
+//! RTX 4090.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer};
+use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.log_t = 6;
     params.k = 10;
 
-    // The builder validates the parameter set and runs the (cached)
-    // Auto Tree Tuning search; a bad set comes back as Err, not a panic.
+    // The builder validates the parameter set and starts the workers;
+    // a bad set comes back as Err, not a panic.
     let engine = HeroSigner::builder(rtx_4090(), params).workers(8).build()?;
 
     let mut rng = StdRng::seed_from_u64(2026);
@@ -55,9 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reference.backend()
     );
 
-    // Simulated GPU throughput for the full 128f parameter set.
+    // Simulated GPU throughput for the full 128f parameter set: the
+    // model runs the Auto Tree Tuning search and the PTX selection.
     let full = Params::sphincs_128f();
-    let hero = HeroSigner::hero(rtx_4090(), full)?;
+    let hero = SimModel::hero(rtx_4090(), full)?;
     let report = hero.simulate(PipelineOptions::new(1024))?;
     println!(
         "simulated RTX 4090, {}: {:.1} KOPS over 1024 messages (batch 512, task graph)",

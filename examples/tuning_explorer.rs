@@ -4,9 +4,8 @@
 //! architecture's shared-memory budget — the "adapt and optimize fusion
 //! schemes across various GPU platforms" claim of the abstract.
 //!
-//! Engine construction goes through the builder, so every (device, set)
-//! pair's search lands in the process-wide tuning cache; the cache
-//! statistics printed at the end show the explorer never repeated one.
+//! Nothing here signs, so nothing here builds a signer: the search is
+//! `tune_auto` and the throughput a `SimModel` — no worker pool, no cache.
 //!
 //! ```sh
 //! cargo run --release --example tuning_explorer
@@ -14,7 +13,7 @@
 
 use hero_gpu_sim::device::catalog;
 use hero_gpu_sim::SmemPolicy;
-use hero_sign::{tune_auto_cached, tuning_cache_stats, HeroSigner, PipelineOptions, TuningOptions};
+use hero_sign::{tune_auto, PipelineOptions, SimModel, TuningOptions};
 use hero_sphincs::params::Params;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,12 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 smem_policy: SmemPolicy::DynamicMax,
                 ..TuningOptions::default()
             };
-            let result = tune_auto_cached(&device, &params, &opts)
+            let result = tune_auto(&device, &params, &opts)
                 .map_err(|e| format!("{} / {}: {e}", device.name, params.name()))?;
             let best = result.best;
 
-            let engine = HeroSigner::hero(device.clone(), params)?;
-            let kops = engine.simulate(PipelineOptions::new(1024))?.kops;
+            let model = SimModel::hero(device.clone(), params)?;
+            let kops = model.simulate(PipelineOptions::new(1024))?.kops;
 
             println!(
                 "{:<14} {:<16} {:>8} {:>8} {:>4} {:>8.3} {:>8.3} {:>10.2}",
@@ -53,12 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = tuning_cache_stats();
-    println!();
-    println!(
-        "tuning cache: {} searches run, {} answered from cache ({} entries)",
-        stats.misses, stats.hits, stats.entries
-    );
     println!();
     println!("Notes:");
     println!("- Larger shared-memory budgets (A100/H100) admit deeper fusion (more");

@@ -3,7 +3,7 @@
 //! (reduced) parameter shape, and all serialization must round-trip.
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::engine::{HeroSigner, OptConfig};
+use hero_sign::HeroSigner;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::SignError;
 use hero_sphincs::Signature;
@@ -44,7 +44,7 @@ fn hero_engine_matches_reference_all_widths() {
     for params in test_shapes() {
         let mut rng = StdRng::seed_from_u64(params.n as u64);
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).expect("keygen");
-        let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
+        let engine = HeroSigner::builder(rtx_4090(), params).build().unwrap();
         let msg = b"equivalence across kernel decompositions";
         let hero_sig = engine.sign(&sk, msg).unwrap();
         assert_eq!(hero_sig, sk.sign(msg), "{}", params.name());
@@ -54,33 +54,11 @@ fn hero_engine_matches_reference_all_widths() {
 }
 
 #[test]
-fn baseline_config_signs_identically_too() {
-    // Optimization settings change *performance models*, never signatures.
-    let params = test_shapes()[0];
-    let mut rng = StdRng::seed_from_u64(5);
-    let (sk, _) = hero_sphincs::keygen(params, &mut rng).unwrap();
-    let msg = b"config independence";
-    let hero = HeroSigner::builder(rtx_4090(), params)
-        .config(OptConfig::hero())
-        .build()
-        .unwrap()
-        .sign(&sk, msg)
-        .unwrap();
-    let base = HeroSigner::builder(rtx_4090(), params)
-        .config(OptConfig::baseline())
-        .build()
-        .unwrap()
-        .sign(&sk, msg)
-        .unwrap();
-    assert_eq!(hero, base);
-}
-
-#[test]
 fn serialized_signatures_cross_verify() {
     for params in test_shapes() {
         let mut rng = StdRng::seed_from_u64(17);
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
+        let engine = HeroSigner::builder(rtx_4090(), params).build().unwrap();
         let msg = b"wire format";
         let sig = engine.sign(&sk, msg).unwrap();
         let bytes = sig.to_bytes(&params);
@@ -123,7 +101,7 @@ fn distinct_messages_distinct_signatures() {
     let params = test_shapes()[0];
     let mut rng = StdRng::seed_from_u64(31);
     let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-    let engine = HeroSigner::hero(rtx_4090(), params).unwrap();
+    let engine = HeroSigner::builder(rtx_4090(), params).build().unwrap();
     let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 10]).collect();
     let slices: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
     let sigs = engine.sign_batch(&sk, &slices).unwrap();

@@ -4,7 +4,7 @@
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_gpu_sim::isa::Sha2Path;
-use hero_sign::engine::{HeroSigner, OptConfig, PipelineOptions};
+use hero_sign::model::{OptConfig, PipelineOptions, SimModel};
 use hero_sign::tuning::{tune, TuningOptions};
 use hero_sphincs::params::Params;
 
@@ -25,7 +25,7 @@ fn table4_shape_fusion_winners() {
 fn table5_shape_branch_selection() {
     let d = rtx_4090();
     for p in Params::fast_sets() {
-        let sel = HeroSigner::hero(d.clone(), p).unwrap().selection();
+        let sel = SimModel::hero(d.clone(), p).unwrap().selection();
         assert_eq!(sel.fors, Sha2Path::Ptx);
         let chain = if p.n == 32 {
             Sha2Path::Ptx
@@ -42,10 +42,10 @@ fn table8_shape_speedup_ordering() {
     // FORS gains the most and TREE the least for 128f; every kernel gains.
     let d = rtx_4090();
     for p in Params::fast_sets() {
-        let base = HeroSigner::baseline(d.clone(), p)
+        let base = SimModel::baseline(d.clone(), p)
             .unwrap()
             .kernel_reports(1024);
-        let hero = HeroSigner::hero(d.clone(), p).unwrap().kernel_reports(1024);
+        let hero = SimModel::hero(d.clone(), p).unwrap().kernel_reports(1024);
         let speedups: Vec<f64> = base
             .iter()
             .zip(hero.iter())
@@ -64,7 +64,7 @@ fn table8_shape_speedup_ordering() {
 fn table2_shape_mss_dominates_breakdown() {
     let d = rtx_4090();
     for p in Params::fast_sets() {
-        let r = HeroSigner::baseline(d.clone(), p)
+        let r = SimModel::baseline(d.clone(), p)
             .unwrap()
             .kernel_reports(1024);
         assert!(r[1].time_us > r[0].time_us, "{}: MSS > FORS", p.name());
@@ -80,15 +80,11 @@ fn fig11_shape_cumulative_gain_in_paper_band() {
     let expect = [2.14, 1.72, 1.75];
     for (i, p) in Params::fast_sets().iter().enumerate() {
         let ladder = OptConfig::ablation_ladder();
-        let first = HeroSigner::builder(d.clone(), *p)
-            .config(ladder[0].1)
-            .build()
+        let first = SimModel::new(d.clone(), *p, ladder[0].1)
             .unwrap()
             .kernel_reports(1024)[0]
             .time_us;
-        let last = HeroSigner::builder(d.clone(), *p)
-            .config(ladder[ladder.len() - 1].1)
-            .build()
+        let last = SimModel::new(d.clone(), *p, ladder[ladder.len() - 1].1)
             .unwrap()
             .kernel_reports(1024)[0]
             .time_us;
@@ -106,11 +102,11 @@ fn fig11_shape_cumulative_gain_in_paper_band() {
 fn fig12_shape_pipeline_and_latency() {
     let d = rtx_4090();
     for p in Params::fast_sets() {
-        let base = HeroSigner::baseline(d.clone(), p)
+        let base = SimModel::baseline(d.clone(), p)
             .unwrap()
             .simulate(PipelineOptions::new(1024).batch_size(1).streams(128))
             .unwrap();
-        let hero = HeroSigner::hero(d.clone(), p)
+        let hero = SimModel::hero(d.clone(), p)
             .unwrap()
             .simulate(PipelineOptions::new(1024).batch_size(512).streams(4))
             .unwrap();
@@ -132,8 +128,8 @@ fn fig12_shape_pipeline_and_latency() {
 fn fig13_shape_speedup_present_at_all_batch_sizes() {
     let d = rtx_4090();
     let p = Params::sphincs_128f();
-    let baseline = HeroSigner::baseline(d.clone(), p).unwrap();
-    let hero = HeroSigner::hero(d.clone(), p).unwrap();
+    let baseline = SimModel::baseline(d.clone(), p).unwrap();
+    let hero = SimModel::hero(d.clone(), p).unwrap();
     for bs in [2u32, 16, 128, 1024] {
         let streams = (1024 / bs).clamp(4, 64) as usize;
         let b = baseline
@@ -151,11 +147,11 @@ fn fig14_shape_hero_wins_everywhere_and_ada_fastest() {
     let mut best: (String, f64) = (String::new(), 0.0);
     for device in hero_gpu_sim::device::catalog() {
         let p = Params::sphincs_256f();
-        let base = HeroSigner::baseline(device.clone(), p)
+        let base = SimModel::baseline(device.clone(), p)
             .unwrap()
             .simulate(PipelineOptions::new(512).batch_size(1).streams(64))
             .unwrap();
-        let hero = HeroSigner::hero(device.clone(), p)
+        let hero = SimModel::hero(device.clone(), p)
             .unwrap()
             .simulate(PipelineOptions::new(512).batch_size(256).streams(4))
             .unwrap();
@@ -176,7 +172,7 @@ fn table6_shape_padding_kills_conflicts() {
     use hero_sign::kernels::fors_sign;
     let d = rtx_4090();
     for p in Params::fast_sets() {
-        let geometry = HeroSigner::hero(d.clone(), p)
+        let geometry = SimModel::hero(d.clone(), p)
             .unwrap()
             .fors_layout()
             .geometry(&p);
@@ -228,19 +224,19 @@ fn table8_shape_wots_compute_throughput_drops() {
     // WOTS+ under 128f/192f while raising KOPS.
     let d = rtx_4090();
     for p in [Params::sphincs_128f(), Params::sphincs_192f()] {
-        let base = &HeroSigner::baseline(d.clone(), p)
+        let base = &SimModel::baseline(d.clone(), p)
             .unwrap()
             .kernel_reports(1024)[2];
-        let hero = &HeroSigner::hero(d.clone(), p).unwrap().kernel_reports(1024)[2];
+        let hero = &SimModel::hero(d.clone(), p).unwrap().kernel_reports(1024)[2];
         assert!(kops(1024, hero.time_us) > kops(1024, base.time_us));
         let base_instr_rate = base.compute_throughput_pct;
         let hero_instr_rate = hero.compute_throughput_pct;
         // The per-op rate can rise, but instructions *per signature* fall;
         // check the census directly.
-        let base_instr = HeroSigner::baseline(d.clone(), p).unwrap().kernel_descs(1)[2]
+        let base_instr = SimModel::baseline(d.clone(), p).unwrap().kernel_descs(1)[2]
             .instr_total
             .total();
-        let hero_instr = HeroSigner::hero(d.clone(), p).unwrap().kernel_descs(1)[2]
+        let hero_instr = SimModel::hero(d.clone(), p).unwrap().kernel_descs(1)[2]
             .instr_total
             .total();
         assert!(hero_instr < base_instr, "{}", p.name());

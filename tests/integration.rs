@@ -3,7 +3,7 @@
 
 use hero_gpu_sim::device::{catalog, rtx_4090};
 use hero_gpu_sim::isa::Sha2Path;
-use hero_sign::engine::{HeroSigner, OptConfig, PipelineOptions, PtxPolicy};
+use hero_sign::model::{OptConfig, PipelineOptions, PtxPolicy, SimModel};
 use hero_sign::tuning::{tune_auto, TuningOptions};
 use hero_sphincs::params::Params;
 
@@ -25,7 +25,7 @@ fn tuner_succeeds_on_every_device_and_set() {
 fn engines_construct_on_every_device_and_set() {
     for device in catalog() {
         for params in Params::fast_sets() {
-            let hero = HeroSigner::hero(device.clone(), params).unwrap();
+            let hero = SimModel::hero(device.clone(), params).unwrap();
             let reports = hero.kernel_reports(256);
             for r in &reports {
                 assert!(
@@ -51,11 +51,11 @@ fn engines_construct_on_every_device_and_set() {
 fn hero_never_loses_to_baseline_end_to_end() {
     for device in catalog() {
         let params = Params::sphincs_128f();
-        let base = HeroSigner::baseline(device.clone(), params)
+        let base = SimModel::baseline(device.clone(), params)
             .unwrap()
             .simulate(PipelineOptions::new(512).batch_size(1).streams(64))
             .unwrap();
-        let hero = HeroSigner::hero(device.clone(), params)
+        let hero = SimModel::hero(device.clone(), params)
             .unwrap()
             .simulate(PipelineOptions::new(512).batch_size(256).streams(4))
             .unwrap();
@@ -75,11 +75,8 @@ fn ablation_configs_all_construct_and_order() {
     for params in Params::fast_sets() {
         let mut times = Vec::new();
         for (label, cfg) in OptConfig::ablation_ladder() {
-            let engine = HeroSigner::builder(device.clone(), params)
-                .config(cfg)
-                .build()
-                .unwrap();
-            let fors = &engine.kernel_reports(1024)[0];
+            let model = SimModel::new(device.clone(), params, cfg).unwrap();
+            let fors = &model.kernel_reports(1024)[0];
             times.push((label, fors.time_us));
         }
         let first = times.first().expect("steps").1;
@@ -100,25 +97,16 @@ fn ptx_policies_behave() {
     let mut cfg = OptConfig::hero();
 
     cfg.ptx = PtxPolicy::Off;
-    let off = HeroSigner::builder(device.clone(), params)
-        .config(cfg)
-        .build()
-        .unwrap();
+    let off = SimModel::new(device.clone(), params, cfg).unwrap();
     assert_eq!(off.selection().fors, Sha2Path::Native);
 
     cfg.ptx = PtxPolicy::ForceAll;
-    let force = HeroSigner::builder(device.clone(), params)
-        .config(cfg)
-        .build()
-        .unwrap();
+    let force = SimModel::new(device.clone(), params, cfg).unwrap();
     assert_eq!(force.selection().tree, Sha2Path::Ptx);
     assert!(force.selection().is_uniform());
 
     cfg.ptx = PtxPolicy::Adaptive;
-    let adaptive = HeroSigner::builder(device.clone(), params)
-        .config(cfg)
-        .build()
-        .unwrap();
+    let adaptive = SimModel::new(device.clone(), params, cfg).unwrap();
     // Table V, 128f: FORS picks PTX, chain kernels stay native.
     assert_eq!(adaptive.selection().fors, Sha2Path::Ptx);
     assert_eq!(adaptive.selection().tree, Sha2Path::Native);
@@ -128,15 +116,13 @@ fn ptx_policies_behave() {
 fn graph_vs_stream_launch_accounting() {
     let device = rtx_4090();
     let params = Params::sphincs_192f();
-    let hero_graph = HeroSigner::hero(device.clone(), params)
+    let hero_graph = SimModel::hero(device.clone(), params)
         .unwrap()
         .simulate(PipelineOptions::new(1024).batch_size(128).streams(4))
         .unwrap();
     let mut cfg = OptConfig::hero();
     cfg.graph = false;
-    let hero_stream = HeroSigner::builder(device.clone(), params)
-        .config(cfg)
-        .build()
+    let hero_stream = SimModel::new(device.clone(), params, cfg)
         .unwrap()
         .simulate(PipelineOptions::new(1024).batch_size(128).streams(4))
         .unwrap();
@@ -157,15 +143,15 @@ fn degenerate_fors_shapes_survive_the_engine() {
         let mut p = Params::sphincs_128f();
         p.log_t = log_t;
         p.k = k;
-        let engine = HeroSigner::hero(device.clone(), p).unwrap();
-        for r in engine.kernel_reports(64) {
+        let model = SimModel::hero(device.clone(), p).unwrap();
+        for r in model.kernel_reports(64) {
             assert!(
                 r.time_us.is_finite() && r.time_us > 0.0,
                 "log_t={log_t} k={k} {}",
                 r.name
             );
         }
-        let pipe = engine
+        let pipe = model
             .simulate(PipelineOptions::new(64).batch_size(32).streams(2))
             .unwrap();
         assert!(pipe.kops.is_finite() && pipe.kops > 0.0);
@@ -183,12 +169,12 @@ fn starved_device_degrades_gracefully() {
     crippled.smem_dynamic_max_per_block = 16 * 1024;
 
     let p = Params::sphincs_128f();
-    let engine = HeroSigner::hero(crippled.clone(), p).unwrap();
-    let pipe = engine
+    let model = SimModel::hero(crippled.clone(), p).unwrap();
+    let pipe = model
         .simulate(PipelineOptions::new(64).batch_size(32).streams(2))
         .unwrap();
     assert!(pipe.kops.is_finite() && pipe.kops > 0.0);
-    let healthy = HeroSigner::hero(rtx_4090(), p)
+    let healthy = SimModel::hero(rtx_4090(), p)
         .unwrap()
         .simulate(PipelineOptions::new(64).batch_size(32).streams(2))
         .unwrap();
@@ -215,11 +201,11 @@ fn zero_and_tiny_workloads_do_not_break_the_timeline() {
 #[test]
 fn pipeline_scales_with_messages() {
     let device = rtx_4090();
-    let engine = HeroSigner::hero(device, Params::sphincs_128f()).unwrap();
-    let small = engine
+    let model = SimModel::hero(device, Params::sphincs_128f()).unwrap();
+    let small = model
         .simulate(PipelineOptions::new(256).batch_size(256).streams(4))
         .unwrap();
-    let large = engine
+    let large = model
         .simulate(PipelineOptions::new(2048).batch_size(512).streams(4))
         .unwrap();
     // Throughput (KOPS) should be roughly stable; makespan should scale.

@@ -3,7 +3,9 @@
 //! `PipelineOptions`.
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer};
+use hero_sign::{
+    HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer, SimModel,
+};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,7 +126,11 @@ fn mismatched_keys_are_typed_errors_on_every_backend() {
     let (sk, vk) = hero_sphincs::keygen(key_params, &mut rng).unwrap();
 
     let backends: Vec<Box<dyn Signer>> = vec![
-        Box::new(HeroSigner::hero(rtx_4090(), engine_params).unwrap()),
+        Box::new(
+            HeroSigner::builder(rtx_4090(), engine_params)
+                .build()
+                .unwrap(),
+        ),
         Box::new(ReferenceSigner::new(engine_params).unwrap()),
     ];
     for backend in &backends {
@@ -184,13 +190,13 @@ fn pipeline_options_defaults_match_the_papers_workload() {
 
 #[test]
 fn launch_policy_overrides_the_engine_config_per_simulation() {
-    let engine = HeroSigner::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
-    assert!(engine.config().graph);
+    let model = SimModel::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+    assert!(model.config().graph);
     let opts = PipelineOptions::new(1024).batch_size(128);
-    let auto = engine.simulate(opts).unwrap();
-    let graph = engine.simulate(opts.launch(LaunchPolicy::Graph)).unwrap();
-    let streams = engine.simulate(opts.launch(LaunchPolicy::Streams)).unwrap();
-    // Auto follows the engine's graph config.
+    let auto = model.simulate(opts).unwrap();
+    let graph = model.simulate(opts.launch(LaunchPolicy::Graph)).unwrap();
+    let streams = model.simulate(opts.launch(LaunchPolicy::Streams)).unwrap();
+    // Auto follows the model's graph config.
     assert_eq!(auto.launch_overhead_us, graph.launch_overhead_us);
     // Stream replay launches each kernel from the host instead of one
     // graph per batch.
@@ -203,8 +209,8 @@ fn oversized_batches_are_typed_errors_not_silent_clamps() {
     // is now an InvalidOptions error naming both numbers, so a
     // misconfigured dispatcher hears about it instead of benchmarking
     // the wrong shape.
-    let engine = HeroSigner::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
-    let err = engine
+    let model = SimModel::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+    let err = model
         .simulate(PipelineOptions::new(64).batch_size(4096))
         .unwrap_err();
     match err {
@@ -214,7 +220,7 @@ fn oversized_batches_are_typed_errors_not_silent_clamps() {
         other => panic!("expected InvalidOptions, got {other:?}"),
     }
     // The exact-fit workload still simulates.
-    engine
+    model
         .simulate(PipelineOptions::new(64).batch_size(64))
         .unwrap();
 }
