@@ -49,7 +49,7 @@ use hero_sphincs::sign::SigningKey;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shard count; identities spread across shards by their first byte.
 const SHARDS: usize = 16;
@@ -208,6 +208,10 @@ pub struct HypertreeCache {
     shards: Vec<Mutex<HashMap<KeyId, KeyEntry>>>,
     /// Global logical clock for exact LRU recency.
     clock: AtomicU64,
+    /// Held while the bounds are enforced, so that a bound check and the
+    /// eviction it leads to are one step: two fills that each see the
+    /// cache one key over evict one key between them, not two.
+    evicting: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -232,6 +236,7 @@ impl HypertreeCache {
             config,
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             clock: AtomicU64::new(0),
+            evicting: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -366,6 +371,7 @@ impl HypertreeCache {
     /// Evicts least-recently-used keys until both bounds hold. Never
     /// fails: in the worst case the cache empties and signing is cold.
     fn enforce_bounds(&self) {
+        let _evicting = self.evicting.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let over_keys =
                 self.resident_keys.load(Ordering::Relaxed) > self.config.max_keys as u64;
@@ -397,7 +403,7 @@ impl HypertreeCache {
                 self.book_eviction(&entry);
                 true
             }
-            // A racing evictor got there first; report progress anyway.
+            // A forced eviction got there first; report progress anyway.
             None => true,
         }
     }
@@ -531,6 +537,35 @@ mod tests {
             !cache.contains(&KeyId::of(&keys[1]), 2, 0),
             "LRU key evicted"
         );
+    }
+
+    /// A new key's subtrees filled at once, as a plan's fill nodes do,
+    /// into a full cache: each fill sees the cache one key over, and
+    /// between them they evict one key, not one each.
+    #[test]
+    fn concurrent_fills_of_one_new_key_evict_exactly_one_key() {
+        let cache = HypertreeCache::new(CacheConfig {
+            max_keys: 3,
+            ..CacheConfig::default()
+        });
+        let keys: Vec<SigningKey> = (0..4).map(|i| key(70 + i * 5)).collect();
+        for sk in &keys[..3] {
+            cache.insert(&KeyId::of(sk), 2, 0, levels_for(sk, 2, 0));
+        }
+        let new = KeyId::of(&keys[3]);
+        let fills: Vec<_> = (0..4).map(|tree| levels_for(&keys[3], 1, tree)).collect();
+        let start = std::sync::Barrier::new(fills.len());
+        std::thread::scope(|scope| {
+            for (tree, levels) in fills.into_iter().enumerate() {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    cache.insert(&new, 1, tree as u64, levels);
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!((s.evictions, s.resident_keys), (1, 3), "{s:?}");
     }
 
     #[test]

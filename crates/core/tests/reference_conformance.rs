@@ -8,7 +8,10 @@
 //! subtree built and published) and again warm (the memoized layers
 //! sliced from the cache), must equal `reference::sign` message by
 //! message, and `reference::verify` must accept each signature and reject
-//! it with one bit flipped in any of its regions.
+//! it with one bit flipped in any of its regions. The batch is the
+//! benchmark's, 64 messages: `hero-sphincs` is built optimised under
+//! `cargo test` too (the root `Cargo.toml`), so both sides run as they
+//! ship.
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::{HeroSigner, VerifyOutcome};
@@ -60,14 +63,9 @@ fn flipped_per_region(sig: &Signature, i: usize) -> [(&'static str, Signature); 
 
 #[test]
 fn full_size_batches_cold_and_warm_are_the_reference_bytes() {
-    // The lane bodies run a hundred times slower unoptimised, the
-    // reference barely slower: a lane group of messages where the bodies
-    // are not compiled as they ship, the benchmark's batch where they are
-    // (`cargo test --release`).
-    let batch = if cfg!(debug_assertions) { 16 } else { 64 };
     let params = Params::sphincs_128f();
     let (sk, vk) = keypair(params, HashAlg::Sha256);
-    let msgs = messages(batch);
+    let msgs = messages(64);
     let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
     let expected: Vec<Signature> = refs.iter().map(|m| reference::sign(&sk, m)).collect();
 

@@ -350,15 +350,15 @@ macro_rules! extend {
 ///
 /// Inlined into each of a body's calls, so that message and digest stay
 /// in registers: as a call it cost a 128f subtree fill 15 µs of 80.
-/// Unoptimised, each inlined copy would instead cost its caller half a
-/// megabyte of stack (every temporary of the 64 unrolled rounds is a
-/// slot), so there it stays a function of its own.
+/// That holds only where this crate is optimised: at opt-level 0 every
+/// temporary of the 64 unrolled rounds is a stack slot, and each inlined
+/// copy costs its caller half a megabyte of stack. This workspace never
+/// builds `hero-sphincs` at opt-level 0; the root `Cargo.toml` says why.
 ///
 /// # Safety
 ///
 /// As [`Lanes`].
-#[cfg_attr(not(debug_assertions), inline(always))]
-#[cfg_attr(debug_assertions, inline(never))]
+#[inline(always)]
 unsafe fn compress<V: Lanes>(iv: &[V; 8], w: &mut [V; 16]) -> [V; 8] {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *iv;
 
@@ -489,8 +489,7 @@ impl<V: Lanes, const NW: usize> ChainStep<V, NW> {
     /// # Safety
     ///
     /// As [`Lanes`].
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    #[cfg_attr(debug_assertions, inline(never))]
+    #[inline(always)]
     pub(crate) unsafe fn new(iv: &[V; 8], adrs: &[V; ADRS_WORDS]) -> Self {
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *iv;
         round!(a b c d e f g h, V::splat(K[0]).add(adrs[0]));
@@ -556,8 +555,7 @@ impl<V: Lanes, const NW: usize> ChainStep<V, NW> {
     /// # Safety
     ///
     /// As [`Lanes`].
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    #[cfg_attr(debug_assertions, inline(never))]
+    #[inline(always)]
     pub(crate) unsafe fn f(&self, iv: &[V; 8], index_high: V, node: &[V; NW]) -> [V; NW] {
         let mut w = [V::splat(0); 16];
         let mut carry = index_high;

@@ -5,7 +5,9 @@
 //! supports. Forcing a SHA-256 tier forces the resident ladder's too
 //! (`sha-ni`, which has no body there, selects the ladder's best), so
 //! walking the SHA-256 tiers walks both widths of the leaf body and the
-//! sweep on bytes.
+//! sweep on bytes. `hero-sphincs` is built optimised under `cargo test`
+//! too (the root `Cargo.toml`), so the bodies run here as they ship: at
+//! every key pair count of both widths and over whole layers.
 //!
 //! And the chain step the leaf body and the chain kernel share, held to
 //! [`reference::chain`] through [`HashCtx::f_chains`] on both sides of
@@ -24,21 +26,9 @@ use common::{reference_chains, with_forced_tier, Stream, TIER_LOCK};
 /// Key pairs per case: two of the widest groups and one more, so that
 /// every way a group is shared out (16, 8, 5, 4, 3, 2 and 1 lanes to a
 /// key pair; 8, 4, 2 and 1 in ymm), counts that leave lanes over, a full
-/// group and a 17th key pair all occur.
+/// group and a 17th key pair all occur. A case is cut to every count
+/// from none to all of them.
 const KEYPAIRS: usize = 33;
-
-/// The key pair counts a case is cut to: all of them where the bodies are
-/// compiled as they ship (`cargo test --release`, which CI runs), and
-/// where they are not — unoptimised they run a hundred times slower —
-/// every share of the narrower body, counts that divide neither width,
-/// and a group and one more; of chains of 255 steps, two counts alone.
-fn counts(params: &Params) -> Vec<usize> {
-    match (cfg!(debug_assertions), params.w) {
-        (false, _) => (0..=KEYPAIRS).collect(),
-        (true, 256) => vec![3, 9],
-        (true, _) => vec![0, 1, 2, 3, 4, 5, 8, 11, 17],
-    }
-}
 
 /// Every node width at both ends of `w` and in the middle: `T_len` over
 /// 18 to 133 chain ends, 10, 20 and 34 blocks of them at `w = 16`.
@@ -89,19 +79,17 @@ fn pk_gen_many_matches_scalar_keys_under_every_tier() {
     let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for (case, params) in shapes().into_iter().enumerate() {
         let n = params.n;
-        let counts = counts(&params);
-        let most = *counts.last().expect("some counts");
         let mut rng = Stream(0x1eaf ^ (case as u64) << 32 | 1);
         let (pk_seed, sk_seed) = (rng.bytes(n), rng.bytes(n));
         let ctx = HashCtx::new(params, &pk_seed);
-        let adrs_list = random_keypairs(most, &mut rng);
+        let adrs_list = random_keypairs(KEYPAIRS, &mut rng);
         let expected: Vec<u8> = adrs_list
             .iter()
             .flat_map(|adrs| reference::wots_pk_gen(&ctx, &sk_seed, adrs))
             .collect();
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
-                for &count in &counts {
+                for count in 0..=KEYPAIRS {
                     let mut got = vec![0u8; count * n];
                     wots::pk_gen_many(&ctx, &sk_seed, &adrs_list[..count], &mut got);
                     assert_eq!(
@@ -146,10 +134,9 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
                 for (&(layer, tree), expected) in corners.iter().zip(&expected) {
-                    // A part of the layer that fills no group and, where
-                    // the bodies run at speed, the whole of it.
-                    let whole = (!cfg!(debug_assertions)).then_some(leaves);
-                    for count in whole.into_iter().chain([3]) {
+                    // The whole layer, and a part of it that fills no
+                    // group.
+                    for count in [leaves, 3] {
                         let mut got = vec![0u8; count * n];
                         hypertree::wots_leaves_many_into(
                             &ctx,

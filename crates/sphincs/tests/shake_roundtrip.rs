@@ -1,14 +1,9 @@
 //! Keygen/sign/verify round-trips for the SPHINCS+-SHAKE parameter
 //! family.
 //!
-//! The default test runs every `shake_*` shape at a reduced height
-//! (keeping each shape's `n` and `w`, the dimensions the hash layer
-//! actually sees) so the whole matrix stays test-speed; the `--ignored`
-//! companion runs the six shapes at full size for release validation:
-//!
-//! ```text
-//! cargo test --release -p hero-sphincs --test shake_roundtrip -- --ignored
-//! ```
+//! Every `shake_*` shape runs twice: at a reduced height (keeping each
+//! shape's `n` and `w`, the dimensions the hash layer actually sees) and
+//! at full size.
 
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
@@ -57,7 +52,6 @@ fn all_six_shake_shapes_roundtrip_reduced() {
 }
 
 #[test]
-#[ignore = "full shapes take minutes in debug; run with --release -- --ignored"]
 fn all_six_shake_shapes_roundtrip_full() {
     for p in Params::shake_sets() {
         roundtrip(p, p.name());

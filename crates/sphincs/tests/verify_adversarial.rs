@@ -164,11 +164,13 @@ fn every_region_bit_flip_rejects_scalar_and_batched() {
     }
 }
 
-/// Shared body for the mix tests: `mixes` random valid / mismatched /
-/// bit-flipped pairs, batched verdicts — of the whole mix and of each
-/// pair alone — equal scalar verdicts exactly.
-fn random_mixes_agree(mixes: usize) {
+/// Ten thousand random valid / mismatched / bit-flipped pairs: batched
+/// verdicts — of the whole mix and of each pair alone — equal scalar
+/// verdicts exactly.
+#[test]
+fn ten_thousand_random_mixes_agree_bit_for_bit() {
     const FIXTURES: usize = 8;
+    const MIXES: usize = 10_000;
 
     // One shape per run keeps this under test-suite time budgets while
     // the region test above covers the full shape × alg matrix.
@@ -192,9 +194,9 @@ fn random_mixes_agree(mixes: usize) {
         // Random mixes: valid pairs, mismatched (signature of another
         // message), and bit-flipped signatures — all structurally sound,
         // so every verdict is Ok or VerificationFailed, never Malformed.
-        let mut msgs: Vec<&[u8]> = Vec::with_capacity(mixes);
-        let mut sigs: Vec<Signature> = Vec::with_capacity(mixes);
-        for _ in 0..mixes {
+        let mut msgs: Vec<&[u8]> = Vec::with_capacity(MIXES);
+        let mut sigs: Vec<Signature> = Vec::with_capacity(MIXES);
+        for _ in 0..MIXES {
             let m = below(&mut rng, FIXTURES);
             match below(&mut rng, 3) {
                 0 => {
@@ -219,9 +221,9 @@ fn random_mixes_agree(mixes: usize) {
 
         let sig_refs: Vec<&Signature> = sigs.iter().collect();
         let batched = vk.verify_many(&msgs, &sig_refs);
-        assert_eq!(batched.len(), mixes);
+        assert_eq!(batched.len(), MIXES);
         let mut valid = 0usize;
-        for i in 0..mixes {
+        for i in 0..MIXES {
             let scalar = reference::verify(&vk, msgs[i], &sigs[i]);
             assert_eq!(
                 batched[i], scalar,
@@ -237,23 +239,11 @@ fn random_mixes_agree(mixes: usize) {
             }
         }
         // Sanity: the mix really was mixed.
-        assert!(valid > mixes / 10, "{alg:?}: too few valid mixes ({valid})");
+        assert!(valid > MIXES / 10, "{alg:?}: too few valid mixes ({valid})");
         assert!(
-            valid < mixes * 9 / 10,
+            valid < MIXES * 9 / 10,
             "{alg:?}: too few tampered mixes ({})",
-            mixes - valid
+            MIXES - valid
         );
-        let _ = rng.next_u32();
     }
-}
-
-#[test]
-fn thousand_random_mix_sample_agrees_bit_for_bit() {
-    random_mixes_agree(1_000);
-}
-
-#[test]
-#[ignore = "ten thousand mixes take minutes in debug; run with --release -- --ignored"]
-fn ten_thousand_random_mixes_agree_bit_for_bit() {
-    random_mixes_agree(10_000);
 }

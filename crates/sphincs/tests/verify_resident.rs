@@ -5,7 +5,9 @@
 //! supports. Forcing a SHA-256 tier forces the resident ladder's too
 //! (`sha-ni`, which has no body there, selects the ladder's best), so
 //! walking the SHA-256 tiers walks both widths of the lane = tree climb
-//! and the lane = signature ascent, and the level sweep.
+//! and the lane = signature ascent, and the level sweep. `hero-sphincs`
+//! is built optimised under `cargo test` too (the root `Cargo.toml`), so
+//! the bodies run here as they ship, at every group width.
 //!
 //! Neither side checks a signature against a key — both recompute a root
 //! from whatever they are given — so the signatures here are random
@@ -25,21 +27,9 @@ use common::{with_forced_tier, Stream, TIER_LOCK};
 
 /// Requests per case: two of the widest lane = signature groups and one
 /// more, so that every width on either side of the selection, a last
-/// group filled in part and a 17th signature all occur.
+/// group filled in part and a 17th signature all occur. A case is cut to
+/// every count from none to all of them.
 const REQUESTS: usize = 33;
-
-/// The request counts a case is cut to: all of them where the bodies are
-/// compiled as they ship (`cargo test --release`, which CI runs), and
-/// where they are not — unoptimised they run a hundred times slower —
-/// one on either side of both bodies' selection, a group filled in part
-/// and a group and one more.
-fn counts() -> Vec<usize> {
-    if cfg!(debug_assertions) {
-        vec![0, 1, 2, 4, 7, 17]
-    } else {
-        (0..=REQUESTS).collect()
-    }
-}
 
 /// Every node width (one- and two-block `H`; `T_len` over 35, 51 and 67
 /// chain ends at `w = 16`) at both ends of `w` and in the middle.
@@ -161,8 +151,8 @@ fn xmss_many(ctx: &HashCtx, layer: u32, cases: &[XmssCase]) -> Vec<Vec<u8>> {
     hypertree::xmss_pk_from_sig_many(ctx, layer, &reqs)
 }
 
-/// Every request count ([`counts`]), every shape, every tier: the first
-/// `count` answers of the batched entry points are the scalar ones.
+/// Every request count up to [`REQUESTS`], every shape, every tier: the
+/// first `count` answers of the batched entry points are the scalar ones.
 #[test]
 fn every_width_of_every_shape_matches_scalar_under_every_tier() {
     let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -180,7 +170,7 @@ fn every_width_of_every_shape_matches_scalar_under_every_tier() {
         let xmss_expected = xmss_oracle(&ctx, layer, &xmss_cases);
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
-                for count in counts() {
+                for count in 0..=REQUESTS {
                     let what = format!(
                         "{} w={} count={count} under {}",
                         params.name(),
