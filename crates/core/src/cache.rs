@@ -19,8 +19,8 @@
 //! ## Structure
 //!
 //! - **Key**: one SHA-256 identity ([`KeyId`]) over the hash algorithm,
-//!   the shape-critical parameter fields (`n`, `h`, `d`, `log_t`, `k`),
-//!   and the secret/public seeds. It picks the shard, keys the map and is
+//!   the shape-critical parameter fields (`n`, `h`, `d`, `log_t`, `k`,
+//!   `w`), and the secret/public seeds. It picks the shard, keys the map and is
 //!   what equality means; the planner computes it once per call, where it
 //!   holds the key anyway, so no seed is kept by the cache.
 //! - **Value**: per key, a map from `(layer, tree_idx)` to the subtree's
@@ -181,7 +181,7 @@ impl KeyId {
             HashAlg::Sha512 => 2,
             HashAlg::Shake256 => 3,
         }]);
-        for field in [p.n, p.h, p.d, p.log_t, p.k] {
+        for field in [p.n, p.h, p.d, p.log_t, p.k, p.w] {
             hash.update(&(field as u64).to_le_bytes());
         }
         hash.update(sk.sk_seed());
@@ -643,6 +643,28 @@ mod tests {
         let other =
             hero_sphincs::keygen_from_seeds(wider, vec![10; p.n], vec![11; p.n], vec![12; p.n]).0;
         assert_ne!(KeyId::of(&a), KeyId::of(&other));
+    }
+
+    /// `w` sets the chain length and `len`, so it changes every WOTS+
+    /// leaf: equal seeds at two `w` are two keys to the cache.
+    #[test]
+    fn winternitz_parameter_separates_keys() {
+        let p = tiny_params();
+        let mut long = p;
+        long.w = 256;
+        let seeded = |params| {
+            hero_sphincs::keygen_from_seeds(params, vec![10; p.n], vec![11; p.n], vec![12; p.n]).0
+        };
+        let (w16, w256) = (seeded(p), seeded(long));
+        assert_ne!(KeyId::of(&w16), KeyId::of(&w256));
+        let cache = HypertreeCache::new(CacheConfig::default());
+        cache.insert(&KeyId::of(&w16), 2, 0, levels_for(&w16, 2, 0));
+        assert!(cache.get(&KeyId::of(&w256), 2, 0).is_none());
+        assert_ne!(
+            levels_for(&w16, 2, 0).root(),
+            levels_for(&w256, 2, 0).root(),
+            "the two keys' subtrees differ"
+        );
     }
 
     #[test]

@@ -86,15 +86,25 @@ pub struct PlanShape {
 
 impl PlanShape {
     /// The shape the engine signs with: FORS items are one group of the
-    /// widest fused tree kernel, whichever messages its trees belong to;
-    /// single-message batches keep subtree items at one-per-node (maximum
-    /// pool balance, matching the pre-planner `TREE_Sign`
-    /// decomposition); multi-message batches pair subtrees so reductions
-    /// merge across items without starving the queue.
-    pub fn for_batch(messages: usize) -> Self {
+    /// widest fused tree kernel, whichever messages its trees belong to,
+    /// and subtree items are two subtrees, at every batch size.
+    ///
+    /// Two 8-leaf subtrees are 16 key pairs, one full zmm group of the
+    /// WOTS+ leaf kernel; one subtree per node shares 16 lanes among 8 key
+    /// pairs and pays the per-call set-up once per subtree. A lone cold
+    /// 128f signature's 22 subtrees take 1.82 ms single-threaded at one
+    /// per call and 1.72 ms at two (medians of 40 alternating blocks on
+    /// the 2-vCPU reference host), and its 11 subtree nodes still keep
+    /// two workers busy. Batches of four or more had two per node
+    /// already.
+    ///
+    /// The batch size no longer changes the shape. The parameter stays
+    /// so that callers keep asking for the shape of their batch, and the
+    /// repository benchmark, which calls this, keeps compiling.
+    pub fn for_batch(_messages: usize) -> Self {
         Self {
             fors_trees_per_item: hero_sphincs::fors::FUSED_TREES,
-            subtrees_per_item: if messages >= 4 { 2 } else { 1 },
+            subtrees_per_item: 2,
             chains_per_item: 4,
         }
     }
@@ -852,8 +862,22 @@ mod tests {
         assert_eq!(s.subtree_items, 8); // 15 layers / 2
         assert_eq!(s.chain_items, 4); // 15 layers / 4
         assert_eq!(s.nodes(), 22);
-        // The default shape widens subtree items only for real batches.
-        assert_eq!(PlanShape::for_batch(1).subtrees_per_item, 1);
+        // The default shape pairs subtrees at every batch size.
+        assert_eq!(PlanShape::for_batch(1).subtrees_per_item, 2);
         assert_eq!(PlanShape::for_batch(64).subtrees_per_item, 2);
+        // A lone 128f signature: 3 FORS groups (33 trees / 16), one T_k,
+        // 11 subtree nodes (22 layers / 2) and 6 chain groups (22 / 4).
+        let lone = summarize(&Params::sphincs_128f(), 1, &PlanShape::for_batch(1));
+        assert_eq!(
+            lone,
+            PlanSummary {
+                messages: 1,
+                fors_items: 3,
+                fors_pk_items: 1,
+                subtree_items: 11,
+                chain_items: 6,
+            }
+        );
+        assert_eq!(lone.nodes(), 21);
     }
 }

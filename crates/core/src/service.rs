@@ -896,6 +896,9 @@ mod tests {
             assert_eq!(sig, sk.sign(&msg), "msg {i}");
             vk.verify(&msg, &sig).unwrap();
         }
+        // A lane books `completed` just after the answer goes out: read
+        // the counters once shutdown has joined the lanes.
+        service.shutdown();
         let stats = service.stats();
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.completed, 5);
@@ -925,6 +928,8 @@ mod tests {
             let oracle = VerifyOutcome::from_result(vk.verify(&msgs[i], &sigs[i]));
             assert_eq!(verdict, oracle, "request {i}");
         }
+        // As above: the counters are exact once the lanes are joined.
+        service.shutdown();
         let stats = service.stats();
         assert_eq!(stats.verify_submitted, 4);
         assert_eq!(stats.verify_completed, 4);
