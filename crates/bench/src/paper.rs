@@ -1,5 +1,7 @@
 //! The HERO-Sign paper's published measurements, kept verbatim so every
-//! harness binary can print paper-vs-reproduction side by side.
+//! table can print paper-vs-reproduction side by side — including the
+//! published FPGA/ASIC/AVX2 comparators of Tables IX and X, which the
+//! paper quotes rather than reruns.
 //!
 //! Indexing convention: `[0] = 128f, [1] = 192f, [2] = 256f`.
 
@@ -132,6 +134,54 @@ pub const FIG14_SPEEDUP: [[f64; 3]; 5] = [
     [1.33, 1.31, 1.88],
 ];
 
+/// One cross-platform comparator entry (Table IX).
+#[derive(Clone, Copy, Debug)]
+pub struct PlatformEntry {
+    /// System name.
+    pub name: &'static str,
+    /// Hash function used.
+    pub hash: &'static str,
+    /// Throughput in KOPS per parameter set (`None` = not supported).
+    pub kops: [Option<f64>; 3],
+    /// Power per signature in Watts (`None` = not reported).
+    pub pps_watt: [Option<f64>; 3],
+}
+
+/// Table IX — HERO-Sign's own row (RTX 4090).
+pub const TABLE9_HERO: PlatformEntry = PlatformEntry {
+    name: "HERO-Sign (RTX 4090)",
+    hash: "SHA256",
+    kops: [Some(119.47), Some(65.43), Some(33.88)],
+    pps_watt: [Some(0.003), Some(0.002), Some(0.003)],
+};
+
+/// Table IX — the FPGA and ASIC comparators: Berthet et al. (IPDPSW'21,
+/// Xilinx XZU3EG), Amiet et al. (DSD'20, Artix-7, SHAKE256) and
+/// SPHINCSLET (TECS'25 ASIC).
+pub const TABLE9_COMPARATORS: [PlatformEntry; 3] = [
+    PlatformEntry {
+        name: "Berthet et al. (FPGA XZU3EG)",
+        hash: "SHA256",
+        kops: [Some(0.016), None, Some(0.000_57)],
+        pps_watt: [Some(0.4), None, Some(0.474)],
+    },
+    PlatformEntry {
+        name: "Amiet et al. (FPGA Artix-7)",
+        hash: "SHAKE256",
+        kops: [Some(0.99), Some(0.85), Some(0.40)],
+        pps_watt: [Some(9.76), Some(9.69), Some(9.80)],
+    },
+    PlatformEntry {
+        name: "SPHINCSLET (ASIC)",
+        hash: "SHA256",
+        kops: [Some(0.52), Some(0.20), Some(0.10)],
+        pps_watt: [None, None, None],
+    },
+];
+
+/// Table X — published AVX2 CPU KOPS (single thread, 16 threads).
+pub const TABLE10_AVX2: [(f64, f64); 3] = [(0.143, 0.828), (0.087, 0.560), (0.044, 0.356)];
+
 /// Table XI — average compile seconds (baseline, HERO).
 pub const TABLE11: [(f64, f64); 3] = [(18.68, 14.61), (23.25, 21.72), (24.19, 19.18)];
 
@@ -168,6 +218,27 @@ mod tests {
         // 86.4×, 103.3×, 221.3× launch-latency reductions with graph.
         for (i, expect) in [86.4, 103.3, 221.3].iter().enumerate() {
             let ratio = FIG12_LATENCY_US[i][0] / FIG12_LATENCY_US[i][2];
+            assert!((ratio - expect).abs() / expect < 0.01, "set {i}: {ratio}");
+        }
+    }
+
+    #[test]
+    fn headline_ratios_reproduce() {
+        // §IV-D: vs Amiet et al.: 120.68×, 76.98×, 84.70×.
+        let amiet = &TABLE9_COMPARATORS[1];
+        for (i, expect) in [120.68, 76.98, 84.70].iter().enumerate() {
+            let ratio = TABLE9_HERO.kops[i].unwrap() / amiet.kops[i].unwrap();
+            assert!((ratio - expect).abs() / expect < 0.01, "set {i}: {ratio}");
+        }
+        // vs SPHINCSLET: 229.75×, 327.15×, 338.8×.
+        let asic = &TABLE9_COMPARATORS[2];
+        for (i, expect) in [229.75, 327.15, 338.8].iter().enumerate() {
+            let ratio = TABLE9_HERO.kops[i].unwrap() / asic.kops[i].unwrap();
+            assert!((ratio - expect).abs() / expect < 0.01, "set {i}: {ratio}");
+        }
+        // vs AVX2 16-thread: 144.29×, 116.84×, 95.17×.
+        for (i, expect) in [144.29, 116.84, 95.17].iter().enumerate() {
+            let ratio = TABLE9_HERO.kops[i].unwrap() / TABLE10_AVX2[i].1;
             assert!((ratio - expect).abs() / expect < 0.01, "set {i}: {ratio}");
         }
     }

@@ -15,7 +15,7 @@ use hero_sphincs::sign::keygen_from_seeds;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_params() -> Params {
     let mut p = Params::sphincs_128f();
@@ -110,6 +110,9 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
         }
     });
 
+    // A lane books `completed` just after its answer goes out: read the
+    // counts once shutdown has drained both lanes.
+    service.shutdown();
     let stats = service.stats();
     assert_eq!(stats.submitted, (SIGN_CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.completed, stats.submitted, "sign lane exactly-once");
@@ -123,7 +126,6 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
     // `service::tests`.
     assert!(stats.batches >= 1 && stats.verify_batches >= 1);
     assert!(stats.max_batch_observed <= 16 && stats.verify_max_batch_observed <= 16);
-    service.shutdown();
 }
 
 #[test]
@@ -197,7 +199,13 @@ fn shutdown_under_mixed_load_drops_nothing_on_either_lane() {
                 }
             });
         }
-        std::thread::sleep(Duration::from_millis(5));
+        // Shut down mid-load, but only once the verify lane has answered
+        // something: the last assertion needs it, and no fixed sleep
+        // guarantees it on a busy host.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while verify_answered.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(100));
+        }
         service.shutdown();
     });
 

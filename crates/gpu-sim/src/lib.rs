@@ -19,7 +19,6 @@
 //! * [`graph`] — CUDA-Graph-style kernel DAGs replayed onto that
 //!   timeline: one launch fee per graph instead of one per kernel.
 //! * [`compile`] — the compile-time cost model behind Table XI.
-//! * [`profiler`] — aggregated Nsight-like reports.
 //!
 //! ## Example: occupancy of a register-hungry kernel
 //!
@@ -43,7 +42,6 @@ pub mod isa;
 pub mod kernel;
 pub mod occupancy;
 pub mod pcie;
-pub mod profiler;
 pub mod stream;
 pub mod trace;
 

@@ -599,13 +599,6 @@ fn pks_sweep(
         .collect()
 }
 
-/// Hash-call census for one FORS signature generation (used by the GPU
-/// cost model): per tree `t` PRF + `t` F leaves and `t-1` H nodes, plus the
-/// final `T_k` roots compression.
-pub fn sign_hash_count(params: &Params) -> usize {
-    params.k * (2 * params.t() + params.t() - 1) + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,12 +756,5 @@ mod tests {
             }
         }
         assert!(pk_from_sig_many(&ctx, &[], &[], &[]).is_empty());
-    }
-
-    #[test]
-    fn hash_count_census() {
-        let p = Params::sphincs_128f();
-        // 33 trees * (64 PRF + 64 F + 63 H) + 1 = 33*191+1 = 6304.
-        assert_eq!(sign_hash_count(&p), 6_304);
     }
 }

@@ -323,16 +323,6 @@ pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
     subtrees(ctx, sk_seed, &[(top, 0)])[0].root().to_vec()
 }
 
-/// `F`-call census for one hypertree signature: `d` subtrees, each with
-/// `2^h'` WOTS+ leaf generations plus the internal `H` nodes, plus the
-/// WOTS+ signing chains (bounded by leaf generation, already counted via
-/// pk_gen during treehash).
-pub fn sign_hash_count(params: &Params) -> usize {
-    let per_tree = params.subtree_leaves() * wots::pk_gen_hash_count(params)
-        + merkle::internal_node_count(params.tree_height());
-    params.d * per_tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,13 +490,5 @@ mod tests {
             a[n..],
             reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(0, 0, 1))
         );
-    }
-
-    #[test]
-    fn hash_census_scales_with_d() {
-        let p = Params::sphincs_128f();
-        // 22 layers * (8 leaves * 560 + 7) = 22 * 4487 = 98,714 — the
-        // "more than 100,000 hash computations" of the paper's intro.
-        assert_eq!(sign_hash_count(&p), 22 * (8 * 560 + 7));
     }
 }

@@ -414,11 +414,6 @@ pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob]) -> Vec<Ve
     nodes.chunks_exact(n).map(<[u8]>::to_vec).collect()
 }
 
-/// Number of `H` calls a treehash of `height` performs: `2^height - 1`.
-pub fn internal_node_count(height: usize) -> usize {
-    (1 << height) - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,13 +652,6 @@ mod tests {
     #[should_panic(expected = "leaf offset must be a multiple of the tree size")]
     fn leaf_offset_alignment_checked() {
         let _ = treehash_many(&ctx(), 2, &[job(0, 0, 6)], |buf| fill_from(0, buf));
-    }
-
-    #[test]
-    fn internal_counts() {
-        assert_eq!(internal_node_count(0), 0);
-        assert_eq!(internal_node_count(6), 63);
-        assert_eq!(internal_node_count(9), 511);
     }
 
     /// Jobs with different addresses, offsets, and leaf indices (as a

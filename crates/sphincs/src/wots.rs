@@ -392,13 +392,6 @@ pub(crate) fn chain_ends_in_lanes(
     kernel.run(iv, &mut chains);
 }
 
-/// Total `F` invocations of one `wots_gen_leaf` (pk_gen): `len · (w-1)`
-/// chain hashes plus `len` PRF calls — the per-leaf workload the paper
-/// quotes as ~560 hashes for 128f (§III).
-pub fn pk_gen_hash_count(params: &Params) -> usize {
-    params.wots_len() * (params.w - 1) + params.wots_len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,15 +594,6 @@ mod tests {
             pk_gen(&ctx, &sk_seed, &adrs),
             pk_gen(&ctx, &sk_seed, &adrs2)
         );
-    }
-
-    #[test]
-    fn hash_count_matches_paper_order() {
-        // §III: "approximately 560 iterations ... in one wots_gen_leaf"
-        // for 128f. len·(w-1) = 35·15 = 525, plus 35 PRF calls = 560.
-        assert_eq!(pk_gen_hash_count(&Params::sphincs_128f()), 560);
-        assert_eq!(pk_gen_hash_count(&Params::sphincs_192f()), 816);
-        assert_eq!(pk_gen_hash_count(&Params::sphincs_256f()), 1072);
     }
 
     #[test]

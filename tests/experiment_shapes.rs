@@ -1,6 +1,7 @@
-//! Experiment-shape regression tests: every table/figure reproduction
-//! claim in EXPERIMENTS.md is pinned here, so a model change that breaks
-//! a paper-shape silently fails CI rather than the docs.
+//! Experiment-shape regression tests: the reproduction claims the
+//! `paper` tables print as "Shape checks" are pinned here, so a model
+//! change that breaks a paper shape fails CI rather than only the
+//! printed table.
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_gpu_sim::isa::Sha2Path;
