@@ -6,6 +6,8 @@
 //! spawning processes. All failures flow through the typed [`CliError`];
 //! nothing in the command layer matches on strings.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 

@@ -1,5 +1,7 @@
 //! `hero-sign` command-line entry point.
 
+#![forbid(unsafe_code)]
+
 use hero_sign_cli::args::Args;
 use hero_sign_cli::commands;
 

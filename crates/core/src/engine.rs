@@ -155,15 +155,18 @@ impl HeroSigner {
     ///
     /// # Errors
     ///
-    /// [`HeroError::BatchMismatch`] when `msgs` and `sigs` differ in
-    /// length (nothing is silently paired by the shorter slice).
+    /// [`HeroError::KeyMismatch`] if `vk` was generated for a different
+    /// parameter set than this engine; [`HeroError::BatchMismatch`] when
+    /// `msgs` and `sigs` differ in length (nothing is silently paired by
+    /// the shorter slice).
     pub fn verify_batch(
         &self,
         vk: &hero_sphincs::VerifyingKey,
         msgs: &[&[u8]],
         sigs: &[Signature],
     ) -> Result<Vec<crate::VerifyOutcome>, HeroError> {
-        crate::kernels::verify::run_batch_planned(vk, msgs, sigs, &self.executor)
+        check_key(&self.params, vk.params())?;
+        crate::plan::verify_batch(vk, msgs, sigs, &self.executor)
     }
 
     /// [`SimModel::simulate`] on a fresh [`SimModel::hero`] for the

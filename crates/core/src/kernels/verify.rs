@@ -7,12 +7,12 @@
 //! servers) batch-verify too. The kernel decomposition mirrors signing:
 //! chains and trees are independent, one block per message.
 //!
-//! The functional side is [`run_batch_planned`]: the batch is spread over
-//! the persistent worker pool, one node per group of signatures
-//! ([`crate::plan::verify_batch`]), each running
-//! [`VerifyingKey::verify_many`] on its group — the same typed
-//! [`VerifyOutcome`] verdicts, bit for bit, that scalar
-//! [`VerifyingKey::verify`] gives signature by signature.
+//! The functional side is [`crate::plan::verify_batch`]: the batch is
+//! spread over the persistent worker pool, one node per group of
+//! signatures, each running
+//! [`hero_sphincs::VerifyingKey::verify_many`] on its group — the same
+//! typed [`VerifyOutcome`] verdicts, bit for bit, that scalar
+//! [`hero_sphincs::VerifyingKey::verify`] gives signature by signature.
 
 use crate::kernels::{calib, KernelConfig};
 use crate::ptx::{self, KernelKind};
@@ -24,7 +24,6 @@ use hero_gpu_sim::occupancy::BlockResources;
 
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::SignError;
-use hero_sphincs::{Signature, VerifyingKey};
 
 /// Per-message verdict of a batched verification.
 ///
@@ -43,7 +42,7 @@ use hero_sphincs::{Signature, VerifyingKey};
 /// # Examples
 ///
 /// ```
-/// use hero_sign::kernels::verify::{run_batch_planned, VerifyOutcome};
+/// use hero_sign::{plan, VerifyOutcome};
 /// use hero_task_graph::Executor;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -60,7 +59,7 @@ use hero_sphincs::{Signature, VerifyingKey};
 /// sigs[1].randomizer[0] ^= 1; // tamper with the second signature
 ///
 /// let exec = Executor::new(2).unwrap();
-/// let outcomes = run_batch_planned(&vk, &msgs, &sigs, &exec).unwrap();
+/// let outcomes = plan::verify_batch(&vk, &msgs, &sigs, &exec).unwrap();
 /// assert_eq!(outcomes[0], VerifyOutcome::Valid);
 /// assert_eq!(outcomes[1], VerifyOutcome::Invalid);
 /// ```
@@ -82,9 +81,9 @@ impl VerifyOutcome {
         matches!(self, VerifyOutcome::Valid)
     }
 
-    /// Folds a scalar [`VerifyingKey::verify`] result into the typed
-    /// outcome (the bridge between the substrate's `Result` surface and
-    /// the batch API).
+    /// Folds a scalar [`hero_sphincs::VerifyingKey::verify`] result into
+    /// the typed outcome (the bridge between the substrate's `Result`
+    /// surface and the batch API).
     pub fn from_result(result: Result<(), SignError>) -> Self {
         match result {
             Ok(()) => VerifyOutcome::Valid,
@@ -104,16 +103,6 @@ impl std::fmt::Display for VerifyOutcome {
             VerifyOutcome::Malformed(what) => write!(f, "malformed ({what})"),
         }
     }
-}
-
-pub(crate) fn check_lengths(msgs: &[&[u8]], sigs: &[Signature]) -> Result<(), crate::HeroError> {
-    if msgs.len() != sigs.len() {
-        return Err(crate::HeroError::BatchMismatch {
-            messages: msgs.len(),
-            signatures: sigs.len(),
-        });
-    }
-    Ok(())
 }
 
 /// Expected compressions to verify one signature: FORS (k × (1 leaf-F +
@@ -167,37 +156,14 @@ pub fn describe(
     desc
 }
 
-/// Planned batch verification: verifies `sigs[i]` over `msgs[i]`, the
-/// batch split into groups, each one lane-batched node on `exec`
-/// ([`crate::plan::verify_batch`]) that runs its signatures' whole
-/// pipeline — groups co-schedule with each other and with in-flight
-/// signing; a single group runs on the caller. The engine's path
-/// ([`crate::engine::HeroSigner::verify_batch`]).
-///
-/// Returns one typed [`VerifyOutcome`] per message, bit-for-bit what
-/// [`VerifyingKey::verify`] gives it; does not short-circuit, matching a
-/// GPU batch that always runs to completion.
-///
-/// # Errors
-///
-/// [`crate::HeroError::BatchMismatch`] when `msgs.len() != sigs.len()`
-/// (nothing is silently paired by the shorter slice).
-pub fn run_batch_planned(
-    vk: &VerifyingKey,
-    msgs: &[&[u8]],
-    sigs: &[Signature],
-    exec: &hero_task_graph::Executor,
-) -> Result<Vec<VerifyOutcome>, crate::HeroError> {
-    check_lengths(msgs, sigs)?;
-    Ok(crate::plan::verify_batch(vk, msgs, sigs, exec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::verify_batch;
     use hero_gpu_sim::device::rtx_4090;
     use hero_gpu_sim::engine::simulate_kernel;
     use hero_gpu_sim::isa::Sha2Path;
+    use hero_sphincs::Signature;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -233,12 +199,12 @@ mod tests {
         let mut sigs: Vec<Signature> = slices.iter().map(|m| sk.sign(m)).collect();
 
         let exec = hero_task_graph::Executor::new(4).unwrap();
-        let results = run_batch_planned(&vk, &slices, &sigs, &exec).unwrap();
+        let results = verify_batch(&vk, &slices, &sigs, &exec).unwrap();
         assert!(results.iter().all(VerifyOutcome::is_valid));
 
         // Corrupt one signature: exactly that slot fails, others still pass.
         sigs[2].fors.trees[0].sk[0] ^= 1;
-        let results = run_batch_planned(&vk, &slices, &sigs, &exec).unwrap();
+        let results = verify_batch(&vk, &slices, &sigs, &exec).unwrap();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(!r.is_valid(), i == 2, "slot {i}");
         }
@@ -291,7 +257,7 @@ mod tests {
         assert_eq!(lanes, scalar, "lane-batched verdicts must match scalar");
 
         let exec = hero_task_graph::Executor::new(4).unwrap();
-        let planned = run_batch_planned(&vk, &slices, &sigs, &exec).unwrap();
+        let planned = verify_batch(&vk, &slices, &sigs, &exec).unwrap();
         assert_eq!(planned, scalar, "planned verdicts must match scalar");
     }
 
@@ -331,7 +297,7 @@ mod tests {
         let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
         let sig = sk.sign(b"one");
         let exec = hero_task_graph::Executor::new(1).unwrap();
-        let err = run_batch_planned(
+        let err = verify_batch(
             &vk,
             &[b"one".as_slice(), b"two".as_slice()],
             std::slice::from_ref(&sig),
@@ -350,7 +316,7 @@ mod tests {
         );
         // The empty batch is consistent, not mismatched — planned and
         // lane-batched alike.
-        assert!(run_batch_planned(&vk, &[], &[], &exec).unwrap().is_empty());
+        assert!(verify_batch(&vk, &[], &[], &exec).unwrap().is_empty());
         let none: [&[u8]; 0] = [];
         assert!(vk.verify_many(&none, &[]).is_empty());
     }

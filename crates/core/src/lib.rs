@@ -23,9 +23,10 @@
 //! * [`tuning`] — the offline **Auto Tree Tuning** search (Algorithm 1)
 //!   and the Relax-FORS variant; reproduces Table IV.
 //! * [`kernels`] — the three component kernels (`FORS_Sign`, `TREE_Sign`,
-//!   `WOTS+_Sign`), each with a functional face (real parallel signing on
-//!   CPU workers) and an analytic face (simulator descriptors with
-//!   *measured* bank-conflict counts).
+//!   `WOTS+_Sign`) and batch verification, each with a functional face
+//!   (the stage work-items [`plan`] schedules; verification's is the
+//!   [`VerifyOutcome`] verdict) and an analytic face (simulator
+//!   descriptors with *measured* bank-conflict counts).
 //! * [`ptx`] — native/PTX SHA-2 code-path models and the per-kernel
 //!   register tables; the raw material of Table V.
 //! * [`plan`] — the cross-message batch planner: one `sign_batch` call
@@ -45,8 +46,8 @@
 //!   behind the CLI `throughput` command and the server's metrics
 //!   endpoint.
 //! * [`workload`] — exact hash-work censuses per kernel.
-//! * [`par`] — the process-wide executor and the parallel map over a
-//!   runtime.
+//! * [`par`] — the default worker count (`HERO_WORKERS`) and the
+//!   process-wide executor.
 //!
 //! ## Quickstart
 //!
@@ -88,6 +89,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

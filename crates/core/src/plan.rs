@@ -57,6 +57,7 @@
 //! and warm, and to the pre-refactor fixtures).
 
 use crate::cache::{HypertreeCache, KeyId};
+use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
 use crate::kernels::{fors_sign, tree_sign, wots_sign};
 
@@ -64,10 +65,12 @@ use hero_sphincs::address::Address;
 use hero_sphincs::fors::{ForsSignature, ForsTreeRequest, ForsTreeSig};
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::hypertree::{HtSignature, XmssSig};
+use hero_sphincs::merkle::TreeLevels;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::{self, Signature, SigningKey, VerifyingKey};
-use hero_task_graph::{Executor, TaskGraph};
+use hero_task_graph::{Executor, NodeId, TaskGraph};
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Work-item grouping of one planned batch: how many per-message units
@@ -176,6 +179,55 @@ fn preamble(ctx: &HashCtx, sk: &SigningKey, msg: &[u8]) -> Preamble {
     }
 }
 
+/// Runs `f` over `0..len` cut into ranges of `chunk`, one node per range
+/// on `exec`, and concatenates the results in range order; each node
+/// fills its own slot. A `len` that fits one range runs on the calling
+/// thread with no submission.
+fn fan_out<R: Send>(
+    exec: &Executor,
+    len: usize,
+    chunk: usize,
+    f: impl Fn(Range<usize>) -> Vec<R> + Sync,
+) -> Vec<R> {
+    if len <= chunk {
+        return f(0..len);
+    }
+    let mut parts: Vec<Vec<R>> = (0..len.div_ceil(chunk)).map(|_| Vec::new()).collect();
+    let mut graph = TaskGraph::new();
+    for (c, part) in parts.iter_mut().enumerate() {
+        let f = &f;
+        graph.task(move || *part = f(c * chunk..((c + 1) * chunk).min(len)));
+    }
+    exec.run(graph)
+        .expect("independent nodes form an acyclic graph");
+    parts.into_iter().flatten().collect()
+}
+
+/// Adds one subtree build node to `graph`: it builds `items` through one
+/// [`tree_sign::subtree_levels`] call, hands each pyramid to `slice`
+/// with the item's index, and publishes those of the layers `cache`
+/// memoizes. [`sign_batch`] and [`warm_cache`] both build through it.
+fn build_node<'a>(
+    graph: &mut TaskGraph<'a>,
+    ctx: &'a HashCtx,
+    sk_seed: &'a [u8],
+    key: &'a KeyId,
+    cache: &'a HypertreeCache,
+    items: &'a [tree_sign::SubtreeItem],
+    slice: impl Fn(usize, &TreeLevels) + Send + 'a,
+) -> NodeId {
+    graph.task(move || {
+        crate::faults::stage(crate::faults::PLAN_STAGE);
+        let built = tree_sign::subtree_levels(ctx, sk_seed, items);
+        for (i, (item, levels)) in items.iter().zip(built).enumerate() {
+            slice(i, &levels);
+            if cache.caches_layer(ctx.params(), item.layer) {
+                cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
+            }
+        }
+    })
+}
+
 /// Interior-mutable output slots shared between stage nodes: a node
 /// writes its slot exactly once; dependents read it only after the DAG
 /// edge guarantees it was filled.
@@ -231,12 +283,16 @@ pub fn sign_batch(
     let (k, d, n) = (params.k, params.d, params.n);
     let sk_seed = sk.sk_seed();
 
-    // Host preamble per message (parallel: message digesting is hash
-    // work too), then the flattened cross-message work-item lists
+    // Host preamble per message, one node per worker (message digesting
+    // is hash work too), then the flattened cross-message work-item lists
     // (message-major, so a chunk mixes messages exactly at the
     // boundaries).
-    let pres: Vec<Preamble> =
-        crate::par::par_map_on(exec, msgs, exec.workers(), |msg| preamble(ctx, sk, msg));
+    let pres: Vec<Preamble> = fan_out(exec, m, m.div_ceil(exec.workers()), |range| {
+        msgs[range]
+            .iter()
+            .map(|msg| preamble(ctx, sk, msg))
+            .collect()
+    });
     let fors_reqs: Vec<ForsTreeRequest> = pres
         .iter()
         .flat_map(|pre| pre.fors_reqs.iter().copied())
@@ -289,6 +345,7 @@ pub fn sign_batch(
     unbuilt.sort_by_key(coords);
     let build_groups: Vec<&[(usize, tree_sign::SubtreeItem)]> =
         unbuilt.chunk_by(|a, b| coords(a) == coords(b)).collect();
+    let builds: Vec<tree_sign::SubtreeItem> = build_groups.iter().map(|group| group[0].1).collect();
 
     let mut graph = TaskGraph::new();
 
@@ -338,28 +395,24 @@ pub fn sign_batch(
 
     // Producer node of each flat subtree slot (`None` = sliced warm at
     // plan time, nothing to wait for). A build node takes a chunk of
-    // groups through one `subtree_levels` call, and publishes what the
-    // cache's layer policy wants kept.
-    let mut subtree_dep: Vec<Option<hero_task_graph::NodeId>> = vec![None; m * d];
-    for chunk in build_groups.chunks(tg) {
-        let (layer_slots, key) = (&layer_slots, &key);
-        let node = graph.task(move || {
-            crate::faults::stage(crate::faults::PLAN_STAGE);
-            let items: Vec<tree_sign::SubtreeItem> = chunk.iter().map(|group| group[0].1).collect();
-            for (group, levels) in chunk
-                .iter()
-                .zip(tree_sign::subtree_levels(ctx, sk_seed, &items))
-            {
-                for (flat, item) in *group {
-                    layer_slots.set(*flat, tree_sign::layer_tree_from_levels(&levels, item));
+    // groups and slices every member of each.
+    let mut subtree_dep: Vec<Option<NodeId>> = vec![None; m * d];
+    for (items, groups) in builds.chunks(tg).zip(build_groups.chunks(tg)) {
+        let layer_slots = &layer_slots;
+        let node = build_node(
+            &mut graph,
+            ctx,
+            sk_seed,
+            &key,
+            cache,
+            items,
+            move |i, levels| {
+                for (flat, item) in groups[i] {
+                    layer_slots.set(*flat, tree_sign::layer_tree_from_levels(levels, item));
                 }
-                let (_, item) = group[0];
-                if cache.caches_layer(&params, item.layer) {
-                    cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
-                }
-            }
-        });
-        for &(flat, _) in chunk.iter().copied().flatten() {
+            },
+        );
+        for &(flat, _) in groups.iter().copied().flatten() {
             subtree_dep[flat] = Some(node);
         }
     }
@@ -409,7 +462,7 @@ pub fn sign_batch(
         });
         // Distinct producers of this group's inputs; groups are small
         // (`wg` entries), so a linear-scan dedup suffices.
-        let mut deps: Vec<hero_task_graph::NodeId> = Vec::with_capacity(end - start);
+        let mut deps: Vec<NodeId> = Vec::with_capacity(end - start);
         for flat in start..end {
             let (mi, layer) = (flat / d, flat % d);
             let dep = if layer == 0 {
@@ -482,16 +535,8 @@ pub fn warm_cache(
         return 0;
     }
     let mut graph = TaskGraph::new();
-    for chunk in items.chunks(2) {
-        graph.task(move || {
-            crate::faults::stage(crate::faults::PLAN_STAGE);
-            for (item, levels) in chunk
-                .iter()
-                .zip(tree_sign::subtree_levels(ctx, sk_seed, chunk))
-            {
-                cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
-            }
-        });
+    for chunk in items.chunks(PlanShape::for_batch(1).subtrees_per_item) {
+        build_node(&mut graph, ctx, sk_seed, key, cache, chunk, |_, _| {});
     }
     exec.run(graph).expect("warm plan is a DAG");
     items.len()
@@ -534,12 +579,13 @@ pub fn verify_node_size(batch: usize, workers: usize) -> usize {
 /// node has nothing to distribute and runs on the calling thread without
 /// a submission. Verdicts are bit-for-bit what
 /// [`hero_sphincs::reference::verify`] returns, malformed signatures
-/// included.
+/// included; the batch never short-circuits, like a GPU batch that
+/// always runs to completion.
 ///
-/// # Panics
+/// # Errors
 ///
-/// When `msgs.len() != sigs.len()` — the typed-error surface lives one
-/// layer up in [`crate::kernels::verify::run_batch_planned`].
+/// [`HeroError::BatchMismatch`] when `msgs.len() != sigs.len()` (nothing
+/// is silently paired by the shorter slice).
 ///
 /// # Examples
 ///
@@ -561,51 +607,36 @@ pub fn verify_node_size(batch: usize, workers: usize) -> usize {
 /// sigs[1].fors.trees[0].sk[0] ^= 1;
 ///
 /// let exec = Executor::new(2).unwrap();
-/// let outcomes = plan::verify_batch(&vk, &msgs, &sigs, &exec);
+/// let outcomes = plan::verify_batch(&vk, &msgs, &sigs, &exec).unwrap();
 /// assert_eq!(outcomes, [VerifyOutcome::Valid, VerifyOutcome::Invalid]);
+///
+/// // One message per signature, or nothing is verified.
+/// assert!(plan::verify_batch(&vk, &msgs, &sigs[..1], &exec).is_err());
 /// ```
 pub fn verify_batch(
     vk: &VerifyingKey,
     msgs: &[&[u8]],
     sigs: &[Signature],
     exec: &Executor,
-) -> Vec<VerifyOutcome> {
-    assert_eq!(
-        msgs.len(),
-        sigs.len(),
-        "one message per signature in a verify batch"
-    );
-    let verify_group = |msgs: &[&[u8]], sigs: &[Signature]| -> Vec<VerifyOutcome> {
+) -> Result<Vec<VerifyOutcome>, HeroError> {
+    if msgs.len() != sigs.len() {
+        return Err(HeroError::BatchMismatch {
+            messages: msgs.len(),
+            signatures: sigs.len(),
+        });
+    }
+    if msgs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let node = verify_node_size(msgs.len(), exec.workers());
+    Ok(fan_out(exec, msgs.len(), node, |range| {
         crate::faults::stage(crate::faults::PLAN_STAGE);
-        let refs: Vec<&Signature> = sigs.iter().collect();
-        vk.verify_many(msgs, &refs)
+        let refs: Vec<&Signature> = sigs[range.clone()].iter().collect();
+        vk.verify_many(&msgs[range], &refs)
             .into_iter()
             .map(VerifyOutcome::from_result)
             .collect()
-    };
-    if msgs.is_empty() {
-        return Vec::new();
-    }
-    let node = verify_node_size(msgs.len(), exec.workers());
-    if msgs.len() <= node {
-        return verify_group(msgs, sigs);
-    }
-
-    // Every slot is overwritten by its group's node; until then it holds
-    // the fail-safe verdict.
-    let mut out = vec![VerifyOutcome::Invalid; msgs.len()];
-    let mut graph = TaskGraph::new();
-    for ((msgs, sigs), out) in msgs
-        .chunks(node)
-        .zip(sigs.chunks(node))
-        .zip(out.chunks_mut(node))
-    {
-        let verify_group = &verify_group;
-        graph.task(move || out.clone_from_slice(&verify_group(msgs, sigs)));
-    }
-    exec.run(graph)
-        .expect("verify plan construction yields a DAG");
-    out
+    }))
 }
 
 #[cfg(test)]
@@ -809,7 +840,7 @@ mod tests {
             }
             for workers in [1usize, 4] {
                 let exec = Executor::new(workers).unwrap();
-                let outcomes = verify_batch(&vk, &msgs, &sigs, &exec);
+                let outcomes = verify_batch(&vk, &msgs, &sigs, &exec).unwrap();
                 assert_eq!(outcomes.len(), batch);
                 for (i, outcome) in outcomes.iter().enumerate() {
                     let scalar =
@@ -827,7 +858,7 @@ mod tests {
         let mut sig = sk.sign(b"m");
         sig.randomizer.pop();
         let exec = Executor::new(2).unwrap();
-        let outcomes = verify_batch(&vk, &[b"m"], std::slice::from_ref(&sig), &exec);
+        let outcomes = verify_batch(&vk, &[b"m"], std::slice::from_ref(&sig), &exec).unwrap();
         assert!(matches!(outcomes[0], VerifyOutcome::Malformed(_)));
     }
 
@@ -836,7 +867,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(49);
         let (_, vk) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let exec = Executor::new(2).unwrap();
-        assert!(verify_batch(&vk, &[], &[], &exec).is_empty());
+        assert!(verify_batch(&vk, &[], &[], &exec).unwrap().is_empty());
     }
 
     #[test]

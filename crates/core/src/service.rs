@@ -96,7 +96,7 @@ use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
 use crate::signer::{check_key, Signer};
 
-use hero_sphincs::sign::{Signature, SigningKey, VerifyingKey};
+use hero_sphincs::sign::{Signature, SigningKey};
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -534,14 +534,34 @@ impl SignService {
             let signer = Arc::clone(&signer);
             std::thread::Builder::new()
                 .name("hero-service-batcher".to_string())
-                .spawn(move || batcher_loop(&shared, signer.as_ref(), &sk, config.max_batch))
+                .spawn(move || {
+                    // Warm the backend's hypertree cache for the tenant's
+                    // key before serving the first batch, so even the
+                    // first request signs warm. Best-effort: a failed or
+                    // panicking warm-up costs only the cold fill the first
+                    // batch would have paid anyway.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        signer.warm_key(&sk)
+                    }));
+                    lane_loop(&shared.sign, config.max_batch, |msgs| {
+                        let msgs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+                        signer.sign_batch(&sk, &msgs)
+                    })
+                })
                 .expect("spawn service batcher thread")
         };
         let verifier = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("hero-service-verifier".to_string())
-                .spawn(move || verifier_loop(&shared, signer.as_ref(), &vk, config.max_batch))
+                .spawn(move || {
+                    lane_loop(&shared.verify, config.max_batch, |items| {
+                        let (msgs, sigs): (Vec<Vec<u8>>, Vec<Signature>) =
+                            items.into_iter().map(|item| (item.msg, item.sig)).unzip();
+                        let msgs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+                        signer.verify_batch(&vk, &msgs, &sigs)
+                    })
+                })
                 .expect("spawn service verifier thread")
         };
         Ok(Self {
@@ -757,77 +777,28 @@ impl fmt::Debug for SignService {
     }
 }
 
-fn batcher_loop(
-    shared: &ServiceShared,
-    signer: &(dyn Signer + Send + Sync),
-    sk: &SigningKey,
+/// The loop of one lane thread: collects a batch, hands its payloads to
+/// `serve` (the backend call), answers every ticket with its value or
+/// the batch's error, then books the batch as completed. Runs until the
+/// lane has shut down and drained.
+fn lane_loop<P, T>(
+    lane: &Lane<P, T>,
     max_batch: usize,
+    serve: impl Fn(Vec<P>) -> Result<Vec<T>, HeroError>,
 ) {
-    // Warm the backend's hypertree cache for the tenant's key before
-    // serving the first batch, so even the first request signs warm.
-    // Best-effort: a failed or panicking warm-up costs only the cold
-    // fill the first batch would have paid anyway.
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| signer.warm_key(sk)));
-    while let Some(batch) = shared.sign.collect(max_batch) {
-        let msgs: Vec<&[u8]> = batch.iter().map(|r| r.payload.as_slice()).collect();
+    while let Some(batch) = lane.collect(max_batch) {
+        let (payloads, tickets): (Vec<P>, Vec<_>) = batch
+            .into_iter()
+            .map(|req| (req.payload, req.ticket))
+            .unzip();
         // Panic isolation: a batch that explodes answers its own tickets
-        // with an Internal error and the batcher keeps serving.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            signer.sign_batch(sk, &msgs)
-        }));
+        // with an Internal error and the lane keeps serving.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve(payloads)));
         match outcome {
-            Ok(Ok(sigs)) => {
-                debug_assert_eq!(sigs.len(), batch.len());
-                for (req, sig) in batch.iter().zip(sigs) {
-                    req.ticket.fulfill(Ok(sig));
-                }
-            }
-            Ok(Err(e)) => {
-                for req in &batch {
-                    req.ticket.fulfill(Err(ServiceError::Engine(e.clone())));
-                }
-            }
-            Err(_) => {
-                for req in &batch {
-                    req.ticket
-                        .fulfill(Err(ServiceError::Internal("batch panicked".to_string())));
-                }
-            }
-        }
-        shared
-            .sign
-            .completed
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-}
-
-fn verifier_loop(
-    shared: &ServiceShared,
-    signer: &(dyn Signer + Send + Sync),
-    vk: &VerifyingKey,
-    max_batch: usize,
-) {
-    while let Some(batch) = shared.verify.collect(max_batch) {
-        // Unzip into contiguous message and signature slices (the
-        // planned batch verifier wants them flat), keeping tickets
-        // index-aligned.
-        let mut msgs_owned = Vec::with_capacity(batch.len());
-        let mut sigs = Vec::with_capacity(batch.len());
-        let mut tickets = Vec::with_capacity(batch.len());
-        for req in batch {
-            msgs_owned.push(req.payload.msg);
-            sigs.push(req.payload.sig);
-            tickets.push(req.ticket);
-        }
-        let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            signer.verify_batch(vk, &msgs, &sigs)
-        }));
-        match outcome {
-            Ok(Ok(verdicts)) => {
-                debug_assert_eq!(verdicts.len(), tickets.len());
-                for (ticket, verdict) in tickets.iter().zip(verdicts) {
-                    ticket.fulfill(Ok(verdict));
+            Ok(Ok(values)) => {
+                debug_assert_eq!(values.len(), tickets.len());
+                for (ticket, value) in tickets.iter().zip(values) {
+                    ticket.fulfill(Ok(value));
                 }
             }
             Ok(Err(e)) => {
@@ -837,15 +808,11 @@ fn verifier_loop(
             }
             Err(_) => {
                 for ticket in &tickets {
-                    ticket.fulfill(Err(ServiceError::Internal(
-                        "verify batch panicked".to_string(),
-                    )));
+                    ticket.fulfill(Err(ServiceError::Internal("batch panicked".to_string())));
                 }
             }
         }
-        shared
-            .verify
-            .completed
+        lane.completed
             .fetch_add(tickets.len() as u64, Ordering::Relaxed);
     }
 }
@@ -857,6 +824,7 @@ mod tests {
     use crate::signer::ReferenceSigner;
     use hero_gpu_sim::device::rtx_4090;
     use hero_sphincs::params::Params;
+    use hero_sphincs::sign::VerifyingKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::mpsc;

@@ -4,8 +4,9 @@
 //! program against `dyn Signer` and pick a backend at the edge:
 //!
 //! * [`crate::engine::HeroSigner`] — the paper's three-kernel
-//!   decomposition, running functionally on the scoped worker pool with
-//!   the simulated-GPU performance model attached.
+//!   decomposition, each batch one stage graph ([`crate::plan`]) on the
+//!   signer's persistent worker pool. It prices nothing; the GPU model
+//!   is [`crate::SimModel`].
 //! * [`ReferenceSigner`] — [`hero_sphincs::reference`] behind the trait:
 //!   the scalar second implementation of the scheme, sign and verify, one
 //!   hash call at a time on the calling thread. It shares no tree
@@ -181,7 +182,12 @@ impl Signer for ReferenceSigner {
         sigs: &[Signature],
     ) -> Result<Vec<VerifyOutcome>, HeroError> {
         check_key(&self.params, vk.params())?;
-        crate::kernels::verify::check_lengths(msgs, sigs)?;
+        if msgs.len() != sigs.len() {
+            return Err(HeroError::BatchMismatch {
+                messages: msgs.len(),
+                signatures: sigs.len(),
+            });
+        }
         Ok(msgs
             .iter()
             .zip(sigs)

@@ -230,6 +230,34 @@ fn verify_plan_is_one_node_per_group_and_inline_for_a_single_group() {
 }
 
 #[test]
+fn sign_plan_is_one_submission_plus_one_for_a_shared_preamble() {
+    let _guard = lock();
+    let params = tiny_params();
+    let (sk, _vk) = deterministic_key(params);
+    let msgs_owned: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 12]).collect();
+    let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+
+    for workers in [1usize, 2, 4] {
+        let engine = HeroSigner::builder(rtx_4090(), params)
+            .workers(workers)
+            .build()
+            .unwrap();
+        // The stage graph is one submission. The preamble adds a second
+        // only when there are messages and workers to share it out: a
+        // lone message, or a lone worker, digests on the calling thread.
+        for batch in [1, 5] {
+            let before = engine.runtime().submissions();
+            engine.sign_batch(&sk, &msgs[..batch]).unwrap();
+            assert_eq!(
+                engine.runtime().submissions() - before,
+                1 + u64::from(batch > 1 && workers > 1),
+                "batch {batch} on {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
 fn sign_plan_builds_each_distinct_subtree_once() {
     let _guard = lock();
     // Sixteen bottom trees, four above them and one at the top: sixteen

@@ -31,6 +31,7 @@
 //! assert!(occ.ratio < 0.5); // register-bound, like TREE_Sign in Table III
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod banks;

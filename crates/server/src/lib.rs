@@ -48,6 +48,8 @@
 //! [`Executor`]: hero_task_graph::Executor
 //! [`SignService`]: hero_sign::SignService
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod faults;

@@ -8,9 +8,9 @@
 //! down between batches: streams and CUDA graphs exist so the *next*
 //! batch's kernels are already queued while the current one drains. The
 //! scoped-thread execution this module replaces behaved like a GPU that
-//! powers off after every launch — each `TaskGraph::execute` paid thread
-//! spin-up, and two concurrent callers serialized behind each other's
-//! pools. The [`Executor`] is the CPU analogue of the persistent device:
+//! powers off after every launch — each graph paid thread spin-up, and
+//! two concurrent callers serialized behind each other's pools. The
+//! [`Executor`] is the CPU analogue of the persistent device:
 //!
 //! * **Workers ≙ SMs** — spawned once (`hero-worker-N`), alive until the
 //!   executor drops, joined gracefully on shutdown.

@@ -73,8 +73,8 @@ pub(crate) struct TaskNode<'a> {
 }
 
 /// A task DAG whose nodes carry real work: each node is a closure, each
-/// edge a happens-before constraint. [`TaskGraph::execute`] runs the DAG
-/// on `workers` threads with ready-queue scheduling.
+/// edge a happens-before constraint. [`Executor::run`] submits the DAG to
+/// a persistent worker pool with ready-queue scheduling.
 ///
 /// Nodes typically communicate through interior-mutable slots owned by
 /// the caller (each node writes its output under a lock; dependents read
@@ -82,7 +82,7 @@ pub(crate) struct TaskNode<'a> {
 /// of its dependencies completed, on exactly one worker, exactly once.
 ///
 /// ```
-/// use hero_task_graph::TaskGraph;
+/// use hero_task_graph::{Executor, TaskGraph};
 /// use std::sync::Mutex;
 ///
 /// let log = Mutex::new(Vec::new());
@@ -92,7 +92,7 @@ pub(crate) struct TaskNode<'a> {
 /// let w = g.task(|| log.lock().unwrap().push("wots"));
 /// g.depends_on(w, a);
 /// g.depends_on(w, b);
-/// g.execute(4).unwrap();
+/// Executor::new(4).unwrap().run(g).unwrap();
 /// assert_eq!(log.into_inner().unwrap().last(), Some(&"wots"));
 /// ```
 #[derive(Default)]
@@ -138,34 +138,6 @@ impl<'a> TaskGraph<'a> {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Validates the DAG and executes every node on an ephemeral
-    /// [`Executor`] of `workers` threads (clamped to the node count).
-    ///
-    /// This is the one-shot convenience face: it pays pool spin-up and
-    /// tear-down on every call, exactly the cost the persistent
-    /// [`Executor`] exists to amortize — long-lived callers (the
-    /// HERO-Sign engine, services) hold an executor and
-    /// [`Executor::run`] submissions onto it instead. An empty graph is
-    /// a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::CycleDetected`] if the dependency relation is cyclic
-    /// (no node runs in that case).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic raised inside a node closure — with its
-    /// original payload — after the submission quiesces; remaining
-    /// unstarted nodes are abandoned.
-    pub fn execute(self, workers: usize) -> Result<(), GraphError> {
-        if self.nodes.is_empty() {
-            return Ok(());
-        }
-        let workers = workers.clamp(1, self.nodes.len());
-        Executor::new(workers)?.run(self)
-    }
 }
 
 #[cfg(test)]
@@ -177,6 +149,11 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
 
+        /// One submission of `g` on a fresh pool of `workers` threads.
+        fn run_on(workers: usize, g: TaskGraph<'_>) -> Result<(), GraphError> {
+            Executor::new(workers)?.run(g)
+        }
+
         #[test]
         fn all_nodes_run_exactly_once() {
             for workers in [1usize, 2, 8] {
@@ -187,7 +164,7 @@ mod tests {
                         count.fetch_add(1, Ordering::Relaxed);
                     });
                 }
-                g.execute(workers).unwrap();
+                run_on(workers, g).unwrap();
                 assert_eq!(count.into_inner(), 100, "workers={workers}");
             }
         }
@@ -207,7 +184,7 @@ mod tests {
                 let c = g.task(|| log.lock().unwrap().push('c'));
                 g.depends_on(b, a);
                 g.depends_on(c, b);
-                g.execute(workers).unwrap();
+                run_on(workers, g).unwrap();
                 let log = log.into_inner().unwrap();
                 let pos = |ch| log.iter().position(|&x| x == ch).unwrap();
                 assert!(pos('a') < pos('b') && pos('b') < pos('c'));
@@ -237,7 +214,7 @@ mod tests {
             });
             g.depends_on(w, f);
             g.depends_on(w, t);
-            g.execute(4).unwrap();
+            run_on(4, g).unwrap();
             // Both inputs had completed (nonzero stamps) when the sink ran.
             assert!(wots_saw.into_inner() > 0);
         }
@@ -254,7 +231,7 @@ mod tests {
             });
             g.depends_on(b, a);
             g.depends_on(b, a);
-            g.execute(2).unwrap();
+            run_on(2, g).unwrap();
             assert_eq!(count.into_inner(), 2);
         }
 
@@ -270,13 +247,13 @@ mod tests {
             });
             g.depends_on(a, b);
             g.depends_on(b, a);
-            assert_eq!(g.execute(4).unwrap_err(), GraphError::CycleDetected);
+            assert_eq!(run_on(4, g).unwrap_err(), GraphError::CycleDetected);
             assert_eq!(count.into_inner(), 0);
         }
 
         #[test]
         fn empty_graph_is_noop() {
-            TaskGraph::new().execute(8).unwrap();
+            run_on(8, TaskGraph::new()).unwrap();
         }
 
         #[test]
@@ -287,7 +264,7 @@ mod tests {
                 g.task(|| {});
             }
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = g.execute(4);
+                let _ = run_on(4, g);
             }))
             .expect_err("node panic must surface");
             // The original payload survives (not the generic
@@ -321,7 +298,7 @@ mod tests {
             for p in producers {
                 g.depends_on(sink, p);
             }
-            g.execute(3).unwrap();
+            run_on(3, g).unwrap();
             assert_eq!(sum.into_inner().unwrap(), 280);
         }
 

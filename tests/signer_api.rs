@@ -141,10 +141,17 @@ fn mismatched_keys_are_typed_errors_on_every_backend() {
             }
             other => panic!("{}: expected KeyMismatch, got {other:?}", backend.backend()),
         }
+        let sig = sk.sign(b"foreign key");
         assert!(matches!(
-            backend.verify(&vk, b"foreign key", &sk.sign(b"foreign key")),
+            backend.verify(&vk, b"foreign key", &sig),
             Err(HeroError::KeyMismatch(_))
         ));
+        let verdicts = backend.verify_batch(&vk, &[b"foreign key"], std::slice::from_ref(&sig));
+        assert!(
+            matches!(verdicts, Err(HeroError::KeyMismatch(_))),
+            "{}: expected KeyMismatch, got {verdicts:?}",
+            backend.backend()
+        );
     }
 }
 
