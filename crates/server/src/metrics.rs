@@ -20,10 +20,13 @@ use std::sync::Mutex;
 pub struct TenantCounters {
     /// Requests accepted for this tenant (all ops).
     pub requests: AtomicU64,
-    /// Requests answered successfully.
+    /// Requests answered. A verdict is an answer: a verify whose
+    /// signature is invalid or malformed counts here, whether its verdict
+    /// travels as a verdict byte (verify-batch) or as an error frame
+    /// (verify).
     pub completed: AtomicU64,
-    /// Requests rejected with a typed error (admission, queue-full,
-    /// engine, verification — anything non-zero on the wire).
+    /// Requests refused with a typed error: admission, queue full,
+    /// deadline, drain, bad request, engine error. Never a verdict.
     pub rejected: AtomicU64,
     /// Signatures this tenant asked the server to verify (items, not
     /// requests: a verify-batch of 8 counts 8).
@@ -42,7 +45,10 @@ pub struct Metrics {
     pub connections: AtomicU64,
     /// Frames accepted (fully read) across all connections.
     pub requests: AtomicU64,
-    /// Responses carrying a typed error.
+    /// Requests refused with a typed error (oversized or undecodable
+    /// frame, drain, deadline, unknown tenant, admission, queue full,
+    /// engine error). A verify's verdict is an answer, not a refusal,
+    /// even where the wire carries it as an error frame.
     pub rejected: AtomicU64,
     /// Requests answered with [`ErrorCode::DeadlineExceeded`] — shed at
     /// receipt or expired while queued, never signed.

@@ -599,29 +599,32 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
         // client's clock never enters the computation, only its budget.
         let received = Instant::now();
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = match wire::decode_request(&body) {
+        let (id, answer) = match wire::decode_request(&body) {
             Ok(req) => {
                 let id = req.id;
                 let deadline = req
                     .deadline_ms
                     .map(|ms| received + Duration::from_millis(u64::from(ms)));
-                let result = dispatch(shared, req, deadline);
-                Response { id, result }
+                (id, dispatch(shared, req, deadline))
             }
-            Err(e) => Response {
-                id: wire::peek_request_id(&body),
-                result: Err(e),
-            },
+            Err(e) => (wire::peek_request_id(&body), Err(e)),
         };
-        if let Err(e) = &resp.result {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            if e.code == ErrorCode::DeadlineExceeded {
-                shared
-                    .metrics
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
+        // A verdict is an answer even where the wire carries it as an
+        // error frame; only a refusal counts as rejected.
+        let result = match answer {
+            Ok(answer) => answer,
+            Err(refusal) => {
+                shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                if refusal.code == ErrorCode::DeadlineExceeded {
+                    shared
+                        .metrics
+                        .deadline_expired
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                Err(refusal)
             }
-        }
+        };
+        let resp = Response { id, result };
         let frame = wire::encode_response(&resp);
         // Chaos point (delay specs): a congested peer stalls the write.
         let _ = hero_sign::faults::fire(crate::faults::SERVER_WRITE_SLOW);
@@ -639,14 +642,21 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Executes one decoded request. `deadline` is the request's absolute
-/// expiry (wire `deadline_ms` anchored at frame receipt), `None` for
-/// v1 frames and v2 frames without the flag.
+/// What a request is answered with — bytes, or a verdict the wire
+/// carries as an error frame (a signature that does not verify, or is
+/// malformed) — unless it is refused.
+type Answer = Result<Vec<u8>, WireError>;
+
+/// Executes one decoded request: its answer, or the typed refusal
+/// (draining, deadline, bad request, unknown tenant, admission, queue
+/// full, engine error). `deadline` is the request's absolute expiry (wire
+/// `deadline_ms` anchored at frame receipt), `None` for v1 frames and v2
+/// frames without the flag.
 fn dispatch(
     shared: &Arc<ServerShared>,
     req: Request,
     deadline: Option<Instant>,
-) -> Result<Vec<u8>, WireError> {
+) -> Result<Answer, WireError> {
     // A request read after drain began is answered (exactly once) with
     // the typed drain error rather than being dropped on the floor.
     if shared.draining.load(Ordering::SeqCst) && req.op != Op::Stats {
@@ -664,8 +674,8 @@ fn dispatch(
         ));
     }
     match req.op {
-        Op::Stats => Ok(shared.metrics_page().into_bytes()),
-        Op::Keygen => op_keygen(shared, &req),
+        Op::Stats => Ok(Ok(shared.metrics_page().into_bytes())),
+        Op::Keygen => op_keygen(shared, &req).map(Ok),
         Op::Sign | Op::SignBatch | Op::Verify | Op::VerifyBatch => {
             if req.tenant.is_empty() {
                 return Err(WireError::new(
@@ -696,10 +706,14 @@ fn dispatch(
                 ));
             }
             let result = match req.op {
-                Op::Sign => op_sign(shared, &state, &key, &req.payload, deadline),
-                Op::SignBatch => op_sign_batch(shared, &state, &key, &req.payload, deadline),
+                Op::Sign => op_sign(shared, &state, &key, &req.payload, deadline).map(Ok),
+                Op::SignBatch => {
+                    op_sign_batch(shared, &state, &key, &req.payload, deadline).map(Ok)
+                }
                 Op::Verify => op_verify(shared, &state, &key, &req.payload, deadline),
-                Op::VerifyBatch => op_verify_batch(shared, &state, &key, &req.payload, deadline),
+                Op::VerifyBatch => {
+                    op_verify_batch(shared, &state, &key, &req.payload, deadline).map(Ok)
+                }
                 _ => unreachable!("matched above"),
             };
             state.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -784,13 +798,17 @@ fn op_sign_batch(
     Ok(out)
 }
 
+/// Verifies one signature. Its verdict is the answer — an empty body
+/// for a valid signature, an error frame for an invalid or malformed
+/// one — and only a refusal (bad framing, queue full, deadline, engine
+/// error) is the outer error.
 fn op_verify(
     shared: &Arc<ServerShared>,
     state: &TenantState,
     key: &TenantKey,
     payload: &[u8],
     deadline: Option<Instant>,
-) -> Result<Vec<u8>, WireError> {
+) -> Result<Answer, WireError> {
     let mut at = 0;
     let msg = wire::take_bytes(payload, &mut at)?;
     let sig_bytes = wire::take_bytes(payload, &mut at)?;
@@ -806,7 +824,7 @@ fn op_verify(
                 .counters
                 .verify_malformed
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(WireError::from(HeroError::from(e)));
+            return Ok(Err(WireError::from(HeroError::from(e))));
         }
     };
     let begin = Instant::now();
@@ -817,7 +835,7 @@ fn op_verify(
         .map_err(WireError::from)?;
     let outcome = ticket.wait().map_err(WireError::from)?;
     shared.metrics.record_verify_latency(begin.elapsed());
-    match outcome {
+    Ok(match outcome {
         VerifyOutcome::Valid => Ok(Vec::new()),
         VerifyOutcome::Invalid => {
             state
@@ -839,7 +857,7 @@ fn op_verify(
                 format!("malformed signature: {what}"),
             ))
         }
-    }
+    })
 }
 
 /// On-wire verdict byte: the signature verified.

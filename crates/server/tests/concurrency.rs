@@ -581,3 +581,57 @@ fn concurrent_persistent_keygen_has_one_winner_and_disk_matches_memory() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A value on the metrics page: `name` exactly, labels included.
+fn page_value(page: &str, name: &str) -> u64 {
+    let needle = format!("{name} ");
+    page.lines()
+        .find_map(|line| line.strip_prefix(&needle))
+        .unwrap_or_else(|| panic!("metric {name} missing from page:\n{page}"))
+        .trim()
+        .parse()
+        .expect("metric value")
+}
+
+#[test]
+fn a_verdict_is_counted_as_an_answer_by_verify_and_verify_batch_alike() {
+    let (server, keys) = test_server(&["tenant-v"], ServerConfig::default());
+    let (tenant, _, _) = &keys[0];
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let msg = b"one verdict, counted one way".to_vec();
+    let mut tampered = client.sign(tenant, &msg).unwrap();
+    tampered[7] ^= 0x10;
+
+    let counters = [
+        "hero_server_requests_rejected_total".to_string(),
+        format!("hero_server_tenant_completed_total{{tenant=\"{tenant}\"}}"),
+        format!("hero_server_tenant_rejected_total{{tenant=\"{tenant}\"}}"),
+        format!("hero_verify_invalid_total{{tenant=\"{tenant}\"}}"),
+    ];
+    let read = |client: &mut Client| {
+        let page = client.stats().unwrap();
+        counters.each_ref().map(|name| page_value(&page, name))
+    };
+    let moved = |before: [u64; 4], after: [u64; 4]| -> [u64; 4] {
+        std::array::from_fn(|i| after[i] - before[i])
+    };
+
+    let before = read(&mut client);
+    assert!(!client.verify(tenant, &msg, &tampered).unwrap());
+    let single = moved(before, read(&mut client));
+
+    let before = read(&mut client);
+    let verdicts = client
+        .verify_batch(tenant, &[(msg.as_slice(), tampered.as_slice())])
+        .unwrap();
+    assert_eq!(verdicts, [hero_server::client::VerifyVerdict::Invalid]);
+    let batch = moved(before, read(&mut client));
+
+    // rejected, tenant completed, tenant rejected, verify_invalid.
+    assert_eq!(single, [0, 1, 0, 1], "verify");
+    assert_eq!(
+        batch, single,
+        "verify-batch moves the counters as verify does"
+    );
+    server.shutdown();
+}

@@ -18,165 +18,143 @@
 //! kernel ([`crate::leaf`]) takes too: what a chain's address and the
 //! message length come to is worked out once per group, after the load,
 //! and a step hashes only what the hash index and the node change. It
-//! holds the hash index in half a word, so a group in which some chain
+//! holds the hash index in half a word, so a call in which some chain
 //! would count past 2¹⁶ — no `w ≤ 256` gets near, but
 //! [`crate::hash::ChainJob::start`] is the caller's — keeps the generic
-//! call ([`crate::lanes::tweak`]), decided when the group is loaded.
+//! call ([`crate::lanes::tweak`]).
 //!
-//! A chain that starts at its secret element never has a head in bytes:
-//! the lane is loaded with `sk_seed` where the node would be, and step
-//! zero is `PRF` — the `F` message under the chain's `WotsPrf` address,
-//! which differs from its `F` address in the type byte alone
+//! Chains that start at their secret elements never have heads in bytes:
+//! a call of them splats `sk_seed` where the node would be, and step zero
+//! is `PRF` — the `F` message under the chain's `WotsPrf` address, which
+//! differs from its `F` address in the type byte alone
 //! ([`crate::lanes::retyped`]).
 //!
 //! Chains of one call are sorted by step count before groups are formed,
 //! so the lanes of a group retire together: a lane whose chain is done
 //! keeps its node (a masked move) while the rest of its group finishes.
 //!
-//! Where the chains come from and where their ends go is the caller's
-//! ([`Chains`]): [`crate::hash::HashCtx::f_chains`] runs nodes in place in
-//! a flat buffer ([`InPlace`]) — WOTS+ signing, whose chains stop at
-//! their message digits — and batched verification loads heads straight
-//! from the signatures and leaves the ends transposed for `T_len`
-//! ([`crate::wots`]). The chains of a public key, all full length, do not
-//! come here at all: [`crate::leaf`] runs them a key pair to a lane.
+//! A group goes into the lanes and comes out whole. The sort is a
+//! counting sort straight into slots ([`Kernel::sort`],
+//! [`Kernel::place`]): a chain's [`Link`] — its address, first hash
+//! index, step count and where its node is, eight words — lands whole in
+//! its slot, so the body loads a group's slots as they lie, transposes
+//! them into a register per field ([`Lanes::transpose8`]), gathers the
+//! heads from the call's words by where they are, and scatters the ends
+//! back over them.
+//! Nothing is staged lane by lane on the way in or out. Where the node
+//! words are is the caller's: [`crate::hash::HashCtx::f_chains`] converts
+//! its flat byte buffer to words and back ([`run_in_place`]) — WOTS+
+//! signing, whose chains stop at their message digits — and batched
+//! verification reads the revealed nodes out of the signatures into words
+//! once, runs them to their ends where they are, and leaves them there
+//! for `T_len` ([`crate::hypertree`], [`crate::wots::chain_links`]). The
+//! chains of a public key, all full length, do not come here at all:
+//! [`crate::leaf`] runs them a key pair to a lane.
 //!
-//! One generic body ([`run_group`]) is written over the vector vocabulary
-//! of [`crate::lanes`] and instantiated for zmm and for ymm registers;
-//! which one runs is [`crate::tier::sha256_chain_tier`]'s decision.
+//! One generic body ([`run_groups`]) is written over the vector
+//! vocabulary of [`crate::lanes`] and instantiated for zmm and for ymm
+//! registers; which one runs is [`crate::tier::sha256_chain_tier`]'s
+//! decision.
 
 use crate::address::AddressType;
 use crate::hash::{ChainHead, ChainJob};
 use crate::lanes::{
-    first, lane_bodies, put_adrs, put_words, retyped, take_words, tweak, ChainStep, Lanes, Row,
-    ADRS_WORDS, MAX_LANES, MAX_NODE_WORDS,
+    first, lane_bodies, retyped, seed_words, tweak, ChainStep, Lanes, ADRS_WORDS, MAX_LANES,
+    MAX_NODE_WORDS,
 };
 use crate::tier;
 
-/// Chains sorted at a time: what bounds the sort's scratch. It holds
-/// one WOTS+ key per lane of the widest body at the longest key of a
-/// `w = 16` set (`len = 67` at `n = 32`), so that the chains of a
-/// lane-width group of signatures are sorted whole. A longer call is
-/// sorted window by window, at the cost of one ragged group per window.
+/// Chains [`run_in_place`] sorts at a time: what bounds the kernel's
+/// scratch on a long call. It holds one WOTS+ key per lane of the widest
+/// body at the longest key of a `w = 16` set (`len = 67` at `n = 32`), so
+/// that the chains of a lane-width group of signatures are sorted whole;
+/// a longer call is sorted window by window, at the cost of one ragged
+/// group per window.
 const WINDOW: usize = MAX_LANES * 67;
 
 /// Buckets of the counting sort. Chains longer than that share the last
 /// one, which costs their groups some lockstep and nothing else.
 const BUCKETS: usize = 256;
 
-/// The chains of one call, as the kernel sees them: how long each is,
-/// how one is loaded into a lane, and where its end goes.
-pub(crate) trait Chains {
-    /// Number of chains.
-    fn len(&self) -> usize;
-    /// Calls of `F` chain `i` runs.
-    fn steps(&self, i: usize) -> u32;
-    /// Loads chain `i` into lane `lane` of `group`: [`Group::set_chain`],
-    /// then its head.
-    fn load(&self, i: usize, lane: usize, group: &mut Group);
-    /// Takes chain `i`'s end, lane `lane` of `node`.
-    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]);
+/// One chain, as a caller hands it to the kernel.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Link {
+    /// Message words `0..5` of the chain's `F` address, hash index zero.
+    pub adrs: [u32; ADRS_WORDS],
+    /// Hash index of the first step.
+    pub start: u32,
+    /// Calls of `F` the chain runs.
+    pub steps: u32,
+    /// Where word 0 of the chain's node is in the words the chains run
+    /// in; word `j` is `stride · j` further on.
+    pub at: u32,
 }
 
-/// A group of chains in transposed form: `x[word][lane]`.
-#[derive(Default)]
-pub(crate) struct Group {
-    /// Message words `0..5` of each lane, with a zero hash index.
-    adrs: [Row; ADRS_WORDS],
-    /// Message word 2 of each lane's `PRF` call.
-    prf_word2: Row,
-    /// All ones where the lane starts at its secret element.
-    from_secret: Row,
-    /// Hash index of each lane's first step.
-    hash: Row,
-    /// Steps each lane runs; 0 for a lane without a chain.
-    steps: Row,
-    /// Each lane's node as big-endian words; `sk_seed` to begin with
-    /// where the lane starts at its secret element.
-    node: [Row; MAX_NODE_WORDS],
-}
+/// Words of a [`Link`] in a sort's slot: eight, which the body
+/// transposes a group at a time ([`Lanes::transpose8`]).
+const LINK_WORDS: usize = ADRS_WORDS + 3;
+const _: () = assert!(LINK_WORDS == 8);
+/// Words of a slot that are not the address.
+const START: usize = ADRS_WORDS;
+const STEPS: usize = ADRS_WORDS + 1;
+const AT: usize = ADRS_WORDS + 2;
 
-impl Group {
-    /// Lane `lane` runs `steps` calls of `F` under the address whose
-    /// message words `0..5` are `adrs`, the first with hash index `start`.
-    pub(crate) fn set_chain(
-        &mut self,
-        lane: usize,
-        adrs: [u32; ADRS_WORDS],
-        start: u32,
-        steps: u32,
-    ) {
-        put_adrs(&mut self.adrs, lane, adrs);
-        self.hash[lane] = start;
-        self.steps[lane] = steps;
-    }
-
-    /// Lane `lane` starts at `node`.
-    pub(crate) fn set_head(&mut self, lane: usize, node: &[u8]) {
-        put_words(&mut self.node, lane, node);
-    }
-
-    /// Lane `lane` starts at its secret element: `PRF` of `sk_seed` under
-    /// its own address with `prf_word2` for message word 2.
-    fn set_secret_head(&mut self, lane: usize, prf_word2: u32, sk_seed: &[u8]) {
-        self.prf_word2[lane] = prf_word2;
-        self.from_secret[lane] = u32::MAX;
-        put_words(&mut self.node, lane, sk_seed);
+impl Link {
+    /// The link as a slot holds it.
+    fn words(&self) -> [u32; LINK_WORDS] {
+        let [a0, a1, a2, a3, a4] = self.adrs;
+        [a0, a1, a2, a3, a4, self.start, self.steps, self.at]
     }
 }
 
-/// The chains of [`crate::hash::HashCtx::f_chains`]: `n`-byte nodes in
-/// one flat buffer, run in place.
-pub(crate) struct InPlace<'a> {
-    pub n: usize,
-    pub nodes: &'a mut [u8],
-    pub jobs: &'a [ChainJob<'a>],
+/// The bucket of a chain of `steps` steps: longest first.
+fn bucket(steps: u32) -> usize {
+    BUCKETS - 1 - (steps as usize).min(BUCKETS - 1)
 }
 
-impl Chains for InPlace<'_> {
-    fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    fn steps(&self, i: usize) -> u32 {
-        self.jobs[i].steps
-    }
-
-    fn load(&self, i: usize, lane: usize, group: &mut Group) {
-        let (n, job) = (self.n, &self.jobs[i]);
-        let adrs = job.adrs.compressed_words();
-        group.set_chain(lane, adrs, job.start, job.steps);
-        match job.head {
-            ChainHead::Node => group.set_head(lane, &self.nodes[i * n..(i + 1) * n]),
-            ChainHead::Secret(sk_seed) => {
-                assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
-                group.set_secret_head(lane, retyped(adrs[2], AddressType::WotsPrf), sk_seed);
-            }
-        }
-    }
-
-    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]) {
-        take_words(node, lane, &mut self.nodes[i * self.n..(i + 1) * self.n]);
-    }
-}
-
-/// The resident body of one ISA tier and node width.
+/// The resident body of one ISA tier and node width, and the sort its
+/// chains go through.
+///
+/// A call is a counting sort: [`Kernel::sort`] with every chain's step
+/// count, [`Kernel::place`] with every chain in the same order, which
+/// writes it whole into its slot, and [`Kernel::run_sorted`], whose body
+/// loads a group's slots and transposes them into a register per field.
 pub(crate) struct Kernel {
-    /// Lanes of a [`Group`] the body fills.
+    /// Lanes of a group.
     lanes: usize,
-    /// Runs a group's lanes for `rounds` steps from the seeded state
-    /// `iv`, after a `PRF` step if `any_secret`; `narrow` says that no
-    /// lane's hash index reaches 2¹⁶. The CPU must support the ISA the
-    /// body was compiled for.
-    body: unsafe fn(iv: &[u32; 8], any_secret: bool, narrow: bool, rounds: u32, group: &mut Group),
+    /// Words of a node.
+    nw: usize,
+    /// The sort's chains, a slot each, rounded up to whole groups.
+    slots: Vec<[u32; LINK_WORDS]>,
+    /// The next free slot of each bucket, and the slot after its last:
+    /// the last bucket's end is the sort's count.
+    next: [u32; BUCKETS],
+    end: [u32; BUCKETS],
+    /// Runs the groups of the slots ([`Body`]).
+    body: Body,
 }
 
-lane_bodies!(run_group(
+/// Runs the groups of `slots` — `lanes` slots at a time, a whole number
+/// of groups — from the seeded state `iv`, after a `PRF` step of `seed`
+/// if there is one; `narrow` says that no chain's hash index reaches
+/// 2¹⁶. Every node word is one of `words`'. The CPU must support the ISA
+/// the body was compiled for.
+type Body = unsafe fn(
     iv: &[u32; 8],
-    any_secret: bool,
+    seed: Option<&[u32; MAX_NODE_WORDS]>,
     narrow: bool,
-    rounds: u32,
-    group: &mut Group
+    slots: &[[u32; LINK_WORDS]],
+    words: &mut [u32],
+    stride: usize,
+);
+
+lane_bodies!(run_groups(
+    iv: &[u32; 8],
+    seed: Option<&[u32; MAX_NODE_WORDS]>,
+    narrow: bool,
+    slots: &[[u32; LINK_WORDS]],
+    words: &mut [u32],
+    stride: usize
 ));
 
 impl Kernel {
@@ -184,108 +162,210 @@ impl Kernel {
     /// the `scalar` rung, which has none.
     pub(crate) fn active(n: usize) -> Option<Self> {
         debug_assert!(n.is_multiple_of(4) && n / 4 <= MAX_NODE_WORDS);
-        body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel { lanes, body })
+        body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel {
+            lanes,
+            nw: n / 4,
+            slots: Vec::new(),
+            next: [0; BUCKETS],
+            end: [0; BUCKETS],
+            body,
+        })
     }
 
-    /// Brings every chain of `chains` to its head and advances it by its
-    /// steps, calls of `F` from the seeded SHA-256 state `iv`.
-    pub(crate) fn run(&self, iv: &[u32; 8], chains: &mut impl Chains) {
-        for first in (0..chains.len()).step_by(WINDOW) {
-            self.run_window(iv, chains, first, WINDOW.min(chains.len() - first));
+    /// Starts a sort of chains of `steps` steps each, in the order
+    /// [`Kernel::place`] will be handed them.
+    pub(crate) fn sort(&mut self, steps: impl IntoIterator<Item = u32>) {
+        self.next = [0; BUCKETS];
+        for steps in steps {
+            self.next[bucket(steps)] += 1;
         }
-    }
-
-    /// [`Kernel::run`] for chains `first..first + count`.
-    fn run_window(&self, iv: &[u32; 8], chains: &mut impl Chains, first: usize, count: usize) {
-        // Counting sort, longest chain first.
-        let bucket = |steps: u32| BUCKETS - 1 - (steps as usize).min(BUCKETS - 1);
-        let mut next = [0u16; BUCKETS];
-        for i in first..first + count {
-            next[bucket(chains.steps(i))] += 1;
-        }
-        let mut before = 0u16;
-        for slot in &mut next {
+        let mut before = 0;
+        for (slot, end) in self.next.iter_mut().zip(&mut self.end) {
             before += std::mem::replace(slot, before);
+            *end = before;
         }
-        let mut order = [0u16; WINDOW];
-        for i in 0..count {
-            let slot = &mut next[bucket(chains.steps(first + i))];
-            order[*slot as usize] = i as u16;
+        let slots = (before as usize).next_multiple_of(self.lanes);
+        self.slots.resize(slots, [0; LINK_WORDS]);
+    }
+
+    /// Puts the chains of the sort into their slots, in the order their
+    /// step counts came.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more chains come than the sort has slots for
+    /// ([`Kernel::run_sorted`] checks that each step count came as often
+    /// as it was counted).
+    pub(crate) fn place(&mut self, links: impl IntoIterator<Item = Link>) {
+        let (mut next, slots) = (self.next, &mut self.slots[..]);
+        for link in links {
+            let slot = &mut next[bucket(link.steps)];
+            slots[*slot as usize] = link.words();
             *slot += 1;
         }
+        self.next = next;
+    }
 
-        for members in order[..count].chunks(self.lanes) {
-            let mut group = Group::default();
-            for (lane, &i) in members.iter().enumerate() {
-                chains.load(first + i as usize, lane, &mut group);
-            }
-            let rounds = group.steps.into_iter().max().unwrap_or(0);
-            let any_secret = group.from_secret != [0; MAX_LANES];
-            // What `ChainStep` asks for. `w ≤ 256` never gets near.
-            let narrow = (group.hash.iter().zip(&group.steps))
-                .all(|(&start, &steps)| u64::from(start) + u64::from(steps) <= 1 << 16);
-            // SAFETY: `Kernel::active` is the only constructor; it pairs
-            // each body with the tier it was compiled for, and the tier
-            // cache only ever holds a tier whose CPU features
-            // `tier::supported` detected.
-            unsafe { (self.body)(iv, any_secret, narrow, rounds, &mut group) };
-            for (lane, &i) in members.iter().enumerate() {
-                chains.store(first + i as usize, lane, &group.node);
-            }
+    /// Brings every chain of the sort to its head and advances it by its
+    /// steps, calls of `F` from the seeded SHA-256 state `iv`: the node of
+    /// a chain at `at` is `words[at + stride · j]`, `j < n/4`, its head
+    /// on the way in — unless `secret` is `Some(sk_seed)`, when every
+    /// chain starts at its secret element: step zero is `PRF` of
+    /// `sk_seed` under the chain's `WotsPrf` address — and its end on the
+    /// way out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if not every chain of the sort was placed, a chain's node
+    /// does not lie within `words`, or a secret is not `n` bytes.
+    pub(crate) fn run_sorted(
+        &mut self,
+        iv: &[u32; 8],
+        words: &mut [u32],
+        stride: usize,
+        secret: Option<&[u8]>,
+    ) {
+        let count = self.end[BUCKETS - 1] as usize;
+        assert!(
+            self.next == self.end,
+            "every chain of the sort must be placed"
+        );
+        if count == 0 {
+            return;
         }
+        // The last group's empty lanes run its last chain again, to the
+        // same end.
+        let last = self.slots[count - 1];
+        self.slots[count..].fill(last);
+        // The body's gathers take signed 32-bit indices.
+        assert!(
+            words.len() <= i32::MAX as usize,
+            "a call's words must be indexable by i32"
+        );
+        let last_word = (self.nw - 1) * stride;
+        assert!(
+            (self.slots.iter()).all(|slot| slot[AT] as usize + last_word < words.len()),
+            "every chain's node must lie within the words"
+        );
+        let seed = secret.map(|sk_seed| {
+            assert_eq!(sk_seed.len(), 4 * self.nw, "sk_seed must be n bytes");
+            seed_words(sk_seed)
+        });
+        // What `ChainStep` asks for. `w ≤ 256` never gets near.
+        let narrow = (self.slots.iter())
+            .all(|slot| u64::from(slot[START]) + u64::from(slot[STEPS]) <= 1 << 16);
+        // SAFETY: `Kernel::active` is the only constructor; it pairs each
+        // body with the tier it was compiled for, and the tier cache only
+        // ever holds a tier whose CPU features `tier::supported`
+        // detected. Every node word is one of `words`' (asserted above).
+        unsafe { (self.body)(iv, seed.as_ref(), narrow, &self.slots, words, stride) };
     }
 }
 
-/// The kernel proper: `rounds` steps of `F` on every lane of `group`,
-/// nodes of `NW` words — through [`ChainStep`] where the group is
-/// `narrow`, through [`tweak`] where a hash index outgrows the half word
-/// the step holds it in.
+/// The chains of [`crate::hash::HashCtx::f_chains`]: `n`-byte nodes in
+/// one flat buffer, converted to words and back around the kernel, each
+/// run of chains with one kind of head sorted and run window by window.
+pub(crate) fn run_in_place(
+    kernel: &mut Kernel,
+    iv: &[u32; 8],
+    nodes: &mut [u8],
+    jobs: &[ChainJob],
+) {
+    let nw = kernel.nw;
+    let mut words: Vec<u32> = nodes
+        .chunks_exact(4)
+        .map(|word| u32::from_be_bytes(word.try_into().expect("4-byte chunk")))
+        .collect();
+    let mut first = 0;
+    for run in jobs.chunk_by(|a, b| a.head == b.head) {
+        let secret = match run[0].head {
+            ChainHead::Node => None,
+            ChainHead::Secret(sk_seed) => Some(sk_seed),
+        };
+        for window in run.chunks(WINDOW) {
+            kernel.sort(window.iter().map(|job| job.steps));
+            kernel.place((first..).zip(window).map(|(i, job)| Link {
+                adrs: job.adrs.compressed_words(),
+                start: job.start,
+                steps: job.steps,
+                at: (i * nw) as u32,
+            }));
+            kernel.run_sorted(iv, &mut words, 1, secret);
+            first += window.len();
+        }
+    }
+    for (bytes, word) in nodes.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+}
+
+/// The kernel proper: every group of the sort, nodes of `NW` words, for
+/// as many steps of `F` as its longest chain runs — through [`ChainStep`]
+/// where the call is `narrow`, through [`tweak`] where a hash index
+/// outgrows the half word the step holds it in.
 ///
 /// # Safety
 ///
-/// As [`Lanes`].
+/// As [`Lanes`], and every node word is one of `words`'.
 #[inline(always)]
-unsafe fn run_group<V: Lanes, const NW: usize>(
+unsafe fn run_groups<V: Lanes, const NW: usize>(
     iv: &[u32; 8],
-    any_secret: bool,
+    seed: Option<&[u32; MAX_NODE_WORDS]>,
     narrow: bool,
-    rounds: u32,
-    group: &mut Group,
+    slots: &[[u32; LINK_WORDS]],
+    words: &mut [u32],
+    stride: usize,
 ) {
-    // SAFETY (the three closures): the caller's contract, which a
-    // closure body does not inherit.
+    // SAFETY (the closures): the caller's contract, which a closure body
+    // does not inherit.
     let iv = iv.map(|word| unsafe { V::splat(word) });
-    let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| unsafe { V::load(&group.adrs[i]) });
-    let steps = V::load(&group.steps);
-    let mut hash = V::load(&group.hash);
-    let mut node: [V; NW] = std::array::from_fn(|i| unsafe { V::load(&group.node[i]) });
-
-    if any_secret {
-        let f_word2 = std::mem::replace(&mut adrs[2], V::load(&group.prf_word2));
-        let secret = tweak(&iv, &adrs, V::splat(0), [&node]);
-        adrs[2] = f_word2;
-        let from_secret = V::load(&group.from_secret);
-        for (word, new) in node.iter_mut().zip(secret) {
-            *word = V::if_eq(from_secret, V::splat(u32::MAX), new, *word);
+    for group in slots.chunks_exact(V::LANES) {
+        let rounds = group.iter().map(|slot| slot[STEPS]).max().unwrap_or(0);
+        if rounds == 0 && seed.is_none() {
+            continue;
         }
-    }
+        let group = group.as_flattened();
+        let fields = V::transpose8(std::array::from_fn(|i| unsafe {
+            V::load_from(&group[i * V::LANES..])
+        }));
+        let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| fields[i]);
+        let mut hash = fields[START];
+        let steps = fields[STEPS];
+        let at = fields[AT];
+        let slot: [V; NW] =
+            std::array::from_fn(|j| unsafe { at.add(V::splat((j * stride) as u32)) });
 
-    let step = ChainStep::<V, NW>::new(&iv, &adrs);
-    let mut hash_high = hash.shl(16);
-    for round in 0..rounds {
-        let next = if narrow {
-            step.f(&iv, hash_high, &node)
-        } else {
-            first(tweak(&iv, &adrs, hash, [&node]))
+        let mut node: [V; NW] = match seed {
+            Some(seed) => {
+                let sk_seed: [V; NW] = std::array::from_fn(|j| unsafe { V::splat(seed[j]) });
+                // Step zero: `PRF` under the address with the other type.
+                let f_word2 = adrs[2];
+                let ty = V::splat(0xff << 16);
+                adrs[2] = ty.ch(V::splat(retyped(0, AddressType::WotsPrf)), f_word2);
+                let secret = first(tweak(&iv, &adrs, V::splat(0), [&sk_seed]));
+                adrs[2] = f_word2;
+                secret
+            }
+            None => std::array::from_fn(|j| unsafe { V::gather(words, slot[j]) }),
         };
-        for (word, new) in node.iter_mut().zip(next) {
-            *word = V::if_live(round, steps, new, *word);
-        }
-        hash = hash.add(V::splat(1));
-        hash_high = hash_high.add(V::splat(1 << 16));
-    }
 
-    for (word, slot) in node.into_iter().zip(&mut group.node) {
-        word.store(slot);
+        let step = ChainStep::<V, NW>::new(&iv, &adrs);
+        let mut hash_high = hash.shl(16);
+        for round in 0..rounds {
+            let next = if narrow {
+                step.f(&iv, hash_high, &node)
+            } else {
+                first(tweak(&iv, &adrs, hash, [&node]))
+            };
+            for (word, new) in node.iter_mut().zip(next) {
+                *word = V::if_live(round, steps, new, *word);
+            }
+            hash = hash.add(V::splat(1));
+            hash_high = hash_high.add(V::splat(1 << 16));
+        }
+
+        for (word, slot) in node.into_iter().zip(slot) {
+            word.scatter(words, slot);
+        }
     }
 }

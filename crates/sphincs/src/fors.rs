@@ -38,6 +38,8 @@
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{put_nodes, put_words, take_words, MAX_NODE_WORDS};
 use crate::merkle;
 use crate::params::Params;
 #[cfg(target_arch = "x86_64")]
@@ -73,19 +75,18 @@ impl ForsSignature {
 /// (spec Algorithm 14 `message_to_indices`): consumes `log_t` bits per
 /// index, MSB first.
 pub fn message_to_indices(params: &Params, md: &[u8]) -> Vec<u32> {
-    let mut indices = Vec::with_capacity(params.k);
-    let mut offset = 0usize;
-    for _ in 0..params.k {
-        let mut idx: u32 = 0;
-        for _ in 0..params.log_t {
-            let byte = md[offset >> 3];
-            let bit = (byte >> (7 - (offset & 7))) & 1;
-            idx = (idx << 1) | bit as u32;
-            offset += 1;
-        }
-        indices.push(idx);
-    }
-    indices
+    indices(params, md).collect()
+}
+
+/// [`message_to_indices`], one index at a time.
+fn indices<'a>(params: &Params, md: &'a [u8]) -> impl Iterator<Item = u32> + 'a {
+    let log_t = params.log_t;
+    (0..params.k).map(move |tree| {
+        (tree * log_t..(tree + 1) * log_t).fold(0u32, |idx, offset| {
+            let bit = (md[offset >> 3] >> (7 - (offset & 7))) & 1;
+            (idx << 1) | bit as u32
+        })
+    })
 }
 
 /// The PRF address of the forest-global leaf slot `global_idx`
@@ -397,9 +398,10 @@ pub fn sign(
 /// secret at its forest-global address, then the `log_t` levels of its
 /// authentication path, the node blended left or right of its sibling by
 /// the leaf index's bit, without leaving the registers — trees of
-/// different signatures side by side, a last group simply part empty.
-/// Where [`LANE_SIGNATURES`] applies the roots never become bytes either:
-/// each signature's `T_k` is a lane of its own.
+/// different signatures side by side, a last group simply part empty, the
+/// lanes gathered from the words the signatures are read out into. Where
+/// [`LANE_SIGNATURES`] applies the roots never become bytes either: each
+/// signature's `T_k` is a lane of its own.
 ///
 /// Under SHAKE-256, SHA-512 and the `scalar` rung all `count · k`
 /// revealed leaves hash in one [`HashCtx::f_many`] call, every tree
@@ -443,94 +445,136 @@ pub fn pk_from_sig_many(
         assert_eq!(sig.trees.len(), ctx.params().k, "FORS signature tree count");
     }
     #[cfg(target_arch = "x86_64")]
-    if let (Some(iv), Some(kernel)) = (
-        ctx.sha256_seed_state(),
-        ascent::Kernel::active(ctx.params().n),
-    ) {
-        let width = kernel.lanes;
-        return sigs
+    if let Some(mut lanes) = ascent::Resident::new(ctx) {
+        let n = ctx.params().n;
+        let width = lanes.width();
+        let mut pks = ascent::Nodes::default();
+        let mut out = Vec::with_capacity(sigs.len());
+        for ((sigs, mds), adrs) in sigs
             .chunks(width)
             .zip(mds.chunks(width))
             .zip(keypair_adrs_list.chunks(width))
-            .flat_map(|((sigs, mds), adrs)| pks_in_lanes(ctx, &kernel, iv, sigs, mds, adrs))
-            .collect();
+        {
+            pks_in_lanes(ctx, &mut lanes, sigs, mds, adrs, &mut pks);
+            out.extend((0..sigs.len()).map(|lane| {
+                let mut pk = vec![0u8; n];
+                take_words(&pks, lane, &mut pk);
+                pk
+            }));
+        }
+        return out;
     }
     pks_sweep(ctx, sigs, mds, keypair_adrs_list)
 }
 
 /// [`pk_from_sig_many`] for at most a register group of signatures, a
-/// tree per lane of the resident ascent.
+/// tree per lane of the resident ascent; public key `s` lands in lane `s`
+/// of `pks`.
+///
+/// The signatures are read out into `lanes.words` one after another in
+/// their byte order — tree by tree, the revealed secret and then the
+/// authentication path — and every tree climbs from there, its root
+/// written over its secret. Where [`ascends_in_lanes`] says so, each
+/// signature's `T_k` is then a lane of its own over those roots; where it
+/// does not, `T_k` runs on bytes.
+///
+/// # Panics
+///
+/// Panics if a signature's shape is malformed, or there are more
+/// signatures than lanes.
 #[cfg(target_arch = "x86_64")]
-fn pks_in_lanes(
+pub(crate) fn pks_in_lanes(
     ctx: &HashCtx,
-    kernel: &ascent::Kernel,
-    iv: &[u32; 8],
+    lanes: &mut ascent::Resident,
     sigs: &[&ForsSignature],
     mds: &[&[u8]],
     keypair_adrs_list: &[Address],
-) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let (n, k, t) = (params.n, params.k, params.t() as u32);
-    let count = sigs.len();
-    let indices: Vec<Vec<u32>> = mds
-        .iter()
-        .map(|md| message_to_indices(&params, md))
-        .collect();
+    pks: &mut ascent::Nodes,
+) {
+    let params = ctx.params();
+    let (n, k, log_t, t) = (params.n, params.k, params.log_t, params.t() as u32);
+    let nw = n / 4;
+    let tree_words = (1 + log_t) * nw;
+    let forest_words = k * tree_words;
+    assert!(
+        sigs.len() <= lanes.width(),
+        "one group of signatures at most"
+    );
 
-    // The roots go where `T_k` will find them: transposed, node `tree` of
-    // lane `s` of a group of forests, or flat bytes.
-    let mut forests = ascends_in_lanes(kernel.lanes, count).then(|| ascent::Group::new(n, k, 0));
-    let mut roots = vec![0u8; if forests.is_some() { 0 } else { count * k * n }];
-
-    let mut trees = ascent::Group::new(n, 1, params.log_t);
-    let climbs: Vec<(usize, usize)> = (0..count)
-        .flat_map(|s| (0..k).map(move |tree| (s, tree)))
-        .collect();
-    for members in climbs.chunks(kernel.lanes) {
-        for (lane, &(s, tree)) in members.iter().enumerate() {
-            let tree_sig = &sigs[s].trees[tree];
-            let leaf_idx = tree as u32 * t + indices[s][tree];
-            trees.set_lane(
-                lane,
-                &ascent::Climb {
-                    leaf_adrs: leaf_adrs_for(&keypair_adrs_list[s], leaf_idx),
-                    node_adrs: node_adrs_for(&keypair_adrs_list[s]),
-                    leaf_idx,
-                    auth_path: &tree_sig.auth_path,
-                },
-            );
-            trees.set_leaf(lane, &tree_sig.sk);
-        }
-        kernel.run(iv, &mut trees);
-        for (lane, &(s, tree)) in members.iter().enumerate() {
-            match &mut forests {
-                Some(forests) => trees.root_to_leaf(lane, forests, s, tree),
-                None => trees.root_into(lane, &mut roots[(s * k + tree) * n..][..n]),
-            }
+    let words = &mut lanes.words;
+    words.resize(sigs.len() * forest_words, 0);
+    for (sig, words) in sigs.iter().zip(words.chunks_exact_mut(forest_words)) {
+        assert_eq!(sig.trees.len(), k, "FORS signature tree count");
+        for (tree, words) in sig.trees.iter().zip(words.chunks_exact_mut(tree_words)) {
+            assert_eq!(tree.auth_path.len(), log_t, "authentication path height");
+            let (sk, auth) = words.split_at_mut(nw);
+            put_nodes(sk, std::slice::from_ref(&tree.sk));
+            put_nodes(auth, &tree.auth_path);
         }
     }
+    let words = &mut words[..sigs.len() * forest_words];
 
-    let Some(mut forests) = forests else {
-        return keypair_adrs_list
-            .iter()
-            .zip(roots.chunks_exact(k * n))
-            .map(|(adrs, roots)| roots_to_pk(ctx, adrs, roots))
-            .collect();
+    // A leaf's `F` address is the tree's node address at height zero
+    // but for its last field, the forest-global leaf index.
+    let climbs = &mut lanes.climbs;
+    climbs.clear();
+    for (s, (md, adrs)) in mds.iter().zip(keypair_adrs_list).enumerate() {
+        let node_adrs = node_adrs_for(adrs).compressed_words();
+        for (tree, idx) in indices(params, md).enumerate() {
+            let leaf_idx = tree as u32 * t + idx;
+            climbs.push(ascent::Climb {
+                leaf_adrs: node_adrs,
+                leaf_last: leaf_idx,
+                node_adrs,
+                leaf_idx,
+                at: (s * forest_words + tree * tree_words) as u32,
+                ..Default::default()
+            });
+        }
+    }
+    let trees = ascent::Shape {
+        leaf_nodes: 1,
+        height: log_t,
+        stride: nw,
     };
-    for (lane, adrs) in keypair_adrs_list.iter().enumerate() {
-        let roots_adrs = roots_adrs_for(adrs);
-        forests.set_lane(
-            lane,
-            &ascent::Climb {
+    lanes.ascent.run(lanes.iv, climbs, &trees, words, None);
+
+    // Tree `j`'s root is now where its secret was.
+    if ascends_in_lanes(lanes.ascent.lanes, sigs.len()) {
+        climbs.clear();
+        climbs.extend((0..).zip(keypair_adrs_list).map(|(s, adrs)| {
+            let roots_adrs = roots_adrs_for(adrs).compressed_words();
+            ascent::Climb {
                 leaf_adrs: roots_adrs,
                 node_adrs: roots_adrs,
-                leaf_idx: 0,
-                auth_path: &[],
-            },
-        );
+                at: (s * forest_words) as u32,
+                ..Default::default()
+            }
+        }));
+        let forests = ascent::Shape {
+            leaf_nodes: k,
+            height: 0,
+            stride: tree_words,
+        };
+        lanes
+            .ascent
+            .run(lanes.iv, climbs, &forests, words, Some(pks));
+        return;
     }
-    kernel.run(iv, &mut forests);
-    (0..count).map(|lane| forests.root(lane)).collect()
+    let roots = &mut lanes.bytes;
+    let mut pk = [0u8; 4 * MAX_NODE_WORDS];
+    for (lane, (forest, adrs)) in words
+        .chunks_exact(forest_words)
+        .zip(keypair_adrs_list)
+        .enumerate()
+    {
+        roots.clear();
+        for root in forest.chunks_exact(tree_words) {
+            roots.extend(root[..nw].iter().flat_map(|word| word.to_be_bytes()));
+        }
+        ctx.t_l_flat_into(&roots_adrs_for(adrs), roots, &mut pk[..n]);
+        put_words(pks, lane, &pk[..n]);
+    }
 }
 
 /// [`pk_from_sig_many`] level by level through the multi-lane engine.

@@ -552,9 +552,8 @@ impl HashCtx {
         assert_eq!(nodes.len(), jobs.len() * n, "nodes must be count*n bytes");
         #[cfg(target_arch = "x86_64")]
         if self.alg == HashAlg::Sha256 {
-            if let Some(kernel) = crate::chain::Kernel::active(n) {
-                let mut chains = crate::chain::InPlace { n, nodes, jobs };
-                return kernel.run(&self.seeded.state, &mut chains);
+            if let Some(mut kernel) = crate::chain::Kernel::active(n) {
+                return crate::chain::run_in_place(&mut kernel, &self.seeded.state, nodes, jobs);
             }
         }
         let mut adrs = Vec::with_capacity(jobs.len());

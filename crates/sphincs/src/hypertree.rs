@@ -35,11 +35,13 @@
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{put_nodes, put_words, take_words, MAX_NODE_WORDS};
 use crate::merkle;
 use crate::params::Params;
 use crate::wots;
 #[cfg(target_arch = "x86_64")]
-use crate::{ascent, chain, fors};
+use crate::{ascent, fors};
 
 /// One layer of a hypertree signature: a WOTS+ signature over the layer
 /// below's root plus the authentication path of the signing leaf.
@@ -152,15 +154,15 @@ pub struct XmssVerifyRequest<'a> {
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
 /// taken a register group at a time, a signature per lane: the group's
-/// chains run in the chain kernel from the revealed nodes and leave their
-/// ends transposed, each lane absorbs its own `T_len` over them and
-/// climbs its `h'` authentication nodes, and only the roots come out as
-/// bytes. A group too narrow to pay for whole registers
-/// ([`crate::fors::LANE_SIGNATURES`]) goes the other way, as everything
-/// does under SHAKE-256, SHA-512 and the `scalar` rung: every request's
-/// chains complete through one [`wots::pk_from_sig_many`] call, then
-/// every recovered leaf climbs in one combined
-/// [`merkle::roots_from_auth_paths_many`] sweep.
+/// revealed nodes are read out into words, its chains run in the chain
+/// kernel to their ends where the heads were, each lane gathers its own
+/// `T_len` over them and climbs its `h'` authentication nodes, and only
+/// the roots come out as bytes. A group too narrow to pay for whole
+/// registers ([`crate::fors::LANE_SIGNATURES`]) runs its chains the same
+/// way and keeps `T_len` and the climb on bytes. Under SHAKE-256, SHA-512
+/// and the `scalar` rung every request's chains complete through one
+/// [`wots::pk_from_sig_many`] call, then every recovered leaf climbs in
+/// one combined [`merkle::roots_from_auth_paths_many`] sweep.
 ///
 /// ```
 /// use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
@@ -185,58 +187,148 @@ pub fn xmss_pk_from_sig_many(
     reqs: &[XmssVerifyRequest],
 ) -> Vec<Vec<u8>> {
     #[cfg(target_arch = "x86_64")]
-    if let (Some(iv), Some(chains), Some(kernel)) = (
-        ctx.sha256_seed_state(),
-        chain::Kernel::active(ctx.params().n),
-        ascent::Kernel::active(ctx.params().n),
-    ) {
-        return reqs
-            .chunks(kernel.lanes)
-            .flat_map(|reqs| {
-                if fors::ascends_in_lanes(kernel.lanes, reqs.len()) {
-                    xmss_roots_in_lanes(ctx, &chains, &kernel, iv, layer, reqs)
-                } else {
-                    xmss_roots_sweep(ctx, layer, reqs)
-                }
-            })
-            .collect();
+    if let Some(mut lanes) = ascent::Resident::new(ctx) {
+        let n = ctx.params().n;
+        let mut nodes = ascent::Nodes::default();
+        let mut out = Vec::with_capacity(reqs.len());
+        for reqs in reqs.chunks(lanes.width()) {
+            for (lane, req) in reqs.iter().enumerate() {
+                assert_eq!(req.msg.len(), n, "message must be n bytes");
+                put_words(&mut nodes, lane, req.msg);
+            }
+            let coords: Vec<(u64, u32)> = reqs.iter().map(|r| (r.tree, r.leaf_idx)).collect();
+            xmss_roots_in_lanes(ctx, &mut lanes, layer, |i| reqs[i].sig, &coords, &mut nodes);
+            out.extend((0..reqs.len()).map(|lane| {
+                let mut root = vec![0u8; n];
+                take_words(&nodes, lane, &mut root);
+                root
+            }));
+        }
+        return out;
     }
     xmss_roots_sweep(ctx, layer, reqs)
 }
 
-/// [`xmss_pk_from_sig_many`] for at most a register group of requests, a
-/// signature per lane of the resident ascent.
+/// One layer of [`xmss_pk_from_sig_many`] for a group of signatures, a
+/// lane each, in the resident bodies: signature `s` is `sig(s)` at
+/// `coords[s]` = (tree, leaf), lane `s` of `nodes` holds the node its
+/// WOTS+ signature signs and takes the layer's root.
+///
+/// The layer's nodes — the revealed chain nodes, then the authentication
+/// path — are read out of each signature into `lanes.words` in their byte
+/// order, and the message digits out of the rows. The chain kernel runs
+/// every chain of the group to its end where its head was; where
+/// [`fors::ascends_in_lanes`] says so, each lane then absorbs its own
+/// `T_len` over them and climbs its `h'` authentication nodes, and the
+/// roots never leave the rows. A group too narrow for that keeps the byte
+/// tail: `T_len` and the climb, signature by signature.
+///
+/// # Panics
+///
+/// Panics if a signature's shape is malformed, or there are more
+/// signatures than lanes.
 #[cfg(target_arch = "x86_64")]
-fn xmss_roots_in_lanes(
+pub(crate) fn xmss_roots_in_lanes<'s>(
     ctx: &HashCtx,
-    chains: &chain::Kernel,
-    kernel: &ascent::Kernel,
-    iv: &[u32; 8],
+    lanes: &mut ascent::Resident,
     layer: u32,
-    reqs: &[XmssVerifyRequest],
-) -> Vec<Vec<u8>> {
+    sig: impl Fn(usize) -> &'s XmssSig,
+    coords: &[(u64, u32)],
+    nodes: &mut ascent::Nodes,
+) {
     let params = ctx.params();
-    let mut group = ascent::Group::new(params.n, params.wots_len(), params.tree_height());
-    let wots_adrs: Vec<Address> = reqs
-        .iter()
-        .map(|r| keypair_adrs(layer, r.tree, r.leaf_idx))
-        .collect();
-    for (lane, (r, wots_adrs)) in reqs.iter().zip(&wots_adrs).enumerate() {
-        group.set_lane(
-            lane,
-            &ascent::Climb {
-                leaf_adrs: wots::pk_adrs_for(wots_adrs),
-                node_adrs: node_adrs(layer, r.tree),
-                leaf_idx: r.leaf_idx,
-                auth_path: &r.sig.auth_path,
-            },
+    let (n, len, height) = (params.n, params.wots_len(), params.tree_height());
+    let nw = n / 4;
+    let layer_words = (len + height) * nw;
+    let count = coords.len();
+    assert!(count <= lanes.width(), "one group of signatures at most");
+
+    let words = &mut lanes.words;
+    words.resize(count * layer_words, 0);
+    for (s, words) in words.chunks_exact_mut(layer_words).enumerate() {
+        let sig = sig(s);
+        assert_eq!(
+            sig.wots_sig.len(),
+            len,
+            "WOTS+ signature must have len nodes"
         );
+        assert_eq!(sig.auth_path.len(), height, "authentication path height");
+        let (chains, auth) = words.split_at_mut(len * nw);
+        put_nodes(chains, &sig.wots_sig);
+        put_nodes(auth, &sig.auth_path);
     }
-    let sigs: Vec<&[Vec<u8>]> = reqs.iter().map(|r| r.sig.wots_sig.as_slice()).collect();
-    let msgs: Vec<&[u8]> = reqs.iter().map(|r| r.msg).collect();
-    wots::chain_ends_in_lanes(ctx, chains, iv, &sigs, &msgs, &wots_adrs, group.leaf_rows());
-    kernel.run(iv, &mut group);
-    (0..reqs.len()).map(|lane| group.root(lane)).collect()
+    let words = &mut words[..count * layer_words];
+
+    let mut msg = [0u8; 4 * MAX_NODE_WORDS];
+    let digits = &mut lanes.digits;
+    digits.clear();
+    for s in 0..count {
+        take_words(nodes, s, &mut msg[..n]);
+        wots::push_digits(params, &msg[..n], digits);
+    }
+    let top = params.w as u32 - 1;
+    lanes.chains.sort(digits.iter().map(|&digit| top - digit));
+    let signatures = digits.chunks_exact(len).zip(coords).enumerate();
+    lanes
+        .chains
+        .place(signatures.flat_map(|(s, (digits, &(tree, leaf_idx)))| {
+            let adrs = keypair_adrs(layer, tree, leaf_idx);
+            wots::chain_links(params, digits, &adrs, s * layer_words)
+        }));
+    lanes.chains.run_sorted(lanes.iv, words, 1, None);
+
+    if fors::ascends_in_lanes(lanes.ascent.lanes, count) {
+        lanes.climbs.clear();
+        lanes
+            .climbs
+            .extend(
+                coords
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &(tree, leaf_idx))| ascent::Climb {
+                        leaf_adrs: wots::pk_adrs_for(&keypair_adrs(layer, tree, leaf_idx))
+                            .compressed_words(),
+                        node_adrs: node_adrs(layer, tree).compressed_words(),
+                        leaf_idx,
+                        at: (s * layer_words) as u32,
+                        ..Default::default()
+                    }),
+            );
+        let climb = ascent::Shape {
+            leaf_nodes: len,
+            height,
+            stride: nw,
+        };
+        lanes
+            .ascent
+            .run(lanes.iv, &lanes.climbs, &climb, words, Some(nodes));
+        return;
+    }
+    let ends = &mut lanes.bytes;
+    let (mut node, mut parent) = ([0u8; 4 * MAX_NODE_WORDS], [0u8; 4 * MAX_NODE_WORDS]);
+    for (s, (chains, &(tree, leaf_idx))) in words.chunks_exact(layer_words).zip(coords).enumerate()
+    {
+        ends.clear();
+        ends.extend(
+            chains[..len * nw]
+                .iter()
+                .flat_map(|word| word.to_be_bytes()),
+        );
+        let pk_adrs = wots::pk_adrs_for(&keypair_adrs(layer, tree, leaf_idx));
+        ctx.t_l_flat_into(&pk_adrs, ends, &mut node[..n]);
+        let mut adrs = node_adrs(layer, tree);
+        for (z, sibling) in (1..).zip(&sig(s).auth_path) {
+            adrs.set_tree_height(z);
+            adrs.set_tree_index(leaf_idx >> z);
+            if leaf_idx >> (z - 1) & 1 == 0 {
+                ctx.h_into(&adrs, &node[..n], sibling, &mut parent[..n]);
+            } else {
+                ctx.h_into(&adrs, sibling, &node[..n], &mut parent[..n]);
+            }
+            std::mem::swap(&mut node, &mut parent);
+        }
+        put_words(nodes, s, &node[..n]);
+    }
 }
 
 /// [`xmss_pk_from_sig_many`] through [`HashCtx::f_chains`] and the

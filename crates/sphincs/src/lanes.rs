@@ -12,9 +12,10 @@
 //! in the leaf kernel — is [`ChainStep`]'s.
 //!
 //! Each lane is one independent hash call. Its operands live transposed,
-//! one register per 32-bit word, from the moment a group is loaded
-//! ([`put_words`]) to the moment its results are stored ([`take_words`]);
-//! nothing in between touches bytes.
+//! one register per 32-bit word, from the moment a group is loaded — a
+//! row at a time, or gathered lane by lane from a buffer of words
+//! ([`Lanes::gather`]) — to the moment its results are stored; nothing
+//! in between touches bytes.
 
 use crate::address::AddressType;
 use crate::sha256::{small_sigma0, small_sigma1, BLOCK_LEN, K};
@@ -79,6 +80,38 @@ pub(crate) fn put_words(rows: &mut [Row], lane: usize, bytes: &[u8]) {
     }
 }
 
+/// Writes `nodes` into `words` as big-endian words, node after node: how
+/// a signature's nodes go into the words a body gathers its lanes from.
+///
+/// # Panics
+///
+/// Panics if a node is not as many bytes as `words` has words for it.
+pub(crate) fn put_nodes(words: &mut [u32], nodes: &[Vec<u8>]) {
+    /// Nodes of a width the compiler knows.
+    fn put<const NW: usize>(words: &mut [u32], nodes: &[Vec<u8>]) {
+        for (words, node) in words.chunks_exact_mut(NW).zip(nodes) {
+            assert_eq!(node.len(), 4 * NW, "node must be n bytes");
+            for (i, word) in words.iter_mut().enumerate() {
+                *word = u32::from_be_bytes(node[4 * i..][..4].try_into().expect("4-byte chunk"));
+            }
+        }
+    }
+    if nodes.is_empty() {
+        return;
+    }
+    assert_eq!(
+        words.len() % nodes.len(),
+        0,
+        "words must divide into the nodes"
+    );
+    match words.len() / nodes.len() {
+        4 => put::<4>(words, nodes),
+        6 => put::<6>(words, nodes),
+        8 => put::<8>(words, nodes),
+        nw => panic!("no resident body for nodes of {nw} words"),
+    }
+}
+
 /// Writes message words `0..5` of a call — [`crate::address::Address::compressed_words`],
 /// the last field (hash index or tree index) being [`tweak`]'s to add —
 /// into lane `lane` of `rows`.
@@ -110,8 +143,18 @@ pub(crate) fn move_words(src: &[Row], from: usize, dst: &mut [Row], to: usize) {
 /// bodies are the only callers, and each is entered through a function
 /// that carries the matching `#[target_feature]`.
 pub(crate) trait Lanes: Copy {
+    /// `u32` lanes of the register.
+    const LANES: usize;
     unsafe fn splat(x: u32) -> Self;
     unsafe fn load(src: &Row) -> Self;
+    /// The first [`Lanes::LANES`] words of `src`, which has that many.
+    unsafe fn load_from(src: &[u32]) -> Self;
+    /// Lane by lane, `base[idx]`; every lane of `idx` is below
+    /// `base.len()`.
+    unsafe fn gather(base: &[u32], idx: Self) -> Self;
+    /// Lane by lane, `base[idx] = self`, the last of two lanes with one
+    /// index winning; every lane of `idx` is below `base.len()`.
+    unsafe fn scatter(self, base: &mut [u32], idx: Self);
     unsafe fn store(self, dst: &mut Row);
     unsafe fn add(self, other: Self) -> Self;
     unsafe fn or(self, other: Self) -> Self;
@@ -122,6 +165,13 @@ pub(crate) trait Lanes: Copy {
     unsafe fn ror<const R: i32>(self) -> Self;
     unsafe fn shr(self, count: u32) -> Self;
     unsafe fn shl(self, count: u32) -> Self;
+    /// Lane by lane, the smaller of the two, unsigned.
+    unsafe fn min(self, other: Self) -> Self;
+    /// The columns of a matrix of 8-word rows that `rows` hold
+    /// [`Lanes::LANES`] words at a time, row after row: word `f` of every
+    /// row, a register each. Which lane a row lands in is the same for
+    /// every column.
+    unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8];
     /// Lane by lane, `new` where `round < steps` and `old` elsewhere.
     unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self;
     /// Lane by lane, `new` where `a == b` and `old` elsewhere.
@@ -134,6 +184,7 @@ pub(crate) trait Lanes: Copy {
 pub(crate) struct Zmm(__m512i);
 
 impl Lanes for Zmm {
+    const LANES: usize = 16;
     #[inline(always)]
     unsafe fn splat(x: u32) -> Self {
         Zmm(_mm512_set1_epi32(x as i32))
@@ -141,6 +192,19 @@ impl Lanes for Zmm {
     #[inline(always)]
     unsafe fn load(src: &Row) -> Self {
         Zmm(_mm512_loadu_si512(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn load_from(src: &[u32]) -> Self {
+        debug_assert!(src.len() >= Self::LANES);
+        Zmm(_mm512_loadu_si512(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn gather(base: &[u32], idx: Self) -> Self {
+        Zmm(_mm512_i32gather_epi32::<4>(idx.0, base.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn scatter(self, base: &mut [u32], idx: Self) {
+        _mm512_i32scatter_epi32::<4>(base.as_mut_ptr().cast(), idx.0, self.0);
     }
     #[inline(always)]
     unsafe fn store(self, dst: &mut Row) {
@@ -179,6 +243,52 @@ impl Lanes for Zmm {
         Zmm(_mm512_sll_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
     }
     #[inline(always)]
+    unsafe fn min(self, other: Self) -> Self {
+        Zmm(_mm512_min_epu32(self.0, other.0))
+    }
+    // Two rows to a register: the 8 × 8 transpose of the ymm body in
+    // each 256-bit half, so that even rows land in lanes 0..8 and odd
+    // rows in lanes 8..16.
+    #[inline(always)]
+    unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8] {
+        let r = rows.map(|row| row.0);
+        let t = [
+            _mm512_unpacklo_epi32(r[0], r[1]),
+            _mm512_unpackhi_epi32(r[0], r[1]),
+            _mm512_unpacklo_epi32(r[2], r[3]),
+            _mm512_unpackhi_epi32(r[2], r[3]),
+            _mm512_unpacklo_epi32(r[4], r[5]),
+            _mm512_unpackhi_epi32(r[4], r[5]),
+            _mm512_unpacklo_epi32(r[6], r[7]),
+            _mm512_unpackhi_epi32(r[6], r[7]),
+        ];
+        let u = [
+            _mm512_unpacklo_epi64(t[0], t[2]),
+            _mm512_unpackhi_epi64(t[0], t[2]),
+            _mm512_unpacklo_epi64(t[1], t[3]),
+            _mm512_unpackhi_epi64(t[1], t[3]),
+            _mm512_unpacklo_epi64(t[4], t[6]),
+            _mm512_unpackhi_epi64(t[4], t[6]),
+            _mm512_unpacklo_epi64(t[5], t[7]),
+            _mm512_unpackhi_epi64(t[5], t[7]),
+        ];
+        // Per 256-bit half, its low 128 bits of `a` then of `b`, or its
+        // high 128 bits of each.
+        let low = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+        let high = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+        let pick = |a, idx, b| Zmm(_mm512_permutex2var_epi64(a, idx, b));
+        [
+            pick(u[0], low, u[4]),
+            pick(u[1], low, u[5]),
+            pick(u[2], low, u[6]),
+            pick(u[3], low, u[7]),
+            pick(u[0], high, u[4]),
+            pick(u[1], high, u[5]),
+            pick(u[2], high, u[6]),
+            pick(u[3], high, u[7]),
+        ]
+    }
+    #[inline(always)]
     unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self {
         let live = _mm512_cmplt_epu32_mask(Self::splat(round).0, steps.0);
         Zmm(_mm512_mask_mov_epi32(old.0, live, new.0))
@@ -199,6 +309,7 @@ impl Lanes for Zmm {
 pub(crate) struct Ymm(__m256i);
 
 impl Lanes for Ymm {
+    const LANES: usize = 8;
     #[inline(always)]
     unsafe fn splat(x: u32) -> Self {
         Ymm(_mm256_set1_epi32(x as i32))
@@ -206,6 +317,25 @@ impl Lanes for Ymm {
     #[inline(always)]
     unsafe fn load(src: &Row) -> Self {
         Ymm(_mm256_loadu_si256(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn load_from(src: &[u32]) -> Self {
+        debug_assert!(src.len() >= Self::LANES);
+        Ymm(_mm256_loadu_si256(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn gather(base: &[u32], idx: Self) -> Self {
+        Ymm(_mm256_i32gather_epi32::<4>(base.as_ptr().cast(), idx.0))
+    }
+    // AVX2 has no scatter: the lanes go out one by one.
+    #[inline(always)]
+    unsafe fn scatter(self, base: &mut [u32], idx: Self) {
+        let (mut words, mut at) = ([0u32; 8], [0u32; 8]);
+        _mm256_storeu_si256(words.as_mut_ptr().cast(), self.0);
+        _mm256_storeu_si256(at.as_mut_ptr().cast(), idx.0);
+        for (word, at) in words.into_iter().zip(at) {
+            *base.get_unchecked_mut(at as usize) = word;
+        }
     }
     #[inline(always)]
     unsafe fn store(self, dst: &mut Row) {
@@ -249,6 +379,45 @@ impl Lanes for Ymm {
     #[inline(always)]
     unsafe fn shl(self, count: u32) -> Self {
         Ymm(_mm256_sll_epi32(self.0, _mm_cvtsi32_si128(count as i32)))
+    }
+    #[inline(always)]
+    unsafe fn min(self, other: Self) -> Self {
+        Ymm(_mm256_min_epu32(self.0, other.0))
+    }
+    // One row to a register: the textbook 8 × 8 transpose.
+    #[inline(always)]
+    unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8] {
+        let r = rows.map(|row| row.0);
+        let t = [
+            _mm256_unpacklo_epi32(r[0], r[1]),
+            _mm256_unpackhi_epi32(r[0], r[1]),
+            _mm256_unpacklo_epi32(r[2], r[3]),
+            _mm256_unpackhi_epi32(r[2], r[3]),
+            _mm256_unpacklo_epi32(r[4], r[5]),
+            _mm256_unpackhi_epi32(r[4], r[5]),
+            _mm256_unpacklo_epi32(r[6], r[7]),
+            _mm256_unpackhi_epi32(r[6], r[7]),
+        ];
+        let u = [
+            _mm256_unpacklo_epi64(t[0], t[2]),
+            _mm256_unpackhi_epi64(t[0], t[2]),
+            _mm256_unpacklo_epi64(t[1], t[3]),
+            _mm256_unpackhi_epi64(t[1], t[3]),
+            _mm256_unpacklo_epi64(t[4], t[6]),
+            _mm256_unpackhi_epi64(t[4], t[6]),
+            _mm256_unpacklo_epi64(t[5], t[7]),
+            _mm256_unpackhi_epi64(t[5], t[7]),
+        ];
+        [
+            Ymm(_mm256_permute2x128_si256::<0x20>(u[0], u[4])),
+            Ymm(_mm256_permute2x128_si256::<0x20>(u[1], u[5])),
+            Ymm(_mm256_permute2x128_si256::<0x20>(u[2], u[6])),
+            Ymm(_mm256_permute2x128_si256::<0x20>(u[3], u[7])),
+            Ymm(_mm256_permute2x128_si256::<0x31>(u[0], u[4])),
+            Ymm(_mm256_permute2x128_si256::<0x31>(u[1], u[5])),
+            Ymm(_mm256_permute2x128_si256::<0x31>(u[2], u[6])),
+            Ymm(_mm256_permute2x128_si256::<0x31>(u[3], u[7])),
+        ]
     }
     #[inline(always)]
     unsafe fn if_live(round: u32, steps: Self, new: Self, old: Self) -> Self {
@@ -611,9 +780,9 @@ impl<V: Lanes, const NW: usize> ChainStep<V, NW> {
 
 /// One `T_l` call per lane, after the seed block: the digest of
 /// `ADRS_c ‖ payload` continued from state `iv`, for a payload of any
-/// number of words — row `i` of `payload` holds word `i` of every lane's
-/// (a WOTS+ key's `len` chain ends, a forest's `k` roots, node after
-/// node). `adrs` and `last` are [`tweak`]'s, and so is the layout: every
+/// number of words — `payload(i)` is word `i` of every lane's (a WOTS+
+/// key's `len` chain ends, a forest's `k` roots, node after node), `len`
+/// of them. `adrs` and `last` are [`tweak`]'s, and so is the layout: every
 /// payload word sits 16 bits off a word boundary, the terminator follows
 /// the last, and the bit length closes the last block; a block is
 /// compressed as soon as it is full, so the message is never laid out
@@ -627,17 +796,18 @@ pub(crate) unsafe fn absorb<V: Lanes>(
     iv: &[V; 8],
     adrs: &[V; ADRS_WORDS],
     last: V,
-    payload: &[Row],
+    len: usize,
+    payload: impl Fn(usize) -> V,
 ) -> [V; 8] {
-    let bit_len = ((BLOCK_LEN + 22 + 4 * payload.len()) * 8) as u32;
+    let bit_len = ((BLOCK_LEN + 22 + 4 * len) * 8) as u32;
     let zero = V::splat(0);
     let mut state = *iv;
     let mut block = [zero; 16];
     block[..4].copy_from_slice(&adrs[..4]);
     block[4] = adrs[4].or(last.shr(16));
     let (mut at, mut carry) = (5, last);
-    for row in payload {
-        let word = V::load(row);
+    for i in 0..len {
+        let word = payload(i);
         block[at] = carry.shl(16).or(word.shr(16));
         (at, carry) = (at + 1, word);
         if at == 16 {

@@ -203,7 +203,12 @@ unsafe fn run_group<V: Lanes, const NW: usize>(
     }
 
     let pk_adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| unsafe { V::load(&group.pk_adrs[i]) });
-    let leaf: [V; NW] = first(absorb(&iv, &pk_adrs, zero, ends[..len].as_flattened()));
+    let leaf: [V; NW] = {
+        let rows = ends[..len].as_flattened();
+        first(absorb(&iv, &pk_adrs, zero, rows.len(), |i| unsafe {
+            V::load(&rows[i])
+        }))
+    };
     for (word, slot) in leaf.into_iter().zip(&mut group.leaf) {
         word.store(slot);
     }

@@ -458,17 +458,20 @@ impl VerifyingKey {
 
     /// Verifies many signatures lane-batched: shape-invalid signatures
     /// short-circuit to their typed error, and the rest recompute
-    /// together — all FORS roots in one [`fors::pk_from_sig_many`]
-    /// call, then every hypertree layer across all signatures in one
-    /// [`hypertree::xmss_pk_from_sig_many`] call, so signature A's
-    /// chains share SIMD lanes with signature B's. Under SHA-256 both
-    /// are lane-resident: a FORS tree per lane, and from
+    /// together — all FORS roots as in [`fors::pk_from_sig_many`], then
+    /// every hypertree layer across all signatures as in
+    /// [`hypertree::xmss_pk_from_sig_many`], so signature A's chains
+    /// share SIMD lanes with signature B's. Under SHA-256, where the
+    /// resident ladder has a body, the signatures go through a register
+    /// group at a time: a FORS tree per lane, and from
     /// [`fors::LANE_SIGNATURES`]' threshold up a signature per lane for
-    /// `T_k`, `T_len` and the XMSS authentication paths, so that between
-    /// a layer's revealed nodes and its root nothing is bytes — the batch
-    /// is best handed over in multiples of that constant. Verdicts are
-    /// those of [`crate::reference::verify`] per pair, and the
-    /// batch never short-circuits on a bad signature (like a GPU batch
+    /// `T_k`, `T_len` and the XMSS authentication paths. A group's nodes
+    /// stay rows from its forests to the comparison with the root — each
+    /// layer's digits are read from the rows the layer below left — and
+    /// the call allocates its scratch once, whatever `d` and the batch;
+    /// the batch is best handed over in multiples of that constant.
+    /// Verdicts are those of [`crate::reference::verify`] per pair, and
+    /// the batch never short-circuits on a bad signature (like a GPU batch
     /// that always runs to completion).
     ///
     /// ```
@@ -514,6 +517,13 @@ impl VerifyingKey {
         }
 
         let ctx = HashCtx::with_alg(*params, &self.pk_seed, self.alg);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(mut lanes) = crate::ascent::Resident::new(&ctx) {
+            for group in live.chunks(lanes.width()) {
+                self.verify_in_lanes(&ctx, &mut lanes, msgs, sigs, group, &mut out);
+            }
+            return out;
+        }
         let pres: Vec<Preamble> = live
             .iter()
             .map(|&i| preamble(&ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
@@ -549,6 +559,62 @@ impl VerifyingKey {
             }
         }
         out
+    }
+
+    /// [`VerifyingKey::verify_many`] for the well-formed signatures
+    /// `group` of `sigs`, at most a register group of them, a signature
+    /// per lane of the resident bodies: the forest's roots and public key
+    /// ([`fors::pks_in_lanes`]), then layer by layer the root each XMSS
+    /// layer signs ([`hypertree::xmss_roots_in_lanes`]), the group's nodes
+    /// staying rows from the first stage to the comparison with `pk_root`.
+    #[cfg(target_arch = "x86_64")]
+    fn verify_in_lanes(
+        &self,
+        ctx: &HashCtx,
+        lanes: &mut crate::ascent::Resident,
+        msgs: &[&[u8]],
+        sigs: &[&Signature],
+        group: &[usize],
+        out: &mut [Result<(), SignError>],
+    ) {
+        let params = &self.params;
+        let pres: Vec<Preamble> = group
+            .iter()
+            .map(|&i| preamble(ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
+            .collect();
+        let fors_sigs: Vec<&ForsSignature> = group.iter().map(|&i| &sigs[i].fors).collect();
+        let mds: Vec<&[u8]> = pres.iter().map(|pre| pre.md.as_slice()).collect();
+        let keypair_adrs: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
+        let mut nodes = crate::ascent::Nodes::default();
+        fors::pks_in_lanes(ctx, lanes, &fors_sigs, &mds, &keypair_adrs, &mut nodes);
+
+        let coords: Vec<Vec<(u64, u32)>> = pres
+            .iter()
+            .map(|pre| hypertree::layer_coordinates(params, pre.tree_idx, pre.leaf_idx))
+            .collect();
+        let mut layer_coords = Vec::with_capacity(group.len());
+        for layer in 0..params.d {
+            layer_coords.clear();
+            layer_coords.extend(coords.iter().map(|coords| coords[layer]));
+            let sig = |s: usize| &sigs[group[s]].ht.layers[layer];
+            hypertree::xmss_roots_in_lanes(
+                ctx,
+                lanes,
+                layer as u32,
+                sig,
+                &layer_coords,
+                &mut nodes,
+            );
+        }
+
+        let mut root = [0u8; 32];
+        let root = &mut root[..params.n];
+        for (lane, &i) in group.iter().enumerate() {
+            crate::lanes::take_words(&nodes, lane, root);
+            if root != self.pk_root.as_slice() {
+                out[i] = Err(SignError::VerificationFailed);
+            }
+        }
     }
 }
 

@@ -132,9 +132,9 @@
 //! climb (`F(sk)`, `log_t` levels: 33 trees × 16 signatures are 33 full
 //! zmm groups of 7 calls), lane = signature for `T_k`, `T_len` and the
 //! XMSS authentication path, whose chain ends the chain kernel leaves
-//! transposed where `T_len` absorbs them. Same vocabulary, same
-//! compression, same two instantiations, same ladder; `scalar` is the
-//! level sweep through `compress_x` and the round loop, as before.
+//! where the revealed nodes were, for `T_len` to gather. Same vocabulary,
+//! same compression, same two instantiations, same ladder; `scalar` is
+//! the level sweep through `compress_x` and the round loop, as before.
 //!
 //! The FORS climb runs at every width: a lone 128f signature's 33 trees
 //! are two full groups and one lane, 21 calls in registers where the
@@ -147,24 +147,24 @@
 //! includes every `verify` that comes through the service alone. Measured
 //! on the reference host, one thread, 48 signatures of 128f through
 //! [`crate::sign::VerifyingKey::verify_many`] in groups of `w`, the
-//! selection forced either way: µs per signature, best of 40 alternating
-//! blocks of 4 passes (the host runs at one of two speeds a quarter
-//! apart for minutes at a time, so the fastest block is the comparable
-//! figure), and the median over the 40 pairs of byte tail ÷ in lanes:
+//! selection forced either way (both run the chains in the chain kernel
+//! and the FORS climb in lanes): µs per signature, best of 20 (zmm) / 12
+//! (ymm) alternating blocks (the host runs at one of two speeds a
+//! quarter apart for minutes at a time, so the fastest block is the
+//! comparable figure), and the median and quartiles over the pairs of
+//! byte tail ÷ in lanes:
 //!
 //! | group width `w` | 1 | 2 | 3 | 4 | 8 | 16 |
 //! |---|---|---|---|---|---|---|
-//! | zmm, in lanes | 199 | 145 | 128 | 119 | 106 | 100 |
-//! | zmm, byte tail (SHA-NI `compress_x`) | 172 | 137 | 126 | 120 | 113 | 110 |
-//! | byte tail ÷ in lanes | 0.86 | 0.93–0.95 | 0.99–1.00 | 1.01–1.02 | 1.06–1.07 | 1.11–1.12 |
-//! | ymm, in lanes (forced `avx2`) | 359 | 292 | 268 | 260 | 242 | 241 |
-//! | ymm, byte tail (forced `avx2`) | 359 | 318 | 305 | 300 | 290 | 289 |
-//! | byte tail ÷ in lanes | 1.00 | 1.09–1.11 | 1.14 | 1.16–1.18 | 1.20 | 1.20 |
+//! | zmm, in lanes | 262 | 185 | 161 | 161 | 141 | 133 |
+//! | zmm, byte tail (SHA-NI `compress_x`) | 185 | 159 | 152 | 160 | 151 | 151 |
+//! | byte tail ÷ in lanes | 0.72 [0.70, 0.76] | 0.86 [0.86, 0.88] | 0.94 [0.92, 0.97] | 1.01 [0.99, 1.03] | 1.06 [1.03, 1.10] | 1.17 [1.12, 1.19] |
+//! | ymm, in lanes (forced `avx2`) | 532 | 409 | 383 | 366 | 336 | 341 |
+//! | ymm, byte tail (forced `avx2`) | 481 | 439 | 441 | 417 | 419 | 424 |
+//! | byte tail ÷ in lanes | 0.91 [0.89, 0.95] | 1.12 [1.08, 1.14] | 1.20 [1.13, 1.26] | 1.22 [1.14, 1.40] | 1.26 [1.21, 1.29] | 1.25 [1.20, 1.31] |
 //!
-//! (The parent commit, whose FORS climb and chain jobs were all bytes,
-//! in zmm at `w` = 1 / 2 / 4 / 16: 189 / 152 / 135 / 130–164. Stage by
-//! stage at `w = 16` the 22 XMSS layers went 108 → 92 µs per signature,
-//! of which the chains' own 5846 `F` steps are 83.)
+//! In zmm the lanes are level at four and ahead from eight; in ymm they
+//! are ahead from two.
 //!
 //! By the chain ladder's rule a body is selected only where it beat the
 //! rung below it, at its own width: in lanes from four signatures in

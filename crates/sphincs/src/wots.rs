@@ -16,9 +16,10 @@
 //! every subtree fill, which is most of a signature) are made a key pair
 //! to a lane, from the first `PRF` through `len` full chains to `T_len`,
 //! and no chain of theirs is ever a job or a byte. Batched verification
-//! hands the chain kernel the signatures themselves and takes the chain
-//! ends transposed, a signature per lane, as `T_len` absorbs them
-//! ([`crate::hypertree::xmss_pk_from_sig_many`]).
+//! reads a group's revealed nodes out of the signatures into words once,
+//! hands the chain kernel their digits (`chain_links`) and leaves the
+//! ends where the nodes were, for each signature's lane to gather its
+//! `T_len` from ([`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
 //! ```
 //! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
@@ -42,7 +43,7 @@ use crate::address::{Address, AddressType};
 use crate::chain;
 use crate::hash::{ChainHead, ChainJob, HashCtx};
 #[cfg(target_arch = "x86_64")]
-use crate::lanes::{chain_words, move_words, Row, ADRS_WORDS, MAX_NODE_WORDS};
+use crate::lanes::chain_words;
 #[cfg(target_arch = "x86_64")]
 use crate::leaf;
 use crate::params::Params;
@@ -53,52 +54,78 @@ use crate::params::Params;
 ///
 /// Panics if `msg` has fewer bits than `out_len` digits require.
 pub fn base_w(params: &Params, msg: &[u8], out_len: usize) -> Vec<u32> {
+    let mut out = vec![0; out_len];
+    base_w_into(params, msg, &mut out);
+    out
+}
+
+/// [`base_w`] into `out`, one digit per slot.
+fn base_w_into(params: &Params, msg: &[u8], out: &mut [u32]) {
     let log_w = params.log_w();
     assert!(
-        msg.len() * 8 >= out_len * log_w,
+        msg.len() * 8 >= out.len() * log_w,
         "message too short: {} bits for {} digits of {} bits",
         msg.len() * 8,
-        out_len,
+        out.len(),
         log_w
     );
-    let mut out = Vec::with_capacity(out_len);
+    let mask = params.w as u32 - 1;
+    if 8 % log_w == 0 {
+        // Whole digits to a byte, most significant first: no digit waits
+        // for the one before it.
+        let per_byte = 8 / log_w;
+        let (byte_of, slot_of) = (per_byte.trailing_zeros(), per_byte - 1);
+        for (i, digit) in out.iter_mut().enumerate() {
+            let shift = 8 - log_w * ((i & slot_of) + 1);
+            *digit = u32::from(msg[i >> byte_of]) >> shift & mask;
+        }
+        return;
+    }
     let mut bits: u32 = 0;
     let mut acc: u32 = 0;
-    let mut idx = 0usize;
-    for _ in 0..out_len {
+    let mut bytes = msg.iter();
+    for digit in out {
         if bits < log_w as u32 {
-            acc = (acc << 8) | msg[idx] as u32;
-            idx += 1;
+            acc = (acc << 8) | u32::from(*bytes.next().expect("enough message bits"));
             bits += 8;
         }
         bits -= log_w as u32;
-        out.push((acc >> bits) & (params.w as u32 - 1));
+        *digit = (acc >> bits) & mask;
     }
-    out
 }
 
 /// Computes the WOTS+ checksum digits for message digits `msg_w`
 /// (spec Algorithm 5 lines 2-6).
 pub fn checksum(params: &Params, msg_w: &[u32]) -> Vec<u32> {
+    let mut out = vec![0; params.wots_len2()];
+    checksum_into(params, msg_w, &mut out);
+    out
+}
+
+/// [`checksum`] into `out`, its `len2` digits.
+fn checksum_into(params: &Params, msg_w: &[u32], out: &mut [u32]) {
     let mut csum: u32 = msg_w.iter().map(|&d| params.w as u32 - 1 - d).sum();
     // Left-shift so the checksum occupies whole bytes before base-w.
-    let len2 = params.wots_len2();
-    let log_w = params.log_w();
-    let shift = (8 - (len2 * log_w) % 8) % 8;
-    csum <<= shift;
-    let csum_bytes_len = (len2 * log_w).div_ceil(8);
+    let bits = out.len() * params.log_w();
+    csum <<= (8 - bits % 8) % 8;
     let bytes = csum.to_be_bytes();
-    let csum_bytes = &bytes[4 - csum_bytes_len..];
-    base_w(params, csum_bytes, len2)
+    base_w_into(params, &bytes[4 - bits.div_ceil(8)..], out);
 }
 
 /// Message digits followed by checksum digits: the chain lengths a WOTS+
 /// signature reveals.
 pub fn chain_lengths(params: &Params, msg: &[u8]) -> Vec<u32> {
-    let mut lengths = base_w(params, msg, params.wots_len1());
-    lengths.extend(checksum(params, &lengths));
-    debug_assert_eq!(lengths.len(), params.wots_len());
+    let mut lengths = vec![0; params.wots_len()];
+    chain_lengths_into(params, msg, &mut lengths);
     lengths
+}
+
+/// [`chain_lengths`] into `out`, `len` slots.
+fn chain_lengths_into(params: &Params, msg: &[u8], out: &mut [u32]) {
+    debug_assert_eq!(out.len(), params.wots_len());
+    let (digits, checksum) = out.split_at_mut(params.wots_len1());
+    base_w_into(params, msg, digits);
+    checksum_into(params, digits, checksum);
 }
 
 /// The `F`-chain address of chain `chain_idx` (hash index set per step by
@@ -304,92 +331,37 @@ pub fn pk_from_sig_many(
         .collect()
 }
 
-/// The chains of a group of signatures under verification, for the
-/// chain kernel: heads straight from the signatures, ends left transposed
-/// where `T_len` absorbs them.
+/// Appends the chain lengths of a WOTS+ signature of `msg` to `digits`:
+/// the hash index each revealed node sits at.
 #[cfg(target_arch = "x86_64")]
-struct SigChains<'a> {
-    sigs: &'a [&'a [Vec<u8>]],
-    /// Message words `0..5` of each signature's `F` address at chain 0.
-    keypairs: Vec<[u32; ADRS_WORDS]>,
-    /// `(signature, chain, digit)` of every chain, signature after
-    /// signature.
-    links: Vec<(u16, u16, u32)>,
-    /// `w − 1`: where every chain ends.
-    top: u32,
-    /// Words of a node.
-    nw: usize,
-    /// Word `word` of lane `s`'s chain `c` end: `ends[c · nw + word][s]`.
-    ends: &'a mut [Row],
+pub(crate) fn push_digits(params: &Params, msg: &[u8], digits: &mut Vec<u32>) {
+    let start = digits.len();
+    digits.resize(start + params.wots_len(), 0);
+    chain_lengths_into(params, msg, &mut digits[start..]);
 }
 
+/// The chains of one WOTS+ signature under verification, for the chain
+/// kernel's sort: chain `c` of the key pair at `adrs` runs from its
+/// revealed node at `digits[c]` — whose word 0 is word `at + c · n/4` of
+/// the words the sort runs in — to the chain's end, where `T_len` finds
+/// it.
 #[cfg(target_arch = "x86_64")]
-impl chain::Chains for SigChains<'_> {
-    fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    fn steps(&self, i: usize) -> u32 {
-        self.top - self.links[i].2
-    }
-
-    fn load(&self, i: usize, lane: usize, group: &mut chain::Group) {
-        let (s, c, digit) = self.links[i];
-        let adrs = chain_words(&self.keypairs[s as usize], c as u32);
-        group.set_chain(lane, adrs, digit, self.top - digit);
-        group.set_head(lane, &self.sigs[s as usize][c as usize]);
-    }
-
-    fn store(&mut self, i: usize, lane: usize, node: &[Row; MAX_NODE_WORDS]) {
-        let (s, c, _) = self.links[i];
-        let end = &mut self.ends[c as usize * self.nw..][..self.nw];
-        move_words(node, lane, end, s as usize);
-    }
-}
-
-/// The chain half of [`pk_from_sig_many`] for at most a register group
-/// of signatures, in the chain kernel from the seeded state `iv`:
-/// signature `s`'s chain `c` runs from the revealed node to its end, and
-/// the end lands in lane `s` of rows `c · n/4 ..` of `ends` — what a lane
-/// = signature `T_len` absorbs — without having been bytes.
-///
-/// # Panics
-///
-/// As [`pk_from_sig_many`].
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn chain_ends_in_lanes(
-    ctx: &HashCtx,
-    kernel: &chain::Kernel,
-    iv: &[u32; 8],
-    sigs: &[&[Vec<u8>]],
-    msgs: &[&[u8]],
-    adrs_list: &[Address],
-    ends: &mut [Row],
-) {
-    let params = *ctx.params();
-    let (len, n) = (params.wots_len(), params.n);
-    assert!(len <= usize::from(u16::MAX), "chain index must fit 16 bits");
-    let mut links = Vec::with_capacity(sigs.len() * len);
-    for (s, (sig, msg)) in sigs.iter().zip(msgs).enumerate() {
-        assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
-        debug_assert_eq!(msg.len(), n);
-        for (c, (node, digit)) in sig.iter().zip(chain_lengths(&params, msg)).enumerate() {
-            assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
-            links.push((s as u16, c as u16, digit));
-        }
-    }
-    let mut chains = SigChains {
-        sigs,
-        keypairs: adrs_list
-            .iter()
-            .map(|adrs| hash_adrs_for(adrs, 0).compressed_words())
-            .collect(),
-        links,
-        top: params.w as u32 - 1,
-        nw: n / 4,
-        ends,
-    };
-    kernel.run(iv, &mut chains);
+pub(crate) fn chain_links<'a>(
+    params: &Params,
+    digits: &'a [u32],
+    adrs: &Address,
+    at: usize,
+) -> impl Iterator<Item = chain::Link> + 'a {
+    let keypair = hash_adrs_for(adrs, 0).compressed_words();
+    let (top, nw) = (params.w as u32 - 1, params.n / 4);
+    (0..digits.len() as u32)
+        .zip(digits)
+        .map(move |(c, &digit)| chain::Link {
+            adrs: chain_words(&keypair, c),
+            start: digit,
+            steps: top - digit,
+            at: (at + c as usize * nw) as u32,
+        })
 }
 
 #[cfg(test)]

@@ -25,9 +25,12 @@ pub fn with_forced_tier<R>(tier: HashTier, body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// xorshift64*: the tests' own stream, so a case is its seed.
+/// xorshift64*: the tests' own stream, so a case is its seed. (Not every
+/// suite that shares this file draws from it.)
+#[allow(dead_code)]
 pub struct Stream(pub u64);
 
+#[allow(dead_code)]
 impl Stream {
     pub fn next(&mut self) -> u64 {
         self.0 ^= self.0 >> 12;
