@@ -34,10 +34,9 @@
 //! keeps its node (a masked move) while the rest of its group finishes.
 //!
 //! A group goes into the lanes and comes out whole. The sort is a
-//! counting sort straight into slots ([`Kernel::sort`],
-//! [`Kernel::place`]): a chain's [`Link`] — its address, first hash
-//! index, step count and where its node is, eight words — lands whole in
-//! its slot, so the body loads a group's slots as they lie, transposes
+//! counting sort straight into slots ([`Kernel::run`]): a chain's
+//! [`Link`] — its address, first hash index, step count and where its
+//! node is, eight words — lands whole in its slot, so the body loads a group's slots as they lie, transposes
 //! them into a register per field ([`Lanes::transpose8`]), gathers the
 //! heads from the call's words by where they are, and scatters the ends
 //! back over them.
@@ -64,7 +63,7 @@ use crate::lanes::{
 };
 use crate::tier;
 
-/// Chains [`run_in_place`] sorts at a time: what bounds the kernel's
+/// Chains [`run_in_place`] hands the kernel at a time: what bounds the kernel's
 /// scratch on a long call. It holds one WOTS+ key per lane of the widest
 /// body at the longest key of a `w = 16` set (`len = 67` at `n = 32`), so
 /// that the chains of a lane-width group of signatures are sorted whole;
@@ -112,24 +111,15 @@ fn bucket(steps: u32) -> usize {
     BUCKETS - 1 - (steps as usize).min(BUCKETS - 1)
 }
 
-/// The resident body of one ISA tier and node width, and the sort its
-/// chains go through.
-///
-/// A call is a counting sort: [`Kernel::sort`] with every chain's step
-/// count, [`Kernel::place`] with every chain in the same order, which
-/// writes it whole into its slot, and [`Kernel::run_sorted`], whose body
-/// loads a group's slots and transposes them into a register per field.
+/// The resident body of one ISA tier and node width, and the slots its
+/// chains are sorted into.
 pub(crate) struct Kernel {
     /// Lanes of a group.
     lanes: usize,
     /// Words of a node.
     nw: usize,
-    /// The sort's chains, a slot each, rounded up to whole groups.
+    /// A call's chains, a slot each, rounded up to whole groups.
     slots: Vec<[u32; LINK_WORDS]>,
-    /// The next free slot of each bucket, and the slot after its last:
-    /// the last bucket's end is the sort's count.
-    next: [u32; BUCKETS],
-    end: [u32; BUCKETS],
     /// Runs the groups of the slots ([`Body`]).
     body: Body,
 }
@@ -166,47 +156,11 @@ impl Kernel {
             lanes,
             nw: n / 4,
             slots: Vec::new(),
-            next: [0; BUCKETS],
-            end: [0; BUCKETS],
             body,
         })
     }
 
-    /// Starts a sort of chains of `steps` steps each, in the order
-    /// [`Kernel::place`] will be handed them.
-    pub(crate) fn sort(&mut self, steps: impl IntoIterator<Item = u32>) {
-        self.next = [0; BUCKETS];
-        for steps in steps {
-            self.next[bucket(steps)] += 1;
-        }
-        let mut before = 0;
-        for (slot, end) in self.next.iter_mut().zip(&mut self.end) {
-            before += std::mem::replace(slot, before);
-            *end = before;
-        }
-        let slots = (before as usize).next_multiple_of(self.lanes);
-        self.slots.resize(slots, [0; LINK_WORDS]);
-    }
-
-    /// Puts the chains of the sort into their slots, in the order their
-    /// step counts came.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more chains come than the sort has slots for
-    /// ([`Kernel::run_sorted`] checks that each step count came as often
-    /// as it was counted).
-    pub(crate) fn place(&mut self, links: impl IntoIterator<Item = Link>) {
-        let (mut next, slots) = (self.next, &mut self.slots[..]);
-        for link in links {
-            let slot = &mut next[bucket(link.steps)];
-            slots[*slot as usize] = link.words();
-            *slot += 1;
-        }
-        self.next = next;
-    }
-
-    /// Brings every chain of the sort to its head and advances it by its
+    /// Brings every chain of `links` to its head and advances it by its
     /// steps, calls of `F` from the seeded SHA-256 state `iv`: the node of
     /// a chain at `at` is `words[at + stride · j]`, `j < n/4`, its head
     /// on the way in — unless `secret` is `Some(sk_seed)`, when every
@@ -214,24 +168,40 @@ impl Kernel {
     /// `sk_seed` under the chain's `WotsPrf` address — and its end on the
     /// way out.
     ///
+    /// The chains are counting-sorted by step count, longest first:
+    /// `links` is walked once to count them and once to write each whole
+    /// into its slot.
+    ///
     /// # Panics
     ///
-    /// Panics if not every chain of the sort was placed, a chain's node
-    /// does not lie within `words`, or a secret is not `n` bytes.
-    pub(crate) fn run_sorted(
+    /// Panics if a chain's node does not lie within `words`, or a secret
+    /// is not `n` bytes.
+    pub(crate) fn run(
         &mut self,
         iv: &[u32; 8],
+        links: impl Iterator<Item = Link> + Clone,
         words: &mut [u32],
         stride: usize,
         secret: Option<&[u8]>,
     ) {
-        let count = self.end[BUCKETS - 1] as usize;
-        assert!(
-            self.next == self.end,
-            "every chain of the sort must be placed"
-        );
+        let mut next = [0u32; BUCKETS];
+        for link in links.clone() {
+            next[bucket(link.steps)] += 1;
+        }
+        let mut count = 0;
+        for slot in &mut next {
+            count += std::mem::replace(slot, count);
+        }
+        let count = count as usize;
         if count == 0 {
             return;
+        }
+        self.slots
+            .resize(count.next_multiple_of(self.lanes), [0; LINK_WORDS]);
+        for link in links {
+            let slot = &mut next[bucket(link.steps)];
+            self.slots[*slot as usize] = link.words();
+            *slot += 1;
         }
         // The last group's empty lanes run its last chain again, to the
         // same end.
@@ -283,14 +253,13 @@ pub(crate) fn run_in_place(
             ChainHead::Secret(sk_seed) => Some(sk_seed),
         };
         for window in run.chunks(WINDOW) {
-            kernel.sort(window.iter().map(|job| job.steps));
-            kernel.place((first..).zip(window).map(|(i, job)| Link {
+            let links = (first..).zip(window).map(|(i, job)| Link {
                 adrs: job.adrs.compressed_words(),
                 start: job.start,
                 steps: job.steps,
                 at: (i * nw) as u32,
-            }));
-            kernel.run_sorted(iv, &mut words, 1, secret);
+            });
+            kernel.run(iv, links, &mut words, 1, secret);
             first += window.len();
         }
     }

@@ -266,16 +266,12 @@ pub(crate) fn xmss_roots_in_lanes<'s>(
         take_words(nodes, s, &mut msg[..n]);
         wots::push_digits(params, &msg[..n], digits);
     }
-    let top = params.w as u32 - 1;
-    lanes.chains.sort(digits.iter().map(|&digit| top - digit));
     let signatures = digits.chunks_exact(len).zip(coords).enumerate();
-    lanes
-        .chains
-        .place(signatures.flat_map(|(s, (digits, &(tree, leaf_idx)))| {
-            let adrs = keypair_adrs(layer, tree, leaf_idx);
-            wots::chain_links(params, digits, &adrs, s * layer_words)
-        }));
-    lanes.chains.run_sorted(lanes.iv, words, 1, None);
+    let links = signatures.flat_map(|(s, (digits, &(tree, leaf_idx)))| {
+        let adrs = keypair_adrs(layer, tree, leaf_idx);
+        wots::chain_links(params, digits, &adrs, s * layer_words)
+    });
+    lanes.chains.run(lanes.iv, links, words, 1, None);
 
     if fors::ascends_in_lanes(lanes.ascent.lanes, count) {
         lanes.climbs.clear();
@@ -305,7 +301,7 @@ pub(crate) fn xmss_roots_in_lanes<'s>(
         return;
     }
     let ends = &mut lanes.bytes;
-    let (mut node, mut parent) = ([0u8; 4 * MAX_NODE_WORDS], [0u8; 4 * MAX_NODE_WORDS]);
+    let (mut leaf, mut root) = ([0u8; 4 * MAX_NODE_WORDS], [0u8; 4 * MAX_NODE_WORDS]);
     for (s, (chains, &(tree, leaf_idx))) in words.chunks_exact(layer_words).zip(coords).enumerate()
     {
         ends.clear();
@@ -315,19 +311,16 @@ pub(crate) fn xmss_roots_in_lanes<'s>(
                 .flat_map(|word| word.to_be_bytes()),
         );
         let pk_adrs = wots::pk_adrs_for(&keypair_adrs(layer, tree, leaf_idx));
-        ctx.t_l_flat_into(&pk_adrs, ends, &mut node[..n]);
-        let mut adrs = node_adrs(layer, tree);
-        for (z, sibling) in (1..).zip(&sig(s).auth_path) {
-            adrs.set_tree_height(z);
-            adrs.set_tree_index(leaf_idx >> z);
-            if leaf_idx >> (z - 1) & 1 == 0 {
-                ctx.h_into(&adrs, &node[..n], sibling, &mut parent[..n]);
-            } else {
-                ctx.h_into(&adrs, sibling, &node[..n], &mut parent[..n]);
-            }
-            std::mem::swap(&mut node, &mut parent);
-        }
-        put_words(nodes, s, &node[..n]);
+        ctx.t_l_flat_into(&pk_adrs, ends, &mut leaf[..n]);
+        let climb = merkle::AuthPathJob {
+            leaf: &leaf[..n],
+            leaf_idx,
+            auth_path: &sig(s).auth_path,
+            node_adrs: node_adrs(layer, tree),
+            leaf_offset: 0,
+        };
+        merkle::root_from_auth_path_into(ctx, &climb, &mut root[..n]);
+        put_words(nodes, s, &root[..n]);
     }
 }
 

@@ -371,7 +371,6 @@ pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob]) -> Vec<Ve
     }
     let height = jobs[0].auth_path.len();
     let mut nodes = vec![0u8; jn * n];
-    let mut idxs = vec![0u32; jn];
     for (j, job) in jobs.iter().enumerate() {
         assert_eq!(
             job.auth_path.len(),
@@ -380,38 +379,68 @@ pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob]) -> Vec<Ve
         );
         assert_eq!(job.leaf.len(), n, "leaf must be n bytes");
         nodes[j * n..(j + 1) * n].copy_from_slice(job.leaf);
-        idxs[j] = job.leaf_idx;
     }
 
     let mut pairs = vec![0u8; 2 * jn * n];
     let mut out = vec![0u8; jn * n];
     let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn);
     for level in 0..height {
-        let level_height = level as u32 + 1;
         adrs_buf.clear();
         for (j, job) in jobs.iter().enumerate() {
             let sibling = &job.auth_path[level];
             assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
             let node = &nodes[j * n..(j + 1) * n];
-            let pair = &mut pairs[j * 2 * n..(j + 1) * 2 * n];
-            // Even index: the node is a left child, sibling on the right.
-            if idxs[j] & 1 == 0 {
-                pair[..n].copy_from_slice(node);
-                pair[n..].copy_from_slice(sibling);
+            let (adrs, node_left) = climb_level(job, level);
+            let (left, right) = if node_left {
+                (node, &sibling[..])
             } else {
-                pair[..n].copy_from_slice(sibling);
-                pair[n..].copy_from_slice(node);
-            }
-            let mut a = job.node_adrs;
-            a.set_tree_height(level_height);
-            a.set_tree_index((job.leaf_offset >> level_height) + (idxs[j] >> 1));
-            adrs_buf.push(a);
-            idxs[j] >>= 1;
+                (&sibling[..], node)
+            };
+            let pair = &mut pairs[j * 2 * n..(j + 1) * 2 * n];
+            pair[..n].copy_from_slice(left);
+            pair[n..].copy_from_slice(right);
+            adrs_buf.push(adrs);
         }
         ctx.h_many(&adrs_buf, &pairs, &mut out);
         std::mem::swap(&mut nodes, &mut out);
     }
     nodes.chunks_exact(n).map(<[u8]>::to_vec).collect()
+}
+
+/// The root [`roots_from_auth_paths_many`] computes for `job`, written
+/// into `root`, one `H` at a time and with no allocation.
+///
+/// # Panics
+///
+/// Panics if the leaf, `root` or an auth-path node is not `n` bytes, or
+/// `n` is over 32, which no parameter set
+/// [`crate::params::Params::validate`] accepts is.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) fn root_from_auth_path_into(ctx: &HashCtx, job: &AuthPathJob, root: &mut [u8]) {
+    let n = ctx.params().n;
+    assert_eq!(job.leaf.len(), n, "leaf must be n bytes");
+    root.copy_from_slice(job.leaf);
+    let mut parent = [0u8; 32];
+    let parent = &mut parent[..n];
+    for (level, sibling) in job.auth_path.iter().enumerate() {
+        assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
+        match climb_level(job, level) {
+            (adrs, true) => ctx.h_into(&adrs, root, sibling, parent),
+            (adrs, false) => ctx.h_into(&adrs, sibling, root, parent),
+        }
+        root.copy_from_slice(parent);
+    }
+}
+
+/// Level `level` of `job`'s climb: the address of the parent it hashes
+/// into, and whether its node is the parent's left child — an even index,
+/// the sibling on the right.
+fn climb_level(job: &AuthPathJob, level: usize) -> (Address, bool) {
+    let height = level as u32 + 1;
+    let mut adrs = job.node_adrs;
+    adrs.set_tree_height(height);
+    adrs.set_tree_index((job.leaf_offset >> height) + (job.leaf_idx >> height));
+    (adrs, job.leaf_idx >> level & 1 == 0)
 }
 
 #[cfg(test)]
@@ -514,7 +543,11 @@ mod tests {
             node_adrs: *adrs,
             leaf_offset: 0,
         };
-        roots_from_auth_paths_many(ctx, &[job]).remove(0)
+        let mut lone = vec![0u8; leaf.len()];
+        root_from_auth_path_into(ctx, &job, &mut lone);
+        let root = roots_from_auth_paths_many(ctx, &[job]).remove(0);
+        assert_eq!(lone, root, "the lone climb and the sweep agree");
+        root
     }
 
     #[test]

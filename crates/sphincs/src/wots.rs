@@ -70,17 +70,6 @@ fn base_w_into(params: &Params, msg: &[u8], out: &mut [u32]) {
         log_w
     );
     let mask = params.w as u32 - 1;
-    if 8 % log_w == 0 {
-        // Whole digits to a byte, most significant first: no digit waits
-        // for the one before it.
-        let per_byte = 8 / log_w;
-        let (byte_of, slot_of) = (per_byte.trailing_zeros(), per_byte - 1);
-        for (i, digit) in out.iter_mut().enumerate() {
-            let shift = 8 - log_w * ((i & slot_of) + 1);
-            *digit = u32::from(msg[i >> byte_of]) >> shift & mask;
-        }
-        return;
-    }
     let mut bits: u32 = 0;
     let mut acc: u32 = 0;
     let mut bytes = msg.iter();
@@ -341,7 +330,7 @@ pub(crate) fn push_digits(params: &Params, msg: &[u8], digits: &mut Vec<u32>) {
 }
 
 /// The chains of one WOTS+ signature under verification, for the chain
-/// kernel's sort: chain `c` of the key pair at `adrs` runs from its
+/// kernel: chain `c` of the key pair at `adrs` runs from its
 /// revealed node at `digits[c]` — whose word 0 is word `at + c · n/4` of
 /// the words the sort runs in — to the chain's end, where `T_len` finds
 /// it.
@@ -351,7 +340,7 @@ pub(crate) fn chain_links<'a>(
     digits: &'a [u32],
     adrs: &Address,
     at: usize,
-) -> impl Iterator<Item = chain::Link> + 'a {
+) -> impl Iterator<Item = chain::Link> + Clone + 'a {
     let keypair = hash_adrs_for(adrs, 0).compressed_words();
     let (top, nw) = (params.w as u32 - 1, params.n / 4);
     (0..digits.len() as u32)

@@ -4,19 +4,28 @@
 Builds the repository benchmark (`perfbench/`) at two git revisions, each
 exported with `git archive` into a temporary directory of its own, then
 runs one workload in N pairs, alternating which side goes first. Prints
-every run, each end-to-end metric's median, quartiles and win count, and
-for each metric the verdict of the small-sandbox rule: the change claims a
-gain only if it wins at least nine tenths of the pairs (ties count for
-neither side) and the medians differ, in the metric's better direction, by
-more than the parent's interquartile range.
+every run, each end-to-end metric's median, quartiles and win count, each
+side's share of failed operations, and for each metric one verdict:
+
+    gain        the change wins at least nine tenths of the pairs (ties
+                count for neither side), the medians differ in the
+                metric's better direction by more than the parent's
+                interquartile range, and no larger share of the change's
+                operations fails than of the parent's;
+    worse       the change's median is worse than the parent's by more
+                than the metric's bound in BENCHMARK.json;
+    unresolved  neither, and the parent's interquartile range is wider
+                than the bound, unless every run of the change reads
+                better than every run of the parent;
+    unchanged   neither, within the bound.
 
     tools/pairs.py PARENT CHANGE --workload batch_verify [--pairs 10]
                    [--seconds 24] [--seed 1] [--metric ops_per_s]
 
 PARENT and CHANGE are anything `git rev-parse` takes; `.` is the working
 tree as it is, uncommitted edits included. Metric names, their better
-direction and the default run length come from `BENCHMARK.json` of the
-working tree. Python 3 standard library only.
+direction, their bounds and the default run length come from
+`BENCHMARK.json` of the working tree. Python 3 standard library only.
 """
 
 import argparse
@@ -69,6 +78,7 @@ def run(binary, workload, seed, seconds):
     result = json.loads(lines[-1])
     return {
         "correct": result["correct"],
+        "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
@@ -77,6 +87,27 @@ def run(binary, workload, seed, seconds):
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def failed_share(runs):
+    """Failed operations over attempted ones, across `runs`."""
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
+def verdict(parent, change, sign, bound, more_failures):
+    """The verdict on one metric's paired runs (module docs), and its wins."""
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    p1, pm, p3 = quartiles(parent)
+    _, cm, _ = quartiles(change)
+    gain = sign * (cm - pm)
+    if wins * 10 >= 9 * len(parent) and gain > p3 - p1 and not more_failures:
+        return "gain", wins
+    if gain < -bound * abs(pm):
+        return "worse", wins
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p3 - p1 > bound * abs(pm) and not all_better:
+        return "unresolved", wins
+    return "unchanged", wins
 
 
 def main():
@@ -94,6 +125,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = args.seconds or bench["run_seconds"]
     judged = args.metric or list(better)
     for name in judged:
@@ -121,27 +153,23 @@ def main():
     print(f"{args.workload}, {args.pairs} pairs of {seconds:g} s, seed {args.seed}")
     print(f"{'metric':14s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
           f" {'wins':>7s}  verdict")
+    shares = {side: failed_share(runs[side]) for side in runs}
+    more_failures = shares["change"] > shares["parent"]
     for name in judged:
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         sign = 1 if better[name] == "higher" else -1
-        wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        judged_as, wins = verdict(parent, change, sign, bounds[name], more_failures)
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
-        gain = sign * (cm - pm)
-        if wins * 10 >= 9 * len(parent) and gain > p3 - p1:
-            verdict = "gain"
-        elif gain < 0:
-            verdict = "worse"
-        else:
-            verdict = "no claim"
         moved = f" ({(cm - pm) / pm:+.1%})" if pm else ""
         print(f"{name:14s} {pm:12.4g} [{p1:.4g}, {p3:.4g}]".ljust(49)
               + f" {cm:12.4g} [{c1:.4g}, {c3:.4g}]".ljust(35)
-              + f" {wins:3d}/{len(parent):<3d}  {verdict}{moved}")
-    failed = [s for s in runs for r in runs[s] if not r["correct"]]
-    if failed:
-        print(f"incorrect runs: {len(failed)} ({', '.join(sorted(set(failed)))})")
+              + f" {wins:3d}/{len(parent):<3d}  {judged_as}{moved}")
+    incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+    print(f"failed share: parent {shares['parent']:.3g}, change {shares['change']:.3g}"
+          + ("  (more failures: no gain)" if more_failures else "")
+          + f"; incorrect runs: parent {incorrect['parent']}, change {incorrect['change']}")
 
 
 if __name__ == "__main__":
