@@ -169,29 +169,37 @@ impl Kernel {
     /// way out.
     ///
     /// The chains are counting-sorted by step count, longest first:
-    /// `links` is walked once to count them and once to write each whole
-    /// into its slot.
+    /// `steps` gives each chain's count, in the order `links` then gives
+    /// the chains, and each link is written whole into its slot. Counting
+    /// from `steps` rather than from a second walk of `links` is what
+    /// keeps the sort cheap: a verification layer's link is built from
+    /// its signature's address, its step count from one digit.
     ///
     /// # Panics
     ///
-    /// Panics if a chain's node does not lie within `words`, or a secret
-    /// is not `n` bytes.
+    /// Panics if `links` are not the chains `steps` counted, a chain's
+    /// node does not lie within `words`, or a secret is not `n` bytes.
     pub(crate) fn run(
         &mut self,
         iv: &[u32; 8],
-        links: impl Iterator<Item = Link> + Clone,
+        steps: impl Iterator<Item = u32>,
+        links: impl Iterator<Item = Link>,
         words: &mut [u32],
         stride: usize,
         secret: Option<&[u8]>,
     ) {
         let mut next = [0u32; BUCKETS];
-        for link in links.clone() {
-            next[bucket(link.steps)] += 1;
+        for steps in steps {
+            next[bucket(steps)] += 1;
         }
         let mut count = 0;
         for slot in &mut next {
             count += std::mem::replace(slot, count);
         }
+        // Where each bucket ends: where the next one starts.
+        let mut ends = next;
+        ends.rotate_left(1);
+        ends[BUCKETS - 1] = count;
         let count = count as usize;
         if count == 0 {
             return;
@@ -203,6 +211,7 @@ impl Kernel {
             self.slots[*slot as usize] = link.words();
             *slot += 1;
         }
+        assert!(next == ends, "links must be the chains `steps` counted");
         // The last group's empty lanes run its last chain again, to the
         // same end.
         let last = self.slots[count - 1];
@@ -259,7 +268,8 @@ pub(crate) fn run_in_place(
                 steps: job.steps,
                 at: (i * nw) as u32,
             });
-            kernel.run(iv, links, &mut words, 1, secret);
+            let steps = window.iter().map(|job| job.steps);
+            kernel.run(iv, steps, links, &mut words, 1, secret);
             first += window.len();
         }
     }

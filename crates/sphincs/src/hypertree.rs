@@ -271,7 +271,9 @@ pub(crate) fn xmss_roots_in_lanes<'s>(
         let adrs = keypair_adrs(layer, tree, leaf_idx);
         wots::chain_links(params, digits, &adrs, s * layer_words)
     });
-    lanes.chains.run(lanes.iv, links, words, 1, None);
+    let top = params.w as u32 - 1;
+    let steps = digits.iter().map(|&digit| top - digit);
+    lanes.chains.run(lanes.iv, steps, links, words, 1, None);
 
     if fors::ascends_in_lanes(lanes.ascent.lanes, count) {
         lanes.climbs.clear();

@@ -340,7 +340,7 @@ pub(crate) fn chain_links<'a>(
     digits: &'a [u32],
     adrs: &Address,
     at: usize,
-) -> impl Iterator<Item = chain::Link> + Clone + 'a {
+) -> impl Iterator<Item = chain::Link> + 'a {
     let keypair = hash_adrs_for(adrs, 0).compressed_words();
     let (top, nw) = (params.w as u32 - 1, params.n / 4);
     (0..digits.len() as u32)
