@@ -574,6 +574,17 @@ mod tests {
     use crate::tuning::TuneError;
     use hero_gpu_sim::device::rtx_4090;
 
+    /// The repository benchmark's `sim.sign_kops_128f`: the model moves
+    /// only in a change whose subject it is.
+    #[test]
+    fn headline_128f_throughput_is_pinned() {
+        let model = SimModel::hero(rtx_4090(), Params::sphincs_128f()).unwrap();
+        let report = model
+            .simulate(PipelineOptions::new(1024).batch_size(64))
+            .unwrap();
+        assert_eq!(report.kops, 111.0809304511488);
+    }
+
     #[test]
     fn new_rejects_invalid_params() {
         let mut p = Params::sphincs_128f();

@@ -340,13 +340,13 @@ impl<P, T> Lane<P, T> {
         }
     }
 
-    /// Answers an expired request with the typed error and books it as
-    /// completed — the exactly-once accounting is identical to a served
+    /// Books an expired request as completed and answers it with the
+    /// typed error — the exactly-once accounting is identical to a served
     /// request's.
     fn expire(&self, req: Request<P, T>) {
-        req.ticket.fulfill(Err(ServiceError::DeadlineExceeded));
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
+        req.ticket.fulfill(Err(ServiceError::DeadlineExceeded));
     }
 
     /// Queues `payloads` as one unit — one lock, all of them or none,
@@ -472,8 +472,8 @@ impl<P, T> Lane<P, T> {
             q.items.drain(..).collect()
         };
         for req in stranded {
-            req.ticket.fulfill(Err(ServiceError::ShuttingDown));
             self.completed.fetch_add(1, Ordering::Relaxed);
+            req.ticket.fulfill(Err(ServiceError::ShuttingDown));
         }
     }
 
@@ -778,9 +778,10 @@ impl fmt::Debug for SignService {
 }
 
 /// The loop of one lane thread: collects a batch, hands its payloads to
-/// `serve` (the backend call), answers every ticket with its value or
-/// the batch's error, then books the batch as completed. Runs until the
-/// lane has shut down and drained.
+/// `serve` (the backend call), books the batch as completed, then answers
+/// every ticket with its value or the batch's error — so a caller whose
+/// `wait()` has returned finds its answer counted. Runs until the lane
+/// has shut down and drained.
 fn lane_loop<P, T>(
     lane: &Lane<P, T>,
     max_batch: usize,
@@ -794,6 +795,8 @@ fn lane_loop<P, T>(
         // Panic isolation: a batch that explodes answers its own tickets
         // with an Internal error and the lane keeps serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve(payloads)));
+        lane.completed
+            .fetch_add(tickets.len() as u64, Ordering::Relaxed);
         match outcome {
             Ok(Ok(values)) => {
                 debug_assert_eq!(values.len(), tickets.len());
@@ -812,8 +815,6 @@ fn lane_loop<P, T>(
                 }
             }
         }
-        lane.completed
-            .fetch_add(tickets.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -864,13 +865,13 @@ mod tests {
             assert_eq!(sig, sk.sign(&msg), "msg {i}");
             vk.verify(&msg, &sig).unwrap();
         }
-        // A lane books `completed` just after the answer goes out: read
-        // the counters once shutdown has joined the lanes.
-        service.shutdown();
+        // A lane books `completed` before the answer goes out: the
+        // counters hold every answered request while the service runs.
         let stats = service.stats();
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.completed, 5);
         assert!(stats.batches >= 1);
+        service.shutdown();
     }
 
     #[test]

@@ -110,9 +110,8 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
         }
     });
 
-    // A lane books `completed` just after its answer goes out: read the
-    // counts once shutdown has drained both lanes.
-    service.shutdown();
+    // A lane books `completed` before its answer goes out: every answered
+    // request is counted while the service still runs.
     let stats = service.stats();
     assert_eq!(stats.submitted, (SIGN_CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.completed, stats.submitted, "sign lane exactly-once");
@@ -126,6 +125,55 @@ fn eight_sign_and_eight_verify_clients_share_one_service() {
     // `service::tests`.
     assert!(stats.batches >= 1 && stats.verify_batches >= 1);
     assert!(stats.max_batch_observed <= 16 && stats.verify_max_batch_observed <= 16);
+    service.shutdown();
+}
+
+#[test]
+fn an_answer_is_counted_before_its_wait_returns() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 8;
+
+    let params = tiny_params();
+    let (sk, _) = deterministic_key(params);
+    let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).build().unwrap());
+    let service = SignService::start(engine, sk.clone(), ServiceConfig::default()).unwrap();
+    let msg = msg_for(0, 0);
+    let sig = sk.sign(&msg);
+    // Answers returned so far on each lane, by every client: a client
+    // that has seen `p` of them returned, its own included, must find at
+    // least `p` booked.
+    let (signed, verified) = (AtomicUsize::new(0), AtomicUsize::new(0));
+
+    let (service, msg, sig) = (&service, &msg, &sig);
+    let (signed, verified) = (&signed, &verified);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            scope.spawn(move || {
+                for i in 0..PER_CLIENT {
+                    service.submit(msg_for(c, i)).unwrap().wait().unwrap();
+                    let returned = signed.fetch_add(1, Ordering::AcqRel) + 1;
+                    let completed = service.stats().completed;
+                    assert!(
+                        completed >= returned as u64,
+                        "sign: {returned} answers returned, {completed} counted"
+                    );
+                }
+            });
+            scope.spawn(move || {
+                for _ in 0..PER_CLIENT {
+                    let outcome = service.submit_verify(msg.clone(), sig.clone());
+                    assert_eq!(outcome.unwrap().wait().unwrap(), VerifyOutcome::Valid);
+                    let returned = verified.fetch_add(1, Ordering::AcqRel) + 1;
+                    let completed = service.stats().verify_completed;
+                    assert!(
+                        completed >= returned as u64,
+                        "verify: {returned} answers returned, {completed} counted"
+                    );
+                }
+            });
+        }
+    });
+    service.shutdown();
 }
 
 #[test]

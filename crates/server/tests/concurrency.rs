@@ -414,14 +414,14 @@ fn wire_batch_that_does_not_fit_is_refused_whole() {
     );
     assert_eq!(client.verify_batch(tenant, &items[..2]).unwrap().len(), 2);
 
-    // Read the counters after the drain: a lane books `completed` just
-    // after it answers, so a live scrape could still miss the last batch.
-    server.shutdown();
+    // A lane books `completed` before it answers: a live scrape already
+    // counts every answer the client holds.
     let page = server.metrics_page();
     for lane in ["sign", "verify"] {
         let line = format!("hero_service_completed_total{{tenant=\"tenant-a\",lane=\"{lane}\"}} 2");
         assert!(page.contains(&line), "{line}\n{page}");
     }
+    server.shutdown();
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! The lane-resident ascent behind batched verification
-//! ([`crate::fors::pk_from_sig_many`],
-//! [`crate::hypertree::xmss_pk_from_sig_many`],
-//! [`crate::sign::VerifyingKey::verify_many`]): the counterpart of
+//! The lane-resident ascent, one of the bodies a stage of
+//! [`crate::sign::VerifyingKey::verify_many`]'s pipeline picks (the FORS
+//! stage in `fors::pks_group`, each XMSS layer in
+//! `hypertree::xmss_roots_group`): the counterpart of
 //! [`crate::forest`] for the side that is handed a tree's nodes instead
 //! of building them. Verifying fills the machine across signatures, not
 //! inside one — every step of a climb waits for the step below it, but
@@ -27,10 +27,11 @@
 //! and the authentication path — is gathered from the call's words, where
 //! the caller has read the signatures out sequentially. Roots come out
 //! as rows, a signature per lane, or are scattered back over the first
-//! node of each lane's leaf. Between one XMSS layer and the next, a
-//! group's roots stay rows: the next layer's digits are read from them
+//! node of each lane's leaf. Between one stage and the next, a group's
+//! roots are `n` bytes a signature in the call's scratch, whichever body
+//! made them: the next layer's digits are read from there
 //! ([`crate::hypertree`]). [`Resident`] is what one verification call
-//! keeps for all of it.
+//! keeps in the lanes for all of it.
 //!
 //! One generic body ([`run_group`]) over the vocabulary of
 //! [`crate::lanes`], instantiated for zmm and ymm registers; the chain
@@ -239,8 +240,8 @@ unsafe fn run_group<V: Lanes, const NW: usize>(
 }
 
 /// What one verification call runs in the lanes with: the seeded state,
-/// both resident bodies, and the scratch every group and every layer of
-/// it reuses — so a call allocates it once, whatever its size.
+/// both resident bodies, and the words and climbs every group and every
+/// layer of it reuses ([`crate::sign::Scratch`] holds it).
 pub(crate) struct Resident<'a> {
     pub iv: &'a [u32; 8],
     pub chains: chain::Kernel,
@@ -249,11 +250,6 @@ pub(crate) struct Resident<'a> {
     /// a signature after another: a FORS signature, or one XMSS layer.
     pub words: Vec<u32>,
     pub climbs: Vec<Climb>,
-    /// The group's chain lengths, signature after signature.
-    pub digits: Vec<u32>,
-    /// One signature's nodes on bytes, for a group that keeps the byte
-    /// tail ([`crate::fors::ascends_in_lanes`]).
-    pub bytes: Vec<u8>,
 }
 
 impl<'a> Resident<'a> {
@@ -261,25 +257,40 @@ impl<'a> Resident<'a> {
     /// `ctx` does not hash with SHA-256.
     pub(crate) fn new(ctx: &'a HashCtx) -> Option<Self> {
         let params = ctx.params();
-        let (n, len, k) = (params.n, params.wots_len(), params.k);
+        let (n, k) = (params.n, params.k);
         let ascent = Kernel::active(n)?;
         let width = ascent.lanes;
         let forest = k * (1 + params.log_t);
-        let layer = len + params.tree_height();
+        let layer = params.wots_len() + params.tree_height();
         Some(Resident {
             iv: ctx.sha256_seed_state()?,
             chains: chain::Kernel::active(n)?,
             ascent,
             words: Vec::with_capacity(width * forest.max(layer) * n / 4),
             climbs: Vec::with_capacity(width * k),
-            digits: Vec::with_capacity(width * len),
-            bytes: Vec::with_capacity(k.max(len) * n),
         })
     }
 
     /// Signatures a group holds: a lane each.
     pub(crate) fn width(&self) -> usize {
         self.ascent.lanes
+    }
+
+    /// Whether a group of `signatures` has its `T_k`, its `T_len`s and its
+    /// XMSS authentication paths run a signature per lane, or signature by
+    /// signature on bytes — the byte tail. A lane-wide `T_len` costs its
+    /// ten compressions of the whole register whatever the group holds, a
+    /// scalar one a signature's worth each; in the measured table of
+    /// [`crate::tier`] the lanes are first ahead at four signatures in zmm
+    /// and at two in ymm, and a body is not selected where it is not
+    /// ahead.
+    pub(crate) fn ascends_in_lanes(&self, signatures: usize) -> bool {
+        signatures
+            >= if self.width() == crate::fors::LANE_SIGNATURES {
+                4
+            } else {
+                2
+            }
     }
 }
 

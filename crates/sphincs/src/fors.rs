@@ -38,12 +38,11 @@
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
-#[cfg(target_arch = "x86_64")]
-use crate::lanes::{put_nodes, put_words, take_words, MAX_NODE_WORDS};
 use crate::merkle;
 use crate::params::Params;
+use crate::sign::Scratch;
 #[cfg(target_arch = "x86_64")]
-use crate::{ascent, forest};
+use crate::{ascent, forest, lanes};
 
 /// Leaves batched per scratch refill while filling a tree's bottom layer.
 const LEAF_CHUNK: usize = 128;
@@ -81,11 +80,14 @@ pub fn message_to_indices(params: &Params, md: &[u8]) -> Vec<u32> {
 /// [`message_to_indices`], one index at a time.
 fn indices<'a>(params: &Params, md: &'a [u8]) -> impl Iterator<Item = u32> + 'a {
     let log_t = params.log_t;
-    (0..params.k).map(move |tree| {
-        (tree * log_t..(tree + 1) * log_t).fold(0u32, |idx, offset| {
-            let bit = (md[offset >> 3] >> (7 - (offset & 7))) & 1;
-            (idx << 1) | bit as u32
-        })
+    (0..params.k).map(move |tree| index(log_t, md, tree))
+}
+
+/// The leaf `md` selects in tree `tree`: its `log_t` bits, MSB first.
+fn index(log_t: usize, md: &[u8], tree: usize) -> u32 {
+    (tree * log_t..(tree + 1) * log_t).fold(0u32, |idx, offset| {
+        let bit = (md[offset >> 3] >> (7 - (offset & 7))) & 1;
+        (idx << 1) | bit as u32
     })
 }
 
@@ -186,22 +188,12 @@ impl ForsTreeRequest {
 /// cut in multiples of it.
 pub const FUSED_TREES: usize = 16;
 
-/// Signatures the widest resident ascent verifies at once, a lane each
-/// ([`pk_from_sig_many`], [`crate::hypertree::xmss_pk_from_sig_many`]):
-/// batches are best cut in multiples of it.
+/// Signatures a verification group holds ([`pk_from_sig_many`],
+/// [`crate::hypertree::xmss_pk_from_sig_many`],
+/// [`crate::sign::VerifyingKey::verify_many`]): the widest resident
+/// ascent's, a lane each, and the group of the level sweep where no body
+/// runs. Batches are best cut in multiples of it.
 pub const LANE_SIGNATURES: usize = 16;
-
-/// Whether a group of `signatures` has its `T_k`, its `T_len`s and its
-/// XMSS authentication paths run a signature per lane of a body of
-/// `lanes`, or signature by signature on bytes. A lane-wide `T_len` costs
-/// its ten compressions of the whole register whatever the group holds, a
-/// scalar one a signature's worth each; in the measured table of
-/// [`crate::tier`] the lanes are first ahead at four signatures in zmm
-/// and at two in ymm, and a body is not selected where it is not ahead.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn ascends_in_lanes(lanes: usize, signatures: usize) -> bool {
-    signatures >= if lanes == LANE_SIGNATURES { 4 } else { 2 }
-}
 
 /// Builds many trees — possibly belonging to different messages — in one
 /// pass: each request's revealed secret and authentication path, and its
@@ -389,25 +381,10 @@ pub fn sign(
 }
 
 /// Recomputes many FORS public keys from signatures in one batched
-/// pass — the verification twin of [`tree_hash_many`]. A signature's
-/// public key does not depend on what else is in the call.
-///
-/// Under SHA-256, on a CPU the resident ladder has a body for
-/// ([`crate::tier::sha256_chain_tier`] above `scalar`), every tree of
-/// every signature is one lane of a register group: `F` of the revealed
-/// secret at its forest-global address, then the `log_t` levels of its
-/// authentication path, the node blended left or right of its sibling by
-/// the leaf index's bit, without leaving the registers — trees of
-/// different signatures side by side, a last group simply part empty, the
-/// lanes gathered from the words the signatures are read out into. Where
-/// [`LANE_SIGNATURES`] applies the roots never become bytes either: each
-/// signature's `T_k` is a lane of its own.
-///
-/// Under SHAKE-256, SHA-512 and the `scalar` rung all `count · k`
-/// revealed leaves hash in one [`HashCtx::f_many`] call, every tree
-/// climbs through the combined per-level
-/// [`merkle::roots_from_auth_paths_many`] sweep, and each signature
-/// compresses its `k` roots with `T_k`.
+/// pass — the verification twin of [`tree_hash_many`]: the signatures go
+/// a verification group at a time through the FORS stage of
+/// [`crate::sign::VerifyingKey::verify_many`] ([`pks_group`]). A
+/// signature's public key does not depend on what else is in the call.
 ///
 /// ```
 /// use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
@@ -436,211 +413,167 @@ pub fn pk_from_sig_many(
     keypair_adrs_list: &[Address],
 ) -> Vec<Vec<u8>> {
     assert_eq!(sigs.len(), mds.len(), "one digest per signature");
-    assert_eq!(
-        sigs.len(),
-        keypair_adrs_list.len(),
-        "one address per signature"
-    );
-    for sig in sigs {
-        assert_eq!(sig.trees.len(), ctx.params().k, "FORS signature tree count");
+    let adrs = keypair_adrs_list;
+    assert_eq!(sigs.len(), adrs.len(), "one address per signature");
+    let n = ctx.params().n;
+    let mut scratch = Scratch::new(ctx);
+    let w = scratch.width;
+    let mut out = Vec::with_capacity(sigs.len());
+    for ((sigs, mds), adrs) in sigs.chunks(w).zip(mds.chunks(w)).zip(adrs.chunks(w)) {
+        pks_group(ctx, &mut scratch, sigs, mds, adrs);
+        out.extend(
+            scratch
+                .roots
+                .chunks_exact(n)
+                .take(sigs.len())
+                .map(<[u8]>::to_vec),
+        );
     }
-    #[cfg(target_arch = "x86_64")]
-    if let Some(mut lanes) = ascent::Resident::new(ctx) {
-        let n = ctx.params().n;
-        let width = lanes.width();
-        let mut pks = ascent::Nodes::default();
-        let mut out = Vec::with_capacity(sigs.len());
-        for ((sigs, mds), adrs) in sigs
-            .chunks(width)
-            .zip(mds.chunks(width))
-            .zip(keypair_adrs_list.chunks(width))
-        {
-            pks_in_lanes(ctx, &mut lanes, sigs, mds, adrs, &mut pks);
-            out.extend((0..sigs.len()).map(|lane| {
-                let mut pk = vec![0u8; n];
-                take_words(&pks, lane, &mut pk);
-                pk
-            }));
-        }
-        return out;
-    }
-    pks_sweep(ctx, sigs, mds, keypair_adrs_list)
+    out
 }
 
-/// [`pk_from_sig_many`] for at most a register group of signatures, a
-/// tree per lane of the resident ascent; public key `s` lands in lane `s`
-/// of `pks`.
+/// The FORS stage of verification for one group of signatures: public
+/// key `s` goes to `scratch.roots[s*n..]`. The one place the stage picks
+/// its body.
 ///
-/// The signatures are read out into `lanes.words` one after another in
-/// their byte order — tree by tree, the revealed secret and then the
-/// authentication path — and every tree climbs from there, its root
-/// written over its secret. Where [`ascends_in_lanes`] says so, each
-/// signature's `T_k` is then a lane of its own over those roots; where it
-/// does not, `T_k` runs on bytes.
+/// In the lanes (SHA-256 above the `scalar` rung) the signatures are read
+/// out into words one after another in their byte order — tree by tree,
+/// the revealed secret and then the authentication path — and every tree
+/// is a lane of the resident ascent: `F` of the secret at its
+/// forest-global address, then its `log_t` levels, the root written over
+/// the secret. From four signatures in zmm, two in ymm
+/// ([`ascent::Resident::ascends_in_lanes`]), each signature's `T_k` is a
+/// lane of its own over those roots; a narrower group runs `T_k` on
+/// bytes. The level sweep hashes the group's `count · k` secrets to
+/// leaves in one [`HashCtx::f_many`], climbs every tree a level of the
+/// whole group at a time ([`merkle::roots_from_auth_paths_many`]) and
+/// runs `T_k` on bytes.
 ///
 /// # Panics
 ///
 /// Panics if a signature's shape is malformed, or there are more
-/// signatures than lanes.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn pks_in_lanes(
+/// signatures than the group holds.
+pub(crate) fn pks_group(
     ctx: &HashCtx,
-    lanes: &mut ascent::Resident,
+    scratch: &mut Scratch,
     sigs: &[&ForsSignature],
     mds: &[&[u8]],
     keypair_adrs_list: &[Address],
-    pks: &mut ascent::Nodes,
 ) {
-    let params = ctx.params();
+    let params = *ctx.params();
     let (n, k, log_t, t) = (params.n, params.k, params.log_t, params.t() as u32);
-    let nw = n / 4;
-    let tree_words = (1 + log_t) * nw;
-    let forest_words = k * tree_words;
-    assert!(
-        sigs.len() <= lanes.width(),
-        "one group of signatures at most"
-    );
-
-    let words = &mut lanes.words;
-    words.resize(sigs.len() * forest_words, 0);
-    for (sig, words) in sigs.iter().zip(words.chunks_exact_mut(forest_words)) {
-        assert_eq!(sig.trees.len(), k, "FORS signature tree count");
-        for (tree, words) in sig.trees.iter().zip(words.chunks_exact_mut(tree_words)) {
-            assert_eq!(tree.auth_path.len(), log_t, "authentication path height");
-            let (sk, auth) = words.split_at_mut(nw);
-            put_nodes(sk, std::slice::from_ref(&tree.sk));
-            put_nodes(auth, &tree.auth_path);
-        }
-    }
-    let words = &mut words[..sigs.len() * forest_words];
-
-    // A leaf's `F` address is the tree's node address at height zero
-    // but for its last field, the forest-global leaf index.
-    let climbs = &mut lanes.climbs;
-    climbs.clear();
-    for (s, (md, adrs)) in mds.iter().zip(keypair_adrs_list).enumerate() {
-        let node_adrs = node_adrs_for(adrs).compressed_words();
-        for (tree, idx) in indices(params, md).enumerate() {
-            let leaf_idx = tree as u32 * t + idx;
-            climbs.push(ascent::Climb {
-                leaf_adrs: node_adrs,
-                leaf_last: leaf_idx,
-                node_adrs,
-                leaf_idx,
-                at: (s * forest_words + tree * tree_words) as u32,
-                ..Default::default()
-            });
-        }
-    }
-    let trees = ascent::Shape {
-        leaf_nodes: 1,
-        height: log_t,
-        stride: nw,
-    };
-    lanes.ascent.run(lanes.iv, climbs, &trees, words, None);
-
-    // Tree `j`'s root is now where its secret was.
-    if ascends_in_lanes(lanes.ascent.lanes, sigs.len()) {
-        climbs.clear();
-        climbs.extend((0..).zip(keypair_adrs_list).map(|(s, adrs)| {
-            let roots_adrs = roots_adrs_for(adrs).compressed_words();
-            ascent::Climb {
-                leaf_adrs: roots_adrs,
-                node_adrs: roots_adrs,
-                at: (s * forest_words) as u32,
-                ..Default::default()
+    let count = sigs.len();
+    assert!(count <= scratch.width, "one group of signatures at most");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = &mut scratch.lanes {
+        let nw = n / 4;
+        let tree_words = (1 + log_t) * nw;
+        let forest_words = k * tree_words;
+        let in_lanes = lanes.ascends_in_lanes(count);
+        let words = &mut lanes.words;
+        words.resize(count * forest_words, 0);
+        for (sig, words) in sigs.iter().zip(words.chunks_exact_mut(forest_words)) {
+            assert_eq!(sig.trees.len(), k, "FORS signature tree count");
+            for (tree, words) in sig.trees.iter().zip(words.chunks_exact_mut(tree_words)) {
+                assert_eq!(tree.auth_path.len(), log_t, "authentication path height");
+                let (sk, auth) = words.split_at_mut(nw);
+                lanes::put_nodes(sk, std::slice::from_ref(&tree.sk));
+                lanes::put_nodes(auth, &tree.auth_path);
             }
-        }));
-        let forests = ascent::Shape {
-            leaf_nodes: k,
-            height: 0,
-            stride: tree_words,
+        }
+        // A leaf's `F` address is the tree's node address at height zero
+        // but for its last field, the forest-global leaf index.
+        let climbs = &mut lanes.climbs;
+        climbs.clear();
+        for (s, (md, adrs)) in mds.iter().zip(keypair_adrs_list).enumerate() {
+            let node_adrs = node_adrs_for(adrs).compressed_words();
+            for (tree, idx) in indices(&params, md).enumerate() {
+                let leaf_idx = tree as u32 * t + idx;
+                climbs.push(ascent::Climb {
+                    leaf_adrs: node_adrs,
+                    leaf_last: leaf_idx,
+                    node_adrs,
+                    leaf_idx,
+                    at: (s * forest_words + tree * tree_words) as u32,
+                    ..Default::default()
+                });
+            }
+        }
+        let trees = ascent::Shape {
+            leaf_nodes: 1,
+            height: log_t,
+            stride: nw,
         };
-        lanes
-            .ascent
-            .run(lanes.iv, climbs, &forests, words, Some(pks));
+        lanes.ascent.run(lanes.iv, climbs, &trees, words, None);
+
+        // Tree `j`'s root is now where its secret was.
+        if in_lanes {
+            climbs.clear();
+            climbs.extend((0..).zip(keypair_adrs_list).map(|(s, adrs)| {
+                let roots_adrs = roots_adrs_for(adrs).compressed_words();
+                ascent::Climb {
+                    leaf_adrs: roots_adrs,
+                    node_adrs: roots_adrs,
+                    at: (s * forest_words) as u32,
+                    ..Default::default()
+                }
+            }));
+            let forests = ascent::Shape {
+                leaf_nodes: k,
+                height: 0,
+                stride: tree_words,
+            };
+            let mut rows = ascent::Nodes::default();
+            lanes
+                .ascent
+                .run(lanes.iv, climbs, &forests, words, Some(&mut rows));
+            for (lane, pk) in scratch.roots.chunks_exact_mut(n).take(count).enumerate() {
+                lanes::take_words(&rows, lane, pk);
+            }
+            return;
+        }
+        let roots = &mut scratch.bytes;
+        let forests = words.chunks_exact(forest_words).zip(keypair_adrs_list);
+        for ((forest, adrs), pk) in forests.zip(scratch.roots.chunks_exact_mut(n)) {
+            roots.clear();
+            for root in forest.chunks_exact(tree_words) {
+                roots.extend(root[..nw].iter().flat_map(|word| word.to_be_bytes()));
+            }
+            ctx.t_l_flat_into(&roots_adrs_for(adrs), roots, pk);
+        }
         return;
     }
-    let roots = &mut lanes.bytes;
-    let mut pk = [0u8; 4 * MAX_NODE_WORDS];
-    for (lane, (forest, adrs)) in words
-        .chunks_exact(forest_words)
-        .zip(keypair_adrs_list)
-        .enumerate()
-    {
-        roots.clear();
-        for root in forest.chunks_exact(tree_words) {
-            roots.extend(root[..nw].iter().flat_map(|word| word.to_be_bytes()));
-        }
-        ctx.t_l_flat_into(&roots_adrs_for(adrs), roots, &mut pk[..n]);
-        put_words(pks, lane, &pk[..n]);
-    }
-}
-
-/// [`pk_from_sig_many`] level by level through the multi-lane engine.
-fn pks_sweep(
-    ctx: &HashCtx,
-    sigs: &[&ForsSignature],
-    mds: &[&[u8]],
-    keypair_adrs_list: &[Address],
-) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let n = params.n;
-    let k = params.k;
-    let t = params.t() as u32;
-    let count = sigs.len();
-    if count == 0 {
-        return Vec::new();
-    }
-
-    // All revealed secrets hash to leaves in one F sweep at their
-    // forest-global addresses.
-    let mut indices = Vec::with_capacity(count);
-    let mut leaf_adrs = Vec::with_capacity(count * k);
-    let mut sk_flat = vec![0u8; count * k * n];
-    for (s, (sig, md)) in sigs.iter().zip(mds).enumerate() {
-        let idxs = message_to_indices(&params, md);
-        for (tree_idx, (tree_sig, &leaf_idx)) in sig.trees.iter().zip(&idxs).enumerate() {
+    let Scratch {
+        roots,
+        bytes,
+        leaves,
+        adrs,
+        ..
+    } = scratch;
+    adrs.clear();
+    bytes.clear();
+    for (sig, (md, keypair_adrs)) in sigs.iter().zip(mds.iter().zip(keypair_adrs_list)) {
+        assert_eq!(sig.trees.len(), k, "FORS signature tree count");
+        for ((tree, tree_sig), idx) in (0..).zip(&sig.trees).zip(indices(&params, md)) {
             assert_eq!(tree_sig.sk.len(), n, "FORS sk element must be n bytes");
-            leaf_adrs.push(leaf_adrs_for(
-                &keypair_adrs_list[s],
-                tree_idx as u32 * t + leaf_idx,
-            ));
-            sk_flat[(s * k + tree_idx) * n..(s * k + tree_idx + 1) * n]
-                .copy_from_slice(&tree_sig.sk);
+            adrs.push(leaf_adrs_for(keypair_adrs, tree * t + idx));
+            bytes.extend_from_slice(&tree_sig.sk);
         }
-        indices.push(idxs);
     }
-    let mut leaves = vec![0u8; count * k * n];
-    ctx.f_many(&leaf_adrs, &sk_flat, &mut leaves);
-
-    // Every tree of every signature climbs in one combined sweep.
-    let jobs: Vec<merkle::AuthPathJob> = sigs
-        .iter()
-        .enumerate()
-        .flat_map(|(s, sig)| {
-            let node_adrs = node_adrs_for(&keypair_adrs_list[s]);
-            let leaves = &leaves;
-            let indices = &indices;
-            sig.trees
-                .iter()
-                .enumerate()
-                .map(move |(tree_idx, tree_sig)| merkle::AuthPathJob {
-                    leaf: &leaves[(s * k + tree_idx) * n..(s * k + tree_idx + 1) * n],
-                    leaf_idx: indices[s][tree_idx],
-                    auth_path: &tree_sig.auth_path,
-                    node_adrs,
-                    leaf_offset: tree_idx as u32 * t,
-                })
-        })
-        .collect();
-    let roots = merkle::roots_from_auth_paths_many(ctx, &jobs);
-
-    keypair_adrs_list
-        .iter()
-        .zip(roots.chunks_exact(k))
-        .map(|(adrs, roots)| roots_to_pk(ctx, adrs, &roots.concat()))
-        .collect()
+    leaves.resize(count * k * n, 0);
+    ctx.f_many(adrs, bytes, leaves);
+    let climb = |j: usize| merkle::AuthPathJob {
+        leaf: &leaves[j * n..(j + 1) * n],
+        leaf_idx: index(log_t, mds[j / k], j % k),
+        auth_path: &sigs[j / k].trees[j % k].auth_path,
+        node_adrs: node_adrs_for(&keypair_adrs_list[j / k]),
+        leaf_offset: (j % k) as u32 * t,
+    };
+    merkle::roots_in(ctx, count * k, climb, bytes);
+    let forests = bytes.chunks_exact(k * n).zip(keypair_adrs_list);
+    for ((forest, adrs), pk) in forests.zip(roots.chunks_exact_mut(n)) {
+        ctx.t_l_flat_into(&roots_adrs_for(adrs), forest, pk);
+    }
 }
 
 #[cfg(test)]

@@ -32,8 +32,7 @@
 //! SHA-256 runs them — their `PRF` heads included — without leaving SIMD
 //! registers between steps. FORS trees are the other one
 //! ([`crate::fors::tree_hash_many`]), and batched verification the third
-//! ([`crate::fors::pk_from_sig_many`],
-//! [`crate::hypertree::xmss_pk_from_sig_many`]).
+//! ([`crate::sign::VerifyingKey::verify_many`]).
 //!
 //! ## The SHAKE-256 instantiation
 //!
@@ -73,6 +72,12 @@ use crate::keccak::{self, KeccakxN, Shake256};
 use crate::params::Params;
 use crate::sha256::{self, Sha256, Sha256xN, BLOCK_LEN, LANES};
 use crate::sha512::Sha512;
+
+/// Calls every multi-lane engine's groups divide: a batch cut into runs
+/// of it hashes in the same lane groups as one call over all of it, so a
+/// loop can hold a run on the stack and allocate nothing.
+pub(crate) const GROUP: usize = LANES;
+const _: () = assert!(GROUP.is_multiple_of(keccak::LANES));
 
 /// Compressed-address prefix length of every tweakable-hash tail.
 const ADRS_LEN: usize = 22;
@@ -556,33 +561,39 @@ impl HashCtx {
                 return crate::chain::run_in_place(&mut kernel, &self.seeded.state, nodes, jobs);
             }
         }
-        let mut adrs = Vec::with_capacity(jobs.len());
         // Runs of chains under one `sk_seed` (a call's are, as a rule, one
-        // run) derive their heads in one sweep.
+        // run) derive their heads in one sweep, and a round's live chains
+        // go through the engine together, [`GROUP`] calls at a time.
+        let mut adrs = [Address::new(); GROUP];
+        let mut live = [0usize; GROUP];
         let mut first = 0usize;
         for run in jobs.chunk_by(|a, b| a.head == b.head) {
             if let ChainHead::Secret(sk_seed) = run[0].head {
-                adrs.clear();
-                adrs.extend(run.iter().map(ChainJob::prf_adrs));
-                let heads = &mut nodes[first * n..(first + run.len()) * n];
-                self.prf_many(&adrs, sk_seed, heads);
+                for (at, chunk) in (first..).step_by(GROUP).zip(run.chunks(GROUP)) {
+                    for (adrs, job) in adrs.iter_mut().zip(chunk) {
+                        *adrs = job.prf_adrs();
+                    }
+                    let heads = &mut nodes[at * n..(at + chunk.len()) * n];
+                    self.prf_many(&adrs[..chunk.len()], sk_seed, heads);
+                }
             }
             first += run.len();
         }
         let rounds = jobs.iter().map(|job| job.steps).max().unwrap_or(0);
-        let mut live = Vec::with_capacity(jobs.len());
         for round in 0..rounds {
-            adrs.clear();
-            live.clear();
+            let mut count = 0;
             for (i, job) in jobs.iter().enumerate() {
                 if round < job.steps {
-                    let mut a = job.adrs;
-                    a.set_hash(job.start + round);
-                    adrs.push(a);
-                    live.push(i);
+                    adrs[count] = job.adrs;
+                    adrs[count].set_hash(job.start + round);
+                    live[count] = i;
+                    count += 1;
+                }
+                if count == GROUP || (count > 0 && i + 1 == jobs.len()) {
+                    self.f_many_at(&adrs[..count], nodes, &live[..count]);
+                    count = 0;
                 }
             }
-            self.f_many_at(&adrs, nodes, &live);
         }
     }
 

@@ -35,13 +35,12 @@
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
-#[cfg(target_arch = "x86_64")]
-use crate::lanes::{put_nodes, put_words, take_words, MAX_NODE_WORDS};
 use crate::merkle;
 use crate::params::Params;
+use crate::sign::Scratch;
 use crate::wots;
 #[cfg(target_arch = "x86_64")]
-use crate::{ascent, fors};
+use crate::{ascent, lanes};
 
 /// One layer of a hypertree signature: a WOTS+ signature over the layer
 /// below's root plus the authentication path of the signing leaf.
@@ -147,22 +146,10 @@ pub struct XmssVerifyRequest<'a> {
 }
 
 /// Recomputes the roots of XMSS trees of one layer from signatures, each
-/// over its own `msg` at its own (`tree`, `leaf_idx`) — the batched stage
-/// body verification runs per layer. A request's root does not depend on
-/// what else is in the call.
-///
-/// Under SHA-256, on a CPU the resident ladder has a body for
-/// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
-/// taken a register group at a time, a signature per lane: the group's
-/// revealed nodes are read out into words, its chains run in the chain
-/// kernel to their ends where the heads were, each lane gathers its own
-/// `T_len` over them and climbs its `h'` authentication nodes, and only
-/// the roots come out as bytes. A group too narrow to pay for whole
-/// registers ([`crate::fors::LANE_SIGNATURES`]) runs its chains the same
-/// way and keeps `T_len` and the climb on bytes. Under SHAKE-256, SHA-512
-/// and the `scalar` rung every request's chains complete through one
-/// [`wots::pk_from_sig_many`] call, then every recovered leaf climbs in
-/// one combined [`merkle::roots_from_auth_paths_many`] sweep.
+/// over its own `msg` at its own (`tree`, `leaf_idx`): the requests go a
+/// verification group at a time through the XMSS stage of
+/// [`crate::sign::VerifyingKey::verify_many`] ([`xmss_roots_group`]). A
+/// request's root does not depend on what else is in the call.
 ///
 /// ```
 /// use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
@@ -181,190 +168,187 @@ pub struct XmssVerifyRequest<'a> {
 /// let root = hypertree::subtrees(&ctx, &[1u8; 16], &[(0, 2)])[0].root().to_vec();
 /// assert_eq!(hypertree::xmss_pk_from_sig_many(&ctx, 0, &reqs), vec![root]);
 /// ```
+///
+/// # Panics
+///
+/// Panics if a message is not `n` bytes or a signature's shape is
+/// malformed.
 pub fn xmss_pk_from_sig_many(
     ctx: &HashCtx,
     layer: u32,
     reqs: &[XmssVerifyRequest],
 ) -> Vec<Vec<u8>> {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(mut lanes) = ascent::Resident::new(ctx) {
-        let n = ctx.params().n;
-        let mut nodes = ascent::Nodes::default();
-        let mut out = Vec::with_capacity(reqs.len());
-        for reqs in reqs.chunks(lanes.width()) {
-            for (lane, req) in reqs.iter().enumerate() {
-                assert_eq!(req.msg.len(), n, "message must be n bytes");
-                put_words(&mut nodes, lane, req.msg);
-            }
-            let coords: Vec<(u64, u32)> = reqs.iter().map(|r| (r.tree, r.leaf_idx)).collect();
-            xmss_roots_in_lanes(ctx, &mut lanes, layer, |i| reqs[i].sig, &coords, &mut nodes);
-            out.extend((0..reqs.len()).map(|lane| {
-                let mut root = vec![0u8; n];
-                take_words(&nodes, lane, &mut root);
-                root
-            }));
+    let n = ctx.params().n;
+    let mut scratch = Scratch::new(ctx);
+    let mut out = Vec::with_capacity(reqs.len());
+    let mut coords = Vec::with_capacity(scratch.width);
+    for reqs in reqs.chunks(scratch.width) {
+        for (req, msg) in reqs.iter().zip(scratch.roots.chunks_exact_mut(n)) {
+            assert_eq!(req.msg.len(), n, "WOTS+ message must be n bytes");
+            msg.copy_from_slice(req.msg);
         }
-        return out;
+        coords.clear();
+        coords.extend(reqs.iter().map(|req| (req.tree, req.leaf_idx)));
+        xmss_roots_group(ctx, &mut scratch, layer, |s| reqs[s].sig, &coords);
+        out.extend(
+            scratch
+                .roots
+                .chunks_exact(n)
+                .take(reqs.len())
+                .map(<[u8]>::to_vec),
+        );
     }
-    xmss_roots_sweep(ctx, layer, reqs)
+    out
 }
 
-/// One layer of [`xmss_pk_from_sig_many`] for a group of signatures, a
-/// lane each, in the resident bodies: signature `s` is `sig(s)` at
-/// `coords[s]` = (tree, leaf), lane `s` of `nodes` holds the node its
-/// WOTS+ signature signs and takes the layer's root.
+/// One XMSS layer of verification for a group of signatures: signature
+/// `s` is `sig(s)` at `coords[s]` = (tree, leaf), and `scratch.roots[s*n..]`
+/// holds the node its WOTS+ signature signs and takes the layer's root.
+/// The one place the stage picks its body.
 ///
-/// The layer's nodes — the revealed chain nodes, then the authentication
-/// path — are read out of each signature into `lanes.words` in their byte
-/// order, and the message digits out of the rows. The chain kernel runs
-/// every chain of the group to its end where its head was; where
-/// [`fors::ascends_in_lanes`] says so, each lane then absorbs its own
-/// `T_len` over them and climbs its `h'` authentication nodes, and the
-/// roots never leave the rows. A group too narrow for that keeps the byte
-/// tail: `T_len` and the climb, signature by signature.
+/// In the lanes (SHA-256 above the `scalar` rung) the layer's nodes —
+/// the revealed chain nodes, then the authentication path — are read out
+/// of each signature into words, and the chain kernel runs every chain of
+/// the group to its end where its head was. From four signatures in zmm,
+/// two in ymm ([`ascent::Resident::ascends_in_lanes`]), each lane then
+/// absorbs its own `T_len` over them and climbs its `h'` authentication
+/// nodes; a narrower group keeps `T_len` and the climb on bytes. The
+/// level sweep runs the group's chains round by round through
+/// [`HashCtx::f_chains`] ([`wots::pk_from_sig_many`]) and every leaf's
+/// climb a level of the whole group at a time
+/// ([`merkle::roots_from_auth_paths_many`]).
 ///
 /// # Panics
 ///
 /// Panics if a signature's shape is malformed, or there are more
-/// signatures than lanes.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn xmss_roots_in_lanes<'s>(
+/// signatures than the group holds.
+pub(crate) fn xmss_roots_group<'s>(
     ctx: &HashCtx,
-    lanes: &mut ascent::Resident,
+    scratch: &mut Scratch,
     layer: u32,
     sig: impl Fn(usize) -> &'s XmssSig,
     coords: &[(u64, u32)],
-    nodes: &mut ascent::Nodes,
 ) {
     let params = ctx.params();
     let (n, len, height) = (params.n, params.wots_len(), params.tree_height());
-    let nw = n / 4;
-    let layer_words = (len + height) * nw;
     let count = coords.len();
-    assert!(count <= lanes.width(), "one group of signatures at most");
-
-    let words = &mut lanes.words;
-    words.resize(count * layer_words, 0);
-    for (s, words) in words.chunks_exact_mut(layer_words).enumerate() {
-        let sig = sig(s);
-        assert_eq!(
-            sig.wots_sig.len(),
-            len,
-            "WOTS+ signature must have len nodes"
-        );
-        assert_eq!(sig.auth_path.len(), height, "authentication path height");
-        let (chains, auth) = words.split_at_mut(len * nw);
-        put_nodes(chains, &sig.wots_sig);
-        put_nodes(auth, &sig.auth_path);
-    }
-    let words = &mut words[..count * layer_words];
-
-    let mut msg = [0u8; 4 * MAX_NODE_WORDS];
-    let digits = &mut lanes.digits;
-    digits.clear();
-    for s in 0..count {
-        take_words(nodes, s, &mut msg[..n]);
-        wots::push_digits(params, &msg[..n], digits);
-    }
-    let signatures = digits.chunks_exact(len).zip(coords).enumerate();
-    let links = signatures.flat_map(|(s, (digits, &(tree, leaf_idx)))| {
-        let adrs = keypair_adrs(layer, tree, leaf_idx);
-        wots::chain_links(params, digits, &adrs, s * layer_words)
-    });
-    let top = params.w as u32 - 1;
-    let steps = digits.iter().map(|&digit| top - digit);
-    lanes.chains.run(lanes.iv, steps, links, words, 1, None);
-
-    if fors::ascends_in_lanes(lanes.ascent.lanes, count) {
-        lanes.climbs.clear();
-        lanes
-            .climbs
-            .extend(
-                coords
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &(tree, leaf_idx))| ascent::Climb {
-                        leaf_adrs: wots::pk_adrs_for(&keypair_adrs(layer, tree, leaf_idx))
-                            .compressed_words(),
-                        node_adrs: node_adrs(layer, tree).compressed_words(),
-                        leaf_idx,
-                        at: (s * layer_words) as u32,
-                        ..Default::default()
-                    }),
+    assert!(count <= scratch.width, "one group of signatures at most");
+    let keypair = |s: usize| keypair_adrs(layer, coords[s].0, coords[s].1);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = &mut scratch.lanes {
+        let layer_words = (len + height) * n / 4;
+        let in_lanes = lanes.ascends_in_lanes(count);
+        let words = &mut lanes.words;
+        words.resize(count * layer_words, 0);
+        let digits = &mut scratch.digits;
+        digits.clear();
+        let signatures = words
+            .chunks_exact_mut(layer_words)
+            .zip(scratch.roots.chunks_exact(n));
+        for (s, (words, msg)) in signatures.enumerate() {
+            let sig = sig(s);
+            assert_eq!(
+                sig.wots_sig.len(),
+                len,
+                "WOTS+ signature must have len nodes"
             );
-        let climb = ascent::Shape {
-            leaf_nodes: len,
-            height,
-            stride: nw,
-        };
-        lanes
-            .ascent
-            .run(lanes.iv, &lanes.climbs, &climb, words, Some(nodes));
+            assert_eq!(sig.auth_path.len(), height, "authentication path height");
+            let (chains, auth) = words.split_at_mut(len * n / 4);
+            lanes::put_nodes(chains, &sig.wots_sig);
+            lanes::put_nodes(auth, &sig.auth_path);
+            wots::push_digits(params, msg, digits);
+        }
+        let links = (0..count).flat_map(|s| {
+            let digits = &digits[s * len..(s + 1) * len];
+            wots::chain_links(params, digits, &keypair(s), s * layer_words)
+        });
+        let top = params.w as u32 - 1;
+        let steps = digits.iter().map(|&digit| top - digit);
+        lanes.chains.run(lanes.iv, steps, links, words, 1, None);
+
+        if in_lanes {
+            let climbs = (0..count).map(|s| ascent::Climb {
+                leaf_adrs: wots::pk_adrs_for(&keypair(s)).compressed_words(),
+                node_adrs: node_adrs(layer, coords[s].0).compressed_words(),
+                leaf_idx: coords[s].1,
+                at: (s * layer_words) as u32,
+                ..Default::default()
+            });
+            lanes.climbs.clear();
+            lanes.climbs.extend(climbs);
+            let shape = ascent::Shape {
+                leaf_nodes: len,
+                height,
+                stride: n / 4,
+            };
+            let mut rows = ascent::Nodes::default();
+            (lanes.ascent).run(lanes.iv, &lanes.climbs, &shape, words, Some(&mut rows));
+            for (lane, root) in scratch.roots.chunks_exact_mut(n).take(count).enumerate() {
+                lanes::take_words(&rows, lane, root);
+            }
+            return;
+        }
+        let (ends, mut leaf) = (&mut scratch.bytes, [0u8; 32]);
+        let leaf = &mut leaf[..n];
+        let signatures = words
+            .chunks_exact(layer_words)
+            .zip(scratch.roots.chunks_exact_mut(n));
+        for (s, (chains, root)) in signatures.enumerate() {
+            ends.clear();
+            ends.extend(
+                chains[..len * n / 4]
+                    .iter()
+                    .flat_map(|word| word.to_be_bytes()),
+            );
+            ctx.t_l_flat_into(&wots::pk_adrs_for(&keypair(s)), ends, leaf);
+            let climb = |_| merkle::AuthPathJob {
+                leaf,
+                leaf_idx: coords[s].1,
+                auth_path: &sig(s).auth_path,
+                node_adrs: node_adrs(layer, coords[s].0),
+                leaf_offset: 0,
+            };
+            merkle::roots_in(ctx, 1, climb, root);
+        }
         return;
     }
-    let ends = &mut lanes.bytes;
-    let (mut leaf, mut root) = ([0u8; 4 * MAX_NODE_WORDS], [0u8; 4 * MAX_NODE_WORDS]);
-    for (s, (chains, &(tree, leaf_idx))) in words.chunks_exact(layer_words).zip(coords).enumerate()
-    {
-        ends.clear();
-        ends.extend(
-            chains[..len * nw]
-                .iter()
-                .flat_map(|word| word.to_be_bytes()),
-        );
-        let pk_adrs = wots::pk_adrs_for(&keypair_adrs(layer, tree, leaf_idx));
-        ctx.t_l_flat_into(&pk_adrs, ends, &mut leaf[..n]);
-        let climb = merkle::AuthPathJob {
-            leaf: &leaf[..n],
-            leaf_idx,
-            auth_path: &sig(s).auth_path,
-            node_adrs: node_adrs(layer, tree),
-            leaf_offset: 0,
-        };
-        merkle::root_from_auth_path_into(ctx, &climb, &mut root[..n]);
-        put_words(nodes, s, &root[..n]);
-    }
+    let Scratch {
+        roots,
+        digits,
+        bytes,
+        leaves,
+        jobs,
+        ..
+    } = scratch;
+    let sigs = (0..count).map(|s| (&sig(s).wots_sig[..], &roots[s * n..(s + 1) * n], keypair(s)));
+    leaves.resize(count * n, 0);
+    wots::pks_in(ctx, sigs, digits, bytes, jobs, leaves);
+    let climb = |s: usize| merkle::AuthPathJob {
+        leaf: &leaves[s * n..(s + 1) * n],
+        leaf_idx: coords[s].1,
+        auth_path: &sig(s).auth_path,
+        node_adrs: node_adrs(layer, coords[s].0),
+        leaf_offset: 0,
+    };
+    merkle::roots_in(ctx, count, climb, roots);
 }
 
-/// [`xmss_pk_from_sig_many`] through [`HashCtx::f_chains`] and the
-/// multi-lane engine, stage by stage on bytes.
-fn xmss_roots_sweep(ctx: &HashCtx, layer: u32, reqs: &[XmssVerifyRequest]) -> Vec<Vec<u8>> {
-    if reqs.is_empty() {
-        return Vec::new();
-    }
-    let wots_adrs: Vec<Address> = reqs
-        .iter()
-        .map(|r| keypair_adrs(layer, r.tree, r.leaf_idx))
-        .collect();
-    let sigs: Vec<&[Vec<u8>]> = reqs.iter().map(|r| r.sig.wots_sig.as_slice()).collect();
-    let msgs: Vec<&[u8]> = reqs.iter().map(|r| r.msg).collect();
-    let leaves = wots::pk_from_sig_many(ctx, &sigs, &msgs, &wots_adrs);
-
-    let jobs: Vec<merkle::AuthPathJob> = reqs
-        .iter()
-        .zip(&leaves)
-        .map(|(r, leaf)| merkle::AuthPathJob {
-            leaf,
-            leaf_idx: r.leaf_idx,
-            auth_path: &r.sig.auth_path,
-            node_adrs: node_adrs(layer, r.tree),
-            leaf_offset: 0,
-        })
-        .collect();
-    merkle::roots_from_auth_paths_many(ctx, &jobs)
+/// The `(tree, leaf)` the layer above signs from, given a layer's: a
+/// tree's position within its parent is the leaf that signs its root.
+pub(crate) fn parent(params: &Params, (tree_idx, _): (u64, u32)) -> (u64, u32) {
+    let height = params.tree_height();
+    (tree_idx >> height, (tree_idx & ((1 << height) - 1)) as u32)
 }
 
 /// The `(tree, leaf)` a signature uses at every layer, bottom to top,
 /// from the pair the digest selects at layer 0 (Fig. 2's loop): a tree's
 /// position within its parent is the leaf that signs its root.
-pub fn layer_coordinates(params: &Params, mut tree_idx: u64, mut leaf_idx: u32) -> Vec<(u64, u32)> {
-    let mut coords = Vec::with_capacity(params.d);
-    for _ in 0..params.d {
-        coords.push((tree_idx, leaf_idx));
-        leaf_idx = (tree_idx & ((1 << params.tree_height()) - 1)) as u32;
-        tree_idx >>= params.tree_height();
-    }
-    coords
+pub fn layer_coordinates(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<(u64, u32)> {
+    std::iter::successors(Some((tree_idx, leaf_idx)), |&coords| {
+        Some(parent(params, coords))
+    })
+    .take(params.d)
+    .collect()
 }
 
 /// Signs `msg` under the full hypertree from (`tree_idx`, `leaf_idx`) at
@@ -536,6 +520,29 @@ mod tests {
             }
         }
         assert!(xmss_pk_from_sig_many(&ctx, 0, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn sign_rejects_a_long_message() {
+        let (params, ctx, sk_seed) = setup();
+        let _ = sign(&ctx, &vec![0x77u8; params.n + 1], &sk_seed, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn xmss_pk_from_sig_many_rejects_a_long_message() {
+        let (params, ctx, sk_seed) = setup();
+        let msg = vec![0x77u8; params.n];
+        let (sig, _) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, 1);
+        let long = vec![0x77u8; params.n + 1];
+        let req = XmssVerifyRequest {
+            sig: &sig,
+            msg: &long,
+            tree: 3,
+            leaf_idx: 1,
+        };
+        let _ = xmss_pk_from_sig_many(&ctx, 0, &[req]);
     }
 
     #[test]

@@ -73,13 +73,6 @@ pub(crate) fn seed_words(seed: &[u8]) -> [u32; MAX_NODE_WORDS] {
     words
 }
 
-/// Writes `bytes` into lane `lane` of `rows` as big-endian words.
-pub(crate) fn put_words(rows: &mut [Row], lane: usize, bytes: &[u8]) {
-    for (row, word) in rows.iter_mut().zip(bytes.chunks_exact(4)) {
-        row[lane] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
-    }
-}
-
 /// Writes `nodes` into `words` as big-endian words, node after node: how
 /// a signature's nodes go into the words a body gathers its lanes from.
 ///

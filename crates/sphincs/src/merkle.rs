@@ -44,7 +44,7 @@
 //! ```
 
 use crate::address::Address;
-use crate::hash::HashCtx;
+use crate::hash::{HashCtx, GROUP};
 
 /// Result of a treehash: the root plus the authentication path for one leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -355,80 +355,79 @@ pub struct AuthPathJob<'a> {
 ///     node_adrs: job.node_adrs,
 ///     leaf_offset: 0,
 /// };
-/// assert_eq!(merkle::roots_from_auth_paths_many(&ctx, &[climb]), [out.root.clone()]);
+/// let mut root = [0u8; 16];
+/// merkle::roots_from_auth_paths_many(&ctx, &[climb], &mut root);
+/// assert_eq!(root[..], out.root[..]);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if jobs disagree on auth-path height or any node is not `n`
-/// bytes (the library verify path checks shapes first and returns a
-/// typed error).
-pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob]) -> Vec<Vec<u8>> {
-    let n = ctx.params().n;
-    let jn = jobs.len();
-    if jn == 0 {
-        return Vec::new();
-    }
-    let height = jobs[0].auth_path.len();
-    let mut nodes = vec![0u8; jn * n];
-    for (j, job) in jobs.iter().enumerate() {
-        assert_eq!(
-            job.auth_path.len(),
-            height,
-            "all jobs must share one auth-path height"
-        );
-        assert_eq!(job.leaf.len(), n, "leaf must be n bytes");
-        nodes[j * n..(j + 1) * n].copy_from_slice(job.leaf);
-    }
-
-    let mut pairs = vec![0u8; 2 * jn * n];
-    let mut out = vec![0u8; jn * n];
-    let mut adrs_buf: Vec<Address> = Vec::with_capacity(jn);
-    for level in 0..height {
-        adrs_buf.clear();
-        for (j, job) in jobs.iter().enumerate() {
-            let sibling = &job.auth_path[level];
-            assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
-            let node = &nodes[j * n..(j + 1) * n];
-            let (adrs, node_left) = climb_level(job, level);
-            let (left, right) = if node_left {
-                (node, &sibling[..])
-            } else {
-                (&sibling[..], node)
-            };
-            let pair = &mut pairs[j * 2 * n..(j + 1) * 2 * n];
-            pair[..n].copy_from_slice(left);
-            pair[n..].copy_from_slice(right);
-            adrs_buf.push(adrs);
-        }
-        ctx.h_many(&adrs_buf, &pairs, &mut out);
-        std::mem::swap(&mut nodes, &mut out);
-    }
-    nodes.chunks_exact(n).map(<[u8]>::to_vec).collect()
+/// Panics if `out` is not `jobs.len() * n` bytes, jobs disagree on
+/// auth-path height or any node is not `n` bytes (the library verify path
+/// checks shapes first and returns a typed error).
+pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob], out: &mut [u8]) {
+    assert_eq!(
+        out.len(),
+        jobs.len() * ctx.params().n,
+        "out must be count*n bytes"
+    );
+    roots_in(ctx, jobs.len(), |j| AuthPathJob { ..jobs[j] }, out);
 }
 
-/// The root [`roots_from_auth_paths_many`] computes for `job`, written
-/// into `root`, one `H` at a time and with no allocation.
-///
-/// # Panics
-///
-/// Panics if the leaf, `root` or an auth-path node is not `n` bytes, or
-/// `n` is over 32, which no parameter set
-/// [`crate::params::Params::validate`] accepts is.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-pub(crate) fn root_from_auth_path_into(ctx: &HashCtx, job: &AuthPathJob, root: &mut [u8]) {
+/// [`roots_from_auth_paths_many`] over `count` jobs, job `j` being
+/// `job(j)`, its root written to `out[j*n..]`: [`GROUP`] jobs at a time
+/// climb every level, so nothing is allocated, and a lone job climbs one
+/// `H` at a time instead of in a part-empty lane group.
+pub(crate) fn roots_in<'p>(
+    ctx: &HashCtx,
+    count: usize,
+    job: impl Fn(usize) -> AuthPathJob<'p>,
+    out: &mut [u8],
+) {
     let n = ctx.params().n;
-    assert_eq!(job.leaf.len(), n, "leaf must be n bytes");
-    root.copy_from_slice(job.leaf);
-    let mut parent = [0u8; 32];
-    let parent = &mut parent[..n];
-    for (level, sibling) in job.auth_path.iter().enumerate() {
-        assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
-        match climb_level(job, level) {
-            (adrs, true) => ctx.h_into(&adrs, root, sibling, parent),
-            (adrs, false) => ctx.h_into(&adrs, sibling, root, parent),
+    let height = if count == 0 {
+        0
+    } else {
+        job(0).auth_path.len()
+    };
+    let mut pairs = [0u8; GROUP * 2 * 32];
+    let mut adrs = [Address::new(); GROUP];
+    for (first, nodes) in (0..)
+        .step_by(GROUP)
+        .zip(out[..count * n].chunks_mut(GROUP * n))
+    {
+        let jobs = nodes.len() / n;
+        for (j, node) in nodes.chunks_exact_mut(n).enumerate() {
+            let leaf = job(first + j).leaf;
+            assert_eq!(leaf.len(), n, "leaf must be n bytes");
+            node.copy_from_slice(leaf);
         }
-        root.copy_from_slice(parent);
+        let pairs = &mut pairs[..2 * jobs * n];
+        for level in 0..height {
+            for (j, (node, pair)) in nodes
+                .chunks_exact(n)
+                .zip(pairs.chunks_exact_mut(2 * n))
+                .enumerate()
+            {
+                let job = job(first + j);
+                assert_eq!(
+                    job.auth_path.len(),
+                    height,
+                    "all jobs must share one auth-path height"
+                );
+                let sibling = &job.auth_path[level];
+                assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
+                let node_left;
+                (adrs[j], node_left) = climb_level(&job, level);
+                let (left, right) = pair.split_at_mut(n);
+                left.copy_from_slice(if node_left { node } else { sibling });
+                right.copy_from_slice(if node_left { sibling } else { node });
+            }
+            match jobs {
+                1 => ctx.h_into(&adrs[0], &pairs[..n], &pairs[n..], nodes),
+                _ => ctx.h_many(&adrs[..jobs], pairs, nodes),
+            }
+        }
     }
 }
 
@@ -543,10 +542,8 @@ mod tests {
             node_adrs: *adrs,
             leaf_offset: 0,
         };
-        let mut lone = vec![0u8; leaf.len()];
-        root_from_auth_path_into(ctx, &job, &mut lone);
-        let root = roots_from_auth_paths_many(ctx, &[job]).remove(0);
-        assert_eq!(lone, root, "the lone climb and the sweep agree");
+        let mut root = vec![0u8; leaf.len()];
+        roots_from_auth_paths_many(ctx, &[job], &mut root);
         root
     }
 
@@ -619,9 +616,10 @@ mod tests {
                     leaf_offset: job.leaf_offset,
                 })
                 .collect();
-            let roots = roots_from_auth_paths_many(&ctx, &jobs);
-            assert_eq!(roots.len(), jn);
-            for (j, ((job, out), root)) in built.iter().zip(&outs).zip(&roots).enumerate() {
+            let mut roots = vec![0u8; jn * 16];
+            roots_from_auth_paths_many(&ctx, &jobs, &mut roots);
+            for (j, ((job, out), root)) in built.iter().zip(&outs).zip(roots.chunks(16)).enumerate()
+            {
                 assert_eq!(root, &out.root, "jn={jn} job {j} root");
                 let scalar = reference::root_from_auth_path(
                     &ctx,
@@ -634,7 +632,7 @@ mod tests {
                 assert_eq!(root, &scalar, "jn={jn} job {j} scalar");
             }
         }
-        assert!(roots_from_auth_paths_many(&ctx, &[]).is_empty());
+        roots_from_auth_paths_many(&ctx, &[], &mut []);
     }
 
     #[test]

@@ -103,6 +103,10 @@ pub fn wots_pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
 
 /// Signs the `n`-byte `msg` with the key pair at `adrs`: chain `i`
 /// stopped at the message's `i`-th digit.
+///
+/// # Panics
+///
+/// Panics if `msg` is not `n` bytes.
 pub fn wots_sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
     wots::chain_lengths(ctx.params(), msg)
         .into_iter()
@@ -119,7 +123,8 @@ pub fn wots_sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> V
 ///
 /// # Panics
 ///
-/// Panics if `sig` does not hold `wots_len()` nodes.
+/// Panics if `sig` does not hold `wots_len()` nodes, or `msg` is not `n`
+/// bytes.
 pub fn wots_pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
     let params = *ctx.params();
     assert_eq!(sig.len(), params.wots_len(), "WOTS+ signature length");

@@ -3,7 +3,7 @@
 
 use crate::address::{Address, AddressType};
 use crate::fors::{self, ForsSignature};
-use crate::hash::{self, HashAlg, HashCtx};
+use crate::hash::{self, ChainJob, HashAlg, HashCtx};
 use crate::hypertree::{self, HtSignature};
 use crate::params::Params;
 
@@ -457,22 +457,20 @@ impl VerifyingKey {
     }
 
     /// Verifies many signatures lane-batched: shape-invalid signatures
-    /// short-circuit to their typed error, and the rest recompute
-    /// together — all FORS roots as in [`fors::pk_from_sig_many`], then
-    /// every hypertree layer across all signatures as in
-    /// [`hypertree::xmss_pk_from_sig_many`], so signature A's chains
-    /// share SIMD lanes with signature B's. Under SHA-256, where the
-    /// resident ladder has a body, the signatures go through a register
-    /// group at a time: a FORS tree per lane, and from
-    /// [`fors::LANE_SIGNATURES`]' threshold up a signature per lane for
-    /// `T_k`, `T_len` and the XMSS authentication paths. A group's nodes
-    /// stay rows from its forests to the comparison with the root — each
-    /// layer's digits are read from the rows the layer below left — and
-    /// the call allocates its scratch once, whatever `d` and the batch;
-    /// the batch is best handed over in multiples of that constant.
-    /// Verdicts are those of [`crate::reference::verify`] per pair, and
-    /// the batch never short-circuits on a bad signature (like a GPU batch
-    /// that always runs to completion).
+    /// short-circuit to their typed error, and the rest go a group at a
+    /// time through one pipeline, whatever the hash family and tier: the
+    /// group's FORS public keys ([`fors::pk_from_sig_many`]), then every
+    /// hypertree layer ([`hypertree::xmss_pk_from_sig_many`]), then the
+    /// comparison with the root — so signature A's chains share SIMD lanes
+    /// with signature B's. A group is the resident width where the lane
+    /// bodies run (under SHA-256, above the `scalar` rung), otherwise
+    /// [`fors::LANE_SIGNATURES`]; each stage picks its body for the group
+    /// — the lanes, the byte tail of a narrow group, or the level sweep —
+    /// and the call allocates its scratch once, whatever `d` and the
+    /// batch, so the batch is best handed over in multiples of that
+    /// constant. Verdicts are those of [`crate::reference::verify`] per
+    /// pair, and the batch never short-circuits on a bad signature (like
+    /// a GPU batch that always runs to completion).
     ///
     /// ```
     /// use hero_sphincs::params::Params;
@@ -507,114 +505,100 @@ impl VerifyingKey {
     pub fn verify_many(&self, msgs: &[&[u8]], sigs: &[&Signature]) -> Vec<Result<(), SignError>> {
         let params = &self.params;
         assert_eq!(msgs.len(), sigs.len(), "one message per signature");
-        let count = sigs.len();
         let mut out: Vec<Result<(), SignError>> =
             sigs.iter().map(|sig| sig.check_shape(params)).collect();
-        // Only well-formed signatures enter the lane sweeps.
-        let live: Vec<usize> = (0..count).filter(|&i| out[i].is_ok()).collect();
+        // Only well-formed signatures enter the lanes.
+        let live: Vec<usize> = (0..sigs.len()).filter(|&i| out[i].is_ok()).collect();
         if live.is_empty() {
             return out;
         }
 
         let ctx = HashCtx::with_alg(*params, &self.pk_seed, self.alg);
-        #[cfg(target_arch = "x86_64")]
-        if let Some(mut lanes) = crate::ascent::Resident::new(&ctx) {
-            for group in live.chunks(lanes.width()) {
-                self.verify_in_lanes(&ctx, &mut lanes, msgs, sigs, group, &mut out);
-            }
-            return out;
-        }
-        let pres: Vec<Preamble> = live
-            .iter()
-            .map(|&i| preamble(&ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
-            .collect();
-        let coords: Vec<Vec<(u64, u32)>> = pres
-            .iter()
-            .map(|pre| hypertree::layer_coordinates(params, pre.tree_idx, pre.leaf_idx))
-            .collect();
-        let keypair_adrs_list: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
-
-        let fors_sigs: Vec<&ForsSignature> = live.iter().map(|&i| &sigs[i].fors).collect();
-        let md_refs: Vec<&[u8]> = pres.iter().map(|pre| pre.md.as_slice()).collect();
-        let mut nodes = fors::pk_from_sig_many(&ctx, &fors_sigs, &md_refs, &keypair_adrs_list);
-
-        for layer in 0..params.d {
-            let reqs: Vec<hypertree::XmssVerifyRequest> = live
+        let mut scratch = Scratch::new(&ctx);
+        for group in live.chunks(scratch.width) {
+            let pres: Vec<Preamble> = group
                 .iter()
-                .zip(&coords)
-                .zip(&nodes)
-                .map(|((&i, coords), node)| hypertree::XmssVerifyRequest {
-                    sig: &sigs[i].ht.layers[layer],
-                    msg: node,
-                    tree: coords[layer].0,
-                    leaf_idx: coords[layer].1,
-                })
+                .map(|&i| preamble(&ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
                 .collect();
-            nodes = hypertree::xmss_pk_from_sig_many(&ctx, layer as u32, &reqs);
-        }
+            let fors_sigs: Vec<&ForsSignature> = group.iter().map(|&i| &sigs[i].fors).collect();
+            let mds: Vec<&[u8]> = pres.iter().map(|pre| pre.md.as_slice()).collect();
+            let keypair_adrs: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
+            fors::pks_group(&ctx, &mut scratch, &fors_sigs, &mds, &keypair_adrs);
 
-        for (j, &i) in live.iter().enumerate() {
-            if nodes[j] != self.pk_root {
-                out[i] = Err(SignError::VerificationFailed);
+            let mut coords: Vec<(u64, u32)> = pres
+                .iter()
+                .map(|pre| (pre.tree_idx, pre.leaf_idx))
+                .collect();
+            for layer in 0..params.d {
+                let sig = |s: usize| &sigs[group[s]].ht.layers[layer];
+                hypertree::xmss_roots_group(&ctx, &mut scratch, layer as u32, sig, &coords);
+                for coords in &mut coords {
+                    *coords = hypertree::parent(params, *coords);
+                }
+            }
+
+            for (&i, root) in group.iter().zip(scratch.roots.chunks_exact(params.n)) {
+                if root != self.pk_root {
+                    out[i] = Err(SignError::VerificationFailed);
+                }
             }
         }
         out
     }
+}
 
-    /// [`VerifyingKey::verify_many`] for the well-formed signatures
-    /// `group` of `sigs`, at most a register group of them, a signature
-    /// per lane of the resident bodies: the forest's roots and public key
-    /// ([`fors::pks_in_lanes`]), then layer by layer the root each XMSS
-    /// layer signs ([`hypertree::xmss_roots_in_lanes`]), the group's nodes
-    /// staying rows from the first stage to the comparison with `pk_root`.
+/// What one verification call works in, allocated once for all its
+/// groups and layers: the lane bodies where they run, and the buffers of
+/// the byte tail and the level sweep.
+pub(crate) struct Scratch<'a> {
     #[cfg(target_arch = "x86_64")]
-    fn verify_in_lanes(
-        &self,
-        ctx: &HashCtx,
-        lanes: &mut crate::ascent::Resident,
-        msgs: &[&[u8]],
-        sigs: &[&Signature],
-        group: &[usize],
-        out: &mut [Result<(), SignError>],
-    ) {
-        let params = &self.params;
-        let pres: Vec<Preamble> = group
-            .iter()
-            .map(|&i| preamble(ctx, &self.pk_root, &sigs[i].randomizer, msgs[i]))
-            .collect();
-        let fors_sigs: Vec<&ForsSignature> = group.iter().map(|&i| &sigs[i].fors).collect();
-        let mds: Vec<&[u8]> = pres.iter().map(|pre| pre.md.as_slice()).collect();
-        let keypair_adrs: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
-        let mut nodes = crate::ascent::Nodes::default();
-        fors::pks_in_lanes(ctx, lanes, &fors_sigs, &mds, &keypair_adrs, &mut nodes);
+    pub lanes: Option<crate::ascent::Resident<'a>>,
+    /// Signatures a group holds.
+    pub width: usize,
+    /// `n` bytes a signature of the group: what the next stage signs,
+    /// and the last stage's root.
+    pub roots: Vec<u8>,
+    /// The group's chain lengths, signature after signature.
+    pub digits: Vec<u32>,
+    /// Nodes on bytes: a signature's in the byte tail, the group's in
+    /// the sweep.
+    pub bytes: Vec<u8>,
+    /// The sweep's leaves, its addresses and its chains.
+    pub leaves: Vec<u8>,
+    pub adrs: Vec<Address>,
+    pub jobs: Vec<ChainJob<'a>>,
+}
 
-        let coords: Vec<Vec<(u64, u32)>> = pres
-            .iter()
-            .map(|pre| hypertree::layer_coordinates(params, pre.tree_idx, pre.leaf_idx))
-            .collect();
-        let mut layer_coords = Vec::with_capacity(group.len());
-        for layer in 0..params.d {
-            layer_coords.clear();
-            layer_coords.extend(coords.iter().map(|coords| coords[layer]));
-            let sig = |s: usize| &sigs[group[s]].ht.layers[layer];
-            hypertree::xmss_roots_in_lanes(
-                ctx,
-                lanes,
-                layer as u32,
-                sig,
-                &layer_coords,
-                &mut nodes,
-            );
+impl<'a> Scratch<'a> {
+    /// The scratch of a verification call under `ctx`: the one place
+    /// verification chooses between the lanes and the sweep.
+    pub(crate) fn new(ctx: &'a HashCtx) -> Self {
+        let params = ctx.params();
+        let (n, len, k) = (params.n, params.wots_len(), params.k);
+        let width = fors::LANE_SIGNATURES;
+        let mut scratch = Scratch {
+            #[cfg(target_arch = "x86_64")]
+            lanes: None,
+            width,
+            roots: vec![0; width * n],
+            digits: Vec::with_capacity(width * len),
+            bytes: Vec::new(),
+            leaves: Vec::new(),
+            adrs: Vec::new(),
+            jobs: Vec::new(),
+        };
+        #[cfg(target_arch = "x86_64")]
+        if let Some(lanes) = crate::ascent::Resident::new(ctx) {
+            scratch.width = lanes.width();
+            scratch.lanes = Some(lanes);
+            scratch.bytes.reserve(k.max(len) * n);
+            return scratch;
         }
-
-        let mut root = [0u8; 32];
-        let root = &mut root[..params.n];
-        for (lane, &i) in group.iter().enumerate() {
-            crate::lanes::take_words(&nodes, lane, root);
-            if root != self.pk_root.as_slice() {
-                out[i] = Err(SignError::VerificationFailed);
-            }
-        }
+        scratch.bytes.reserve(width * k.max(len) * n);
+        scratch.leaves.reserve(width * k * n);
+        scratch.adrs.reserve(width * k);
+        scratch.jobs.reserve(width * len);
+        scratch
     }
 }
 

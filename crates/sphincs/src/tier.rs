@@ -3,9 +3,9 @@
 //! the four lane-resident SHA-256 kernels: WOTS+ chains
 //! ([`crate::hash::HashCtx::f_chains`]), WOTS+ leaves
 //! ([`crate::wots::pk_gen_many`]), fused FORS trees
-//! ([`crate::fors::tree_hash_many`]) and the verification ascent
-//! ([`crate::fors::pk_from_sig_many`],
-//! [`crate::hypertree::xmss_pk_from_sig_many`]).
+//! ([`crate::fors::tree_hash_many`]) and the verification ascent, which
+//! every stage of [`crate::sign::VerifyingKey::verify_many`]'s one
+//! pipeline runs in where the ladder has a body.
 //!
 //! A 128f sign burns ~113k compressions, so the primitive core dominates
 //! end-to-end signature throughput. Instead of consulting
@@ -127,14 +127,20 @@
 //! The third resident body is the other side's: a verifier is handed a
 //! tree's nodes instead of building them, so a lane owns a climb — a
 //! leaf hashed from what the signature reveals, then one `H` per
-//! authentication node ([`crate::fors::pk_from_sig_many`],
-//! [`crate::hypertree::xmss_pk_from_sig_many`]). Lane = tree for the FORS
+//! authentication node. Verification is one pipeline for every primitive
+//! and tier ([`crate::sign::VerifyingKey::verify_many`]): a group of
+//! signatures goes through a FORS stage and `d` XMSS stages, and each
+//! stage picks its body once for the group — these lanes, their byte
+//! tail, or the level sweep. Lane = tree for the FORS
 //! climb (`F(sk)`, `log_t` levels: 33 trees × 16 signatures are 33 full
 //! zmm groups of 7 calls), lane = signature for `T_k`, `T_len` and the
 //! XMSS authentication path, whose chain ends the chain kernel leaves
 //! where the revealed nodes were, for `T_len` to gather. Same vocabulary,
-//! same compression, same two instantiations, same ladder; `scalar` is
-//! the level sweep through `compress_x` and the round loop, as before.
+//! same compression, same two instantiations, same ladder; on `scalar`,
+//! as under SHAKE-256 and SHA-512, a stage is the level sweep through the
+//! multi-lane engine and the round loop, a group of
+//! [`crate::fors::LANE_SIGNATURES`] signatures at a time in the same
+//! call-scoped scratch.
 //!
 //! The FORS climb runs at every width: a lone 128f signature's 33 trees
 //! are two full groups and one lane, 21 calls in registers where the
@@ -168,9 +174,9 @@
 //!
 //! By the chain ladder's rule a body is selected only where it beat the
 //! rung below it, at its own width: in lanes from four signatures in
-//! zmm, from two in ymm ([`crate::fors::LANE_SIGNATURES`] has the rule,
-//! a function of the primitive, this ladder's tier and the group's width
-//! and of nothing else). `plan::verify_batch` in `hero-sign` sizes its
+//! zmm, from two in ymm (`ascent::Resident::ascends_in_lanes` has the
+//! rule, a function of the primitive, this ladder's tier and the group's
+//! width and of nothing else). `plan::verify_batch` in `hero-sign` sizes its
 //! nodes to the lanes for the same reason.
 //!
 //! ## And the WOTS+ leaves
@@ -414,7 +420,7 @@ pub enum Primitive {
     /// ([`crate::hash::HashCtx::f_chains`]) and, on the same ladder, WOTS+
     /// leaves ([`crate::wots::pk_gen_many`]), fused FORS trees
     /// ([`crate::fors::tree_hash_many`]) and the verification ascent
-    /// ([`crate::fors::pk_from_sig_many`]).
+    /// ([`crate::sign::VerifyingKey::verify_many`]).
     Sha256Chain,
 }
 

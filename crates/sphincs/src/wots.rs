@@ -21,6 +21,10 @@
 //! ends where the nodes were, for each signature's lane to gather its
 //! `T_len` from ([`crate::hypertree::xmss_pk_from_sig_many`]).
 //!
+//! Every path from a message to its chains — signing, verifying, and
+//! [`crate::reference`] — goes through [`chain_lengths`], which panics
+//! on a message that is not `n` bytes.
+//!
 //! ```
 //! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
 //!
@@ -34,19 +38,16 @@
 //! wots::pk_gen_many(&ctx, &sk_seed, &[adrs], &mut pk);
 //! let sigs = wots::sign_many(&ctx, &[&[7u8; 16]], &sk_seed, &[adrs]);
 //! // Verification recomputes the public key by finishing the chains.
-//! let recovered = wots::pk_from_sig_many(&ctx, &[&sigs[0]], &[&[7u8; 16]], &[adrs]);
-//! assert_eq!(recovered[0], pk);
+//! let mut recovered = [0u8; 16];
+//! wots::pk_from_sig_many(&ctx, &[&sigs[0]], &[&[7u8; 16]], &[adrs], &mut recovered);
+//! assert_eq!(recovered, pk);
 //! ```
 
 use crate::address::{Address, AddressType};
-#[cfg(target_arch = "x86_64")]
-use crate::chain;
 use crate::hash::{ChainHead, ChainJob, HashCtx};
-#[cfg(target_arch = "x86_64")]
-use crate::lanes::chain_words;
-#[cfg(target_arch = "x86_64")]
-use crate::leaf;
 use crate::params::Params;
+#[cfg(target_arch = "x86_64")]
+use crate::{chain, lanes::chain_words, leaf};
 
 /// Converts `msg` into `out_len` base-`w` digits (spec Algorithm 1).
 ///
@@ -103,6 +104,10 @@ fn checksum_into(params: &Params, msg_w: &[u32], out: &mut [u32]) {
 
 /// Message digits followed by checksum digits: the chain lengths a WOTS+
 /// signature reveals.
+///
+/// # Panics
+///
+/// Panics if `msg` is not `n` bytes.
 pub fn chain_lengths(params: &Params, msg: &[u8]) -> Vec<u32> {
     let mut lengths = vec![0; params.wots_len()];
     chain_lengths_into(params, msg, &mut lengths);
@@ -111,6 +116,7 @@ pub fn chain_lengths(params: &Params, msg: &[u8]) -> Vec<u32> {
 
 /// [`chain_lengths`] into `out`, `len` slots.
 fn chain_lengths_into(params: &Params, msg: &[u8], out: &mut [u32]) {
+    assert_eq!(msg.len(), params.n, "WOTS+ message must be n bytes");
     debug_assert_eq!(out.len(), params.wots_len());
     let (digits, checksum) = out.split_at_mut(params.wots_len1());
     base_w_into(params, msg, digits);
@@ -223,7 +229,8 @@ fn pk_gen_sweep(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut 
 ///
 /// # Panics
 ///
-/// Panics if `msgs.len() != adrs_list.len()`.
+/// Panics if `msgs.len() != adrs_list.len()`, or a message is not `n`
+/// bytes.
 pub fn sign_many(
     ctx: &HashCtx,
     msgs: &[&[u8]],
@@ -233,13 +240,7 @@ pub fn sign_many(
     let params = *ctx.params();
     let (len, n) = (params.wots_len(), params.n);
     assert_eq!(msgs.len(), adrs_list.len(), "one address per message");
-    let lengths: Vec<Vec<u32>> = msgs
-        .iter()
-        .map(|msg| {
-            debug_assert_eq!(msg.len(), n);
-            chain_lengths(&params, msg)
-        })
-        .collect();
+    let lengths: Vec<Vec<u32>> = msgs.iter().map(|msg| chain_lengths(&params, msg)).collect();
     let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| lengths[r][i]);
     nodes
         .chunks_exact(len * n)
@@ -248,8 +249,9 @@ pub fn sign_many(
 }
 
 /// Recomputes many WOTS+ public keys from signatures, each under its own
-/// keypair address, with every chain of every request running through
-/// one shared [`HashCtx::f_chains`] sweep — the verification twin of
+/// keypair address, writing key pair `r`'s into `out[r*n..]`, with every
+/// chain of every request running through one shared
+/// [`HashCtx::f_chains`] sweep — the verification twin of
 /// [`sign_many`]. Where signing runs `msg[i]` steps per chain,
 /// verification runs the complementary `w-1-msg[i]` steps from the
 /// revealed node; only the chain addresses are built, no PRF material is
@@ -268,15 +270,17 @@ pub fn sign_many(
 /// let msgs: [&[u8]; 2] = [&[7u8; 16], &[8u8; 16]];
 ///
 /// let sigs = wots::sign_many(&ctx, &msgs, &sk_seed, &[a0, a1]);
-/// let pks = wots::pk_from_sig_many(&ctx, &[&sigs[0], &sigs[1]], &msgs, &[a0, a1]);
+/// let mut pks = [0u8; 32];
+/// wots::pk_from_sig_many(&ctx, &[&sigs[0], &sigs[1]], &msgs, &[a0, a1], &mut pks);
 /// let mut generated = [0u8; 32];
 /// wots::pk_gen_many(&ctx, &sk_seed, &[a0, a1], &mut generated);
-/// assert_eq!(pks.concat(), generated);
+/// assert_eq!(pks, generated);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths disagree or any signature does not hold
+/// Panics if the slice lengths disagree, `out` is not `count * n` bytes,
+/// a message is not `n` bytes or any signature does not hold
 /// `wots_len()` nodes of `n` bytes (the library verify path checks
 /// shapes first and returns a typed error).
 pub fn pk_from_sig_many(
@@ -284,45 +288,69 @@ pub fn pk_from_sig_many(
     sigs: &[&[Vec<u8>]],
     msgs: &[&[u8]],
     adrs_list: &[Address],
-) -> Vec<Vec<u8>> {
-    let params = *ctx.params();
-    let (len, n) = (params.wots_len(), params.n);
+    out: &mut [u8],
+) {
+    let params = ctx.params();
     assert_eq!(sigs.len(), msgs.len(), "one message per signature");
     assert_eq!(sigs.len(), adrs_list.len(), "one address per signature");
-    let top = params.w as u32 - 1;
+    assert_eq!(
+        out.len(),
+        sigs.len() * params.n,
+        "out must be count*n bytes"
+    );
+    let sigs = sigs.iter().zip(msgs).zip(adrs_list);
+    let sigs = sigs.map(|((sig, msg), adrs)| (*sig, *msg, *adrs));
+    pks_in(
+        ctx,
+        sigs,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+        out,
+    );
+}
 
-    let mut jobs = Vec::with_capacity(sigs.len() * len);
-    let mut nodes = Vec::with_capacity(sigs.len() * len * n);
-    for ((sig, msg), adrs) in sigs.iter().zip(msgs).zip(adrs_list) {
+/// [`pk_from_sig_many`] over `sigs` — a WOTS+ signature, the message it
+/// signs and its key pair's address each — in the caller's buffers, as a
+/// verification group's sweep passes its own: the chain lengths, the
+/// nodes the chains run in and the chains.
+pub(crate) fn pks_in<'s, 'j>(
+    ctx: &HashCtx,
+    sigs: impl Iterator<Item = (&'s [Vec<u8>], &'s [u8], Address)> + Clone,
+    digits: &mut Vec<u32>,
+    nodes: &mut Vec<u8>,
+    jobs: &mut Vec<ChainJob<'j>>,
+    out: &mut [u8],
+) {
+    let params = ctx.params();
+    let (len, n, top) = (params.wots_len(), params.n, params.w as u32 - 1);
+    digits.clear();
+    nodes.clear();
+    jobs.clear();
+    for (sig, msg, adrs) in sigs.clone() {
         assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
-        debug_assert_eq!(msg.len(), n);
-        for ((i, node), digit) in sig.iter().enumerate().zip(chain_lengths(&params, msg)) {
+        push_digits(params, msg, digits);
+        for ((c, node), &digit) in (0u32..).zip(sig).zip(&digits[digits.len() - len..]) {
             assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
             nodes.extend_from_slice(node);
             jobs.push(ChainJob {
-                adrs: hash_adrs_for(adrs, i as u32),
+                adrs: hash_adrs_for(&adrs, c),
                 head: ChainHead::Node,
                 start: digit,
                 steps: top - digit,
             });
         }
     }
-    ctx.f_chains(&mut nodes, &jobs);
-
-    adrs_list
-        .iter()
-        .zip(nodes.chunks_exact(len * n))
-        .map(|(adrs, ends)| {
-            let mut pk = vec![0u8; n];
-            ctx.t_l_flat_into(&pk_adrs_for(adrs), ends, &mut pk);
-            pk
-        })
-        .collect()
+    ctx.f_chains(nodes, jobs);
+    for ((.., adrs), (ends, pk)) in
+        sigs.zip(nodes.chunks_exact(len * n).zip(out.chunks_exact_mut(n)))
+    {
+        ctx.t_l_flat_into(&pk_adrs_for(&adrs), ends, pk);
+    }
 }
 
 /// Appends the chain lengths of a WOTS+ signature of `msg` to `digits`:
 /// the hash index each revealed node sits at.
-#[cfg(target_arch = "x86_64")]
 pub(crate) fn push_digits(params: &Params, msg: &[u8], digits: &mut Vec<u32>) {
     let start = digits.len();
     digits.resize(start + params.wots_len(), 0);
@@ -371,7 +399,9 @@ mod tests {
     }
 
     fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
-        pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs)).remove(0)
+        let mut pk = vec![0u8; ctx.params().n];
+        pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs), &mut pk);
+        pk
     }
 
     /// `steps` steps of the chain at `adrs` from `x` at position `start`,
@@ -528,8 +558,9 @@ mod tests {
                 .collect();
             let sigs = sign_many(&ctx, &msgs, &sk_seed, &adrs_list);
             let sig_refs: Vec<&[Vec<u8>]> = sigs.iter().map(Vec::as_slice).collect();
-            let batched = pk_from_sig_many(&ctx, &sig_refs, &msgs, &adrs_list);
-            assert_eq!(batched.len(), count);
+            let mut flat = vec![0u8; count * params.n];
+            pk_from_sig_many(&ctx, &sig_refs, &msgs, &adrs_list, &mut flat);
+            let batched: Vec<&[u8]> = flat.chunks(params.n).collect();
             for i in 0..count {
                 assert_eq!(
                     batched[i],
@@ -543,7 +574,50 @@ mod tests {
                 );
             }
         }
-        assert!(pk_from_sig_many(&ctx, &[], &[], &[]).is_empty());
+        pk_from_sig_many(&ctx, &[], &[], &[], &mut []);
+    }
+
+    /// A message one byte longer than `n`, which every WOTS+ entry point
+    /// refuses rather than reading its first `n` bytes.
+    fn long_message(params: &Params) -> Vec<u8> {
+        vec![0x5Au8; params.n + 1]
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn chain_lengths_rejects_a_long_message() {
+        let params = Params::sphincs_128f();
+        let _ = chain_lengths(&params, &long_message(&params));
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn sign_many_rejects_a_long_message() {
+        let (params, ctx, sk_seed, adrs) = setup();
+        let _ = sign_many(&ctx, &[&long_message(&params)], &sk_seed, &[adrs]);
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn pk_from_sig_many_rejects_a_long_message() {
+        let (params, ctx, sk_seed, adrs) = setup();
+        let sig = sign(&ctx, &[0x5Au8; 16], &sk_seed, &adrs);
+        pk_from_sig(&ctx, &sig, &long_message(&params), &adrs);
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn reference_sign_rejects_a_long_message() {
+        let (params, ctx, sk_seed, adrs) = setup();
+        let _ = reference::wots_sign(&ctx, &long_message(&params), &sk_seed, &adrs);
+    }
+
+    #[test]
+    #[should_panic(expected = "WOTS+ message must be n bytes")]
+    fn reference_verify_rejects_a_long_message() {
+        let (params, ctx, sk_seed, adrs) = setup();
+        let sig = sign(&ctx, &[0x5Au8; 16], &sk_seed, &adrs);
+        let _ = reference::wots_pk_from_sig(&ctx, &sig, &long_message(&params), &adrs);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two revisions, judged by the §8 rule.
 
-Builds the repository benchmark (`perfbench/`) at two git revisions, each
-exported with `git archive` into a temporary directory of its own, then
-runs one workload in N pairs, alternating which side goes first. Prints
-every run, each end-to-end metric's median, quartiles and win count, each
-side's share of failed operations, and for each metric one verdict:
+Builds the repository benchmark (`perfbench/`) once at each of two git
+revisions, each exported with `git archive` into a temporary directory of
+its own, then runs every workload asked for in N pairs, alternating which
+side goes first. Prints every run and, per workload, each end-to-end
+metric's median, quartiles and win count, each side's share of failed
+operations, and for each metric one verdict:
 
     gain        the change wins at least nine tenths of the pairs (ties
                 count for neither side), the medians differ in the
@@ -19,10 +20,12 @@ side's share of failed operations, and for each metric one verdict:
                 better than every run of the parent;
     unchanged   neither, within the bound.
 
-    tools/pairs.py PARENT CHANGE --workload batch_verify [--pairs 10]
-                   [--seconds 24] [--seed 1] [--metric ops_per_s]
+    tools/pairs.py PARENT CHANGE --workload batch_verify [--workload ...]
+                   [--pairs 10] [--seconds 24] [--seed 1] [--metric ops_per_s]
 
-PARENT and CHANGE are anything `git rev-parse` takes; `.` is the working
+`--workload` repeats; `all` is every workload in BENCHMARK.json. The last
+line is `no regression` when no metric of any workload reads `worse`,
+otherwise every worse metric × workload pair. PARENT and CHANGE are anything `git rev-parse` takes; `.` is the working
 tree as it is, uncommitted edits included. Metric names, their better
 direction, their bounds and the default run length come from
 `BENCHMARK.json` of the working tree. Python 3 standard library only.
@@ -110,11 +113,41 @@ def verdict(parent, change, sign, bound, more_failures):
     return "unchanged", wins
 
 
+def judge(workload, runs, judged, better, bounds, args, seconds):
+    """Prints one workload's table; returns the metrics that read worse."""
+    print()
+    print(f"{workload}, {args.pairs} pairs of {seconds:g} s, seed {args.seed}")
+    print(f"{'metric':14s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
+          f" {'wins':>7s}  verdict")
+    shares = {side: failed_share(runs[side]) for side in runs}
+    more_failures = shares["change"] > shares["parent"]
+    worse = []
+    for name in judged:
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        sign = 1 if better[name] == "higher" else -1
+        judged_as, wins = verdict(parent, change, sign, bounds[name], more_failures)
+        if judged_as == "worse":
+            worse.append(name)
+        p1, pm, p3 = quartiles(parent)
+        c1, cm, c3 = quartiles(change)
+        moved = f" ({(cm - pm) / pm:+.1%})" if pm else ""
+        print(f"{name:14s} {pm:12.4g} [{p1:.4g}, {p3:.4g}]".ljust(49)
+              + f" {cm:12.4g} [{c1:.4g}, {c3:.4g}]".ljust(35)
+              + f" {wins:3d}/{len(parent):<3d}  {judged_as}{moved}")
+    incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+    print(f"failed share: parent {shares['parent']:.3g}, change {shares['change']:.3g}"
+          + ("  (more failures: no gain)" if more_failures else "")
+          + f"; incorrect runs: parent {incorrect['parent']}, change {incorrect['change']}")
+    return worse
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json, or all (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1)
@@ -131,7 +164,16 @@ def main():
     for name in judged:
         if name not in better:
             sys.exit(f"unknown end-to-end metric {name}; BENCHMARK.json has {list(better)}")
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = []
+    for name in args.workload:
+        for workload in known if name == "all" else [name]:
+            if workload not in known:
+                sys.exit(f"unknown workload {workload}; BENCHMARK.json has {known}")
+            if workload not in workloads:
+                workloads.append(workload)
 
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         binaries = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -139,37 +181,22 @@ def main():
             print(f"building {side} ({rev}) ...", flush=True)
             binaries[side] = build(tree)
 
-        runs = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run(binaries[side], args.workload, args.seed, seconds)
-                runs[side].append(result)
-                shown = " ".join(f"{k}={result['metrics'][k]:.4g}" for k in judged)
-                flag = "" if result["correct"] else f"  INCORRECT ({result['failed']:.0f} failed)"
-                print(f"pair {pair + 1:2d} {side:6s} {shown}{flag}", flush=True)
+        for workload in workloads:
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run(binaries[side], workload, args.seed, seconds)
+                    runs[workload][side].append(result)
+                    shown = " ".join(f"{k}={result['metrics'][k]:.4g}" for k in judged)
+                    flag = "" if result["correct"] else f"  INCORRECT ({result['failed']:.0f} failed)"
+                    print(f"{workload} pair {pair + 1:2d} {side:6s} {shown}{flag}", flush=True)
 
+    worse = []
+    for workload in workloads:
+        worse += [f"{name} x {workload}"
+                  for name in judge(workload, runs[workload], judged, better, bounds, args, seconds)]
     print()
-    print(f"{args.workload}, {args.pairs} pairs of {seconds:g} s, seed {args.seed}")
-    print(f"{'metric':14s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
-          f" {'wins':>7s}  verdict")
-    shares = {side: failed_share(runs[side]) for side in runs}
-    more_failures = shares["change"] > shares["parent"]
-    for name in judged:
-        parent = [r["metrics"][name] for r in runs["parent"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        sign = 1 if better[name] == "higher" else -1
-        judged_as, wins = verdict(parent, change, sign, bounds[name], more_failures)
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
-        moved = f" ({(cm - pm) / pm:+.1%})" if pm else ""
-        print(f"{name:14s} {pm:12.4g} [{p1:.4g}, {p3:.4g}]".ljust(49)
-              + f" {cm:12.4g} [{c1:.4g}, {c3:.4g}]".ljust(35)
-              + f" {wins:3d}/{len(parent):<3d}  {judged_as}{moved}")
-    incorrect = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
-    print(f"failed share: parent {shares['parent']:.3g}, change {shares['change']:.3g}"
-          + ("  (more failures: no gain)" if more_failures else "")
-          + f"; incorrect runs: parent {incorrect['parent']}, change {incorrect['change']}")
+    print("no regression" if not worse else "worse: " + ", ".join(worse))
 
 
 if __name__ == "__main__":
