@@ -80,14 +80,11 @@ pub fn message_to_indices(params: &Params, md: &[u8]) -> Vec<u32> {
 /// [`message_to_indices`], one index at a time.
 fn indices<'a>(params: &Params, md: &'a [u8]) -> impl Iterator<Item = u32> + 'a {
     let log_t = params.log_t;
-    (0..params.k).map(move |tree| index(log_t, md, tree))
-}
-
-/// The leaf `md` selects in tree `tree`: its `log_t` bits, MSB first.
-fn index(log_t: usize, md: &[u8], tree: usize) -> u32 {
-    (tree * log_t..(tree + 1) * log_t).fold(0u32, |idx, offset| {
-        let bit = (md[offset >> 3] >> (7 - (offset & 7))) & 1;
-        (idx << 1) | bit as u32
+    (0..params.k).map(move |tree| {
+        (tree * log_t..(tree + 1) * log_t).fold(0u32, |idx, offset| {
+            let bit = (md[offset >> 3] >> (7 - (offset & 7))) & 1;
+            (idx << 1) | bit as u32
+        })
     })
 }
 
@@ -562,12 +559,14 @@ pub(crate) fn pks_group(
     }
     leaves.resize(count * k * n, 0);
     ctx.f_many(adrs, bytes, leaves);
+    // A leaf's `F` address is its tree's node address at height zero but
+    // for the forest-global leaf index: all a climb reads of it.
     let climb = |j: usize| merkle::AuthPathJob {
         leaf: &leaves[j * n..(j + 1) * n],
-        leaf_idx: index(log_t, mds[j / k], j % k),
+        leaf_idx: adrs[j].tree_index(),
         auth_path: &sigs[j / k].trees[j % k].auth_path,
-        node_adrs: node_adrs_for(&keypair_adrs_list[j / k]),
-        leaf_offset: (j % k) as u32 * t,
+        node_adrs: adrs[j],
+        leaf_offset: 0,
     };
     merkle::roots_in(ctx, count * k, climb, bytes);
     let forests = bytes.chunks_exact(k * n).zip(keypair_adrs_list);

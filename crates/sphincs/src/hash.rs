@@ -73,12 +73,6 @@ use crate::params::Params;
 use crate::sha256::{self, Sha256, Sha256xN, BLOCK_LEN, LANES};
 use crate::sha512::Sha512;
 
-/// Calls every multi-lane engine's groups divide: a batch cut into runs
-/// of it hashes in the same lane groups as one call over all of it, so a
-/// loop can hold a run on the stack and allocate nothing.
-pub(crate) const GROUP: usize = LANES;
-const _: () = assert!(GROUP.is_multiple_of(keccak::LANES));
-
 /// Compressed-address prefix length of every tweakable-hash tail.
 const ADRS_LEN: usize = 22;
 
@@ -553,6 +547,19 @@ impl HashCtx {
     /// Panics if `nodes` is not `jobs.len() * n` bytes, or an `sk_seed`
     /// not `n`.
     pub fn f_chains(&self, nodes: &mut [u8], jobs: &[ChainJob]) {
+        self.f_chains_in(nodes, jobs, &mut Vec::new(), &mut Vec::new());
+    }
+
+    /// [`HashCtx::f_chains`] in the caller's round lists — the address
+    /// and the slot of every live chain of a round — which a
+    /// verification group's sweep keeps from layer to layer.
+    pub(crate) fn f_chains_in(
+        &self,
+        nodes: &mut [u8],
+        jobs: &[ChainJob],
+        adrs: &mut Vec<Address>,
+        live: &mut Vec<usize>,
+    ) {
         let n = self.params.n;
         assert_eq!(nodes.len(), jobs.len() * n, "nodes must be count*n bytes");
         #[cfg(target_arch = "x86_64")]
@@ -561,39 +568,35 @@ impl HashCtx {
                 return crate::chain::run_in_place(&mut kernel, &self.seeded.state, nodes, jobs);
             }
         }
+        adrs.clear();
+        adrs.reserve(jobs.len());
+        live.clear();
+        live.reserve(jobs.len());
         // Runs of chains under one `sk_seed` (a call's are, as a rule, one
-        // run) derive their heads in one sweep, and a round's live chains
-        // go through the engine together, [`GROUP`] calls at a time.
-        let mut adrs = [Address::new(); GROUP];
-        let mut live = [0usize; GROUP];
+        // run) derive their heads in one sweep.
         let mut first = 0usize;
         for run in jobs.chunk_by(|a, b| a.head == b.head) {
             if let ChainHead::Secret(sk_seed) = run[0].head {
-                for (at, chunk) in (first..).step_by(GROUP).zip(run.chunks(GROUP)) {
-                    for (adrs, job) in adrs.iter_mut().zip(chunk) {
-                        *adrs = job.prf_adrs();
-                    }
-                    let heads = &mut nodes[at * n..(at + chunk.len()) * n];
-                    self.prf_many(&adrs[..chunk.len()], sk_seed, heads);
-                }
+                adrs.clear();
+                adrs.extend(run.iter().map(ChainJob::prf_adrs));
+                let heads = &mut nodes[first * n..(first + run.len()) * n];
+                self.prf_many(adrs, sk_seed, heads);
             }
             first += run.len();
         }
         let rounds = jobs.iter().map(|job| job.steps).max().unwrap_or(0);
         for round in 0..rounds {
-            let mut count = 0;
+            adrs.clear();
+            live.clear();
             for (i, job) in jobs.iter().enumerate() {
                 if round < job.steps {
-                    adrs[count] = job.adrs;
-                    adrs[count].set_hash(job.start + round);
-                    live[count] = i;
-                    count += 1;
-                }
-                if count == GROUP || (count > 0 && i + 1 == jobs.len()) {
-                    self.f_many_at(&adrs[..count], nodes, &live[..count]);
-                    count = 0;
+                    let mut a = job.adrs;
+                    a.set_hash(job.start + round);
+                    adrs.push(a);
+                    live.push(i);
                 }
             }
+            self.f_many_at(adrs, nodes, live);
         }
     }
 

@@ -34,7 +34,7 @@
 //! ```
 
 use crate::address::{Address, AddressType};
-use crate::hash::HashCtx;
+use crate::hash::{ChainJob, HashCtx};
 use crate::merkle;
 use crate::params::Params;
 use crate::sign::Scratch;
@@ -317,12 +317,15 @@ pub(crate) fn xmss_roots_group<'s>(
         digits,
         bytes,
         leaves,
+        adrs,
+        live,
         jobs,
         ..
     } = scratch;
     let sigs = (0..count).map(|s| (&sig(s).wots_sig[..], &roots[s * n..(s + 1) * n], keypair(s)));
+    let run = |nodes: &mut [u8], jobs: &[ChainJob]| ctx.f_chains_in(nodes, jobs, adrs, live);
     leaves.resize(count * n, 0);
-    wots::pks_in(ctx, sigs, digits, bytes, jobs, leaves);
+    wots::pks_in(ctx, sigs, digits, bytes, jobs, run, leaves);
     let climb = |s: usize| merkle::AuthPathJob {
         leaf: &leaves[s * n..(s + 1) * n],
         leaf_idx: coords[s].1,

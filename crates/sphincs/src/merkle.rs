@@ -44,7 +44,15 @@
 //! ```
 
 use crate::address::Address;
-use crate::hash::{HashCtx, GROUP};
+use crate::hash::HashCtx;
+use crate::{keccak, sha256};
+
+/// Climbs [`roots_in`] holds on the stack between two batched `H` calls:
+/// a multiple of every multi-lane engine's lane group, so the batches
+/// hash in the same lane groups as one call over all the jobs would, and
+/// enough of them that a batch costs what its share of that call would.
+const CLIMBS: usize = 8 * sha256::LANES;
+const _: () = assert!(CLIMBS.is_multiple_of(keccak::LANES));
 
 /// Result of a treehash: the root plus the authentication path for one leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -375,7 +383,7 @@ pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob], out: &mut
 }
 
 /// [`roots_from_auth_paths_many`] over `count` jobs, job `j` being
-/// `job(j)`, its root written to `out[j*n..]`: [`GROUP`] jobs at a time
+/// `job(j)`, its root written to `out[j*n..]`: [`CLIMBS`] jobs at a time
 /// climb every level, so nothing is allocated, and a lone job climbs one
 /// `H` at a time instead of in a part-empty lane group.
 pub(crate) fn roots_in<'p>(
@@ -390,11 +398,11 @@ pub(crate) fn roots_in<'p>(
     } else {
         job(0).auth_path.len()
     };
-    let mut pairs = [0u8; GROUP * 2 * 32];
-    let mut adrs = [Address::new(); GROUP];
+    let mut pairs = [0u8; CLIMBS * 2 * 32];
+    let mut adrs = [Address::new(); CLIMBS];
     for (first, nodes) in (0..)
-        .step_by(GROUP)
-        .zip(out[..count * n].chunks_mut(GROUP * n))
+        .step_by(CLIMBS)
+        .zip(out[..count * n].chunks_mut(CLIMBS * n))
     {
         let jobs = nodes.len() / n;
         for (j, node) in nodes.chunks_exact_mut(n).enumerate() {

@@ -507,7 +507,7 @@ impl VerifyingKey {
         assert_eq!(msgs.len(), sigs.len(), "one message per signature");
         let mut out: Vec<Result<(), SignError>> =
             sigs.iter().map(|sig| sig.check_shape(params)).collect();
-        // Only well-formed signatures enter the lanes.
+        // Only well-formed signatures enter the pipeline.
         let live: Vec<usize> = (0..sigs.len()).filter(|&i| out[i].is_ok()).collect();
         if live.is_empty() {
             return out;
@@ -563,9 +563,11 @@ pub(crate) struct Scratch<'a> {
     /// Nodes on bytes: a signature's in the byte tail, the group's in
     /// the sweep.
     pub bytes: Vec<u8>,
-    /// The sweep's leaves, its addresses and its chains.
+    /// The sweep's leaves, its addresses, a round's live chains and its
+    /// chains.
     pub leaves: Vec<u8>,
     pub adrs: Vec<Address>,
+    pub live: Vec<usize>,
     pub jobs: Vec<ChainJob<'a>>,
 }
 
@@ -585,6 +587,7 @@ impl<'a> Scratch<'a> {
             bytes: Vec::new(),
             leaves: Vec::new(),
             adrs: Vec::new(),
+            live: Vec::new(),
             jobs: Vec::new(),
         };
         #[cfg(target_arch = "x86_64")]
@@ -596,7 +599,8 @@ impl<'a> Scratch<'a> {
         }
         scratch.bytes.reserve(width * k.max(len) * n);
         scratch.leaves.reserve(width * k * n);
-        scratch.adrs.reserve(width * k);
+        scratch.adrs.reserve(width * k.max(len));
+        scratch.live.reserve(width * len);
         scratch.jobs.reserve(width * len);
         scratch
     }

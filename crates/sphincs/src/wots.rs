@@ -300,26 +300,22 @@ pub fn pk_from_sig_many(
     );
     let sigs = sigs.iter().zip(msgs).zip(adrs_list);
     let sigs = sigs.map(|((sig, msg), adrs)| (*sig, *msg, *adrs));
-    pks_in(
-        ctx,
-        sigs,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-        out,
-    );
+    let (mut digits, mut nodes, mut jobs) = (Vec::new(), Vec::new(), Vec::new());
+    let run = |nodes: &mut [u8], jobs: &[ChainJob]| ctx.f_chains(nodes, jobs);
+    pks_in(ctx, sigs, &mut digits, &mut nodes, &mut jobs, run, out);
 }
 
 /// [`pk_from_sig_many`] over `sigs` — a WOTS+ signature, the message it
 /// signs and its key pair's address each — in the caller's buffers, as a
 /// verification group's sweep passes its own: the chain lengths, the
-/// nodes the chains run in and the chains.
+/// nodes the chains `run` in, and the chains.
 pub(crate) fn pks_in<'s, 'j>(
     ctx: &HashCtx,
     sigs: impl Iterator<Item = (&'s [Vec<u8>], &'s [u8], Address)> + Clone,
     digits: &mut Vec<u32>,
     nodes: &mut Vec<u8>,
     jobs: &mut Vec<ChainJob<'j>>,
+    run: impl FnOnce(&mut [u8], &[ChainJob<'j>]),
     out: &mut [u8],
 ) {
     let params = ctx.params();
@@ -341,7 +337,7 @@ pub(crate) fn pks_in<'s, 'j>(
             });
         }
     }
-    ctx.f_chains(nodes, jobs);
+    run(nodes, jobs);
     for ((.., adrs), (ends, pk)) in
         sigs.zip(nodes.chunks_exact(len * n).zip(out.chunks_exact_mut(n)))
     {
