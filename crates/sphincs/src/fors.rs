@@ -380,7 +380,7 @@ pub fn sign(
 /// Recomputes many FORS public keys from signatures in one batched
 /// pass — the verification twin of [`tree_hash_many`]: the signatures go
 /// a verification group at a time through the FORS stage of
-/// [`crate::sign::VerifyingKey::verify_many`] ([`pks_group`]). A
+/// [`crate::sign::VerifyingKey::verify_many`] (`pks_group`). A
 /// signature's public key does not depend on what else is in the call.
 ///
 /// ```

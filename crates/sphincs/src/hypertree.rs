@@ -148,7 +148,7 @@ pub struct XmssVerifyRequest<'a> {
 /// Recomputes the roots of XMSS trees of one layer from signatures, each
 /// over its own `msg` at its own (`tree`, `leaf_idx`): the requests go a
 /// verification group at a time through the XMSS stage of
-/// [`crate::sign::VerifyingKey::verify_many`] ([`xmss_roots_group`]). A
+/// [`crate::sign::VerifyingKey::verify_many`] (`xmss_roots_group`). A
 /// request's root does not depend on what else is in the call.
 ///
 /// ```

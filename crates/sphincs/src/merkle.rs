@@ -393,18 +393,13 @@ pub(crate) fn roots_in<'p>(
     out: &mut [u8],
 ) {
     let n = ctx.params().n;
-    let height = if count == 0 {
-        0
-    } else {
-        job(0).auth_path.len()
-    };
     let mut pairs = [0u8; CLIMBS * 2 * 32];
     let mut adrs = [Address::new(); CLIMBS];
     for (first, nodes) in (0..)
         .step_by(CLIMBS)
         .zip(out[..count * n].chunks_mut(CLIMBS * n))
     {
-        let jobs = nodes.len() / n;
+        let (jobs, height) = (nodes.len() / n, job(0).auth_path.len());
         for (j, node) in nodes.chunks_exact_mut(n).enumerate() {
             let leaf = job(first + j).leaf;
             assert_eq!(leaf.len(), n, "leaf must be n bytes");
