@@ -31,9 +31,14 @@
 //!   (recency is a global logical clock bumped on every touch). Eviction
 //!   only ever returns a key to cold-fill cost — it cannot fail a sign.
 //! - **Layer policy**: a layer is memoized only while its whole layer
-//!   holds at most [`CacheConfig::max_trees_per_layer`] trees; bottom
-//!   layers of full-size parameter sets draw an effectively fresh tree
-//!   every signature and would only pollute the LRU.
+//!   holds at most `MAX_TREES_PER_LAYER` (4096) trees; bottom layers of
+//!   full-size parameter sets draw an effectively fresh tree every
+//!   signature and would only pollute the LRU. Under 128f that is layers
+//!   17–21.
+//! - **Warm budget**: an explicit warm pre-fills whole memoizable layers
+//!   top-down while their cumulative tree count stays within
+//!   `WARM_TREES` (64) — under 128f, layer 21's one tree and layer 20's
+//!   eight.
 //!
 //! The chaos point [`crate::faults::HYPERTREE_CACHE`] threads through
 //! both sides: at fill time a fired fail spec drops the freshly built
@@ -54,6 +59,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Shard count; identities spread across shards by their first byte.
 const SHARDS: usize = 16;
 
+/// The layer policy: a layer is memoized only while it has at most this
+/// many trees (`2^(h − (l+1)·h')`).
+const MAX_TREES_PER_LAYER: u64 = 4096;
+
+/// The warm budget: the most subtrees an explicit warm
+/// ([`crate::plan::warm_cache`]) pre-fills.
+const WARM_TREES: u64 = 64;
+
 /// Knobs of the per-key hypertree memoization layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -66,15 +79,6 @@ pub struct CacheConfig {
     /// Bound on total retained node bytes across all keys; enforced by
     /// LRU eviction of whole keys.
     pub max_bytes: usize,
-    /// A hypertree layer is memoized only while its whole layer has at
-    /// most this many trees (`2^(h − (l+1)·h')`). Bottom layers of
-    /// full-size parameter sets draw a fresh random tree almost every
-    /// signature — caching them is pure churn.
-    pub max_trees_per_layer: u64,
-    /// Subtree budget of an explicit warm ([`crate::plan::warm_cache`]):
-    /// layers are pre-filled top-down while the cumulative tree count
-    /// stays within this bound.
-    pub warm_trees: u64,
 }
 
 impl Default for CacheConfig {
@@ -83,8 +87,6 @@ impl Default for CacheConfig {
             enabled: true,
             max_keys: 1 << 20,
             max_bytes: 256 << 20,
-            max_trees_per_layer: 4096,
-            warm_trees: 64,
         }
     }
 }
@@ -259,18 +261,18 @@ impl HypertreeCache {
     /// Whether `layer` of `params` is memoizable under the per-layer
     /// tree-count policy.
     pub fn caches_layer(&self, params: &Params, layer: u32) -> bool {
-        self.config.enabled && layer_tree_count(params, layer) <= self.config.max_trees_per_layer
+        self.config.enabled && layer_tree_count(params, layer) <= MAX_TREES_PER_LAYER
     }
 
     /// The `(layer, tree_idx)` pre-fill set an explicit warm covers:
     /// layers top-down while the cumulative tree count stays within
-    /// [`CacheConfig::warm_trees`] and the layer is memoizable.
+    /// `WARM_TREES` and the layer is memoizable.
     pub fn warm_coordinates(&self, params: &Params) -> Vec<(u32, u64)> {
         if !self.config.enabled {
             return Vec::new();
         }
         let mut coords = Vec::new();
-        let mut budget = self.config.warm_trees;
+        let mut budget = WARM_TREES;
         for layer in (0..params.d as u32).rev() {
             let trees = layer_tree_count(params, layer);
             if trees > budget || !self.caches_layer(params, layer) {
@@ -590,37 +592,36 @@ mod tests {
         assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
     }
 
+    // Both policies are pure functions of the parameters: nothing below
+    // hashes.
     #[test]
     fn layer_policy_tracks_tree_counts() {
-        let p = tiny_params(); // h = 6, d = 3, h' = 2
-        assert_eq!(layer_tree_count(&p, 0), 16);
-        assert_eq!(layer_tree_count(&p, 1), 4);
-        assert_eq!(layer_tree_count(&p, 2), 1);
-        let full = Params::sphincs_128f();
-        assert!(layer_tree_count(&full, 0) > 1 << 40);
+        let p = Params::sphincs_128f(); // h = 66, d = 22, h' = 3
+        assert_eq!(layer_tree_count(&p, 21), 1);
+        assert_eq!(layer_tree_count(&p, 20), 8);
+        assert_eq!(layer_tree_count(&p, 17), MAX_TREES_PER_LAYER);
+        assert_eq!(layer_tree_count(&p, 16), 8 * MAX_TREES_PER_LAYER);
+        assert!(layer_tree_count(&p, 0) > 1 << 40);
 
-        let cache = HypertreeCache::new(CacheConfig {
-            max_trees_per_layer: 4,
-            ..CacheConfig::default()
-        });
-        assert!(!cache.caches_layer(&p, 0));
-        assert!(cache.caches_layer(&p, 1));
-        assert!(cache.caches_layer(&p, 2));
-        // Warm covers the memoizable layers top-down within budget.
-        assert_eq!(
-            cache.warm_coordinates(&p),
-            vec![(2, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
-        );
+        let cache = HypertreeCache::new(CacheConfig::default());
+        for layer in 17..22 {
+            assert!(cache.caches_layer(&p, layer), "layer {layer}");
+        }
+        for layer in 0..17 {
+            assert!(!cache.caches_layer(&p, layer), "layer {layer}");
+        }
     }
 
     #[test]
     fn warm_budget_stops_at_layer_boundary() {
-        let p = tiny_params();
-        let cache = HypertreeCache::new(CacheConfig {
-            warm_trees: 3, // top layer (1 tree) fits, layer 1 (4 trees) does not
-            ..CacheConfig::default()
-        });
-        assert_eq!(cache.warm_coordinates(&p), vec![(2, 0)]);
+        // Layer 21 (1 tree) and layer 20 (8) fit the budget; layer 19
+        // (64) would take it to 73, so the warm stops at the boundary.
+        let p = Params::sphincs_128f();
+        let cache = HypertreeCache::new(CacheConfig::default());
+        let mut expected = vec![(21, 0)];
+        expected.extend((0..8).map(|tree| (20, tree)));
+        assert_eq!(cache.warm_coordinates(&p), expected);
+        assert!(1 + 8 + layer_tree_count(&p, 19) > WARM_TREES);
     }
 
     #[test]

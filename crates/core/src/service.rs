@@ -46,6 +46,16 @@
 //! signature A's verification co-schedules with signature B's signing
 //! exactly like mixed kernels on one device.
 //!
+//! ## Submitting
+//!
+//! Each lane takes work two ways. [`SignService::submit`] and
+//! [`SignService::submit_verify`] queue one request and block while the
+//! lane is full (backpressure). [`SignService::try_submit_many`] and
+//! [`SignService::try_submit_verify_many`] never block: they queue a list
+//! as one unit or refuse it whole with [`ServiceError::QueueFull`], and
+//! take an optional deadline. A lone non-blocking request is a list of
+//! one — the server submits every wire op that way.
+//!
 //! ## Deploying as a signing server — quickstart
 //!
 //! ```
@@ -113,7 +123,7 @@ pub enum ServiceError {
     /// The service is shutting down (or already shut); the request was
     /// not accepted.
     ShuttingDown,
-    /// [`SignService::try_submit`] found the bounded queue full — the
+    /// [`SignService::try_submit_many`] found the bounded queue full — the
     /// caller should back off (or use the blocking [`SignService::submit`]).
     QueueFull,
     /// The request's deadline passed before the batcher could sign it
@@ -164,7 +174,7 @@ pub struct ServiceConfig {
     /// ("near 64": compute still hides transfers, fill/drain stays low).
     pub max_batch: usize,
     /// Bound of each lane's pending-request queue; [`SignService::submit`]
-    /// blocks (and [`SignService::try_submit`] returns
+    /// blocks (and [`SignService::try_submit_many`] returns
     /// [`ServiceError::QueueFull`]) while the lane is at depth.
     pub queue_depth: usize,
 }
@@ -404,17 +414,6 @@ impl<P, T> Lane<P, T> {
         Ok(tickets)
     }
 
-    fn enqueue(
-        &self,
-        payload: P,
-        deadline: Option<Instant>,
-        block: bool,
-        depth: usize,
-    ) -> Result<Ticket<T>, ServiceError> {
-        self.enqueue_many(vec![payload], deadline, block, depth)
-            .map(|mut tickets| tickets.pop().expect("one ticket per payload"))
-    }
-
     /// Collects one batch from the lane: everything already queued, up
     /// to `max_batch`, blocking only while the queue is empty — there is
     /// no wait for stragglers, so a batch is what accumulated behind the
@@ -495,7 +494,10 @@ struct ServiceShared {
 
 /// A shared signing *and verification* service over one engine and one
 /// signing key — see the module docs for the architecture and a
-/// deployment quickstart.
+/// deployment quickstart. Work goes in through blocking
+/// [`SignService::submit`] / [`SignService::submit_verify`] (one request)
+/// or non-blocking [`SignService::try_submit_many`] /
+/// [`SignService::try_submit_verify_many`] (a list, all or nothing).
 ///
 /// Thread-safe: share it behind an [`Arc`]; every clone of the handle
 /// submits into the same queues and batchers.
@@ -586,40 +588,24 @@ impl SignService {
     /// [`ServiceError::ShuttingDown`] once [`SignService::shutdown`] has
     /// begun.
     pub fn submit(&self, msg: impl Into<Vec<u8>>) -> Result<SignTicket, ServiceError> {
-        self.shared
-            .sign
-            .enqueue(msg.into(), None, true, self.config.queue_depth)
+        let mut tickets =
+            self.shared
+                .sign
+                .enqueue_many(vec![msg.into()], None, true, self.config.queue_depth)?;
+        Ok(tickets.pop().expect("one ticket per message"))
     }
 
-    /// Non-blocking [`SignService::submit`], with an optional deadline:
-    /// if `deadline` passes while the request is still queued, it is
-    /// answered with [`ServiceError::DeadlineExceeded`] instead of being
-    /// signed — expired work never reaches the executor.
+    /// Non-blocking submission of messages as one unit, with an optional
+    /// deadline: every message is queued, in order and adjacent (one
+    /// lock, one batcher wake-up), or none is — a list the queue cannot
+    /// hold leaves the lane exactly as it was. A lone request is a list
+    /// of one. If `deadline` passes while a message is still queued, it
+    /// is answered with [`ServiceError::DeadlineExceeded`] instead of
+    /// being signed — expired work never reaches the executor.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::QueueFull`] instead of blocking;
-    /// [`ServiceError::DeadlineExceeded`] immediately when `deadline`
-    /// has already passed; [`ServiceError::ShuttingDown`] once shutdown
-    /// has begun.
-    pub fn try_submit(
-        &self,
-        msg: impl Into<Vec<u8>>,
-        deadline: Option<Instant>,
-    ) -> Result<SignTicket, ServiceError> {
-        self.shared
-            .sign
-            .enqueue(msg.into(), deadline, false, self.config.queue_depth)
-    }
-
-    /// Non-blocking submission of a whole batch as one unit: every
-    /// message is queued, in order and adjacent (one lock, one batcher
-    /// wake-up), or none is — a batch the queue cannot hold leaves the
-    /// lane exactly as it was. `deadline` applies to every message.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::QueueFull`] when the batch does not fit under
+    /// [`ServiceError::QueueFull`] when the list does not fit under
     /// [`ServiceConfig::queue_depth`] right now (it never does if it is
     /// longer than `queue_depth`);
     /// [`ServiceError::DeadlineExceeded`] for an already-passed deadline;
@@ -649,43 +635,20 @@ impl SignService {
         msg: impl Into<Vec<u8>>,
         sig: Signature,
     ) -> Result<VerifyTicket, ServiceError> {
-        self.shared.verify.enqueue(
-            VerifyItem {
-                msg: msg.into(),
-                sig,
-            },
-            None,
-            true,
-            self.config.queue_depth,
-        )
-    }
-
-    /// Non-blocking [`SignService::submit_verify`], with an optional
-    /// deadline — expired verify work never reaches the executor, same
-    /// as the sign lane.
-    ///
-    /// # Errors
-    ///
-    /// As [`SignService::try_submit`].
-    pub fn try_submit_verify(
-        &self,
-        msg: impl Into<Vec<u8>>,
-        sig: Signature,
-        deadline: Option<Instant>,
-    ) -> Result<VerifyTicket, ServiceError> {
-        self.shared.verify.enqueue(
-            VerifyItem {
-                msg: msg.into(),
-                sig,
-            },
-            deadline,
-            false,
-            self.config.queue_depth,
-        )
+        let item = VerifyItem {
+            msg: msg.into(),
+            sig,
+        };
+        let mut tickets =
+            self.shared
+                .verify
+                .enqueue_many(vec![item], None, true, self.config.queue_depth)?;
+        Ok(tickets.pop().expect("one ticket per pair"))
     }
 
     /// [`SignService::try_submit_many`] for the verify lane: all of the
-    /// `(msg, sig)` pairs are queued as one unit, or none is.
+    /// `(msg, sig)` pairs are queued as one unit, or none is, and expired
+    /// verify work never reaches the executor.
     ///
     /// # Errors
     ///
@@ -919,7 +882,7 @@ mod tests {
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
             service
-                .try_submit_verify(b"v".to_vec(), sig.clone(), Some(past))
+                .try_submit_verify_many(vec![(b"v".to_vec(), sig.clone())], Some(past))
                 .unwrap_err(),
             ServiceError::DeadlineExceeded
         );
@@ -993,7 +956,7 @@ mod tests {
     fn try_submit_reports_backpressure() {
         // Depth 1 and rapid-fire submissions: whenever a request is
         // still queued behind the batch being signed, the next
-        // try_submit hits the bound.
+        // try_submit_many hits the bound.
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(25);
         let (sk, _) = engine.keygen(&mut rng).unwrap();
@@ -1006,15 +969,15 @@ mod tests {
             },
         )
         .unwrap();
-        // With depth 1, at least one of a burst of try_submits must
+        // With depth 1, each of a burst of one-message submissions must
         // either be accepted or see QueueFull; all accepted ones must be
         // answered. (Timing-tolerant: the batcher may drain between
         // calls.)
         let mut accepted = Vec::new();
         let mut full = 0;
         for i in 0..64u8 {
-            match service.try_submit(vec![i; 8], None) {
-                Ok(t) => accepted.push(t),
+            match service.try_submit_many(vec![vec![i; 8]], None) {
+                Ok(t) => accepted.extend(t),
                 Err(ServiceError::QueueFull) => full += 1,
                 Err(e) => panic!("unexpected: {e}"),
             }
@@ -1036,18 +999,19 @@ mod tests {
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
             service
-                .try_submit(b"late".to_vec(), Some(past))
+                .try_submit_many(vec![b"late".to_vec()], Some(past))
                 .unwrap_err(),
             ServiceError::DeadlineExceeded
         );
         assert_eq!(service.stats().deadline_expired, 1);
         // A generous deadline signs normally.
         let far = Instant::now() + Duration::from_secs(60);
-        service
-            .try_submit(b"on time".to_vec(), Some(far))
+        for ticket in service
+            .try_submit_many(vec![b"on time".to_vec()], Some(far))
             .unwrap()
-            .wait()
-            .unwrap();
+        {
+            ticket.wait().unwrap();
+        }
     }
 
     #[test]
@@ -1074,8 +1038,8 @@ mod tests {
         let mut expired = 0u64;
         for i in 0..4u8 {
             let soon = Instant::now() + Duration::from_millis(1);
-            match service.try_submit(vec![i; 8], Some(soon)) {
-                Ok(t) => doomed.push(t),
+            match service.try_submit_many(vec![vec![i; 8]], Some(soon)) {
+                Ok(t) => doomed.extend(t),
                 // A harsh scheduler may expire it before enqueue even runs.
                 Err(ServiceError::DeadlineExceeded) => expired += 1,
                 Err(e) => panic!("unexpected: {e}"),

@@ -652,6 +652,13 @@ type Answer = Result<Vec<u8>, WireError>;
 /// full, engine error). `deadline` is the request's absolute expiry (wire
 /// `deadline_ms` anchored at frame receipt), `None` for v1 frames and v2
 /// frames without the flag.
+///
+/// A tenant op goes to one of two handlers, one per family: `Sign` and
+/// `SignBatch` to [`op_sign`], `Verify` and `VerifyBatch` to
+/// [`op_verify`]. A single op is a batch of one — the handler reads the
+/// payload into a list of items, makes one lane submission for the list
+/// and answers in the op's own shape — so the two spellings of an op
+/// share their path, their counters and their latency samples.
 fn dispatch(
     shared: &Arc<ServerShared>,
     req: Request,
@@ -706,15 +713,10 @@ fn dispatch(
                 ));
             }
             let result = match req.op {
-                Op::Sign => op_sign(shared, &state, &key, &req.payload, deadline).map(Ok),
-                Op::SignBatch => {
-                    op_sign_batch(shared, &state, &key, &req.payload, deadline).map(Ok)
+                Op::Sign | Op::SignBatch => {
+                    op_sign(shared, &state, &key, req.op, &req.payload, deadline).map(Ok)
                 }
-                Op::Verify => op_verify(shared, &state, &key, &req.payload, deadline),
-                Op::VerifyBatch => {
-                    op_verify_batch(shared, &state, &key, &req.payload, deadline).map(Ok)
-                }
-                _ => unreachable!("matched above"),
+                _ => op_verify(shared, &state, &key, req.op, &req.payload, deadline),
             };
             state.inflight.fetch_sub(1, Ordering::AcqRel);
             match &result {
@@ -726,138 +728,86 @@ fn dispatch(
     }
 }
 
-fn op_sign(
-    shared: &Arc<ServerShared>,
-    state: &TenantState,
-    key: &TenantKey,
+/// A batch op's counted list: a `u32` count, then that many items, each
+/// read by `take` from `payload` at the cursor. The declared count is
+/// untrusted: every item costs at least `min_item` bytes (its length
+/// prefixes), so a count the remaining payload cannot hold is malformed —
+/// rejected before `count` sizes any allocation. `op` names the op in
+/// that error.
+fn take_list<T>(
     payload: &[u8],
-    deadline: Option<Instant>,
-) -> Result<Vec<u8>, WireError> {
-    let begin = Instant::now();
-    // Overload is a typed rejection, not a stall: try_submit surfaces a
-    // full queue as QueueFull instead of blocking the connection, and the
-    // deadline rides along so the batcher can shed the request typed if
-    // it expires while queued.
-    let ticket = state
-        .service
-        .try_submit(payload.to_vec(), deadline)
-        .map_err(WireError::from)?;
-    let sig = ticket.wait().map_err(WireError::from)?;
-    shared.metrics.record_latency(begin.elapsed());
-    Ok(sig.to_bytes(key.sk.params()))
-}
-
-fn op_sign_batch(
-    shared: &Arc<ServerShared>,
-    state: &TenantState,
-    key: &TenantKey,
-    payload: &[u8],
-    deadline: Option<Instant>,
-) -> Result<Vec<u8>, WireError> {
+    min_item: usize,
+    op: &str,
+    mut take: impl FnMut(&mut usize) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
     let mut at = 0;
     let count = wire::take_u32(payload, &mut at)? as usize;
-    // The declared count is untrusted: every message costs at least its
-    // 4-byte length prefix, so a count the remaining payload cannot hold
-    // is malformed — rejected before `count` sizes any allocation.
-    if count > (payload.len() - at) / 4 {
+    if count > (payload.len() - at) / min_item {
         return Err(WireError::new(
             ErrorCode::Malformed,
             format!(
-                "batch count {count} exceeds what the {}-byte payload can hold",
+                "{op} count {count} exceeds what the {}-byte payload can hold",
                 payload.len()
             ),
         ));
     }
-    // One admission slot covers the whole batch, but queue capacity is
-    // still per message: the batch is queued whole or refused whole (a
-    // half-queued batch would be signed for nobody), then waited on.
-    let mut msgs = Vec::with_capacity(count);
-    for _ in 0..count {
-        msgs.push(wire::take_bytes(payload, &mut at)?);
+    (0..count).map(|_| take(&mut at)).collect()
+}
+
+/// Records one latency sample per item that reached its lane, each
+/// `elapsed / items`, and none when none did — so percentiles stay
+/// comparable between an op and its batch twin.
+fn record_per_item(record: impl Fn(Duration), elapsed: Duration, items: usize) {
+    if items > 0 {
+        let each = elapsed / items as u32;
+        (0..items).for_each(|_| record(each));
     }
+}
+
+/// Signs the op's messages — `Sign`'s payload is one, `SignBatch`'s a
+/// counted list — and answers in the op's shape: the bare signature, or
+/// a count and a length-prefixed signature per message.
+fn op_sign(
+    shared: &Arc<ServerShared>,
+    state: &TenantState,
+    key: &TenantKey,
+    op: Op,
+    payload: &[u8],
+    deadline: Option<Instant>,
+) -> Result<Vec<u8>, WireError> {
+    let msgs = match op {
+        Op::Sign => vec![payload.to_vec()],
+        _ => take_list(payload, 4, "batch", |at| wire::take_bytes(payload, at))?,
+    };
+    let count = msgs.len();
     let begin = Instant::now();
+    // Overload is a typed rejection, not a stall: the messages are queued
+    // whole or refused whole (QueueFull — a half-queued batch would be
+    // signed for nobody), and the deadline rides along so the lane can
+    // shed them typed if it expires while they are queued. One admission
+    // slot covers them all.
     let tickets = state
         .service
         .try_submit_many(msgs, deadline)
         .map_err(WireError::from)?;
-    let mut out = Vec::new();
-    out.extend_from_slice(&(count as u32).to_be_bytes());
+    let mut sigs = Vec::with_capacity(count);
     for ticket in tickets {
         let sig = ticket.wait().map_err(WireError::from)?;
-        wire::put_bytes(&mut out, &sig.to_bytes(key.sk.params()));
+        sigs.push(sig.to_bytes(key.sk.params()));
     }
-    let elapsed = begin.elapsed();
-    // Record per-message latency so percentiles stay comparable between
-    // sign and sign-batch traffic.
-    if count > 0 {
-        let per_msg = elapsed / count as u32;
-        for _ in 0..count {
-            shared.metrics.record_latency(per_msg);
-        }
+    record_per_item(
+        |sample| shared.metrics.record_latency(sample),
+        begin.elapsed(),
+        count,
+    );
+    if op == Op::Sign {
+        return Ok(sigs.pop().expect("one message, one signature"));
+    }
+    let mut out = (count as u32).to_be_bytes().to_vec();
+    for sig in &sigs {
+        wire::put_bytes(&mut out, sig);
     }
     Ok(out)
-}
-
-/// Verifies one signature. Its verdict is the answer — an empty body
-/// for a valid signature, an error frame for an invalid or malformed
-/// one — and only a refusal (bad framing, queue full, deadline, engine
-/// error) is the outer error.
-fn op_verify(
-    shared: &Arc<ServerShared>,
-    state: &TenantState,
-    key: &TenantKey,
-    payload: &[u8],
-    deadline: Option<Instant>,
-) -> Result<Answer, WireError> {
-    let mut at = 0;
-    let msg = wire::take_bytes(payload, &mut at)?;
-    let sig_bytes = wire::take_bytes(payload, &mut at)?;
-    let params = key.vk.params();
-    state
-        .counters
-        .verify_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let sig = match hero_sphincs::Signature::from_bytes(params, &sig_bytes) {
-        Ok(sig) => sig,
-        Err(e) => {
-            state
-                .counters
-                .verify_malformed
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(Err(WireError::from(HeroError::from(e))));
-        }
-    };
-    let begin = Instant::now();
-    // Like the sign lane: overload is a typed rejection, never a stall.
-    let ticket = state
-        .service
-        .try_submit_verify(msg, sig, deadline)
-        .map_err(WireError::from)?;
-    let outcome = ticket.wait().map_err(WireError::from)?;
-    shared.metrics.record_verify_latency(begin.elapsed());
-    Ok(match outcome {
-        VerifyOutcome::Valid => Ok(Vec::new()),
-        VerifyOutcome::Invalid => {
-            state
-                .counters
-                .verify_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            Err(WireError::new(
-                ErrorCode::VerificationFailed,
-                "signature does not verify",
-            ))
-        }
-        VerifyOutcome::Malformed(what) => {
-            state
-                .counters
-                .verify_malformed
-                .fetch_add(1, Ordering::Relaxed);
-            Err(WireError::new(
-                ErrorCode::Sphincs,
-                format!("malformed signature: {what}"),
-            ))
-        }
-    })
 }
 
 /// On-wire verdict byte: the signature verified.
@@ -867,89 +817,109 @@ const VERDICT_INVALID: u8 = 0;
 /// On-wire verdict byte: structurally malformed (wrong lengths/shape).
 const VERDICT_MALFORMED: u8 = 2;
 
-fn op_verify_batch(
+/// One signature's verdict as `Verify` answers it: an empty body for a
+/// valid signature, an error frame for an invalid or malformed one.
+fn verdict(outcome: VerifyOutcome) -> Answer {
+    match outcome {
+        VerifyOutcome::Valid => Ok(Vec::new()),
+        VerifyOutcome::Invalid => Err(WireError::new(
+            ErrorCode::VerificationFailed,
+            "signature does not verify",
+        )),
+        VerifyOutcome::Malformed(what) => Err(WireError::new(
+            ErrorCode::Sphincs,
+            format!("malformed signature: {what}"),
+        )),
+    }
+}
+
+/// The same verdict as `VerifyBatch` answers it, one byte.
+fn verdict_byte(verdict: &Answer) -> u8 {
+    match verdict {
+        Ok(_) => VERDICT_VALID,
+        Err(e) if e.code == ErrorCode::VerificationFailed => VERDICT_INVALID,
+        Err(_) => VERDICT_MALFORMED,
+    }
+}
+
+/// Verifies the op's `(message, signature)` pairs — `Verify`'s payload
+/// is one, `VerifyBatch`'s a counted list — and books the tenant's verify
+/// counters and the verify latency. Each verdict is an answer: `Verify`
+/// answers its one verdict, `VerifyBatch` a count and a verdict byte per
+/// pair. Only a refusal (bad framing, queue full, deadline, engine error)
+/// is the outer error.
+fn op_verify(
     shared: &Arc<ServerShared>,
     state: &TenantState,
     key: &TenantKey,
+    op: Op,
     payload: &[u8],
     deadline: Option<Instant>,
-) -> Result<Vec<u8>, WireError> {
-    let mut at = 0;
-    let count = wire::take_u32(payload, &mut at)? as usize;
-    // The declared count is untrusted: every item costs at least its two
-    // 4-byte length prefixes, so a count the remaining payload cannot
-    // hold is malformed — rejected before `count` sizes any allocation.
-    if count > (payload.len() - at) / 8 {
-        return Err(WireError::new(
-            ErrorCode::Malformed,
-            format!(
-                "verify-batch count {count} exceeds what the {}-byte payload can hold",
-                payload.len()
-            ),
-        ));
-    }
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        let msg = wire::take_bytes(payload, &mut at)?;
-        let sig_bytes = wire::take_bytes(payload, &mut at)?;
-        items.push((msg, sig_bytes));
-    }
+) -> Result<Answer, WireError> {
+    let take_pair = |at: &mut usize| -> Result<_, WireError> {
+        Ok((
+            wire::take_bytes(payload, at)?,
+            wire::take_bytes(payload, at)?,
+        ))
+    };
+    let pairs = match op {
+        Op::Verify => vec![take_pair(&mut 0)?],
+        _ => take_list(payload, 8, "verify-batch", take_pair)?,
+    };
     state
         .counters
         .verify_requests
-        .fetch_add(count as u64, Ordering::Relaxed);
-    // Everything decodable is queued as one unit — whole or refused
-    // whole — so the batch coalesces on the verify lane; undecodable
-    // bytes get a per-item malformed verdict without costing the lane a
-    // slot.
-    let begin = Instant::now();
+        .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+    // Undecodable bytes get their malformed verdict here, without costing
+    // the lane a slot; the rest are queued as one unit — whole or refused
+    // whole — so a batch coalesces on the verify lane.
     let params = key.vk.params();
-    let mut verdicts = vec![VERDICT_MALFORMED; count];
-    let (decoded_at, decoded): (Vec<usize>, Vec<_>) = items
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, (msg, sig_bytes))| {
-            let sig = hero_sphincs::Signature::from_bytes(params, &sig_bytes).ok()?;
-            Some((i, (msg, sig)))
-        })
-        .unzip();
-    let tickets = state
-        .service
-        .try_submit_verify_many(decoded, deadline)
-        .map_err(WireError::from)?;
-    for (i, ticket) in decoded_at.into_iter().zip(tickets) {
-        verdicts[i] = match ticket.wait().map_err(WireError::from)? {
-            VerifyOutcome::Valid => VERDICT_VALID,
-            VerifyOutcome::Invalid => VERDICT_INVALID,
-            VerifyOutcome::Malformed(_) => VERDICT_MALFORMED,
-        };
-    }
-    let elapsed = begin.elapsed();
-    // Per-item latency so percentiles stay comparable between verify
-    // and verify-batch traffic.
-    if count > 0 {
-        let per_item = elapsed / count as u32;
-        for _ in 0..count {
-            shared.metrics.record_verify_latency(per_item);
+    let mut verdicts: Vec<Option<Answer>> = Vec::with_capacity(pairs.len());
+    let mut queued = Vec::new();
+    for (msg, sig_bytes) in pairs {
+        match hero_sphincs::Signature::from_bytes(params, &sig_bytes) {
+            Ok(sig) => {
+                queued.push((msg, sig));
+                verdicts.push(None);
+            }
+            Err(e) => verdicts.push(Some(Err(WireError::from(HeroError::from(e))))),
         }
     }
-    for &v in &verdicts {
-        match v {
-            VERDICT_INVALID => state
-                .counters
-                .verify_invalid
-                .fetch_add(1, Ordering::Relaxed),
-            VERDICT_MALFORMED => state
-                .counters
-                .verify_malformed
-                .fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
+    if !queued.is_empty() {
+        let count = queued.len();
+        let begin = Instant::now();
+        let tickets = state
+            .service
+            .try_submit_verify_many(queued, deadline)
+            .map_err(WireError::from)?;
+        let open = verdicts.iter_mut().filter(|v| v.is_none());
+        for (slot, ticket) in open.zip(tickets) {
+            *slot = Some(verdict(ticket.wait().map_err(WireError::from)?));
+        }
+        record_per_item(
+            |sample| shared.metrics.record_verify_latency(sample),
+            begin.elapsed(),
+            count,
+        );
     }
-    let mut out = Vec::new();
-    out.extend_from_slice(&(count as u32).to_be_bytes());
-    out.extend_from_slice(&verdicts);
-    Ok(out)
+    let mut verdicts: Vec<Answer> = verdicts
+        .into_iter()
+        .map(|v| v.expect("every pair has a verdict"))
+        .collect();
+    for v in &verdicts {
+        match verdict_byte(v) {
+            VERDICT_INVALID => &state.counters.verify_invalid,
+            VERDICT_MALFORMED => &state.counters.verify_malformed,
+            _ => continue,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+    }
+    if op == Op::Verify {
+        return Ok(verdicts.pop().expect("one pair, one verdict"));
+    }
+    let mut out = (verdicts.len() as u32).to_be_bytes().to_vec();
+    out.extend(verdicts.iter().map(verdict_byte));
+    Ok(Ok(out))
 }
 
 fn op_keygen(shared: &Arc<ServerShared>, req: &Request) -> Result<Vec<u8>, WireError> {

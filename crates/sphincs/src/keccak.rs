@@ -54,6 +54,9 @@
 //! # }
 //! ```
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+
 /// Number of bytes absorbed/squeezed per permutation (the SHAKE-256
 /// rate: 1088 bits, leaving a 512-bit capacity).
 pub const RATE: usize = 136;
@@ -203,195 +206,200 @@ pub fn permute_x_with(tier: crate::tier::HashTier, states: &mut [[u64; LANES]; S
     }
 }
 
-/// Explicit-intrinsics body of [`permute_x`]: each of the 25 state
-/// words is one `__m256i` holding all [`LANES`] lanes. Unlike the
-/// 8×32-bit SHA engine, the autovectorizer does *not* find this shape
-/// on its own (the π cycle's table-driven rotations defeat it — the
-/// measured autovectorized build ran at ~1× scalar), so the rounds are
-/// spelled in `std::arch` intrinsics; rotations use the AVX2 variable
-/// 64-bit shifts.
+/// The 24 rounds of [`permute_x`], written once for every x86 rung over
+/// `$V`: a register holding one state word of all [`LANES`] lanes. `$V`
+/// carries what differs between ISAs — `load`, `store`, `splat`, `xor`,
+/// `xor3`, `rol::<L, 64 − L>` (both counts spelled out: const arithmetic
+/// in generic position is unstable) and `chi` (`a ^ (!b & c)`) — as
+/// `#[target_feature]` methods, safe to call inside the rung's entry point.
 ///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX2.
+/// The autovectorizer does not find this shape on its own (the π cycle's
+/// table-driven rotations defeat it: the measured autovectorized build ran
+/// at ~1× scalar), so the ops are intrinsics, and ρ + π is unrolled with
+/// literal indices and counts: dynamic `a[PI[i]]` indexing would force the
+/// whole state to the stack and cost the permutation its SIMD win.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn permute_x_avx2(states: &mut [[u64; LANES]; STATE_WORDS]) {
-    use std::arch::x86_64::*;
-
-    /// `v <<< L` via constant shifts (`R = 64 - L`, spelled out because
-    /// const arithmetic in generic position is unstable).
-    #[inline(always)]
-    unsafe fn rotl<const L: i32, const R: i32>(v: __m256i) -> __m256i {
-        unsafe { _mm256_or_si256(_mm256_slli_epi64::<L>(v), _mm256_srli_epi64::<R>(v)) }
-    }
-
-    unsafe {
-        let mut a: [__m256i; STATE_WORDS] =
-            std::array::from_fn(|i| _mm256_loadu_si256(states[i].as_ptr() as *const __m256i));
+macro_rules! permute_words {
+    ($V:ident, $states:expr) => {{
+        use std::mem::replace;
+        let states: &mut [[u64; LANES]; STATE_WORDS] = $states;
+        let mut a: [$V; STATE_WORDS] = std::array::from_fn(|i| $V::load(&states[i]));
         for rc in RC {
             // θ.
-            let c: [__m256i; 5] = std::array::from_fn(|x| {
-                _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_xor_si256(a[x], a[x + 5]), a[x + 10]),
-                    _mm256_xor_si256(a[x + 15], a[x + 20]),
-                )
-            });
+            let c: [$V; 5] =
+                std::array::from_fn(|x| a[x].xor3(a[x + 5], a[x + 10]).xor3(a[x + 15], a[x + 20]));
             for x in 0..5 {
-                let d = _mm256_xor_si256(c[(x + 4) % 5], rotl::<1, 63>(c[(x + 1) % 5]));
+                let d = c[(x + 4) % 5].xor(c[(x + 1) % 5].rol::<1, 63>());
                 for y in 0..5 {
-                    a[x + 5 * y] = _mm256_xor_si256(a[x + 5 * y], d);
+                    a[x + 5 * y] = a[x + 5 * y].xor(d);
                 }
             }
-            // ρ + π, fully unrolled with literal indices and shifts:
-            // dynamic `a[PI[i]]` indexing would force the whole state
-            // array to the stack and cost the permutation its SIMD win.
+            // ρ + π: each step rotates the carried word into its π
+            // position and carries out the word it displaces, until the
+            // cycle closes at word 1.
             let mut t = a[1];
-            macro_rules! step {
-                ($pi:literal, $l:literal, $r:literal) => {{
-                    let next = a[$pi];
-                    a[$pi] = rotl::<$l, $r>(t);
-                    t = next;
-                }};
-            }
-            step!(10, 1, 63);
-            step!(7, 3, 61);
-            step!(11, 6, 58);
-            step!(17, 10, 54);
-            step!(18, 15, 49);
-            step!(3, 21, 43);
-            step!(5, 28, 36);
-            step!(16, 36, 28);
-            step!(8, 45, 19);
-            step!(21, 55, 9);
-            step!(24, 2, 62);
-            step!(4, 14, 50);
-            step!(15, 27, 37);
-            step!(23, 41, 23);
-            step!(19, 56, 8);
-            step!(13, 8, 56);
-            step!(12, 25, 39);
-            step!(2, 43, 21);
-            step!(20, 62, 2);
-            step!(14, 18, 46);
-            step!(22, 39, 25);
-            step!(9, 61, 3);
-            step!(6, 20, 44);
-            step!(1, 44, 20);
-            let _ = t; // the cycle closes; the final carry is dead
-
-            // χ (andnot computes `!row[x+1] & row[x+2]` in one op).
+            t = replace(&mut a[10], t.rol::<1, 63>());
+            t = replace(&mut a[7], t.rol::<3, 61>());
+            t = replace(&mut a[11], t.rol::<6, 58>());
+            t = replace(&mut a[17], t.rol::<10, 54>());
+            t = replace(&mut a[18], t.rol::<15, 49>());
+            t = replace(&mut a[3], t.rol::<21, 43>());
+            t = replace(&mut a[5], t.rol::<28, 36>());
+            t = replace(&mut a[16], t.rol::<36, 28>());
+            t = replace(&mut a[8], t.rol::<45, 19>());
+            t = replace(&mut a[21], t.rol::<55, 9>());
+            t = replace(&mut a[24], t.rol::<2, 62>());
+            t = replace(&mut a[4], t.rol::<14, 50>());
+            t = replace(&mut a[15], t.rol::<27, 37>());
+            t = replace(&mut a[23], t.rol::<41, 23>());
+            t = replace(&mut a[19], t.rol::<56, 8>());
+            t = replace(&mut a[13], t.rol::<8, 56>());
+            t = replace(&mut a[12], t.rol::<25, 39>());
+            t = replace(&mut a[2], t.rol::<43, 21>());
+            t = replace(&mut a[20], t.rol::<62, 2>());
+            t = replace(&mut a[14], t.rol::<18, 46>());
+            t = replace(&mut a[22], t.rol::<39, 25>());
+            t = replace(&mut a[9], t.rol::<61, 3>());
+            t = replace(&mut a[6], t.rol::<20, 44>());
+            a[1] = t.rol::<44, 20>();
+            // χ, one row at a time.
             for y in 0..5 {
-                let row: [__m256i; 5] = std::array::from_fn(|x| a[x + 5 * y]);
+                let row: [$V; 5] = std::array::from_fn(|x| a[x + 5 * y]);
                 for x in 0..5 {
-                    a[x + 5 * y] = _mm256_xor_si256(
-                        row[x],
-                        _mm256_andnot_si256(row[(x + 1) % 5], row[(x + 2) % 5]),
-                    );
+                    a[x + 5 * y] = row[x].chi(row[(x + 1) % 5], row[(x + 2) % 5]);
                 }
             }
             // ι.
-            a[0] = _mm256_xor_si256(a[0], _mm256_set1_epi64x(rc as i64));
+            a[0] = a[0].xor($V::splat(rc));
         }
-        for (i, word) in a.iter().enumerate() {
-            _mm256_storeu_si256(states[i].as_mut_ptr() as *mut __m256i, *word);
+        for (word, dst) in a.into_iter().zip(states.iter_mut()) {
+            word.store(dst);
         }
+    }};
+}
+
+/// Four lanes in one ymm register. AVX2 has neither rotates nor
+/// three-input logic: a rotate is two shifts and an or, `xor3` two
+/// xors, `chi` an and-not and a xor.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(__m256i);
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(src: &[u64; LANES]) -> Self {
+        // SAFETY: `src` is four readable `u64`s; the load is unaligned.
+        Self(unsafe { _mm256_loadu_si256(src.as_ptr().cast()) })
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store(self, dst: &mut [u64; LANES]) {
+        // SAFETY: `dst` is four writable `u64`s; the store is unaligned.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), self.0) }
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat(x: u64) -> Self {
+        Self(_mm256_set1_epi64x(x as i64))
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn xor(self, b: Self) -> Self {
+        Self(_mm256_xor_si256(self.0, b.0))
+    }
+    // Paired as `self ^ (b ^ c)`, so θ's five-way parity is a tree of
+    // depth three.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn xor3(self, b: Self, c: Self) -> Self {
+        self.xor(b.xor(c))
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rol<const L: i32, const R: i32>(self) -> Self {
+        Self(_mm256_or_si256(
+            _mm256_slli_epi64::<L>(self.0),
+            _mm256_srli_epi64::<R>(self.0),
+        ))
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn chi(self, b: Self, c: Self) -> Self {
+        self.xor(Self(_mm256_andnot_si256(b.0, c.0)))
     }
 }
 
-/// AVX-512VL body of [`permute_x`]: the same one-`__m256i`-per-word
-/// dataflow as [`permute_x_avx2`], with the two ops AVX2 lacks lowered
-/// to their single-µop AVX-512 forms — `vprolq` for every ρ/θ rotation
-/// (the AVX2 path pays shift+shift+or each) and `vpternlogq` for the
-/// five-way θ column parity (immediate `0x96`, two ops instead of four)
-/// and the χ step (`x ^ (!y & z)`, immediate `0xD2`, one op instead of
-/// two). That cuts the per-round instruction count by roughly a third.
+/// The same four lanes in one ymm register with AVX-512VL, which lowers
+/// the two ops AVX2 lacks to single µops: `vprolq` for every ρ / θ
+/// rotation and `vpternlogq` for the three-way xor (immediate `0x96`)
+/// and for χ (`a ^ (!b & c)`, immediate `0xD2`). That cuts the per-round
+/// instruction count by roughly a third.
 ///
-/// The issue's sketch called for a 2-lane-per-register 512-bit packing;
-/// measured against it, this 4-lane-ymm form wins because packing two
-/// state words per zmm mixes θ column parities across the pair and
-/// turns the π cycle into cross-lane shuffles — the wider registers
-/// lose more to permutes than they gain in width. The AVX-512 win here
-/// is the instruction diet, not the register width.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and AVX-512VL.
+/// A 2-lane-per-register 512-bit packing was measured against this and
+/// lost: packing two state words per zmm mixes θ column parities across
+/// the pair and turns the π cycle into cross-lane shuffles — the wider
+/// registers lose more to permutes than they gain in width. The AVX-512
+/// win here is the instruction diet, not the register width.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(__m256i);
+
+// Loads and stores are the same ymm moves as AVX2's.
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn load(src: &[u64; LANES]) -> Self {
+        Self(Avx2::load(src).0)
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn store(self, dst: &mut [u64; LANES]) {
+        Avx2(self.0).store(dst)
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn splat(x: u64) -> Self {
+        Self(_mm256_set1_epi64x(x as i64))
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn xor(self, b: Self) -> Self {
+        Self(_mm256_xor_si256(self.0, b.0))
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn xor3(self, b: Self, c: Self) -> Self {
+        Self(_mm256_ternarylogic_epi64::<0x96>(self.0, b.0, c.0))
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn rol<const L: i32, const R: i32>(self) -> Self {
+        Self(_mm256_rol_epi64::<L>(self.0))
+    }
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    fn chi(self, b: Self, c: Self) -> Self {
+        Self(_mm256_ternarylogic_epi64::<0xD2>(self.0, b.0, c.0))
+    }
+}
+
+/// AVX2 body of [`permute_x`]: [`permute_words!`] over [`Avx2`]. Reach
+/// it only on a CPU with AVX2; the dispatch's `unsafe` vouches for that.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn permute_x_avx2(states: &mut [[u64; LANES]; STATE_WORDS]) {
+    permute_words!(Avx2, states)
+}
+
+/// AVX-512VL body of [`permute_x`]: [`permute_words!`] over [`Avx512`].
+/// Reach it only on a CPU with AVX-512F and AVX-512VL.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-unsafe fn permute_x_avx512(states: &mut [[u64; LANES]; STATE_WORDS]) {
-    use std::arch::x86_64::*;
-
-    unsafe {
-        let mut a: [__m256i; STATE_WORDS] =
-            std::array::from_fn(|i| _mm256_loadu_si256(states[i].as_ptr() as *const __m256i));
-        macro_rules! xor3 {
-            ($a:expr, $b:expr, $c:expr) => {
-                _mm256_ternarylogic_epi64($a, $b, $c, 0x96)
-            };
-        }
-        for rc in RC {
-            // θ: two ternlogs fold the five-way column XOR.
-            let c: [__m256i; 5] = std::array::from_fn(|x| {
-                xor3!(xor3!(a[x], a[x + 5], a[x + 10]), a[x + 15], a[x + 20])
-            });
-            for x in 0..5 {
-                let d = _mm256_xor_si256(c[(x + 4) % 5], _mm256_rol_epi64::<1>(c[(x + 1) % 5]));
-                for y in 0..5 {
-                    a[x + 5 * y] = _mm256_xor_si256(a[x + 5 * y], d);
-                }
-            }
-            // ρ + π, unrolled with literal indices exactly like the AVX2
-            // body, but each rotation is one `vprolq`.
-            let mut t = a[1];
-            macro_rules! step {
-                ($pi:literal, $l:literal) => {{
-                    let next = a[$pi];
-                    a[$pi] = _mm256_rol_epi64::<$l>(t);
-                    t = next;
-                }};
-            }
-            step!(10, 1);
-            step!(7, 3);
-            step!(11, 6);
-            step!(17, 10);
-            step!(18, 15);
-            step!(3, 21);
-            step!(5, 28);
-            step!(16, 36);
-            step!(8, 45);
-            step!(21, 55);
-            step!(24, 2);
-            step!(4, 14);
-            step!(15, 27);
-            step!(23, 41);
-            step!(19, 56);
-            step!(13, 8);
-            step!(12, 25);
-            step!(2, 43);
-            step!(20, 62);
-            step!(14, 18);
-            step!(22, 39);
-            step!(9, 61);
-            step!(6, 20);
-            step!(1, 44);
-            let _ = t; // the cycle closes; the final carry is dead
-
-            // χ: one ternlog per word (a ^ (!b & c) = imm 0xD2).
-            for y in 0..5 {
-                let row: [__m256i; 5] = std::array::from_fn(|x| a[x + 5 * y]);
-                for x in 0..5 {
-                    a[x + 5 * y] =
-                        _mm256_ternarylogic_epi64(row[x], row[(x + 1) % 5], row[(x + 2) % 5], 0xD2);
-                }
-            }
-            // ι.
-            a[0] = _mm256_xor_si256(a[0], _mm256_set1_epi64x(rc as i64));
-        }
-        for (i, word) in a.iter().enumerate() {
-            _mm256_storeu_si256(states[i].as_mut_ptr() as *mut __m256i, *word);
-        }
-    }
+fn permute_x_avx512(states: &mut [[u64; LANES]; STATE_WORDS]) {
+    permute_words!(Avx512, states)
 }
 
 /// NEON body of [`permute_x`]: the four lanes split into two

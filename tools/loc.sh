@@ -3,17 +3,29 @@
 # hold the scheme, the engine and the experiment harness — every line of
 # crates/{sphincs,core,bench}/src/**/*.rs up to the file's first top-level
 # `#[cfg(test)]` (its `mod tests`). Run from anywhere; prints one line per
-# crate and a total.
+# crate and a total, then, counted the same way, the network server and
+# the worker pool, which `total` leaves out so earlier figures still
+# compare, and `all`: the five crates together.
 set -eu
 cd "$(dirname "$0")/.."
-total=0
-for crate in sphincs core bench; do
-    lines=$(find "crates/$crate/src" -name '*.rs' -exec awk '
+count() {
+    find "crates/$1/src" -name '*.rs' -exec awk '
         FNR == 1 { counting = 1 }
         /^#\[cfg\(test\)\]/ { counting = 0 }
         counting { n++ }
-        END { print n + 0 }' {} +)
-    printf '%-8s %6d\n' "$crate" "$lines"
+        END { print n + 0 }' {} +
+}
+total=0
+for crate in sphincs core bench; do
+    lines=$(count "$crate")
+    printf '%-10s %6d\n' "$crate" "$lines"
     total=$((total + lines))
 done
-printf '%-8s %6d\n' total "$total"
+printf '%-10s %6d\n' total "$total"
+all=$total
+for crate in server task-graph; do
+    lines=$(count "$crate")
+    printf '%-10s %6d\n' "$crate" "$lines"
+    all=$((all + lines))
+done
+printf '%-10s %6d\n' all "$all"
