@@ -21,6 +21,7 @@ use hero_sphincs::hash::HashCtx;
 use hero_sphincs::hypertree;
 use hero_sphincs::merkle::TreeHashOutput;
 use hero_sphincs::params::Params;
+use hero_sphincs::Nodes;
 
 /// Per-layer output of the kernel: the subtree's root plus the
 /// authentication path of the signing leaf.
@@ -35,7 +36,7 @@ pub struct LayerTree {
     /// Merkle root of the subtree.
     pub root: Vec<u8>,
     /// Authentication path (`h/d` nodes).
-    pub auth_path: Vec<Vec<u8>>,
+    pub auth_path: Nodes,
 }
 
 pub use hero_sphincs::hypertree::layer_coordinates;

@@ -18,7 +18,7 @@ use hero_gpu_sim::occupancy::BlockResources;
 use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
-use hero_sphincs::wots;
+use hero_sphincs::{wots, Nodes};
 
 /// Block geometry: one thread per WOTS+ chain, all layers of one message
 /// in one block where they fit (`d · len` threads), else split.
@@ -115,7 +115,7 @@ pub fn sign_chain_groups(
     ctx: &HashCtx,
     sk_seed: &[u8],
     items: &[ChainGroupItem<'_>],
-) -> Vec<Vec<Vec<u8>>> {
+) -> Vec<Nodes> {
     let msgs: Vec<&[u8]> = items.iter().map(|item| item.msg).collect();
     let adrs_list: Vec<Address> = items
         .iter()

@@ -68,6 +68,7 @@ use hero_sphincs::hypertree::{HtSignature, XmssSig};
 use hero_sphincs::merkle::TreeLevels;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::{self, Signature, SigningKey, VerifyingKey};
+use hero_sphincs::Nodes;
 use hero_task_graph::{Executor, NodeId, TaskGraph};
 
 use std::ops::Range;
@@ -306,7 +307,7 @@ pub fn sign_batch(
     let fors_slots: Slots<(ForsTreeSig, Vec<u8>)> = Slots::new(m * k);
     let pk_slots: Slots<Vec<u8>> = Slots::new(m);
     let layer_slots: Slots<tree_sign::LayerTree> = Slots::new(m * d);
-    let wots_slots: Slots<Vec<Vec<u8>>> = Slots::new(m * d);
+    let wots_slots: Slots<Nodes> = Slots::new(m * d);
 
     let fg = shape.fors_trees_per_item.max(1);
     let tg = shape.subtrees_per_item.max(1);
@@ -428,20 +429,20 @@ pub fn sign_batch(
             (&pk_slots, &layer_slots, &wots_slots, &pres);
         let node = graph.task(move || {
             crate::faults::stage(crate::faults::PLAN_STAGE);
-            // Own the messages first (cloned out of the slots), then
-            // borrow them into the chain-group items.
-            let inputs: Vec<Vec<u8>> = (start..end)
-                .map(|flat| {
-                    let (mi, layer) = (flat / d, flat % d);
-                    if layer == 0 {
-                        pk_slots.with(mi, Vec::clone)
-                    } else {
-                        layer_slots.with(mi * d + layer - 1, |lt| lt.root.clone())
-                    }
-                })
-                .collect();
+            // Own the messages first (copied out of the slots into one
+            // n-stride buffer), then borrow them into the chain-group
+            // items.
+            let mut inputs = vec![0u8; (end - start) * n];
+            for (flat, input) in (start..end).zip(inputs.chunks_exact_mut(n)) {
+                let (mi, layer) = (flat / d, flat % d);
+                if layer == 0 {
+                    pk_slots.with(mi, |pk| input.copy_from_slice(pk));
+                } else {
+                    layer_slots.with(mi * d + layer - 1, |lt| input.copy_from_slice(&lt.root));
+                }
+            }
             let items: Vec<wots_sign::ChainGroupItem<'_>> = (start..end)
-                .zip(&inputs)
+                .zip(inputs.chunks_exact(n))
                 .map(|(flat, msg)| {
                     let (mi, layer) = (flat / d, flat % d);
                     let subtree = pres[mi].subtrees[layer];

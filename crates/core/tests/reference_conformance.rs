@@ -18,7 +18,7 @@ use hero_sign::{HeroSigner, VerifyOutcome};
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::{keygen_from_seeds_with_alg, SignError, Signature};
-use hero_sphincs::{reference, SigningKey, VerifyingKey};
+use hero_sphincs::{reference, Nodes, SigningKey, VerifyingKey};
 
 fn keypair(params: Params, alg: HashAlg) -> (SigningKey, VerifyingKey) {
     let n = params.n;
@@ -49,7 +49,7 @@ fn flipped_per_region(sig: &Signature, i: usize) -> [(&'static str, Signature); 
     ]
     .map(|region| (region, sig.clone()));
     // Node `i` of a list, walking with `i` too.
-    let pick = |nodes: &mut Vec<Vec<u8>>| {
+    let pick = |nodes: &mut Nodes| {
         let at = i % nodes.len();
         nodes[at][0] ^= bit;
     };

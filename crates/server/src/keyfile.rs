@@ -41,22 +41,25 @@ pub fn to_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Parses lowercase/uppercase hex.
+/// Parses lowercase/uppercase hex: pairs of ASCII hex digits, nothing
+/// else (no sign, no non-ASCII character).
 ///
 /// # Errors
 ///
 /// On odd length or non-hex characters.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, KeyfileError> {
-    let s = s.trim();
+    let s = s.trim().as_bytes();
     if !s.len().is_multiple_of(2) {
         return Err(KeyfileError("hex string has odd length".to_string()));
     }
+    let digit = |i: usize| {
+        (s[i] as char)
+            .to_digit(16)
+            .ok_or_else(|| KeyfileError(format!("bad hex at {}", i & !1)))
+    };
     (0..s.len())
         .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| KeyfileError(format!("bad hex at {i}")))
-        })
+        .map(|i| Ok((digit(i)? << 4 | digit(i + 1)?) as u8))
         .collect()
 }
 
@@ -237,6 +240,17 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn hex_is_ascii_digits_only() {
+        // An even byte count that is not even characters, and the sign
+        // `from_str_radix` would accept: errors, not a panic or a byte.
+        assert!(from_hex("a\u{e9}b").is_err());
+        assert!(from_hex("\u{e9}\u{e9}").is_err());
+        assert!(from_hex("+f+f").is_err());
+        assert!(from_hex("-1").is_err());
+        assert_eq!(from_hex(" 0aF9 ").unwrap(), [0x0a, 0xf9]);
     }
 
     #[test]

@@ -431,4 +431,36 @@ mod tests {
         assert!(err.message.contains("broken.key"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn load_dir_reports_non_hex_seeds_typed() {
+        // A seed field of an even byte count that splits a character, and
+        // one of signed digits: each a typed error naming the file, not a
+        // panic or a key.
+        let good = keyfile::encode(
+            &Params::sphincs_128f(),
+            HashAlg::Sha256,
+            &[1; 16],
+            &[2; 16],
+            &[3; 16],
+        );
+        let hex = keyfile::to_hex(&[1; 16]);
+        for (i, seed) in [format!("a\u{e9}b{}", &hex[4..]), "+f".repeat(16)]
+            .into_iter()
+            .enumerate()
+        {
+            let dir =
+                std::env::temp_dir().join(format!("hero-keystore-hex-{i}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let text = good.replace(&format!("sk_seed: {hex}"), &format!("sk_seed: {seed}"));
+            assert_ne!(text, good);
+            std::fs::write(dir.join("mangled.key"), text).unwrap();
+            let store = KeyStore::new();
+            let err = store.load_dir(&dir).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Keyfile, "{seed}");
+            assert!(err.message.contains("mangled.key"), "{err}");
+            assert!(store.is_empty(), "{seed}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

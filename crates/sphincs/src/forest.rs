@@ -27,6 +27,7 @@ use crate::lanes::{
     first, height_word, lane_bodies, put_adrs, seed_words, take_words, tweak, Lanes, Row,
     ADRS_WORDS, MAX_NODE_WORDS,
 };
+use crate::nodes::Nodes;
 use crate::tier;
 
 /// The tallest tree a lane can own: `Params::validate`'s bound on
@@ -140,9 +141,13 @@ impl Kernel {
                     take_words(rows, lane, &mut bytes);
                     bytes
                 };
+                let mut auth_path = vec![0u8; height * n];
+                for (rows, node) in group.auth.iter().zip(auth_path.chunks_exact_mut(n)) {
+                    take_words(rows, lane, node);
+                }
                 let sig = ForsTreeSig {
                     sk: node(&group.sk),
-                    auth_path: group.auth[..height].iter().map(|rows| node(rows)).collect(),
+                    auth_path: Nodes::from_bytes(n, auth_path),
                 };
                 (sig, node(&group.root))
             }));

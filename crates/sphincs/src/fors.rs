@@ -39,6 +39,7 @@
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
 use crate::merkle;
+use crate::nodes::Nodes;
 use crate::params::Params;
 use crate::sign::Scratch;
 #[cfg(target_arch = "x86_64")]
@@ -53,7 +54,7 @@ pub struct ForsTreeSig {
     /// Revealed secret element (`n` bytes).
     pub sk: Vec<u8>,
     /// Authentication path, `log t` nodes.
-    pub auth_path: Vec<Vec<u8>>,
+    pub auth_path: Nodes,
 }
 
 /// A complete FORS signature: one [`ForsTreeSig`] per tree.
@@ -288,7 +289,9 @@ fn fused_trees(
         .map(|(j, (req, top))| {
             let part = (j << split) + (req.leaf_idx >> height) as usize;
             let mut sig = std::mem::take(&mut built[part].0);
-            sig.auth_path.extend(top.auth_path);
+            for node in &top.auth_path {
+                sig.auth_path.push(node);
+            }
             (sig, top.root)
         })
         .collect()
@@ -371,9 +374,15 @@ pub fn sign(
     keypair_adrs: &Address,
 ) -> (ForsSignature, Vec<u8>) {
     let reqs = tree_requests(ctx.params(), md, keypair_adrs);
-    let (trees, roots): (Vec<ForsTreeSig>, Vec<Vec<u8>>) =
-        tree_hash_many(ctx, sk_seed, &reqs).into_iter().unzip();
-    let pk = roots_to_pk(ctx, keypair_adrs, &roots.concat());
+    let mut roots = Vec::with_capacity(reqs.len() * ctx.params().n);
+    let trees = tree_hash_many(ctx, sk_seed, &reqs)
+        .into_iter()
+        .map(|(tree, root)| {
+            roots.extend_from_slice(&root);
+            tree
+        })
+        .collect();
+    let pk = roots_to_pk(ctx, keypair_adrs, &roots);
     (ForsSignature { trees }, pk)
 }
 
@@ -474,8 +483,8 @@ pub(crate) fn pks_group(
             for (tree, words) in sig.trees.iter().zip(words.chunks_exact_mut(tree_words)) {
                 assert_eq!(tree.auth_path.len(), log_t, "authentication path height");
                 let (sk, auth) = words.split_at_mut(nw);
-                lanes::put_nodes(sk, std::slice::from_ref(&tree.sk));
-                lanes::put_nodes(auth, &tree.auth_path);
+                lanes::put_nodes(sk, &tree.sk);
+                lanes::put_nodes(auth, tree.auth_path.as_bytes());
             }
         }
         // A leaf's `F` address is the tree's node address at height zero
@@ -564,7 +573,7 @@ pub(crate) fn pks_group(
     let climb = |j: usize| merkle::AuthPathJob {
         leaf: &leaves[j * n..(j + 1) * n],
         leaf_idx: adrs[j].tree_index(),
-        auth_path: &sigs[j / k].trees[j % k].auth_path,
+        auth_path: sigs[j / k].trees[j % k].auth_path.as_bytes(),
         node_adrs: adrs[j],
         leaf_offset: 0,
     };

@@ -36,6 +36,7 @@
 use crate::address::{Address, AddressType};
 use crate::hash::{ChainJob, HashCtx};
 use crate::merkle;
+use crate::nodes::Nodes;
 use crate::params::Params;
 use crate::sign::Scratch;
 use crate::wots;
@@ -47,9 +48,9 @@ use crate::{ascent, lanes};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XmssSig {
     /// WOTS+ signature (`len` nodes of `n` bytes).
-    pub wots_sig: Vec<Vec<u8>>,
+    pub wots_sig: Nodes,
     /// Authentication path, `h/d` nodes.
-    pub auth_path: Vec<Vec<u8>>,
+    pub auth_path: Nodes,
 }
 
 /// A full hypertree signature: `d` [`XmssSig`] layers, bottom to top.
@@ -254,8 +255,8 @@ pub(crate) fn xmss_roots_group<'s>(
             );
             assert_eq!(sig.auth_path.len(), height, "authentication path height");
             let (chains, auth) = words.split_at_mut(len * n / 4);
-            lanes::put_nodes(chains, &sig.wots_sig);
-            lanes::put_nodes(auth, &sig.auth_path);
+            lanes::put_nodes(chains, sig.wots_sig.as_bytes());
+            lanes::put_nodes(auth, sig.auth_path.as_bytes());
             wots::push_digits(params, msg, digits);
         }
         let links = (0..count).flat_map(|s| {
@@ -304,7 +305,7 @@ pub(crate) fn xmss_roots_group<'s>(
             let climb = |_| merkle::AuthPathJob {
                 leaf,
                 leaf_idx: coords[s].1,
-                auth_path: &sig(s).auth_path,
+                auth_path: sig(s).auth_path.as_bytes(),
                 node_adrs: node_adrs(layer, coords[s].0),
                 leaf_offset: 0,
             };
@@ -322,14 +323,17 @@ pub(crate) fn xmss_roots_group<'s>(
         jobs,
         ..
     } = scratch;
-    let sigs = (0..count).map(|s| (&sig(s).wots_sig[..], &roots[s * n..(s + 1) * n], keypair(s)));
+    let sigs = (0..count).map(|s| {
+        let wots_sig = sig(s).wots_sig.as_bytes();
+        (wots_sig, &roots[s * n..(s + 1) * n], keypair(s))
+    });
     let run = |nodes: &mut [u8], jobs: &[ChainJob]| ctx.f_chains_in(nodes, jobs, adrs, live);
     leaves.resize(count * n, 0);
     wots::pks_in(ctx, sigs, digits, bytes, jobs, run, leaves);
     let climb = |s: usize| merkle::AuthPathJob {
         leaf: &leaves[s * n..(s + 1) * n],
         leaf_idx: coords[s].1,
-        auth_path: &sig(s).auth_path,
+        auth_path: sig(s).auth_path.as_bytes(),
         node_adrs: node_adrs(layer, coords[s].0),
         leaf_offset: 0,
     };

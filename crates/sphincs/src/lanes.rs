@@ -73,35 +73,17 @@ pub(crate) fn seed_words(seed: &[u8]) -> [u32; MAX_NODE_WORDS] {
     words
 }
 
-/// Writes `nodes` into `words` as big-endian words, node after node: how
-/// a signature's nodes go into the words a body gathers its lanes from.
+/// Writes `nodes` — a signature's node list, back to back — into
+/// `words` as big-endian words: how a signature's nodes go into the words
+/// a body gathers its lanes from, one region at a time.
 ///
 /// # Panics
 ///
-/// Panics if a node is not as many bytes as `words` has words for it.
-pub(crate) fn put_nodes(words: &mut [u32], nodes: &[Vec<u8>]) {
-    /// Nodes of a width the compiler knows.
-    fn put<const NW: usize>(words: &mut [u32], nodes: &[Vec<u8>]) {
-        for (words, node) in words.chunks_exact_mut(NW).zip(nodes) {
-            assert_eq!(node.len(), 4 * NW, "node must be n bytes");
-            for (i, word) in words.iter_mut().enumerate() {
-                *word = u32::from_be_bytes(node[4 * i..][..4].try_into().expect("4-byte chunk"));
-            }
-        }
-    }
-    if nodes.is_empty() {
-        return;
-    }
-    assert_eq!(
-        words.len() % nodes.len(),
-        0,
-        "words must divide into the nodes"
-    );
-    match words.len() / nodes.len() {
-        4 => put::<4>(words, nodes),
-        6 => put::<6>(words, nodes),
-        8 => put::<8>(words, nodes),
-        nw => panic!("no resident body for nodes of {nw} words"),
+/// Panics if `nodes` is not four bytes for every word.
+pub(crate) fn put_nodes(words: &mut [u32], nodes: &[u8]) {
+    assert_eq!(nodes.len(), 4 * words.len(), "nodes must fill the words");
+    for (word, bytes) in words.iter_mut().zip(nodes.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
     }
 }
 

@@ -43,6 +43,8 @@
 //! * [`merkle`] — tree hashing with authentication paths (the reduction
 //!   of Fig. 7, levels halved in place over one flat buffer).
 //! * [`hypertree`] — the `d`-layer hypertree (`TREE_Sign`'s workload).
+//! * [`Nodes`] — a node list in one buffer: every WOTS+ signature and
+//!   authentication path a signature carries.
 //! * [`sign`] — keygen / sign / verify.
 //! * [`mod@reference`] — the scalar second implementation (above).
 //! * [`tier`] — the runtime ISA ladder (scalar → AVX2 → SHA-NI /
@@ -117,6 +119,7 @@ mod lanes;
 #[cfg(target_arch = "x86_64")]
 mod leaf;
 pub mod merkle;
+mod nodes;
 pub mod params;
 pub mod reference;
 pub mod sha256;
@@ -126,6 +129,7 @@ pub mod tier;
 pub mod wots;
 
 pub use hash::HashAlg;
+pub use nodes::Nodes;
 pub use params::Params;
 pub use sign::{
     keygen, keygen_from_seeds, keygen_from_seeds_with_alg, keygen_with_alg, Signature, SigningKey,

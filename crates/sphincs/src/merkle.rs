@@ -45,6 +45,7 @@
 
 use crate::address::Address;
 use crate::hash::HashCtx;
+use crate::nodes::Nodes;
 use crate::{keccak, sha256};
 
 /// Climbs [`roots_in`] holds on the stack between two batched `H` calls:
@@ -60,7 +61,7 @@ pub struct TreeHashOutput {
     /// Merkle root (`n` bytes).
     pub root: Vec<u8>,
     /// Sibling nodes from the leaf's level up (each `n` bytes).
-    pub auth_path: Vec<Vec<u8>>,
+    pub auth_path: Nodes,
 }
 
 /// One tree's coordinates in a combined sweep.
@@ -104,17 +105,17 @@ impl<'a> Pyramid<'a> {
 
     /// The sibling of `leaf_idx`'s ancestor at every level of tree `job`,
     /// from the leaf's level up.
-    fn auth_path(&self, job: usize, leaf_idx: u32) -> Vec<Vec<u8>> {
+    fn auth_path(&self, job: usize, leaf_idx: u32) -> Nodes {
         assert!(
             (leaf_idx as usize) < (1usize << self.height),
             "leaf index out of range"
         );
-        (0..self.height)
-            .map(|z| {
-                let sibling = (leaf_idx as usize >> z) ^ 1;
-                self.level(z, job)[sibling * self.n..][..self.n].to_vec()
-            })
-            .collect()
+        let mut path = Nodes::with_capacity(self.n, self.height);
+        for z in 0..self.height {
+            let sibling = (leaf_idx as usize >> z) ^ 1;
+            path.push(&self.level(z, job)[sibling * self.n..][..self.n]);
+        }
+        path
     }
 }
 
@@ -250,7 +251,7 @@ impl TreeLevels {
     /// # Panics
     ///
     /// Panics if `leaf_idx >= 2^height`.
-    pub fn auth_path(&self, leaf_idx: u32) -> Vec<Vec<u8>> {
+    pub fn auth_path(&self, leaf_idx: u32) -> Nodes {
         self.pyramid().auth_path(0, leaf_idx)
     }
 
@@ -323,8 +324,9 @@ pub struct AuthPathJob<'a> {
     pub leaf: &'a [u8],
     /// Index of the leaf within its tree.
     pub leaf_idx: u32,
-    /// Sibling nodes from the leaf's level up (each `n` bytes).
-    pub auth_path: &'a [Vec<u8>],
+    /// Sibling nodes from the leaf's level up, back to back (`n` bytes
+    /// each).
+    pub auth_path: &'a [u8],
     /// Address carrying layer/tree coordinates; tree-height and
     /// tree-index are set here per level.
     pub node_adrs: Address,
@@ -359,7 +361,7 @@ pub struct AuthPathJob<'a> {
 /// let climb = merkle::AuthPathJob {
 ///     leaf: &[5u8; 16],
 ///     leaf_idx: 5,
-///     auth_path: &out.auth_path,
+///     auth_path: out.auth_path.as_bytes(),
 ///     node_adrs: job.node_adrs,
 ///     leaf_offset: 0,
 /// };
@@ -370,8 +372,8 @@ pub struct AuthPathJob<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `out` is not `jobs.len() * n` bytes, jobs disagree on
-/// auth-path height or any node is not `n` bytes (the library verify path
+/// Panics if `out` is not `jobs.len() * n` bytes, a leaf is not `n`
+/// bytes or jobs disagree on auth-path height (the library verify path
 /// checks shapes first and returns a typed error).
 pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob], out: &mut [u8]) {
     assert_eq!(
@@ -399,7 +401,7 @@ pub(crate) fn roots_in<'p>(
         .step_by(CLIMBS)
         .zip(out[..count * n].chunks_mut(CLIMBS * n))
     {
-        let (jobs, height) = (nodes.len() / n, job(0).auth_path.len());
+        let (jobs, height) = (nodes.len() / n, job(0).auth_path.len() / n);
         for (j, node) in nodes.chunks_exact_mut(n).enumerate() {
             let leaf = job(first + j).leaf;
             assert_eq!(leaf.len(), n, "leaf must be n bytes");
@@ -415,11 +417,10 @@ pub(crate) fn roots_in<'p>(
                 let job = job(first + j);
                 assert_eq!(
                     job.auth_path.len(),
-                    height,
+                    height * n,
                     "all jobs must share one auth-path height"
                 );
-                let sibling = &job.auth_path[level];
-                assert_eq!(sibling.len(), n, "auth-path node must be n bytes");
+                let sibling = &job.auth_path[level * n..][..n];
                 let node_left;
                 (adrs[j], node_left) = climb_level(&job, level);
                 let (left, right) = pair.split_at_mut(n);
@@ -535,13 +536,13 @@ mod tests {
         ctx: &HashCtx,
         leaf: &[u8],
         leaf_idx: u32,
-        auth_path: &[Vec<u8>],
+        auth_path: &Nodes,
         adrs: &Address,
     ) -> Vec<u8> {
         let job = AuthPathJob {
             leaf,
             leaf_idx,
-            auth_path,
+            auth_path: auth_path.as_bytes(),
             node_adrs: *adrs,
             leaf_offset: 0,
         };
@@ -614,7 +615,7 @@ mod tests {
                 .map(|((job, out), leaf)| AuthPathJob {
                     leaf,
                     leaf_idx: job.leaf_idx,
-                    auth_path: &out.auth_path,
+                    auth_path: out.auth_path.as_bytes(),
                     node_adrs: job.node_adrs,
                     leaf_offset: job.leaf_offset,
                 })

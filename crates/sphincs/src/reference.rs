@@ -38,6 +38,7 @@ use crate::address::{Address, AddressType};
 use crate::fors::{self, ForsSignature, ForsTreeSig};
 use crate::hash::{self, HashCtx};
 use crate::hypertree::{HtSignature, XmssSig};
+use crate::nodes::Nodes;
 use crate::sign::{SignError, Signature, SigningKey, VerifyingKey};
 use crate::wots;
 
@@ -107,15 +108,14 @@ pub fn wots_pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if `msg` is not `n` bytes.
-pub fn wots_sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
-    wots::chain_lengths(ctx.params(), msg)
-        .into_iter()
-        .enumerate()
-        .map(|(i, digit)| {
-            let sk = wots_sk(ctx, sk_seed, adrs, i as u32);
-            chain(ctx, &sk, 0, digit, &mut wots_hash_adrs(adrs, i as u32))
-        })
-        .collect()
+pub fn wots_sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Nodes {
+    let params = ctx.params();
+    let mut sig = Nodes::with_capacity(params.n, params.wots_len());
+    for (i, digit) in (0u32..).zip(wots::chain_lengths(params, msg)) {
+        let sk = wots_sk(ctx, sk_seed, adrs, i);
+        sig.push(&chain(ctx, &sk, 0, digit, &mut wots_hash_adrs(adrs, i)));
+    }
+    sig
 }
 
 /// Recomputes a WOTS+ public key from a signature over `msg`: every
@@ -125,7 +125,7 @@ pub fn wots_sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> V
 ///
 /// Panics if `sig` does not hold `wots_len()` nodes, or `msg` is not `n`
 /// bytes.
-pub fn wots_pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
+pub fn wots_pk_from_sig(ctx: &HashCtx, sig: &Nodes, msg: &[u8], adrs: &Address) -> Vec<u8> {
     let params = *ctx.params();
     assert_eq!(sig.len(), params.wots_len(), "WOTS+ signature length");
     let top = params.w as u32 - 1;
@@ -163,14 +163,14 @@ pub fn treehash(
     node_adrs: &Address,
     leaf_offset: u32,
     leaf_fn: impl FnMut(u32) -> Vec<u8>,
-) -> (Vec<u8>, Vec<Vec<u8>>) {
+) -> (Vec<u8>, Nodes) {
     assert!((leaf_idx as usize) < 1 << height, "leaf index out of range");
     let base_height = node_adrs.tree_height();
     let mut level: Vec<Vec<u8>> = (0..1u32 << height).map(leaf_fn).collect();
-    let mut auth_path = Vec::with_capacity(height);
+    let mut auth_path = Nodes::with_capacity(ctx.params().n, height);
     let mut adrs = *node_adrs;
     for z in 1..=height as u32 {
-        auth_path.push(level[(leaf_idx as usize >> (z - 1)) ^ 1].clone());
+        auth_path.push(&level[(leaf_idx as usize >> (z - 1)) ^ 1]);
         adrs.set_tree_height(base_height + z);
         level = (0..level.len() / 2)
             .map(|i| {
@@ -189,7 +189,7 @@ pub fn root_from_auth_path(
     ctx: &HashCtx,
     leaf: &[u8],
     leaf_idx: u32,
-    auth_path: &[Vec<u8>],
+    auth_path: &Nodes,
     node_adrs: &Address,
     leaf_offset: u32,
 ) -> Vec<u8> {
@@ -263,7 +263,7 @@ pub fn fors_tree(
     keypair_adrs: &Address,
     tree_idx: u32,
     leaf_idx: u32,
-) -> (Vec<u8>, Vec<Vec<u8>>) {
+) -> (Vec<u8>, Nodes) {
     let params = *ctx.params();
     treehash(
         ctx,

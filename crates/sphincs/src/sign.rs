@@ -2,9 +2,10 @@
 //! (the flow of Fig. 2 in the paper).
 
 use crate::address::{Address, AddressType};
-use crate::fors::{self, ForsSignature};
+use crate::fors::{self, ForsSignature, ForsTreeSig};
 use crate::hash::{self, ChainJob, HashAlg, HashCtx};
-use crate::hypertree::{self, HtSignature};
+use crate::hypertree::{self, HtSignature, XmssSig};
+use crate::nodes::Nodes;
 use crate::params::Params;
 
 use rand::RngCore;
@@ -79,28 +80,24 @@ impl Signature {
         params.sig_bytes()
     }
 
-    /// Flattens the signature to bytes (`r || FORS || HT`).
+    /// Flattens the signature to bytes (`r || FORS || HT`): one copy per
+    /// field, each node list copied whole.
     pub fn to_bytes(&self, params: &Params) -> Vec<u8> {
         let mut out = Vec::with_capacity(params.sig_bytes());
         out.extend_from_slice(&self.randomizer);
         for tree in &self.fors.trees {
             out.extend_from_slice(&tree.sk);
-            for node in &tree.auth_path {
-                out.extend_from_slice(node);
-            }
+            out.extend_from_slice(tree.auth_path.as_bytes());
         }
         for layer in &self.ht.layers {
-            for node in &layer.wots_sig {
-                out.extend_from_slice(node);
-            }
-            for node in &layer.auth_path {
-                out.extend_from_slice(node);
-            }
+            out.extend_from_slice(layer.wots_sig.as_bytes());
+            out.extend_from_slice(layer.auth_path.as_bytes());
         }
         out
     }
 
-    /// Parses a signature from bytes produced by [`Signature::to_bytes`].
+    /// Parses a signature from bytes produced by [`Signature::to_bytes`]:
+    /// one copy per field, a node list being one.
     ///
     /// # Errors
     ///
@@ -115,29 +112,26 @@ impl Signature {
             )));
         }
         let n = params.n;
-        let mut pos = 0usize;
-        let mut take = |len: usize| {
-            let slice = bytes[pos..pos + len].to_vec();
-            pos += len;
-            slice
+        let mut rest = bytes;
+        let mut take = |nodes: usize| {
+            let (field, tail) = rest.split_at(nodes * n);
+            rest = tail;
+            field.to_vec()
         };
-        let randomizer = take(n);
-        let mut trees = Vec::with_capacity(params.k);
-        for _ in 0..params.k {
-            let sk = take(n);
-            let auth_path = (0..params.log_t).map(|_| take(n)).collect();
-            trees.push(crate::fors::ForsTreeSig { sk, auth_path });
-        }
-        let mut layers = Vec::with_capacity(params.d);
-        for _ in 0..params.d {
-            let wots_sig = (0..params.wots_len()).map(|_| take(n)).collect();
-            let auth_path = (0..params.tree_height()).map(|_| take(n)).collect();
-            layers.push(crate::hypertree::XmssSig {
-                wots_sig,
-                auth_path,
-            });
-        }
-        debug_assert_eq!(pos, bytes.len());
+        let randomizer = take(1);
+        let trees = (0..params.k)
+            .map(|_| ForsTreeSig {
+                sk: take(1),
+                auth_path: Nodes::from_bytes(n, take(params.log_t)),
+            })
+            .collect();
+        let layers = (0..params.d)
+            .map(|_| XmssSig {
+                wots_sig: Nodes::from_bytes(n, take(params.wots_len())),
+                auth_path: Nodes::from_bytes(n, take(params.tree_height())),
+            })
+            .collect();
+        debug_assert!(rest.is_empty());
         Ok(Self {
             randomizer,
             fors: ForsSignature { trees },
@@ -145,51 +139,38 @@ impl Signature {
         })
     }
 
-    /// Checks every dimension of the signature against `params`: the
-    /// shape gate [`VerifyingKey::verify`] applies before recomputing
-    /// any hash, split out so batched and planned verification can
-    /// pre-screen signatures without entering the lane sweeps.
+    /// Checks every dimension of the signature against `params` — the
+    /// count of every list and the stride of every node list — the shape
+    /// gate [`VerifyingKey::verify`] applies before recomputing any hash,
+    /// split out so batched and planned verification can pre-screen
+    /// signatures without entering the lane sweeps.
     ///
     /// # Errors
     ///
     /// [`SignError::MalformedSignature`] naming the first bad field.
     pub fn check_shape(&self, params: &Params) -> Result<(), SignError> {
-        if self.randomizer.len() != params.n {
-            return Err(SignError::MalformedSignature("randomizer length".into()));
+        let n = params.n;
+        let fits = |nodes: &Nodes, count: usize| nodes.stride() == n && nodes.len() == count;
+        let malformed = |what: &str| Err(SignError::MalformedSignature(what.into()));
+        if self.randomizer.len() != n {
+            return malformed("randomizer length");
         }
         if self.fors.trees.len() != params.k {
-            return Err(SignError::MalformedSignature("FORS tree count".into()));
+            return malformed("FORS tree count");
         }
         if self.ht.layers.len() != params.d {
-            return Err(SignError::MalformedSignature(
-                "hypertree layer count".into(),
-            ));
+            return malformed("hypertree layer count");
         }
         for tree in &self.fors.trees {
-            if tree.sk.len() != params.n || tree.auth_path.len() != params.log_t {
-                return Err(SignError::MalformedSignature("FORS tree shape".into()));
-            }
-            if tree.auth_path.iter().any(|node| node.len() != params.n) {
-                return Err(SignError::MalformedSignature(
-                    "FORS auth-path node length".into(),
-                ));
+            if tree.sk.len() != n || !fits(&tree.auth_path, params.log_t) {
+                return malformed("FORS tree shape");
             }
         }
         for layer in &self.ht.layers {
-            if layer.wots_sig.len() != params.wots_len()
-                || layer.auth_path.len() != params.tree_height()
+            if !fits(&layer.wots_sig, params.wots_len())
+                || !fits(&layer.auth_path, params.tree_height())
             {
-                return Err(SignError::MalformedSignature("XMSS layer shape".into()));
-            }
-            if layer
-                .wots_sig
-                .iter()
-                .chain(layer.auth_path.iter())
-                .any(|node| node.len() != params.n)
-            {
-                return Err(SignError::MalformedSignature(
-                    "XMSS layer node length".into(),
-                ));
+                return malformed("XMSS layer shape");
             }
         }
         Ok(())
@@ -671,33 +652,49 @@ mod tests {
 
     #[test]
     fn verify_rejects_wrong_length_nodes() {
-        // Hand-built signatures with truncated nodes must fail with a
-        // typed error, not a panic in the batched hot path.
+        // Each node list a signature carries, at the wrong stride or the
+        // wrong node count, must fail with a typed error, not a panic in
+        // the batched hot path.
         let mut rng = StdRng::seed_from_u64(54);
-        let (sk, vk) = keygen(tiny_params(), &mut rng).unwrap();
+        let params = tiny_params();
+        let n = params.n;
+        let (sk, vk) = keygen(params, &mut rng).unwrap();
         let msg = b"node length";
         let sig = sk.sign(msg);
 
-        let mut bad = sig.clone();
-        bad.ht.layers[0].wots_sig[0].pop();
-        assert!(matches!(
-            vk.verify(msg, &bad),
-            Err(SignError::MalformedSignature(_))
-        ));
-
-        let mut bad = sig.clone();
-        bad.ht.layers[1].auth_path[0].push(0);
-        assert!(matches!(
-            vk.verify(msg, &bad),
-            Err(SignError::MalformedSignature(_))
-        ));
-
-        let mut bad = sig.clone();
-        bad.fors.trees[0].auth_path[0].pop();
-        assert!(matches!(
-            vk.verify(msg, &bad),
-            Err(SignError::MalformedSignature(_))
-        ));
+        type List = fn(&mut Signature) -> &mut Nodes;
+        let lists: [(&str, List); 3] = [
+            ("WOTS+ signature", |s| &mut s.ht.layers[0].wots_sig),
+            ("XMSS auth path", |s| &mut s.ht.layers[1].auth_path),
+            ("FORS auth path", |s| &mut s.fors.trees[0].auth_path),
+        ];
+        for (what, list) in lists {
+            let nodes = list(&mut sig.clone()).clone();
+            let (count, bytes) = (nodes.len(), nodes.as_bytes());
+            let mut longer = nodes.clone();
+            longer.push(&bytes[..n]);
+            let reshaped = [
+                (
+                    "stride n - 1",
+                    Nodes::from_bytes(n - 1, bytes[..(n - 1) * count].to_vec()),
+                ),
+                ("one node short", Nodes::from_bytes(n, bytes[n..].to_vec())),
+                ("one node long", longer),
+            ];
+            for (how, nodes) in reshaped {
+                let mut bad = sig.clone();
+                *list(&mut bad) = nodes;
+                assert!(
+                    matches!(vk.verify(msg, &bad), Err(SignError::MalformedSignature(_))),
+                    "{what}, {how}"
+                );
+                assert_eq!(
+                    reference::verify(&vk, msg, &bad),
+                    vk.verify(msg, &bad),
+                    "{what}, {how}"
+                );
+            }
+        }
     }
 
     #[test]

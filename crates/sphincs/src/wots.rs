@@ -39,12 +39,13 @@
 //! let sigs = wots::sign_many(&ctx, &[&[7u8; 16]], &sk_seed, &[adrs]);
 //! // Verification recomputes the public key by finishing the chains.
 //! let mut recovered = [0u8; 16];
-//! wots::pk_from_sig_many(&ctx, &[&sigs[0]], &[&[7u8; 16]], &[adrs], &mut recovered);
+//! wots::pk_from_sig_many(&ctx, &[sigs[0].as_bytes()], &[&[7u8; 16]], &[adrs], &mut recovered);
 //! assert_eq!(recovered, pk);
 //! ```
 
 use crate::address::{Address, AddressType};
 use crate::hash::{ChainHead, ChainJob, HashCtx};
+use crate::nodes::Nodes;
 use crate::params::Params;
 #[cfg(target_arch = "x86_64")]
 use crate::{chain, lanes::chain_words, leaf};
@@ -225,7 +226,8 @@ fn pk_gen_sweep(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut 
 /// length across all requests they fill lane groups that a lone request's
 /// `len` chains would leave ragged. All requests share `sk_seed` (one
 /// signing key signs the whole batch); `adrs_list[i]` carries request
-/// `i`'s layer/tree/keypair coordinates.
+/// `i`'s layer/tree/keypair coordinates. Request `i`'s signature is its
+/// `len` revealed nodes in one [`Nodes`].
 ///
 /// # Panics
 ///
@@ -236,7 +238,7 @@ pub fn sign_many(
     msgs: &[&[u8]],
     sk_seed: &[u8],
     adrs_list: &[Address],
-) -> Vec<Vec<Vec<u8>>> {
+) -> Vec<Nodes> {
     let params = *ctx.params();
     let (len, n) = (params.wots_len(), params.n);
     assert_eq!(msgs.len(), adrs_list.len(), "one address per message");
@@ -244,7 +246,7 @@ pub fn sign_many(
     let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| lengths[r][i]);
     nodes
         .chunks_exact(len * n)
-        .map(|sig| sig.chunks_exact(n).map(<[u8]>::to_vec).collect())
+        .map(|sig| Nodes::from_bytes(n, sig.to_vec()))
         .collect()
 }
 
@@ -255,7 +257,8 @@ pub fn sign_many(
 /// [`sign_many`]. Where signing runs `msg[i]` steps per chain,
 /// verification runs the complementary `w-1-msg[i]` steps from the
 /// revealed node; only the chain addresses are built, no PRF material is
-/// needed.
+/// needed. A signature is its `len` nodes back to back
+/// ([`Nodes::as_bytes`]).
 ///
 /// ```
 /// use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
@@ -271,7 +274,8 @@ pub fn sign_many(
 ///
 /// let sigs = wots::sign_many(&ctx, &msgs, &sk_seed, &[a0, a1]);
 /// let mut pks = [0u8; 32];
-/// wots::pk_from_sig_many(&ctx, &[&sigs[0], &sigs[1]], &msgs, &[a0, a1], &mut pks);
+/// let sig_bytes = [sigs[0].as_bytes(), sigs[1].as_bytes()];
+/// wots::pk_from_sig_many(&ctx, &sig_bytes, &msgs, &[a0, a1], &mut pks);
 /// let mut generated = [0u8; 32];
 /// wots::pk_gen_many(&ctx, &sk_seed, &[a0, a1], &mut generated);
 /// assert_eq!(pks, generated);
@@ -280,12 +284,12 @@ pub fn sign_many(
 /// # Panics
 ///
 /// Panics if the slice lengths disagree, `out` is not `count * n` bytes,
-/// a message is not `n` bytes or any signature does not hold
-/// `wots_len()` nodes of `n` bytes (the library verify path checks
-/// shapes first and returns a typed error).
+/// a message is not `n` bytes or any signature is not `wots_len()`
+/// nodes of `n` bytes (the library verify path checks shapes first and
+/// returns a typed error).
 pub fn pk_from_sig_many(
     ctx: &HashCtx,
-    sigs: &[&[Vec<u8>]],
+    sigs: &[&[u8]],
     msgs: &[&[u8]],
     adrs_list: &[Address],
     out: &mut [u8],
@@ -311,7 +315,7 @@ pub fn pk_from_sig_many(
 /// nodes the chains `run` in, and the chains.
 pub(crate) fn pks_in<'s, 'j>(
     ctx: &HashCtx,
-    sigs: impl Iterator<Item = (&'s [Vec<u8>], &'s [u8], Address)> + Clone,
+    sigs: impl Iterator<Item = (&'s [u8], &'s [u8], Address)> + Clone,
     digits: &mut Vec<u32>,
     nodes: &mut Vec<u8>,
     jobs: &mut Vec<ChainJob<'j>>,
@@ -324,11 +328,10 @@ pub(crate) fn pks_in<'s, 'j>(
     nodes.clear();
     jobs.clear();
     for (sig, msg, adrs) in sigs.clone() {
-        assert_eq!(sig.len(), len, "WOTS+ signature must have len nodes");
+        assert_eq!(sig.len(), len * n, "WOTS+ signature must be len nodes");
         push_digits(params, msg, digits);
-        for ((c, node), &digit) in (0u32..).zip(sig).zip(&digits[digits.len() - len..]) {
-            assert_eq!(node.len(), n, "WOTS+ signature node must be n bytes");
-            nodes.extend_from_slice(node);
+        nodes.extend_from_slice(sig);
+        for (c, &digit) in (0u32..).zip(&digits[digits.len() - len..]) {
             jobs.push(ChainJob {
                 adrs: hash_adrs_for(&adrs, c),
                 head: ChainHead::Node,
@@ -390,12 +393,13 @@ mod tests {
         pk
     }
 
-    fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Vec<Vec<u8>> {
+    fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Nodes {
         sign_many(ctx, &[msg], sk_seed, std::slice::from_ref(adrs)).remove(0)
     }
 
-    fn pk_from_sig(ctx: &HashCtx, sig: &[Vec<u8>], msg: &[u8], adrs: &Address) -> Vec<u8> {
+    fn pk_from_sig(ctx: &HashCtx, sig: &Nodes, msg: &[u8], adrs: &Address) -> Vec<u8> {
         let mut pk = vec![0u8; ctx.params().n];
+        let sig = sig.as_bytes();
         pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs), &mut pk);
         pk
     }
@@ -553,7 +557,7 @@ mod tests {
                 })
                 .collect();
             let sigs = sign_many(&ctx, &msgs, &sk_seed, &adrs_list);
-            let sig_refs: Vec<&[Vec<u8>]> = sigs.iter().map(Vec::as_slice).collect();
+            let sig_refs: Vec<&[u8]> = sigs.iter().map(Nodes::as_bytes).collect();
             let mut flat = vec![0u8; count * params.n];
             pk_from_sig_many(&ctx, &sig_refs, &msgs, &adrs_list, &mut flat);
             let batched: Vec<&[u8]> = flat.chunks(params.n).collect();

@@ -8,6 +8,13 @@
 //! that allocates per layer or per chain again fails here, not only in
 //! the benchmark's `alloc.count_per_verify`.
 //!
+//! And what a signature is on the heap: [`Signature::from_bytes`] makes
+//! one allocation per field — the randomizer, the two lists, each FORS
+//! tree's secret and path, each layer's WOTS+ signature and path — and
+//! holds little more than the signature's own bytes; a node list that
+//! went back to a `Vec` per node fails here, not only in the benchmark's
+//! `sig.from_bytes_us` and `peak_rss_mb`.
+//!
 //! The counting allocator counts per thread, so the suite's other tests,
 //! running on other threads, do not move this one's counts.
 
@@ -27,11 +34,17 @@ const PER_SIGNATURE_IN_A_GROUP: u64 = 10;
 /// Allocations of one `verify`.
 const LONE_VERIFY: u64 = 60;
 
-/// Counts the calling thread's allocations, reallocations included.
+/// Heap a parsed signature may hold beyond its own bytes: the two lists
+/// of per-tree and per-layer handles.
+const SIGNATURE_OVERHEAD_BYTES: u64 = 4096;
+
+/// Counts the calling thread's allocations, reallocations included, and
+/// the bytes they asked for.
 struct PerThread;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is passed unchanged to the system allocator, which
@@ -41,6 +54,7 @@ thread_local! {
 unsafe impl GlobalAlloc for PerThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        BYTES.with(|bytes| bytes.set(bytes.get() + layout.size() as u64));
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -59,6 +73,14 @@ fn counted<R>(body: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = body();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes `body` asks the allocator for on this thread, and what it
+/// returns.
+fn weighed<R>(body: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let out = body();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 /// Sixteen signed messages under a 128f key of `alg`, and their key.
@@ -107,5 +129,48 @@ fn every_hash_family_allocates_per_call_not_per_layer() {
     for alg in [HashAlg::Shake256, HashAlg::Sha512] {
         let (vk, msgs, sigs) = corpus(alg);
         assert_within_bounds(alg.label(), &vk, &msgs, &sigs);
+    }
+}
+
+#[test]
+fn a_parsed_signature_is_one_allocation_per_field() {
+    let params = Params::sphincs_128f();
+    let (_, _, sigs) = corpus(HashAlg::Sha256);
+    let bytes = sigs[0].to_bytes(&params);
+    let (count, parsed) = counted(|| Signature::from_bytes(&params, &bytes));
+    let fields = 3 + 2 * params.k + 2 * params.d;
+    assert_eq!(fields, 113);
+    assert!(
+        count <= fields as u64,
+        "from_bytes allocated {count} times, more than its {fields} fields"
+    );
+    let (heap, parsed_again) = weighed(|| Signature::from_bytes(&params, &bytes));
+    let bound = params.sig_bytes() as u64 + SIGNATURE_OVERHEAD_BYTES;
+    assert!(
+        heap <= bound,
+        "from_bytes asked for {heap} bytes, more than {bound}"
+    );
+    eprintln!("from_bytes of a 128f signature: {count} allocations, {heap} bytes");
+    assert_eq!(parsed.as_ref(), Ok(&sigs[0]));
+    assert_eq!(parsed, parsed_again);
+}
+
+#[test]
+fn wire_form_round_trips_random_bytes_of_every_named_set() {
+    // No signing: any bytes of the right length parse, and serialise
+    // back to themselves, so the `-s` sets cost no more than the `-f`.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for params in Params::all_sets().into_iter().chain(Params::shake_sets()) {
+        let bytes: Vec<u8> = (0..params.sig_bytes())
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let sig = Signature::from_bytes(&params, &bytes).expect("right length");
+        assert_eq!(sig.check_shape(&params), Ok(()), "{}", params.name());
+        assert_eq!(sig.to_bytes(&params), bytes, "{}", params.name());
     }
 }

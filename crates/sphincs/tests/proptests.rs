@@ -110,7 +110,7 @@ proptest! {
         let climb = merkle::AuthPathJob {
             leaf: &leaf(leaf_idx),
             leaf_idx,
-            auth_path: &out.auth_path,
+            auth_path: out.auth_path.as_bytes(),
             node_adrs: adrs,
             leaf_offset: 0,
         };
@@ -133,7 +133,7 @@ proptest! {
         let sig = wots::sign_many(&ctx, &[&msg], &sk_seed, &[adrs]).remove(0);
         prop_assert_eq!(&sig, &reference::wots_sign(&ctx, &msg, &sk_seed, &adrs));
         let mut recovered = vec![0u8; p.n];
-        wots::pk_from_sig_many(&ctx, &[&sig], &[&msg], &[adrs], &mut recovered);
+        wots::pk_from_sig_many(&ctx, &[sig.as_bytes()], &[&msg], &[adrs], &mut recovered);
         prop_assert_eq!(&recovered, &pk);
         prop_assert_eq!(reference::wots_pk_from_sig(&ctx, &sig, &msg, &adrs), pk);
     }

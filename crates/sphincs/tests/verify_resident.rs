@@ -21,6 +21,7 @@ use hero_sphincs::hypertree::{self, XmssSig, XmssVerifyRequest};
 use hero_sphincs::params::Params;
 use hero_sphincs::reference;
 use hero_sphincs::tier;
+use hero_sphincs::Nodes;
 
 mod common;
 use common::{with_forced_tier, Stream, TIER_LOCK};
@@ -55,8 +56,8 @@ fn random_tree(rng: &mut Stream) -> u64 {
     }
 }
 
-fn random_nodes(count: usize, n: usize, rng: &mut Stream) -> Vec<Vec<u8>> {
-    (0..count).map(|_| rng.bytes(n)).collect()
+fn random_nodes(count: usize, n: usize, rng: &mut Stream) -> Nodes {
+    Nodes::from_bytes(n, (0..count).flat_map(|_| rng.bytes(n)).collect())
 }
 
 /// One FORS verification: a signature, the digest that picks its leaves,

@@ -142,13 +142,25 @@ def judge(workload, runs, judged, better, bounds, args, seconds):
     return worse
 
 
+def pair_count(text):
+    """`--pairs`: quartiles need two runs a side, so at least two pairs."""
+    try:
+        pairs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 pairs are needed for quartiles, got {pairs}")
+    return pairs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of BENCHMARK.json, or all (repeatable)")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10,
+                        help="pairs of runs per workload, at least 2 (default 10)")
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--metric", action="append",
