@@ -2,6 +2,7 @@
 
 use crate::CliError;
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command line: subcommand, `--key value` options, bare flags.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -72,32 +73,39 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// Parses `--name` as a number, if it was given.
+    ///
+    /// # Errors
+    ///
+    /// When `--name` was given without a value, or its value does not
+    /// parse.
+    pub fn get_number<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        match self.get(name) {
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| CliError::Usage(format!("--{name}: '{v}' is not a number"))),
+            None if self.flag(name) => Err(CliError::Usage(format!("--{name} requires a value"))),
+            None => Ok(None),
+        }
+    }
+
     /// Parses `--name` as an integer with a default.
     ///
     /// # Errors
     ///
-    /// When the value does not parse.
+    /// As [`Args::get_number`].
     pub fn get_u32(&self, name: &str, default: u32) -> Result<u32, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{name}: '{v}' is not a number"))),
-        }
+        Ok(self.get_number(name)?.unwrap_or(default))
     }
 
     /// Parses `--name` as a u64 with a default.
     ///
     /// # Errors
     ///
-    /// When the value does not parse.
+    /// As [`Args::get_number`].
     pub fn get_u64(&self, name: &str, default: u64) -> Result<u64, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{name}: '{v}' is not a number"))),
-        }
+        Ok(self.get_number(name)?.unwrap_or(default))
     }
 }
 
@@ -137,6 +145,16 @@ mod tests {
         assert_eq!(a.get_u32("batch", 512).unwrap(), 512);
         let bad = parse(&["simulate", "--messages", "many"]).unwrap();
         assert!(bad.get_u32("messages", 0).is_err());
+        // Given without a value, a number is an error, not the default.
+        let bare = parse(&["simulate", "--messages", "--batch"]).unwrap();
+        for err in [
+            bare.get_u32("messages", 0).unwrap_err(),
+            bare.get_u64("batch", 0).unwrap_err(),
+            bare.get_number::<usize>("batch").unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("requires a value"), "{err}");
+        }
+        assert_eq!(bare.get_number::<usize>("workers").unwrap(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::{parse_alg, parse_device, parse_params, CliError, CmdResult};
 
 use hero_server::keyfile;
 use hero_sign::service::{ServiceConfig, SignService, SignTicket};
-use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
+use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::Signature;
 
@@ -51,8 +51,8 @@ fn keygen(args: &Args) -> CmdResult {
     };
     let out = args.require("out")?;
 
-    let mut rng = match args.get("seed") {
-        Some(_) => StdRng::seed_from_u64(args.get_u64("seed", 0)?),
+    let mut rng = match args.get_number("seed")? {
+        Some(seed) => StdRng::seed_from_u64(seed),
         None => StdRng::from_entropy(),
     };
     let mut sk_seed = vec![0u8; params.n];
@@ -73,35 +73,14 @@ fn keygen(args: &Args) -> CmdResult {
     ))
 }
 
-/// Builds the backend selected by `--backend` (default: the HERO engine).
-fn select_backend(
-    args: &Args,
-    params: hero_sphincs::Params,
-) -> Result<Box<dyn Signer + Send + Sync>, CliError> {
-    match args.get("backend").unwrap_or("hero") {
-        "hero" => {
-            let mut builder = HeroSigner::builder(hero_gpu_sim::device::rtx_4090(), params);
-            match args.get("workers") {
-                Some(v) => {
-                    let workers: usize = v.parse().map_err(|_| {
-                        CliError::Usage(format!("--workers: '{v}' is not a number"))
-                    })?;
-                    builder = builder.workers(workers);
-                }
-                // A value-less `--workers` parses as a bare flag; reject
-                // it instead of silently using the default count.
-                None if args.flag("workers") => {
-                    return Err(CliError::Usage("--workers requires a value".to_string()))
-                }
-                None => {}
-            }
-            Ok(Box::new(builder.build()?))
-        }
-        "reference" => Ok(Box::new(ReferenceSigner::new(params)?)),
-        other => Err(CliError::Usage(format!(
-            "unknown backend '{other}' (hero or reference)"
-        ))),
+/// The signer for `params`, on `--workers` workers (default: the
+/// machine's).
+fn signer(args: &Args, params: hero_sphincs::Params) -> Result<HeroSigner, CliError> {
+    let mut builder = HeroSigner::builder(hero_gpu_sim::device::rtx_4090(), params);
+    if let Some(workers) = args.get_number("workers")? {
+        builder = builder.workers(workers);
     }
+    Ok(builder.build()?)
 }
 
 fn sign(args: &Args) -> CmdResult {
@@ -114,16 +93,14 @@ fn sign(args: &Args) -> CmdResult {
     let message = fs::read(msg_path).map_err(|e| CliError::io(msg_path, e))?;
 
     let params = *sk.params();
-    let signer = select_backend(args, params)?;
-    let signature = signer.sign(&sk, &message)?;
+    let signature = signer(args, params)?.sign(&sk, &message)?;
     let bytes = signature.to_bytes(&params);
     fs::write(out, &bytes).map_err(|e| CliError::io(out, e))?;
     Ok(format!(
-        "signed {} bytes -> {} byte {} signature at {out} ({} backend)",
+        "signed {} bytes -> {} byte {} signature at {out}",
         message.len(),
         bytes.len(),
         params.name(),
-        signer.backend(),
     ))
 }
 
@@ -175,8 +152,8 @@ fn verify(args: &Args) -> CmdResult {
 }
 
 /// The batched `verify --sigs` body: every decodable signature goes
-/// through the selected backend's batch verifier in one call (the HERO
-/// backend spreads the set over its executor in lane-batched groups),
+/// through the signer's batch verifier in one call (spread over its
+/// executor in lane-batched groups),
 /// and the report lists one verdict per file. Any verdict other than
 /// `valid` fails the command after the full report is assembled.
 fn verify_many(args: &Args, vk: &hero_sphincs::VerifyingKey, sig_list: &str) -> CmdResult {
@@ -230,7 +207,7 @@ fn verify_many(args: &Args, vk: &hero_sphincs::VerifyingKey, sig_list: &str) -> 
         .filter(|(_, bad)| bad.is_none())
         .map(|(m, _)| m.as_slice())
         .collect();
-    let signer = select_backend(args, *vk.params())?;
+    let signer = signer(args, *vk.params())?;
     let mut outcomes = signer.verify_batch(vk, &live_msgs, &sigs)?.into_iter();
 
     let mut lines = Vec::with_capacity(sig_paths.len());
@@ -372,22 +349,16 @@ fn throughput(args: &Args) -> CmdResult {
         return Err(CliError::Usage("--requests must be >= 1".to_string()));
     }
 
-    let signer: Arc<dyn Signer + Send + Sync> = Arc::from(select_backend(args, params)?);
-    let mut rng = match args.get("seed") {
-        Some(_) => StdRng::seed_from_u64(args.get_u64("seed", 0)?),
-        None => StdRng::seed_from_u64(0x4845_524f), // deterministic workload
-    };
-    let (sk, vk) = signer.keygen(&mut rng)?;
+    let signer = Arc::new(signer(args, params)?);
+    // Deterministic workload unless --seed says otherwise.
+    let seed = args.get_u64("seed", 0x4845_524f)?;
+    let (sk, vk) = signer.keygen(&mut StdRng::seed_from_u64(seed))?;
 
     let mut config = ServiceConfig::default();
-    if let Some(v) = args.get("max-batch") {
-        config.max_batch = v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--max-batch: '{v}' is not a number")))?;
-    }
+    config.max_batch = args.get_number("max-batch")?.unwrap_or(config.max_batch);
 
     // Baseline: one thread looping single-message sign on the same
-    // backend (every message pays its own stage-graph fill/drain).
+    // signer (every message pays its own stage-graph fill/drain).
     let total = clients * requests;
     let baseline_msgs: Vec<Vec<u8>> = (0..total)
         .map(|i| format!("throughput baseline {i}").into_bytes())
@@ -400,7 +371,7 @@ fn throughput(args: &Args) -> CmdResult {
     let baseline_rate = total as f64 / baseline_secs;
 
     // Service: N closed-loop clients share the micro-batcher.
-    let service = SignService::start(Arc::clone(&signer), sk.clone(), config)?;
+    let service = SignService::start(signer.clone(), sk.clone(), config)?;
     let service_start = Instant::now();
     let latencies: Vec<Duration> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -439,25 +410,16 @@ fn throughput(args: &Args) -> CmdResult {
     vk.verify(&check_msg, &check_sig)?;
     service.shutdown();
 
-    // Hypertree-memoization counters, when the backend has a cache
-    // (the reference backend reports none and prints nothing).
-    let cache_line = match signer.cache_stats() {
-        Some(c) => format!(
-            "cache: {} hits / {} misses / {} evictions, {} resident bytes\n",
-            c.hits, c.misses, c.evictions, c.resident_bytes
-        ),
-        None => String::new(),
-    };
-
+    let cache = signer.cache_stats();
     Ok(format!(
-        "throughput: {}{} | backend {} | {} clients x {} requests\n\
+        "throughput: {}{} | {} clients x {} requests\n\
          looped sign (1 thread): {:>10.1} signs/sec\n\
          coalesced service:      {:>10.1} signs/sec  ({:.2}x)\n\
          latency: {}\n\
-         batches: {} (largest {}, avg {:.1} msgs/batch)\n{}",
+         batches: {} (largest {}, avg {:.1} msgs/batch)\n\
+         cache: {} hits / {} misses / {} evictions, {} resident bytes\n",
         params.name(),
         if smoke { " (reduced smoke shape)" } else { "" },
-        signer.backend(),
         clients,
         requests,
         baseline_rate,
@@ -467,7 +429,10 @@ fn throughput(args: &Args) -> CmdResult {
         stats.batches,
         stats.max_batch_observed,
         stats.completed as f64 / stats.batches.max(1) as f64,
-        cache_line,
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        cache.resident_bytes,
     ))
 }
 
@@ -476,23 +441,10 @@ fn throughput(args: &Args) -> CmdResult {
 /// touching stdin.
 pub(crate) fn start_server(args: &Args) -> Result<hero_server::Server, CliError> {
     let keys_dir = args.require("keys")?;
-    let workers = match args.get("workers") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("--workers: '{v}' is not a number")))?,
-        ),
-        None if args.flag("workers") => {
-            return Err(CliError::Usage("--workers requires a value".to_string()))
-        }
-        None => None,
-    };
+    let workers = args.get_number("workers")?;
 
     let mut service = ServiceConfig::default();
-    if let Some(v) = args.get("max-batch") {
-        service.max_batch = v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--max-batch: '{v}' is not a number")))?;
-    }
+    service.max_batch = args.get_number("max-batch")?.unwrap_or(service.max_batch);
     service.queue_depth = args.get_u32("queue-depth", 1024)? as usize;
 
     let config = hero_server::ServerConfig {
@@ -522,6 +474,9 @@ fn serve(args: &Args) -> CmdResult {
     // warning buried in the first request's logs.
     hero_sphincs::tier::init_from_env()
         .map_err(|e| CliError::Usage(format!("{}: {e}", hero_sphincs::tier::ENV_VAR)))?;
+    // Likewise a HERO_WORKERS that sizes no pool.
+    hero_sign::par::env_workers()
+        .map_err(|e| CliError::Usage(format!("{}: {e}", hero_sign::par::ENV_VAR)))?;
     let server = start_server(args)?;
     if let Some(plan) = hero_sign::faults::describe_active() {
         println!("fault injection ACTIVE: {plan}");
@@ -562,10 +517,7 @@ fn remote_sign(args: &Args) -> CmdResult {
 
     let message = fs::read(msg_path).map_err(|e| CliError::io(msg_path, e))?;
     let mut client = hero_server::Client::connect(addr)?;
-    if let Some(ms) = args.get("timeout-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--timeout-ms: '{ms}' is not a number")))?;
+    if let Some(ms) = args.get_number("timeout-ms")? {
         client.set_io_timeout(Some(Duration::from_millis(ms)))?;
     }
     let retries = args.get_u32("retries", 0)?;
@@ -575,13 +527,7 @@ fn remote_sign(args: &Args) -> CmdResult {
             ..hero_server::client::RetryPolicy::default()
         }));
     }
-    let deadline_ms = match args.get("deadline-ms") {
-        Some(v) => Some(
-            v.parse::<u32>()
-                .map_err(|_| CliError::Usage(format!("--deadline-ms: '{v}' is not a number")))?,
-        ),
-        None => None,
-    };
+    let deadline_ms = args.get_number("deadline-ms")?;
     let begin = Instant::now();
     let sig = match deadline_ms {
         Some(ms) => client.sign_with_deadline(tenant, &message, ms)?,
@@ -748,8 +694,8 @@ mod tests {
         assert!(out.contains("p99"), "{out}");
         assert!(out.contains("reduced smoke shape"), "{out}");
         assert!(out.contains("batches:"), "{out}");
-        // The default backend is the hero engine, whose hypertree cache
-        // reports its counters on the summary.
+        // The signer's hypertree cache reports its counters on the
+        // summary.
         assert!(out.contains("cache:"), "{out}");
         assert!(out.contains("hits"), "{out}");
     }
@@ -794,14 +740,26 @@ mod tests {
     }
 
     #[test]
-    fn unknown_backend_rejected() {
-        let err = select_backend(
-            &parse(&["sign", "--backend", "fpga"]),
-            hero_sphincs::Params::sphincs_128f(),
-        )
-        .err()
-        .expect("unknown backend must fail");
-        assert!(err.to_string().contains("fpga"));
+    fn number_options_given_without_a_value_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("hero-cli-bare-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = dir.join("key.txt");
+        let path = key.to_str().unwrap();
+        // A bare `--seed` is not "no seed": it writes no random key.
+        let bare_seed = parse(&["keygen", "--params", "128f", "--out", path, "--seed"]);
+        let err = keygen(&bare_seed).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--seed requires a value"), "{err}");
+        assert!(!key.exists());
+        // Nor is a bare `--clients` the default client count.
+        let bare_clients = parse(&["throughput", "--smoke", "--clients"]);
+        let err = throughput(&bare_clients).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().contains("--clients requires a value"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -851,24 +809,12 @@ mod tests {
         .unwrap();
         assert_eq!(out, "signature OK");
 
-        // The reference backend must produce an equally valid signature.
-        let ref_sig = dir.join("ref-sig.bin");
-        let out = sign(&parse(&[
-            "sign",
-            "--backend",
-            "reference",
-            "--key",
-            key.to_str().unwrap(),
-            "--message",
-            msg.to_str().unwrap(),
-            "--out",
-            ref_sig.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("reference-cpu"), "{out}");
+        // The scalar reference, a second implementation, signs the same
+        // bytes.
+        let (sk, _) = keyfile::decode(&std::fs::read_to_string(&key).unwrap()).unwrap();
         assert_eq!(
             std::fs::read(&sig).unwrap(),
-            std::fs::read(&ref_sig).unwrap()
+            hero_sphincs::reference::sign(&sk, b"cli end to end").to_bytes(sk.params())
         );
 
         // Public-key-only verification path (no secrets on the verifier).
@@ -940,7 +886,7 @@ mod tests {
             sig_paths.push(sig.to_str().unwrap().to_string());
         }
 
-        // All valid, paired messages, through the planned hero backend.
+        // All valid, paired messages, through the planned verifier.
         let out = verify(&parse(&[
             "verify",
             "--key",
@@ -962,8 +908,6 @@ mod tests {
         // One shared --message over two identical signature files.
         let out = verify(&parse(&[
             "verify",
-            "--backend",
-            "reference",
             "--key",
             key.to_str().unwrap(),
             "--sigs",
@@ -983,8 +927,6 @@ mod tests {
         std::fs::write(&sig_paths[0], &bytes[..10]).unwrap();
         let err = verify(&parse(&[
             "verify",
-            "--backend",
-            "reference",
             "--key",
             key.to_str().unwrap(),
             "--sigs",

@@ -142,11 +142,10 @@ USAGE:
 COMMANDS:
     keygen    --params <set> [--alg sha256|sha512|shake256] [--seed <u64>] --out <path>
               (shake-* sets default to --alg shake256)
-    sign      --key <path> --message <file> --out <sig-file>
-              [--backend hero|reference] [--workers <n>]
+    sign      --key <path> --message <file> --out <sig-file> [--workers <n>]
     verify    --key <path> | --pubkey <path>  --message <file> --sig <sig-file>
               or --sigs <a.sig,b.sig,...> --messages <a.msg,b.msg,...>
-              [--backend hero|reference] [--workers <n>]
+              [--workers <n>]
               (one --message may serve every --sigs entry); the batch
               runs through the planned cross-signature verifier and
               reports one verdict per file — valid, invalid, or
@@ -156,8 +155,7 @@ COMMANDS:
     simulate  [--device <name>] [--params <set>] [--messages <n>] [--batch <n>]
               [--streams <n>]
     throughput [--params <set>] [--clients <n>] [--requests <n>]
-              [--backend hero|reference] [--workers <n>] [--max-batch <n>]
-              [--seed <u64>] [--smoke]
+              [--workers <n>] [--max-batch <n>] [--seed <u64>] [--smoke]
               drive the micro-batching SignService from N client threads;
               reports latency percentiles and signs/sec vs looped sign
     serve     --keys <dir> [--addr <host:port>] [--metrics-addr <host:port>]
@@ -167,7 +165,8 @@ COMMANDS:
               length-prefixed TCP protocol (one tenant per key file);
               runs until stdin closes, then drains gracefully;
               HERO_FAULTS=seed:<u64>,spec:<point>@<p>[/<max>][*<ms>ms]
-              enables deterministic fault injection (printed at start)
+              enables deterministic fault injection (printed at start);
+              HERO_WORKERS=<n> sizes the default worker pool
     remote-sign --addr <host:port> --tenant <name> --message <file>
               --out <sig-file> [--no-verify] [--deadline-ms <n>]
               [--timeout-ms <n>] [--retries <n>]

@@ -468,7 +468,12 @@ mod tests {
 
     fn levels_for(sk: &SigningKey, layer: u32, tree: u64) -> Arc<TreeLevels> {
         let ctx = HashCtx::with_alg(*sk.params(), sk.pk_seed(), sk.alg());
-        let mut built = hypertree::subtrees(&ctx, sk.sk_seed(), &[(layer, tree)]);
+        let item = hypertree::SubtreeItem {
+            layer,
+            tree_idx: tree,
+            leaf_idx: 0,
+        };
+        let mut built = hypertree::subtrees(&ctx, sk.sk_seed(), &[item]);
         Arc::new(built.pop().expect("one pyramid per subtree"))
     }
 

@@ -187,10 +187,6 @@ impl Signer for HeroSigner {
         &self.params
     }
 
-    fn backend(&self) -> &'static str {
-        "hero-gpu"
-    }
-
     fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
         HeroSigner::sign(self, sk, msg)
     }

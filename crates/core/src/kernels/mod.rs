@@ -2,13 +2,13 @@
 //!
 //! Each kernel has two faces:
 //!
-//! * a **functional** face, decomposed into plannable stages
+//! * a **functional** face, the stage functions of
+//!   [`hero_sphincs::sign::Stages`] re-exported under the kernel's name
 //!   ([`fors_sign::sign_trees`] + [`fors_sign::roots_to_pk`],
-//!   [`tree_sign::subtrees`], [`wots_sign::sign_chain_groups`]) that the
-//!   cross-message batch planner ([`crate::plan`]) schedules as DAG
-//!   nodes — one stage may carry work from several messages, filling the
-//!   SHA lanes across message boundaries; the planner is their one
-//!   driver, for a single message too — and
+//!   [`tree_sign::subtrees`], [`wots_sign::sign_chain_groups`]) — the
+//!   cross-message batch planner ([`crate::plan`]) schedules the same
+//!   functions as DAG nodes, one stage carrying work from several
+//!   messages — and
 //! * an **analytic** face (`describe`) that emits a
 //!   [`hero_gpu_sim::KernelDesc`] for the timing engine, with
 //!   bank-conflict counts *measured* by replaying the kernel's shared-

@@ -17,29 +17,16 @@ use hero_gpu_sim::isa::InstrClass;
 use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
 use hero_gpu_sim::occupancy::BlockResources;
 
-use hero_sphincs::hash::HashCtx;
-use hero_sphincs::hypertree;
-use hero_sphincs::merkle::TreeHashOutput;
 use hero_sphincs::params::Params;
-use hero_sphincs::Nodes;
 
-/// Per-layer output of the kernel: the subtree's root plus the
-/// authentication path of the signing leaf.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LayerTree {
-    /// Hypertree layer (0 = bottom).
-    pub layer: u32,
-    /// Tree index within the layer.
-    pub tree_idx: u64,
-    /// Leaf used for signing at this layer.
-    pub leaf_idx: u32,
-    /// Merkle root of the subtree.
-    pub root: Vec<u8>,
-    /// Authentication path (`h/d` nodes).
-    pub auth_path: Nodes,
-}
-
-pub use hero_sphincs::hypertree::layer_coordinates;
+/// The functional face, straight from the substrate: the per-message
+/// work-item list ([`subtree_items`], one subtree per layer, which the
+/// batch planner concatenates across messages and cuts into stages) and
+/// one plannable stage ([`subtrees`]: a group of subtrees from any mix
+/// of layers and messages, each sliced at its own leaf into a
+/// [`LayerTree`], its root and authentication path).
+pub use hero_sphincs::hypertree::{subtree_items, tree_sign as subtrees, SubtreeItem};
+pub use hero_sphincs::merkle::TreeHashOutput as LayerTree;
 
 /// Effective registers per thread after optional `__launch_bounds__`
 /// capping.
@@ -163,98 +150,15 @@ pub fn describe(
     desc
 }
 
-/// One hypertree subtree work item — a `(layer, tree, leaf)` treehash of
-/// any message in the batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SubtreeItem {
-    /// Hypertree layer (0 = bottom).
-    pub layer: u32,
-    /// Tree index within the layer.
-    pub tree_idx: u64,
-    /// Leaf used for signing at this layer.
-    pub leaf_idx: u32,
-}
-
-/// The per-message subtree item list (one per layer), from the digest's
-/// `(tree, leaf)` walk.
-pub fn subtree_items(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<SubtreeItem> {
-    layer_coordinates(params, tree_idx, leaf_idx)
-        .into_iter()
-        .enumerate()
-        .map(|(layer, (tree, leaf))| SubtreeItem {
-            layer: layer as u32,
-            tree_idx: tree,
-            leaf_idx: leaf,
-        })
-        .collect()
-}
-
-/// One plannable `TREE_Sign` stage: builds a group of subtrees — from any
-/// mix of layers and messages — in one call
-/// ([`hero_sphincs::hypertree::subtrees`]: their leaves filled in one
-/// sweep, every reduction level halved through one combined multi-lane
-/// sweep) and keeps every node of each, so the result can be memoized and
-/// serve **any** leaf's root and authentication path
-/// ([`layer_tree_from_levels`]). Items' `leaf_idx` fields are not
-/// consulted; a subtree's nodes do not depend on what else is in the
-/// call.
-pub fn subtree_levels(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    items: &[SubtreeItem],
-) -> Vec<hero_sphincs::merkle::TreeLevels> {
-    let coords: Vec<(u32, u64)> = items
-        .iter()
-        .map(|item| (item.layer, item.tree_idx))
-        .collect();
-    hypertree::subtrees(ctx, sk_seed, &coords)
-}
-
-/// [`subtree_levels`] sliced at each item's own leaf: the root and the
-/// authentication path a signature needs of every subtree in the group.
-pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<LayerTree> {
-    items
-        .iter()
-        .zip(subtree_levels(ctx, sk_seed, items))
-        .map(|(item, levels)| layer_tree_from_levels(&levels, item))
-        .collect()
-}
-
-/// Slices one item's [`LayerTree`] out of a retained subtree pyramid,
-/// fresh or resident in the cache — no hashing involved.
-pub fn layer_tree_from_levels(
-    levels: &hero_sphincs::merkle::TreeLevels,
-    item: &SubtreeItem,
-) -> LayerTree {
-    let TreeHashOutput { root, auth_path } = levels.output_for(item.leaf_idx);
-    LayerTree {
-        layer: item.layer,
-        tree_idx: item.tree_idx,
-        leaf_idx: item.leaf_idx,
-        root,
-        auth_path,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hero_gpu_sim::device::rtx_4090;
     use hero_gpu_sim::engine::simulate_kernel;
     use hero_gpu_sim::isa::Sha2Path;
+    use hero_sphincs::hash::HashCtx;
+    use hero_sphincs::hypertree;
     use hero_sphincs::reference;
-
-    #[test]
-    fn coordinates_walk_matches_reference_loop() {
-        let p = Params::sphincs_128f();
-        let coords = layer_coordinates(&p, 0b101_011_111, 5);
-        assert_eq!(coords.len(), p.d);
-        assert_eq!(coords[0], (0b101_011_111, 5));
-        assert_eq!(coords[1], (0b101_011, 0b111));
-        assert_eq!(coords[2], (0b101, 0b011));
-        assert_eq!(coords[3], (0, 0b101));
-        assert_eq!(coords[4], (0, 0));
-    }
 
     #[test]
     fn block_geometry_matches_paper_occupancies() {
@@ -323,13 +227,7 @@ mod tests {
             adrs.set_keypair(leaf);
             reference::wots_pk_gen(ctx, sk_seed, &adrs)
         });
-        LayerTree {
-            layer: item.layer,
-            tree_idx: item.tree_idx,
-            leaf_idx: item.leaf_idx,
-            root,
-            auth_path,
-        }
+        LayerTree { root, auth_path }
     }
 
     #[test]
@@ -342,11 +240,10 @@ mod tests {
         // Each layer against the reference's tree, and that against the
         // reference's signature over the layer below and its climb.
         let mut root = vec![0xAAu8; 16];
-        let coords = layer_coordinates(&params, 0b10_01, 2);
-        for (layer, lt) in layers.iter().enumerate() {
-            let (tree, leaf) = coords[layer];
-            assert_eq!((lt.tree_idx, lt.leaf_idx), (tree, leaf));
-            assert_eq!(lt, &scalar_layer_tree(&ctx, &sk_seed, &items[layer]));
+        for (layer, (lt, item)) in layers.iter().zip(&items).enumerate() {
+            let (tree, leaf) = (item.tree_idx, item.leaf_idx);
+            assert_eq!(item.layer, layer as u32);
+            assert_eq!(lt, &scalar_layer_tree(&ctx, &sk_seed, item));
             let (sig, tree_root) =
                 reference::xmss_sign(&ctx, &root, &sk_seed, layer as u32, tree, leaf);
             assert_eq!(sig.auth_path, lt.auth_path);
@@ -362,16 +259,15 @@ mod tests {
     fn retained_subtree_levels_slice_byte_identically() {
         let (params, ctx, sk_seed) = tiny_ctx();
         let items = subtree_items(&params, 0b10_01, 2);
-        let retained = subtree_levels(&ctx, &sk_seed, &items);
+        let retained = hypertree::subtrees(&ctx, &sk_seed, &items);
         for (item, levels) in items.iter().zip(&retained) {
             // The pyramid serves every leaf of its tree, whichever leaf
             // the item that built it asked for.
             for leaf_idx in 0..params.subtree_leaves() as u32 {
                 let other = SubtreeItem { leaf_idx, ..*item };
-                assert_eq!(
-                    layer_tree_from_levels(levels, &other),
-                    scalar_layer_tree(&ctx, &sk_seed, &other)
-                );
+                let expected = scalar_layer_tree(&ctx, &sk_seed, &other);
+                assert_eq!(levels.output_for(leaf_idx), expected);
+                assert_eq!(subtrees(&ctx, &sk_seed, &[other]), [expected]);
             }
         }
     }

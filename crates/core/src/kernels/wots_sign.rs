@@ -15,10 +15,7 @@ use hero_gpu_sim::isa::InstrClass;
 use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
 use hero_gpu_sim::occupancy::BlockResources;
 
-use hero_sphincs::address::{Address, AddressType};
-use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
-use hero_sphincs::{wots, Nodes};
 
 /// Block geometry: one thread per WOTS+ chain, all layers of one message
 /// in one block where they fit (`d · len` threads), else split.
@@ -92,44 +89,11 @@ pub fn describe(
     desc
 }
 
-/// One WOTS+ chain-group entry: sign `msg` (a FORS pk or subtree root)
-/// with the keypair at `(layer, tree, leaf)`. Groups may span messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChainGroupItem<'a> {
-    /// The `n`-byte value this layer signs.
-    pub msg: &'a [u8],
-    /// Hypertree layer of the signing keypair.
-    pub layer: u32,
-    /// Tree index within the layer.
-    pub tree: u64,
-    /// Leaf (keypair) index within the tree.
-    pub leaf: u32,
-}
-
-/// One plannable `WOTS+_Sign` stage: all chains of every item advance
-/// through one shared multi-lane batch ([`wots::sign_many`]), so chains
-/// retiring early in one item leave lanes to the others — the
-/// cross-message mirror of the kernel's masked-thread retirement. An
-/// item's signature does not depend on what else is in the group.
-pub fn sign_chain_groups(
-    ctx: &HashCtx,
-    sk_seed: &[u8],
-    items: &[ChainGroupItem<'_>],
-) -> Vec<Nodes> {
-    let msgs: Vec<&[u8]> = items.iter().map(|item| item.msg).collect();
-    let adrs_list: Vec<Address> = items
-        .iter()
-        .map(|item| {
-            let mut adrs = Address::new();
-            adrs.set_layer(item.layer);
-            adrs.set_tree(item.tree);
-            adrs.set_type(AddressType::WotsHash);
-            adrs.set_keypair(item.leaf);
-            adrs
-        })
-        .collect();
-    wots::sign_many(ctx, &msgs, sk_seed, &adrs_list)
-}
+/// The functional face, straight from the substrate: one plannable
+/// stage ([`sign_chain_groups`]: the WOTS+ signatures of a group of
+/// [`ChainGroupItem`]s from any mix of layers and messages, all chains
+/// through one multi-lane sweep).
+pub use hero_sphincs::wots::{sign_chain_groups, ChainGroupItem};
 
 #[cfg(test)]
 mod tests {
@@ -138,6 +102,8 @@ mod tests {
     use hero_gpu_sim::device::rtx_4090;
     use hero_gpu_sim::engine::simulate_kernel;
     use hero_gpu_sim::isa::Sha2Path;
+    use hero_sphincs::address::{Address, AddressType};
+    use hero_sphincs::hash::HashCtx;
 
     #[test]
     fn geometry_one_thread_per_chain() {
@@ -176,9 +142,10 @@ mod tests {
         let sk_seed = vec![6u8; 16];
         let fors_pk = vec![0x11u8; 16];
 
-        let layers = tree_sign::subtrees(&ctx, &sk_seed, &tree_sign::subtree_items(&params, 2, 1));
+        let subtrees = tree_sign::subtree_items(&params, 2, 1);
+        let layers = tree_sign::subtrees(&ctx, &sk_seed, &subtrees);
         let roots: Vec<Vec<u8>> = layers.iter().map(|l| l.root.clone()).collect();
-        let coords: Vec<(u64, u32)> = layers.iter().map(|l| (l.tree_idx, l.leaf_idx)).collect();
+        let coords: Vec<(u64, u32)> = subtrees.iter().map(|i| (i.tree_idx, i.leaf_idx)).collect();
         // Layer 0 signs the FORS pk, layer l the root below it: all of
         // them one chain group.
         let items: Vec<ChainGroupItem<'_>> = (0..params.d)

@@ -7,10 +7,8 @@
 //!
 //! ## What's here
 //!
-//! * [`signer`] — the backend-agnostic [`Signer`] trait and
-//!   [`ReferenceSigner`], the scalar second implementation
-//!   (`hero_sphincs::reference`) behind it; services program against
-//!   `dyn Signer` and pick a backend at the edge.
+//! * [`signer`] — the [`Signer`] trait, what the service and the server
+//!   hold of a signer.
 //! * [`builder`] — fallible construction of [`HeroSigner`] engines
 //!   ([`HeroSigner::builder`]): parameters, workers, cache.
 //! * [`error`] — the typed [`HeroError`] every fallible operation
@@ -24,14 +22,17 @@
 //!   and the Relax-FORS variant; reproduces Table IV.
 //! * [`kernels`] — the three component kernels (`FORS_Sign`, `TREE_Sign`,
 //!   `WOTS+_Sign`) and batch verification, each with a functional face
-//!   (the stage work-items [`plan`] schedules; verification's is the
-//!   [`VerifyOutcome`] verdict) and an analytic face (simulator
-//!   descriptors with *measured* bank-conflict counts).
+//!   (the `hero_sphincs` stage functions [`plan`] schedules, under the
+//!   kernel's name; verification's is the [`VerifyOutcome`] verdict) and
+//!   an analytic face (simulator descriptors with *measured*
+//!   bank-conflict counts).
 //! * [`ptx`] — native/PTX SHA-2 code-path models and the per-kernel
 //!   register tables; the raw material of Table V.
 //! * [`plan`] — the cross-message batch planner: one `sign_batch` call
-//!   becomes one stage graph (FORS tree groups, subtree treehashes,
-//!   WOTS+ chain groups spanning messages) submitted onto the persistent
+//!   cuts every message's stage lists (`hero_sphincs::sign::Stages`,
+//!   the decomposition a lone `SigningKey::sign` runs) into one stage
+//!   graph (FORS tree groups, subtree treehashes, WOTS+ chain groups
+//!   spanning messages) submitted onto the persistent
 //!   [`hero_task_graph::Executor`] runtime.
 //! * [`engine`] — [`HeroSigner`], the signer: plans and signs batches,
 //!   verifies them, warms keys; holds the stream runtime and the
@@ -57,7 +58,7 @@
 //!
 //! ```
 //! use hero_gpu_sim::device::rtx_4090;
-//! use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
+//! use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
 //! use hero_sphincs::params::Params;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -73,13 +74,9 @@
 //! let sig = engine.sign(&sk, b"hello")?;
 //! vk.verify(b"hello", &sig)?;
 //!
-//! // Any backend produces identical bytes: the scalar reference is a
-//! // second implementation of the scheme, and agrees.
-//! let backends: Vec<Box<dyn Signer>> =
-//!     vec![Box::new(engine.clone()), Box::new(ReferenceSigner::new(params)?)];
-//! for backend in &backends {
-//!     assert_eq!(backend.sign(&sk, b"hello")?, sig);
-//! }
+//! // The scalar reference is a second implementation of the scheme, and
+//! // produces the same bytes.
+//! assert_eq!(hero_sphincs::reference::sign(&sk, b"hello"), sig);
 //!
 //! // Simulated RTX 4090 throughput for a 1024-message batch pipeline:
 //! let model = SimModel::hero(rtx_4090(), params)?;
@@ -120,6 +117,6 @@ pub use ptx::{BranchSelection, KernelKind};
 pub use service::{
     ServiceConfig, ServiceError, ServiceStats, SignService, SignTicket, Ticket, VerifyTicket,
 };
-pub use signer::{ReferenceSigner, Signer};
+pub use signer::Signer;
 pub use stats::{LatencySummary, LatencyWindow};
 pub use tuning::{tune, tune_auto, tune_relax, FusionCandidate, TuningOptions, TuningResult};

@@ -15,12 +15,14 @@ use hero_task_graph::Executor;
 
 use std::sync::{Arc, OnceLock};
 
-/// Number of workers to use by default: the `HERO_WORKERS` environment
-/// variable when set to a positive integer (the CI matrix pins 1 and 8),
-/// otherwise the machine's available parallelism, capped to keep test
-/// runs snappy.
+/// The environment variable that pins [`default_workers`].
+pub const ENV_VAR: &str = "HERO_WORKERS";
+
+/// Number of workers to use by default: `HERO_WORKERS` when it names a
+/// worker count ([`env_workers`]; the CI matrix pins 1 and 8), otherwise
+/// the machine's available parallelism, capped to keep test runs snappy.
 pub fn default_workers() -> usize {
-    if let Some(n) = env_workers() {
+    if let Ok(Some(n)) = env_workers() {
         return n;
     }
     std::thread::available_parallelism()
@@ -29,14 +31,28 @@ pub fn default_workers() -> usize {
         .min(32)
 }
 
-fn env_workers() -> Option<usize> {
-    std::env::var("HERO_WORKERS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(256))
+/// `HERO_WORKERS`, read strictly: `None` when it is unset, the count
+/// when it is one (a positive integer, surrounding blanks allowed,
+/// capped at 256). [`default_workers`] ignores any other value;
+/// `hero serve` refuses to start on it.
+///
+/// # Errors
+///
+/// A message naming the value when it is not a worker count.
+pub fn env_workers() -> Result<Option<usize>, String> {
+    match std::env::var(ENV_VAR) {
+        Ok(value) => parse_workers(&value).map(Some),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The worker count `value` names, or a message naming it.
+fn parse_workers(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n.min(256)),
+        _ => Err(format!("'{value}' is not a positive worker count")),
+    }
 }
 
 /// The process-wide executor, created on first use with
@@ -56,15 +72,13 @@ mod tests {
     fn env_override_parses_strictly() {
         // Pure parse logic (the env var itself is process-global, so the
         // CI matrix exercises the live path).
-        assert_eq!(
-            "8".trim().parse::<usize>().ok().filter(|&n| n >= 1),
-            Some(8)
-        );
-        assert_eq!("0".trim().parse::<usize>().ok().filter(|&n| n >= 1), None);
-        assert_eq!(
-            "lots".trim().parse::<usize>().ok().filter(|&n| n >= 1),
-            None
-        );
+        assert_eq!(parse_workers("8"), Ok(8));
+        assert_eq!(parse_workers(" 2\n"), Ok(2));
+        assert_eq!(parse_workers("100000"), Ok(256));
+        for bad in ["0", "lots", "", "-1", "2.5"] {
+            let err = parse_workers(bad).unwrap_err();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
         assert!(default_workers() >= 1);
     }
 }

@@ -15,13 +15,14 @@
 //! The planner removes both drains by making the **batch** the unit of
 //! execution:
 //!
-//! 1. [`sign_batch`] decomposes every message into stage work-items —
-//!    FORS tree groups ([`crate::kernels::fors_sign::sign_trees`]),
-//!    subtree builds, one per distinct `(layer, tree)` of the batch that
-//!    is not resident in the cache
-//!    ([`crate::kernels::tree_sign::subtree_levels`]), and WOTS+ chain
-//!    groups ([`crate::kernels::wots_sign::sign_chain_groups`]) — where
-//!    one item may carry work from *several* messages.
+//! 1. [`sign_batch`] takes every message's stage lists
+//!    ([`SigningKey::stages`], the decomposition a lone
+//!    [`SigningKey::sign`] runs too) and cuts them into work-items —
+//!    FORS tree groups ([`hero_sphincs::fors::tree_hash_many`]), subtree
+//!    builds, one per distinct `(layer, tree)` of the batch that is not
+//!    resident in the cache ([`hero_sphincs::hypertree::subtrees`]), and
+//!    WOTS+ chain groups ([`hero_sphincs::wots::sign_chain_groups`]) —
+//!    where one item may carry work from *several* messages.
 //! 2. The items become closure nodes of a
 //!    [`hero_task_graph::TaskGraph`], with edges only where the signature
 //!    really demands them: a message's `T_k` FORS-pk compression waits
@@ -59,15 +60,14 @@
 use crate::cache::{HypertreeCache, KeyId};
 use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
-use crate::kernels::{fors_sign, tree_sign, wots_sign};
 
-use hero_sphincs::address::Address;
-use hero_sphincs::fors::{ForsSignature, ForsTreeRequest, ForsTreeSig};
+use hero_sphincs::fors::{self, ForsSignature, ForsTreeRequest, ForsTreeSig};
 use hero_sphincs::hash::HashCtx;
-use hero_sphincs::hypertree::{HtSignature, XmssSig};
-use hero_sphincs::merkle::TreeLevels;
+use hero_sphincs::hypertree::{self, HtSignature, SubtreeItem, XmssSig};
+use hero_sphincs::merkle::{TreeHashOutput, TreeLevels};
 use hero_sphincs::params::Params;
-use hero_sphincs::sign::{self, Signature, SigningKey, VerifyingKey};
+use hero_sphincs::sign::{Signature, SigningKey, Stages, VerifyingKey};
+use hero_sphincs::wots::{self, ChainGroupItem};
 use hero_sphincs::Nodes;
 use hero_task_graph::{Executor, NodeId, TaskGraph};
 
@@ -80,11 +80,11 @@ use std::sync::{Arc, Mutex};
 /// balance. The engine signs with [`PlanShape::for_batch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanShape {
-    /// FORS trees per [`fors_sign::sign_trees`] node.
+    /// FORS trees per [`fors::tree_hash_many`] node.
     pub fors_trees_per_item: usize,
-    /// Hypertree subtrees per [`tree_sign::subtree_levels`] node.
+    /// Hypertree subtrees per [`hypertree::subtrees`] node.
     pub subtrees_per_item: usize,
-    /// WOTS+ layer signs per [`wots_sign::sign_chain_groups`] node.
+    /// WOTS+ layer signs per [`wots::sign_chain_groups`] node.
     pub chains_per_item: usize,
 }
 
@@ -107,7 +107,7 @@ impl PlanShape {
     /// repository benchmark, which calls this, keeps compiling.
     pub fn for_batch(_messages: usize) -> Self {
         Self {
-            fors_trees_per_item: hero_sphincs::fors::FUSED_TREES,
+            fors_trees_per_item: fors::FUSED_TREES,
             subtrees_per_item: 2,
             chains_per_item: 4,
         }
@@ -155,31 +155,6 @@ pub fn summarize(params: &Params, messages: usize, shape: &PlanShape) -> PlanSum
     }
 }
 
-/// Host-side preamble of one message (Fig. 2): randomizer, digest split,
-/// FORS keypair address, and the hypertree coordinate walk. Computed at
-/// plan time, distributed over the worker pool (digesting a long message
-/// is itself real hash work) — it seeds every work-item.
-struct Preamble {
-    randomizer: Vec<u8>,
-    keypair_adrs: Address,
-    /// One subtree item per hypertree layer (the `(tree, leaf)` walk).
-    subtrees: Vec<tree_sign::SubtreeItem>,
-    /// One FORS tree request per tree, leaf indices decoded from `md`.
-    fors_reqs: Vec<ForsTreeRequest>,
-}
-
-fn preamble(ctx: &HashCtx, sk: &SigningKey, msg: &[u8]) -> Preamble {
-    let params = ctx.params();
-    let randomizer = ctx.prf_msg(sk.sk_prf(), sk.pk_seed(), msg);
-    let pre = sign::preamble(ctx, sk.pk_root(), &randomizer, msg);
-    Preamble {
-        randomizer,
-        keypair_adrs: pre.keypair_adrs,
-        subtrees: tree_sign::subtree_items(params, pre.tree_idx, pre.leaf_idx),
-        fors_reqs: fors_sign::tree_requests(params, &pre.md, &pre.keypair_adrs),
-    }
-}
-
 /// Runs `f` over `0..len` cut into ranges of `chunk`, one node per range
 /// on `exec`, and concatenates the results in range order; each node
 /// fills its own slot. A `len` that fits one range runs on the calling
@@ -205,7 +180,7 @@ fn fan_out<R: Send>(
 }
 
 /// Adds one subtree build node to `graph`: it builds `items` through one
-/// [`tree_sign::subtree_levels`] call, hands each pyramid to `slice`
+/// [`hypertree::subtrees`] call, hands each pyramid to `slice`
 /// with the item's index, and publishes those of the layers `cache`
 /// memoizes. [`sign_batch`] and [`warm_cache`] both build through it.
 fn build_node<'a>(
@@ -214,12 +189,12 @@ fn build_node<'a>(
     sk_seed: &'a [u8],
     key: &'a KeyId,
     cache: &'a HypertreeCache,
-    items: &'a [tree_sign::SubtreeItem],
+    items: &'a [SubtreeItem],
     slice: impl Fn(usize, &TreeLevels) + Send + 'a,
 ) -> NodeId {
     graph.task(move || {
         crate::faults::stage(crate::faults::PLAN_STAGE);
-        let built = tree_sign::subtree_levels(ctx, sk_seed, items);
+        let built = hypertree::subtrees(ctx, sk_seed, items);
         for (i, (item, levels)) in items.iter().zip(built).enumerate() {
             slice(i, &levels);
             if cache.caches_layer(ctx.params(), item.layer) {
@@ -284,29 +259,29 @@ pub fn sign_batch(
     let (k, d, n) = (params.k, params.d, params.n);
     let sk_seed = sk.sk_seed();
 
-    // Host preamble per message, one node per worker (message digesting
-    // is hash work too), then the flattened cross-message work-item lists
-    // (message-major, so a chunk mixes messages exactly at the
-    // boundaries).
-    let pres: Vec<Preamble> = fan_out(exec, m, m.div_ceil(exec.workers()), |range| {
+    // Each message's stage lists (deterministic signing), one node per
+    // worker (message digesting is hash work too), then the flattened
+    // cross-message work-item lists (message-major, so a chunk mixes
+    // messages exactly at the boundaries).
+    let stages: Vec<Stages> = fan_out(exec, m, m.div_ceil(exec.workers()), |range| {
         msgs[range]
             .iter()
-            .map(|msg| preamble(ctx, sk, msg))
+            .map(|msg| sk.stages(ctx, msg, sk.pk_seed()))
             .collect()
     });
-    let fors_reqs: Vec<ForsTreeRequest> = pres
+    let fors_reqs: Vec<ForsTreeRequest> = stages
         .iter()
-        .flat_map(|pre| pre.fors_reqs.iter().copied())
+        .flat_map(|lists| lists.fors.iter().copied())
         .collect();
-    let subtree_items: Vec<tree_sign::SubtreeItem> = pres
+    let subtree_items: Vec<SubtreeItem> = stages
         .iter()
-        .flat_map(|pre| pre.subtrees.iter().copied())
+        .flat_map(|lists| lists.subtrees.iter().copied())
         .collect();
 
     // Output slots, indexed flat: message-major trees and layers.
     let fors_slots: Slots<(ForsTreeSig, Vec<u8>)> = Slots::new(m * k);
     let pk_slots: Slots<Vec<u8>> = Slots::new(m);
-    let layer_slots: Slots<tree_sign::LayerTree> = Slots::new(m * d);
+    let layer_slots: Slots<TreeHashOutput> = Slots::new(m * d);
     let wots_slots: Slots<Nodes> = Slots::new(m * d);
 
     let fg = shape.fors_trees_per_item.max(1);
@@ -316,37 +291,35 @@ pub fn sign_batch(
     // Subtree stage, optionally memoized. Each flat (message, layer) item
     // is settled once at plan time:
     //   * warm — the subtree's retained pyramid is resident in the
-    //     cache; its LayerTree is sliced immediately (no node, no
-    //     hashing — the steady-state payoff).
+    //     cache; its root and authentication path are sliced immediately
+    //     (no node, no hashing — the steady-state payoff).
     //   * build — anything else joins the build group of its
     //     (layer, tree): *distinct* coordinates are built once per batch
     //     (a batch's repeated upper trees are not rebuilt per message),
     //     with no dependencies (coordinates derive from the digest alone
     //     — the independence §III-A exploits), and slice every
-    //     dependent item's LayerTree. Sorting the unbuilt items by their
+    //     dependent item's root and path. Sorting the unbuilt items by their
     //     coordinates puts the ones that share a subtree side by side.
     //
     // Declared before the graph so the node closures borrowing the
     // groups outlive it.
     let key = KeyId::of(sk);
-    let mut unbuilt: Vec<(usize, tree_sign::SubtreeItem)> = Vec::new();
+    let mut unbuilt: Vec<(usize, SubtreeItem)> = Vec::new();
     for (flat, item) in subtree_items.iter().copied().enumerate() {
         let resident = cache
             .caches_layer(&params, item.layer)
             .then(|| cache.get(&key, item.layer, item.tree_idx))
             .flatten();
         match resident {
-            Some(levels) => {
-                layer_slots.set(flat, tree_sign::layer_tree_from_levels(&levels, &item))
-            }
+            Some(levels) => layer_slots.set(flat, levels.output_for(item.leaf_idx)),
             None => unbuilt.push((flat, item)),
         }
     }
-    let coords = |&(_, item): &(usize, tree_sign::SubtreeItem)| (item.layer, item.tree_idx);
+    let coords = |&(_, item): &(usize, SubtreeItem)| (item.layer, item.tree_idx);
     unbuilt.sort_by_key(coords);
-    let build_groups: Vec<&[(usize, tree_sign::SubtreeItem)]> =
+    let build_groups: Vec<&[(usize, SubtreeItem)]> =
         unbuilt.chunk_by(|a, b| coords(a) == coords(b)).collect();
-    let builds: Vec<tree_sign::SubtreeItem> = build_groups.iter().map(|group| group[0].1).collect();
+    let builds: Vec<SubtreeItem> = build_groups.iter().map(|group| group[0].1).collect();
 
     let mut graph = TaskGraph::new();
 
@@ -359,7 +332,7 @@ pub fn sign_batch(
             let fors_slots = &fors_slots;
             graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                for (off, out) in fors_sign::sign_trees(ctx, sk_seed, chunk)
+                for (off, out) in fors::tree_hash_many(ctx, sk_seed, chunk)
                     .into_iter()
                     .enumerate()
                 {
@@ -373,7 +346,7 @@ pub fn sign_batch(
     // this message's k trees.
     let pk_nodes: Vec<_> = (0..m)
         .map(|mi| {
-            let (fors_slots, pk_slots, pres) = (&fors_slots, &pk_slots, &pres);
+            let (fors_slots, pk_slots, stages) = (&fors_slots, &pk_slots, &stages);
             let node = graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
                 let mut roots_flat = vec![0u8; k * n];
@@ -384,7 +357,7 @@ pub fn sign_batch(
                 }
                 pk_slots.set(
                     mi,
-                    fors_sign::roots_to_pk(ctx, &pres[mi].keypair_adrs, &roots_flat),
+                    fors::roots_to_pk(ctx, &stages[mi].keypair_adrs, &roots_flat),
                 );
             });
             for &group in &fors_nodes[(mi * k) / fg..=((mi + 1) * k - 1) / fg] {
@@ -409,7 +382,7 @@ pub fn sign_batch(
             items,
             move |i, levels| {
                 for (flat, item) in groups[i] {
-                    layer_slots.set(*flat, tree_sign::layer_tree_from_levels(levels, item));
+                    layer_slots.set(*flat, levels.output_for(item.leaf_idx));
                 }
             },
         );
@@ -425,8 +398,8 @@ pub fn sign_batch(
     let mut start = 0usize;
     while start < flat_layers {
         let end = (start + wg).min(flat_layers);
-        let (pk_slots, layer_slots, wots_slots, pres) =
-            (&pk_slots, &layer_slots, &wots_slots, &pres);
+        let (pk_slots, layer_slots, wots_slots, stages) =
+            (&pk_slots, &layer_slots, &wots_slots, &stages);
         let node = graph.task(move || {
             crate::faults::stage(crate::faults::PLAN_STAGE);
             // Own the messages first (copied out of the slots into one
@@ -441,20 +414,11 @@ pub fn sign_batch(
                     layer_slots.with(mi * d + layer - 1, |lt| input.copy_from_slice(&lt.root));
                 }
             }
-            let items: Vec<wots_sign::ChainGroupItem<'_>> = (start..end)
+            let items: Vec<ChainGroupItem<'_>> = (start..end)
                 .zip(inputs.chunks_exact(n))
-                .map(|(flat, msg)| {
-                    let (mi, layer) = (flat / d, flat % d);
-                    let subtree = pres[mi].subtrees[layer];
-                    wots_sign::ChainGroupItem {
-                        msg,
-                        layer: layer as u32,
-                        tree: subtree.tree_idx,
-                        leaf: subtree.leaf_idx,
-                    }
-                })
+                .map(|(flat, msg)| stages[flat / d].subtrees[flat % d].chains(msg))
                 .collect();
-            for (off, sig) in wots_sign::sign_chain_groups(ctx, sk_seed, &items)
+            for (off, sig) in wots::sign_chain_groups(ctx, sk_seed, &items)
                 .into_iter()
                 .enumerate()
             {
@@ -487,8 +451,10 @@ pub fn sign_batch(
         .expect("batch plan construction yields a DAG");
 
     // Assembly: drain the slots message by message.
-    (0..m)
-        .map(|mi| {
+    stages
+        .into_iter()
+        .enumerate()
+        .map(|(mi, lists)| {
             let trees: Vec<ForsTreeSig> = (0..k)
                 .map(|tree| fors_slots.take(mi * k + tree).0)
                 .collect();
@@ -499,7 +465,7 @@ pub fn sign_batch(
                 })
                 .collect();
             Signature {
-                randomizer: pres[mi].randomizer.clone(),
+                randomizer: lists.randomizer,
                 fors: ForsSignature { trees },
                 ht: HtSignature { layers },
             }
@@ -522,11 +488,11 @@ pub fn warm_cache(
     let params = ctx.params();
     let sk_seed = sk.sk_seed();
     let key = &KeyId::of(sk);
-    let items: Vec<tree_sign::SubtreeItem> = cache
+    let items: Vec<SubtreeItem> = cache
         .warm_coordinates(params)
         .into_iter()
         .filter(|&(layer, tree_idx)| !cache.contains(key, layer, tree_idx))
-        .map(|(layer, tree_idx)| tree_sign::SubtreeItem {
+        .map(|(layer, tree_idx)| SubtreeItem {
             layer,
             tree_idx,
             leaf_idx: 0,

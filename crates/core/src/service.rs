@@ -785,7 +785,6 @@ fn lane_loop<P, T>(
 mod tests {
     use super::*;
     use crate::engine::HeroSigner;
-    use crate::signer::ReferenceSigner;
     use hero_gpu_sim::device::rtx_4090;
     use hero_sphincs::params::Params;
     use hero_sphincs::sign::VerifyingKey;
@@ -1064,13 +1063,13 @@ mod tests {
         assert_eq!(s.submitted, s.completed, "exactly-once accounting");
     }
 
-    /// Test backend that makes coalescing deterministic: it records
+    /// Test signer that makes coalescing deterministic: it records
     /// every batch it is handed (the first byte of each message), and
     /// its first call announces itself on `entered` and then blocks on
-    /// `gate` — holding the lane's batcher inside the backend while the
+    /// `gate` — holding the lane's batcher inside the signer while the
     /// test queues requests behind it.
     struct GatedSigner {
-        inner: ReferenceSigner,
+        inner: HeroSigner,
         seen: Mutex<Vec<Vec<u8>>>,
         entered: Mutex<mpsc::Sender<()>>,
         gate: Mutex<mpsc::Receiver<()>>,
@@ -1095,10 +1094,6 @@ mod tests {
             self.inner.params()
         }
 
-        fn backend(&self) -> &'static str {
-            "gated-test"
-        }
-
         fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
             self.inner.sign(sk, msg)
         }
@@ -1121,14 +1116,17 @@ mod tests {
 
     /// One lane, driven through its `try_submit*_many` face (`submit`
     /// maps one tag byte per request to tickets), with the batcher held
-    /// inside the backend: no sleep, no timing assumption anywhere.
+    /// inside the signer: no sleep, no timing assumption anywhere.
     fn held_batch_coalesces_what_queued_behind_it<T>(
         submit: impl Fn(&SignService, &SigningKey, &[u8]) -> Result<Vec<Ticket<T>>, ServiceError>,
     ) {
         let (entered_tx, entered) = mpsc::channel();
         let (gate, gate_rx) = mpsc::channel();
         let signer = Arc::new(GatedSigner {
-            inner: ReferenceSigner::new(tiny_params()).unwrap(),
+            inner: HeroSigner::builder(rtx_4090(), tiny_params())
+                .workers(1)
+                .build()
+                .unwrap(),
             seen: Mutex::new(Vec::new()),
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate_rx),
@@ -1144,13 +1142,13 @@ mod tests {
             s.submitted + s.verify_submitted
         };
 
-        // A lone request goes straight to the backend, alone: the
+        // A lone request goes straight to the signer, alone: the
         // batcher waits for nobody.
         let mut tickets = submit(&service, &sk, &[0]).unwrap();
         entered.recv().unwrap();
         assert_eq!(*signer.seen.lock().unwrap(), [[0]]);
 
-        // The batcher is now held inside the backend; everything below
+        // The batcher is now held inside the signer; everything below
         // queues behind the batch in flight.
         tickets.extend(submit(&service, &sk, &[1, 2]).unwrap());
         // 2 queued + 5 > depth 6: refused whole, nothing left behind.
@@ -1195,25 +1193,5 @@ mod tests {
                 .collect();
             service.try_submit_verify_many(items, None)
         });
-    }
-
-    #[test]
-    fn works_over_the_reference_backend_too() {
-        let params = tiny_params();
-        let signer = Arc::new(ReferenceSigner::new(params).unwrap());
-        let mut rng = StdRng::seed_from_u64(26);
-        let (sk, vk) = signer.keygen(&mut rng).unwrap();
-        let service = SignService::start(signer, sk, ServiceConfig::default()).unwrap();
-        let sig = service.submit(b"ref".to_vec()).unwrap().wait().unwrap();
-        vk.verify(b"ref", &sig).unwrap();
-        // The verify lane rides the reference backend's pair-by-pair
-        // scalar verify_batch: signed by one implementation, accepted by
-        // the other, in both directions.
-        let verdict = service
-            .submit_verify(b"ref".to_vec(), sig)
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(verdict, VerifyOutcome::Valid);
     }
 }

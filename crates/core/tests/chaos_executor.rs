@@ -9,9 +9,8 @@
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::cache::CacheConfig;
 use hero_sign::faults::{self, FaultAction, FaultPlan, FaultSpec};
-use hero_sign::kernels::tree_sign;
 use hero_sign::{plan, HeroSigner};
-use hero_sphincs::hash::{split_digest, HashCtx};
+use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::keygen_from_seeds;
 
@@ -272,12 +271,7 @@ fn sign_plan_builds_each_distinct_subtree_once() {
     let ctx = HashCtx::with_alg(params, sk.pk_seed(), sk.alg());
     let distinct: HashSet<(u32, u64)> = msgs
         .iter()
-        .flat_map(|msg| {
-            let randomizer = ctx.prf_msg(sk.sk_prf(), sk.pk_seed(), msg);
-            let digest = ctx.h_msg(&randomizer, sk.pk_root(), msg);
-            let (_, tree_idx, leaf_idx) = split_digest(&params, &digest);
-            tree_sign::subtree_items(&params, tree_idx, leaf_idx)
-        })
+        .flat_map(|msg| sk.stages(&ctx, msg, sk.pk_seed()).subtrees)
         .map(|item| (item.layer, item.tree_idx))
         .collect();
     assert!(distinct.len() < msgs.len() * params.d, "nothing is shared");

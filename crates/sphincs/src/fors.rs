@@ -30,9 +30,14 @@
 //!
 //! // The message digest picks one leaf per tree (k·log_t = 32 bits).
 //! let md = [0b1011_0001u8, 0x7f, 0x33, 0x04];
-//! let (sig, pk) = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
+//! let reqs = fors::tree_requests(&params, &md, &adrs);
+//! let (trees, roots): (Vec<_>, Vec<_>) =
+//!     fors::tree_hash_many(&ctx, &[1u8; 16], &reqs).into_iter().unzip();
+//! let sig = fors::ForsSignature { trees };
 //! assert_eq!(sig.trees.len(), params.k);
-//! // Verification recomputes the k roots and compresses them.
+//! // The public key is `T_k` over the roots, and verification
+//! // recomputes the k roots and compresses them.
+//! let pk = fors::roots_to_pk(&ctx, &adrs, &roots.concat());
 //! assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
 //! ```
 
@@ -343,8 +348,10 @@ fn tree_hash_sweep(
 }
 
 /// One [`ForsTreeRequest`] per tree of the forest at `keypair_adrs`, leaf
-/// indices decoded from `md`. The batch planner concatenates these lists
-/// across messages and cuts them into [`tree_hash_many`] calls.
+/// indices decoded from `md`: the `FORS_Sign` stage list of one message.
+/// A signer builds them in one [`tree_hash_many`] call; the batch
+/// planner concatenates these lists across messages and cuts them into
+/// calls.
 pub fn tree_requests(params: &Params, md: &[u8], keypair_adrs: &Address) -> Vec<ForsTreeRequest> {
     (0u32..)
         .zip(message_to_indices(params, md))
@@ -364,28 +371,6 @@ pub fn roots_to_pk(ctx: &HashCtx, keypair_adrs: &Address, roots_flat: &[u8]) -> 
     pk
 }
 
-/// Signs message digest `md`: one revealed leaf per tree, all `k` trees
-/// through one [`tree_hash_many`] call; and the FORS public key, `T_k`
-/// over the roots that call returns.
-pub fn sign(
-    ctx: &HashCtx,
-    md: &[u8],
-    sk_seed: &[u8],
-    keypair_adrs: &Address,
-) -> (ForsSignature, Vec<u8>) {
-    let reqs = tree_requests(ctx.params(), md, keypair_adrs);
-    let mut roots = Vec::with_capacity(reqs.len() * ctx.params().n);
-    let trees = tree_hash_many(ctx, sk_seed, &reqs)
-        .into_iter()
-        .map(|(tree, root)| {
-            roots.extend_from_slice(&root);
-            tree
-        })
-        .collect();
-    let pk = roots_to_pk(ctx, keypair_adrs, &roots);
-    (ForsSignature { trees }, pk)
-}
-
 /// Recomputes many FORS public keys from signatures in one batched
 /// pass — the verification twin of [`tree_hash_many`]: the signatures go
 /// a verification group at a time through the FORS stage of
@@ -393,7 +378,7 @@ pub fn sign(
 /// signature's public key does not depend on what else is in the call.
 ///
 /// ```
-/// use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
+/// use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params, reference};
 ///
 /// let mut params = Params::sphincs_128f();
 /// params.log_t = 4;
@@ -402,7 +387,7 @@ pub fn sign(
 /// let mut adrs = Address::new();
 /// adrs.set_type(AddressType::ForsTree);
 /// let md = [0xB1u8, 0x7f, 0x33, 0x04];
-/// let (sig, pk) = fors::sign(&ctx, &md, &[1u8; 16], &adrs);
+/// let (sig, pk) = reference::fors_sign(&ctx, &md, &[1u8; 16], &adrs);
 ///
 /// assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
 /// ```
@@ -592,6 +577,18 @@ mod tests {
     /// One signature's public key: [`pk_from_sig_many`] at batch 1.
     fn pk_from_sig(ctx: &HashCtx, sig: &ForsSignature, md: &[u8], adrs: &Address) -> Vec<u8> {
         pk_from_sig_many(ctx, &[sig], &[md], std::slice::from_ref(adrs)).remove(0)
+    }
+
+    /// The `FORS_Sign` stage of one message: its `k` trees in one
+    /// [`tree_hash_many`] call, and `T_k` over their roots.
+    fn sign(ctx: &HashCtx, md: &[u8], sk_seed: &[u8], adrs: &Address) -> (ForsSignature, Vec<u8>) {
+        let reqs = tree_requests(ctx.params(), md, adrs);
+        let (trees, roots): (Vec<_>, Vec<Vec<u8>>) =
+            tree_hash_many(ctx, sk_seed, &reqs).into_iter().unzip();
+        (
+            ForsSignature { trees },
+            roots_to_pk(ctx, adrs, &roots.concat()),
+        )
     }
 
     fn setup() -> (Params, HashCtx, Vec<u8>, Address) {

@@ -5,7 +5,9 @@
 //! Every layer's Merkle tree is independent once its leaf index is known —
 //! the tree-level parallelism behind HERO-Sign's `TREE_Sign` kernel.
 //!
-//! A subtree's cost is its leaves: each is a whole WOTS+ public key. They
+//! A signature hangs from one subtree per layer ([`SubtreeItem`], bottom
+//! to top from the leaf the digest selects: [`subtree_items`]). A
+//! subtree's cost is its leaves: each is a whole WOTS+ public key. They
 //! are filled together, several subtrees' in one call
 //! ([`wots_leaves_many_into`]), through [`wots::pk_gen_many`], which
 //! under SHA-256 gives every key pair a SIMD lane of its own from `PRF`
@@ -16,7 +18,7 @@
 //! which every routine here is tested against.
 //!
 //! ```
-//! use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference};
+//! use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference, wots};
 //!
 //! // Reduced shape (h=6, d=3): three layers of height-2 subtrees.
 //! let mut params = Params::sphincs_128f();
@@ -25,21 +27,38 @@
 //! let ctx = HashCtx::new(params, &[0u8; 16]);
 //! let sk_seed = [1u8; 16];
 //!
-//! let root = hypertree::public_root(&ctx, &sk_seed);
-//! // Sign an n-byte value (a FORS public key in the full scheme).
-//! let sig = hypertree::sign(&ctx, &[9u8; 16], &sk_seed, 2, 1);
-//! assert_eq!(sig.layers.len(), params.d);
+//! // The subtrees under bottom tree 2, leaf 1, and what signing takes
+//! // of each: its root and the signing leaf's authentication path.
+//! let items = hypertree::subtree_items(&params, 2, 1);
+//! let trees = hypertree::tree_sign(&ctx, &sk_seed, &items);
+//! assert_eq!(trees.len(), params.d);
+//! assert_eq!(trees[params.d - 1].root, hypertree::public_root(&ctx, &sk_seed));
+//! // Layer 0 signs an n-byte value (a FORS public key in the full
+//! // scheme), every layer above the root of the one below.
+//! let signed = [&[9u8; 16][..], &trees[0].root, &trees[1].root];
+//! let chains: Vec<_> = items.iter().zip(signed).map(|(item, msg)| item.chains(msg)).collect();
+//! let wots_sigs = wots::sign_chain_groups(&ctx, &sk_seed, &chains);
+//! let sig = hypertree::HtSignature {
+//!     layers: wots_sigs
+//!         .into_iter()
+//!         .zip(trees)
+//!         .map(|(wots_sig, tree)| hypertree::XmssSig { wots_sig, auth_path: tree.auth_path })
+//!         .collect(),
+//! };
 //! // The reference climbs it back to the root, one layer at a time.
-//! assert_eq!(reference::ht_root_from_sig(&ctx, &sig, &[9u8; 16], 2, 1), root);
+//! assert_eq!(
+//!     reference::ht_root_from_sig(&ctx, &sig, &[9u8; 16], 2, 1),
+//!     hypertree::public_root(&ctx, &sk_seed)
+//! );
 //! ```
 
 use crate::address::{Address, AddressType};
 use crate::hash::{ChainJob, HashCtx};
-use crate::merkle;
+use crate::merkle::{self, TreeHashOutput, TreeLevels};
 use crate::nodes::Nodes;
 use crate::params::Params;
 use crate::sign::Scratch;
-use crate::wots;
+use crate::wots::{self, keypair_adrs, ChainGroupItem};
 #[cfg(target_arch = "x86_64")]
 use crate::{ascent, lanes};
 
@@ -60,22 +79,76 @@ pub struct HtSignature {
     pub layers: Vec<XmssSig>,
 }
 
-/// The WOTS+ key pair address of leaf `leaf_idx` of the subtree at
-/// (`layer`, `tree`).
-fn keypair_adrs(layer: u32, tree: u64, leaf_idx: u32) -> Address {
-    let mut adrs = Address::new();
-    adrs.set_layer(layer);
-    adrs.set_tree(tree);
-    adrs.set_type(AddressType::WotsHash);
-    adrs.set_keypair(leaf_idx);
-    adrs
+/// One subtree of a signature's hypertree: the XMSS tree at (`layer`,
+/// `tree_idx`) and the leaf that signs there — the one spelling of
+/// subtree coordinates, for signing, verifying and building alike. All
+/// `d` of a signature's come from the digest alone (§III-A), so every
+/// subtree can be built at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SubtreeItem {
+    /// Hypertree layer (0 = bottom).
+    pub layer: u32,
+    /// Tree index within the layer.
+    pub tree_idx: u64,
+    /// Leaf used for signing at this layer.
+    pub leaf_idx: u32,
 }
 
-/// The treehash leaf filler, for several subtrees at once, `(layer,
-/// tree)` each: `out` takes an equal share of leaves `0..` for every one
-/// of them, subtree after subtree, and all of them come from one
-/// [`wots::pk_gen_many`] call — two 8-leaf subtrees are one full zmm
-/// group where each alone is half of one.
+impl SubtreeItem {
+    /// The subtree the layer above signs this one's root from: a tree's
+    /// position within its parent is the leaf that signs its root.
+    pub fn parent(&self, params: &Params) -> Self {
+        let height = params.tree_height();
+        Self {
+            layer: self.layer + 1,
+            tree_idx: self.tree_idx >> height,
+            leaf_idx: (self.tree_idx & ((1 << height) - 1)) as u32,
+        }
+    }
+
+    /// The `WOTS+_Sign` item of this layer: its signing leaf signs `msg`.
+    pub fn chains<'a>(&self, msg: &'a [u8]) -> ChainGroupItem<'a> {
+        ChainGroupItem {
+            msg,
+            layer: self.layer,
+            tree: self.tree_idx,
+            leaf: self.leaf_idx,
+        }
+    }
+
+    /// The address of the signing leaf's WOTS+ key pair.
+    fn keypair_adrs(&self) -> Address {
+        keypair_adrs(self.layer, self.tree_idx, self.leaf_idx)
+    }
+
+    /// The `H` address of the subtree's nodes.
+    fn node_adrs(&self) -> Address {
+        let mut adrs = Address::new();
+        adrs.set_layer(self.layer);
+        adrs.set_tree(self.tree_idx);
+        adrs.set_type(AddressType::Tree);
+        adrs
+    }
+}
+
+/// The subtrees a signature uses, bottom to top, from the (`tree_idx`,
+/// `leaf_idx`) the digest selects at layer 0 (Fig. 2's loop).
+pub fn subtree_items(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<SubtreeItem> {
+    let bottom = SubtreeItem {
+        layer: 0,
+        tree_idx,
+        leaf_idx,
+    };
+    std::iter::successors(Some(bottom), |item| Some(item.parent(params)))
+        .take(params.d)
+        .collect()
+}
+
+/// The treehash leaf filler, for several subtrees at once: `out` takes
+/// an equal share of leaves `0..` for every one of them, subtree after
+/// subtree, and all of them come from one [`wots::pk_gen_many`] call —
+/// two 8-leaf subtrees are one full zmm group where each alone is half of
+/// one. Items' `leaf_idx` fields are not consulted.
 ///
 /// # Panics
 ///
@@ -84,7 +157,7 @@ fn keypair_adrs(layer: u32, tree: u64, leaf_idx: u32) -> Address {
 pub fn wots_leaves_many_into(
     ctx: &HashCtx,
     sk_seed: &[u8],
-    subtrees: &[(u32, u64)],
+    subtrees: &[SubtreeItem],
     out: &mut [u8],
 ) {
     let leaves = out.len() / ctx.params().n;
@@ -96,39 +169,42 @@ pub fn wots_leaves_many_into(
     );
     let adrs_list: Vec<Address> = subtrees
         .iter()
-        .flat_map(|&(layer, tree)| (0..each as u32).map(move |i| keypair_adrs(layer, tree, i)))
+        .flat_map(|item| (0..each as u32).map(|leaf| keypair_adrs(item.layer, item.tree_idx, leaf)))
         .collect();
     wots::pk_gen_many(ctx, sk_seed, &adrs_list, out);
 }
 
-/// The `H` address of the subtree at (`layer`, `tree`).
-fn node_adrs(layer: u32, tree: u64) -> Address {
-    let mut adrs = Address::new();
-    adrs.set_layer(layer);
-    adrs.set_tree(tree);
-    adrs.set_type(AddressType::Tree);
-    adrs
-}
-
-/// Builds the XMSS subtrees at the given `(layer, tree)` coordinates,
-/// every node of each retained — the one way a subtree is ever built:
-/// all the subtrees' WOTS+ leaves in one fill
-/// ([`wots_leaves_many_into`]), every level above them halved across all
-/// the subtrees at once ([`merkle::treehash_many_levels`]). Signing
+/// Builds the items' XMSS subtrees, every node of each retained — the one
+/// way a subtree is ever built: all the subtrees' WOTS+ leaves in one
+/// fill ([`wots_leaves_many_into`]), every level above them halved across
+/// all the subtrees at once ([`merkle::treehash_many_levels`]). Signing
 /// slices a leaf's authentication path out of the result, key generation
-/// its root, and a cache keeps it whole.
-pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], subtrees: &[(u32, u64)]) -> Vec<merkle::TreeLevels> {
-    let jobs: Vec<merkle::TreeHashJob> = subtrees
+/// its root, and a cache keeps it whole. Items' `leaf_idx` fields are not
+/// consulted; a subtree's nodes do not depend on what else is in the
+/// call.
+pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<TreeLevels> {
+    let jobs: Vec<merkle::TreeHashJob> = items
         .iter()
-        .map(|&(layer, tree)| merkle::TreeHashJob {
+        .map(|item| merkle::TreeHashJob {
             leaf_idx: 0,
-            node_adrs: node_adrs(layer, tree),
+            node_adrs: item.node_adrs(),
             leaf_offset: 0,
         })
         .collect();
     merkle::treehash_many_levels(ctx, ctx.params().tree_height(), &jobs, |leaves| {
-        wots_leaves_many_into(ctx, sk_seed, subtrees, leaves)
+        wots_leaves_many_into(ctx, sk_seed, items, leaves)
     })
+}
+
+/// The `TREE_Sign` stage: the items' subtrees built in one [`subtrees`]
+/// call, each sliced at its own signing leaf — the root the layer above
+/// signs, and the authentication path the signature carries.
+pub fn tree_sign(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<TreeHashOutput> {
+    items
+        .iter()
+        .zip(subtrees(ctx, sk_seed, items))
+        .map(|(item, levels)| levels.output_for(item.leaf_idx))
+        .collect()
 }
 
 /// One signature's share of a batched XMSS layer recomputation: its
@@ -153,20 +229,19 @@ pub struct XmssVerifyRequest<'a> {
 /// request's root does not depend on what else is in the call.
 ///
 /// ```
-/// use hero_sphincs::{hash::HashCtx, hypertree, params::Params};
+/// use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference};
 ///
 /// let mut params = Params::sphincs_128f();
 /// params.h = 6;
 /// params.d = 3;
 /// let ctx = HashCtx::new(params, &[0u8; 16]);
-/// let sig = hypertree::sign(&ctx, &[9u8; 16], &[1u8; 16], 2, 1);
+/// let (sig, root) = reference::xmss_sign(&ctx, &[9u8; 16], &[1u8; 16], 0, 2, 1);
 /// let reqs = [hypertree::XmssVerifyRequest {
-///     sig: &sig.layers[0],
+///     sig: &sig,
 ///     msg: &[9u8; 16],
 ///     tree: 2,
 ///     leaf_idx: 1,
 /// }];
-/// let root = hypertree::subtrees(&ctx, &[1u8; 16], &[(0, 2)])[0].root().to_vec();
 /// assert_eq!(hypertree::xmss_pk_from_sig_many(&ctx, 0, &reqs), vec![root]);
 /// ```
 ///
@@ -182,15 +257,19 @@ pub fn xmss_pk_from_sig_many(
     let n = ctx.params().n;
     let mut scratch = Scratch::new(ctx);
     let mut out = Vec::with_capacity(reqs.len());
-    let mut coords = Vec::with_capacity(scratch.width);
+    let mut items = Vec::with_capacity(scratch.width);
     for reqs in reqs.chunks(scratch.width) {
         for (req, msg) in reqs.iter().zip(scratch.roots.chunks_exact_mut(n)) {
             assert_eq!(req.msg.len(), n, "WOTS+ message must be n bytes");
             msg.copy_from_slice(req.msg);
         }
-        coords.clear();
-        coords.extend(reqs.iter().map(|req| (req.tree, req.leaf_idx)));
-        xmss_roots_group(ctx, &mut scratch, layer, |s| reqs[s].sig, &coords);
+        items.clear();
+        items.extend(reqs.iter().map(|req| SubtreeItem {
+            layer,
+            tree_idx: req.tree,
+            leaf_idx: req.leaf_idx,
+        }));
+        xmss_roots_group(ctx, &mut scratch, |s| reqs[s].sig, &items);
         out.extend(
             scratch
                 .roots
@@ -203,7 +282,8 @@ pub fn xmss_pk_from_sig_many(
 }
 
 /// One XMSS layer of verification for a group of signatures: signature
-/// `s` is `sig(s)` at `coords[s]` = (tree, leaf), and `scratch.roots[s*n..]`
+/// `s` is `sig(s)` at subtree `items[s]`, all of one layer, and
+/// `scratch.roots[s*n..]`
 /// holds the node its WOTS+ signature signs and takes the layer's root.
 /// The one place the stage picks its body.
 ///
@@ -226,15 +306,14 @@ pub fn xmss_pk_from_sig_many(
 pub(crate) fn xmss_roots_group<'s>(
     ctx: &HashCtx,
     scratch: &mut Scratch,
-    layer: u32,
     sig: impl Fn(usize) -> &'s XmssSig,
-    coords: &[(u64, u32)],
+    items: &[SubtreeItem],
 ) {
     let params = ctx.params();
     let (n, len, height) = (params.n, params.wots_len(), params.tree_height());
-    let count = coords.len();
+    let count = items.len();
     assert!(count <= scratch.width, "one group of signatures at most");
-    let keypair = |s: usize| keypair_adrs(layer, coords[s].0, coords[s].1);
+    let keypair = |s: usize| items[s].keypair_adrs();
     #[cfg(target_arch = "x86_64")]
     if let Some(lanes) = &mut scratch.lanes {
         let layer_words = (len + height) * n / 4;
@@ -270,8 +349,8 @@ pub(crate) fn xmss_roots_group<'s>(
         if in_lanes {
             let climbs = (0..count).map(|s| ascent::Climb {
                 leaf_adrs: wots::pk_adrs_for(&keypair(s)).compressed_words(),
-                node_adrs: node_adrs(layer, coords[s].0).compressed_words(),
-                leaf_idx: coords[s].1,
+                node_adrs: items[s].node_adrs().compressed_words(),
+                leaf_idx: items[s].leaf_idx,
                 at: (s * layer_words) as u32,
                 ..Default::default()
             });
@@ -304,9 +383,9 @@ pub(crate) fn xmss_roots_group<'s>(
             ctx.t_l_flat_into(&wots::pk_adrs_for(&keypair(s)), ends, leaf);
             let climb = |_| merkle::AuthPathJob {
                 leaf,
-                leaf_idx: coords[s].1,
+                leaf_idx: items[s].leaf_idx,
                 auth_path: sig(s).auth_path.as_bytes(),
-                node_adrs: node_adrs(layer, coords[s].0),
+                node_adrs: items[s].node_adrs(),
                 leaf_offset: 0,
             };
             merkle::roots_in(ctx, 1, climb, root);
@@ -332,73 +411,22 @@ pub(crate) fn xmss_roots_group<'s>(
     wots::pks_in(ctx, sigs, digits, bytes, jobs, run, leaves);
     let climb = |s: usize| merkle::AuthPathJob {
         leaf: &leaves[s * n..(s + 1) * n],
-        leaf_idx: coords[s].1,
+        leaf_idx: items[s].leaf_idx,
         auth_path: sig(s).auth_path.as_bytes(),
-        node_adrs: node_adrs(layer, coords[s].0),
+        node_adrs: items[s].node_adrs(),
         leaf_offset: 0,
     };
     merkle::roots_in(ctx, count, climb, roots);
 }
 
-/// The `(tree, leaf)` the layer above signs from, given a layer's: a
-/// tree's position within its parent is the leaf that signs its root.
-pub(crate) fn parent(params: &Params, (tree_idx, _): (u64, u32)) -> (u64, u32) {
-    let height = params.tree_height();
-    (tree_idx >> height, (tree_idx & ((1 << height) - 1)) as u32)
-}
-
-/// The `(tree, leaf)` a signature uses at every layer, bottom to top,
-/// from the pair the digest selects at layer 0 (Fig. 2's loop): a tree's
-/// position within its parent is the leaf that signs its root.
-pub fn layer_coordinates(params: &Params, tree_idx: u64, leaf_idx: u32) -> Vec<(u64, u32)> {
-    std::iter::successors(Some((tree_idx, leaf_idx)), |&coords| {
-        Some(parent(params, coords))
-    })
-    .take(params.d)
-    .collect()
-}
-
-/// Signs `msg` under the full hypertree from (`tree_idx`, `leaf_idx`) at
-/// layer 0 up to the top. The coordinates depend on nothing but the
-/// digest (§III-A), so all `d` subtrees are built in one [`subtrees`]
-/// call; and since each layer signs the root of the one below, which that
-/// call has produced, all `d` WOTS+ signatures come from one
-/// [`wots::sign_many`] — the planner's stage sequence for one message.
-pub fn sign(
-    ctx: &HashCtx,
-    msg: &[u8],
-    sk_seed: &[u8],
-    tree_idx: u64,
-    leaf_idx: u32,
-) -> HtSignature {
-    let coords = layer_coordinates(ctx.params(), tree_idx, leaf_idx);
-    let placed: Vec<(u32, u64)> = (0u32..).zip(&coords).map(|(l, &(t, _))| (l, t)).collect();
-    let built = subtrees(ctx, sk_seed, &placed);
-    let msgs: Vec<&[u8]> = std::iter::once(msg)
-        .chain(built.iter().map(merkle::TreeLevels::root))
-        .take(coords.len())
-        .collect();
-    let adrs_list: Vec<Address> = placed
-        .iter()
-        .zip(&coords)
-        .map(|(&(layer, tree), &(_, leaf))| keypair_adrs(layer, tree, leaf))
-        .collect();
-    let layers = wots::sign_many(ctx, &msgs, sk_seed, &adrs_list)
-        .into_iter()
-        .zip(&built)
-        .zip(&coords)
-        .map(|((wots_sig, tree), &(_, leaf))| XmssSig {
-            wots_sig,
-            auth_path: tree.auth_path(leaf),
-        })
-        .collect();
-    HtSignature { layers }
-}
-
 /// The hypertree public root: the root of the single top-layer tree.
 pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
-    let top = ctx.params().d as u32 - 1;
-    subtrees(ctx, sk_seed, &[(top, 0)])[0].root().to_vec()
+    let top = SubtreeItem {
+        layer: ctx.params().d as u32 - 1,
+        tree_idx: 0,
+        leaf_idx: 0,
+    };
+    subtrees(ctx, sk_seed, &[top])[0].root().to_vec()
 }
 
 #[cfg(test)]
@@ -420,6 +448,35 @@ mod tests {
         (params, ctx, vec![6u8; 16])
     }
 
+    /// A hypertree signature of `msg` from (`tree_idx`, `leaf_idx`) at
+    /// layer 0 up: the `TREE_Sign` stage, then the `WOTS+_Sign` stage
+    /// over `msg` and the roots it built.
+    fn sign(
+        ctx: &HashCtx,
+        msg: &[u8],
+        sk_seed: &[u8],
+        tree_idx: u64,
+        leaf_idx: u32,
+    ) -> HtSignature {
+        let items = subtree_items(ctx.params(), tree_idx, leaf_idx);
+        let trees = tree_sign(ctx, sk_seed, &items);
+        let signed = std::iter::once(msg).chain(trees.iter().map(|tree| &tree.root[..]));
+        let chains: Vec<ChainGroupItem> = items
+            .iter()
+            .zip(signed)
+            .map(|(item, msg)| item.chains(msg))
+            .collect();
+        let layers = wots::sign_chain_groups(ctx, sk_seed, &chains)
+            .into_iter()
+            .zip(trees)
+            .map(|(wots_sig, tree)| XmssSig {
+                wots_sig,
+                auth_path: tree.auth_path,
+            })
+            .collect();
+        HtSignature { layers }
+    }
+
     /// The top root a hypertree signature reconstructs, layer by layer
     /// through [`xmss_pk_from_sig_many`] at batch 1 (what
     /// `VerifyingKey::verify_many` does across signatures).
@@ -430,25 +487,46 @@ mod tests {
         tree_idx: u64,
         leaf_idx: u32,
     ) -> Vec<u8> {
-        let coords = layer_coordinates(ctx.params(), tree_idx, leaf_idx);
+        let items = subtree_items(ctx.params(), tree_idx, leaf_idx);
         let mut node = msg.to_vec();
-        for ((layer, sig), &(tree, leaf_idx)) in (0u32..).zip(&sig.layers).zip(&coords) {
+        for (sig, item) in sig.layers.iter().zip(&items) {
             let req = XmssVerifyRequest {
                 sig,
                 msg: &node,
-                tree,
-                leaf_idx,
+                tree: item.tree_idx,
+                leaf_idx: item.leaf_idx,
             };
-            node = xmss_pk_from_sig_many(ctx, layer, &[req]).remove(0);
+            node = xmss_pk_from_sig_many(ctx, item.layer, &[req]).remove(0);
         }
         node
+    }
+
+    #[test]
+    fn coordinates_walk_matches_reference_loop() {
+        let p = Params::sphincs_128f();
+        let items = subtree_items(&p, 0b101_011_111, 5);
+        let coords: Vec<(u32, u64, u32)> = items
+            .iter()
+            .map(|item| (item.layer, item.tree_idx, item.leaf_idx))
+            .collect();
+        assert_eq!(coords.len(), p.d);
+        assert_eq!(coords[0], (0, 0b101_011_111, 5));
+        assert_eq!(coords[1], (1, 0b101_011, 0b111));
+        assert_eq!(coords[2], (2, 0b101, 0b011));
+        assert_eq!(coords[3], (3, 0, 0b101));
+        assert_eq!(coords[4], (4, 0, 0));
     }
 
     #[test]
     fn xmss_roundtrip_all_leaves() {
         let (params, ctx, sk_seed) = setup();
         let msg = vec![0xC3u8; params.n];
-        let built = &subtrees(&ctx, &sk_seed, &[(0, 3)])[0];
+        let item = SubtreeItem {
+            layer: 0,
+            tree_idx: 3,
+            leaf_idx: 0,
+        };
+        let built = &subtrees(&ctx, &sk_seed, &[item])[0];
         for leaf_idx in 0..params.subtree_leaves() as u32 {
             let (sig, root) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
             assert_eq!(built.root(), root);
@@ -577,9 +655,14 @@ mod tests {
         let (params, ctx, sk_seed) = setup();
         let n = params.n;
         // Leaves 0 and 1 of the subtree at (layer, tree).
-        let leaves = |layer: u32, tree: u64| {
+        let leaves = |layer: u32, tree_idx: u64| {
             let mut out = vec![0u8; 2 * n];
-            wots_leaves_many_into(&ctx, &sk_seed, &[(layer, tree)], &mut out);
+            let item = SubtreeItem {
+                layer,
+                tree_idx,
+                leaf_idx: 0,
+            };
+            wots_leaves_many_into(&ctx, &sk_seed, &[item], &mut out);
             out
         };
         let a = leaves(0, 0);

@@ -10,9 +10,10 @@
 //!   [`sign::VerifyingKey::verify`] / [`sign::VerifyingKey::verify_many`]
 //!   and the `*_many` routines of [`wots`], [`fors`], [`merkle`] and
 //!   [`hypertree`] beneath them: every stage takes many independent work
-//!   items per call and packs them into SIMD lanes. A single signature
-//!   or verification is the same code at batch 1, and `hero-sign`'s batch
-//!   planner drives the same routines across messages.
+//!   items per call and packs them into SIMD lanes. A signature is one
+//!   list of work items per stage ([`sign::Stages`]): a single signature
+//!   runs each list in one call, and `hero-sign`'s batch planner cuts
+//!   many messages' lists into nodes of the same stage functions.
 //! * **[`mod@reference`]** — the scheme as the specification writes it, one
 //!   `F` / `H` / `T_l` / `PRF` call at a time, sign and verify. It shares
 //!   nothing with the lanes and nothing above calls it; it exists so that
@@ -69,9 +70,9 @@
 //!
 //! This crate is the *substrate*: validated parameters, keygen, signing
 //! and verification, and wire-format round-trips. Higher layers build on
-//! it — the `hero-sign` crate drives the `*_many` routines from its batch
-//! planner (the `HeroSigner` engine) and wraps [`mod@reference`] as the
-//! `ReferenceSigner` backend of its `Signer` trait.
+//! it — the `hero-sign` crate drives the same stages from its batch
+//! planner (the `HeroSigner` engine), and its tests hold that to
+//! [`mod@reference`].
 //!
 //! ```
 //! use hero_sphincs::{params::Params, sign, Signature};

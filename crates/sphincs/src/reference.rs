@@ -18,8 +18,9 @@
 //! and the batch planner are held to [`sign`] and [`verify`].
 //!
 //! It is slow by construction (a 128f signature takes some 17 ms where
-//! the shipping path takes 2) and is meant for tests, benches and the
-//! `reference` backend of the CLI.
+//! the shipping path takes 2) and is meant for tests and benches: it is
+//! the oracle the other paths are compared with, never a signer of its
+//! own.
 //!
 //! ```
 //! use hero_sphincs::{params::Params, reference, sign::keygen_from_seeds};

@@ -2,11 +2,13 @@
 //! (the flow of Fig. 2 in the paper).
 
 use crate::address::{Address, AddressType};
-use crate::fors::{self, ForsSignature, ForsTreeSig};
+use crate::fors::{self, ForsSignature, ForsTreeRequest, ForsTreeSig};
 use crate::hash::{self, ChainJob, HashAlg, HashCtx};
-use crate::hypertree::{self, HtSignature, XmssSig};
+use crate::hypertree::{self, HtSignature, SubtreeItem, XmssSig};
+use crate::merkle::TreeLevels;
 use crate::nodes::Nodes;
 use crate::params::Params;
+use crate::wots::{self, ChainGroupItem};
 
 use rand::RngCore;
 use std::fmt;
@@ -271,23 +273,20 @@ pub fn keygen_from_seeds_with_alg(
 
 /// What a message selects of a key pair (the host preamble of Fig. 2):
 /// the FORS digest and the hypertree leaf its signature hangs from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Preamble {
+struct Preamble {
     /// The `k · log_t` bits that pick one leaf per FORS tree.
-    pub md: Vec<u8>,
-    /// Bottom-layer tree of the hypertree.
-    pub tree_idx: u64,
-    /// Leaf of that tree: the FORS key pair.
-    pub leaf_idx: u32,
+    md: Vec<u8>,
+    /// Bottom-layer subtree of the hypertree, at the leaf that is the
+    /// FORS key pair.
+    bottom: SubtreeItem,
     /// Address of that FORS key pair.
-    pub keypair_adrs: Address,
+    keypair_adrs: Address,
 }
 
 /// `H_msg` → [`hash::split_digest`] → FORS key pair address, the one
-/// spelling signing, verification and the batch planner share. A signer
-/// passes the `PRF_msg` output as `randomizer`, a verifier the
-/// signature's.
-pub fn preamble(ctx: &HashCtx, pk_root: &[u8], randomizer: &[u8], msg: &[u8]) -> Preamble {
+/// spelling signing and verification share. A signer passes the
+/// `PRF_msg` output as `randomizer`, a verifier the signature's.
+fn preamble(ctx: &HashCtx, pk_root: &[u8], randomizer: &[u8], msg: &[u8]) -> Preamble {
     let digest = ctx.h_msg(randomizer, pk_root, msg);
     let (md, tree_idx, leaf_idx) = hash::split_digest(ctx.params(), &digest);
     let mut keypair_adrs = Address::new();
@@ -297,10 +296,34 @@ pub fn preamble(ctx: &HashCtx, pk_root: &[u8], randomizer: &[u8], msg: &[u8]) ->
     keypair_adrs.set_keypair(leaf_idx);
     Preamble {
         md,
-        tree_idx,
-        leaf_idx,
+        bottom: SubtreeItem {
+            layer: 0,
+            tree_idx,
+            leaf_idx,
+        },
         keypair_adrs,
     }
+}
+
+/// A message's signature before any tree is built: the work each of the
+/// paper's three kernels does for it. The digest of the randomizer and
+/// the message selects the FORS key pair, and with it the `k` FORS trees
+/// (`FORS_Sign`) and the `d` subtrees, bottom to top (`TREE_Sign`), so
+/// every tree can start at once (§III-A). Each subtree's signing leaf
+/// then signs the FORS public key or the root below it (`WOTS+_Sign`,
+/// [`SubtreeItem::chains`]). [`SigningKey::sign_with_rand`] runs each
+/// list in one call; a batch planner cuts many messages' lists into
+/// nodes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Stages {
+    /// The signature's randomizer `R`.
+    pub randomizer: Vec<u8>,
+    /// Address of the FORS key pair the digest selects.
+    pub keypair_adrs: Address,
+    /// One request per FORS tree, leaf picked by the digest.
+    pub fors: Vec<ForsTreeRequest>,
+    /// One subtree per hypertree layer, bottom to top.
+    pub subtrees: Vec<SubtreeItem>,
 }
 
 impl SigningKey {
@@ -345,24 +368,69 @@ impl SigningKey {
         }
     }
 
+    /// The [`Stages`] of signing `msg` under `ctx` (this key's): the
+    /// randomizer `PRF_msg(sk_prf, opt_rand, msg)` and what its digest
+    /// selects.
+    pub fn stages(&self, ctx: &HashCtx, msg: &[u8], opt_rand: &[u8]) -> Stages {
+        let params = ctx.params();
+        let randomizer = ctx.prf_msg(&self.sk_prf, opt_rand, msg);
+        let Preamble {
+            md,
+            bottom,
+            keypair_adrs,
+        } = preamble(ctx, &self.pk_root, &randomizer, msg);
+        Stages {
+            randomizer,
+            keypair_adrs,
+            fors: fors::tree_requests(params, &md, &keypair_adrs),
+            subtrees: hypertree::subtree_items(params, bottom.tree_idx, bottom.leaf_idx),
+        }
+    }
+
     /// Signs `msg`. `opt_rand` (`n` bytes) randomizes the signature;
     /// deterministic signing passes the public seed (the spec default).
     ///
-    /// This is the batch planner's stage sequence for one message on the
-    /// calling thread: the `k` FORS trees in one [`fors::sign`], every
-    /// layer's subtree and then every layer's chains in one
-    /// [`hypertree::sign`]. [`crate::reference::sign`] is the
-    /// implementation it is held to.
+    /// The [`Stages`] run in order on the calling thread, each whole list
+    /// in one call: the `k` FORS trees in one [`fors::tree_hash_many`],
+    /// the `d` subtrees in one [`hypertree::subtrees`], and the `d`
+    /// WOTS+ signatures in one [`wots::sign_chain_groups`].
+    /// [`crate::reference::sign`] is the implementation it is held to.
     pub fn sign_with_rand(&self, msg: &[u8], opt_rand: &[u8]) -> Signature {
         let ctx = HashCtx::with_alg(self.params, &self.pk_seed, self.alg);
-        let randomizer = ctx.prf_msg(&self.sk_prf, opt_rand, msg);
-        let pre = preamble(&ctx, &self.pk_root, &randomizer, msg);
-        let (fors, fors_pk) = fors::sign(&ctx, &pre.md, &self.sk_seed, &pre.keypair_adrs);
-        let ht = hypertree::sign(&ctx, &fors_pk, &self.sk_seed, pre.tree_idx, pre.leaf_idx);
+        let Stages {
+            randomizer,
+            keypair_adrs,
+            fors,
+            subtrees,
+        } = self.stages(&ctx, msg, opt_rand);
+        let mut roots = Vec::with_capacity(fors.len() * self.params.n);
+        let trees = fors::tree_hash_many(&ctx, &self.sk_seed, &fors)
+            .into_iter()
+            .map(|(tree, root)| {
+                roots.extend_from_slice(&root);
+                tree
+            })
+            .collect();
+        let fors_pk = fors::roots_to_pk(&ctx, &keypair_adrs, &roots);
+        let built = hypertree::subtrees(&ctx, &self.sk_seed, &subtrees);
+        let signed = std::iter::once(&fors_pk[..]).chain(built.iter().map(TreeLevels::root));
+        let chains: Vec<ChainGroupItem> = subtrees
+            .iter()
+            .zip(signed)
+            .map(|(item, msg)| item.chains(msg))
+            .collect();
+        let layers = wots::sign_chain_groups(&ctx, &self.sk_seed, &chains)
+            .into_iter()
+            .zip(built.iter().zip(&subtrees))
+            .map(|(wots_sig, (tree, item))| XmssSig {
+                wots_sig,
+                auth_path: tree.auth_path(item.leaf_idx),
+            })
+            .collect();
         Signature {
             randomizer,
-            fors,
-            ht,
+            fors: ForsSignature { trees },
+            ht: HtSignature { layers },
         }
     }
 
@@ -506,15 +574,12 @@ impl VerifyingKey {
             let keypair_adrs: Vec<Address> = pres.iter().map(|pre| pre.keypair_adrs).collect();
             fors::pks_group(&ctx, &mut scratch, &fors_sigs, &mds, &keypair_adrs);
 
-            let mut coords: Vec<(u64, u32)> = pres
-                .iter()
-                .map(|pre| (pre.tree_idx, pre.leaf_idx))
-                .collect();
+            let mut items: Vec<SubtreeItem> = pres.iter().map(|pre| pre.bottom).collect();
             for layer in 0..params.d {
                 let sig = |s: usize| &sigs[group[s]].ht.layers[layer];
-                hypertree::xmss_roots_group(&ctx, &mut scratch, layer as u32, sig, &coords);
-                for coords in &mut coords {
-                    *coords = hypertree::parent(params, *coords);
+                hypertree::xmss_roots_group(&ctx, &mut scratch, sig, &items);
+                for item in &mut items {
+                    *item = item.parent(params);
                 }
             }
 

@@ -242,12 +242,64 @@ pub fn sign_many(
     let params = *ctx.params();
     let (len, n) = (params.wots_len(), params.n);
     assert_eq!(msgs.len(), adrs_list.len(), "one address per message");
-    let lengths: Vec<Vec<u32>> = msgs.iter().map(|msg| chain_lengths(&params, msg)).collect();
-    let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| lengths[r][i]);
+    let mut digits = Vec::with_capacity(msgs.len() * len);
+    for msg in msgs {
+        push_digits(&params, msg, &mut digits);
+    }
+    let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| digits[r * len + i]);
     nodes
         .chunks_exact(len * n)
         .map(|sig| Nodes::from_bytes(n, sig.to_vec()))
         .collect()
+}
+
+/// The address of WOTS+ key pair `leaf` of the subtree at (`layer`,
+/// `tree`): the leaf's public key, and the signature it makes.
+pub(crate) fn keypair_adrs(layer: u32, tree: u64, leaf: u32) -> Address {
+    let mut adrs = Address::new();
+    adrs.set_layer(layer);
+    adrs.set_tree(tree);
+    adrs.set_type(AddressType::WotsHash);
+    adrs.set_keypair(leaf);
+    adrs
+}
+
+/// One WOTS+ signature of the `WOTS+_Sign` stage: `msg` (a FORS public
+/// key or the root of the subtree below) signed by key pair `leaf` of
+/// the subtree at (`layer`, `tree`). A group may mix layers and
+/// messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainGroupItem<'a> {
+    /// The `n`-byte value this layer signs.
+    pub msg: &'a [u8],
+    /// Hypertree layer of the signing key pair.
+    pub layer: u32,
+    /// Tree index within the layer.
+    pub tree: u64,
+    /// Leaf (key pair) index within the tree.
+    pub leaf: u32,
+}
+
+/// The `WOTS+_Sign` stage: every chain of every item through one
+/// [`sign_many`] sweep, so chains retiring early in one item leave lanes
+/// to the others — the cross-message mirror of the kernel's
+/// masked-thread retirement. An item's signature does not depend on what
+/// else is in the group.
+///
+/// # Panics
+///
+/// Panics if a message is not `n` bytes.
+pub fn sign_chain_groups(
+    ctx: &HashCtx,
+    sk_seed: &[u8],
+    items: &[ChainGroupItem<'_>],
+) -> Vec<Nodes> {
+    let msgs: Vec<&[u8]> = items.iter().map(|item| item.msg).collect();
+    let adrs_list: Vec<Address> = items
+        .iter()
+        .map(|item| keypair_adrs(item.layer, item.tree, item.leaf))
+        .collect();
+    sign_many(ctx, &msgs, sk_seed, &adrs_list)
 }
 
 /// Recomputes many WOTS+ public keys from signatures, each under its own

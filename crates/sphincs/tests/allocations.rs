@@ -15,12 +15,17 @@
 //! went back to a `Vec` per node fails here, not only in the benchmark's
 //! `sig.from_bytes_us` and `peak_rss_mb`.
 //!
+//! And what a lone sign allocates: [`SigningKey::sign`] runs each stage's
+//! whole list in one call, so its count is a few hundred handles and
+//! buffers, most of them the signature's own fields; a stage that went
+//! back to a call per tree, per layer or per node fails here.
+//!
 //! The counting allocator counts per thread, so the suite's other tests,
 //! running on other threads, do not move this one's counts.
 
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
-use hero_sphincs::sign::{keygen_from_seeds_with_alg, Signature, VerifyingKey};
+use hero_sphincs::sign::{keygen_from_seeds_with_alg, Signature, SigningKey, VerifyingKey};
 use hero_sphincs::tier;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -33,6 +38,9 @@ const PER_SIGNATURE_IN_A_GROUP: u64 = 10;
 
 /// Allocations of one `verify`.
 const LONE_VERIFY: u64 = 60;
+
+/// Allocations of one 128f SHA-256 `sign`.
+const LONE_SIGN: u64 = 300;
 
 /// Heap a parsed signature may hold beyond its own bytes: the two lists
 /// of per-tree and per-layer handles.
@@ -153,6 +161,20 @@ fn a_parsed_signature_is_one_allocation_per_field() {
     eprintln!("from_bytes of a 128f signature: {count} allocations, {heap} bytes");
     assert_eq!(parsed.as_ref(), Ok(&sigs[0]));
     assert_eq!(parsed, parsed_again);
+}
+
+#[test]
+fn a_lone_sign_allocates_per_stage_not_per_node() {
+    let params = Params::sphincs_128f();
+    let n = params.n;
+    let (sk, vk) =
+        keygen_from_seeds_with_alg(params, HashAlg::Sha256, vec![3; n], vec![5; n], vec![7; n]);
+    // Under the tier the host resolves: no other test's forced tier.
+    let _lock = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (count, sig) = counted(|| SigningKey::sign(&sk, b"a lone sign"));
+    eprintln!("sign of a 128f message: {count} allocations");
+    vk.verify(b"a lone sign", &sig).unwrap();
+    assert!(count <= LONE_SIGN, "sign allocated {count} times");
 }
 
 #[test]

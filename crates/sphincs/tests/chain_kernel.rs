@@ -153,7 +153,12 @@ proptest! {
                 wots::pk_gen_many(&ctx, &sk_seed, &adrs_list, &mut many);
                 prop_assert_eq!(&many, &expected, "pk_gen_many under {}", tier.label());
                 let mut filled = vec![0u8; leaves * n];
-                hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[(layer, tree)], &mut filled);
+                let subtree = hypertree::SubtreeItem {
+                    layer,
+                    tree_idx: tree,
+                    leaf_idx: 0,
+                };
+                hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[subtree], &mut filled);
                 prop_assert_eq!(&filled, &expected, "wots_leaves_many_into under {}", tier.label());
                 for (adrs, leaf) in adrs_list.iter().zip(expected.chunks_exact(n)) {
                     let mut lone = vec![0u8; n];

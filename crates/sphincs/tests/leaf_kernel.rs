@@ -16,9 +16,10 @@
 
 use hero_sphincs::address::{Address, AddressType};
 use hero_sphincs::hash::{ChainHead, ChainJob, HashAlg, HashCtx};
+use hero_sphincs::hypertree::{self, SubtreeItem};
 use hero_sphincs::params::Params;
 use hero_sphincs::tier;
-use hero_sphincs::{hypertree, reference, wots};
+use hero_sphincs::{reference, wots};
 
 mod common;
 use common::{reference_chains, with_forced_tier, Stream, TIER_LOCK};
@@ -106,14 +107,23 @@ fn pk_gen_many_matches_scalar_keys_under_every_tier() {
     }
 }
 
+/// The subtree at (`layer`, `tree_idx`); a leaf fill reads no leaf of it.
+fn subtree(layer: u32, tree_idx: u64) -> SubtreeItem {
+    SubtreeItem {
+        layer,
+        tree_idx,
+        leaf_idx: 0,
+    }
+}
+
 /// A subtree's leaves, and several subtrees' in one fill, at the corners
 /// of the hypertree.
 #[test]
 fn subtree_fills_match_scalar_leaves_under_every_tier() {
     let _turn = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let corners: Vec<(u32, u64)> = [0, 21, 255]
+    let corners: Vec<SubtreeItem> = [0, 21, 255]
         .into_iter()
-        .flat_map(|layer| [0, (1 << 63) - 1].map(|tree| (layer, tree)))
+        .flat_map(|layer| [0, (1 << 63) - 1].map(|tree_idx| subtree(layer, tree_idx)))
         .collect();
     for (case, params) in Params::fast_sets().into_iter().enumerate() {
         let n = params.n;
@@ -123,17 +133,24 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
         let ctx = HashCtx::new(params, &pk_seed);
         let expected: Vec<Vec<u8>> = corners
             .iter()
-            .map(|&(layer, tree)| {
-                (0..leaves as u32)
-                    .flat_map(|leaf| {
-                        reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(layer, tree, leaf))
-                    })
-                    .collect()
-            })
+            .map(
+                |&SubtreeItem {
+                     layer,
+                     tree_idx: tree,
+                     ..
+                 }| {
+                    (0..leaves as u32)
+                        .flat_map(|leaf| {
+                            reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(layer, tree, leaf))
+                        })
+                        .collect()
+                },
+            )
             .collect();
         for tier in tier::supported_sha256_tiers() {
             with_forced_tier(tier, || {
-                for (&(layer, tree), expected) in corners.iter().zip(&expected) {
+                for (corner, expected) in corners.iter().zip(&expected) {
+                    let (layer, tree) = (corner.layer, corner.tree_idx);
                     // The whole layer, and a part of it that fills no
                     // group.
                     for count in [leaves, 3] {
@@ -141,7 +158,7 @@ fn subtree_fills_match_scalar_leaves_under_every_tier() {
                         hypertree::wots_leaves_many_into(
                             &ctx,
                             &sk_seed,
-                            &[(layer, tree)],
+                            std::slice::from_ref(corner),
                             &mut got,
                         );
                         assert_eq!(
@@ -198,7 +215,7 @@ fn leaf_entry_points_match_scalar_keys_for_the_other_primitives() {
 
             let expected = reference::wots_pk_gen(&ctx, &sk_seed, &keypair_adrs(21, 5, 0));
             let mut got = vec![0u8; n];
-            hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[(21, 5)], &mut got);
+            hypertree::wots_leaves_many_into(&ctx, &sk_seed, &[subtree(21, 5)], &mut got);
             assert_eq!(got, expected, "{alg:?} {} w={}", params.name(), params.w);
         }
     }

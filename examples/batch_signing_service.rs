@@ -2,21 +2,18 @@
 //! the paper's intro motivates (block producers authenticating many
 //! transactions per second with post-quantum signatures).
 //!
-//! The service is written against `Box<dyn Signer>`, so the backend — the
-//! HERO engine or the plain CPU reference — is a runtime decision
-//! (`cargo run --example batch_signing_service -- reference`). It signs a
-//! queue of transactions functionally (real signatures, verified) while
-//! projecting what the same queue costs on the simulated RTX 4090 under
-//! baseline vs HERO-Sign execution.
+//! The service is written against `Box<dyn Signer>`, the surface a
+//! service holds of the HERO engine. It signs a queue of transactions
+//! functionally (real signatures, verified) while projecting what the
+//! same queue costs on the simulated RTX 4090 under baseline vs
+//! HERO-Sign execution.
 //!
 //! ```sh
-//! cargo run --release --example batch_signing_service [hero|reference]
+//! cargo run --release --example batch_signing_service
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{
-    HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer, SimModel,
-};
+use hero_sign::{HeroSigner, LaunchPolicy, PipelineOptions, Signer, SimModel};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -40,15 +37,6 @@ fn make_queue(count: usize, rng: &mut StdRng) -> Vec<Transaction> {
         .collect()
 }
 
-/// The service's backend selection: one line per backend, everything
-/// after this point is backend-agnostic.
-fn select_backend(name: &str, params: Params) -> Result<Box<dyn Signer>, HeroError> {
-    match name {
-        "reference" => Ok(Box::new(ReferenceSigner::new(params)?)),
-        _ => Ok(Box::new(HeroSigner::builder(rtx_4090(), params).build()?)),
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reduced parameters for CPU-speed functional signing.
     let mut params = Params::sphincs_128f();
@@ -57,11 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.log_t = 4;
     params.k = 8;
 
-    let backend_name = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "hero".to_string());
-    let signer = select_backend(&backend_name, params)?;
-    println!("signing backend: {}", signer.backend());
+    let signer: Box<dyn Signer> = Box::new(HeroSigner::builder(rtx_4090(), params).build()?);
 
     let mut rng = StdRng::seed_from_u64(7);
     let (sk, vk) = signer.keygen(&mut rng)?;
@@ -80,8 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("all {} transaction signatures verified", queue.len());
 
     // Capacity planning needs no signer at all: the simulated
-    // performance model is its own type, whichever backend served the
-    // queue.
+    // performance model is its own type, and no signer builds it.
     let full = Params::sphincs_128f();
     let hero = SimModel::hero(rtx_4090(), full)?;
     println!(

@@ -1,15 +1,15 @@
 //! Quickstart: build a HERO-Sign engine through the fallible builder,
 //! generate a SPHINCS+ key pair through the `Signer` trait, sign with
-//! the three-kernel decomposition, cross-check against the CPU
-//! reference backend, and price the same workload on a `SimModel` of the
-//! RTX 4090.
+//! the three-kernel decomposition, cross-check against the scalar
+//! reference implementation, and price the same workload on a `SimModel`
+//! of the RTX 4090.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, PipelineOptions, ReferenceSigner, Signer, SimModel};
+use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Functional signing through the HERO kernel decomposition
     // (FORS_Sign ∥ TREE_Sign → WOTS+_Sign), bit-identical to the
-    // reference signer.
+    // reference implementation.
     let message = b"the quick brown fox signs post-quantum";
     let signature = engine.sign(&sk, message)?;
     vk.verify(message, &signature)?;
@@ -42,18 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         signature.to_bytes(&params).len()
     );
 
-    // Backends are interchangeable behind the Signer trait and must
-    // agree byte for byte.
-    let reference: Box<dyn Signer> = Box::new(ReferenceSigner::new(params)?);
+    // The scalar reference, a second implementation sharing nothing
+    // with the engine, must agree byte for byte.
     assert_eq!(
         signature,
-        reference.sign(&sk, message)?,
-        "HERO decomposition must match the reference signer"
+        hero_sphincs::reference::sign(&sk, message),
+        "HERO decomposition must match the reference implementation"
     );
-    println!(
-        "HERO three-kernel output is bit-identical to the {} backend",
-        reference.backend()
-    );
+    println!("HERO three-kernel output is bit-identical to the scalar reference");
 
     // Simulated GPU throughput for the full 128f parameter set: the
     // model runs the Auto Tree Tuning search and the PTX selection.

@@ -1,12 +1,10 @@
-//! Cross-crate tests of the redesigned public API: the `Signer` backend
-//! trait, the fallible builder, the typed `HeroError`, and
-//! `PipelineOptions`.
+//! Cross-crate tests of the public API: the `Signer` trait, the fallible
+//! builder, the typed `HeroError`, and `PipelineOptions`.
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{
-    HeroError, HeroSigner, LaunchPolicy, PipelineOptions, ReferenceSigner, Signer, SimModel,
-};
+use hero_sign::{HeroError, HeroSigner, LaunchPolicy, PipelineOptions, Signer, SimModel};
 use hero_sphincs::params::Params;
+use hero_sphincs::reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,78 +26,49 @@ fn tiny_shake_params() -> Params {
     p
 }
 
-#[test]
-fn shake_shapes_run_on_every_backend() {
-    // The SHAKE half of the parameter family through the whole stack:
-    // trait keygen yields a SHAKE-256 key for a shake shape, the
-    // planned HERO engine and the scalar reference produce identical
-    // bytes, and both verify.
-    use hero_sphincs::hash::HashAlg;
-    let params = tiny_shake_params();
-    let backends: Vec<Box<dyn Signer>> = vec![
-        Box::new(
-            HeroSigner::builder(rtx_4090(), params)
-                .workers(4)
-                .build()
-                .unwrap(),
-        ),
-        Box::new(ReferenceSigner::new(params).unwrap()),
-    ];
-    let mut rng = StdRng::seed_from_u64(23);
-    let (sk, vk) = backends[0].keygen(&mut rng).unwrap();
-    assert_eq!(sk.alg(), HashAlg::Shake256, "shape implies primitive");
+/// The signer as the service and the server hold it.
+fn signer(params: Params) -> Box<dyn Signer> {
+    Box::new(
+        HeroSigner::builder(rtx_4090(), params)
+            .workers(4)
+            .build()
+            .unwrap(),
+    )
+}
 
+/// Signs three messages through `signer`'s batch, verifies them through
+/// it, and holds the bytes to the scalar reference, a second
+/// implementation that shares nothing with the planner.
+fn signs_the_reference_bytes(signer: &dyn Signer, seed: u64) -> hero_sphincs::SigningKey {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (sk, vk) = signer.keygen(&mut rng).unwrap();
     let msgs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 24]).collect();
     let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-    let mut all_sigs = Vec::new();
-    for backend in &backends {
-        let sigs = backend.sign_batch(&sk, &refs).unwrap();
-        for (m, s) in refs.iter().zip(&sigs) {
-            backend.verify(&vk, m, s).unwrap();
-        }
-        all_sigs.push(sigs);
+    let sigs = signer.sign_batch(&sk, &refs).unwrap();
+    for (m, s) in refs.iter().zip(&sigs) {
+        signer.verify(&vk, m, s).unwrap();
+        assert_eq!(*s, reference::sign(&sk, m), "byte for byte");
+        reference::verify(&vk, m, s).unwrap();
     }
-    assert_eq!(
-        all_sigs[0], all_sigs[1],
-        "backends must agree byte for byte under SHAKE-256"
-    );
+    sk
 }
 
 #[test]
-fn trait_objects_cover_both_backends() {
+fn shake_shapes_run_on_every_backend() {
+    // The SHAKE half of the parameter family through the whole stack:
+    // trait keygen yields a SHAKE-256 key for a shake shape, and the
+    // planned signer produces the scalar reference's bytes.
+    use hero_sphincs::hash::HashAlg;
+    let sk = signs_the_reference_bytes(&*signer(tiny_shake_params()), 23);
+    assert_eq!(sk.alg(), HashAlg::Shake256, "shape implies primitive");
+}
+
+#[test]
+fn trait_objects_sign_the_reference_bytes() {
     let params = tiny_params();
-    let backends: Vec<Box<dyn Signer>> = vec![
-        Box::new(
-            HeroSigner::builder(rtx_4090(), params)
-                .workers(4)
-                .build()
-                .unwrap(),
-        ),
-        Box::new(ReferenceSigner::new(params).unwrap()),
-    ];
-    assert_eq!(backends[0].backend(), "hero-gpu");
-    assert_eq!(backends[1].backend(), "reference-cpu");
-
-    let mut rng = StdRng::seed_from_u64(11);
-    let (sk, vk) = backends[0].keygen(&mut rng).unwrap();
-
-    let msgs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 24]).collect();
-    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-
-    // Every backend must produce the same bytes and verify them.
-    let mut all_sigs = Vec::new();
-    for backend in &backends {
-        assert_eq!(backend.params(), &params);
-        let sigs = backend.sign_batch(&sk, &refs).unwrap();
-        for (m, s) in refs.iter().zip(&sigs) {
-            backend.verify(&vk, m, s).unwrap();
-        }
-        all_sigs.push(sigs);
-    }
-    assert_eq!(
-        all_sigs[0], all_sigs[1],
-        "backends must agree byte for byte"
-    );
+    let signer = signer(params);
+    assert_eq!(signer.params(), &params);
+    signs_the_reference_bytes(&*signer, 11);
 }
 
 #[test]
@@ -110,11 +79,6 @@ fn builder_reports_invalid_params_instead_of_panicking() {
         Err(HeroError::InvalidParams(what)) => assert!(what.contains("d="), "{what}"),
         other => panic!("expected InvalidParams, got {other:?}"),
     }
-    // The reference backend validates identically.
-    assert!(matches!(
-        ReferenceSigner::new(bad),
-        Err(HeroError::InvalidParams(_))
-    ));
 }
 
 #[test]
@@ -125,40 +89,30 @@ fn mismatched_keys_are_typed_errors_on_every_backend() {
     let mut rng = StdRng::seed_from_u64(13);
     let (sk, vk) = hero_sphincs::keygen(key_params, &mut rng).unwrap();
 
-    let backends: Vec<Box<dyn Signer>> = vec![
-        Box::new(
-            HeroSigner::builder(rtx_4090(), engine_params)
-                .build()
-                .unwrap(),
-        ),
-        Box::new(ReferenceSigner::new(engine_params).unwrap()),
-    ];
-    for backend in &backends {
-        match backend.sign(&sk, b"foreign key") {
-            Err(HeroError::KeyMismatch(m)) => {
-                assert_eq!(m.engine, engine_params);
-                assert_eq!(m.key, key_params);
-            }
-            other => panic!("{}: expected KeyMismatch, got {other:?}", backend.backend()),
+    let signer = signer(engine_params);
+    match signer.sign(&sk, b"foreign key") {
+        Err(HeroError::KeyMismatch(m)) => {
+            assert_eq!(m.engine, engine_params);
+            assert_eq!(m.key, key_params);
         }
-        let sig = sk.sign(b"foreign key");
-        assert!(matches!(
-            backend.verify(&vk, b"foreign key", &sig),
-            Err(HeroError::KeyMismatch(_))
-        ));
-        let verdicts = backend.verify_batch(&vk, &[b"foreign key"], std::slice::from_ref(&sig));
-        assert!(
-            matches!(verdicts, Err(HeroError::KeyMismatch(_))),
-            "{}: expected KeyMismatch, got {verdicts:?}",
-            backend.backend()
-        );
+        other => panic!("expected KeyMismatch, got {other:?}"),
     }
+    let sig = sk.sign(b"foreign key");
+    assert!(matches!(
+        signer.verify(&vk, b"foreign key", &sig),
+        Err(HeroError::KeyMismatch(_))
+    ));
+    let verdicts = signer.verify_batch(&vk, &[b"foreign key"], std::slice::from_ref(&sig));
+    assert!(
+        matches!(verdicts, Err(HeroError::KeyMismatch(_))),
+        "expected KeyMismatch, got {verdicts:?}"
+    );
 }
 
 #[test]
 fn verification_failures_are_typed() {
     let params = tiny_params();
-    let signer = ReferenceSigner::new(params).unwrap();
+    let signer = signer(params);
     let mut rng = StdRng::seed_from_u64(17);
     let (sk, vk) = signer.keygen(&mut rng).unwrap();
     let sig = signer.sign(&sk, b"payload").unwrap();

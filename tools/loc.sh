@@ -5,14 +5,22 @@
 # `#[cfg(test)]` (its `mod tests`). Run from anywhere; prints one line per
 # crate and a total, then, counted the same way, the network server and
 # the worker pool, which `total` leaves out so earlier figures still
-# compare, and `all`: the five crates together.
+# compare, and `all`: the five crates together. Last, `unsafe`: the
+# `unsafe` fns, blocks and impls of hero-sphincs, on the same lines and
+# outside comments.
 set -eu
 cd "$(dirname "$0")/.."
+# Non-test lines of crate $1; with a second argument, the `unsafe` fns,
+# blocks and impls on them instead.
 count() {
-    find "crates/$1/src" -name '*.rs' -exec awk '
+    find "crates/$1/src" -name '*.rs' -exec awk -v unsafe="${2:-}" '
         FNR == 1 { counting = 1 }
         /^#\[cfg\(test\)\]/ { counting = 0 }
-        counting { n++ }
+        !counting { next }
+        !unsafe { n++; next }
+        !/^[[:space:]]*\/\// {
+            n += gsub(/(^|[^[:alnum:]_])unsafe[[:space:]]+(fn|impl|\{)/, "&")
+        }
         END { print n + 0 }' {} +
 }
 total=0
@@ -29,3 +37,4 @@ for crate in server task-graph; do
     all=$((all + lines))
 done
 printf '%-10s %6d\n' all "$all"
+printf '%-10s %6d\n' unsafe "$(count sphincs unsafe)"
