@@ -53,18 +53,28 @@ impl Args {
         Ok(out)
     }
 
-    /// Value of `--name`, if present.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+    /// Value of `--name`, if it was given: the one getter every option
+    /// goes through.
+    ///
+    /// # Errors
+    ///
+    /// When `--name` was given without a value: a bare option is never
+    /// its default.
+    pub fn get(&self, name: &str) -> Result<Option<&str>, CliError> {
+        match self.options.get(name) {
+            Some(value) => Ok(Some(value)),
+            None if self.flag(name) => Err(CliError::Usage(format!("--{name} requires a value"))),
+            None => Ok(None),
+        }
     }
 
     /// Value of `--name` or an error mentioning the flag.
     ///
     /// # Errors
     ///
-    /// When the option is absent.
+    /// When the option is absent or has no value.
     pub fn require(&self, name: &str) -> Result<&str, CliError> {
-        self.get(name)
+        self.get(name)?
             .ok_or_else(|| CliError::Usage(format!("missing required option --{name}")))
     }
 
@@ -80,14 +90,12 @@ impl Args {
     /// When `--name` was given without a value, or its value does not
     /// parse.
     pub fn get_number<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
-        match self.get(name) {
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("--{name}: '{v}' is not a number"))),
-            None if self.flag(name) => Err(CliError::Usage(format!("--{name} requires a value"))),
-            None => Ok(None),
-        }
+        self.get(name)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::Usage(format!("--{name}: '{v}' is not a number")))
+            })
+            .transpose()
     }
 
     /// Parses `--name` as an integer with a default.
@@ -121,7 +129,7 @@ mod tests {
     fn parses_command_options_and_flags() {
         let a = parse(&["sign", "--key", "sk.hex", "--out", "sig.bin", "--verbose"]).unwrap();
         assert_eq!(a.command, "sign");
-        assert_eq!(a.get("key"), Some("sk.hex"));
+        assert_eq!(a.get("key").unwrap(), Some("sk.hex"));
         assert_eq!(a.require("out").unwrap(), "sig.bin");
         assert!(a.flag("verbose"));
         assert!(!a.flag("quiet"));

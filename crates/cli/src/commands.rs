@@ -42,10 +42,10 @@ pub fn run(args: &Args) -> CmdResult {
 }
 
 fn keygen(args: &Args) -> CmdResult {
-    let params = parse_params(args.get("params").unwrap_or("128f"))?;
+    let params = parse_params(args.get("params")?.unwrap_or("128f"))?;
     // Default to the shape's preferred primitive: shake-* shapes produce
     // SHAKE-256 keys unless --alg overrides.
-    let alg = match args.get("alg") {
+    let alg = match args.get("alg")? {
         Some(label) => parse_alg(label)?,
         None => params.preferred_alg(),
     };
@@ -73,9 +73,18 @@ fn keygen(args: &Args) -> CmdResult {
     ))
 }
 
+/// Refuses a `HERO_WORKERS` that sizes no pool, naming it: every
+/// command that starts a worker pool checks it before it does.
+fn check_env_workers() -> Result<(), CliError> {
+    hero_sign::par::env_workers()
+        .map(drop)
+        .map_err(|e| CliError::Usage(format!("{}: {e}", hero_sign::par::ENV_VAR)))
+}
+
 /// The signer for `params`, on `--workers` workers (default: the
 /// machine's).
 fn signer(args: &Args, params: hero_sphincs::Params) -> Result<HeroSigner, CliError> {
+    check_env_workers()?;
     let mut builder = HeroSigner::builder(hero_gpu_sim::device::rtx_4090(), params);
     if let Some(workers) = args.get_number("workers")? {
         builder = builder.workers(workers);
@@ -119,7 +128,7 @@ fn export_pubkey(args: &Args) -> CmdResult {
 fn verify(args: &Args) -> CmdResult {
     // Accept either a secret key file (--key) or a public-only file
     // (--pubkey) — verifiers should not need secrets on disk.
-    let vk = match (args.get("pubkey"), args.get("key")) {
+    let vk = match (args.get("pubkey")?, args.get("key")?) {
         (Some(pk_path), _) => {
             let text = fs::read_to_string(pk_path).map_err(|e| CliError::io(pk_path, e))?;
             keyfile::decode_public(&text)?
@@ -137,7 +146,7 @@ fn verify(args: &Args) -> CmdResult {
 
     // Batched spelling: --sigs a.sig,b.sig,... paired one-to-one with
     // --messages, or all over one --message.
-    if let Some(sig_list) = args.get("sigs") {
+    if let Some(sig_list) = args.get("sigs")? {
         return verify_many(args, &vk, sig_list);
     }
 
@@ -163,7 +172,7 @@ fn verify_many(args: &Args, vk: &hero_sphincs::VerifyingKey, sig_list: &str) -> 
             "--sigs needs at least one path".to_string(),
         ));
     }
-    let msg_paths: Vec<String> = match (args.get("messages"), args.get("message")) {
+    let msg_paths: Vec<String> = match (args.get("messages")?, args.get("message")?) {
         (Some(list), _) => list
             .split(',')
             .filter(|p| !p.is_empty())
@@ -237,13 +246,13 @@ fn verify_many(args: &Args, vk: &hero_sphincs::VerifyingKey, sig_list: &str) -> 
 }
 
 fn tune(args: &Args) -> CmdResult {
-    let device = parse_device(args.get("device"))?;
-    let sets = match args.get("params") {
+    let device = parse_device(args.get("device")?)?;
+    let sets = match args.get("params")? {
         Some(label) => vec![parse_params(label)?],
         None => hero_sphincs::Params::fast_sets().to_vec(),
     };
     // --alg overrides the shape's default primitive.
-    let hash = match args.get("alg") {
+    let hash = match args.get("alg")? {
         Some(label) => parse_alg(label)?,
         None => sets[0].preferred_alg(),
     };
@@ -278,8 +287,8 @@ fn tune(args: &Args) -> CmdResult {
 }
 
 fn simulate(args: &Args) -> CmdResult {
-    let device = parse_device(args.get("device"))?;
-    let params = parse_params(args.get("params").unwrap_or("128f"))?;
+    let device = parse_device(args.get("device")?)?;
+    let params = parse_params(args.get("params")?.unwrap_or("128f"))?;
     let messages = args.get_u32("messages", 1024)?;
     // The *default* batch shrinks to the workload (an explicit --batch
     // larger than --messages is still a validation error).
@@ -331,14 +340,14 @@ fn throughput(args: &Args) -> CmdResult {
     let params = if smoke {
         // Reduced shape so CI and quick local runs finish in seconds;
         // labeled in the output so numbers are never read as full-set.
-        let mut p = parse_params(args.get("params").unwrap_or("128f"))?;
+        let mut p = parse_params(args.get("params")?.unwrap_or("128f"))?;
         p.h = 6;
         p.d = 3;
         p.log_t = 6;
         p.k = 8;
         p
     } else {
-        parse_params(args.get("params").unwrap_or("128f"))?
+        parse_params(args.get("params")?.unwrap_or("128f"))?
     };
     let clients = args.get_u32("clients", 4)? as usize;
     let requests = args.get_u32("requests", if smoke { 8 } else { 32 })? as usize;
@@ -448,8 +457,8 @@ pub(crate) fn start_server(args: &Args) -> Result<hero_server::Server, CliError>
     service.queue_depth = args.get_u32("queue-depth", 1024)? as usize;
 
     let config = hero_server::ServerConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
-        metrics_addr: args.get("metrics-addr").map(str::to_string),
+        addr: args.get("addr")?.unwrap_or("127.0.0.1:0").to_string(),
+        metrics_addr: args.get("metrics-addr")?.map(str::to_string),
         service,
         per_tenant_inflight: args.get_u32("inflight", 256)? as usize,
         keys_dir: Some(std::path::PathBuf::from(keys_dir)),
@@ -475,8 +484,7 @@ fn serve(args: &Args) -> CmdResult {
     hero_sphincs::tier::init_from_env()
         .map_err(|e| CliError::Usage(format!("{}: {e}", hero_sphincs::tier::ENV_VAR)))?;
     // Likewise a HERO_WORKERS that sizes no pool.
-    hero_sign::par::env_workers()
-        .map_err(|e| CliError::Usage(format!("{}: {e}", hero_sign::par::ENV_VAR)))?;
+    check_env_workers()?;
     let server = start_server(args)?;
     if let Some(plan) = hero_sign::faults::describe_active() {
         println!("fault injection ACTIVE: {plan}");
@@ -757,6 +765,30 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(
             err.to_string().contains("--clients requires a value"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn string_options_given_without_a_value_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("hero-cli-bare-str-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = dir.join("key.txt");
+        let path = key.to_str().unwrap();
+        // A bare `--params` is not the default set: it writes no key.
+        let bare_params = parse(&["keygen", "--out", path, "--params"]);
+        let err = keygen(&bare_params).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().contains("--params requires a value"),
+            "{err}"
+        );
+        assert!(!key.exists());
+        // Nor is a bare `--device` the default device.
+        let err = simulate(&parse(&["simulate", "--device"])).unwrap_err();
+        assert!(
+            err.to_string().contains("--device requires a value"),
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Library backing the `hero-sign` command-line tool: argument parsing
-//! and the subcommands (keygen, sign, verify,
-//! export-pubkey, tune, simulate, devices).
+//! and the subcommands (keygen, sign, verify, export-pubkey, tune,
+//! simulate, throughput, serve, remote-sign, devices).
 //!
 //! Kept as a library so every code path is unit-testable without
 //! spawning processes. All failures flow through the typed [`CliError`];

@@ -10,9 +10,9 @@
 //!
 //! A climb is a leaf hashed from what the lane holds — `F` of a revealed
 //! FORS secret, `T_len` of a WOTS+ key's chain ends, `T_k` of a forest's
-//! roots: all one [`absorb`] of so many payload words — and then one `H`
-//! per authentication node, the node going left or right of its sibling
-//! by a blend on that level's bit of the leaf index. What a lane is
+//! roots: all one [`crate::lanes::absorb!`] of so many payload words —
+//! and then one `H` per authentication node, the node going left or right
+//! of its sibling by a blend on that level's bit of the leaf index. What a lane is
 //! depends on who calls:
 //!
 //! | lane | leaf | levels | root |
@@ -33,7 +33,7 @@
 //! ([`crate::hypertree`]). [`Resident`] is what one verification call
 //! keeps in the lanes for all of it.
 //!
-//! One generic body ([`run_group`]) over the vocabulary of
+//! One body ([`zmm::run_group`]) over the vocabulary of
 //! [`crate::lanes`], instantiated for zmm and ymm registers; the chain
 //! kernel's ladder ([`crate::tier::sha256_chain_tier`]) picks between
 //! them, and between them and no body at all.
@@ -41,7 +41,7 @@
 use crate::chain;
 use crate::hash::HashCtx;
 use crate::lanes::{
-    absorb, first, height_word, lane_bodies, tweak, Lanes, Row, ADRS_WORDS, MAX_NODE_WORDS,
+    absorb, first, height_word, lane_bodies, tweak, Row, ADRS_WORDS, MAX_NODE_WORDS,
 };
 use crate::tier;
 
@@ -87,42 +87,18 @@ pub(crate) struct Shape {
 pub(crate) struct Kernel {
     /// Climbs a group holds.
     pub(crate) lanes: usize,
-    /// Words of a node.
-    nw: usize,
-    /// Takes the climbs of one group from leaf to root ([`Body`]).
+    /// Takes the climbs of one group — `1..=lanes` of them — from leaf to
+    /// root, from the seeded state, into rows lane by lane or, with no
+    /// rows, over the first node of each lane's leaf
+    /// ([`zmm::run_group`]).
     body: Body,
 }
-
-/// Takes the climbs of one group — `1..=lanes` of them — from leaf to
-/// root, from the seeded state `iv`, into rows lane by lane or, with no
-/// rows, over the first node of each lane's leaf. The CPU must support
-/// the ISA the body was compiled for; every node of every climb lies
-/// within the words.
-type Body = unsafe fn(
-    iv: &[u32; 8],
-    climbs: &[Climb],
-    shape: &Shape,
-    words: &mut [u32],
-    roots: Option<&mut Nodes>,
-);
-
-lane_bodies!(run_group(
-    iv: &[u32; 8],
-    climbs: &[Climb],
-    shape: &Shape,
-    words: &mut [u32],
-    roots: Option<&mut Nodes>
-));
 
 impl Kernel {
     /// The body of the active chain tier for `n`-byte nodes; `None` on
     /// the `scalar` rung, which has none.
     pub(crate) fn active(n: usize) -> Option<Self> {
-        body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel {
-            lanes,
-            nw: n / 4,
-            body,
-        })
+        body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel { lanes, body })
     }
 
     /// Runs every climb of `climbs` over the nodes `shape` puts in
@@ -146,94 +122,96 @@ impl Kernel {
             roots.is_none() || climbs.len() <= self.lanes,
             "one group of roots at most"
         );
-        // The body's gathers take signed 32-bit indices.
+        for group in climbs.chunks(self.lanes) {
+            // SAFETY: `Kernel::active` is the only constructor; it pairs
+            // each body with the tier it was compiled for, and the tier
+            // cache only ever holds a tier whose CPU features
+            // `tier::supported` detected.
+            unsafe { (self.body)(iv, group, shape, words, roots.as_deref_mut()) };
+        }
+    }
+}
+
+lane_bodies! {
+    /// The kernel proper: every lane of a group climbs from its leaf to
+    /// its root, nodes of `NW` words; a lane past the last climb runs the
+    /// last again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `climbs` is empty or a climb's nodes do not lie within
+    /// `words`.
+    fn run_group<const NW: usize>(
+        iv: &[u32; 8],
+        climbs: &[Climb],
+        shape: &Shape,
+        words: &mut [u32],
+        roots: Option<&mut Nodes>,
+    ) {
+        assert!(!climbs.is_empty(), "a group has a climb");
+        // The gathers take signed 32-bit indices.
         assert!(
             words.len() <= i32::MAX as usize,
             "a call's words must be indexable by i32"
         );
-        let last_word = (shape.leaf_nodes + shape.height - 1) * shape.stride + self.nw - 1;
+        let last_word = (shape.leaf_nodes + shape.height - 1) * shape.stride + NW - 1;
         assert!(
             climbs
                 .iter()
                 .all(|climb| climb.at as usize + last_word < words.len()),
             "every climb's nodes must lie within the words"
         );
-        for group in climbs.chunks(self.lanes) {
-            // SAFETY: `Kernel::active` is the only constructor; it pairs
-            // each body with the tier it was compiled for, and the tier
-            // cache only ever holds a tier whose CPU features
-            // `tier::supported` detected. Every node lies within `words`
-            // (asserted above).
-            unsafe { (self.body)(iv, group, shape, words, roots.as_deref_mut()) };
+        let iv = iv.map(|word| V::splat(word));
+        // SAFETY: a `Climb` is `repr(C)` of `CLIMB_WORDS` words.
+        let fields = unsafe {
+            std::slice::from_raw_parts(climbs.as_ptr().cast::<u32>(), climbs.len() * CLIMB_WORDS)
+        };
+        let climb = V::load(&IOTA)
+            .min(V::splat(climbs.len() as u32 - 1))
+            .shl(CLIMB_WORDS.trailing_zeros());
+        // SAFETY: lane `l` reads field `at` of climb `min(l, len − 1)`.
+        let field = |at: usize| unsafe { V::gather(fields, climb.add(V::splat(at as u32))) };
+        let leaf_adrs: [V; ADRS_WORDS] = std::array::from_fn(field);
+        let leaf_last = field(ADRS_WORDS);
+        let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| field(ADRS_WORDS + 1 + i));
+        let leaf_idx = field(2 * ADRS_WORDS + 1);
+        let at = field(2 * ADRS_WORDS + 2);
+
+        // Word `w` of node `node` of every lane.
+        let word = |node: usize, w: usize| {
+            // SAFETY: every node of every climb lies within `words`, which
+            // an i32 indexes (both asserted above).
+            unsafe { V::gather(words, at.add(V::splat((node * shape.stride + w) as u32))) }
+        };
+        let payload = shape.leaf_nodes * NW;
+        let mut node: [V; NW] = first(absorb!(&iv, &leaf_adrs, leaf_last, payload, |i: usize| {
+            word(i / NW, i % NW)
+        }));
+
+        let zero = V::splat(0);
+        for z in 0..shape.height {
+            let sibling: [V; NW] = std::array::from_fn(|w| word(shape.leaf_nodes + z, w));
+            let z = z as u32;
+            // Zero where the node is a left child: bit `z` of the leaf index.
+            let side = leaf_idx.shr(z).shl(31);
+            let left: [V; NW] = std::array::from_fn(|i| V::if_eq(side, zero, node[i], sibling[i]));
+            let right: [V; NW] =
+                std::array::from_fn(|i| V::if_eq(side, zero, sibling[i], node[i]));
+            adrs[4] = V::splat(height_word(z + 1));
+            node = first(tweak!(&iv, &adrs, leaf_idx.shr(z + 1), [&left, &right]));
         }
-    }
-}
 
-/// The kernel proper: every lane of a group climbs from its leaf to its
-/// root, nodes of `NW` words; a lane past the last climb runs the last
-/// again.
-///
-/// # Safety
-///
-/// As [`Lanes`], and `climbs` is not empty and every node of every climb
-/// lies within `words`.
-#[inline(always)]
-unsafe fn run_group<V: Lanes, const NW: usize>(
-    iv: &[u32; 8],
-    climbs: &[Climb],
-    shape: &Shape,
-    words: &mut [u32],
-    roots: Option<&mut Nodes>,
-) {
-    // SAFETY (the closures): the caller's contract, which a closure body
-    // does not inherit.
-    let iv = iv.map(|word| unsafe { V::splat(word) });
-    // SAFETY: a `Climb` is `repr(C)` of `CLIMB_WORDS` words.
-    let fields = unsafe {
-        std::slice::from_raw_parts(climbs.as_ptr().cast::<u32>(), climbs.len() * CLIMB_WORDS)
-    };
-    let climb = V::load_from(&IOTA)
-        .min(V::splat(climbs.len() as u32 - 1))
-        .shl(CLIMB_WORDS.trailing_zeros());
-    let field = |at: usize| unsafe { V::gather(fields, climb.add(V::splat(at as u32))) };
-    let leaf_adrs: [V; ADRS_WORDS] = std::array::from_fn(field);
-    let leaf_last = field(ADRS_WORDS);
-    let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| field(ADRS_WORDS + 1 + i));
-    let leaf_idx = field(2 * ADRS_WORDS + 1);
-    let at = field(2 * ADRS_WORDS + 2);
-
-    // Word `w` of node `node` of every lane.
-    let word = |node: usize, w: usize| unsafe {
-        V::gather(words, at.add(V::splat((node * shape.stride + w) as u32)))
-    };
-    let payload = shape.leaf_nodes * NW;
-    let mut node: [V; NW] = first(absorb(&iv, &leaf_adrs, leaf_last, payload, |i| {
-        word(i / NW, i % NW)
-    }));
-
-    let zero = V::splat(0);
-    for z in 0..shape.height {
-        let sibling: [V; NW] = std::array::from_fn(|w| word(shape.leaf_nodes + z, w));
-        let z = z as u32;
-        // Zero where the node is a left child: bit `z` of the leaf index.
-        let side = leaf_idx.shr(z).shl(31);
-        let left: [V; NW] =
-            std::array::from_fn(|i| unsafe { V::if_eq(side, zero, node[i], sibling[i]) });
-        let right: [V; NW] =
-            std::array::from_fn(|i| unsafe { V::if_eq(side, zero, sibling[i], node[i]) });
-        adrs[4] = V::splat(height_word(z + 1));
-        node = first(tweak(&iv, &adrs, leaf_idx.shr(z + 1), [&left, &right]));
-    }
-
-    match roots {
-        Some(rows) => {
-            for (word, row) in node.into_iter().zip(rows) {
-                word.store(row);
+        match roots {
+            Some(rows) => {
+                for (word, row) in node.into_iter().zip(rows) {
+                    word.store(row);
+                }
             }
-        }
-        None => {
-            for (w, word) in node.into_iter().enumerate() {
-                word.scatter(words, at.add(V::splat(w as u32)));
+            None => {
+                for (w, word) in node.into_iter().enumerate() {
+                    // SAFETY: as for the gathers of the nodes.
+                    unsafe { word.scatter(words, at.add(V::splat(w as u32))) };
+                }
             }
         }
     }

@@ -37,9 +37,9 @@
 //! counting sort straight into slots ([`Kernel::run`]): a chain's
 //! [`Link`] — its address, first hash index, step count and where its
 //! node is, eight words — lands whole in its slot, so the body loads a group's slots as they lie, transposes
-//! them into a register per field ([`Lanes::transpose8`]), gathers the
-//! heads from the call's words by where they are, and scatters the ends
-//! back over them.
+//! them into a register per field ([`crate::lanes::Zmm::transpose8`]),
+//! gathers the heads from the call's words by where they are, and
+//! scatters the ends back over them.
 //! Nothing is staged lane by lane on the way in or out. Where the node
 //! words are is the caller's: [`crate::hash::HashCtx::f_chains`] converts
 //! its flat byte buffer to words and back ([`run_in_place`]) — WOTS+
@@ -50,15 +50,14 @@
 //! chains of a public key, all full length, do not come here at all:
 //! [`crate::leaf`] runs them a key pair to a lane.
 //!
-//! One generic body ([`run_groups`]) is written over the vector
-//! vocabulary of [`crate::lanes`] and instantiated for zmm and for ymm
-//! registers; which one runs is [`crate::tier::sha256_chain_tier`]'s
-//! decision.
+//! One body ([`zmm::run_groups`]) is written over the vector vocabulary
+//! of [`crate::lanes`] and instantiated for zmm and for ymm registers;
+//! which one runs is [`crate::tier::sha256_chain_tier`]'s decision.
 
 use crate::address::AddressType;
 use crate::hash::{ChainHead, ChainJob};
 use crate::lanes::{
-    first, lane_bodies, retyped, seed_words, tweak, ChainStep, Lanes, ADRS_WORDS, MAX_LANES,
+    chain_f, chain_step, first, lane_bodies, retyped, seed_words, tweak, ADRS_WORDS, MAX_LANES,
     MAX_NODE_WORDS,
 };
 use crate::tier;
@@ -90,7 +89,7 @@ pub(crate) struct Link {
 }
 
 /// Words of a [`Link`] in a sort's slot: eight, which the body
-/// transposes a group at a time ([`Lanes::transpose8`]).
+/// transposes a group at a time ([`crate::lanes::Zmm::transpose8`]).
 const LINK_WORDS: usize = ADRS_WORDS + 3;
 const _: () = assert!(LINK_WORDS == 8);
 /// Words of a slot that are not the address.
@@ -120,32 +119,11 @@ pub(crate) struct Kernel {
     nw: usize,
     /// A call's chains, a slot each, rounded up to whole groups.
     slots: Vec<[u32; LINK_WORDS]>,
-    /// Runs the groups of the slots ([`Body`]).
+    /// Runs the groups of the slots from the seeded state, after a `PRF`
+    /// step of a seed if there is one; `narrow` says that no chain's hash
+    /// index reaches 2¹⁶ ([`zmm::run_groups`]).
     body: Body,
 }
-
-/// Runs the groups of `slots` — `lanes` slots at a time, a whole number
-/// of groups — from the seeded state `iv`, after a `PRF` step of `seed`
-/// if there is one; `narrow` says that no chain's hash index reaches
-/// 2¹⁶. Every node word is one of `words`'. The CPU must support the ISA
-/// the body was compiled for.
-type Body = unsafe fn(
-    iv: &[u32; 8],
-    seed: Option<&[u32; MAX_NODE_WORDS]>,
-    narrow: bool,
-    slots: &[[u32; LINK_WORDS]],
-    words: &mut [u32],
-    stride: usize,
-);
-
-lane_bodies!(run_groups(
-    iv: &[u32; 8],
-    seed: Option<&[u32; MAX_NODE_WORDS]>,
-    narrow: bool,
-    slots: &[[u32; LINK_WORDS]],
-    words: &mut [u32],
-    stride: usize
-));
 
 impl Kernel {
     /// The body of the active chain tier for `n`-byte nodes; `None` on
@@ -216,16 +194,6 @@ impl Kernel {
         // same end.
         let last = self.slots[count - 1];
         self.slots[count..].fill(last);
-        // The body's gathers take signed 32-bit indices.
-        assert!(
-            words.len() <= i32::MAX as usize,
-            "a call's words must be indexable by i32"
-        );
-        let last_word = (self.nw - 1) * stride;
-        assert!(
-            (self.slots.iter()).all(|slot| slot[AT] as usize + last_word < words.len()),
-            "every chain's node must lie within the words"
-        );
         let seed = secret.map(|sk_seed| {
             assert_eq!(sk_seed.len(), 4 * self.nw, "sk_seed must be n bytes");
             seed_words(sk_seed)
@@ -236,7 +204,7 @@ impl Kernel {
         // SAFETY: `Kernel::active` is the only constructor; it pairs each
         // body with the tier it was compiled for, and the tier cache only
         // ever holds a tier whose CPU features `tier::supported`
-        // detected. Every node word is one of `words`' (asserted above).
+        // detected.
         unsafe { (self.body)(iv, seed.as_ref(), narrow, &self.slots, words, stride) };
     }
 }
@@ -278,73 +246,82 @@ pub(crate) fn run_in_place(
     }
 }
 
-/// The kernel proper: every group of the sort, nodes of `NW` words, for
-/// as many steps of `F` as its longest chain runs — through [`ChainStep`]
-/// where the call is `narrow`, through [`tweak`] where a hash index
-/// outgrows the half word the step holds it in.
-///
-/// # Safety
-///
-/// As [`Lanes`], and every node word is one of `words`'.
-#[inline(always)]
-unsafe fn run_groups<V: Lanes, const NW: usize>(
-    iv: &[u32; 8],
-    seed: Option<&[u32; MAX_NODE_WORDS]>,
-    narrow: bool,
-    slots: &[[u32; LINK_WORDS]],
-    words: &mut [u32],
-    stride: usize,
-) {
-    // SAFETY (the closures): the caller's contract, which a closure body
-    // does not inherit.
-    let iv = iv.map(|word| unsafe { V::splat(word) });
-    for group in slots.chunks_exact(V::LANES) {
-        let rounds = group.iter().map(|slot| slot[STEPS]).max().unwrap_or(0);
-        if rounds == 0 && seed.is_none() {
-            continue;
-        }
-        let group = group.as_flattened();
-        let fields = V::transpose8(std::array::from_fn(|i| unsafe {
-            V::load_from(&group[i * V::LANES..])
-        }));
-        let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| fields[i]);
-        let mut hash = fields[START];
-        let steps = fields[STEPS];
-        let at = fields[AT];
-        let slot: [V; NW] =
-            std::array::from_fn(|j| unsafe { at.add(V::splat((j * stride) as u32)) });
-
-        let mut node: [V; NW] = match seed {
-            Some(seed) => {
-                let sk_seed: [V; NW] = std::array::from_fn(|j| unsafe { V::splat(seed[j]) });
-                // Step zero: `PRF` under the address with the other type.
-                let f_word2 = adrs[2];
-                let ty = V::splat(0xff << 16);
-                adrs[2] = ty.ch(V::splat(retyped(0, AddressType::WotsPrf)), f_word2);
-                let secret = first(tweak(&iv, &adrs, V::splat(0), [&sk_seed]));
-                adrs[2] = f_word2;
-                secret
+lane_bodies! {
+    /// The kernel proper: every group of the sort, nodes of `NW` words, for
+    /// as many steps of `F` as its longest chain runs — through
+    /// [`chain_f!`] where the call is `narrow`, through [`tweak!`] where a
+    /// hash index outgrows the half word the step holds it in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chain's node does not lie within `words`.
+    fn run_groups<const NW: usize>(
+        iv: &[u32; 8],
+        seed: Option<&[u32; MAX_NODE_WORDS]>,
+        narrow: bool,
+        slots: &[[u32; LINK_WORDS]],
+        words: &mut [u32],
+        stride: usize,
+    ) {
+        // The gathers take signed 32-bit indices.
+        assert!(
+            words.len() <= i32::MAX as usize,
+            "a call's words must be indexable by i32"
+        );
+        let last_word = (NW - 1) * stride;
+        assert!(
+            (slots.iter()).all(|slot| slot[AT] as usize + last_word < words.len()),
+            "every chain's node must lie within the words"
+        );
+        let iv = iv.map(|word| V::splat(word));
+        for group in slots.chunks_exact(V::LANES) {
+            let rounds = group.iter().map(|slot| slot[STEPS]).max().unwrap_or(0);
+            if rounds == 0 && seed.is_none() {
+                continue;
             }
-            None => std::array::from_fn(|j| unsafe { V::gather(words, slot[j]) }),
-        };
+            let group = group.as_flattened();
+            let fields = V::transpose8(std::array::from_fn(|i| V::load(&group[i * V::LANES..])));
+            let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| fields[i]);
+            let mut hash = fields[START];
+            let steps = fields[STEPS];
+            let at = fields[AT];
+            let slot: [V; NW] = std::array::from_fn(|j| at.add(V::splat((j * stride) as u32)));
 
-        let step = ChainStep::<V, NW>::new(&iv, &adrs);
-        let mut hash_high = hash.shl(16);
-        for round in 0..rounds {
-            let next = if narrow {
-                step.f(&iv, hash_high, &node)
-            } else {
-                first(tweak(&iv, &adrs, hash, [&node]))
+            let mut node: [V; NW] = match seed {
+                Some(seed) => {
+                    let sk_seed: [V; NW] = std::array::from_fn(|j| V::splat(seed[j]));
+                    // Step zero: `PRF` under the address with the other type.
+                    let f_word2 = adrs[2];
+                    let ty = V::splat(0xff << 16);
+                    adrs[2] = ty.ch(V::splat(retyped(0, AddressType::WotsPrf)), f_word2);
+                    let secret = first(tweak!(&iv, &adrs, V::splat(0), [&sk_seed]));
+                    adrs[2] = f_word2;
+                    secret
+                }
+                // SAFETY: every lane's node word lies within `words`, which
+                // an i32 indexes (both asserted above).
+                None => std::array::from_fn(|j| unsafe { V::gather(words, slot[j]) }),
             };
-            for (word, new) in node.iter_mut().zip(next) {
-                *word = V::if_live(round, steps, new, *word);
-            }
-            hash = hash.add(V::splat(1));
-            hash_high = hash_high.add(V::splat(1 << 16));
-        }
 
-        for (word, slot) in node.into_iter().zip(slot) {
-            word.scatter(words, slot);
+            let step = chain_step!(&iv, &adrs);
+            let mut hash_high = hash.shl(16);
+            for round in 0..rounds {
+                let next = if narrow {
+                    chain_f!(&step, &iv, hash_high, &node)
+                } else {
+                    first(tweak!(&iv, &adrs, hash, [&node]))
+                };
+                for (word, new) in node.iter_mut().zip(next) {
+                    *word = V::if_live(round, steps, new, *word);
+                }
+                hash = hash.add(V::splat(1));
+                hash_high = hash_high.add(V::splat(1 << 16));
+            }
+
+            for (word, slot) in node.into_iter().zip(slot) {
+                // SAFETY: as for the gather.
+                unsafe { word.scatter(words, slot) };
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 //! touches bytes twice: to load `L` addresses, and to store `L` roots,
 //! secrets and authentication paths.
 //!
-//! One generic body ([`run_group`]) over the vocabulary of
+//! One body ([`zmm::run_group`]) over the vocabulary of
 //! [`crate::lanes`], instantiated for zmm and ymm registers; the chain
 //! kernel's ladder ([`crate::tier::sha256_chain_tier`]) picks between
 //! them, and between them and no body at all.
@@ -24,8 +24,8 @@
 use crate::address::Address;
 use crate::fors::ForsTreeSig;
 use crate::lanes::{
-    first, height_word, lane_bodies, put_adrs, seed_words, take_words, tweak, Lanes, Row,
-    ADRS_WORDS, MAX_NODE_WORDS,
+    first, height_word, lane_bodies, put_adrs, seed_words, take_words, tweak, Row, ADRS_WORDS,
+    MAX_NODE_WORDS,
 };
 use crate::nodes::Nodes;
 use crate::tier;
@@ -75,18 +75,10 @@ pub(crate) struct Kernel {
     /// Trees a [`Group`] holds.
     pub(crate) lanes: usize,
     /// Builds a group's trees of `height` levels from the seeded state
-    /// `iv`, secrets from `sk_seed` (as big-endian words). The CPU must
-    /// support the ISA the body was compiled for.
-    body:
-        unsafe fn(iv: &[u32; 8], sk_seed: &[u32; MAX_NODE_WORDS], height: usize, group: &mut Group),
+    /// `iv`, secrets from `sk_seed` (as big-endian words)
+    /// ([`zmm::run_group`]).
+    body: Body,
 }
-
-lane_bodies!(run_group(
-    iv: &[u32; 8],
-    sk_seed: &[u32; MAX_NODE_WORDS],
-    height: usize,
-    group: &mut Group
-));
 
 impl Kernel {
     /// The body of the active chain tier for `n`-byte nodes; `None` on
@@ -156,76 +148,71 @@ impl Kernel {
     }
 }
 
-/// The kernel proper: every lane of `group` builds its tree of `height`
-/// levels, nodes of `NW` words.
-///
-/// # Safety
-///
-/// As [`Lanes`].
-#[inline(always)]
-unsafe fn run_group<V: Lanes, const NW: usize>(
-    iv: &[u32; 8],
-    sk_seed: &[u32; MAX_NODE_WORDS],
-    height: usize,
-    group: &mut Group,
-) {
-    // SAFETY (the closures): the caller's contract, which a closure body
-    // does not inherit.
-    let iv = iv.map(|word| unsafe { V::splat(word) });
-    let sk_seed: [V; NW] = std::array::from_fn(|i| unsafe { V::splat(sk_seed[i]) });
-    let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| unsafe { V::load(&group.adrs[i]) });
-    let (node_word2, prf_word2) = (adrs[2], V::load(&group.prf_word2));
-    let leaf_offset = V::load(&group.leaf_offset);
-    let leaf_idx = V::load(&group.leaf_idx);
+lane_bodies! {
+    /// The kernel proper: every lane of `group` builds its tree of
+    /// `height` levels, nodes of `NW` words.
+    fn run_group<const NW: usize>(
+        iv: &[u32; 8],
+        sk_seed: &[u32; MAX_NODE_WORDS],
+        height: usize,
+        group: &mut Group,
+    ) {
+        let iv = iv.map(|word| V::splat(word));
+        let sk_seed: [V; NW] = std::array::from_fn(|i| V::splat(sk_seed[i]));
+        let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| V::load(&group.adrs[i]));
+        let (node_word2, prf_word2) = (adrs[2], V::load(&group.prf_word2));
+        let leaf_offset = V::load(&group.leaf_offset);
+        let leaf_idx = V::load(&group.leaf_idx);
 
-    let zero = V::splat(0);
-    // `stack[z]` is the left node waiting at height `z`; the root ends up
-    // in `stack[height]`.
-    let mut stack = [[zero; NW]; MAX_HEIGHT + 1];
-    let mut auth = [[zero; NW]; MAX_HEIGHT + 1];
-    let mut sk = [zero; NW];
+        let zero = V::splat(0);
+        // `stack[z]` is the left node waiting at height `z`; the root ends
+        // up in `stack[height]`.
+        let mut stack = [[zero; NW]; MAX_HEIGHT + 1];
+        let mut auth = [[zero; NW]; MAX_HEIGHT + 1];
+        let mut sk = [zero; NW];
 
-    for leaf in 0..1u32 << height {
-        let index = leaf_offset.add(V::splat(leaf));
-        adrs[2] = prf_word2;
-        adrs[4] = V::splat(height_word(0));
-        let secret: [V; NW] = first(tweak(&iv, &adrs, index, [&sk_seed]));
-        for (kept, new) in sk.iter_mut().zip(secret) {
-            *kept = V::if_eq(V::splat(leaf), leaf_idx, new, *kept);
-        }
-        adrs[2] = node_word2;
-        let mut node: [V; NW] = first(tweak(&iv, &adrs, index, [&secret]));
-
-        // `node` is node `leaf >> z` of level `z`: the sibling the path
-        // wants where that is the path's own node with the last bit
-        // flipped; a left child that waits; a right child that joins the
-        // left one waiting for it.
-        let mut z = 0;
-        loop {
-            let wanted = V::splat((leaf >> z) ^ 1);
-            for (kept, &new) in auth[z].iter_mut().zip(&node) {
-                *kept = V::if_eq(leaf_idx.shr(z as u32), wanted, new, *kept);
+        for leaf in 0..1u32 << height {
+            let index = leaf_offset.add(V::splat(leaf));
+            adrs[2] = prf_word2;
+            adrs[4] = V::splat(height_word(0));
+            let secret: [V; NW] = first(tweak!(&iv, &adrs, index, [&sk_seed]));
+            for (kept, new) in sk.iter_mut().zip(secret) {
+                *kept = V::if_eq(V::splat(leaf), leaf_idx, new, *kept);
             }
-            if (leaf >> z) & 1 == 0 {
-                stack[z] = node;
-                break;
-            }
-            let left = &stack[z];
-            z += 1;
-            adrs[4] = V::splat(height_word(z as u32));
-            node = first(tweak(&iv, &adrs, index.shr(z as u32), [left, &node]));
-        }
-    }
+            adrs[2] = node_word2;
+            let mut node: [V; NW] = first(tweak!(&iv, &adrs, index, [&secret]));
 
-    for (word, slot) in stack[height].into_iter().zip(&mut group.root) {
-        word.store(slot);
-    }
-    for (word, slot) in sk.into_iter().zip(&mut group.sk) {
-        word.store(slot);
-    }
-    for (node, rows) in auth.into_iter().zip(&mut group.auth) {
-        for (word, slot) in node.into_iter().zip(rows) {
+            // `node` is node `leaf >> z` of level `z`: the sibling the path
+            // wants where that is the path's own node with the last bit
+            // flipped; a left child that waits; a right child that joins
+            // the left one waiting for it.
+            let mut z = 0;
+            loop {
+                let wanted = V::splat((leaf >> z) ^ 1);
+                for (kept, &new) in auth[z].iter_mut().zip(&node) {
+                    *kept = V::if_eq(leaf_idx.shr(z as u32), wanted, new, *kept);
+                }
+                if (leaf >> z) & 1 == 0 {
+                    stack[z] = node;
+                    break;
+                }
+                let left = &stack[z];
+                z += 1;
+                adrs[4] = V::splat(height_word(z as u32));
+                node = first(tweak!(&iv, &adrs, index.shr(z as u32), [left, &node]));
+            }
+        }
+
+        for (word, slot) in stack[height].into_iter().zip(&mut group.root) {
             word.store(slot);
+        }
+        for (word, slot) in sk.into_iter().zip(&mut group.sk) {
+            word.store(slot);
+        }
+        for (node, rows) in auth.into_iter().zip(&mut group.auth) {
+            for (word, slot) in node.into_iter().zip(rows) {
+                word.store(slot);
+            }
         }
     }
 }

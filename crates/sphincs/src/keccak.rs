@@ -167,19 +167,9 @@ pub fn keccak_f1600(state: &mut [u64; STATE_WORDS]) {
 /// innermost over a contiguous `[u64; LANES]` — the layout the
 /// autovectorizer maps onto 256-bit registers.
 pub fn permute_x(states: &mut [[u64; LANES]; STATE_WORDS]) {
-    // SAFETY (all arms): the tier cache only ever holds tiers whose CPU
-    // features were positively detected by `tier::supported` during the
-    // one-time ladder walk, so each `#[target_feature]` core is reached
-    // only on a CPU that has its ISA.
-    match crate::tier::keccak_tier() {
-        #[cfg(target_arch = "x86_64")]
-        crate::tier::HashTier::Avx512 => unsafe { permute_x_avx512(states) },
-        #[cfg(target_arch = "x86_64")]
-        crate::tier::HashTier::Avx2 => unsafe { permute_x_avx2(states) },
-        #[cfg(target_arch = "aarch64")]
-        crate::tier::HashTier::Neon => unsafe { permute_x_neon(states) },
-        _ => permute_x_portable(states),
-    }
+    // SAFETY: the tier cache only ever holds tiers whose CPU features
+    // `tier::supported` detected during the one-time ladder walk.
+    unsafe { permute_x_on(crate::tier::keccak_tier(), states) }
 }
 
 /// [`permute_x`] under an explicit tier instead of the process-wide
@@ -192,17 +182,35 @@ pub fn permute_x(states: &mut [[u64; LANES]; STATE_WORDS]) {
 /// [`crate::tier::supported_keccak_tiers`].
 pub fn permute_x_with(tier: crate::tier::HashTier, states: &mut [[u64; LANES]; STATE_WORDS]) {
     use crate::tier::{supported, HashTier, Primitive};
-    // SAFETY (all arms): guarded by a positive `tier::supported` probe.
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        HashTier::Avx512 if supported(Primitive::Keccak, tier) => unsafe {
-            permute_x_avx512(states)
-        },
-        #[cfg(target_arch = "x86_64")]
-        HashTier::Avx2 if supported(Primitive::Keccak, tier) => unsafe { permute_x_avx2(states) },
-        #[cfg(target_arch = "aarch64")]
-        HashTier::Neon if supported(Primitive::Keccak, tier) => unsafe { permute_x_neon(states) },
-        _ => permute_x_portable(states),
+    let tier = if supported(Primitive::Keccak, tier) {
+        tier
+    } else {
+        HashTier::Scalar
+    };
+    // SAFETY: `tier` was just detected, or is the portable rung.
+    unsafe { permute_x_on(tier, states) }
+}
+
+/// The one dispatch of [`permute_x`] and [`permute_x_with`]: the body of
+/// `tier`, or the portable one where `tier` has none.
+///
+/// # Safety
+///
+/// The CPU supports `tier`'s Keccak body.
+#[inline(always)]
+unsafe fn permute_x_on(tier: crate::tier::HashTier, states: &mut [[u64; LANES]; STATE_WORDS]) {
+    use crate::tier::HashTier;
+    // SAFETY: the caller's contract.
+    unsafe {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            HashTier::Avx512 => permute_x_avx512(states),
+            #[cfg(target_arch = "x86_64")]
+            HashTier::Avx2 => permute_x_avx2(states),
+            #[cfg(target_arch = "aarch64")]
+            HashTier::Neon => permute_x_neon(states),
+            _ => permute_x_portable(states),
+        }
     }
 }
 
@@ -387,7 +395,8 @@ impl Avx512 {
 }
 
 /// AVX2 body of [`permute_x`]: [`permute_words!`] over [`Avx2`]. Reach
-/// it only on a CPU with AVX2; the dispatch's `unsafe` vouches for that.
+/// it only on a CPU with AVX2; [`permute_x_on`]'s contract vouches for
+/// that.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn permute_x_avx2(states: &mut [[u64; LANES]; STATE_WORDS]) {

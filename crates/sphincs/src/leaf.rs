@@ -8,10 +8,10 @@
 //! owns one key pair from the first `PRF` to the leaf. The lanes of a
 //! group walk their chains in lockstep, chain `c` of every key pair at
 //! once: `PRF` under the chain's `WotsPrf` address, then `w − 1` steps of
-//! the chain's own [`ChainStep`] — every chain of a public key is full
+//! the chain's own [`crate::lanes::ChainStep`] — every chain of a public key is full
 //! length, so there is nothing to sort, nothing to mask and no address
 //! per chain — and the end goes, as the words it is, where `T_len` wants
-//! it. One [`absorb`] under each lane's `WotsPk` address then leaves the
+//! it. One [`crate::lanes::absorb!`] under each lane's `WotsPk` address then leaves the
 //! leaves. Bytes are touched twice: to load a group's addresses, and to
 //! store its leaves.
 //!
@@ -22,15 +22,15 @@
 //! for `T_len`. An 8-leaf subtree in zmm is 18 passes of two chains a key
 //! pair instead of 35 passes half empty; a lone key pair is three.
 //!
-//! One generic body ([`run_group`]) over the vocabulary of
+//! One body ([`zmm::run_group`]) over the vocabulary of
 //! [`crate::lanes`], instantiated for zmm and ymm registers; the chain
 //! kernel's ladder ([`crate::tier::sha256_chain_tier`]) picks between
 //! them, and between them and no body at all.
 
 use crate::address::{Address, AddressType};
 use crate::lanes::{
-    absorb, first, lane_bodies, move_words, put_adrs, retyped, seed_words, take_words, tweak,
-    ChainStep, Lanes, Row, ADRS_WORDS, MAX_LANES, MAX_NODE_WORDS,
+    absorb, chain_f, chain_step, first, lane_bodies, move_words, put_adrs, retyped, seed_words,
+    take_words, tweak, Row, ADRS_WORDS, MAX_LANES, MAX_NODE_WORDS,
 };
 use crate::params::Params;
 use crate::{tier, wots};
@@ -68,30 +68,16 @@ pub(crate) struct Kernel {
     lanes: usize,
     /// Takes every key pair of a group from its `len` secrets, derived
     /// from `sk_seed` (as big-endian words), through chains of `steps`
-    /// steps to its leaf, from the seeded state `iv`. The CPU must support
-    /// the ISA the body was compiled for.
-    body: unsafe fn(
-        iv: &[u32; 8],
-        sk_seed: &[u32; MAX_NODE_WORDS],
-        len: usize,
-        steps: u32,
-        group: &mut Group,
-    ),
+    /// steps to its leaf, from the seeded state `iv`
+    /// ([`zmm::run_group`]).
+    body: Body,
 }
-
-lane_bodies!(run_group(
-    iv: &[u32; 8],
-    sk_seed: &[u32; MAX_NODE_WORDS],
-    len: usize,
-    steps: u32,
-    group: &mut Group
-));
 
 impl Kernel {
     /// The body of the active chain tier for the keys of `params`; `None`
     /// on the `scalar` rung, which has none, and for a shape no validated
     /// parameter set has: a key longer than a lane holds, or chains whose
-    /// hash index outgrows what [`ChainStep`] keeps it in.
+    /// hash index outgrows what [`crate::lanes::ChainStep`] keeps it in.
     pub(crate) fn active(params: &Params) -> Option<Self> {
         if params.wots_len() > MAX_CHAINS || params.w > 1 << 16 {
             return None;
@@ -147,69 +133,62 @@ impl Kernel {
     }
 }
 
-/// The kernel proper: every key pair of `group` — `len` chains of `steps`
-/// steps, nodes of `NW` words — from its secrets to its leaf.
-///
-/// # Safety
-///
-/// As [`Lanes`].
-#[inline(always)]
-unsafe fn run_group<V: Lanes, const NW: usize>(
-    iv: &[u32; 8],
-    sk_seed: &[u32; MAX_NODE_WORDS],
-    len: usize,
-    steps: u32,
-    group: &mut Group,
-) {
-    // SAFETY (the closures): the caller's contract, which a closure body
-    // does not inherit.
-    let iv = iv.map(|word| unsafe { V::splat(word) });
-    let sk_seed: [V; NW] = std::array::from_fn(|i| unsafe { V::splat(sk_seed[i]) });
-    let zero = V::splat(0);
-    let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| unsafe { V::load(&group.adrs[i]) });
-    let (f_word2, prf_word2) = (adrs[2], V::load(&group.prf_word2));
-    // The chain index goes across words 3 and 4 ([`crate::lanes::chain_words`]).
-    let keypair_low = adrs[3];
-    let first_chain = V::load(&group.first_chain);
-    let share = group.share;
+lane_bodies! {
+    /// The kernel proper: every key pair of `group` — `len` chains of
+    /// `steps` steps, nodes of `NW` words — from its secrets to its leaf.
+    fn run_group<const NW: usize>(
+        iv: &[u32; 8],
+        sk_seed: &[u32; MAX_NODE_WORDS],
+        len: usize,
+        steps: u32,
+        group: &mut Group,
+    ) {
+        let iv = iv.map(|word| V::splat(word));
+        let sk_seed: [V; NW] = std::array::from_fn(|i| V::splat(sk_seed[i]));
+        let zero = V::splat(0);
+        let mut adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| V::load(&group.adrs[i]));
+        let (f_word2, prf_word2) = (adrs[2], V::load(&group.prf_word2));
+        // The chain index goes across words 3 and 4 ([`crate::lanes::chain_words`]).
+        let keypair_low = adrs[3];
+        let first_chain = V::load(&group.first_chain);
+        let share = group.share;
 
-    // `ends[c][word]` holds, column by column, chain `c`'s end.
-    let mut ends = [[Row::default(); NW]; MAX_CHAINS];
-    let mut end = [Row::default(); NW];
-    for pass in (0..len).step_by(share) {
-        let chain = first_chain.add(V::splat(pass as u32));
-        adrs[3] = keypair_low.or(chain.shr(16));
-        adrs[4] = chain.shl(16);
-        adrs[2] = prf_word2;
-        let mut node: [V; NW] = first(tweak(&iv, &adrs, zero, [&sk_seed]));
-        adrs[2] = f_word2;
-        let step = ChainStep::<V, NW>::new(&iv, &adrs);
-        for hash in 0..steps {
-            node = step.f(&iv, V::splat(hash << 16), &node);
-        }
+        // `ends[c][word]` holds, column by column, chain `c`'s end.
+        let mut ends = [[Row::default(); NW]; MAX_CHAINS];
+        let mut end = [Row::default(); NW];
+        for pass in (0..len).step_by(share) {
+            let chain = first_chain.add(V::splat(pass as u32));
+            adrs[3] = keypair_low.or(chain.shr(16));
+            adrs[4] = chain.shl(16);
+            adrs[2] = prf_word2;
+            let mut node: [V; NW] = first(tweak!(&iv, &adrs, zero, [&sk_seed]));
+            adrs[2] = f_word2;
+            let step = chain_step!(&iv, &adrs);
+            for hash in 0..steps {
+                node = chain_f!(&step, &iv, V::splat(hash << 16), &node);
+            }
 
-        for (word, slot) in node.into_iter().zip(&mut end) {
-            word.store(slot);
-        }
-        // Lane `l` ran chain `pass + l % share` for the key pair of column
-        // `l / share`; a lane past the last share fills a column nobody
-        // reads.
-        for lane in 0..MAX_LANES {
-            let (column, chain) = (lane / share, pass + lane % share);
-            if chain < len {
-                move_words(&end, lane, &mut ends[chain], column);
+            for (word, slot) in node.into_iter().zip(&mut end) {
+                word.store(slot);
+            }
+            // Lane `l` ran chain `pass + l % share` for the key pair of
+            // column `l / share`; a lane past the last share fills a column
+            // nobody reads.
+            for lane in 0..MAX_LANES {
+                let (column, chain) = (lane / share, pass + lane % share);
+                if chain < len {
+                    move_words(&end, lane, &mut ends[chain], column);
+                }
             }
         }
-    }
 
-    let pk_adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| unsafe { V::load(&group.pk_adrs[i]) });
-    let leaf: [V; NW] = {
-        let rows = ends[..len].as_flattened();
-        first(absorb(&iv, &pk_adrs, zero, rows.len(), |i| unsafe {
-            V::load(&rows[i])
-        }))
-    };
-    for (word, slot) in leaf.into_iter().zip(&mut group.leaf) {
-        word.store(slot);
+        let pk_adrs: [V; ADRS_WORDS] = std::array::from_fn(|i| V::load(&group.pk_adrs[i]));
+        let leaf: [V; NW] = {
+            let rows = ends[..len].as_flattened();
+            first(absorb!(&iv, &pk_adrs, zero, rows.len(), |i: usize| V::load(&rows[i])))
+        };
+        for (word, slot) in leaf.into_iter().zip(&mut group.leaf) {
+            word.store(slot);
+        }
     }
 }

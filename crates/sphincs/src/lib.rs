@@ -103,6 +103,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod address;
 #[cfg(target_arch = "x86_64")]

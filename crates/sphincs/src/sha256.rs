@@ -88,20 +88,18 @@ fn maj(x: u32, y: u32, z: u32) -> u32 {
 /// SHA2-capable aarch64 host as `vsha256h`/`vsha256h2` quads; every tier
 /// is byte-identical to the portable rounds.
 pub fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::tier::sha256_tier() == crate::tier::HashTier::ShaNi {
-        // SAFETY: the tier cache only ever holds positively-detected
-        // tiers (tier::supported probed sha+ssse3+sse4.1).
-        unsafe { compress_shani(state, block) };
-        return;
+    use crate::tier::HashTier;
+    // SAFETY: the tier cache only ever holds tiers whose CPU features
+    // `tier::supported` detected.
+    unsafe {
+        match crate::tier::sha256_tier() {
+            #[cfg(target_arch = "x86_64")]
+            HashTier::ShaNi => compress_shani(state, block),
+            #[cfg(target_arch = "aarch64")]
+            HashTier::Neon => compress_neon(state, block),
+            _ => compress_portable(state, block),
+        }
     }
-    #[cfg(target_arch = "aarch64")]
-    if crate::tier::sha256_tier() == crate::tier::HashTier::Neon {
-        // SAFETY: tier resolution detected the sha2 crypto extension.
-        unsafe { compress_neon(state, block) };
-        return;
-    }
-    compress_portable(state, block);
 }
 
 /// Portable straight-line body of [`compress`] — the scalar reference
@@ -163,21 +161,9 @@ pub const LANES: usize = 8;
 /// single relaxed atomic load per call; no feature probe runs in the
 /// hot loop. Every tier produces identical bytes.
 pub fn compress_x(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
-    // SAFETY (all arms): the tier cache only ever holds tiers whose CPU
-    // features were positively detected by `tier::supported` during the
-    // one-time ladder walk, so each `#[target_feature]` core is reached
-    // only on a CPU that has its ISA.
-    match crate::tier::sha256_tier() {
-        #[cfg(target_arch = "x86_64")]
-        crate::tier::HashTier::ShaNi => unsafe { compress_x_shani(states, blocks) },
-        #[cfg(target_arch = "x86_64")]
-        crate::tier::HashTier::Avx512 => unsafe { compress_x_avx512(states, blocks) },
-        #[cfg(target_arch = "x86_64")]
-        crate::tier::HashTier::Avx2 => unsafe { compress_x_avx2(states, blocks) },
-        #[cfg(target_arch = "aarch64")]
-        crate::tier::HashTier::Neon => unsafe { compress_x_neon(states, blocks) },
-        _ => compress_x_portable(states, blocks),
-    }
+    // SAFETY: the tier cache only ever holds tiers whose CPU features
+    // `tier::supported` detected during the one-time ladder walk.
+    unsafe { compress_x_on(crate::tier::sha256_tier(), states, blocks) }
 }
 
 /// [`compress_x`] under an explicit tier instead of the process-wide
@@ -194,94 +180,111 @@ pub fn compress_x_with(
     blocks: &[&[u8; BLOCK_LEN]; LANES],
 ) {
     use crate::tier::{supported, HashTier, Primitive};
-    // SAFETY (all arms): guarded by a positive `tier::supported` probe.
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        HashTier::ShaNi if supported(Primitive::Sha256, tier) => unsafe {
-            compress_x_shani(states, blocks)
-        },
-        #[cfg(target_arch = "x86_64")]
-        HashTier::Avx512 if supported(Primitive::Sha256, tier) => unsafe {
-            compress_x_avx512(states, blocks)
-        },
-        #[cfg(target_arch = "x86_64")]
-        HashTier::Avx2 if supported(Primitive::Sha256, tier) => unsafe {
-            compress_x_avx2(states, blocks)
-        },
-        #[cfg(target_arch = "aarch64")]
-        HashTier::Neon if supported(Primitive::Sha256, tier) => unsafe {
-            compress_x_neon(states, blocks)
-        },
-        _ => compress_x_portable(states, blocks),
+    let tier = if supported(Primitive::Sha256, tier) {
+        tier
+    } else {
+        HashTier::Scalar
+    };
+    // SAFETY: `tier` was just detected, or is the portable rung.
+    unsafe { compress_x_on(tier, states, blocks) }
+}
+
+/// The one dispatch of [`compress_x`] and [`compress_x_with`]: the body
+/// of `tier`, or the portable one where `tier` has none.
+///
+/// # Safety
+///
+/// The CPU supports `tier`'s SHA-256 body.
+#[inline(always)]
+unsafe fn compress_x_on(
+    tier: crate::tier::HashTier,
+    states: &mut [[u32; 8]; LANES],
+    blocks: &[&[u8; BLOCK_LEN]; LANES],
+) {
+    use crate::tier::HashTier;
+    // SAFETY: the caller's contract.
+    unsafe {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            HashTier::ShaNi => compress_x_shani(states, blocks),
+            #[cfg(target_arch = "x86_64")]
+            HashTier::Avx512 => compress_x_avx512(states, blocks),
+            #[cfg(target_arch = "x86_64")]
+            HashTier::Avx2 => compress_x_avx2(states, blocks),
+            #[cfg(target_arch = "aarch64")]
+            HashTier::Neon => compress_x_neon(states, blocks),
+            _ => compress_x_portable(states, blocks),
+        }
     }
 }
 
 /// One-block SHA-NI compression: the 64 rounds as sixteen
 /// `_mm_sha256rnds2_epu32` pairs with the message schedule advanced by
 /// `sha256msg1`/`sha256msg2`, in Intel's canonical `ABEF`/`CDGH`
-/// register arrangement.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports the SHA extensions plus
-/// SSSE3/SSE4.1 (the byte shuffle and blend).
+/// register arrangement. Reach it only on a CPU with the SHA extensions
+/// and SSSE3/SSE4.1 (the byte shuffle and blend).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-unsafe fn compress_shani(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+fn compress_shani(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     use std::arch::x86_64::*;
-    unsafe {
-        // Big-endian word loads: reverse the bytes of each u32.
-        let be_shuf = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);
-
-        // Fold [a,b,c,d] / [e,f,g,h] into the (ABEF, CDGH) pair the
-        // rnds2 instruction works on.
-        let dcba = _mm_loadu_si128(state.as_ptr() as *const __m128i);
-        let hgfe = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
-        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
-        let (save_abef, save_cdgh) = (abef, cdgh);
-
-        let mut m: [__m128i; 4] = std::array::from_fn(|i| {
-            _mm_shuffle_epi8(
-                _mm_loadu_si128(block.as_ptr().add(16 * i) as *const __m128i),
-                be_shuf,
-            )
-        });
-
-        for r in 0..16 {
-            let k = _mm_loadu_si128(K.as_ptr().add(4 * r) as *const __m128i);
-            let wk = _mm_add_epi32(m[r % 4], k);
-            // rnds2 consumes two W+K values per call: low pair first,
-            // then the high pair moved down. After each call the result
-            // register holds the new ABEF and the other operand is the
-            // new CDGH — the canonical ping-pong.
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-            if r < 12 {
-                // W[i] = σ1(W[i-2]) + W[i-7] + σ0(W[i-15]) + W[i-16]:
-                // msg1 folds σ0, the alignr supplies W[i-7], msg2 folds σ1.
-                let w_minus_7 = _mm_alignr_epi8(m[(r + 3) % 4], m[(r + 2) % 4], 4);
-                let partial =
-                    _mm_add_epi32(_mm_sha256msg1_epu32(m[r % 4], m[(r + 1) % 4]), w_minus_7);
-                m[r % 4] = _mm_sha256msg2_epu32(partial, m[(r + 3) % 4]);
-            }
-        }
-
-        abef = _mm_add_epi32(abef, save_abef);
-        cdgh = _mm_add_epi32(cdgh, save_cdgh);
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(
-            state.as_mut_ptr() as *mut __m128i,
-            _mm_blend_epi16(feba, dchg, 0xF0),
-        );
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4) as *mut __m128i,
-            _mm_alignr_epi8(dchg, feba, 8),
-        );
+    /// The sixteen bytes of `src`, unaligned.
+    #[inline(always)]
+    fn load<T, const N: usize>(src: &[T; N]) -> __m128i {
+        const { assert!(size_of::<[T; N]>() == 16) };
+        // SAFETY: `src` is the sixteen bytes read.
+        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
     }
+    /// `v` into `dst`, unaligned.
+    #[inline(always)]
+    fn store(dst: &mut [u32; 4], v: __m128i) {
+        // SAFETY: `dst` is the sixteen bytes written.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), v) }
+    }
+
+    // Big-endian word loads: reverse the bytes of each u32.
+    let be_shuf = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);
+
+    // Fold [a,b,c,d] / [e,f,g,h] into the (ABEF, CDGH) pair the
+    // rnds2 instruction works on.
+    let [dcba, hgfe] = state.as_chunks::<4>().0 else {
+        unreachable!("eight words are two halves")
+    };
+    let cdab = _mm_shuffle_epi32(load(dcba), 0xB1);
+    let efgh = _mm_shuffle_epi32(load(hgfe), 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+    let (save_abef, save_cdgh) = (abef, cdgh);
+
+    let block = block.as_chunks::<16>().0;
+    let mut m: [__m128i; 4] = std::array::from_fn(|i| _mm_shuffle_epi8(load(&block[i]), be_shuf));
+
+    let k = K.as_chunks::<4>().0;
+    for r in 0..16 {
+        let wk = _mm_add_epi32(m[r % 4], load(&k[r]));
+        // rnds2 consumes two W+K values per call: low pair first,
+        // then the high pair moved down. After each call the result
+        // register holds the new ABEF and the other operand is the
+        // new CDGH — the canonical ping-pong.
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        if r < 12 {
+            // W[i] = σ1(W[i-2]) + W[i-7] + σ0(W[i-15]) + W[i-16]:
+            // msg1 folds σ0, the alignr supplies W[i-7], msg2 folds σ1.
+            let w_minus_7 = _mm_alignr_epi8(m[(r + 3) % 4], m[(r + 2) % 4], 4);
+            let partial = _mm_add_epi32(_mm_sha256msg1_epu32(m[r % 4], m[(r + 1) % 4]), w_minus_7);
+            m[r % 4] = _mm_sha256msg2_epu32(partial, m[(r + 3) % 4]);
+        }
+    }
+
+    abef = _mm_add_epi32(abef, save_abef);
+    cdgh = _mm_add_epi32(cdgh, save_cdgh);
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    let [dcba, hgfe] = state.as_chunks_mut::<4>().0 else {
+        unreachable!("eight words are two halves")
+    };
+    store(dcba, _mm_blend_epi16(feba, dchg, 0xF0));
+    store(hgfe, _mm_alignr_epi8(dchg, feba, 8));
 }
 
 /// SHA-NI body of [`compress_x`]: each lane runs the dedicated-rounds
@@ -289,17 +292,13 @@ unsafe fn compress_shani(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// lanes share no registers, so out-of-order execution overlaps the
 /// `sha256rnds2` chains of neighbouring lanes on its own, and the
 /// dedicated rounds beat 8-lane interleaving per lane by a wide margin
-/// (the reason SHA-NI tops the SHA-256 ladder).
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports SHA+SSSE3+SSE4.1.
+/// (the reason SHA-NI tops the SHA-256 ladder). Reach it only on a CPU
+/// with SHA, SSSE3 and SSE4.1.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-unsafe fn compress_x_shani(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
+fn compress_x_shani(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
     for (state, block) in states.iter_mut().zip(blocks.iter()) {
-        // SAFETY: same target features as this wrapper.
-        unsafe { compress_shani(state, block) };
+        compress_shani(state, block);
     }
 }
 
@@ -308,130 +307,125 @@ unsafe fn compress_x_shani(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK
 /// AVX-512VL forms — `vprord` rotates for the Σ/σ functions and
 /// `vpternlogd` for `ch` (selector `0xCA`), `maj` (`0xE8`) and the
 /// three-way XORs (`0x96`). That removes roughly half the round
-/// instructions the AVX2 build needs for the same dataflow.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and AVX-512VL.
+/// instructions the AVX2 build needs for the same dataflow. Reach it only
+/// on a CPU with AVX-512F and AVX-512VL.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-unsafe fn compress_x_avx512(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
+fn compress_x_avx512(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
+    use crate::lanes::Ymm;
     use std::arch::x86_64::*;
-    unsafe {
-        // Transposed message schedule: wv[i] holds word i of all lanes.
-        let mut w = [[0u32; LANES]; 16];
-        for (i, wi) in w.iter_mut().enumerate() {
-            for (l, wil) in wi.iter_mut().enumerate() {
-                let o = i * 4;
-                *wil = u32::from_be_bytes([
-                    blocks[l][o],
-                    blocks[l][o + 1],
-                    blocks[l][o + 2],
-                    blocks[l][o + 3],
-                ]);
-            }
+    // Transposed message schedule: wv[i] holds word i of all lanes.
+    let mut w = [[0u32; LANES]; 16];
+    for (i, wi) in w.iter_mut().enumerate() {
+        for (l, wil) in wi.iter_mut().enumerate() {
+            let o = i * 4;
+            *wil = u32::from_be_bytes([
+                blocks[l][o],
+                blocks[l][o + 1],
+                blocks[l][o + 2],
+                blocks[l][o + 3],
+            ]);
         }
-        let mut wv: [__m256i; 16] =
-            std::array::from_fn(|i| _mm256_loadu_si256(w[i].as_ptr() as *const __m256i));
+    }
+    let mut wv: [__m256i; 16] = std::array::from_fn(|i| Ymm::load(&w[i]).0);
 
-        macro_rules! xor3 {
-            ($a:expr, $b:expr, $c:expr) => {
-                _mm256_ternarylogic_epi32($a, $b, $c, 0x96)
-            };
-        }
-        macro_rules! big_sigma0 {
-            ($x:expr) => {{
-                let x = $x;
-                xor3!(
-                    _mm256_ror_epi32::<2>(x),
-                    _mm256_ror_epi32::<13>(x),
-                    _mm256_ror_epi32::<22>(x)
-                )
-            }};
-        }
-        macro_rules! big_sigma1 {
-            ($x:expr) => {{
-                let x = $x;
-                xor3!(
-                    _mm256_ror_epi32::<6>(x),
-                    _mm256_ror_epi32::<11>(x),
-                    _mm256_ror_epi32::<25>(x)
-                )
-            }};
-        }
-        macro_rules! small_sigma0 {
-            ($x:expr) => {{
-                let x = $x;
-                xor3!(
-                    _mm256_ror_epi32::<7>(x),
-                    _mm256_ror_epi32::<18>(x),
-                    _mm256_srli_epi32::<3>(x)
-                )
-            }};
-        }
-        macro_rules! small_sigma1 {
-            ($x:expr) => {{
-                let x = $x;
-                xor3!(
-                    _mm256_ror_epi32::<17>(x),
-                    _mm256_ror_epi32::<19>(x),
-                    _mm256_srli_epi32::<10>(x)
-                )
-            }};
-        }
-
-        // Transpose the lane-major states into one vector per working
-        // variable (cheap next to 64 vector rounds).
-        let mut vars: [__m256i; 8] = std::array::from_fn(|word| {
-            _mm256_set_epi32(
-                states[7][word] as i32,
-                states[6][word] as i32,
-                states[5][word] as i32,
-                states[4][word] as i32,
-                states[3][word] as i32,
-                states[2][word] as i32,
-                states[1][word] as i32,
-                states[0][word] as i32,
+    macro_rules! xor3 {
+        ($a:expr, $b:expr, $c:expr) => {
+            _mm256_ternarylogic_epi32($a, $b, $c, 0x96)
+        };
+    }
+    macro_rules! big_sigma0 {
+        ($x:expr) => {{
+            let x = $x;
+            xor3!(
+                _mm256_ror_epi32::<2>(x),
+                _mm256_ror_epi32::<13>(x),
+                _mm256_ror_epi32::<22>(x)
             )
-        });
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = vars;
+        }};
+    }
+    macro_rules! big_sigma1 {
+        ($x:expr) => {{
+            let x = $x;
+            xor3!(
+                _mm256_ror_epi32::<6>(x),
+                _mm256_ror_epi32::<11>(x),
+                _mm256_ror_epi32::<25>(x)
+            )
+        }};
+    }
+    macro_rules! small_sigma0 {
+        ($x:expr) => {{
+            let x = $x;
+            xor3!(
+                _mm256_ror_epi32::<7>(x),
+                _mm256_ror_epi32::<18>(x),
+                _mm256_srli_epi32::<3>(x)
+            )
+        }};
+    }
+    macro_rules! small_sigma1 {
+        ($x:expr) => {{
+            let x = $x;
+            xor3!(
+                _mm256_ror_epi32::<17>(x),
+                _mm256_ror_epi32::<19>(x),
+                _mm256_srli_epi32::<10>(x)
+            )
+        }};
+    }
 
-        for i in 0..64 {
-            let wt = if i < 16 {
-                wv[i]
-            } else {
-                let next = _mm256_add_epi32(
-                    _mm256_add_epi32(small_sigma1!(wv[(i - 2) % 16]), wv[(i - 7) % 16]),
-                    _mm256_add_epi32(small_sigma0!(wv[(i - 15) % 16]), wv[i % 16]),
-                );
-                wv[i % 16] = next;
-                next
-            };
-            // ch(e,f,g) = e ? f : g — one vpternlogd.
-            let ch = _mm256_ternarylogic_epi32(e, f, g, 0xCA);
-            let t1 = _mm256_add_epi32(
-                _mm256_add_epi32(_mm256_add_epi32(h, big_sigma1!(e)), ch),
-                _mm256_add_epi32(_mm256_set1_epi32(K[i] as i32), wt),
+    // Transpose the lane-major states into one vector per working
+    // variable (cheap next to 64 vector rounds).
+    let mut vars: [__m256i; 8] = std::array::from_fn(|word| {
+        _mm256_set_epi32(
+            states[7][word] as i32,
+            states[6][word] as i32,
+            states[5][word] as i32,
+            states[4][word] as i32,
+            states[3][word] as i32,
+            states[2][word] as i32,
+            states[1][word] as i32,
+            states[0][word] as i32,
+        )
+    });
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = vars;
+
+    for i in 0..64 {
+        let wt = if i < 16 {
+            wv[i]
+        } else {
+            let next = _mm256_add_epi32(
+                _mm256_add_epi32(small_sigma1!(wv[(i - 2) % 16]), wv[(i - 7) % 16]),
+                _mm256_add_epi32(small_sigma0!(wv[(i - 15) % 16]), wv[i % 16]),
             );
-            let maj = _mm256_ternarylogic_epi32(a, b, c, 0xE8);
-            let t2 = _mm256_add_epi32(big_sigma0!(a), maj);
-            h = g;
-            g = f;
-            f = e;
-            e = _mm256_add_epi32(d, t1);
-            d = c;
-            c = b;
-            b = a;
-            a = _mm256_add_epi32(t1, t2);
-        }
+            wv[i % 16] = next;
+            next
+        };
+        // ch(e,f,g) = e ? f : g — one vpternlogd.
+        let ch = _mm256_ternarylogic_epi32(e, f, g, 0xCA);
+        let t1 = _mm256_add_epi32(
+            _mm256_add_epi32(_mm256_add_epi32(h, big_sigma1!(e)), ch),
+            _mm256_add_epi32(_mm256_set1_epi32(K[i] as i32), wt),
+        );
+        let maj = _mm256_ternarylogic_epi32(a, b, c, 0xE8);
+        let t2 = _mm256_add_epi32(big_sigma0!(a), maj);
+        h = g;
+        g = f;
+        f = e;
+        e = _mm256_add_epi32(d, t1);
+        d = c;
+        c = b;
+        b = a;
+        a = _mm256_add_epi32(t1, t2);
+    }
 
-        vars = [a, b, c, d, e, f, g, h];
-        for (word, var) in vars.iter().enumerate() {
-            let mut lanes = [0u32; LANES];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, *var);
-            for (l, lane) in lanes.iter().enumerate() {
-                states[l][word] = states[l][word].wrapping_add(*lane);
-            }
+    vars = [a, b, c, d, e, f, g, h];
+    for (word, var) in vars.iter().enumerate() {
+        let mut lanes = [0u32; LANES];
+        Ymm(*var).store(&mut lanes);
+        for (l, lane) in lanes.iter().enumerate() {
+            states[l][word] = states[l][word].wrapping_add(*lane);
         }
     }
 }
@@ -495,14 +489,11 @@ unsafe fn compress_x_neon(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_
 }
 
 /// [`compress_x_portable`] compiled with AVX2 codegen enabled, so the
-/// lane-innermost loops vectorize to 8×32-bit ymm operations.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX2.
+/// lane-innermost loops vectorize to 8×32-bit ymm operations. Reach it
+/// only on a CPU with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn compress_x_avx2(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
+fn compress_x_avx2(states: &mut [[u32; 8]; LANES], blocks: &[&[u8; BLOCK_LEN]; LANES]) {
     compress_x_portable(states, blocks);
 }
 

@@ -194,7 +194,7 @@
 //!
 //! With it, every resident chain — the leaf body's and the chain
 //! kernel's — takes one `F` step compiled for the message shape a chain
-//! step has (`lanes::ChainStep`): of the generic call's (`lanes::tweak`)
+//! step has (`lanes::chain_f!`): of the generic call's (`lanes::tweak!`)
 //! ≈ 1650 vector operations a call, 1440 at `n = 16`. The compiler had
 //! found some of the difference by itself: with the generic call inlined
 //! into the step loop it hoists the rounds that hash only the address and
@@ -475,6 +475,7 @@ pub fn ladder(primitive: Primitive) -> &'static [HashTier] {
 /// through: a tier this returns `false` for is never dispatched, so the
 /// `#[target_feature]` cores below it are never reached on a CPU that
 /// lacks them.
+#[inline]
 pub fn supported(primitive: Primitive, tier: HashTier) -> bool {
     match tier {
         HashTier::Scalar => true,

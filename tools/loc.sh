@@ -7,13 +7,17 @@
 # the worker pool, which `total` leaves out so earlier figures still
 # compare, and `all`: the five crates together. Last, `unsafe`: the
 # `unsafe` fns, blocks and impls of hero-sphincs, on the same lines and
-# outside comments.
+# outside comments, then one `unsafe <file> <n>` line for each of its
+# files that has any.
 set -eu
 cd "$(dirname "$0")/.."
-# Non-test lines of crate $1; with a second argument, the `unsafe` fns,
-# blocks and impls on them instead.
+# Non-test lines of the .rs files under crates/$1/src, or of the file
+# $1; with a second argument, the `unsafe` fns, blocks and impls on them
+# instead.
 count() {
-    find "crates/$1/src" -name '*.rs' -exec awk -v unsafe="${2:-}" '
+    src="crates/$1/src"
+    [ -f "$1" ] && src=$1
+    find "$src" -name '*.rs' -exec awk -v unsafe="${2:-}" '
         FNR == 1 { counting = 1 }
         /^#\[cfg\(test\)\]/ { counting = 0 }
         !counting { next }
@@ -38,3 +42,7 @@ for crate in server task-graph; do
 done
 printf '%-10s %6d\n' all "$all"
 printf '%-10s %6d\n' unsafe "$(count sphincs unsafe)"
+for file in crates/sphincs/src/*.rs; do
+    sites=$(count "$file" unsafe)
+    [ "$sites" -eq 0 ] || printf 'unsafe %s %d\n' "$file" "$sites"
+done
