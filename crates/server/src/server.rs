@@ -65,6 +65,10 @@ const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(50);
 /// connections (a peer that never reads must not hang the drain).
 const DRAIN_WRITE_GRACE: Duration = Duration::from_secs(5);
 
+/// Latency samples the metrics keep, the last this many of signing and
+/// of verification each.
+const LATENCY_WINDOW: usize = 4096;
+
 /// Write timeout on metrics connections: the page is one small write, so
 /// a stalled scraper fails fast instead of wedging the metrics thread.
 const METRICS_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -115,8 +119,6 @@ pub struct ServerConfig {
     /// Per-tenant admission cap: requests admitted (queued or signing)
     /// at once before [`ErrorCode::TenantBusy`].
     pub per_tenant_inflight: usize,
-    /// Latency samples the metrics reservoir keeps.
-    pub latency_window: usize,
     /// Where `keygen` persists new tenant key files (`<tenant>.key`);
     /// `None` keeps generated keys in memory only.
     pub keys_dir: Option<PathBuf>,
@@ -130,7 +132,6 @@ impl Default for ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             service: ServiceConfig::default(),
             per_tenant_inflight: 256,
-            latency_window: 4096,
             keys_dir: None,
         }
     }
@@ -329,7 +330,7 @@ impl Server {
         let shared = Arc::new(ServerShared {
             factory,
             keystore,
-            metrics: Metrics::new(config.latency_window),
+            metrics: Metrics::new(LATENCY_WINDOW),
             config,
             engines: ShardedMap::new(),
             tenants: ShardedMap::new(),

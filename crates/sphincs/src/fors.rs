@@ -18,7 +18,7 @@
 //! routine here is tested against.
 //!
 //! ```
-//! use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params};
+//! use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params, reference};
 //!
 //! // Reduced shape: k=8 trees of 2^4 leaves keeps the example fast.
 //! let mut params = Params::sphincs_128f();
@@ -38,8 +38,11 @@
 //! // The public key is `T_k` over the roots, and verification
 //! // recomputes the k roots and compresses them.
 //! let pk = fors::roots_to_pk(&ctx, &adrs, &roots.concat());
-//! assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
+//! assert_eq!(reference::fors_pk_from_sig(&ctx, &sig, &md, &adrs), pk);
 //! ```
+//!
+//! Verification has one way in, [`crate::sign::VerifyingKey::verify_many`]:
+//! its FORS stage takes a group of signatures at a time (`pks_group`).
 
 use crate::address::{Address, AddressType};
 use crate::hash::HashCtx;
@@ -191,9 +194,8 @@ impl ForsTreeRequest {
 /// cut in multiples of it.
 pub const FUSED_TREES: usize = 16;
 
-/// Signatures a verification group holds ([`pk_from_sig_many`],
-/// [`crate::hypertree::xmss_pk_from_sig_many`],
-/// [`crate::sign::VerifyingKey::verify_many`]): the widest resident
+/// Signatures a verification group of
+/// [`crate::sign::VerifyingKey::verify_many`] holds: the widest resident
 /// ascent's, a lane each, and the group of the level sweep where no body
 /// runs. Batches are best cut in multiples of it.
 pub const LANE_SIGNATURES: usize = 16;
@@ -371,58 +373,6 @@ pub fn roots_to_pk(ctx: &HashCtx, keypair_adrs: &Address, roots_flat: &[u8]) -> 
     pk
 }
 
-/// Recomputes many FORS public keys from signatures in one batched
-/// pass — the verification twin of [`tree_hash_many`]: the signatures go
-/// a verification group at a time through the FORS stage of
-/// [`crate::sign::VerifyingKey::verify_many`] (`pks_group`). A
-/// signature's public key does not depend on what else is in the call.
-///
-/// ```
-/// use hero_sphincs::{address::{Address, AddressType}, fors, hash::HashCtx, params::Params, reference};
-///
-/// let mut params = Params::sphincs_128f();
-/// params.log_t = 4;
-/// params.k = 8;
-/// let ctx = HashCtx::new(params, &[0u8; 16]);
-/// let mut adrs = Address::new();
-/// adrs.set_type(AddressType::ForsTree);
-/// let md = [0xB1u8, 0x7f, 0x33, 0x04];
-/// let (sig, pk) = reference::fors_sign(&ctx, &md, &[1u8; 16], &adrs);
-///
-/// assert_eq!(fors::pk_from_sig_many(&ctx, &[&sig], &[&md], &[adrs]), [pk]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree or any signature's shape is
-/// malformed (the library verify path checks shapes first and returns a
-/// typed error).
-pub fn pk_from_sig_many(
-    ctx: &HashCtx,
-    sigs: &[&ForsSignature],
-    mds: &[&[u8]],
-    keypair_adrs_list: &[Address],
-) -> Vec<Vec<u8>> {
-    assert_eq!(sigs.len(), mds.len(), "one digest per signature");
-    let adrs = keypair_adrs_list;
-    assert_eq!(sigs.len(), adrs.len(), "one address per signature");
-    let n = ctx.params().n;
-    let mut scratch = Scratch::new(ctx);
-    let w = scratch.width;
-    let mut out = Vec::with_capacity(sigs.len());
-    for ((sigs, mds), adrs) in sigs.chunks(w).zip(mds.chunks(w)).zip(adrs.chunks(w)) {
-        pks_group(ctx, &mut scratch, sigs, mds, adrs);
-        out.extend(
-            scratch
-                .roots
-                .chunks_exact(n)
-                .take(sigs.len())
-                .map(<[u8]>::to_vec),
-        );
-    }
-    out
-}
-
 /// The FORS stage of verification for one group of signatures: public
 /// key `s` goes to `scratch.roots[s*n..]`. The one place the stage picks
 /// its body.
@@ -437,8 +387,7 @@ pub fn pk_from_sig_many(
 /// lane of its own over those roots; a narrower group runs `T_k` on
 /// bytes. The level sweep hashes the group's `count · k` secrets to
 /// leaves in one [`HashCtx::f_many`], climbs every tree a level of the
-/// whole group at a time ([`merkle::roots_from_auth_paths_many`]) and
-/// runs `T_k` on bytes.
+/// whole group at a time (`merkle::roots_in`) and runs `T_k` on bytes.
 ///
 /// # Panics
 ///
@@ -573,10 +522,12 @@ pub(crate) fn pks_group(
 mod tests {
     use super::*;
     use crate::reference;
+    use crate::sign::verify_stages::fors_many;
 
-    /// One signature's public key: [`pk_from_sig_many`] at batch 1.
+    /// One signature's public key: the FORS stage of verification for a
+    /// group of one.
     fn pk_from_sig(ctx: &HashCtx, sig: &ForsSignature, md: &[u8], adrs: &Address) -> Vec<u8> {
-        pk_from_sig_many(ctx, &[sig], &[md], std::slice::from_ref(adrs)).remove(0)
+        fors_many(ctx, &[sig], &[md], std::slice::from_ref(adrs)).remove(0)
     }
 
     /// The `FORS_Sign` stage of one message: its `k` trees in one
@@ -706,37 +657,5 @@ mod tests {
             );
         }
         assert!(tree_hash_many(&ctx, &sk_seed, &[]).is_empty());
-    }
-
-    #[test]
-    fn pk_from_sig_many_matches_per_signature() {
-        // Signatures under distinct keypair addresses and digests — the
-        // cross-signature verify batch — must each recover a public key
-        // byte-identical to the reference's.
-        let (params, ctx, sk_seed, _) = setup();
-        for count in [1usize, 2, 4] {
-            let sigs_md: Vec<(ForsSignature, Vec<u8>, Address)> = (0..count)
-                .map(|i| {
-                    let mut a = Address::new();
-                    a.set_tree(i as u64 * 3 + 1);
-                    a.set_keypair(i as u32);
-                    let md = digest_for(&params, 0x41 + i as u8);
-                    (sign(&ctx, &md, &sk_seed, &a).0, md, a)
-                })
-                .collect();
-            let sigs: Vec<&ForsSignature> = sigs_md.iter().map(|(s, ..)| s).collect();
-            let mds: Vec<&[u8]> = sigs_md.iter().map(|(_, md, _)| md.as_slice()).collect();
-            let adrs_list: Vec<Address> = sigs_md.iter().map(|(.., a)| *a).collect();
-            let batched = pk_from_sig_many(&ctx, &sigs, &mds, &adrs_list);
-            assert_eq!(batched.len(), count);
-            for (i, (sig, md, a)) in sigs_md.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    reference::fors_pk_from_sig(&ctx, sig, md, a),
-                    "count={count} signature {i}"
-                );
-            }
-        }
-        assert!(pk_from_sig_many(&ctx, &[], &[], &[]).is_empty());
     }
 }

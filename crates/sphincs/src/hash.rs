@@ -661,12 +661,6 @@ impl HashCtx {
         self.tweak(adrs, &[m])
     }
 
-    /// [`HashCtx::f`] writing the `n`-byte result into `out`.
-    pub fn f_into(&self, adrs: &Address, m: &[u8], out: &mut [u8]) {
-        debug_assert_eq!(m.len(), self.params.n);
-        self.tweak_into(adrs, &[m], out);
-    }
-
     /// `H`: two-to-one hash of sibling nodes.
     pub fn h(&self, adrs: &Address, left: &[u8], right: &[u8]) -> Vec<u8> {
         debug_assert_eq!(left.len(), self.params.n);
@@ -706,12 +700,6 @@ impl HashCtx {
     pub fn prf(&self, adrs: &Address, sk_seed: &[u8]) -> Vec<u8> {
         debug_assert_eq!(sk_seed.len(), self.params.n);
         self.tweak(adrs, &[sk_seed])
-    }
-
-    /// [`HashCtx::prf`] writing the `n`-byte result into `out`.
-    pub fn prf_into(&self, adrs: &Address, sk_seed: &[u8], out: &mut [u8]) {
-        debug_assert_eq!(sk_seed.len(), self.params.n);
-        self.tweak_into(adrs, &[sk_seed], out);
     }
 
     /// `PRF_msg`: message randomizer `r = PRF(sk_prf, opt_rand, m)`.
@@ -1096,12 +1084,8 @@ mod tests {
         let m = [1u8; 16];
         let r = [2u8; 16];
         let mut out = [0u8; 16];
-        ctx.f_into(&a, &m, &mut out);
-        assert_eq!(out[..], ctx.f(&a, &m)[..]);
         ctx.h_into(&a, &m, &r, &mut out);
         assert_eq!(out[..], ctx.h(&a, &m, &r)[..]);
-        ctx.prf_into(&a, &m, &mut out);
-        assert_eq!(out[..], ctx.prf(&a, &m)[..]);
         let mut flat = [0u8; 32];
         flat[..16].copy_from_slice(&m);
         flat[16..].copy_from_slice(&r);

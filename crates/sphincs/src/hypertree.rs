@@ -14,8 +14,10 @@
 //! to `T_len`; the `2^h' − 1` nodes above them go level by level
 //! ([`merkle`]). [`subtrees`] is the one builder: signing, key generation
 //! and the planner's build nodes all take what they need from its result.
-//! The layer-by-layer spelling of the scheme is [`crate::reference`],
-//! which every routine here is tested against.
+//! Verification climbs the same subtrees a group of signatures at a time,
+//! one layer per stage of [`crate::sign::VerifyingKey::verify_many`]
+//! (`xmss_roots_group`). The layer-by-layer spelling of the scheme is
+//! [`crate::reference`], which every routine here is tested against.
 //!
 //! ```
 //! use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference, wots};
@@ -207,80 +209,6 @@ pub fn tree_sign(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<Tr
         .collect()
 }
 
-/// One signature's share of a batched XMSS layer recomputation: its
-/// layer signature, the node it authenticates (FORS pk at layer 0, the
-/// layer below's recovered root above), and its tree/leaf coordinates.
-#[derive(Clone, Copy, Debug)]
-pub struct XmssVerifyRequest<'a> {
-    /// The layer's XMSS signature.
-    pub sig: &'a XmssSig,
-    /// The `n`-byte value the WOTS+ signature covers.
-    pub msg: &'a [u8],
-    /// Tree index within the layer.
-    pub tree: u64,
-    /// Leaf index within the tree.
-    pub leaf_idx: u32,
-}
-
-/// Recomputes the roots of XMSS trees of one layer from signatures, each
-/// over its own `msg` at its own (`tree`, `leaf_idx`): the requests go a
-/// verification group at a time through the XMSS stage of
-/// [`crate::sign::VerifyingKey::verify_many`] (`xmss_roots_group`). A
-/// request's root does not depend on what else is in the call.
-///
-/// ```
-/// use hero_sphincs::{hash::HashCtx, hypertree, params::Params, reference};
-///
-/// let mut params = Params::sphincs_128f();
-/// params.h = 6;
-/// params.d = 3;
-/// let ctx = HashCtx::new(params, &[0u8; 16]);
-/// let (sig, root) = reference::xmss_sign(&ctx, &[9u8; 16], &[1u8; 16], 0, 2, 1);
-/// let reqs = [hypertree::XmssVerifyRequest {
-///     sig: &sig,
-///     msg: &[9u8; 16],
-///     tree: 2,
-///     leaf_idx: 1,
-/// }];
-/// assert_eq!(hypertree::xmss_pk_from_sig_many(&ctx, 0, &reqs), vec![root]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a message is not `n` bytes or a signature's shape is
-/// malformed.
-pub fn xmss_pk_from_sig_many(
-    ctx: &HashCtx,
-    layer: u32,
-    reqs: &[XmssVerifyRequest],
-) -> Vec<Vec<u8>> {
-    let n = ctx.params().n;
-    let mut scratch = Scratch::new(ctx);
-    let mut out = Vec::with_capacity(reqs.len());
-    let mut items = Vec::with_capacity(scratch.width);
-    for reqs in reqs.chunks(scratch.width) {
-        for (req, msg) in reqs.iter().zip(scratch.roots.chunks_exact_mut(n)) {
-            assert_eq!(req.msg.len(), n, "WOTS+ message must be n bytes");
-            msg.copy_from_slice(req.msg);
-        }
-        items.clear();
-        items.extend(reqs.iter().map(|req| SubtreeItem {
-            layer,
-            tree_idx: req.tree,
-            leaf_idx: req.leaf_idx,
-        }));
-        xmss_roots_group(ctx, &mut scratch, |s| reqs[s].sig, &items);
-        out.extend(
-            scratch
-                .roots
-                .chunks_exact(n)
-                .take(reqs.len())
-                .map(<[u8]>::to_vec),
-        );
-    }
-    out
-}
-
 /// One XMSS layer of verification for a group of signatures: signature
 /// `s` is `sig(s)` at subtree `items[s]`, all of one layer, and
 /// `scratch.roots[s*n..]`
@@ -295,9 +223,8 @@ pub fn xmss_pk_from_sig_many(
 /// absorbs its own `T_len` over them and climbs its `h'` authentication
 /// nodes; a narrower group keeps `T_len` and the climb on bytes. The
 /// level sweep runs the group's chains round by round through
-/// [`HashCtx::f_chains`] ([`wots::pk_from_sig_many`]) and every leaf's
-/// climb a level of the whole group at a time
-/// ([`merkle::roots_from_auth_paths_many`]).
+/// [`HashCtx::f_chains_in`] ([`wots::pks_in`]) and every leaf's climb a
+/// level of the whole group at a time ([`merkle::roots_in`]).
 ///
 /// # Panics
 ///
@@ -433,6 +360,7 @@ pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::reference;
+    use crate::sign::verify_stages::xmss_many;
 
     /// Reduced parameters keep hypertree tests fast: h=6, d=3 (h'=2).
     fn tiny_params() -> Params {
@@ -478,7 +406,7 @@ mod tests {
     }
 
     /// The top root a hypertree signature reconstructs, layer by layer
-    /// through [`xmss_pk_from_sig_many`] at batch 1 (what
+    /// through the XMSS stage of verification for a group of one (what
     /// `VerifyingKey::verify_many` does across signatures).
     fn root_from_sig(
         ctx: &HashCtx,
@@ -490,13 +418,7 @@ mod tests {
         let items = subtree_items(ctx.params(), tree_idx, leaf_idx);
         let mut node = msg.to_vec();
         for (sig, item) in sig.layers.iter().zip(&items) {
-            let req = XmssVerifyRequest {
-                sig,
-                msg: &node,
-                tree: item.tree_idx,
-                leaf_idx: item.leaf_idx,
-            };
-            node = xmss_pk_from_sig_many(ctx, item.layer, &[req]).remove(0);
+            node = xmss_many(ctx, &[sig], &[&node], &[*item]).remove(0);
         }
         node
     }
@@ -531,13 +453,8 @@ mod tests {
             let (sig, root) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
             assert_eq!(built.root(), root);
             assert_eq!(built.auth_path(leaf_idx), sig.auth_path);
-            let req = XmssVerifyRequest {
-                sig: &sig,
-                msg: &msg,
-                tree: 3,
-                leaf_idx,
-            };
-            assert_eq!(xmss_pk_from_sig_many(&ctx, 0, &[req]), [root]);
+            let item = SubtreeItem { leaf_idx, ..item };
+            assert_eq!(xmss_many(&ctx, &[&sig], &[&msg], &[item]), [root]);
         }
     }
 
@@ -570,64 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn xmss_pk_from_sig_many_matches_per_request() {
-        // Requests spanning different trees and leaves of one layer —
-        // the verify planner's per-layer stage — must each recover a
-        // root byte-identical to the reference's.
-        let (params, ctx, sk_seed) = setup();
-        for count in [1usize, 2, 5] {
-            let made: Vec<(XmssSig, Vec<u8>, u64, u32)> = (0..count)
-                .map(|i| {
-                    let msg: Vec<u8> = (0..params.n).map(|b| (i * 29 + b) as u8).collect();
-                    let tree = i as u64 % 4;
-                    let leaf_idx = i as u32 % params.subtree_leaves() as u32;
-                    let (sig, _) = reference::xmss_sign(&ctx, &msg, &sk_seed, 1, tree, leaf_idx);
-                    (sig, msg, tree, leaf_idx)
-                })
-                .collect();
-            let reqs: Vec<XmssVerifyRequest> = made
-                .iter()
-                .map(|(sig, msg, tree, leaf_idx)| XmssVerifyRequest {
-                    sig,
-                    msg,
-                    tree: *tree,
-                    leaf_idx: *leaf_idx,
-                })
-                .collect();
-            let batched = xmss_pk_from_sig_many(&ctx, 1, &reqs);
-            assert_eq!(batched.len(), count);
-            for (i, (sig, msg, tree, leaf_idx)) in made.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    reference::xmss_pk_from_sig(&ctx, sig, msg, 1, *tree, *leaf_idx),
-                    "count={count} request {i}"
-                );
-            }
-        }
-        assert!(xmss_pk_from_sig_many(&ctx, 0, &[]).is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
     fn sign_rejects_a_long_message() {
         let (params, ctx, sk_seed) = setup();
         let _ = sign(&ctx, &vec![0x77u8; params.n + 1], &sk_seed, 2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "WOTS+ message must be n bytes")]
-    fn xmss_pk_from_sig_many_rejects_a_long_message() {
-        let (params, ctx, sk_seed) = setup();
-        let msg = vec![0x77u8; params.n];
-        let (sig, _) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, 1);
-        let long = vec![0x77u8; params.n + 1];
-        let req = XmssVerifyRequest {
-            sig: &sig,
-            msg: &long,
-            tree: 3,
-            leaf_idx: 1,
-        };
-        let _ = xmss_pk_from_sig_many(&ctx, 0, &[req]);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! projection of that buffer: [`treehash_many`] slices the root and one
 //! leaf's authentication path out of it per tree, [`treehash_many_levels`]
 //! hands each tree its whole pyramid ([`TreeLevels`]), from which any
-//! leaf can be served later. Verification climbs many authentication
-//! paths the same way, a level of all of them per sweep
-//! ([`roots_from_auth_paths_many`]). Everything is generic over the hash
+//! leaf can be served later. Verification's level sweep climbs many
+//! authentication paths the same way, a level of all of them per sweep
+//! (`roots_in`). Everything is generic over the hash
 //! primitive carried by the [`HashCtx`]; the node-by-node spelling both
 //! directions are tested against is [`crate::reference::treehash`] and
 //! [`crate::reference::root_from_auth_path`].
@@ -319,7 +319,7 @@ where
 /// verification-side analogue of [`TreeHashJob`]. `leaf_offset` embeds
 /// the job's tree in a forest exactly as [`TreeHashJob::leaf_offset`]
 /// does.
-pub struct AuthPathJob<'a> {
+pub(crate) struct AuthPathJob<'a> {
     /// The recomputed leaf node (`n` bytes).
     pub leaf: &'a [u8],
     /// Index of the leaf within its tree.
@@ -334,60 +334,20 @@ pub struct AuthPathJob<'a> {
     pub leaf_offset: u32,
 }
 
-/// Recomputes many Merkle roots from leaves and authentication paths in
-/// one combined sweep: all jobs climb in lockstep, each level hashing
-/// every job's (node, sibling) pair through a single batched
-/// [`HashCtx::h_many`] call — the verification twin of
-/// [`treehash_many`]. All jobs must share one auth-path height (true for
-/// both FORS forests, `log_t` per tree, and XMSS layers, `tree_height`
-/// per layer).
-///
-/// A job's root does not depend on what else is in the call.
-///
-/// ```
-/// use hero_sphincs::{address::Address, hash::HashCtx, merkle, params::Params};
-///
-/// let ctx = HashCtx::new(Params::sphincs_128f(), &[0u8; 16]);
-/// let job = merkle::TreeHashJob {
-///     leaf_idx: 5,
-///     node_adrs: Address::new(),
-///     leaf_offset: 0,
-/// };
-/// let out = &merkle::treehash_many(&ctx, 3, &[job], |leaves| {
-///     for (i, slot) in leaves.chunks_exact_mut(16).enumerate() {
-///         slot.fill(i as u8);
-///     }
-/// })[0];
-/// let climb = merkle::AuthPathJob {
-///     leaf: &[5u8; 16],
-///     leaf_idx: 5,
-///     auth_path: out.auth_path.as_bytes(),
-///     node_adrs: job.node_adrs,
-///     leaf_offset: 0,
-/// };
-/// let mut root = [0u8; 16];
-/// merkle::roots_from_auth_paths_many(&ctx, &[climb], &mut root);
-/// assert_eq!(root[..], out.root[..]);
-/// ```
+/// Recomputes the Merkle roots of `count` jobs from their leaves and
+/// authentication paths, job `j` being `job(j)`, its root written to
+/// `out[j*n..]` — the verification twin of [`treehash_many`]: the jobs
+/// climb in lockstep, each level hashing every job's (node, sibling) pair
+/// through one batched [`HashCtx::h_many`]. [`CLIMBS`] jobs at a time
+/// climb every level, so nothing is allocated, and a lone job climbs one
+/// `H` at a time instead of in a part-empty lane group. A job's root does
+/// not depend on what else is in the call.
 ///
 /// # Panics
 ///
-/// Panics if `out` is not `jobs.len() * n` bytes, a leaf is not `n`
-/// bytes or jobs disagree on auth-path height (the library verify path
-/// checks shapes first and returns a typed error).
-pub fn roots_from_auth_paths_many(ctx: &HashCtx, jobs: &[AuthPathJob], out: &mut [u8]) {
-    assert_eq!(
-        out.len(),
-        jobs.len() * ctx.params().n,
-        "out must be count*n bytes"
-    );
-    roots_in(ctx, jobs.len(), |j| AuthPathJob { ..jobs[j] }, out);
-}
-
-/// [`roots_from_auth_paths_many`] over `count` jobs, job `j` being
-/// `job(j)`, its root written to `out[j*n..]`: [`CLIMBS`] jobs at a time
-/// climb every level, so nothing is allocated, and a lone job climbs one
-/// `H` at a time instead of in a part-empty lane group.
+/// Panics if a leaf is not `n` bytes or the jobs disagree on auth-path
+/// height (true for both FORS forests, `log_t` per tree, and XMSS layers,
+/// `tree_height` per layer).
 pub(crate) fn roots_in<'p>(
     ctx: &HashCtx,
     count: usize,
@@ -547,7 +507,7 @@ mod tests {
             leaf_offset: 0,
         };
         let mut root = vec![0u8; leaf.len()];
-        roots_from_auth_paths_many(ctx, &[job], &mut root);
+        roots_in(ctx, 1, |_| AuthPathJob { ..job }, &mut root);
         root
     }
 
@@ -555,21 +515,22 @@ mod tests {
     fn auth_path_reconstructs_root_every_leaf() {
         let ctx = ctx();
         let adrs = Address::new();
-        let height = 4;
-        for leaf_idx in 0..(1u32 << height) {
-            let out = one(&ctx, height, leaf_idx, &adrs);
-            assert_eq!(out.auth_path.len(), height);
-            let leaf = leaf_vec(leaf_idx);
-            assert_eq!(
-                climb(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs),
-                out.root,
-                "leaf {leaf_idx}"
-            );
-            assert_eq!(
-                reference::root_from_auth_path(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs, 0),
-                out.root,
-                "leaf {leaf_idx} reference"
-            );
+        for height in 1..=5 {
+            for leaf_idx in 0..(1u32 << height) {
+                let out = one(&ctx, height, leaf_idx, &adrs);
+                assert_eq!(out.auth_path.len(), height);
+                let leaf = leaf_vec(leaf_idx);
+                assert_eq!(
+                    climb(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs),
+                    out.root,
+                    "height {height} leaf {leaf_idx}"
+                );
+                assert_eq!(
+                    reference::root_from_auth_path(&ctx, &leaf, leaf_idx, &out.auth_path, &adrs, 0),
+                    out.root,
+                    "height {height} leaf {leaf_idx} reference"
+                );
+            }
         }
     }
 
@@ -621,7 +582,7 @@ mod tests {
                 })
                 .collect();
             let mut roots = vec![0u8; jn * 16];
-            roots_from_auth_paths_many(&ctx, &jobs, &mut roots);
+            roots_in(&ctx, jn, |j| AuthPathJob { ..jobs[j] }, &mut roots);
             for (j, ((job, out), root)) in built.iter().zip(&outs).zip(roots.chunks(16)).enumerate()
             {
                 assert_eq!(root, &out.root, "jn={jn} job {j} root");
@@ -636,7 +597,7 @@ mod tests {
                 assert_eq!(root, &scalar, "jn={jn} job {j} scalar");
             }
         }
-        roots_from_auth_paths_many(&ctx, &[], &mut []);
+        roots_in(&ctx, 0, |_| unreachable!("no jobs"), &mut []);
     }
 
     #[test]

@@ -179,7 +179,8 @@ impl Signature {
     }
 }
 
-/// Generates a key pair for `params` using `rng`.
+/// Generates a key pair for `params` using `rng`, hashing with the
+/// shape's own family ([`Params::preferred_alg`]).
 ///
 /// # Errors
 ///
@@ -189,14 +190,7 @@ pub fn keygen<R: RngCore>(
     params: Params,
     rng: &mut R,
 ) -> Result<(SigningKey, VerifyingKey), SignError> {
-    params.validate().map_err(SignError::InvalidParams)?;
-    let mut sk_seed = vec![0u8; params.n];
-    let mut sk_prf = vec![0u8; params.n];
-    let mut pk_seed = vec![0u8; params.n];
-    rng.fill_bytes(&mut sk_seed);
-    rng.fill_bytes(&mut sk_prf);
-    rng.fill_bytes(&mut pk_seed);
-    Ok(keygen_from_seeds(params, sk_seed, sk_prf, pk_seed))
+    keygen_with_alg(params, params.preferred_alg(), rng)
 }
 
 /// [`keygen`] over an explicit hash primitive (the paper's
@@ -223,7 +217,8 @@ pub fn keygen_with_alg<R: RngCore>(
     ))
 }
 
-/// Deterministic key generation from explicit seeds (each `n` bytes).
+/// Deterministic key generation from explicit seeds (each `n` bytes),
+/// hashing with the shape's own family ([`Params::preferred_alg`]).
 ///
 /// # Panics
 ///
@@ -234,7 +229,7 @@ pub fn keygen_from_seeds(
     sk_prf: Vec<u8>,
     pk_seed: Vec<u8>,
 ) -> (SigningKey, VerifyingKey) {
-    keygen_from_seeds_with_alg(params, HashAlg::Sha256, sk_seed, sk_prf, pk_seed)
+    keygen_from_seeds_with_alg(params, params.preferred_alg(), sk_seed, sk_prf, pk_seed)
 }
 
 /// [`keygen_from_seeds`] over an explicit hash primitive.
@@ -505,13 +500,14 @@ impl VerifyingKey {
             .expect("one verdict per signature")
     }
 
-    /// Verifies many signatures lane-batched: shape-invalid signatures
+    /// Verifies many signatures lane-batched — the one way into
+    /// verification this crate has: shape-invalid signatures
     /// short-circuit to their typed error, and the rest go a group at a
     /// time through one pipeline, whatever the hash family and tier: the
-    /// group's FORS public keys ([`fors::pk_from_sig_many`]), then every
-    /// hypertree layer ([`hypertree::xmss_pk_from_sig_many`]), then the
-    /// comparison with the root — so signature A's chains share SIMD lanes
-    /// with signature B's. A group is the resident width where the lane
+    /// group's FORS public keys (the FORS stage, `fors::pks_group`), then
+    /// every hypertree layer (an XMSS stage each,
+    /// `hypertree::xmss_roots_group`), then the comparison with the root —
+    /// so signature A's chains share SIMD lanes with signature B's. A group is the resident width where the lane
     /// bodies run (under SHA-256, above the `scalar` rung), otherwise
     /// [`fors::LANE_SIGNATURES`]; each stage picks its body for the group
     /// — the lanes, the byte tail of a narrow group, or the level sweep —
@@ -593,9 +589,9 @@ impl VerifyingKey {
     }
 }
 
-/// What one verification call works in, allocated once for all its
-/// groups and layers: the lane bodies where they run, and the buffers of
-/// the byte tail and the level sweep.
+/// What one verification call ([`VerifyingKey::verify_many`]) works in,
+/// allocated once for all its groups and layers: the lane bodies where
+/// they run, and the buffers of the byte tail and the level sweep.
 pub(crate) struct Scratch<'a> {
     #[cfg(target_arch = "x86_64")]
     pub lanes: Option<crate::ascent::Resident<'a>>,
@@ -972,10 +968,421 @@ mod tests {
     }
 
     #[test]
+    fn keygen_takes_the_shape_family() {
+        // A key hashes with its shape's family, whichever keygen made it:
+        // SHAKE-256 for a SHAKE-named shape, SHA-256 for a SHA-named one.
+        let mut shake = Params::shake_128f();
+        (shake.h, shake.d, shake.log_t, shake.k) = (6, 3, 4, 8);
+        for (params, alg) in [(shake, HashAlg::Shake256), (tiny_params(), HashAlg::Sha256)] {
+            let n = params.n;
+            let from_rng = keygen(params, &mut StdRng::seed_from_u64(56)).unwrap();
+            let from_seeds = keygen_from_seeds(params, vec![1; n], vec![2; n], vec![3; n]);
+            for (sk, vk) in [from_rng, from_seeds] {
+                assert_eq!((sk.alg(), vk.alg()), (alg, alg), "{}", params.name());
+                let sig = sk.sign(b"family");
+                vk.verify(b"family", &sig).unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn debug_does_not_leak_secrets() {
         let mut rng = StdRng::seed_from_u64(49);
         let (sk, _) = keygen(tiny_params(), &mut rng).unwrap();
         let dbg = format!("{sk:?}");
         assert!(!dbg.contains("sk_seed"));
+    }
+}
+
+/// The two stages of [`VerifyingKey::verify_many`], each driven over any
+/// number of signatures a group at a time through one [`Scratch`], held
+/// byte-identical to [`crate::reference::fors_pk_from_sig`] and
+/// [`crate::reference::xmss_pk_from_sig`], one `F` / `H` / `T_l` at a
+/// time, under every ISA tier the host supports. Forcing a SHA-256 tier
+/// forces the resident ladder's too (`sha-ni`, which has no body there,
+/// selects the ladder's best), so walking the SHA-256 tiers walks both
+/// widths of the lane = tree climb and the lane = signature ascent, and
+/// the level sweep. `hero-sphincs` is built optimised under `cargo test`
+/// too (the root `Cargo.toml`), so the bodies run here as they ship, at
+/// every group width.
+///
+/// Neither side checks a signature against a key — both recompute a root
+/// from whatever they are given — so the signatures here are random bytes
+/// of the right shape: any `n`, any `w`, full-size forests, and nothing
+/// to sign first.
+#[cfg(test)]
+pub(crate) mod verify_stages {
+    use super::*;
+    use crate::reference;
+    use crate::tier::tests::{with_forced_tier, FORCE_LOCK};
+    use crate::tier::{self, HashTier};
+
+    /// The FORS stage over `sigs`, a group at a time through one scratch:
+    /// signature `s`'s public key, from digest `mds[s]` at `adrs[s]`.
+    pub(crate) fn fors_many(
+        ctx: &HashCtx,
+        sigs: &[&ForsSignature],
+        mds: &[&[u8]],
+        adrs: &[Address],
+    ) -> Vec<Vec<u8>> {
+        let mut scratch = Scratch::new(ctx);
+        let (n, w) = (ctx.params().n, scratch.width);
+        let mut out = Vec::with_capacity(sigs.len());
+        for ((sigs, mds), adrs) in sigs.chunks(w).zip(mds.chunks(w)).zip(adrs.chunks(w)) {
+            fors::pks_group(ctx, &mut scratch, sigs, mds, adrs);
+            let roots = scratch.roots.chunks_exact(n).take(sigs.len());
+            out.extend(roots.map(<[u8]>::to_vec));
+        }
+        out
+    }
+
+    /// One XMSS stage over `sigs`, a group at a time through one scratch:
+    /// the root signature `s` recomputes over `msgs[s]` at `items[s]`.
+    pub(crate) fn xmss_many(
+        ctx: &HashCtx,
+        sigs: &[&XmssSig],
+        msgs: &[&[u8]],
+        items: &[SubtreeItem],
+    ) -> Vec<Vec<u8>> {
+        let mut scratch = Scratch::new(ctx);
+        let (n, w) = (ctx.params().n, scratch.width);
+        let mut out = Vec::with_capacity(sigs.len());
+        for ((sigs, msgs), items) in sigs.chunks(w).zip(msgs.chunks(w)).zip(items.chunks(w)) {
+            for (msg, node) in msgs.iter().zip(scratch.roots.chunks_exact_mut(n)) {
+                node.copy_from_slice(msg);
+            }
+            hypertree::xmss_roots_group(ctx, &mut scratch, |s| sigs[s], items);
+            let roots = scratch.roots.chunks_exact(n).take(sigs.len());
+            out.extend(roots.map(<[u8]>::to_vec));
+        }
+        out
+    }
+
+    /// Requests per case: two of the widest lane = signature groups and
+    /// one more, so that every width on either side of the selection, a
+    /// last group filled in part and a 17th signature all occur. A case is
+    /// cut to every count from none to all of them.
+    const REQUESTS: usize = 33;
+
+    /// xorshift64*: the tests' own stream, so a case is its seed.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, bound: u32) -> u32 {
+            (self.next() % bound as u64) as u32
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    /// Runs `body` under every SHA-256 tier the host supports, one test of
+    /// this crate at a time.
+    fn under_every_tier(mut body: impl FnMut(HashTier)) {
+        let _turn = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for tier in tier::supported_sha256_tiers() {
+            with_forced_tier(tier, || body(tier));
+        }
+    }
+
+    /// Every node width (one- and two-block `H`; `T_len` over 35, 51 and
+    /// 67 chain ends at `w = 16`) at both ends of `w` and in the middle.
+    fn shapes() -> Vec<Params> {
+        let mut shapes = Vec::new();
+        for set in Params::fast_sets() {
+            for w in [4, 16, 256] {
+                let mut params = set;
+                params.w = w;
+                params.validate().expect("a shape the library accepts");
+                shapes.push(params);
+            }
+        }
+        shapes
+    }
+
+    /// A tree index with both ends of the range over-represented.
+    fn random_tree(rng: &mut Stream) -> u64 {
+        match rng.below(4) {
+            0 => 0,
+            1 => (1 << 63) - 1,
+            _ => rng.next() >> 1,
+        }
+    }
+
+    fn random_nodes(count: usize, n: usize, rng: &mut Stream) -> Nodes {
+        Nodes::from_bytes(n, (0..count).flat_map(|_| rng.bytes(n)).collect())
+    }
+
+    /// One FORS verification: a signature, the digest that picks its
+    /// leaves, and where its forest stands.
+    struct ForsCase {
+        sig: ForsSignature,
+        md: Vec<u8>,
+        keypair_adrs: Address,
+    }
+
+    fn random_fors_case(params: &Params, rng: &mut Stream) -> ForsCase {
+        let trees = (0..params.k)
+            .map(|_| ForsTreeSig {
+                sk: rng.bytes(params.n),
+                auth_path: random_nodes(params.log_t, params.n, rng),
+            })
+            .collect();
+        let mut keypair_adrs = Address::new();
+        keypair_adrs.set_tree(random_tree(rng));
+        keypair_adrs.set_type(AddressType::ForsTree);
+        keypair_adrs.set_keypair(rng.next() as u32);
+        ForsCase {
+            sig: ForsSignature { trees },
+            md: rng.bytes((params.k * params.log_t).div_ceil(8)),
+            keypair_adrs,
+        }
+    }
+
+    fn fors_oracle(ctx: &HashCtx, cases: &[ForsCase]) -> Vec<Vec<u8>> {
+        cases
+            .iter()
+            .map(|case| reference::fors_pk_from_sig(ctx, &case.sig, &case.md, &case.keypair_adrs))
+            .collect()
+    }
+
+    fn fors_cases(ctx: &HashCtx, cases: &[ForsCase]) -> Vec<Vec<u8>> {
+        let sigs: Vec<&ForsSignature> = cases.iter().map(|case| &case.sig).collect();
+        let mds: Vec<&[u8]> = cases.iter().map(|case| case.md.as_slice()).collect();
+        let adrs: Vec<Address> = cases.iter().map(|case| case.keypair_adrs).collect();
+        fors_many(ctx, &sigs, &mds, &adrs)
+    }
+
+    /// One XMSS layer verification: the layer's signature, the node it
+    /// covers, and where its tree stands.
+    struct XmssCase {
+        sig: XmssSig,
+        msg: Vec<u8>,
+        tree: u64,
+        leaf_idx: u32,
+    }
+
+    fn random_xmss_case(params: &Params, rng: &mut Stream) -> XmssCase {
+        let leaves = params.subtree_leaves() as u32;
+        XmssCase {
+            sig: XmssSig {
+                wots_sig: random_nodes(params.wots_len(), params.n, rng),
+                auth_path: random_nodes(params.tree_height(), params.n, rng),
+            },
+            // A zero or an all-ones digit now and then: a chain of `w − 1`
+            // steps, a chain of none.
+            msg: match rng.below(8) {
+                0 => vec![0; params.n],
+                1 => vec![0xff; params.n],
+                _ => rng.bytes(params.n),
+            },
+            tree: random_tree(rng),
+            leaf_idx: match rng.below(4) {
+                0 => 0,
+                1 => leaves - 1,
+                _ => rng.below(leaves),
+            },
+        }
+    }
+
+    fn xmss_oracle(ctx: &HashCtx, layer: u32, cases: &[XmssCase]) -> Vec<Vec<u8>> {
+        cases
+            .iter()
+            .map(|c| reference::xmss_pk_from_sig(ctx, &c.sig, &c.msg, layer, c.tree, c.leaf_idx))
+            .collect()
+    }
+
+    fn xmss_cases(ctx: &HashCtx, layer: u32, cases: &[XmssCase]) -> Vec<Vec<u8>> {
+        let sigs: Vec<&XmssSig> = cases.iter().map(|c| &c.sig).collect();
+        let msgs: Vec<&[u8]> = cases.iter().map(|c| c.msg.as_slice()).collect();
+        let items: Vec<SubtreeItem> = cases
+            .iter()
+            .map(|c| SubtreeItem {
+                layer,
+                tree_idx: c.tree,
+                leaf_idx: c.leaf_idx,
+            })
+            .collect();
+        xmss_many(ctx, &sigs, &msgs, &items)
+    }
+
+    /// Every request count up to [`REQUESTS`], every shape, every tier:
+    /// the first `count` answers of the stages are the scalar ones.
+    #[test]
+    fn every_width_of_every_shape_matches_scalar_under_every_tier() {
+        let mut rng = Stream(0x00a5_ce47);
+        for params in shapes() {
+            let ctx = HashCtx::new(params, &rng.bytes(params.n));
+            let layer = rng.below(params.d as u32);
+            let fors: Vec<ForsCase> = (0..REQUESTS)
+                .map(|_| random_fors_case(&params, &mut rng))
+                .collect();
+            let xmss: Vec<XmssCase> = (0..REQUESTS)
+                .map(|_| random_xmss_case(&params, &mut rng))
+                .collect();
+            let fors_expected = fors_oracle(&ctx, &fors);
+            let xmss_expected = xmss_oracle(&ctx, layer, &xmss);
+            under_every_tier(|tier| {
+                for count in 0..=REQUESTS {
+                    let what = format!(
+                        "{} w={} count={count} under {}",
+                        params.name(),
+                        params.w,
+                        tier.label()
+                    );
+                    assert_eq!(
+                        fors_cases(&ctx, &fors[..count]),
+                        fors_expected[..count],
+                        "FORS, {what}"
+                    );
+                    assert_eq!(
+                        xmss_cases(&ctx, layer, &xmss[..count]),
+                        xmss_expected[..count],
+                        "XMSS, {what}"
+                    );
+                }
+            });
+        }
+    }
+
+    /// Every leaf index of a tree — every pattern of left and right on the
+    /// way up — in every lane of a group, for both kinds of climb.
+    #[test]
+    fn every_leaf_index_matches_scalar_under_every_tier() {
+        let mut rng = Stream(0x1eaf);
+        for set in Params::fast_sets() {
+            let mut params = set;
+            (params.h, params.d, params.log_t, params.k) = (20, 5, 4, 5);
+            params.validate().expect("a shape the library accepts");
+            let ctx = HashCtx::new(params, &rng.bytes(params.n));
+            let t = params.t() as u32;
+
+            // Request `r`'s tree `j` reveals leaf `(r + j) mod t`: over `t`
+            // requests every tree sees every leaf.
+            let fors: Vec<ForsCase> = (0..t)
+                .map(|r| {
+                    let mut case = random_fors_case(&params, &mut rng);
+                    let mut bits = 0u32;
+                    for j in 0..params.k as u32 {
+                        bits = (bits << params.log_t) | ((r + j) % t);
+                    }
+                    // k · log_t = 20 bits, MSB first, in three bytes.
+                    case.md = (bits << 4).to_be_bytes()[1..].to_vec();
+                    assert_eq!(
+                        fors::message_to_indices(&params, &case.md)[0],
+                        r % t,
+                        "the digest spells the indices"
+                    );
+                    case
+                })
+                .collect();
+            let xmss: Vec<XmssCase> = (0..2 * params.subtree_leaves() as u32)
+                .map(|r| {
+                    let mut case = random_xmss_case(&params, &mut rng);
+                    case.leaf_idx = r % params.subtree_leaves() as u32;
+                    case
+                })
+                .collect();
+            let fors_expected = fors_oracle(&ctx, &fors);
+            let xmss_expected = xmss_oracle(&ctx, 2, &xmss);
+            under_every_tier(|tier| {
+                let what = format!("{} under {}", params.name(), tier.label());
+                assert_eq!(fors_cases(&ctx, &fors), fors_expected, "FORS, {what}");
+                assert_eq!(xmss_cases(&ctx, 2, &xmss), xmss_expected, "XMSS, {what}");
+            });
+        }
+    }
+
+    /// One flipped bit in a revealed secret, in a chain node or in an
+    /// authentication node of either kind moves the recomputed root, and
+    /// moves the batched one to the same place — in a wide group and in
+    /// one the selection leaves on bytes.
+    #[test]
+    fn tampered_nodes_move_the_root_as_they_move_the_scalar_one() {
+        let mut rng = Stream(0x7a3b);
+        for set in Params::fast_sets() {
+            let ctx = HashCtx::new(set, &rng.bytes(set.n));
+            for count in [1usize, 5, 17] {
+                let mut fors: Vec<ForsCase> = (0..count)
+                    .map(|_| random_fors_case(&set, &mut rng))
+                    .collect();
+                let mut xmss: Vec<XmssCase> = (0..count)
+                    .map(|_| random_xmss_case(&set, &mut rng))
+                    .collect();
+                let fors_clean = fors_oracle(&ctx, &fors);
+                let xmss_clean = xmss_oracle(&ctx, 0, &xmss);
+
+                let hit = count - 1;
+                let tree = rng.below(set.k as u32) as usize;
+                let level = rng.below(set.log_t as u32) as usize;
+                let chain = rng.below(set.wots_len() as u32) as usize;
+                let step = rng.below(set.tree_height() as u32) as usize;
+                type Tamper = fn(&mut ForsCase, &mut XmssCase, [usize; 4]);
+                let tampers: [(&str, Tamper); 4] = [
+                    ("FORS secret", |f, _, at| f.sig.trees[at[0]].sk[0] ^= 1),
+                    ("FORS path", |f, _, at| {
+                        f.sig.trees[at[0]].auth_path[at[1]][3] ^= 0x10
+                    }),
+                    ("chain node", |_, x, at| x.sig.wots_sig[at[2]][1] ^= 0x80),
+                    ("XMSS path", |_, x, at| x.sig.auth_path[at[3]][2] ^= 4),
+                ];
+                for (what, tamper) in tampers {
+                    let at = [tree, level, chain, step];
+                    tamper(&mut fors[hit], &mut xmss[hit], at);
+                    let fors_expected = fors_oracle(&ctx, &fors);
+                    let xmss_expected = xmss_oracle(&ctx, 0, &xmss);
+                    assert!(
+                        fors_expected != fors_clean || xmss_expected != xmss_clean,
+                        "{what}: a flipped bit moves a root"
+                    );
+                    under_every_tier(|tier| {
+                        let what = format!(
+                            "{what}, {} count={count} under {}",
+                            set.name(),
+                            tier.label()
+                        );
+                        assert_eq!(fors_cases(&ctx, &fors), fors_expected, "{what}");
+                        assert_eq!(xmss_cases(&ctx, 0, &xmss), xmss_expected, "{what}");
+                    });
+                    // Flip it back: the next tamper starts from clean.
+                    tamper(&mut fors[hit], &mut xmss[hit], at);
+                }
+            }
+        }
+    }
+
+    /// SHAKE-256 and SHA-512 go through the same stages, with the level
+    /// sweep and the round loop behind them.
+    #[test]
+    fn the_other_primitives_match_scalar_through_the_same_stages() {
+        let mut rng = Stream(0x5eed);
+        for alg in [HashAlg::Shake256, HashAlg::Sha512] {
+            for set in Params::fast_sets() {
+                let ctx = HashCtx::with_alg(set, &rng.bytes(set.n), alg);
+                let fors: Vec<ForsCase> =
+                    (0..17).map(|_| random_fors_case(&set, &mut rng)).collect();
+                let xmss: Vec<XmssCase> =
+                    (0..17).map(|_| random_xmss_case(&set, &mut rng)).collect();
+                let what = format!("{alg:?} {}", set.name());
+                assert_eq!(
+                    fors_cases(&ctx, &fors),
+                    fors_oracle(&ctx, &fors),
+                    "FORS, {what}"
+                );
+                assert_eq!(
+                    xmss_cases(&ctx, 3, &xmss),
+                    xmss_oracle(&ctx, 3, &xmss),
+                    "XMSS, {what}"
+                );
+            }
+        }
     }
 }

@@ -726,8 +726,26 @@ pub fn description() -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Forcing a tier is process-global: every test of this crate that
+    /// forces one, or asserts which one is active, takes this lock.
+    pub(crate) static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `body` with every primitive forced to `tier`, restoring the
+    /// tiers after it, panicking or not. The caller holds [`FORCE_LOCK`].
+    pub(crate) fn with_forced_tier<R>(tier: HashTier, body: impl FnOnce() -> R) -> R {
+        struct Restore(ActiveTiers);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                restore_tier(self.0);
+            }
+        }
+        let _guard = Restore(force_tier(tier));
+        body()
+    }
 
     #[test]
     fn labels_round_trip() {
@@ -800,6 +818,7 @@ mod tests {
 
     #[test]
     fn force_and_restore_round_trip() {
+        let _turn = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = force_tier(HashTier::Scalar);
         assert_eq!(active_tiers(), ActiveTiers([HashTier::Scalar; 3]));
         restore_tier(prev);

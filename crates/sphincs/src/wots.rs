@@ -7,40 +7,40 @@
 //! chain-level thread parallelism.
 //!
 //! On CPU the same independence is exploited across SIMD lanes: the
-//! chains of a batch of requests ([`sign_many`], [`pk_from_sig_many`])
-//! live in one flat `n`-stride buffer and run to completion through
-//! [`HashCtx::f_chains`], the way this crate walks a chain outside of the
-//! step-by-step [`crate::reference::chain`] its tests hold it to. The
-//! chain step is whatever primitive the [`HashCtx`] carries. Under SHA-256 the two sides that work on whole
-//! keys stay in the lanes beyond the chains. Public keys ([`pk_gen_many`]:
-//! every subtree fill, which is most of a signature) are made a key pair
-//! to a lane, from the first `PRF` through `len` full chains to `T_len`,
-//! and no chain of theirs is ever a job or a byte. Batched verification
+//! chains of a group of signatures ([`sign_chain_groups`]; verification's
+//! `pks_in`) live in one flat `n`-stride buffer and run to completion
+//! through [`HashCtx::f_chains`], the way this crate walks a chain outside
+//! of the step-by-step [`crate::reference::chain`] its tests hold it to.
+//! The chain step is whatever primitive the [`HashCtx`] carries. Under
+//! SHA-256 the two sides that work on whole keys stay in the lanes beyond
+//! the chains. Public keys ([`pk_gen_many`]: every subtree fill, which is
+//! most of a signature) are made a key pair to a lane, from the first
+//! `PRF` through `len` full chains to `T_len`, and no chain of theirs is
+//! ever a job or a byte. Verification ([`crate::sign::VerifyingKey::verify_many`])
 //! reads a group's revealed nodes out of the signatures into words once,
-//! hands the chain kernel their digits (`chain_links`) and leaves the
-//! ends where the nodes were, for each signature's lane to gather its
-//! `T_len` from ([`crate::hypertree::xmss_pk_from_sig_many`]).
+//! hands the chain kernel their digits (`chain_links`) and leaves the ends
+//! where the nodes were, for each signature's lane to gather its `T_len`
+//! from (`hypertree::xmss_roots_group`).
 //!
 //! Every path from a message to its chains — signing, verifying, and
 //! [`crate::reference`] — goes through [`chain_lengths`], which panics
 //! on a message that is not `n` bytes.
 //!
 //! ```
-//! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
+//! use hero_sphincs::{address::Address, hash::HashCtx, params::Params, reference, wots};
 //!
 //! let params = Params::sphincs_128f();
 //! let ctx = HashCtx::new(params, &[0u8; 16]);
 //! let sk_seed = [1u8; 16];
+//! // Key pair 3 of layer 0, tree 0 signs a 16-byte value.
+//! let item = wots::ChainGroupItem { msg: &[7u8; 16], layer: 0, tree: 0, leaf: 3 };
+//! let sigs = wots::sign_chain_groups(&ctx, &sk_seed, &[item]);
 //! let mut adrs = Address::new();
 //! adrs.set_keypair(3);
-//!
 //! let mut pk = [0u8; 16];
 //! wots::pk_gen_many(&ctx, &sk_seed, &[adrs], &mut pk);
-//! let sigs = wots::sign_many(&ctx, &[&[7u8; 16]], &sk_seed, &[adrs]);
 //! // Verification recomputes the public key by finishing the chains.
-//! let mut recovered = [0u8; 16];
-//! wots::pk_from_sig_many(&ctx, &[sigs[0].as_bytes()], &[&[7u8; 16]], &[adrs], &mut recovered);
-//! assert_eq!(recovered, pk);
+//! assert_eq!(reference::wots_pk_from_sig(&ctx, &sigs[0], &[7u8; 16], &adrs), pk);
 //! ```
 
 use crate::address::{Address, AddressType};
@@ -218,41 +218,6 @@ fn pk_gen_sweep(ctx: &HashCtx, sk_seed: &[u8], adrs_list: &[Address], out: &mut 
     }
 }
 
-/// Signs many `n`-byte messages, each under its own keypair address and
-/// revealing one chain node per digit, with every chain of every request
-/// running through one shared
-/// [`HashCtx::f_chains`] sweep. This is the cross-message chain group of
-/// the batch planner: chains stop at their message digits, and sorted by
-/// length across all requests they fill lane groups that a lone request's
-/// `len` chains would leave ragged. All requests share `sk_seed` (one
-/// signing key signs the whole batch); `adrs_list[i]` carries request
-/// `i`'s layer/tree/keypair coordinates. Request `i`'s signature is its
-/// `len` revealed nodes in one [`Nodes`].
-///
-/// # Panics
-///
-/// Panics if `msgs.len() != adrs_list.len()`, or a message is not `n`
-/// bytes.
-pub fn sign_many(
-    ctx: &HashCtx,
-    msgs: &[&[u8]],
-    sk_seed: &[u8],
-    adrs_list: &[Address],
-) -> Vec<Nodes> {
-    let params = *ctx.params();
-    let (len, n) = (params.wots_len(), params.n);
-    assert_eq!(msgs.len(), adrs_list.len(), "one address per message");
-    let mut digits = Vec::with_capacity(msgs.len() * len);
-    for msg in msgs {
-        push_digits(&params, msg, &mut digits);
-    }
-    let nodes = chains_from_secret(ctx, sk_seed, adrs_list, |r, i| digits[r * len + i]);
-    nodes
-        .chunks_exact(len * n)
-        .map(|sig| Nodes::from_bytes(n, sig.to_vec()))
-        .collect()
-}
-
 /// The address of WOTS+ key pair `leaf` of the subtree at (`layer`,
 /// `tree`): the leaf's public key, and the signature it makes.
 pub(crate) fn keypair_adrs(layer: u32, tree: u64, leaf: u32) -> Address {
@@ -280,11 +245,13 @@ pub struct ChainGroupItem<'a> {
     pub leaf: u32,
 }
 
-/// The `WOTS+_Sign` stage: every chain of every item through one
-/// [`sign_many`] sweep, so chains retiring early in one item leave lanes
-/// to the others — the cross-message mirror of the kernel's
-/// masked-thread retirement. An item's signature does not depend on what
-/// else is in the group.
+/// The `WOTS+_Sign` stage: every chain of every item through one shared
+/// [`HashCtx::f_chains`] sweep, each stopping at its message digit, so
+/// chains retiring early in one item leave lanes to the others — the
+/// cross-message mirror of the kernel's masked-thread retirement. All
+/// items share `sk_seed` (one signing key signs the whole group). An
+/// item's signature is its `len` revealed nodes in one [`Nodes`], and
+/// does not depend on what else is in the group.
 ///
 /// # Panics
 ///
@@ -294,77 +261,35 @@ pub fn sign_chain_groups(
     sk_seed: &[u8],
     items: &[ChainGroupItem<'_>],
 ) -> Vec<Nodes> {
-    let msgs: Vec<&[u8]> = items.iter().map(|item| item.msg).collect();
+    let params = *ctx.params();
+    let (len, n) = (params.wots_len(), params.n);
+    let mut digits = Vec::with_capacity(items.len() * len);
+    for item in items {
+        push_digits(&params, item.msg, &mut digits);
+    }
     let adrs_list: Vec<Address> = items
         .iter()
         .map(|item| keypair_adrs(item.layer, item.tree, item.leaf))
         .collect();
-    sign_many(ctx, &msgs, sk_seed, &adrs_list)
+    let nodes = chains_from_secret(ctx, sk_seed, &adrs_list, |r, i| digits[r * len + i]);
+    nodes
+        .chunks_exact(len * n)
+        .map(|sig| Nodes::from_bytes(n, sig.to_vec()))
+        .collect()
 }
 
-/// Recomputes many WOTS+ public keys from signatures, each under its own
-/// keypair address, writing key pair `r`'s into `out[r*n..]`, with every
-/// chain of every request running through one shared
-/// [`HashCtx::f_chains`] sweep — the verification twin of
-/// [`sign_many`]. Where signing runs `msg[i]` steps per chain,
-/// verification runs the complementary `w-1-msg[i]` steps from the
-/// revealed node; only the chain addresses are built, no PRF material is
-/// needed. A signature is its `len` nodes back to back
-/// ([`Nodes::as_bytes`]).
-///
-/// ```
-/// use hero_sphincs::{address::Address, hash::HashCtx, params::Params, wots};
-///
-/// let params = Params::sphincs_128f();
-/// let ctx = HashCtx::new(params, &[0u8; 16]);
-/// let sk_seed = [1u8; 16];
-/// let mut a0 = Address::new();
-/// a0.set_keypair(0);
-/// let mut a1 = Address::new();
-/// a1.set_keypair(1);
-/// let msgs: [&[u8]; 2] = [&[7u8; 16], &[8u8; 16]];
-///
-/// let sigs = wots::sign_many(&ctx, &msgs, &sk_seed, &[a0, a1]);
-/// let mut pks = [0u8; 32];
-/// let sig_bytes = [sigs[0].as_bytes(), sigs[1].as_bytes()];
-/// wots::pk_from_sig_many(&ctx, &sig_bytes, &msgs, &[a0, a1], &mut pks);
-/// let mut generated = [0u8; 32];
-/// wots::pk_gen_many(&ctx, &sk_seed, &[a0, a1], &mut generated);
-/// assert_eq!(pks, generated);
-/// ```
+/// Recomputes the WOTS+ public keys of `sigs` — a signature, the message
+/// it signs and its key pair's address each — writing key pair `r`'s into
+/// `out[r*n..]`: where signing runs `digit` steps per chain, verification
+/// runs the complementary `w − 1 − digit` from the revealed node, every
+/// chain of every signature in one `run` of the chains. A verification
+/// group's sweep passes its own buffers: the chain lengths, the nodes the
+/// chains run in, and the chains.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths disagree, `out` is not `count * n` bytes,
-/// a message is not `n` bytes or any signature is not `wots_len()`
-/// nodes of `n` bytes (the library verify path checks shapes first and
-/// returns a typed error).
-pub fn pk_from_sig_many(
-    ctx: &HashCtx,
-    sigs: &[&[u8]],
-    msgs: &[&[u8]],
-    adrs_list: &[Address],
-    out: &mut [u8],
-) {
-    let params = ctx.params();
-    assert_eq!(sigs.len(), msgs.len(), "one message per signature");
-    assert_eq!(sigs.len(), adrs_list.len(), "one address per signature");
-    assert_eq!(
-        out.len(),
-        sigs.len() * params.n,
-        "out must be count*n bytes"
-    );
-    let sigs = sigs.iter().zip(msgs).zip(adrs_list);
-    let sigs = sigs.map(|((sig, msg), adrs)| (*sig, *msg, *adrs));
-    let (mut digits, mut nodes, mut jobs) = (Vec::new(), Vec::new(), Vec::new());
-    let run = |nodes: &mut [u8], jobs: &[ChainJob]| ctx.f_chains(nodes, jobs);
-    pks_in(ctx, sigs, &mut digits, &mut nodes, &mut jobs, run, out);
-}
-
-/// [`pk_from_sig_many`] over `sigs` — a WOTS+ signature, the message it
-/// signs and its key pair's address each — in the caller's buffers, as a
-/// verification group's sweep passes its own: the chain lengths, the
-/// nodes the chains `run` in, and the chains.
+/// Panics if a message is not `n` bytes or a signature is not `len`
+/// nodes of `n` bytes.
 pub(crate) fn pks_in<'s, 'j>(
     ctx: &HashCtx,
     sigs: impl Iterator<Item = (&'s [u8], &'s [u8], Address)> + Clone,
@@ -437,23 +362,52 @@ mod tests {
     use super::*;
     use crate::reference;
 
-    /// One key pair's public key, signature and recovered key: the `_many`
-    /// routines at batch 1.
+    /// One key pair's public key, signature and recovered key: the group
+    /// routines at a group of one.
     fn pk_gen(ctx: &HashCtx, sk_seed: &[u8], adrs: &Address) -> Vec<u8> {
         let mut pk = vec![0u8; ctx.params().n];
         pk_gen_many(ctx, sk_seed, std::slice::from_ref(adrs), &mut pk);
         pk
     }
 
+    /// The `WOTS+_Sign` item of `msg` at the key pair `adrs` names.
+    fn item<'a>(msg: &'a [u8], adrs: &Address) -> ChainGroupItem<'a> {
+        ChainGroupItem {
+            msg,
+            layer: adrs.layer(),
+            tree: adrs.tree(),
+            leaf: adrs.keypair(),
+        }
+    }
+
     fn sign(ctx: &HashCtx, msg: &[u8], sk_seed: &[u8], adrs: &Address) -> Nodes {
-        sign_many(ctx, &[msg], sk_seed, std::slice::from_ref(adrs)).remove(0)
+        sign_chain_groups(ctx, sk_seed, &[item(msg, adrs)]).remove(0)
+    }
+
+    /// Recovered public keys of signatures `r` of `msgs[r]` at
+    /// `adrs_list[r]`, all in one [`pks_in`].
+    fn pks_from_sigs(
+        ctx: &HashCtx,
+        sigs: &[Nodes],
+        msgs: &[&[u8]],
+        adrs_list: &[Address],
+    ) -> Vec<u8> {
+        let mut pks = vec![0u8; sigs.len() * ctx.params().n];
+        let sigs = sigs.iter().zip(msgs).zip(adrs_list);
+        let sigs = sigs.map(|((sig, msg), adrs)| (sig.as_bytes(), *msg, *adrs));
+        let (mut digits, mut nodes, mut jobs) = (Vec::new(), Vec::new(), Vec::new());
+        let run = |nodes: &mut [u8], jobs: &[ChainJob]| ctx.f_chains(nodes, jobs);
+        pks_in(ctx, sigs, &mut digits, &mut nodes, &mut jobs, run, &mut pks);
+        pks
     }
 
     fn pk_from_sig(ctx: &HashCtx, sig: &Nodes, msg: &[u8], adrs: &Address) -> Vec<u8> {
-        let mut pk = vec![0u8; ctx.params().n];
-        let sig = sig.as_bytes();
-        pk_from_sig_many(ctx, &[sig], &[msg], std::slice::from_ref(adrs), &mut pk);
-        pk
+        pks_from_sigs(
+            ctx,
+            std::slice::from_ref(sig),
+            &[msg],
+            std::slice::from_ref(adrs),
+        )
     }
 
     /// `steps` steps of the chain at `adrs` from `x` at position `start`,
@@ -555,10 +509,12 @@ mod tests {
     }
 
     #[test]
-    fn sign_many_matches_per_request_sign() {
-        // Requests at different layers/trees/keypairs — the mix a
-        // cross-message chain group carries — must each be byte-identical
-        // to the reference's signature, for odd group sizes too.
+    fn sign_chain_groups_matches_per_request() {
+        // Items at different layers/trees/key pairs — the mix a
+        // cross-message chain group carries — must each sign
+        // byte-identically to the reference, for odd group sizes too, and
+        // the group's public keys, recovered in one sweep, must be the
+        // reference's, recovered and generated.
         let (params, ctx, sk_seed, _) = setup();
         for count in [1usize, 2, 5] {
             let msgs_owned: Vec<Vec<u8>> = (0..count)
@@ -566,67 +522,34 @@ mod tests {
                 .collect();
             let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
             let adrs_list: Vec<Address> = (0..count)
-                .map(|i| {
-                    let mut a = Address::new();
-                    a.set_layer(i as u32 % 3);
-                    a.set_tree(i as u64 * 11);
-                    a.set_keypair(i as u32);
-                    a
-                })
+                .map(|i| keypair_adrs(i as u32 % 3, i as u64 * 11, i as u32))
                 .collect();
-            let batched = sign_many(&ctx, &msgs, &sk_seed, &adrs_list);
+            let items: Vec<ChainGroupItem> =
+                (0..count).map(|i| item(msgs[i], &adrs_list[i])).collect();
+            let batched = sign_chain_groups(&ctx, &sk_seed, &items);
             assert_eq!(batched.len(), count);
+            let pks = pks_from_sigs(&ctx, &batched, &msgs, &adrs_list);
             for i in 0..count {
                 assert_eq!(
                     batched[i],
                     reference::wots_sign(&ctx, msgs[i], &sk_seed, &adrs_list[i]),
                     "count={count} request {i}"
                 );
-            }
-        }
-        assert!(sign_many(&ctx, &[], &sk_seed, &[]).is_empty());
-    }
-
-    #[test]
-    fn pk_from_sig_many_matches_per_request() {
-        // The verification twin of sign_many_matches_per_request_sign:
-        // mixed layers/trees/keypairs, odd group sizes, every recovered
-        // public key byte-identical to the reference's, recovered and
-        // generated.
-        let (params, ctx, sk_seed, _) = setup();
-        for count in [1usize, 2, 5] {
-            let msgs_owned: Vec<Vec<u8>> = (0..count)
-                .map(|i| (0..params.n).map(|b| (i * 53 + b) as u8).collect())
-                .collect();
-            let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-            let adrs_list: Vec<Address> = (0..count)
-                .map(|i| {
-                    let mut a = Address::new();
-                    a.set_layer(i as u32 % 3);
-                    a.set_tree(i as u64 * 7);
-                    a.set_keypair(i as u32 + 1);
-                    a
-                })
-                .collect();
-            let sigs = sign_many(&ctx, &msgs, &sk_seed, &adrs_list);
-            let sig_refs: Vec<&[u8]> = sigs.iter().map(Nodes::as_bytes).collect();
-            let mut flat = vec![0u8; count * params.n];
-            pk_from_sig_many(&ctx, &sig_refs, &msgs, &adrs_list, &mut flat);
-            let batched: Vec<&[u8]> = flat.chunks(params.n).collect();
-            for i in 0..count {
+                let pk = &pks[i * params.n..(i + 1) * params.n];
                 assert_eq!(
-                    batched[i],
-                    reference::wots_pk_from_sig(&ctx, &sigs[i], msgs[i], &adrs_list[i]),
-                    "count={count} request {i}"
+                    pk,
+                    reference::wots_pk_from_sig(&ctx, &batched[i], msgs[i], &adrs_list[i]),
+                    "count={count} request {i} recovered"
                 );
                 assert_eq!(
-                    batched[i],
+                    pk,
                     reference::wots_pk_gen(&ctx, &sk_seed, &adrs_list[i]),
                     "count={count} request {i} pk"
                 );
             }
         }
-        pk_from_sig_many(&ctx, &[], &[], &[], &mut []);
+        assert!(sign_chain_groups(&ctx, &sk_seed, &[]).is_empty());
+        assert!(pks_from_sigs(&ctx, &[], &[], &[]).is_empty());
     }
 
     /// A message one byte longer than `n`, which every WOTS+ entry point
@@ -644,14 +567,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
-    fn sign_many_rejects_a_long_message() {
+    fn sign_chain_groups_rejects_a_long_message() {
         let (params, ctx, sk_seed, adrs) = setup();
-        let _ = sign_many(&ctx, &[&long_message(&params)], &sk_seed, &[adrs]);
+        let _ = sign(&ctx, &long_message(&params), &sk_seed, &adrs);
     }
 
     #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
-    fn pk_from_sig_many_rejects_a_long_message() {
+    fn pks_in_rejects_a_long_message() {
         let (params, ctx, sk_seed, adrs) = setup();
         let sig = sign(&ctx, &[0x5Au8; 16], &sk_seed, &adrs);
         pk_from_sig(&ctx, &sig, &long_message(&params), &adrs);

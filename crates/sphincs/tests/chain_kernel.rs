@@ -38,7 +38,7 @@ fn shapes() -> Vec<Params> {
 /// counts cover `0..w` with both extremes over-represented. About half
 /// of them start from their secret element under one of `sk_seeds`,
 /// and of those one in three runs no step at all: what a zero digit
-/// makes `wots::sign_many` reveal.
+/// makes `wots::sign_chain_groups` reveal.
 fn random_chains<'a>(
     params: &Params,
     count: usize,

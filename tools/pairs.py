@@ -23,6 +23,12 @@ operations, and for each metric one verdict:
     tools/pairs.py PARENT CHANGE --workload batch_verify [--workload ...]
                    [--pairs 10] [--seconds 24] [--seed 1] [--metric ops_per_s]
 
+Each run's line also shows the host's CPU steal while it ran (`steal`, in
+clock ticks of the `cpu` line of /proc/stat, read before and after the
+benchmark process), and each workload's summary each side's median steal:
+on a shared host a run that lost CPU to other guests reads slower without
+doing more work. Verdicts are on the raw numbers, steal or not.
+
 `--workload` repeats; `all` is every workload in BENCHMARK.json. The last
 line is `no regression` when no metric of any workload reads `worse`,
 otherwise every worse metric × workload pair. PARENT and CHANGE are anything `git rev-parse` takes; `.` is the working
@@ -66,8 +72,21 @@ def build(tree):
     return os.path.join(tree, "perfbench", "target", "release", "benchmark")
 
 
+def steal_ticks():
+    """The host's CPU steal so far, in clock ticks: the `steal` field of
+    the `cpu` line of /proc/stat (0 where there is none)."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+    except OSError:
+        return 0
+    return int(fields[8]) if fields[0] == "cpu" and len(fields) > 8 else 0
+
+
 def run(binary, workload, seed, seconds):
-    """One run's result object: the last line the benchmark prints."""
+    """One run's result object: the last line the benchmark prints, and
+    the host's CPU steal while it ran."""
+    before = steal_ticks()
     out = subprocess.run(
         [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
@@ -75,6 +94,7 @@ def run(binary, workload, seed, seconds):
         stderr=subprocess.DEVNULL,
         text=True,
     )
+    steal = steal_ticks() - before
     lines = out.stdout.strip().splitlines()
     if not lines:
         sys.exit(f"{binary}: no output (exit {out.returncode})")
@@ -84,6 +104,7 @@ def run(binary, workload, seed, seconds):
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "steal": steal,
     }
 
 
@@ -139,6 +160,8 @@ def judge(workload, runs, judged, better, bounds, args, seconds):
     print(f"failed share: parent {shares['parent']:.3g}, change {shares['change']:.3g}"
           + ("  (more failures: no gain)" if more_failures else "")
           + f"; incorrect runs: parent {incorrect['parent']}, change {incorrect['change']}")
+    steal = {side: statistics.median(r["steal"] for r in runs[side]) for side in runs}
+    print(f"steal ticks, median: parent {steal['parent']:g}, change {steal['change']:g}")
     return worse
 
 
@@ -201,7 +224,8 @@ def main():
                     runs[workload][side].append(result)
                     shown = " ".join(f"{k}={result['metrics'][k]:.4g}" for k in judged)
                     flag = "" if result["correct"] else f"  INCORRECT ({result['failed']:.0f} failed)"
-                    print(f"{workload} pair {pair + 1:2d} {side:6s} {shown}{flag}", flush=True)
+                    print(f"{workload} pair {pair + 1:2d} {side:6s} {shown} steal={result['steal']}"
+                          f"{flag}", flush=True)
 
     worse = []
     for workload in workloads:
