@@ -658,4 +658,36 @@ mod tests {
         }
         assert!(tree_hash_many(&ctx, &sk_seed, &[]).is_empty());
     }
+
+    #[test]
+    fn pk_from_sig_many_matches_per_signature() {
+        // Signatures under distinct keypair addresses and digests — the
+        // cross-signature verify group — must each recover a public key
+        // byte-identical to the reference's.
+        let (params, ctx, sk_seed, _) = setup();
+        for count in [1usize, 2, 4] {
+            let sigs_md: Vec<(ForsSignature, Vec<u8>, Address)> = (0..count)
+                .map(|i| {
+                    let mut a = Address::new();
+                    a.set_tree(i as u64 * 3 + 1);
+                    a.set_keypair(i as u32);
+                    let md = digest_for(&params, 0x41 + i as u8);
+                    (sign(&ctx, &md, &sk_seed, &a).0, md, a)
+                })
+                .collect();
+            let sigs: Vec<&ForsSignature> = sigs_md.iter().map(|(s, ..)| s).collect();
+            let mds: Vec<&[u8]> = sigs_md.iter().map(|(_, md, _)| md.as_slice()).collect();
+            let adrs_list: Vec<Address> = sigs_md.iter().map(|(.., a)| *a).collect();
+            let batched = fors_many(&ctx, &sigs, &mds, &adrs_list);
+            assert_eq!(batched.len(), count);
+            for (i, (sig, md, a)) in sigs_md.iter().enumerate() {
+                assert_eq!(
+                    batched[i],
+                    reference::fors_pk_from_sig(&ctx, sig, md, a),
+                    "count={count} signature {i}"
+                );
+            }
+        }
+        assert!(fors_many(&ctx, &[], &[], &[]).is_empty());
+    }
 }

@@ -487,6 +487,42 @@ mod tests {
     }
 
     #[test]
+    fn xmss_pk_from_sig_many_matches_per_request() {
+        // Requests spanning different trees and leaves of one layer —
+        // the verify planner's per-layer stage — must each recover a
+        // root byte-identical to the reference's.
+        let (params, ctx, sk_seed) = setup();
+        for count in [1usize, 2, 5] {
+            let made: Vec<(XmssSig, Vec<u8>, SubtreeItem)> = (0..count)
+                .map(|i| {
+                    let msg: Vec<u8> = (0..params.n).map(|b| (i * 29 + b) as u8).collect();
+                    let item = SubtreeItem {
+                        layer: 1,
+                        tree_idx: i as u64 % 4,
+                        leaf_idx: i as u32 % params.subtree_leaves() as u32,
+                    };
+                    let (sig, _) =
+                        reference::xmss_sign(&ctx, &msg, &sk_seed, 1, item.tree_idx, item.leaf_idx);
+                    (sig, msg, item)
+                })
+                .collect();
+            let sigs: Vec<&XmssSig> = made.iter().map(|(sig, ..)| sig).collect();
+            let msgs: Vec<&[u8]> = made.iter().map(|(_, msg, _)| msg.as_slice()).collect();
+            let items: Vec<SubtreeItem> = made.iter().map(|(.., item)| *item).collect();
+            let batched = xmss_many(&ctx, &sigs, &msgs, &items);
+            assert_eq!(batched.len(), count);
+            for (i, (sig, msg, item)) in made.iter().enumerate() {
+                assert_eq!(
+                    batched[i],
+                    reference::xmss_pk_from_sig(&ctx, sig, msg, 1, item.tree_idx, item.leaf_idx),
+                    "count={count} request {i}"
+                );
+            }
+        }
+        assert!(xmss_many(&ctx, &[], &[], &[]).is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
     fn sign_rejects_a_long_message() {
         let (params, ctx, sk_seed) = setup();

@@ -509,37 +509,59 @@ mod tests {
     }
 
     #[test]
-    fn sign_chain_groups_matches_per_request() {
+    fn sign_many_matches_per_request_sign() {
         // Items at different layers/trees/key pairs — the mix a
         // cross-message chain group carries — must each sign
-        // byte-identically to the reference, for odd group sizes too, and
-        // the group's public keys, recovered in one sweep, must be the
-        // reference's, recovered and generated.
+        // byte-identically to the reference, for odd group sizes too.
         let (params, ctx, sk_seed, _) = setup();
         for count in [1usize, 2, 5] {
             let msgs_owned: Vec<Vec<u8>> = (0..count)
                 .map(|i| (0..params.n).map(|b| (i * 37 + b) as u8).collect())
                 .collect();
-            let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
             let adrs_list: Vec<Address> = (0..count)
                 .map(|i| keypair_adrs(i as u32 % 3, i as u64 * 11, i as u32))
                 .collect();
-            let items: Vec<ChainGroupItem> =
-                (0..count).map(|i| item(msgs[i], &adrs_list[i])).collect();
+            let items: Vec<ChainGroupItem> = (0..count)
+                .map(|i| item(&msgs_owned[i], &adrs_list[i]))
+                .collect();
             let batched = sign_chain_groups(&ctx, &sk_seed, &items);
             assert_eq!(batched.len(), count);
-            let pks = pks_from_sigs(&ctx, &batched, &msgs, &adrs_list);
             for i in 0..count {
                 assert_eq!(
                     batched[i],
-                    reference::wots_sign(&ctx, msgs[i], &sk_seed, &adrs_list[i]),
+                    reference::wots_sign(&ctx, &msgs_owned[i], &sk_seed, &adrs_list[i]),
                     "count={count} request {i}"
                 );
-                let pk = &pks[i * params.n..(i + 1) * params.n];
+            }
+        }
+        assert!(sign_chain_groups(&ctx, &sk_seed, &[]).is_empty());
+    }
+
+    #[test]
+    fn pk_from_sig_many_matches_per_request() {
+        // The recovery side of sign_many_matches_per_request_sign: mixed
+        // layers/trees/key pairs, odd group sizes, every public key the
+        // group recovers in one pks_in byte-identical to the reference's,
+        // recovered and generated.
+        let (params, ctx, sk_seed, _) = setup();
+        for count in [1usize, 2, 5] {
+            let msgs_owned: Vec<Vec<u8>> = (0..count)
+                .map(|i| (0..params.n).map(|b| (i * 53 + b) as u8).collect())
+                .collect();
+            let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+            let adrs_list: Vec<Address> = (0..count)
+                .map(|i| keypair_adrs(i as u32 % 3, i as u64 * 7, i as u32 + 1))
+                .collect();
+            let items: Vec<ChainGroupItem> =
+                (0..count).map(|i| item(msgs[i], &adrs_list[i])).collect();
+            let sigs = sign_chain_groups(&ctx, &sk_seed, &items);
+            let pks = pks_from_sigs(&ctx, &sigs, &msgs, &adrs_list);
+            assert_eq!(pks.len(), count * params.n);
+            for (i, pk) in pks.chunks(params.n).enumerate() {
                 assert_eq!(
                     pk,
-                    reference::wots_pk_from_sig(&ctx, &batched[i], msgs[i], &adrs_list[i]),
-                    "count={count} request {i} recovered"
+                    reference::wots_pk_from_sig(&ctx, &sigs[i], msgs[i], &adrs_list[i]),
+                    "count={count} request {i}"
                 );
                 assert_eq!(
                     pk,
@@ -548,7 +570,6 @@ mod tests {
                 );
             }
         }
-        assert!(sign_chain_groups(&ctx, &sk_seed, &[]).is_empty());
         assert!(pks_from_sigs(&ctx, &[], &[], &[]).is_empty());
     }
 
@@ -567,14 +588,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
-    fn sign_chain_groups_rejects_a_long_message() {
+    fn sign_many_rejects_a_long_message() {
         let (params, ctx, sk_seed, adrs) = setup();
         let _ = sign(&ctx, &long_message(&params), &sk_seed, &adrs);
     }
 
     #[test]
     #[should_panic(expected = "WOTS+ message must be n bytes")]
-    fn pks_in_rejects_a_long_message() {
+    fn pk_from_sig_many_rejects_a_long_message() {
         let (params, ctx, sk_seed, adrs) = setup();
         let sig = sign(&ctx, &[0x5Au8; 16], &sk_seed, &adrs);
         pk_from_sig(&ctx, &sig, &long_message(&params), &adrs);
