@@ -1,5 +1,5 @@
 //! Per-key hypertree memoization: a sharded, capacity- and byte-bounded
-//! LRU cache of XMSS subtree node pyramids.
+//! LRU cache of XMSS subtrees' leaves.
 //!
 //! ## Why memoize
 //!
@@ -11,10 +11,13 @@
 //! distinct trees, so the top layer is *one* tree rebuilt from scratch on
 //! every signature, and each rebuild pays `2^h'` WOTS+ leaf generations —
 //! the register-hungry routine of Table III and the dominant cost of
-//! `TREE_Sign`. Memoizing the retained node pyramid
-//! ([`hero_sphincs::merkle::TreeLevels`]: WOTS+ roots at the bottom,
-//! internal nodes above) turns steady-state signing into FORS plus WOTS+
-//! chains plus whatever bottom layers actually churn.
+//! `TREE_Sign`. Memoizing a subtree's `2^h'` leaves (its WOTS+ public
+//! keys, [`hero_sphincs::merkle::TreeLevels::leaves`]) turns steady-state
+//! signing into FORS plus WOTS+ chains plus whatever bottom layers
+//! actually churn. A hit rebuilds the `2^h' − 1` nodes above the leaves
+//! ([`hero_sphincs::hypertree::subtrees_from_leaves`]): 7 `H` at 128f,
+//! where generating the 8 leaves takes ≈ 4,600 hash calls. Keeping the
+//! leaves alone takes about half the bytes of the whole node pyramid.
 //!
 //! ## Structure
 //!
@@ -24,8 +27,10 @@
 //!   what equality means; the planner computes it once per call, where it
 //!   holds the key anyway, so no seed is kept by the cache.
 //! - **Value**: per key, a map from `(layer, tree_idx)` to the subtree's
-//!   `Arc<TreeLevels>`; slicing a root + authentication path out of it is
-//!   byte-identical to a fresh treehash.
+//!   leaves in one boxed slice (`2^h' · n` bytes, 128 at 128f); the tree
+//!   rebuilt from them is byte-identical to a fresh build.
+//!   [`HypertreeCache::get`] copies them into the caller's buffer under
+//!   the shard lock.
 //! - **Bounds**: [`CacheConfig::max_keys`] and [`CacheConfig::max_bytes`]
 //!   are enforced by exact least-recently-used eviction of whole keys
 //!   (recency is a global logical clock bumped on every touch). Eviction
@@ -47,14 +52,14 @@
 use crate::error::HeroError;
 
 use hero_sphincs::hash::HashAlg;
-use hero_sphincs::merkle::TreeLevels;
 use hero_sphincs::params::Params;
 use hero_sphincs::sha256::Sha256;
 use hero_sphincs::sign::SigningKey;
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Shard count; identities spread across shards by their first byte.
 const SHARDS: usize = 16;
@@ -76,8 +81,8 @@ pub struct CacheConfig {
     /// Most keys resident at once; the least-recently-used key is
     /// evicted beyond this.
     pub max_keys: usize,
-    /// Bound on total retained node bytes across all keys; enforced by
-    /// LRU eviction of whole keys.
+    /// Bound on the resident subtrees' leaf bytes across all keys
+    /// (`2^h' · n` a subtree); enforced by LRU eviction of whole keys.
     pub max_bytes: usize,
 }
 
@@ -124,13 +129,13 @@ impl CacheConfig {
 /// Snapshot of the cache counters ([`HypertreeCache::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Subtree lookups served from retained nodes.
+    /// Subtree lookups served from resident leaves.
     pub hits: u64,
     /// Subtree lookups that fell through to a cold fill.
     pub misses: u64,
     /// Keys evicted (LRU bound, memory bound, or forced by chaos).
     pub evictions: u64,
-    /// Retained node bytes currently resident.
+    /// Leaf bytes currently resident (`2^h' · n` a subtree).
     pub resident_bytes: u64,
     /// Keys currently resident.
     pub resident_keys: u64,
@@ -196,9 +201,9 @@ impl KeyId {
     }
 }
 
-/// One resident key: its subtrees plus LRU bookkeeping.
+/// One resident key: its subtrees' leaves plus LRU bookkeeping.
 struct KeyEntry {
-    subtrees: HashMap<(u32, u64), Arc<TreeLevels>>,
+    subtrees: HashMap<(u32, u64), Box<[u8]>>,
     bytes: usize,
     last_used: u64,
 }
@@ -298,35 +303,37 @@ impl HypertreeCache {
         })
     }
 
-    /// Looks up one subtree of the key `key`, bumping the key's recency.
+    /// Looks up one subtree of the key `key`, bumping the key's recency,
+    /// and on a hit copies its leaves into `leaves`; `true` on a hit.
     /// Counts a hit or a miss; a fired [`crate::faults::HYPERTREE_CACHE`]
     /// fail spec on the hit path force-evicts the key and serves a miss.
-    pub fn get(&self, key: &KeyId, layer: u32, tree_idx: u64) -> Option<Arc<TreeLevels>> {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hit if `leaves` is not the subtree's `2^h' · n` bytes.
+    pub fn get(&self, key: &KeyId, layer: u32, tree_idx: u64, leaves: &mut [u8]) -> bool {
         if !self.config.enabled {
-            return None;
+            return false;
         }
-        let found = {
-            let mut shard = self.lock_shard(key.shard());
-            shard.get_mut(key).and_then(|entry| {
+        let found = self
+            .lock_shard(key.shard())
+            .get_mut(key)
+            .is_some_and(|entry| {
                 entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                entry.subtrees.get(&(layer, tree_idx)).cloned()
-            })
-        };
-        match found {
-            Some(levels) => {
-                if crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
-                    self.evict_key(key);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(levels)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+                entry
+                    .subtrees
+                    .get(&(layer, tree_idx))
+                    .map(|resident| leaves.copy_from_slice(resident))
+                    .is_some()
+            });
+        if found && crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
+            self.evict_key(key);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        let counter = if found { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Whether a subtree is resident, without touching recency or the
@@ -339,15 +346,16 @@ impl HypertreeCache {
                 .is_some_and(|entry| entry.subtrees.contains_key(&(layer, tree_idx)))
     }
 
-    /// Stores one freshly built subtree of the key `key`, then enforces
-    /// the key and byte bounds by LRU eviction. A fired
+    /// Stores a copy of the leaves of one freshly built subtree of the
+    /// key `key` ([`hero_sphincs::merkle::TreeLevels::leaves`]), then
+    /// enforces the key and byte bounds by LRU eviction. A fired
     /// [`crate::faults::HYPERTREE_CACHE`] fail spec drops the fill (the
     /// signature already has the fresh nodes; the next sign pays cold).
-    pub fn insert(&self, key: &KeyId, layer: u32, tree_idx: u64, levels: Arc<TreeLevels>) {
+    pub fn insert(&self, key: &KeyId, layer: u32, tree_idx: u64, leaves: &[u8]) {
         if !self.config.enabled || crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
             return;
         }
-        let bytes = levels.byte_len();
+        let bytes = leaves.len();
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
             let mut shard = self.lock_shard(key.shard());
@@ -360,7 +368,8 @@ impl HypertreeCache {
                 }
             });
             entry.last_used = now;
-            if entry.subtrees.insert((layer, tree_idx), levels).is_none() {
+            if let Entry::Vacant(slot) = entry.subtrees.entry((layer, tree_idx)) {
+                slot.insert(leaves.into());
                 entry.bytes += bytes;
                 self.resident_bytes
                     .fetch_add(bytes as u64, Ordering::Relaxed);
@@ -445,6 +454,7 @@ mod tests {
     use super::*;
     use hero_sphincs::hash::HashCtx;
     use hero_sphincs::hypertree;
+    use hero_sphincs::merkle::TreeLevels;
 
     fn tiny_params() -> Params {
         let mut p = Params::sphincs_128f();
@@ -466,7 +476,7 @@ mod tests {
         .0
     }
 
-    fn levels_for(sk: &SigningKey, layer: u32, tree: u64) -> Arc<TreeLevels> {
+    fn levels_for(sk: &SigningKey, layer: u32, tree: u64) -> TreeLevels {
         let ctx = HashCtx::with_alg(*sk.params(), sk.pk_seed(), sk.alg());
         let item = hypertree::SubtreeItem {
             layer,
@@ -474,32 +484,57 @@ mod tests {
             leaf_idx: 0,
         };
         let mut built = hypertree::subtrees(&ctx, sk.sk_seed(), &[item]);
-        Arc::new(built.pop().expect("one pyramid per subtree"))
+        built.pop().expect("one pyramid per subtree")
+    }
+
+    /// Fills `layer`'s `tree` of `sk` into `cache`.
+    fn fill(cache: &HypertreeCache, sk: &SigningKey, layer: u32, tree: u64) {
+        cache.insert(
+            &KeyId::of(sk),
+            layer,
+            tree,
+            levels_for(sk, layer, tree).leaves(),
+        );
+    }
+
+    /// The leaves `cache` serves for `layer`'s `tree` of `sk`, if any.
+    fn served(cache: &HypertreeCache, sk: &SigningKey, layer: u32, tree: u64) -> Option<Vec<u8>> {
+        let p = sk.params();
+        let mut leaves = vec![0u8; p.n << p.tree_height()];
+        cache
+            .get(&KeyId::of(sk), layer, tree, &mut leaves)
+            .then_some(leaves)
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = HypertreeCache::new(CacheConfig::default());
         let sk = key(10);
-        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
+        assert_eq!(served(&cache, &sk, 2, 0), None);
         let levels = levels_for(&sk, 2, 0);
-        cache.insert(&KeyId::of(&sk), 2, 0, Arc::clone(&levels));
-        assert_eq!(cache.get(&KeyId::of(&sk), 2, 0).as_deref(), Some(&*levels));
+        cache.insert(&KeyId::of(&sk), 2, 0, levels.leaves());
+        assert_eq!(served(&cache, &sk, 2, 0).as_deref(), Some(levels.leaves()));
         assert!(cache.contains(&KeyId::of(&sk), 2, 0));
         assert!(!cache.contains(&KeyId::of(&sk), 2, 1));
+        fill(&cache, &sk, 1, 3);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
         assert_eq!(s.resident_keys, 1);
-        assert_eq!(s.resident_subtrees, 1);
-        assert_eq!(s.resident_bytes, levels.byte_len() as u64);
+        assert_eq!(s.resident_subtrees, 2);
+        // Leaves only: 2^h' nodes of n bytes a subtree, not the pyramid.
+        let p = sk.params();
+        assert_eq!(
+            s.resident_bytes,
+            s.resident_subtrees * (p.n << p.tree_height()) as u64
+        );
     }
 
     #[test]
     fn disabled_cache_is_inert() {
         let cache = HypertreeCache::new(CacheConfig::disabled());
         let sk = key(11);
-        cache.insert(&KeyId::of(&sk), 2, 0, levels_for(&sk, 2, 0));
-        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
+        fill(&cache, &sk, 2, 0);
+        assert_eq!(served(&cache, &sk, 2, 0), None);
         assert!(!cache.caches_layer(sk.params(), 2));
         assert!(cache.warm_coordinates(sk.params()).is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -509,13 +544,13 @@ mod tests {
     fn keys_do_not_alias() {
         let cache = HypertreeCache::new(CacheConfig::default());
         let (a, b) = (key(20), key(30));
-        cache.insert(&KeyId::of(&a), 2, 0, levels_for(&a, 2, 0));
-        assert!(cache.get(&KeyId::of(&b), 2, 0).is_none());
+        fill(&cache, &a, 2, 0);
+        assert_eq!(served(&cache, &b, 2, 0), None);
         assert_eq!(cache.stats().resident_keys, 1);
-        cache.insert(&KeyId::of(&b), 2, 0, levels_for(&b, 2, 0));
+        fill(&cache, &b, 2, 0);
         assert_ne!(
-            cache.get(&KeyId::of(&a), 2, 0).unwrap().root(),
-            cache.get(&KeyId::of(&b), 2, 0).unwrap().root()
+            served(&cache, &a, 2, 0).unwrap(),
+            served(&cache, &b, 2, 0).unwrap()
         );
     }
 
@@ -527,12 +562,12 @@ mod tests {
         });
         let keys: Vec<SigningKey> = (0..4).map(|i| key(40 + i * 5)).collect();
         for sk in &keys[..3] {
-            cache.insert(&KeyId::of(sk), 2, 0, levels_for(sk, 2, 0));
+            fill(&cache, sk, 2, 0);
         }
         // Touch key 0 so key 1 becomes the LRU.
-        assert!(cache.get(&KeyId::of(&keys[0]), 2, 0).is_some());
+        assert!(served(&cache, &keys[0], 2, 0).is_some());
         assert_eq!(cache.stats().evictions, 0);
-        cache.insert(&KeyId::of(&keys[3]), 2, 0, levels_for(&keys[3], 2, 0));
+        fill(&cache, &keys[3], 2, 0);
         let s = cache.stats();
         assert_eq!(s.evictions, 1, "exactly one eviction");
         assert_eq!(s.resident_keys, 3);
@@ -557,7 +592,7 @@ mod tests {
         });
         let keys: Vec<SigningKey> = (0..4).map(|i| key(70 + i * 5)).collect();
         for sk in &keys[..3] {
-            cache.insert(&KeyId::of(sk), 2, 0, levels_for(sk, 2, 0));
+            fill(&cache, sk, 2, 0);
         }
         let new = KeyId::of(&keys[3]);
         let fills: Vec<_> = (0..4).map(|tree| levels_for(&keys[3], 1, tree)).collect();
@@ -567,7 +602,7 @@ mod tests {
                 let (cache, start) = (&cache, &start);
                 scope.spawn(move || {
                     start.wait();
-                    cache.insert(&new, 1, tree as u64, levels);
+                    cache.insert(&new, 1, tree as u64, levels.leaves());
                 });
             }
         });
@@ -578,23 +613,23 @@ mod tests {
     #[test]
     fn byte_bound_degrades_to_empty_not_error() {
         let sk = key(60);
-        let one = levels_for(&sk, 2, 0);
+        let p = sk.params();
         let cache = HypertreeCache::new(CacheConfig {
-            // Two subtrees fit, three do not.
-            max_bytes: one.byte_len() * 2,
+            // Two subtrees' leaves fit, three do not.
+            max_bytes: 2 * (p.n << p.tree_height()),
             ..CacheConfig::default()
         });
-        cache.insert(&KeyId::of(&sk), 2, 0, Arc::clone(&one));
-        cache.insert(&KeyId::of(&sk), 1, 0, levels_for(&sk, 1, 0));
+        fill(&cache, &sk, 2, 0);
+        fill(&cache, &sk, 1, 0);
         assert_eq!(cache.stats().evictions, 0);
         // Third subtree pushes the single resident key over the byte
         // bound: the whole key evicts, then the insert-before-enforce
         // ordering leaves the cache empty — cold, never an error.
-        cache.insert(&KeyId::of(&sk), 1, 1, levels_for(&sk, 1, 1));
+        fill(&cache, &sk, 1, 1);
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, 0);
-        assert!(cache.get(&KeyId::of(&sk), 2, 0).is_none());
+        assert_eq!(served(&cache, &sk, 2, 0), None);
     }
 
     // Both policies are pure functions of the parameters: nothing below
@@ -664,8 +699,8 @@ mod tests {
         let (w16, w256) = (seeded(p), seeded(long));
         assert_ne!(KeyId::of(&w16), KeyId::of(&w256));
         let cache = HypertreeCache::new(CacheConfig::default());
-        cache.insert(&KeyId::of(&w16), 2, 0, levels_for(&w16, 2, 0));
-        assert!(cache.get(&KeyId::of(&w256), 2, 0).is_none());
+        fill(&cache, &w16, 2, 0);
+        assert_eq!(served(&cache, &w256, 2, 0), None);
         assert_ne!(
             levels_for(&w16, 2, 0).root(),
             levels_for(&w256, 2, 0).root(),

@@ -16,8 +16,9 @@
 //! * [`faults`] — deterministic, seeded fault injection (`HERO_FAULTS`)
 //!   threaded through the hot seams; zero-cost no-op when disabled.
 //! * [`cache`] — per-key hypertree memoization: a sharded LRU cache of
-//!   retained subtree node pyramids, so steady-state signing with one
-//!   key pays only FORS plus the churning bottom layers.
+//!   each resident subtree's leaves, from which a hit rebuilds the nodes
+//!   above them, so steady-state signing with one key pays only FORS
+//!   plus the churning bottom layers.
 //! * [`tuning`] — the offline **Auto Tree Tuning** search (Algorithm 1)
 //!   and the Relax-FORS variant; reproduces Table IV.
 //! * [`kernels`] — the three component kernels (`FORS_Sign`, `TREE_Sign`,

@@ -72,7 +72,7 @@ use hero_sphincs::Nodes;
 use hero_task_graph::{Executor, NodeId, TaskGraph};
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Work-item grouping of one planned batch: how many per-message units
 /// each stage node carries. Larger groups amortize scheduling and fill
@@ -181,8 +181,9 @@ fn fan_out<R: Send>(
 
 /// Adds one subtree build node to `graph`: it builds `items` through one
 /// [`hypertree::subtrees`] call, hands each pyramid to `slice`
-/// with the item's index, and publishes those of the layers `cache`
-/// memoizes. [`sign_batch`] and [`warm_cache`] both build through it.
+/// with the item's index, and publishes the leaves of those of the
+/// layers `cache` memoizes. [`sign_batch`] and [`warm_cache`] both build
+/// through it.
 fn build_node<'a>(
     graph: &mut TaskGraph<'a>,
     ctx: &'a HashCtx,
@@ -198,10 +199,65 @@ fn build_node<'a>(
         for (i, (item, levels)) in items.iter().zip(built).enumerate() {
             slice(i, &levels);
             if cache.caches_layer(ctx.params(), item.layer) {
-                cache.insert(key, item.layer, item.tree_idx, Arc::new(levels));
+                cache.insert(key, item.layer, item.tree_idx, levels.leaves());
             }
         }
     })
+}
+
+/// The `(layer, tree)` coordinates of a flat subtree item.
+fn coords(&(_, item): &(usize, SubtreeItem)) -> (u32, u64) {
+    (item.layer, item.tree_idx)
+}
+
+/// Settles at plan time the flat subtree items (`(slot, item)`, sorted by
+/// [`coords`]) whose subtree `cache` holds, and returns the others, in
+/// the same order. Every item of a memoizable layer costs one
+/// [`HypertreeCache::get`]; the distinct trees that hit are rebuilt from
+/// their leaves in one [`hypertree::subtrees_from_leaves`] call (`2^h' −
+/// 1` `H` a tree, no graph node), and `serve` gets each warm item's root
+/// and authentication path with its slot.
+fn settle_warm(
+    ctx: &HashCtx,
+    cache: &HypertreeCache,
+    key: &KeyId,
+    items: &[(usize, SubtreeItem)],
+    mut serve: impl FnMut(usize, TreeHashOutput),
+) -> Vec<(usize, SubtreeItem)> {
+    let params = ctx.params();
+    let tree_bytes = params.n << params.tree_height();
+    let (mut warm, mut unbuilt) = (Vec::new(), Vec::new());
+    let mut leaves = Vec::new();
+    for group in items.chunk_by(|a, b| coords(a) == coords(b)) {
+        let (layer, tree_idx) = coords(&group[0]);
+        if !cache.caches_layer(params, layer) {
+            unbuilt.extend_from_slice(group);
+            continue;
+        }
+        // One slot of leaves per tree, kept if any member hit.
+        let start = leaves.len();
+        leaves.resize(start + tree_bytes, 0);
+        for &member in group {
+            if cache.get(key, layer, tree_idx, &mut leaves[start..]) {
+                warm.push(member);
+            } else {
+                unbuilt.push(member);
+            }
+        }
+        if warm.last().map(coords) != Some((layer, tree_idx)) {
+            leaves.truncate(start);
+        }
+    }
+    let warm_groups: Vec<&[(usize, SubtreeItem)]> =
+        warm.chunk_by(|a, b| coords(a) == coords(b)).collect();
+    let trees: Vec<SubtreeItem> = warm_groups.iter().map(|group| group[0].1).collect();
+    let rebuilt = hypertree::subtrees_from_leaves(ctx, &trees, &leaves);
+    for (group, levels) in warm_groups.into_iter().zip(rebuilt) {
+        for &(flat, item) in group {
+            serve(flat, levels.output_for(item.leaf_idx));
+        }
+    }
+    unbuilt
 }
 
 /// Interior-mutable output slots shared between stage nodes: a node
@@ -239,10 +295,11 @@ impl<T> Slots<T> {
 /// `exec`, its work items grouped as `shape` says — see the module docs
 /// for the decomposition. Output is byte-identical to signing each
 /// message sequentially, whatever the shape and whatever `cache` holds:
-/// resident subtrees are sliced at plan time (warm — no node, no
-/// hashing), and the build nodes of everything else publish the pyramids
-/// of the layers `cache` memoizes; a disabled or empty cache merely
-/// changes what the stage graph recomputes.
+/// resident subtrees are rebuilt from their leaves and sliced at plan
+/// time (warm — no node, no WOTS+ leaf), and the build nodes of
+/// everything else publish the leaves of the layers `cache` memoizes; a
+/// disabled or empty cache merely changes what the stage graph
+/// recomputes.
 pub fn sign_batch(
     ctx: &HashCtx,
     sk: &SigningKey,
@@ -273,10 +330,6 @@ pub fn sign_batch(
         .iter()
         .flat_map(|lists| lists.fors.iter().copied())
         .collect();
-    let subtree_items: Vec<SubtreeItem> = stages
-        .iter()
-        .flat_map(|lists| lists.subtrees.iter().copied())
-        .collect();
 
     // Output slots, indexed flat: message-major trees and layers.
     let fors_slots: Slots<(ForsTreeSig, Vec<u8>)> = Slots::new(m * k);
@@ -289,34 +342,31 @@ pub fn sign_batch(
     let wg = shape.chains_per_item.max(1);
 
     // Subtree stage, optionally memoized. Each flat (message, layer) item
-    // is settled once at plan time:
-    //   * warm — the subtree's retained pyramid is resident in the
-    //     cache; its root and authentication path are sliced immediately
-    //     (no node, no hashing — the steady-state payoff).
+    // is settled once at plan time, its subtree's items side by side
+    // once sorted by coordinates:
+    //   * warm — the subtree's leaves are resident in the cache; the
+    //     warm trees are rebuilt from them in one sweep and every warm
+    //     item's root and authentication path sliced immediately (no
+    //     node, no WOTS+ leaf — the steady-state payoff).
     //   * build — anything else joins the build group of its
     //     (layer, tree): *distinct* coordinates are built once per batch
     //     (a batch's repeated upper trees are not rebuilt per message),
     //     with no dependencies (coordinates derive from the digest alone
     //     — the independence §III-A exploits), and slice every
-    //     dependent item's root and path. Sorting the unbuilt items by their
-    //     coordinates puts the ones that share a subtree side by side.
+    //     dependent item's root and path.
     //
     // Declared before the graph so the node closures borrowing the
     // groups outlive it.
     let key = KeyId::of(sk);
-    let mut unbuilt: Vec<(usize, SubtreeItem)> = Vec::new();
-    for (flat, item) in subtree_items.iter().copied().enumerate() {
-        let resident = cache
-            .caches_layer(&params, item.layer)
-            .then(|| cache.get(&key, item.layer, item.tree_idx))
-            .flatten();
-        match resident {
-            Some(levels) => layer_slots.set(flat, levels.output_for(item.leaf_idx)),
-            None => unbuilt.push((flat, item)),
-        }
-    }
-    let coords = |&(_, item): &(usize, SubtreeItem)| (item.layer, item.tree_idx);
-    unbuilt.sort_by_key(coords);
+    let mut flat_items: Vec<(usize, SubtreeItem)> = stages
+        .iter()
+        .flat_map(|lists| lists.subtrees.iter().copied())
+        .enumerate()
+        .collect();
+    flat_items.sort_by_key(coords);
+    let unbuilt = settle_warm(ctx, cache, &key, &flat_items, |flat, out| {
+        layer_slots.set(flat, out)
+    });
     let build_groups: Vec<&[(usize, SubtreeItem)]> =
         unbuilt.chunk_by(|a, b| coords(a) == coords(b)).collect();
     let builds: Vec<SubtreeItem> = build_groups.iter().map(|group| group[0].1).collect();
@@ -703,39 +753,78 @@ mod tests {
         }
     }
 
+    /// Under SHA-2 and SHAKE: a batch signs the same cold (filling the
+    /// cache) and warm (every subtree rebuilt from resident leaves), and
+    /// a warm tree of every layer serves each of its leaves as a fresh
+    /// build does.
     #[test]
     fn cached_batches_match_plain_cold_and_warm() {
-        let mut rng = StdRng::seed_from_u64(44);
-        let params = tiny_params();
-        let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
-        let exec = Executor::new(4).unwrap();
-        let cache = HypertreeCache::new(CacheConfig::default());
-        let msgs_owned: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 20]).collect();
-        let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
-        let expected: Vec<Signature> = msgs.iter().map(|m| reference::sign(&sk, m)).collect();
+        let mut shake = Params::shake_128f();
+        (shake.h, shake.d, shake.log_t, shake.k) = (6, 3, 4, 8);
+        for params in [tiny_params(), shake] {
+            let mut rng = StdRng::seed_from_u64(44);
+            let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
+            let name = params.name();
+            let exec = Executor::new(4).unwrap();
+            let cache = HypertreeCache::new(CacheConfig::default());
+            let msgs_owned: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 20]).collect();
+            let msgs: Vec<&[u8]> = msgs_owned.iter().map(Vec::as_slice).collect();
+            let expected: Vec<Signature> = msgs.iter().map(|m| reference::sign(&sk, m)).collect();
 
-        let cold = sign_default(&sk, &msgs, &exec, &cache);
-        assert_eq!(cold, expected, "cold fill path");
-        let after_cold = cache.stats();
-        assert!(after_cold.misses > 0 && after_cold.resident_subtrees > 0);
-        assert_eq!(after_cold.hits, 0);
+            let cold = sign_default(&sk, &msgs, &exec, &cache);
+            assert_eq!(cold, expected, "{name}: cold fill path");
+            let after_cold = cache.stats();
+            assert!(after_cold.misses > 0 && after_cold.resident_subtrees > 0);
+            assert_eq!(after_cold.hits, 0);
 
-        let warm = sign_default(&sk, &msgs, &exec, &cache);
-        assert_eq!(warm, expected, "warm slice path");
-        let after_warm = cache.stats();
-        assert_eq!(
-            after_warm.hits,
-            (msgs.len() * params.d) as u64,
-            "every layer of every message served warm"
-        );
-        for (msg, sig) in msgs.iter().zip(&warm) {
-            vk.verify(msg, sig).unwrap();
+            let warm = sign_default(&sk, &msgs, &exec, &cache);
+            assert_eq!(warm, expected, "{name}: warm rebuild path");
+            let after_warm = cache.stats();
+            assert_eq!(
+                after_warm.hits,
+                (msgs.len() * params.d) as u64,
+                "{name}: every layer of every message served warm"
+            );
+            for (msg, sig) in msgs.iter().zip(&warm) {
+                vk.verify(msg, sig).unwrap();
+            }
+
+            // Tree 0 of every layer, made resident, at each of its leaves.
+            let ctx = ctx_for(&sk);
+            warm_cache(&ctx, &sk, &exec, &cache);
+            let leaves = 1u32 << params.tree_height();
+            let every_leaf: Vec<(usize, SubtreeItem)> = (0..params.d as u32)
+                .flat_map(|layer| {
+                    (0..leaves).map(move |leaf_idx| SubtreeItem {
+                        layer,
+                        tree_idx: 0,
+                        leaf_idx,
+                    })
+                })
+                .enumerate()
+                .collect();
+            let mut served = vec![None; every_leaf.len()];
+            let unbuilt = settle_warm(&ctx, &cache, &KeyId::of(&sk), &every_leaf, |flat, out| {
+                served[flat] = Some(out)
+            });
+            assert!(
+                unbuilt.is_empty(),
+                "{name}: tree 0 of every layer is resident"
+            );
+            for (&(flat, item), out) in every_leaf.iter().zip(&served) {
+                let fresh = &hypertree::subtrees(&ctx, sk.sk_seed(), &[item])[0];
+                assert_eq!(
+                    out.as_ref(),
+                    Some(&fresh.output_for(item.leaf_idx)),
+                    "{name}: {item:?} (slot {flat})"
+                );
+            }
+
+            // A disabled cache builds everything and keeps nothing.
+            let off = no_cache();
+            assert_eq!(sign_default(&sk, &msgs, &exec, &off), expected);
+            assert_eq!(off.stats(), CacheStats::default());
         }
-
-        // A disabled cache builds everything and keeps nothing.
-        let off = no_cache();
-        assert_eq!(sign_default(&sk, &msgs, &exec, &off), expected);
-        assert_eq!(off.stats(), CacheStats::default());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests pinning the hypertree-memoized signing path
 //! byte-identical to the cold path and the scalar reference signer.
 //!
-//! The cache only retains subtree node pyramids that are *functions of
-//! the key* — every byte a warm sign emits must therefore match a cold
+//! The cache only keeps subtree leaves, which are *functions of the
+//! key*, and a warm sign rebuilds the nodes above them — every byte it
+//! emits must therefore match a cold
 //! sign and `SigningKey::sign` exactly, across parameter families, hash
 //! primitives, and worker counts. A second, deterministic test pins the
 //! LRU capacity bound: filling capacity + 1 keys evicts exactly one

@@ -181,10 +181,39 @@ pub fn wots_leaves_many_into(
 /// fill ([`wots_leaves_many_into`]), every level above them halved across
 /// all the subtrees at once ([`merkle::treehash_many_levels`]). Signing
 /// slices a leaf's authentication path out of the result, key generation
-/// its root, and a cache keeps it whole. Items' `leaf_idx` fields are not
-/// consulted; a subtree's nodes do not depend on what else is in the
-/// call.
+/// its root, and a cache keeps its leaves ([`subtrees_from_leaves`]).
+/// Items' `leaf_idx` fields are not consulted; a subtree's nodes do not
+/// depend on what else is in the call.
 pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<TreeLevels> {
+    levels_above(ctx, items, |leaves| {
+        wots_leaves_many_into(ctx, sk_seed, items, leaves)
+    })
+}
+
+/// [`subtrees`] again from the leaves an earlier build kept
+/// ([`TreeLevels::leaves`] of each item's subtree, back to back in item
+/// order): only the `2^h' − 1` nodes above each subtree's leaves are
+/// hashed, in one sweep across the items, and the result is
+/// byte-identical to what [`subtrees`] returns.
+///
+/// # Panics
+///
+/// Panics if `leaves` does not hold `2^h'` leaves for each item.
+pub fn subtrees_from_leaves(
+    ctx: &HashCtx,
+    items: &[SubtreeItem],
+    leaves: &[u8],
+) -> Vec<TreeLevels> {
+    levels_above(ctx, items, |buf| buf.copy_from_slice(leaves))
+}
+
+/// The items' subtrees as [`merkle::treehash_many_levels`] builds them
+/// over leaves `fill` writes, each item a job at its subtree's address.
+fn levels_above(
+    ctx: &HashCtx,
+    items: &[SubtreeItem],
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<TreeLevels> {
     let jobs: Vec<merkle::TreeHashJob> = items
         .iter()
         .map(|item| merkle::TreeHashJob {
@@ -193,9 +222,7 @@ pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<Tre
             leaf_offset: 0,
         })
         .collect();
-    merkle::treehash_many_levels(ctx, ctx.params().tree_height(), &jobs, |leaves| {
-        wots_leaves_many_into(ctx, sk_seed, items, leaves)
-    })
+    merkle::treehash_many_levels(ctx, ctx.params().tree_height(), &jobs, fill)
 }
 
 /// The `TREE_Sign` stage: the items' subtrees built in one [`subtrees`]
@@ -449,6 +476,11 @@ mod tests {
             leaf_idx: 0,
         };
         let built = &subtrees(&ctx, &sk_seed, &[item])[0];
+        // Its leaves alone rebuild every node.
+        assert_eq!(
+            &subtrees_from_leaves(&ctx, &[item], built.leaves())[0],
+            built
+        );
         for leaf_idx in 0..params.subtree_leaves() as u32 {
             let (sig, root) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
             assert_eq!(built.root(), root);

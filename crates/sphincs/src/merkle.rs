@@ -214,10 +214,11 @@ where
 /// `(2^(height+1) − 1) · n` bytes, bottom to top: the `2^height` leaves,
 /// then each level's `2^(height−z)` nodes, and the `n`-byte root last.
 ///
-/// Retaining the nodes is what makes a subtree *memoizable*: the root
-/// and the authentication path of **any** leaf can be sliced out later
-/// without re-hashing ([`TreeLevels::output_for`]), byte-identical to
-/// what [`treehash_many`] extracts for that leaf.
+/// Retaining the nodes lets one build serve every leaf: the root and
+/// the authentication path of **any** leaf can be sliced out without
+/// re-hashing ([`TreeLevels::output_for`]), byte-identical to what
+/// [`treehash_many`] extracts for that leaf. A tree kept for later keeps
+/// only its [`TreeLevels::leaves`] and is built again from them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeLevels {
     n: usize,
@@ -268,10 +269,11 @@ impl TreeLevels {
         }
     }
 
-    /// Total retained node bytes (`(2^(height+1) − 1) · n`) — the
-    /// memoization layer's accounting unit for its memory bound.
-    pub fn byte_len(&self) -> usize {
-        self.nodes.len()
+    /// The `2^height` leaves, `n` bytes each, left to right: all a
+    /// memoized tree needs to keep, since they rebuild every other node
+    /// with `2^height − 1` `H`.
+    pub fn leaves(&self) -> &[u8] {
+        self.pyramid().level(0, 0)
     }
 }
 
@@ -451,8 +453,9 @@ mod tests {
         TreeHashOutput { root, auth_path }
     }
 
-    /// A retained pyramid serves every leaf of its tree as the reference
-    /// would — which reads every node it holds.
+    /// A retained pyramid holds the leaves it was filled with and serves
+    /// every leaf of its tree as the reference would — which reads every
+    /// node it holds.
     fn assert_levels_match(
         ctx: &HashCtx,
         levels: &TreeLevels,
@@ -461,7 +464,10 @@ mod tests {
         what: &str,
     ) {
         let height = levels.height();
-        assert_eq!(levels.byte_len(), ((2 << height) - 1) * 16, "{what}");
+        let leaves: Vec<u8> = (0..1u32 << height)
+            .flat_map(|i| leaf_vec(first_leaf + i))
+            .collect();
+        assert_eq!(levels.leaves(), &leaves[..], "{what}");
         for leaf_idx in 0..1u32 << height {
             assert_eq!(
                 levels.output_for(leaf_idx),
@@ -758,7 +764,7 @@ mod tests {
         assert_eq!(levels.height(), 0);
         assert_eq!(levels.root(), &leaf_vec(7)[..]);
         assert!(levels.auth_path(0).is_empty());
-        assert_eq!(levels.byte_len(), 16);
+        assert_eq!(levels.leaves(), &leaf_vec(7)[..]);
     }
 
     #[test]
