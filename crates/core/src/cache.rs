@@ -26,11 +26,28 @@
 //!   `w`), and the secret/public seeds. It picks the shard, keys the map and is
 //!   what equality means; the planner computes it once per call, where it
 //!   holds the key anyway, so no seed is kept by the cache.
-//! - **Value**: per key, a map from `(layer, tree_idx)` to the subtree's
-//!   leaves in one boxed slice (`2^h' · n` bytes, 128 at 128f); the tree
-//!   rebuilt from them is byte-identical to a fresh build.
-//!   [`HypertreeCache::get`] copies them into the caller's buffer under
-//!   the shard lock.
+//! - **Value**: per key, a map from a packed `(layer, tree_idx)` (the
+//!   layer above bit 24; every memoizable layer's trees fit below it) to
+//!   a `u32` slot of the shard's page pool holding the subtree's leaves
+//!   (`2^h' · n` bytes, 128 at 128f); the tree rebuilt from them is
+//!   byte-identical to a fresh build. [`HypertreeCache::get`] copies them
+//!   into the caller's buffer under the shard lock.
+//! - **Pages**: each shard owns one pool of 4 KiB pages (a page is one
+//!   slot where a subtree's leaves are larger), cut into slots of one
+//!   subtree's leaves each — 32 at 128f — under the shard's own mutex.
+//!   The first leaves stored set the slot size: an engine signs for one
+//!   parameter set, and leaves of another size are not stored.
+//!   An insert takes a freed slot, or else the next one, adding a page
+//!   when the last is full; an eviction removes the key's index entries
+//!   and returns its slots to the free list in the same critical
+//!   section. Keys share pages, so a key that touches one subtree per
+//!   layer pays five slots, not five pages. Pages are never released:
+//!   the pool holds the high-water of resident slots, rounded up to a
+//!   page per shard ([`CacheStats::pool_bytes`]). A boxed slice per
+//!   subtree paid a heap chunk and a 32-byte map bucket for every 128
+//!   bytes of leaves, allocated among the signers' transient buffers;
+//!   ARCHITECTURE's memoization section has the measurements, and the
+//!   layouts tried and rejected.
 //! - **Bounds**: [`CacheConfig::max_keys`] and [`CacheConfig::max_bytes`]
 //!   are enforced by exact least-recently-used eviction of whole keys
 //!   (recency is a global logical clock bumped on every touch). Eviction
@@ -58,6 +75,7 @@ use hero_sphincs::sign::SigningKey;
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -83,6 +101,9 @@ pub struct CacheConfig {
     pub max_keys: usize,
     /// Bound on the resident subtrees' leaf bytes across all keys
     /// (`2^h' · n` a subtree); enforced by LRU eviction of whole keys.
+    /// The page pools behind them are never released: they hold the
+    /// high-water of resident leaf bytes plus at most one partly used
+    /// page per shard ([`CacheStats::pool_bytes`]).
     pub max_bytes: usize,
 }
 
@@ -141,6 +162,10 @@ pub struct CacheStats {
     pub resident_keys: u64,
     /// Subtrees currently resident across all keys.
     pub resident_subtrees: u64,
+    /// Bytes of the shards' page pools: resident leaf bytes plus free
+    /// slots and the unused tail of each shard's last page. Pages are
+    /// never released, so this is a high-water mark.
+    pub pool_bytes: u64,
 }
 
 impl CacheStats {
@@ -153,6 +178,7 @@ impl CacheStats {
         self.resident_bytes += other.resident_bytes;
         self.resident_keys += other.resident_keys;
         self.resident_subtrees += other.resident_subtrees;
+        self.pool_bytes += other.pool_bytes;
     }
 }
 
@@ -201,18 +227,105 @@ impl KeyId {
     }
 }
 
-/// One resident key: its subtrees' leaves plus LRU bookkeeping.
+/// Bytes of one pool page; a subtree's leaves larger than this take a
+/// page each.
+const PAGE_BYTES: usize = 4096;
+
+/// The packed index key of a subtree: its layer above bit 24, its tree
+/// below. `None` for a coordinate that does not pack, which no
+/// memoizable layer has (at most `MAX_TREES_PER_LAYER` trees).
+fn packed(layer: u32, tree_idx: u64) -> Option<u32> {
+    (layer < 1 << 8 && tree_idx < 1 << 24).then_some(layer << 24 | tree_idx as u32)
+}
+
+/// Slots of one size, a subtree's leaves, cut from pages that are never
+/// released, with a free list of the slots evicted keys gave back.
+#[derive(Default)]
+struct Pool {
+    /// Set by the first leaves stored: an engine signs for one parameter
+    /// set, so all its subtrees' leaves are one size.
+    slot_bytes: usize,
+    slots_per_page: usize,
+    pages: Vec<Box<[u8]>>,
+    /// Slots handed out so far, free or in use: the next fresh slot.
+    next: u32,
+    free: Vec<u32>,
+}
+
+impl Pool {
+    /// Whether leaves of `len` (non-zero) bytes fit the slots; the first
+    /// size asked about sets them.
+    fn fits(&mut self, len: usize) -> bool {
+        if self.slot_bytes == 0 {
+            self.slot_bytes = len;
+            self.slots_per_page = (PAGE_BYTES / len).max(1);
+        }
+        self.slot_bytes == len
+    }
+
+    /// The page of `slot` and its bytes in that page.
+    fn place(&self, slot: u32) -> (usize, Range<usize>) {
+        let (page, at) = (
+            slot as usize / self.slots_per_page,
+            slot as usize % self.slots_per_page,
+        );
+        (page, at * self.slot_bytes..(at + 1) * self.slot_bytes)
+    }
+
+    fn slot(&self, slot: u32) -> &[u8] {
+        let (page, bytes) = self.place(slot);
+        &self.pages[page][bytes]
+    }
+
+    /// Stores `leaves` in a freed slot, or else the next one; returns the
+    /// slot and the bytes of the page it had to add, if any.
+    fn store(&mut self, leaves: &[u8]) -> (u32, usize) {
+        let mut added = 0;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if self.next as usize == self.pages.len() * self.slots_per_page {
+                added = self.slots_per_page * self.slot_bytes;
+                self.pages.push(vec![0u8; added].into_boxed_slice());
+            }
+            self.next += 1;
+            self.next - 1
+        });
+        let (page, bytes) = self.place(slot);
+        self.pages[page][bytes].copy_from_slice(leaves);
+        (slot, added)
+    }
+}
+
+/// One resident key: where its subtrees' leaves sit in the shard's pool,
+/// plus LRU bookkeeping.
 struct KeyEntry {
-    subtrees: HashMap<(u32, u64), Box<[u8]>>,
-    bytes: usize,
+    /// Packed `(layer, tree_idx)` ([`packed`]) to slot.
+    slots: HashMap<u32, u32>,
     last_used: u64,
+}
+
+/// One shard: its keys and the page pool their leaves live in.
+#[derive(Default)]
+struct Shard {
+    keys: HashMap<KeyId, KeyEntry>,
+    pool: Pool,
+}
+
+impl Shard {
+    /// Removes `key` and returns its slots to the pool; the subtrees and
+    /// leaf bytes it held.
+    fn remove(&mut self, key: &KeyId) -> Option<(u64, u64)> {
+        let entry = self.keys.remove(key)?;
+        self.pool.free.extend(entry.slots.values());
+        let subtrees = entry.slots.len() as u64;
+        Some((subtrees, subtrees * self.pool.slot_bytes as u64))
+    }
 }
 
 /// The sharded per-key subtree store — see the module docs for the
 /// design. Shared by all clones of one engine; thread-safe.
 pub struct HypertreeCache {
     config: CacheConfig,
-    shards: Vec<Mutex<HashMap<KeyId, KeyEntry>>>,
+    shards: Vec<Mutex<Shard>>,
     /// Global logical clock for exact LRU recency.
     clock: AtomicU64,
     /// Held while the bounds are enforced, so that a bound check and the
@@ -225,6 +338,7 @@ pub struct HypertreeCache {
     resident_bytes: AtomicU64,
     resident_keys: AtomicU64,
     resident_subtrees: AtomicU64,
+    pool_bytes: AtomicU64,
 }
 
 impl std::fmt::Debug for HypertreeCache {
@@ -241,7 +355,7 @@ impl HypertreeCache {
     pub fn new(config: CacheConfig) -> Self {
         Self {
             config,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             clock: AtomicU64::new(0),
             evicting: Mutex::new(()),
             hits: AtomicU64::new(0),
@@ -250,6 +364,7 @@ impl HypertreeCache {
             resident_bytes: AtomicU64::new(0),
             resident_keys: AtomicU64::new(0),
             resident_subtrees: AtomicU64::new(0),
+            pool_bytes: AtomicU64::new(0),
         }
     }
 
@@ -293,9 +408,11 @@ impl HypertreeCache {
 
     /// Mutex recovery: a worker killed by chaos while holding a shard
     /// poisons the lock, but shard contents are always internally
-    /// consistent (accounting lives in atomics updated outside the
-    /// critical sections), so the poison is cleared and the data reused.
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, HashMap<KeyId, KeyEntry>> {
+    /// consistent (nothing in a critical section panics between two
+    /// updates that must go together — a slot is written before it is
+    /// indexed, and unindexed before it is freed), so the poison is
+    /// cleared and the data reused.
+    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
         let shard = &self.shards[index];
         shard.lock().unwrap_or_else(|poisoned| {
             shard.clear_poison();
@@ -315,17 +432,16 @@ impl HypertreeCache {
         if !self.config.enabled {
             return false;
         }
-        let found = self
-            .lock_shard(key.shard())
-            .get_mut(key)
-            .is_some_and(|entry| {
+        let found = {
+            let shard = &mut *self.lock_shard(key.shard());
+            shard.keys.get_mut(key).is_some_and(|entry| {
                 entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                entry
-                    .subtrees
-                    .get(&(layer, tree_idx))
-                    .map(|resident| leaves.copy_from_slice(resident))
+                packed(layer, tree_idx)
+                    .and_then(|at| entry.slots.get(&at))
+                    .map(|&slot| leaves.copy_from_slice(shard.pool.slot(slot)))
                     .is_some()
-            });
+            })
+        };
         if found && crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
             self.evict_key(key);
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -340,39 +456,52 @@ impl HypertreeCache {
     /// hit/miss counters (used to skip redundant warm fills).
     pub fn contains(&self, key: &KeyId, layer: u32, tree_idx: u64) -> bool {
         self.config.enabled
-            && self
-                .lock_shard(key.shard())
-                .get(key)
-                .is_some_and(|entry| entry.subtrees.contains_key(&(layer, tree_idx)))
+            && packed(layer, tree_idx).is_some_and(|at| {
+                self.lock_shard(key.shard())
+                    .keys
+                    .get(key)
+                    .is_some_and(|entry| entry.slots.contains_key(&at))
+            })
     }
 
     /// Stores a copy of the leaves of one freshly built subtree of the
-    /// key `key` ([`hero_sphincs::merkle::TreeLevels::leaves`]), then
-    /// enforces the key and byte bounds by LRU eviction. A fired
-    /// [`crate::faults::HYPERTREE_CACHE`] fail spec drops the fill (the
-    /// signature already has the fresh nodes; the next sign pays cold).
+    /// key `key` ([`hero_sphincs::merkle::TreeLevels::leaves`]) in a slot
+    /// of its shard's pool, then enforces the key and byte bounds by LRU
+    /// eviction. A fired [`crate::faults::HYPERTREE_CACHE`] fail spec
+    /// drops the fill (the signature already has the fresh nodes; the
+    /// next sign pays cold). A coordinate no memoizable layer has (a tree
+    /// index of 2^24 or more), empty leaves, or leaves of another size
+    /// than the shard's first are not stored.
     pub fn insert(&self, key: &KeyId, layer: u32, tree_idx: u64, leaves: &[u8]) {
-        if !self.config.enabled || crate::faults::fire(crate::faults::HYPERTREE_CACHE) {
+        let Some(at) = packed(layer, tree_idx) else {
+            return;
+        };
+        if !self.config.enabled
+            || leaves.is_empty()
+            || crate::faults::fire(crate::faults::HYPERTREE_CACHE)
+        {
             return;
         }
-        let bytes = leaves.len();
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
-            let mut shard = self.lock_shard(key.shard());
-            let entry = shard.entry(*key).or_insert_with(|| {
+            let shard = &mut *self.lock_shard(key.shard());
+            if !shard.pool.fits(leaves.len()) {
+                return;
+            }
+            let entry = shard.keys.entry(*key).or_insert_with(|| {
                 self.resident_keys.fetch_add(1, Ordering::Relaxed);
                 KeyEntry {
-                    subtrees: HashMap::new(),
-                    bytes: 0,
+                    slots: HashMap::new(),
                     last_used: now,
                 }
             });
             entry.last_used = now;
-            if let Entry::Vacant(slot) = entry.subtrees.entry((layer, tree_idx)) {
-                slot.insert(leaves.into());
-                entry.bytes += bytes;
+            if let Entry::Vacant(index) = entry.slots.entry(at) {
+                let (slot, added) = shard.pool.store(leaves);
+                index.insert(slot);
+                self.pool_bytes.fetch_add(added as u64, Ordering::Relaxed);
                 self.resident_bytes
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
+                    .fetch_add(leaves.len() as u64, Ordering::Relaxed);
                 self.resident_subtrees.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -399,7 +528,7 @@ impl HypertreeCache {
         let mut victim: Option<(KeyId, u64)> = None;
         for index in 0..SHARDS {
             let shard = self.lock_shard(index);
-            for (key, entry) in shard.iter() {
+            for (key, entry) in shard.keys.iter() {
                 if victim.is_none_or(|(_, last)| entry.last_used < last) {
                     victim = Some((*key, entry.last_used));
                 }
@@ -410,8 +539,8 @@ impl HypertreeCache {
         };
         let removed = self.lock_shard(key.shard()).remove(&key);
         match removed {
-            Some(entry) => {
-                self.book_eviction(&entry);
+            Some(removed) => {
+                self.book_eviction(removed);
                 true
             }
             // A forced eviction got there first; report progress anyway.
@@ -422,17 +551,16 @@ impl HypertreeCache {
     /// Forced eviction of one key (the chaos path).
     fn evict_key(&self, key: &KeyId) {
         let removed = self.lock_shard(key.shard()).remove(key);
-        if let Some(entry) = removed {
-            self.book_eviction(&entry);
+        if let Some(removed) = removed {
+            self.book_eviction(removed);
         }
     }
 
-    fn book_eviction(&self, entry: &KeyEntry) {
+    fn book_eviction(&self, (subtrees, bytes): (u64, u64)) {
         self.resident_keys.fetch_sub(1, Ordering::Relaxed);
-        self.resident_bytes
-            .fetch_sub(entry.bytes as u64, Ordering::Relaxed);
+        self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
         self.resident_subtrees
-            .fetch_sub(entry.subtrees.len() as u64, Ordering::Relaxed);
+            .fetch_sub(subtrees, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -445,6 +573,7 @@ impl HypertreeCache {
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             resident_keys: self.resident_keys.load(Ordering::Relaxed),
             resident_subtrees: self.resident_subtrees.load(Ordering::Relaxed),
+            pool_bytes: self.pool_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -483,8 +612,7 @@ mod tests {
             tree_idx: tree,
             leaf_idx: 0,
         };
-        let mut built = hypertree::subtrees(&ctx, sk.sk_seed(), &[item]);
-        built.pop().expect("one pyramid per subtree")
+        hypertree::subtrees(&ctx, sk.sk_seed(), &[item])
     }
 
     /// Fills `layer`'s `tree` of `sk` into `cache`.
@@ -493,7 +621,7 @@ mod tests {
             &KeyId::of(sk),
             layer,
             tree,
-            levels_for(sk, layer, tree).leaves(),
+            levels_for(sk, layer, tree).leaves(0),
         );
     }
 
@@ -512,8 +640,8 @@ mod tests {
         let sk = key(10);
         assert_eq!(served(&cache, &sk, 2, 0), None);
         let levels = levels_for(&sk, 2, 0);
-        cache.insert(&KeyId::of(&sk), 2, 0, levels.leaves());
-        assert_eq!(served(&cache, &sk, 2, 0).as_deref(), Some(levels.leaves()));
+        cache.insert(&KeyId::of(&sk), 2, 0, levels.leaves(0));
+        assert_eq!(served(&cache, &sk, 2, 0).as_deref(), Some(levels.leaves(0)));
         assert!(cache.contains(&KeyId::of(&sk), 2, 0));
         assert!(!cache.contains(&KeyId::of(&sk), 2, 1));
         fill(&cache, &sk, 1, 3);
@@ -602,7 +730,7 @@ mod tests {
                 let (cache, start) = (&cache, &start);
                 scope.spawn(move || {
                     start.wait();
-                    cache.insert(&new, 1, tree as u64, levels.leaves());
+                    cache.insert(&new, 1, tree as u64, levels.leaves(0));
                 });
             }
         });
@@ -630,6 +758,108 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, 0);
         assert_eq!(served(&cache, &sk, 2, 0), None);
+    }
+
+    /// An identity whose first byte, and so whose shard, is `first`, for
+    /// tests that place keys and fill synthetic leaves: the cache never
+    /// reads what it stores.
+    fn id(first: u8, rest: u8) -> KeyId {
+        let mut bytes = [rest; 32];
+        bytes[0] = first;
+        KeyId(bytes)
+    }
+
+    /// After an eviction, the next key of the shard takes the freed
+    /// slots: the pool does not grow, the new key is served its own
+    /// bytes, and the evicted key misses.
+    #[test]
+    fn evicted_slots_are_reused_by_the_next_key() {
+        let cache = HypertreeCache::new(CacheConfig {
+            max_keys: 1,
+            ..CacheConfig::default()
+        });
+        let (a, b) = (id(1, 0xA0), id(1 + SHARDS as u8, 0xB0));
+        assert_eq!(a.shard(), b.shard());
+        let leaves = |key: &KeyId, tree: u64| vec![key.0[1] ^ tree as u8; 64];
+        let served = |key: &KeyId, tree: u64| {
+            let mut out = vec![0u8; 64];
+            cache.get(key, 1, tree, &mut out).then_some(out)
+        };
+        for tree in 0..3 {
+            cache.insert(&a, 1, tree, &leaves(&a, tree));
+        }
+        // B's first fill takes a fresh slot; the key bound then evicts A
+        // and frees its three.
+        cache.insert(&b, 1, 0, &leaves(&b, 0));
+        assert_eq!(cache.stats().evictions, 1);
+        for tree in 1..4 {
+            cache.insert(&b, 1, tree, &leaves(&b, tree));
+        }
+        {
+            let shard = cache.lock_shard(a.shard());
+            let pool = &shard.pool;
+            assert_eq!(pool.next, 4, "B's last three fills took A's slots");
+            assert!(pool.free.is_empty());
+        }
+        for tree in 0..4 {
+            assert_eq!(served(&b, tree), Some(leaves(&b, tree)), "B tree {tree}");
+        }
+        for tree in 0..3 {
+            assert_eq!(served(&a, tree), None, "A tree {tree}");
+        }
+        let s = cache.stats();
+        assert_eq!((s.resident_keys, s.resident_subtrees), (1, 4));
+        assert_eq!(s.resident_bytes, 4 * 64);
+        assert_eq!(s.pool_bytes, PAGE_BYTES as u64);
+    }
+
+    /// 256 keys that each touch one subtree of every memoizable 128f
+    /// layer share their shards' pages: the pool holds no more than the
+    /// resident leaf bytes plus one part-filled page per shard, where a
+    /// page of its own per key would hold a page a key.
+    #[test]
+    fn sparse_keys_share_pages() {
+        let p = Params::sphincs_128f();
+        let slot = p.n << p.tree_height();
+        let cache = HypertreeCache::new(CacheConfig::default());
+        let layers: Vec<u32> = (0..p.d as u32)
+            .filter(|&layer| cache.caches_layer(&p, layer))
+            .collect();
+        assert_eq!(layers, [17, 18, 19, 20, 21]);
+        for k in 0..=255u8 {
+            for &layer in &layers {
+                let tree = (k as u64 * 7) % layer_tree_count(&p, layer);
+                cache.insert(&id(k, k), layer, tree, &vec![k; slot]);
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.resident_keys, s.resident_subtrees), (256, 256 * 5));
+        assert_eq!(s.resident_bytes, 256 * 5 * slot as u64);
+        assert!(
+            s.pool_bytes <= s.resident_bytes + (SHARDS * PAGE_BYTES) as u64,
+            "{s:?}"
+        );
+        assert!(s.pool_bytes < 256 * PAGE_BYTES as u64, "{s:?}");
+    }
+
+    /// A tree index that does not pack is never stored, so it cannot
+    /// alias another coordinate, and leaves of another size than the
+    /// shard's slots are not stored either.
+    #[test]
+    fn unstorable_fills_are_dropped() {
+        let cache = HypertreeCache::new(CacheConfig::default());
+        let key = id(3, 3);
+        cache.insert(&key, 1, 1 << 24, &[7; 64]);
+        assert!(!cache.contains(&key, 1, 1 << 24));
+        assert!(!cache.contains(&key, 2, 0));
+        assert_eq!(cache.stats().resident_subtrees, 0);
+        cache.insert(&key, 1, 0, &[7; 64]);
+        cache.insert(&key, 1, 1, &[7; 32]);
+        assert!(cache.contains(&key, 1, 0));
+        assert!(!cache.contains(&key, 1, 1));
+        assert_eq!(cache.stats().resident_bytes, 64);
+        assert_eq!(packed(1, 5), Some(1 << 24 | 5));
+        assert_eq!(packed(256, 0), None);
     }
 
     // Both policies are pure functions of the parameters: nothing below
@@ -702,8 +932,8 @@ mod tests {
         fill(&cache, &w16, 2, 0);
         assert_eq!(served(&cache, &w256, 2, 0), None);
         assert_ne!(
-            levels_for(&w16, 2, 0).root(),
-            levels_for(&w256, 2, 0).root(),
+            levels_for(&w16, 2, 0).root(0),
+            levels_for(&w256, 2, 0).root(0),
             "the two keys' subtrees differ"
         );
     }

@@ -260,13 +260,14 @@ mod tests {
         let (params, ctx, sk_seed) = tiny_ctx();
         let items = subtree_items(&params, 0b10_01, 2);
         let retained = hypertree::subtrees(&ctx, &sk_seed, &items);
-        for (item, levels) in items.iter().zip(&retained) {
-            // The pyramid serves every leaf of its tree, whichever leaf
-            // the item that built it asked for.
+        assert_eq!(retained.len(), items.len());
+        for (j, item) in items.iter().enumerate() {
+            // The retained nodes serve every leaf of each tree, whichever
+            // leaf the item that built it asked for.
             for leaf_idx in 0..params.subtree_leaves() as u32 {
                 let other = SubtreeItem { leaf_idx, ..*item };
                 let expected = scalar_layer_tree(&ctx, &sk_seed, &other);
-                assert_eq!(levels.output_for(leaf_idx), expected);
+                assert_eq!(retained.output_for(j, leaf_idx), expected);
                 assert_eq!(subtrees(&ctx, &sk_seed, &[other]), [expected]);
             }
         }

@@ -22,7 +22,10 @@
 //!    builds, one per distinct `(layer, tree)` of the batch that is not
 //!    resident in the cache ([`hero_sphincs::hypertree::subtrees`]), and
 //!    WOTS+ chain groups ([`hero_sphincs::wots::sign_chain_groups`]) —
-//!    where one item may carry work from *several* messages.
+//!    where one item may carry work from *several* messages. A FORS node
+//!    reads its requests out of the messages' stage lists and fills one
+//!    output slot: its trees' signatures, and their roots back to back in
+//!    one `n`-stride buffer that the `T_k` nodes read where it lies.
 //! 2. The items become closure nodes of a
 //!    [`hero_task_graph::TaskGraph`], with edges only where the signature
 //!    really demands them: a message's `T_k` FORS-pk compression waits
@@ -71,6 +74,7 @@ use hero_sphincs::wots::{self, ChainGroupItem};
 use hero_sphincs::Nodes;
 use hero_task_graph::{Executor, NodeId, TaskGraph};
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -180,10 +184,10 @@ fn fan_out<R: Send>(
 }
 
 /// Adds one subtree build node to `graph`: it builds `items` through one
-/// [`hypertree::subtrees`] call, hands each pyramid to `slice`
-/// with the item's index, and publishes the leaves of those of the
-/// layers `cache` memoizes. [`sign_batch`] and [`warm_cache`] both build
-/// through it.
+/// [`hypertree::subtrees`] call, hands the built trees (tree `j` is item
+/// `j`'s) to `slice`, and publishes the leaves of those of the layers
+/// `cache` memoizes. [`sign_batch`] and [`warm_cache`] both build through
+/// it.
 fn build_node<'a>(
     graph: &mut TaskGraph<'a>,
     ctx: &'a HashCtx,
@@ -191,15 +195,15 @@ fn build_node<'a>(
     key: &'a KeyId,
     cache: &'a HypertreeCache,
     items: &'a [SubtreeItem],
-    slice: impl Fn(usize, &TreeLevels) + Send + 'a,
+    slice: impl Fn(&TreeLevels) + Send + 'a,
 ) -> NodeId {
     graph.task(move || {
         crate::faults::stage(crate::faults::PLAN_STAGE);
         let built = hypertree::subtrees(ctx, sk_seed, items);
-        for (i, (item, levels)) in items.iter().zip(built).enumerate() {
-            slice(i, &levels);
+        slice(&built);
+        for (j, item) in items.iter().enumerate() {
             if cache.caches_layer(ctx.params(), item.layer) {
-                cache.insert(key, item.layer, item.tree_idx, levels.leaves());
+                cache.insert(key, item.layer, item.tree_idx, built.leaves(j));
             }
         }
     })
@@ -216,7 +220,8 @@ fn coords(&(_, item): &(usize, SubtreeItem)) -> (u32, u64) {
 /// [`HypertreeCache::get`]; the distinct trees that hit are rebuilt from
 /// their leaves in one [`hypertree::subtrees_from_leaves`] call (`2^h' −
 /// 1` `H` a tree, no graph node), and `serve` gets each warm item's root
-/// and authentication path with its slot.
+/// and authentication path with its slot, sliced from the rebuild's one
+/// node buffer.
 fn settle_warm(
     ctx: &HashCtx,
     cache: &HypertreeCache,
@@ -248,13 +253,12 @@ fn settle_warm(
             leaves.truncate(start);
         }
     }
-    let warm_groups: Vec<&[(usize, SubtreeItem)]> =
-        warm.chunk_by(|a, b| coords(a) == coords(b)).collect();
-    let trees: Vec<SubtreeItem> = warm_groups.iter().map(|group| group[0].1).collect();
+    let warm_groups = || warm.chunk_by(|a, b| coords(a) == coords(b));
+    let trees: Vec<SubtreeItem> = warm_groups().map(|group| group[0].1).collect();
     let rebuilt = hypertree::subtrees_from_leaves(ctx, &trees, &leaves);
-    for (group, levels) in warm_groups.into_iter().zip(rebuilt) {
+    for (j, group) in warm_groups().enumerate() {
         for &(flat, item) in group {
-            serve(flat, levels.output_for(item.leaf_idx));
+            serve(flat, rebuilt.output_for(j, item.leaf_idx));
         }
     }
     unbuilt
@@ -326,20 +330,19 @@ pub fn sign_batch(
             .map(|msg| sk.stages(ctx, msg, sk.pk_seed()))
             .collect()
     });
-    let fors_reqs: Vec<ForsTreeRequest> = stages
-        .iter()
-        .flat_map(|lists| lists.fors.iter().copied())
-        .collect();
-
-    // Output slots, indexed flat: message-major trees and layers.
-    let fors_slots: Slots<(ForsTreeSig, Vec<u8>)> = Slots::new(m * k);
-    let pk_slots: Slots<Vec<u8>> = Slots::new(m);
-    let layer_slots: Slots<TreeHashOutput> = Slots::new(m * d);
-    let wots_slots: Slots<Nodes> = Slots::new(m * d);
 
     let fg = shape.fors_trees_per_item.max(1);
     let tg = shape.subtrees_per_item.max(1);
     let wg = shape.chains_per_item.max(1);
+
+    // Output slots: one per FORS node — its trees' signatures, and their
+    // roots back to back, `n` bytes each — then per message, and per flat
+    // (message-major) layer.
+    let flat_trees = m * k;
+    let fors_slots: Slots<(Vec<ForsTreeSig>, Vec<u8>)> = Slots::new(flat_trees.div_ceil(fg));
+    let pk_slots: Slots<Vec<u8>> = Slots::new(m);
+    let layer_slots: Slots<TreeHashOutput> = Slots::new(m * d);
+    let wots_slots: Slots<Nodes> = Slots::new(m * d);
 
     // Subtree stage, optionally memoized. Each flat (message, layer) item
     // is settled once at plan time, its subtree's items side by side
@@ -373,44 +376,65 @@ pub fn sign_batch(
 
     let mut graph = TaskGraph::new();
 
-    // FORS tree groups: no dependencies.
-    let fors_nodes: Vec<_> = fors_reqs
-        .chunks(fg)
-        .enumerate()
-        .map(|(c, chunk)| {
-            let base = c * fg;
-            let fors_slots = &fors_slots;
+    // FORS tree groups: no dependencies. The node of slot `c` builds the
+    // flat trees `c·fg..` through one `tree_hash_many` call, its requests
+    // read out of `stages` (copied only where the group straddles two
+    // messages), and keeps their signatures and roots.
+    let fors_nodes: Vec<_> = (0..flat_trees)
+        .step_by(fg)
+        .map(|lo| {
+            let hi = (lo + fg).min(flat_trees);
+            let (fors_slots, stages) = (&fors_slots, &stages);
             graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                for (off, out) in fors::tree_hash_many(ctx, sk_seed, chunk)
+                let reqs: Cow<[ForsTreeRequest]> = if lo / k == (hi - 1) / k {
+                    Cow::Borrowed(&stages[lo / k].fors[lo % k..][..hi - lo])
+                } else {
+                    (lo..hi).map(|t| stages[t / k].fors[t % k]).collect()
+                };
+                let mut roots = vec![0u8; (hi - lo) * n];
+                let sigs = fors::tree_hash_many(ctx, sk_seed, &reqs)
                     .into_iter()
-                    .enumerate()
-                {
-                    fors_slots.set(base + off, out);
-                }
+                    .zip(roots.chunks_exact_mut(n))
+                    .map(|((sig, root), at)| {
+                        at.copy_from_slice(&root);
+                        sig
+                    })
+                    .collect();
+                fors_slots.set(lo / fg, (sigs, roots));
             })
         })
         .collect();
 
     // Per-message T_k compression: waits for the tree groups covering
-    // this message's k trees.
+    // this message's k trees, and reads their roots where those nodes
+    // keep them — in place when one node built all k.
     let pk_nodes: Vec<_> = (0..m)
         .map(|mi| {
             let (fors_slots, pk_slots, stages) = (&fors_slots, &pk_slots, &stages);
+            let (lo, hi) = (mi * k, (mi + 1) * k);
+            let groups = lo / fg..=(hi - 1) / fg;
             let node = graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                let mut roots_flat = vec![0u8; k * n];
-                for tree in 0..k {
-                    fors_slots.with(mi * k + tree, |(_, root)| {
-                        roots_flat[tree * n..(tree + 1) * n].copy_from_slice(root);
-                    });
-                }
-                pk_slots.set(
-                    mi,
-                    fors::roots_to_pk(ctx, &stages[mi].keypair_adrs, &roots_flat),
-                );
+                let adrs = &stages[mi].keypair_adrs;
+                let pk = if groups.start() == groups.end() {
+                    fors_slots.with(lo / fg, |(_, roots)| {
+                        fors::roots_to_pk(ctx, adrs, &roots[(lo % fg) * n..][..k * n])
+                    })
+                } else {
+                    let mut roots_flat = vec![0u8; k * n];
+                    for c in groups {
+                        let (a, b) = (lo.max(c * fg), hi.min((c + 1) * fg));
+                        fors_slots.with(c, |(_, roots)| {
+                            roots_flat[(a - lo) * n..(b - lo) * n]
+                                .copy_from_slice(&roots[(a - c * fg) * n..(b - c * fg) * n]);
+                        });
+                    }
+                    fors::roots_to_pk(ctx, adrs, &roots_flat)
+                };
+                pk_slots.set(mi, pk);
             });
-            for &group in &fors_nodes[(mi * k) / fg..=((mi + 1) * k - 1) / fg] {
+            for &group in &fors_nodes[lo / fg..=(hi - 1) / fg] {
                 graph.depends_on(node, group);
             }
             node
@@ -423,19 +447,13 @@ pub fn sign_batch(
     let mut subtree_dep: Vec<Option<NodeId>> = vec![None; m * d];
     for (items, groups) in builds.chunks(tg).zip(build_groups.chunks(tg)) {
         let layer_slots = &layer_slots;
-        let node = build_node(
-            &mut graph,
-            ctx,
-            sk_seed,
-            &key,
-            cache,
-            items,
-            move |i, levels| {
-                for (flat, item) in groups[i] {
-                    layer_slots.set(*flat, levels.output_for(item.leaf_idx));
+        let node = build_node(&mut graph, ctx, sk_seed, &key, cache, items, move |built| {
+            for (j, group) in groups.iter().enumerate() {
+                for (flat, item) in *group {
+                    layer_slots.set(*flat, built.output_for(j, item.leaf_idx));
                 }
-            },
-        );
+            }
+        });
         for &(flat, _) in groups.iter().copied().flatten() {
             subtree_dep[flat] = Some(node);
         }
@@ -501,13 +519,12 @@ pub fn sign_batch(
         .expect("batch plan construction yields a DAG");
 
     // Assembly: drain the slots message by message.
+    let mut fors_sigs = (0..fors_nodes.len()).flat_map(|c| fors_slots.take(c).0);
     stages
         .into_iter()
         .enumerate()
         .map(|(mi, lists)| {
-            let trees: Vec<ForsTreeSig> = (0..k)
-                .map(|tree| fors_slots.take(mi * k + tree).0)
-                .collect();
+            let trees: Vec<ForsTreeSig> = fors_sigs.by_ref().take(k).collect();
             let layers: Vec<XmssSig> = (0..d)
                 .map(|layer| XmssSig {
                     wots_sig: wots_slots.take(mi * d + layer),
@@ -553,7 +570,7 @@ pub fn warm_cache(
     }
     let mut graph = TaskGraph::new();
     for chunk in items.chunks(PlanShape::for_batch(1).subtrees_per_item) {
-        build_node(&mut graph, ctx, sk_seed, key, cache, chunk, |_, _| {});
+        build_node(&mut graph, ctx, sk_seed, key, cache, chunk, |_| {});
     }
     exec.run(graph).expect("warm plan is a DAG");
     items.len()
@@ -812,10 +829,10 @@ mod tests {
                 "{name}: tree 0 of every layer is resident"
             );
             for (&(flat, item), out) in every_leaf.iter().zip(&served) {
-                let fresh = &hypertree::subtrees(&ctx, sk.sk_seed(), &[item])[0];
+                let fresh = hypertree::subtrees(&ctx, sk.sk_seed(), &[item]);
                 assert_eq!(
                     out.as_ref(),
-                    Some(&fresh.output_for(item.leaf_idx)),
+                    Some(&fresh.output_for(0, item.leaf_idx)),
                     "{name}: {item:?} (slot {flat})"
                 );
             }

@@ -84,6 +84,16 @@ proptest! {
             .workers(workers)
             .build()
             .unwrap();
+        // Room for one subtree's leaves: every second fill evicts the
+        // key, and the fills after it go to the slots it freed.
+        let tight_engine = HeroSigner::builder(rtx_4090(), params)
+            .workers(workers)
+            .cache_config(CacheConfig {
+                max_bytes: params.n << params.tree_height(),
+                ..CacheConfig::default()
+            })
+            .build()
+            .unwrap();
 
         let msgs_owned: Vec<Vec<u8>> = (0..batch)
             .map(|i| {
@@ -99,6 +109,12 @@ proptest! {
         let warm = cached_engine.sign_batch(&sk, &msgs).unwrap();
         let stats = cached_engine.cache_stats();
         prop_assert!(stats.hits > 0, "second pass must hit: {stats:?}");
+        let tight: Vec<_> = (0..2).map(|_| tight_engine.sign_batch(&sk, &msgs).unwrap()).collect();
+        let churn = tight_engine.cache_stats();
+        prop_assert!(churn.evictions > 0, "{churn:?}");
+        // Every fill after the first eviction reused a freed slot: the
+        // pool never grew past its first 4 KiB page.
+        prop_assert!(churn.pool_bytes <= 4096, "{churn:?}");
 
         for (i, msg) in msgs.iter().enumerate() {
             let oracle = sk.sign(msg);
@@ -117,6 +133,13 @@ proptest! {
                 "warm: set={} alg={:?} workers={} slot={}",
                 params.name(), alg, workers, i
             );
+            for (pass, sigs) in tight.iter().enumerate() {
+                prop_assert_eq!(
+                    &sigs[i], &oracle,
+                    "evicting, pass {}: set={} alg={:?} workers={} slot={}",
+                    pass, params.name(), alg, workers, i
+                );
+            }
         }
     }
 }

@@ -212,6 +212,7 @@ pub fn render(
         "hero_cache_resident_bytes_total {}",
         cache.resident_bytes
     );
+    let _ = writeln!(out, "hero_cache_pool_bytes_total {}", cache.pool_bytes);
     let _ = writeln!(out, "hero_cache_resident_keys {}", cache.resident_keys);
     match metrics.latency_summary() {
         Some(s) => {
@@ -365,6 +366,7 @@ mod tests {
             resident_bytes: 2048,
             resident_keys: 2,
             resident_subtrees: 6,
+            pool_bytes: 4096,
         };
         let page = render(&m, &rows, false, 3, &cache);
         assert!(page.contains("hero_server_up 1"), "{page}");
@@ -381,6 +383,7 @@ mod tests {
             page.contains("hero_cache_resident_bytes_total 2048"),
             "{page}"
         );
+        assert!(page.contains("hero_cache_pool_bytes_total 4096"), "{page}");
         assert!(page.contains("hero_server_requests_total 10"), "{page}");
         assert!(
             page.contains("hero_server_deadline_expired_total 4"),

@@ -176,15 +176,16 @@ pub fn wots_leaves_many_into(
     wots::pk_gen_many(ctx, sk_seed, &adrs_list, out);
 }
 
-/// Builds the items' XMSS subtrees, every node of each retained — the one
-/// way a subtree is ever built: all the subtrees' WOTS+ leaves in one
-/// fill ([`wots_leaves_many_into`]), every level above them halved across
-/// all the subtrees at once ([`merkle::treehash_many_levels`]). Signing
+/// Builds the items' XMSS subtrees, every node of each retained in one
+/// buffer (tree `j` of the result is item `j`'s subtree) — the one way a
+/// subtree is ever built: all the subtrees' WOTS+ leaves in one fill
+/// ([`wots_leaves_many_into`]), every level above them halved across all
+/// the subtrees at once ([`merkle::treehash_many_levels`]). Signing
 /// slices a leaf's authentication path out of the result, key generation
-/// its root, and a cache keeps its leaves ([`subtrees_from_leaves`]).
+/// a root, and a cache keeps a subtree's leaves ([`subtrees_from_leaves`]).
 /// Items' `leaf_idx` fields are not consulted; a subtree's nodes do not
 /// depend on what else is in the call.
-pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<TreeLevels> {
+pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> TreeLevels {
     levels_above(ctx, items, |leaves| {
         wots_leaves_many_into(ctx, sk_seed, items, leaves)
     })
@@ -199,21 +200,13 @@ pub fn subtrees(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<Tre
 /// # Panics
 ///
 /// Panics if `leaves` does not hold `2^h'` leaves for each item.
-pub fn subtrees_from_leaves(
-    ctx: &HashCtx,
-    items: &[SubtreeItem],
-    leaves: &[u8],
-) -> Vec<TreeLevels> {
+pub fn subtrees_from_leaves(ctx: &HashCtx, items: &[SubtreeItem], leaves: &[u8]) -> TreeLevels {
     levels_above(ctx, items, |buf| buf.copy_from_slice(leaves))
 }
 
 /// The items' subtrees as [`merkle::treehash_many_levels`] builds them
 /// over leaves `fill` writes, each item a job at its subtree's address.
-fn levels_above(
-    ctx: &HashCtx,
-    items: &[SubtreeItem],
-    fill: impl FnOnce(&mut [u8]),
-) -> Vec<TreeLevels> {
+fn levels_above(ctx: &HashCtx, items: &[SubtreeItem], fill: impl FnOnce(&mut [u8])) -> TreeLevels {
     let jobs: Vec<merkle::TreeHashJob> = items
         .iter()
         .map(|item| merkle::TreeHashJob {
@@ -229,10 +222,11 @@ fn levels_above(
 /// call, each sliced at its own signing leaf — the root the layer above
 /// signs, and the authentication path the signature carries.
 pub fn tree_sign(ctx: &HashCtx, sk_seed: &[u8], items: &[SubtreeItem]) -> Vec<TreeHashOutput> {
+    let built = subtrees(ctx, sk_seed, items);
     items
         .iter()
-        .zip(subtrees(ctx, sk_seed, items))
-        .map(|(item, levels)| levels.output_for(item.leaf_idx))
+        .enumerate()
+        .map(|(j, item)| built.output_for(j, item.leaf_idx))
         .collect()
 }
 
@@ -380,7 +374,7 @@ pub fn public_root(ctx: &HashCtx, sk_seed: &[u8]) -> Vec<u8> {
         tree_idx: 0,
         leaf_idx: 0,
     };
-    subtrees(ctx, sk_seed, &[top])[0].root().to_vec()
+    subtrees(ctx, sk_seed, &[top]).root(0).to_vec()
 }
 
 #[cfg(test)]
@@ -475,16 +469,13 @@ mod tests {
             tree_idx: 3,
             leaf_idx: 0,
         };
-        let built = &subtrees(&ctx, &sk_seed, &[item])[0];
+        let built = subtrees(&ctx, &sk_seed, &[item]);
         // Its leaves alone rebuild every node.
-        assert_eq!(
-            &subtrees_from_leaves(&ctx, &[item], built.leaves())[0],
-            built
-        );
+        assert_eq!(subtrees_from_leaves(&ctx, &[item], built.leaves(0)), built);
         for leaf_idx in 0..params.subtree_leaves() as u32 {
             let (sig, root) = reference::xmss_sign(&ctx, &msg, &sk_seed, 0, 3, leaf_idx);
-            assert_eq!(built.root(), root);
-            assert_eq!(built.auth_path(leaf_idx), sig.auth_path);
+            assert_eq!(built.root(0), root);
+            assert_eq!(built.auth_path(0, leaf_idx), sig.auth_path);
             let item = SubtreeItem { leaf_idx, ..item };
             assert_eq!(xmss_many(&ctx, &[&sig], &[&msg], &[item]), [root]);
         }

@@ -14,8 +14,8 @@
 //! allocation holds every node of the call. What the caller gets is a
 //! projection of that buffer: [`treehash_many`] slices the root and one
 //! leaf's authentication path out of it per tree, [`treehash_many_levels`]
-//! hands each tree its whole pyramid ([`TreeLevels`]), from which any
-//! leaf can be served later. Verification's level sweep climbs many
+//! hands over the whole buffer ([`TreeLevels`]), from which any leaf of
+//! any tree can be served later. Verification's level sweep climbs many
 //! authentication paths the same way, a level of all of them per sweep
 //! (`roots_in`). Everything is generic over the hash
 //! primitive carried by the [`HashCtx`]; the node-by-node spelling both
@@ -83,57 +83,41 @@ pub struct TreeHashJob {
     pub leaf_offset: u32,
 }
 
-/// Every node of `jobs` same-height trees in one buffer, level-major:
-/// all trees' leaves first (tree after tree), each level's parents right
-/// behind it, the roots last. A tree's nodes are contiguous within a
-/// level, so sibling pairs never straddle a tree boundary.
-struct Pyramid<'a> {
-    n: usize,
+/// Builds many same-height trees in one sweep and keeps every node, for
+/// memoization: the call returns every job's whole tree in one buffer
+/// ([`TreeLevels`], tree `j` being job `j`), so any leaf can be served
+/// later. Jobs' `leaf_idx` fields are not consulted; `fill_leaves` is
+/// [`treehash_many`]'s.
+///
+/// This is the level loop, the only one there is: `fill_leaves` writes
+/// every job's leaf layer, then each level of all jobs is halved by a
+/// *single* combined [`HashCtx::h_many`] call, so the near-root levels —
+/// where one tree has fewer nodes than SHA lanes — still fill the
+/// multi-lane engine with siblings from the other jobs.
+///
+/// # Panics
+///
+/// Panics if any job's `leaf_offset` is not a multiple of `2^height`.
+pub fn treehash_many_levels<F>(
+    ctx: &HashCtx,
     height: usize,
-    jobs: usize,
-    nodes: &'a [u8],
-}
-
-impl<'a> Pyramid<'a> {
-    /// The `2^(height − level)` nodes of tree `job` at `level`.
-    fn level(&self, level: usize, job: usize) -> &'a [u8] {
-        let width = 1usize << (self.height - level);
-        // Nodes per tree below this level: 2^(h+1) − 2^(h+1−level).
-        let below = (2usize << self.height) - 2 * width;
-        &self.nodes[(below * self.jobs + width * job) * self.n..][..width * self.n]
-    }
-
-    /// The sibling of `leaf_idx`'s ancestor at every level of tree `job`,
-    /// from the leaf's level up.
-    fn auth_path(&self, job: usize, leaf_idx: u32) -> Nodes {
-        assert!(
-            (leaf_idx as usize) < (1usize << self.height),
-            "leaf index out of range"
-        );
-        let mut path = Nodes::with_capacity(self.n, self.height);
-        for z in 0..self.height {
-            let sibling = (leaf_idx as usize >> z) ^ 1;
-            path.push(&self.level(z, job)[sibling * self.n..][..self.n]);
-        }
-        path
-    }
-}
-
-/// The level loop, the only one there is: `fill_leaves` writes every
-/// job's leaf layer, then each level of all jobs is halved by a *single*
-/// combined [`HashCtx::h_many`] call, so the near-root levels — where one
-/// tree has fewer nodes than SHA lanes — still fill the multi-lane engine
-/// with siblings from the other jobs. Returns the nodes in [`Pyramid`]
-/// order.
-fn build<F>(ctx: &HashCtx, height: usize, jobs: &[TreeHashJob], fill_leaves: F) -> Vec<u8>
+    jobs: &[TreeHashJob],
+    fill_leaves: F,
+) -> TreeLevels
 where
     F: FnOnce(&mut [u8]),
 {
     let n = ctx.params().n;
     let num_leaves = 1usize << height;
     let jn = jobs.len();
+    let mut levels = TreeLevels {
+        n,
+        height,
+        trees: jn,
+        nodes: Vec::new(),
+    };
     if jn == 0 {
-        return Vec::new();
+        return levels;
     }
     for job in jobs {
         assert!(
@@ -167,7 +151,8 @@ where
         ctx.h_many(&adrs_buf, below, &mut above[..len / 2]);
         children += len;
     }
-    nodes
+    levels.nodes = nodes;
+    levels
 }
 
 /// Builds many same-height trees in one sweep (see the module docs) and
@@ -194,46 +179,50 @@ pub fn treehash_many<F>(
 where
     F: FnOnce(&mut [u8]),
 {
-    let nodes = build(ctx, height, jobs, fill_leaves);
-    let all = Pyramid {
-        n: ctx.params().n,
-        height,
-        jobs: jobs.len(),
-        nodes: &nodes,
-    };
+    let built = treehash_many_levels(ctx, height, jobs, fill_leaves);
     jobs.iter()
         .enumerate()
-        .map(|(j, job)| TreeHashOutput {
-            root: all.level(height, j).to_vec(),
-            auth_path: all.auth_path(j, job.leaf_idx),
-        })
+        .map(|(j, job)| built.output_for(j, job.leaf_idx))
         .collect()
 }
 
-/// Every node of a built Merkle tree in one flat buffer of
-/// `(2^(height+1) − 1) · n` bytes, bottom to top: the `2^height` leaves,
-/// then each level's `2^(height−z)` nodes, and the `n`-byte root last.
+/// Every node of one or more same-height Merkle trees built together, in
+/// one flat buffer, level-major: all trees' `2^height` leaves first (tree
+/// after tree), each level's parents right behind it, the `n`-byte roots
+/// last. A tree's nodes are contiguous within a level, so sibling pairs
+/// never straddle a tree boundary, and the trees' leaves are one run.
 ///
 /// Retaining the nodes lets one build serve every leaf: the root and
-/// the authentication path of **any** leaf can be sliced out without
-/// re-hashing ([`TreeLevels::output_for`]), byte-identical to what
-/// [`treehash_many`] extracts for that leaf. A tree kept for later keeps
-/// only its [`TreeLevels::leaves`] and is built again from them.
+/// the authentication path of **any** leaf of any tree can be sliced out
+/// without re-hashing ([`TreeLevels::output_for`]), byte-identical to
+/// what [`treehash_many`] extracts for that leaf. A tree kept for later
+/// keeps only its [`TreeLevels::leaves`] and is built again from them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeLevels {
     n: usize,
     height: usize,
+    trees: usize,
     nodes: Vec<u8>,
 }
 
 impl TreeLevels {
-    fn pyramid(&self) -> Pyramid<'_> {
-        Pyramid {
-            n: self.n,
-            height: self.height,
-            jobs: 1,
-            nodes: &self.nodes,
-        }
+    /// The `2^(height − level)` nodes of tree `tree` at `level`.
+    fn level(&self, level: usize, tree: usize) -> &[u8] {
+        assert!(tree < self.trees, "tree index out of range");
+        let width = 1usize << (self.height - level);
+        // Nodes per tree below this level: 2^(h+1) − 2^(h+1−level).
+        let below = (2usize << self.height) - 2 * width;
+        &self.nodes[(below * self.trees + width * tree) * self.n..][..width * self.n]
+    }
+
+    /// Trees held.
+    pub fn len(&self) -> usize {
+        self.trees
+    }
+
+    /// Whether no tree is held.
+    pub fn is_empty(&self) -> bool {
+        self.trees == 0
     }
 
     /// Tree height (number of halving levels retained above the leaves).
@@ -241,80 +230,58 @@ impl TreeLevels {
         self.height
     }
 
-    /// The `n`-byte Merkle root.
-    pub fn root(&self) -> &[u8] {
-        self.pyramid().level(self.height, 0)
-    }
-
-    /// The authentication path of `leaf_idx`, sliced from the retained
-    /// nodes.
+    /// The `n`-byte Merkle root of tree `tree`.
     ///
     /// # Panics
     ///
-    /// Panics if `leaf_idx >= 2^height`.
-    pub fn auth_path(&self, leaf_idx: u32) -> Nodes {
-        self.pyramid().auth_path(0, leaf_idx)
+    /// Panics if `tree >= self.len()`.
+    pub fn root(&self, tree: usize) -> &[u8] {
+        self.level(self.height, tree)
     }
 
-    /// Root plus `leaf_idx`'s authentication path, as the
-    /// [`TreeHashOutput`] a fresh treehash of this tree would produce.
+    /// The authentication path of `leaf_idx` in tree `tree`, sliced from
+    /// the retained nodes: the sibling of the leaf's ancestor at every
+    /// level, from the leaf's level up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree >= self.len()` or `leaf_idx >= 2^height`.
+    pub fn auth_path(&self, tree: usize, leaf_idx: u32) -> Nodes {
+        assert!(
+            (leaf_idx as usize) < (1usize << self.height),
+            "leaf index out of range"
+        );
+        let mut path = Nodes::with_capacity(self.n, self.height);
+        for z in 0..self.height {
+            let sibling = (leaf_idx as usize >> z) ^ 1;
+            path.push(&self.level(z, tree)[sibling * self.n..][..self.n]);
+        }
+        path
+    }
+
+    /// Root plus `leaf_idx`'s authentication path of tree `tree`, as the
+    /// [`TreeHashOutput`] a fresh treehash of that tree would produce.
     ///
     /// # Panics
     ///
     /// As [`TreeLevels::auth_path`].
-    pub fn output_for(&self, leaf_idx: u32) -> TreeHashOutput {
+    pub fn output_for(&self, tree: usize, leaf_idx: u32) -> TreeHashOutput {
         TreeHashOutput {
-            root: self.root().to_vec(),
-            auth_path: self.auth_path(leaf_idx),
+            root: self.root(tree).to_vec(),
+            auth_path: self.auth_path(tree, leaf_idx),
         }
     }
 
-    /// The `2^height` leaves, `n` bytes each, left to right: all a
-    /// memoized tree needs to keep, since they rebuild every other node
-    /// with `2^height − 1` `H`.
-    pub fn leaves(&self) -> &[u8] {
-        self.pyramid().level(0, 0)
+    /// The `2^height` leaves of tree `tree`, `n` bytes each, left to
+    /// right: all a memoized tree needs to keep, since they rebuild every
+    /// other node with `2^height − 1` `H`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree >= self.len()`.
+    pub fn leaves(&self, tree: usize) -> &[u8] {
+        self.level(0, tree)
     }
-}
-
-/// [`treehash_many`] that keeps every node, for memoization: instead of
-/// one leaf's authentication path, each job gets its whole pyramid
-/// ([`TreeLevels`]) so any leaf can be served later. Jobs' `leaf_idx`
-/// fields are not consulted; `fill_leaves` is [`treehash_many`]'s.
-///
-/// # Panics
-///
-/// Panics if any job's `leaf_offset` is not a multiple of `2^height`.
-pub fn treehash_many_levels<F>(
-    ctx: &HashCtx,
-    height: usize,
-    jobs: &[TreeHashJob],
-    fill_leaves: F,
-) -> Vec<TreeLevels>
-where
-    F: FnOnce(&mut [u8]),
-{
-    let n = ctx.params().n;
-    let nodes = build(ctx, height, jobs, fill_leaves);
-    let all = Pyramid {
-        n,
-        height,
-        jobs: jobs.len(),
-        nodes: &nodes,
-    };
-    (0..jobs.len())
-        .map(|j| {
-            let mut own = Vec::with_capacity(nodes.len() / jobs.len());
-            for level in 0..=height {
-                own.extend_from_slice(all.level(level, j));
-            }
-            TreeLevels {
-                n,
-                height,
-                nodes: own,
-            }
-        })
-        .collect()
 }
 
 /// One leaf-to-root recomputation in a batched auth-path sweep: the
@@ -453,12 +420,13 @@ mod tests {
         TreeHashOutput { root, auth_path }
     }
 
-    /// A retained pyramid holds the leaves it was filled with and serves
-    /// every leaf of its tree as the reference would — which reads every
-    /// node it holds.
+    /// Tree `tree` of retained levels holds the leaves it was filled with
+    /// and serves every leaf as the reference would — which reads every
+    /// node of it.
     fn assert_levels_match(
         ctx: &HashCtx,
         levels: &TreeLevels,
+        tree: usize,
         job: &TreeHashJob,
         first_leaf: u32,
         what: &str,
@@ -467,10 +435,10 @@ mod tests {
         let leaves: Vec<u8> = (0..1u32 << height)
             .flat_map(|i| leaf_vec(first_leaf + i))
             .collect();
-        assert_eq!(levels.leaves(), &leaves[..], "{what}");
+        assert_eq!(levels.leaves(tree), &leaves[..], "{what}");
         for leaf_idx in 0..1u32 << height {
             assert_eq!(
-                levels.output_for(leaf_idx),
+                levels.output_for(tree, leaf_idx),
                 model(ctx, height, job, first_leaf, leaf_idx),
                 "{what}, leaf {leaf_idx}"
             );
@@ -708,9 +676,9 @@ mod tests {
         let height = 4;
         let job = job(0, 9, 0);
         let levels = treehash_many_levels(&ctx, height, &[job], |buf| fill_from(0, buf));
-        assert_eq!(levels[0].height(), height);
-        assert_eq!(levels[0].root(), model(&ctx, height, &job, 0, 0).root);
-        assert_levels_match(&ctx, &levels[0], &job, 0, "one job");
+        assert_eq!((levels.len(), levels.height()), (1, height));
+        assert_eq!(levels.root(0), model(&ctx, height, &job, 0, 0).root);
+        assert_levels_match(&ctx, &levels, 0, &job, 0, "one job");
     }
 
     #[test]
@@ -719,8 +687,9 @@ mod tests {
         let height = 3;
         let jobs = mixed_jobs(4, height, 5);
         let many = treehash_many_levels(&ctx, height, &jobs, |buf| fill_mixed(height, 50, buf));
+        assert_eq!(many.len(), jobs.len());
         for (j, job) in jobs.iter().enumerate() {
-            assert_levels_match(&ctx, &many[j], job, 50 * j as u32, &format!("job {j}"));
+            assert_levels_match(&ctx, &many, j, job, 50 * j as u32, &format!("job {j}"));
         }
         assert!(treehash_many_levels(&ctx, height, &[], |_| {}).is_empty());
     }
@@ -745,7 +714,7 @@ mod tests {
                 let first = 20 * j as u32;
                 let expected = model(&ctx, height, job, first, job.leaf_idx);
                 assert_eq!(outs[j], expected, "{count} jobs, {j}");
-                assert_levels_match(&ctx, &levels[j], job, first, &format!("{count} jobs, {j}"));
+                assert_levels_match(&ctx, &levels, j, job, first, &format!("{count} jobs, {j}"));
                 // The base height is part of every address: the same job
                 // on leaves at height 0 is another tree.
                 let mut flat_job = *job;
@@ -760,11 +729,10 @@ mod tests {
     fn levels_height_zero() {
         let ctx = ctx();
         let levels = treehash_many_levels(&ctx, 0, &[job(0, 0, 0)], |buf| fill_from(7, buf));
-        let levels = &levels[0];
         assert_eq!(levels.height(), 0);
-        assert_eq!(levels.root(), &leaf_vec(7)[..]);
-        assert!(levels.auth_path(0).is_empty());
-        assert_eq!(levels.leaves(), &leaf_vec(7)[..]);
+        assert_eq!(levels.root(0), &leaf_vec(7)[..]);
+        assert!(levels.auth_path(0, 0).is_empty());
+        assert_eq!(levels.leaves(0), &leaf_vec(7)[..]);
     }
 
     #[test]
@@ -772,7 +740,7 @@ mod tests {
     fn levels_leaf_bounds_checked() {
         let ctx = ctx();
         let levels = treehash_many_levels(&ctx, 2, &[job(0, 0, 0)], |buf| fill_from(0, buf));
-        let _ = levels[0].auth_path(4);
+        let _ = levels.auth_path(0, 4);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::address::{Address, AddressType};
 use crate::fors::{self, ForsSignature, ForsTreeRequest, ForsTreeSig};
 use crate::hash::{self, ChainJob, HashAlg, HashCtx};
 use crate::hypertree::{self, HtSignature, SubtreeItem, XmssSig};
-use crate::merkle::TreeLevels;
 use crate::nodes::Nodes;
 use crate::params::Params;
 use crate::wots::{self, ChainGroupItem};
@@ -408,7 +407,7 @@ impl SigningKey {
             .collect();
         let fors_pk = fors::roots_to_pk(&ctx, &keypair_adrs, &roots);
         let built = hypertree::subtrees(&ctx, &self.sk_seed, &subtrees);
-        let signed = std::iter::once(&fors_pk[..]).chain(built.iter().map(TreeLevels::root));
+        let signed = std::iter::once(&fors_pk[..]).chain((0..built.len()).map(|j| built.root(j)));
         let chains: Vec<ChainGroupItem> = subtrees
             .iter()
             .zip(signed)
@@ -416,10 +415,10 @@ impl SigningKey {
             .collect();
         let layers = wots::sign_chain_groups(&ctx, &self.sk_seed, &chains)
             .into_iter()
-            .zip(built.iter().zip(&subtrees))
-            .map(|(wots_sig, (tree, item))| XmssSig {
+            .zip(subtrees.iter().enumerate())
+            .map(|(wots_sig, (j, item))| XmssSig {
                 wots_sig,
-                auth_path: tree.auth_path(item.leaf_idx),
+                auth_path: built.auth_path(j, item.leaf_idx),
             })
             .collect();
         Signature {
