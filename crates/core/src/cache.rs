@@ -41,9 +41,14 @@
 //!   when the last is full; an eviction removes the key's index entries
 //!   and returns its slots to the free list in the same critical
 //!   section. Keys share pages, so a key that touches one subtree per
-//!   layer pays five slots, not five pages. Pages are never released:
-//!   the pool holds the high-water of resident slots, rounded up to a
-//!   page per shard ([`CacheStats::pool_bytes`]). A boxed slice per
+//!   layer pays five slots, not five pages. A shard releases its pages
+//!   only when its last key leaves; until then its pool holds the
+//!   high-water of its own resident slots since it was last empty,
+//!   rounded up to a page ([`CacheStats::pool_bytes`]). The bound is
+//!   per shard: keys still resident in a shard keep the pages of the
+//!   keys evicted beside them, so all pools together can hold up to
+//!   `max_bytes` plus a page for every shard that holds a key, while a
+//!   shard that eviction empties holds none. A boxed slice per
 //!   subtree paid a heap chunk and a 32-byte map bucket for every 128
 //!   bytes of leaves, allocated among the signers' transient buffers;
 //!   ARCHITECTURE's memoization section has the measurements, and the
@@ -101,9 +106,11 @@ pub struct CacheConfig {
     pub max_keys: usize,
     /// Bound on the resident subtrees' leaf bytes across all keys
     /// (`2^h' · n` a subtree); enforced by LRU eviction of whole keys.
-    /// The page pools behind them are never released: they hold the
-    /// high-water of resident leaf bytes plus at most one partly used
-    /// page per shard ([`CacheStats::pool_bytes`]).
+    /// The page pools behind them are bounded per shard: a shard holding
+    /// a key keeps the high-water of its resident leaf bytes since it was
+    /// last empty, rounded up to a page, and an emptied shard releases its
+    /// pages — at most `max_bytes` plus a page for each shard that holds
+    /// a key ([`CacheStats::pool_bytes`]).
     pub max_bytes: usize,
 }
 
@@ -163,8 +170,9 @@ pub struct CacheStats {
     /// Subtrees currently resident across all keys.
     pub resident_subtrees: u64,
     /// Bytes of the shards' page pools: resident leaf bytes plus free
-    /// slots and the unused tail of each shard's last page. Pages are
-    /// never released, so this is a high-water mark.
+    /// slots and the unused tail of each shard's last page. A shard keeps
+    /// its pages until its last key leaves, so this is each occupied
+    /// shard's high-water since it was last empty.
     pub pool_bytes: u64,
 }
 
@@ -238,8 +246,9 @@ fn packed(layer: u32, tree_idx: u64) -> Option<u32> {
     (layer < 1 << 8 && tree_idx < 1 << 24).then_some(layer << 24 | tree_idx as u32)
 }
 
-/// Slots of one size, a subtree's leaves, cut from pages that are never
-/// released, with a free list of the slots evicted keys gave back.
+/// Slots of one size, a subtree's leaves, cut from pages that are kept
+/// while the shard holds a key, with a free list of the slots evicted
+/// keys gave back.
 #[derive(Default)]
 struct Pool {
     /// Set by the first leaves stored: an engine signs for one parameter
@@ -293,6 +302,14 @@ impl Pool {
         self.pages[page][bytes].copy_from_slice(leaves);
         (slot, added)
     }
+
+    /// Drops every page and slot, keeping the slot size; returns the
+    /// page bytes released.
+    fn release(&mut self) -> usize {
+        let bytes = self.pages.len() * self.slots_per_page * self.slot_bytes;
+        (self.pages, self.next, self.free) = (Vec::new(), 0, Vec::new());
+        bytes
+    }
 }
 
 /// One resident key: where its subtrees' leaves sit in the shard's pool,
@@ -310,14 +327,31 @@ struct Shard {
     pool: Pool,
 }
 
+/// What removing one key gave back.
+struct Removed {
+    subtrees: u64,
+    leaf_bytes: u64,
+    /// Page bytes released: the whole pool when the shard's last key left.
+    page_bytes: u64,
+}
+
 impl Shard {
-    /// Removes `key` and returns its slots to the pool; the subtrees and
-    /// leaf bytes it held.
-    fn remove(&mut self, key: &KeyId) -> Option<(u64, u64)> {
+    /// Removes `key` and returns its slots to the pool; when it was the
+    /// shard's last key, the pool's pages go back to the allocator.
+    fn remove(&mut self, key: &KeyId) -> Option<Removed> {
         let entry = self.keys.remove(key)?;
-        self.pool.free.extend(entry.slots.values());
         let subtrees = entry.slots.len() as u64;
-        Some((subtrees, subtrees * self.pool.slot_bytes as u64))
+        let page_bytes = if self.keys.is_empty() {
+            self.pool.release()
+        } else {
+            self.pool.free.extend(entry.slots.values());
+            0
+        };
+        Some(Removed {
+            subtrees,
+            leaf_bytes: subtrees * self.pool.slot_bytes as u64,
+            page_bytes: page_bytes as u64,
+        })
     }
 }
 
@@ -556,11 +590,14 @@ impl HypertreeCache {
         }
     }
 
-    fn book_eviction(&self, (subtrees, bytes): (u64, u64)) {
+    fn book_eviction(&self, removed: Removed) {
         self.resident_keys.fetch_sub(1, Ordering::Relaxed);
-        self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.resident_bytes
+            .fetch_sub(removed.leaf_bytes, Ordering::Relaxed);
         self.resident_subtrees
-            .fetch_sub(subtrees, Ordering::Relaxed);
+            .fetch_sub(removed.subtrees, Ordering::Relaxed);
+        self.pool_bytes
+            .fetch_sub(removed.page_bytes, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -840,6 +877,46 @@ mod tests {
             "{s:?}"
         );
         assert!(s.pool_bytes < 256 * PAGE_BYTES as u64, "{s:?}");
+    }
+
+    /// Keys rotating through shards under a byte bound that holds one
+    /// key: each key evicts the one before it, in another shard, which
+    /// empties that shard and releases its pages. The pools hold one
+    /// key's pages, not one key's pages in every shard it passed through.
+    #[test]
+    fn emptied_shards_release_their_pages() {
+        let (slot, fills) = (128, 40);
+        let cache = HypertreeCache::new(CacheConfig {
+            max_bytes: fills * slot,
+            ..CacheConfig::default()
+        });
+        let key_pages = fills.div_ceil(PAGE_BYTES / slot) * PAGE_BYTES;
+        for shard in 0..SHARDS as u8 {
+            let key = id(shard, shard);
+            for tree in 0..fills as u64 {
+                cache.insert(&key, 17, tree, &vec![shard; slot]);
+            }
+            let s = cache.stats();
+            assert_eq!(s.evictions, shard as u64, "{s:?}");
+            assert_eq!(s.resident_keys, 1, "{s:?}");
+            assert_eq!(s.resident_bytes, (fills * slot) as u64, "{s:?}");
+            // The documented bound, `max_bytes` plus a page for the one
+            // shard holding a key, met exactly by the key's two pages.
+            assert!(s.pool_bytes <= (fills * slot + PAGE_BYTES) as u64, "{s:?}");
+            assert_eq!(s.pool_bytes, key_pages as u64, "{s:?}");
+        }
+        let mut leaves = vec![0; slot];
+        assert!(cache.get(&id(15, 15), 17, 0, &mut leaves));
+        assert_eq!(leaves, [15; 128]);
+        assert!(!cache.get(&id(14, 14), 17, 0, &mut leaves));
+        for shard in 0..SHARDS - 1 {
+            let pool = &cache.lock_shard(shard).pool;
+            assert!(
+                pool.pages.is_empty() && pool.free.is_empty(),
+                "shard {shard}"
+            );
+            assert_eq!(pool.next, 0, "shard {shard}");
+        }
     }
 
     /// A tree index that does not pack is never stored, so it cannot

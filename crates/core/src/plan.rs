@@ -25,7 +25,7 @@
 //!    where one item may carry work from *several* messages. A FORS node
 //!    reads its requests out of the messages' stage lists and fills one
 //!    output slot: its trees' signatures, and their roots back to back in
-//!    one `n`-stride buffer that the `T_k` nodes read where it lies.
+//!    one `n`-stride buffer that the `T_k` nodes gather from.
 //! 2. The items become closure nodes of a
 //!    [`hero_task_graph::TaskGraph`], with edges only where the signature
 //!    really demands them: a message's `T_k` FORS-pk compression waits
@@ -407,31 +407,23 @@ pub fn sign_batch(
         .collect();
 
     // Per-message T_k compression: waits for the tree groups covering
-    // this message's k trees, and reads their roots where those nodes
-    // keep them — in place when one node built all k.
+    // this message's k trees and gathers their roots from those nodes'
+    // root buffers.
     let pk_nodes: Vec<_> = (0..m)
         .map(|mi| {
             let (fors_slots, pk_slots, stages) = (&fors_slots, &pk_slots, &stages);
             let (lo, hi) = (mi * k, (mi + 1) * k);
-            let groups = lo / fg..=(hi - 1) / fg;
             let node = graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                let adrs = &stages[mi].keypair_adrs;
-                let pk = if groups.start() == groups.end() {
-                    fors_slots.with(lo / fg, |(_, roots)| {
-                        fors::roots_to_pk(ctx, adrs, &roots[(lo % fg) * n..][..k * n])
-                    })
-                } else {
-                    let mut roots_flat = vec![0u8; k * n];
-                    for c in groups {
-                        let (a, b) = (lo.max(c * fg), hi.min((c + 1) * fg));
-                        fors_slots.with(c, |(_, roots)| {
-                            roots_flat[(a - lo) * n..(b - lo) * n]
-                                .copy_from_slice(&roots[(a - c * fg) * n..(b - c * fg) * n]);
-                        });
-                    }
-                    fors::roots_to_pk(ctx, adrs, &roots_flat)
-                };
+                let mut roots_flat = vec![0u8; k * n];
+                for c in lo / fg..=(hi - 1) / fg {
+                    let (a, b) = (lo.max(c * fg), hi.min((c + 1) * fg));
+                    fors_slots.with(c, |(_, roots)| {
+                        roots_flat[(a - lo) * n..(b - lo) * n]
+                            .copy_from_slice(&roots[(a - c * fg) * n..(b - c * fg) * n]);
+                    });
+                }
+                let pk = fors::roots_to_pk(ctx, &stages[mi].keypair_adrs, &roots_flat);
                 pk_slots.set(mi, pk);
             });
             for &group in &fors_nodes[lo / fg..=(hi - 1) / fg] {

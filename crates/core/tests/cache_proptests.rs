@@ -85,7 +85,8 @@ proptest! {
             .build()
             .unwrap();
         // Room for one subtree's leaves: every second fill evicts the
-        // key, and the fills after it go to the slots it freed.
+        // key, which empties its shard, and the fills after it refill
+        // the released pool.
         let tight_engine = HeroSigner::builder(rtx_4090(), params)
             .workers(workers)
             .cache_config(CacheConfig {
@@ -112,8 +113,8 @@ proptest! {
         let tight: Vec<_> = (0..2).map(|_| tight_engine.sign_batch(&sk, &msgs).unwrap()).collect();
         let churn = tight_engine.cache_stats();
         prop_assert!(churn.evictions > 0, "{churn:?}");
-        // Every fill after the first eviction reused a freed slot: the
-        // pool never grew past its first 4 KiB page.
+        // Each eviction released the shard's page, so the pool never
+        // held more than one 4 KiB page.
         prop_assert!(churn.pool_bytes <= 4096, "{churn:?}");
 
         for (i, msg) in msgs.iter().enumerate() {
