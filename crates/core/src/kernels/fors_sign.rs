@@ -16,6 +16,8 @@ use hero_gpu_sim::isa::InstrClass;
 use hero_gpu_sim::kernel::{KernelDesc, RoDataPlacement};
 use hero_gpu_sim::occupancy::BlockResources;
 
+use hero_sphincs::fors::{ForsTreeRequest, ForsTreeSig};
+use hero_sphincs::hash::HashCtx;
 use hero_sphincs::params::Params;
 
 /// How FORS trees are mapped onto thread blocks.
@@ -244,12 +246,31 @@ pub fn describe(
 }
 
 /// The functional face, straight from the substrate: the per-message
-/// work-item list ([`tree_requests`], one request per tree, which the
-/// batch planner concatenates across messages and cuts into stages), one
-/// plannable stage ([`sign_trees`]: a group of trees from any mix of
-/// messages, each tree's revealed secret + auth path and its root in one
-/// pass), and the final `T_k` ([`roots_to_pk`]).
-pub use hero_sphincs::fors::{roots_to_pk, tree_hash_many as sign_trees, tree_requests};
+/// work-item list ([`tree_requests`], one request per tree), one
+/// plannable stage ([`sign_trees`]) and the final `T_k`
+/// ([`roots_to_pk`]).
+pub use hero_sphincs::fors::{roots_to_pk, tree_requests};
+
+/// [`hero_sphincs::fors::tree_hash_many`] in the shape the repository
+/// benchmark's stage replay imports: a group of trees from any mix of
+/// messages, each tree's revealed secret and authentication path paired
+/// with its root in a `Vec` of its own. The planner and
+/// `SigningKey::sign` take the roots in one `n`-stride buffer instead.
+/// This adapter goes with ROADMAP items 2-A and 15a, once the replay
+/// calls the `hero_sphincs` stage functions itself.
+pub fn sign_trees(
+    ctx: &HashCtx,
+    sk_seed: &[u8],
+    reqs: &[ForsTreeRequest],
+) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    let n = ctx.params().n;
+    let mut roots = vec![0u8; reqs.len() * n];
+    let sigs = hero_sphincs::fors::tree_hash_many(ctx, sk_seed, reqs, &mut roots);
+    sigs.into_iter()
+        .zip(roots.chunks_exact(n))
+        .map(|(sig, root)| (sig, root.to_vec()))
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {

@@ -22,10 +22,16 @@
 //!    builds, one per distinct `(layer, tree)` of the batch that is not
 //!    resident in the cache ([`hero_sphincs::hypertree::subtrees`]), and
 //!    WOTS+ chain groups ([`hero_sphincs::wots::sign_chain_groups`]) —
-//!    where one item may carry work from *several* messages. A FORS node
-//!    reads its requests out of the messages' stage lists and fills one
-//!    output slot: its trees' signatures, and their roots back to back in
-//!    one `n`-stride buffer that the `T_k` nodes gather from.
+//!    where one item may carry work from *several* messages. Each
+//!    message's signature is allocated at its exact size when the plan
+//!    is made, and every node moves what it makes into the signatures it
+//!    serves: a FORS node spells out its requests from the messages'
+//!    leaf indices and hands each message its trees and their roots
+//!    (`n` bytes each, in one buffer per message that its `T_k` node
+//!    reads), a build node each member its authentication path and the
+//!    root the layer above signs, a chain group each member its WOTS+
+//!    signature. The subtree items are one list of flat indices sorted
+//!    by coordinates; a build node takes a run of it.
 //! 2. The items become closure nodes of a
 //!    [`hero_task_graph::TaskGraph`], with edges only where the signature
 //!    really demands them: a message's `T_k` FORS-pk compression waits
@@ -67,14 +73,13 @@ use crate::kernels::verify::VerifyOutcome;
 use hero_sphincs::fors::{self, ForsSignature, ForsTreeRequest, ForsTreeSig};
 use hero_sphincs::hash::HashCtx;
 use hero_sphincs::hypertree::{self, HtSignature, SubtreeItem, XmssSig};
-use hero_sphincs::merkle::{TreeHashOutput, TreeLevels};
+use hero_sphincs::merkle::TreeLevels;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::{Signature, SigningKey, Stages, VerifyingKey};
 use hero_sphincs::wots::{self, ChainGroupItem};
 use hero_sphincs::Nodes;
 use hero_task_graph::{Executor, NodeId, TaskGraph};
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -180,118 +185,187 @@ fn fan_out<R: Send>(
     }
     exec.run(graph)
         .expect("independent nodes form an acyclic graph");
-    parts.into_iter().flatten().collect()
+    let mut out = Vec::with_capacity(len);
+    out.extend(parts.into_iter().flatten());
+    out
 }
 
-/// Adds one subtree build node to `graph`: it builds `items` through one
-/// [`hypertree::subtrees`] call, hands the built trees (tree `j` is item
-/// `j`'s) to `slice`, and publishes the leaves of those of the layers
-/// `cache` memoizes. [`sign_batch`] and [`warm_cache`] both build through
-/// it.
-fn build_node<'a>(
-    graph: &mut TaskGraph<'a>,
-    ctx: &'a HashCtx,
-    sk_seed: &'a [u8],
-    key: &'a KeyId,
-    cache: &'a HypertreeCache,
-    items: &'a [SubtreeItem],
-    slice: impl Fn(&TreeLevels) + Send + 'a,
-) -> NodeId {
-    graph.task(move || {
-        crate::faults::stage(crate::faults::PLAN_STAGE);
-        let built = hypertree::subtrees(ctx, sk_seed, items);
-        slice(&built);
-        for (j, item) in items.iter().enumerate() {
-            if cache.caches_layer(ctx.params(), item.layer) {
-                cache.insert(key, item.layer, item.tree_idx, built.leaves(j));
-            }
+/// Builds `items` through one [`hypertree::subtrees`] call (tree `j` is
+/// item `j`'s) and publishes the leaves of those of the layers `cache`
+/// memoizes. [`sign_batch`] and [`warm_cache`] both build through it.
+fn build(
+    ctx: &HashCtx,
+    sk_seed: &[u8],
+    key: &KeyId,
+    cache: &HypertreeCache,
+    items: &[SubtreeItem],
+) -> TreeLevels {
+    let built = hypertree::subtrees(ctx, sk_seed, items);
+    for (j, item) in items.iter().enumerate() {
+        if cache.caches_layer(ctx.params(), item.layer) {
+            cache.insert(key, item.layer, item.tree_idx, built.leaves(j));
         }
-    })
+    }
+    built
 }
 
-/// The `(layer, tree)` coordinates of a flat subtree item.
-fn coords(&(_, item): &(usize, SubtreeItem)) -> (u32, u64) {
+/// The `(layer, tree)` coordinates of a subtree item.
+fn coords(item: SubtreeItem) -> (u32, u64) {
     (item.layer, item.tree_idx)
 }
 
-/// Settles at plan time the flat subtree items (`(slot, item)`, sorted by
-/// [`coords`]) whose subtree `cache` holds, and returns the others, in
-/// the same order. Every item of a memoizable layer costs one
-/// [`HypertreeCache::get`]; the distinct trees that hit are rebuilt from
-/// their leaves in one [`hypertree::subtrees_from_leaves`] call (`2^h' −
-/// 1` `H` a tree, no graph node), and `serve` gets each warm item's root
-/// and authentication path with its slot, sliced from the rebuild's one
-/// node buffer.
+/// The end of the run of `order` from `start` whose items share the
+/// coordinates of `order[start]`.
+fn group_end(order: &[u32], start: usize, item: impl Fn(u32) -> SubtreeItem) -> usize {
+    let at = coords(item(order[start]));
+    start
+        + order[start..]
+            .iter()
+            .take_while(|&&flat| coords(item(flat)) == at)
+            .count()
+}
+
+/// `order` (sorted by coordinates) cut into runs of `trees` distinct
+/// subtrees each, the last run holding what is left: the members of one
+/// build node each.
+fn build_runs<'o>(
+    order: &'o [u32],
+    trees: usize,
+    item: impl Fn(u32) -> SubtreeItem + 'o,
+) -> impl Iterator<Item = &'o [u32]> + 'o {
+    let mut rest = order;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let mut end = 0;
+        for _ in 0..trees {
+            if end == rest.len() {
+                break;
+            }
+            end = group_end(rest, end, &item);
+        }
+        let (run, tail) = rest.split_at(end);
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// Settles at plan time the flat subtree items of `order` (flat indices,
+/// sorted by coordinates; `item` reads one) whose subtree `cache` holds,
+/// and leaves the others in `order`, in the same order. Every item of a
+/// memoizable layer costs one [`HypertreeCache::get`]; the distinct
+/// trees that hit are rebuilt from their leaves in one
+/// [`hypertree::subtrees_from_leaves`] call (`2^h' − 1` `H` a tree, no
+/// graph node), and `serve` gets each of their items with its tree's
+/// root and its own authentication path.
 fn settle_warm(
     ctx: &HashCtx,
     cache: &HypertreeCache,
     key: &KeyId,
-    items: &[(usize, SubtreeItem)],
-    mut serve: impl FnMut(usize, TreeHashOutput),
-) -> Vec<(usize, SubtreeItem)> {
+    order: &mut Vec<u32>,
+    item: impl Fn(u32) -> SubtreeItem,
+    mut serve: impl FnMut(u32, &[u8], Nodes),
+) {
     let params = ctx.params();
     let tree_bytes = params.n << params.tree_height();
-    let (mut warm, mut unbuilt) = (Vec::new(), Vec::new());
-    let mut leaves = Vec::new();
-    for group in items.chunk_by(|a, b| coords(a) == coords(b)) {
-        let (layer, tree_idx) = coords(&group[0]);
-        if !cache.caches_layer(params, layer) {
-            unbuilt.extend_from_slice(group);
-            continue;
-        }
-        // One slot of leaves per tree, kept if any member hit.
-        let start = leaves.len();
-        leaves.resize(start + tree_bytes, 0);
-        for &member in group {
-            if cache.get(key, layer, tree_idx, &mut leaves[start..]) {
-                warm.push(member);
+    // One slot of leaves per tree, kept if any member hit: the trees are
+    // served whole from the leaves a hit copied.
+    let (mut warm, mut leaves) = (Vec::new(), Vec::new());
+    let mut start = 0;
+    while start < order.len() {
+        let end = group_end(order, start, &item);
+        let tree = item(order[start]);
+        if cache.caches_layer(params, tree.layer) {
+            let at = leaves.len();
+            leaves.resize(at + tree_bytes, 0);
+            let mut hit = false;
+            for _ in start..end {
+                hit |= cache.get(key, tree.layer, tree.tree_idx, &mut leaves[at..]);
+            }
+            if hit {
+                warm.push(tree);
             } else {
-                unbuilt.push(member);
+                leaves.truncate(at);
             }
         }
-        if warm.last().map(coords) != Some((layer, tree_idx)) {
-            leaves.truncate(start);
-        }
+        start = end;
     }
-    let warm_groups = || warm.chunk_by(|a, b| coords(a) == coords(b));
-    let trees: Vec<SubtreeItem> = warm_groups().map(|group| group[0].1).collect();
-    let rebuilt = hypertree::subtrees_from_leaves(ctx, &trees, &leaves);
-    for (j, group) in warm_groups().enumerate() {
-        for &(flat, item) in group {
-            serve(flat, rebuilt.output_for(j, item.leaf_idx));
+    let rebuilt = hypertree::subtrees_from_leaves(ctx, &warm, &leaves);
+    drop(leaves);
+
+    // The warm trees are a subsequence of `order`'s groups: serve their
+    // members, and close the others up behind each other.
+    let (mut kept, mut next_warm) = (0, 0);
+    let mut start = 0;
+    while start < order.len() {
+        let end = group_end(order, start, &item);
+        let tree = item(order[start]);
+        if warm
+            .get(next_warm)
+            .is_some_and(|&w| coords(w) == coords(tree))
+        {
+            for &flat in &order[start..end] {
+                let leaf_idx = item(flat).leaf_idx;
+                serve(
+                    flat,
+                    rebuilt.root(next_warm),
+                    rebuilt.auth_path(next_warm, leaf_idx),
+                );
+            }
+            next_warm += 1;
+        } else {
+            order.copy_within(start..end, kept);
+            kept += end - start;
         }
+        start = end;
     }
-    unbuilt
+    order.truncate(kept);
 }
 
-/// Interior-mutable output slots shared between stage nodes: a node
-/// writes its slot exactly once; dependents read it only after the DAG
-/// edge guarantees it was filled.
-struct Slots<T>(Vec<Mutex<Option<T>>>);
+/// One message's signature while the stage nodes fill it in, and the
+/// values that pass between its stages. The signature is allocated at
+/// its exact size when the plan is made: `k` FORS tree and `d` layer
+/// handles, each field left empty until its node moves its output in.
+struct Pending {
+    sig: Signature,
+    /// The message's `k` FORS roots, `n` bytes each, until `T_k` takes
+    /// them.
+    roots: Vec<u8>,
+    /// What each layer's WOTS+ signature signs, `n` bytes a layer: the
+    /// FORS public key, then the root of each subtree below the top.
+    signed: Vec<u8>,
+}
 
-impl<T> Slots<T> {
-    fn new(len: usize) -> Self {
-        Self((0..len).map(|_| Mutex::new(None)).collect())
+impl Pending {
+    fn new(params: &Params, randomizer: Vec<u8>) -> Self {
+        let empty = XmssSig {
+            wots_sig: Nodes::default(),
+            auth_path: Nodes::default(),
+        };
+        Self {
+            sig: Signature {
+                randomizer,
+                fors: ForsSignature {
+                    trees: vec![ForsTreeSig::default(); params.k],
+                },
+                ht: HtSignature {
+                    layers: vec![empty; params.d],
+                },
+            },
+            roots: vec![0u8; params.k * params.n],
+            signed: vec![0u8; params.d * params.n],
+        }
     }
 
-    fn set(&self, i: usize, value: T) {
-        *self.0[i].lock().unwrap() = Some(value);
-    }
-
-    fn with<R>(&self, i: usize, f: impl FnOnce(&T) -> R) -> R {
-        f(self.0[i]
-            .lock()
-            .unwrap()
-            .as_ref()
-            .expect("slot filled by dependency"))
-    }
-
-    fn take(&self, i: usize) -> T {
-        self.0[i]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("slot filled by executed node")
+    /// Takes layer `layer`'s subtree: its `root`, which the layer above
+    /// signs, and the signing leaf's `auth_path`.
+    fn subtree(&mut self, layer: usize, root: &[u8], auth_path: Nodes) {
+        let n = root.len();
+        if let Some(signed) = self.signed.get_mut((layer + 1) * n..(layer + 2) * n) {
+            signed.copy_from_slice(root);
+        }
+        self.sig.ht.layers[layer].auth_path = auth_path;
     }
 }
 
@@ -304,6 +378,11 @@ impl<T> Slots<T> {
 /// everything else publish the leaves of the layers `cache` memoizes; a
 /// disabled or empty cache merely changes what the stage graph
 /// recomputes.
+///
+/// Each signature is allocated at its exact size when the plan is made
+/// and every node moves its outputs into the signatures it serves, so
+/// what the call returns holds the signatures' bytes and their handles,
+/// and nothing else.
 pub fn sign_batch(
     ctx: &HashCtx,
     sk: &SigningKey,
@@ -321,110 +400,93 @@ pub fn sign_batch(
     let sk_seed = sk.sk_seed();
 
     // Each message's stage lists (deterministic signing), one node per
-    // worker (message digesting is hash work too), then the flattened
-    // cross-message work-item lists (message-major, so a chunk mixes
-    // messages exactly at the boundaries).
-    let stages: Vec<Stages> = fan_out(exec, m, m.div_ceil(exec.workers()), |range| {
+    // worker (message digesting is hash work too). The work items are
+    // cut from them in flat, message-major order, so a chunk mixes
+    // messages exactly at the boundaries.
+    let mut stages: Vec<Stages> = fan_out(exec, m, m.div_ceil(exec.workers()), |range| {
         msgs[range]
             .iter()
             .map(|msg| sk.stages(ctx, msg, sk.pk_seed()))
             .collect()
     });
+    let mut pending: Vec<Mutex<Pending>> = stages
+        .iter_mut()
+        .map(|lists| Mutex::new(Pending::new(&params, std::mem::take(&mut lists.randomizer))))
+        .collect();
+    let stages = &stages;
+    let item = move |flat: u32| stages[flat as usize / d].subtrees[flat as usize % d];
 
     let fg = shape.fors_trees_per_item.max(1);
     let tg = shape.subtrees_per_item.max(1);
     let wg = shape.chains_per_item.max(1);
 
-    // Output slots: one per FORS node — its trees' signatures, and their
-    // roots back to back, `n` bytes each — then per message, and per flat
-    // (message-major) layer.
-    let flat_trees = m * k;
-    let fors_slots: Slots<(Vec<ForsTreeSig>, Vec<u8>)> = Slots::new(flat_trees.div_ceil(fg));
-    let pk_slots: Slots<Vec<u8>> = Slots::new(m);
-    let layer_slots: Slots<TreeHashOutput> = Slots::new(m * d);
-    let wots_slots: Slots<Nodes> = Slots::new(m * d);
-
     // Subtree stage, optionally memoized. Each flat (message, layer) item
-    // is settled once at plan time, its subtree's items side by side
-    // once sorted by coordinates:
+    // is settled once at plan time, its subtree's items side by side in
+    // `order`, the flat indices sorted by coordinates:
     //   * warm — the subtree's leaves are resident in the cache; the
     //     warm trees are rebuilt from them in one sweep and every warm
     //     item's root and authentication path sliced immediately (no
     //     node, no WOTS+ leaf — the steady-state payoff).
-    //   * build — anything else joins the build group of its
-    //     (layer, tree): *distinct* coordinates are built once per batch
-    //     (a batch's repeated upper trees are not rebuilt per message),
-    //     with no dependencies (coordinates derive from the digest alone
-    //     — the independence §III-A exploits), and slice every
-    //     dependent item's root and path.
+    //   * build — anything else stays in `order` and joins the build
+    //     node of its (layer, tree): *distinct* coordinates are built
+    //     once per batch (a batch's repeated upper trees are not rebuilt
+    //     per message), with no dependencies (coordinates derive from
+    //     the digest alone — the independence §III-A exploits), and
+    //     slice every dependent item's root and path.
     //
     // Declared before the graph so the node closures borrowing the
-    // groups outlive it.
+    // runs outlive it.
     let key = KeyId::of(sk);
-    let mut flat_items: Vec<(usize, SubtreeItem)> = stages
-        .iter()
-        .flat_map(|lists| lists.subtrees.iter().copied())
-        .enumerate()
-        .collect();
-    flat_items.sort_by_key(coords);
-    let unbuilt = settle_warm(ctx, cache, &key, &flat_items, |flat, out| {
-        layer_slots.set(flat, out)
+    let mut order: Vec<u32> = (0..(m * d) as u32).collect();
+    order.sort_unstable_by_key(|&flat| (coords(item(flat)), flat));
+    settle_warm(ctx, cache, &key, &mut order, item, |flat, root, path| {
+        let (mi, layer) = (flat as usize / d, flat as usize % d);
+        pending[mi].get_mut().unwrap().subtree(layer, root, path);
     });
-    let build_groups: Vec<&[(usize, SubtreeItem)]> =
-        unbuilt.chunk_by(|a, b| coords(a) == coords(b)).collect();
-    let builds: Vec<SubtreeItem> = build_groups.iter().map(|group| group[0].1).collect();
 
     let mut graph = TaskGraph::new();
 
-    // FORS tree groups: no dependencies. The node of slot `c` builds the
-    // flat trees `c·fg..` through one `tree_hash_many` call, its requests
-    // read out of `stages` (copied only where the group straddles two
-    // messages), and keeps their signatures and roots.
-    let fors_nodes: Vec<_> = (0..flat_trees)
+    // FORS tree groups: no dependencies. The node of flat trees
+    // `lo..hi` builds them through one `tree_hash_many` call and moves
+    // each message's trees and roots into its signature.
+    let fors_nodes: Vec<_> = (0..m * k)
         .step_by(fg)
         .map(|lo| {
-            let hi = (lo + fg).min(flat_trees);
-            let (fors_slots, stages) = (&fors_slots, &stages);
+            let hi = (lo + fg).min(m * k);
+            let pending = &pending;
             graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                let reqs: Cow<[ForsTreeRequest]> = if lo / k == (hi - 1) / k {
-                    Cow::Borrowed(&stages[lo / k].fors[lo % k..][..hi - lo])
-                } else {
-                    (lo..hi).map(|t| stages[t / k].fors[t % k]).collect()
-                };
-                let mut roots = vec![0u8; (hi - lo) * n];
-                let sigs = fors::tree_hash_many(ctx, sk_seed, &reqs)
-                    .into_iter()
-                    .zip(roots.chunks_exact_mut(n))
-                    .map(|((sig, root), at)| {
-                        at.copy_from_slice(&root);
-                        sig
-                    })
+                let reqs: Vec<ForsTreeRequest> = (lo..hi)
+                    .map(|t| stages[t / k].fors_request(t % k))
                     .collect();
-                fors_slots.set(lo / fg, (sigs, roots));
+                let mut roots = vec![0u8; (hi - lo) * n];
+                let mut trees = fors::tree_hash_many(ctx, sk_seed, &reqs, &mut roots).into_iter();
+                let first = lo / k;
+                for (mi, message) in (first..).zip(&pending[first..=(hi - 1) / k]) {
+                    let (a, b) = (lo.max(mi * k), hi.min((mi + 1) * k));
+                    let mut p = message.lock().unwrap();
+                    p.roots[(a - mi * k) * n..(b - mi * k) * n]
+                        .copy_from_slice(&roots[(a - lo) * n..(b - lo) * n]);
+                    for slot in &mut p.sig.fors.trees[a - mi * k..b - mi * k] {
+                        *slot = trees.next().expect("one signature per request");
+                    }
+                }
             })
         })
         .collect();
 
     // Per-message T_k compression: waits for the tree groups covering
-    // this message's k trees and gathers their roots from those nodes'
-    // root buffers.
+    // this message's k trees, and leaves the FORS public key for its
+    // layer-0 WOTS+ signature.
     let pk_nodes: Vec<_> = (0..m)
         .map(|mi| {
-            let (fors_slots, pk_slots, stages) = (&fors_slots, &pk_slots, &stages);
             let (lo, hi) = (mi * k, (mi + 1) * k);
+            let pending = &pending;
             let node = graph.task(move || {
                 crate::faults::stage(crate::faults::PLAN_STAGE);
-                let mut roots_flat = vec![0u8; k * n];
-                for c in lo / fg..=(hi - 1) / fg {
-                    let (a, b) = (lo.max(c * fg), hi.min((c + 1) * fg));
-                    fors_slots.with(c, |(_, roots)| {
-                        roots_flat[(a - lo) * n..(b - lo) * n]
-                            .copy_from_slice(&roots[(a - c * fg) * n..(b - c * fg) * n]);
-                    });
-                }
-                let pk = fors::roots_to_pk(ctx, &stages[mi].keypair_adrs, &roots_flat);
-                pk_slots.set(mi, pk);
+                let roots = std::mem::take(&mut pending[mi].lock().unwrap().roots);
+                let pk = fors::roots_to_pk(ctx, &stages[mi].keypair_adrs, &roots);
+                pending[mi].lock().unwrap().signed[..n].copy_from_slice(&pk);
             });
             for &group in &fors_nodes[lo / fg..=(hi - 1) / fg] {
                 graph.depends_on(node, group);
@@ -433,103 +495,94 @@ pub fn sign_batch(
         })
         .collect();
 
-    // Producer node of each flat subtree slot (`None` = sliced warm at
-    // plan time, nothing to wait for). A build node takes a chunk of
-    // groups and slices every member of each.
-    let mut subtree_dep: Vec<Option<NodeId>> = vec![None; m * d];
-    for (items, groups) in builds.chunks(tg).zip(build_groups.chunks(tg)) {
-        let layer_slots = &layer_slots;
-        let node = build_node(&mut graph, ctx, sk_seed, &key, cache, items, move |built| {
-            for (j, group) in groups.iter().enumerate() {
-                for (flat, item) in *group {
-                    layer_slots.set(*flat, built.output_for(j, item.leaf_idx));
+    // Subtree builds: a node per run of `tg` distinct trees of `order`,
+    // slicing every member of each.
+    let build_nodes: Vec<NodeId> = build_runs(&order, tg, item)
+        .map(|members| {
+            let (key, pending) = (&key, &pending);
+            graph.task(move || {
+                crate::faults::stage(crate::faults::PLAN_STAGE);
+                let same = |a: &u32, b: &u32| coords(item(*a)) == coords(item(*b));
+                let items: Vec<SubtreeItem> =
+                    members.chunk_by(same).map(|group| item(group[0])).collect();
+                let built = build(ctx, sk_seed, key, cache, &items);
+                for (j, group) in members.chunk_by(same).enumerate() {
+                    for &flat in group {
+                        let (mi, layer) = (flat as usize / d, flat as usize % d);
+                        let path = built.auth_path(j, item(flat).leaf_idx);
+                        pending[mi]
+                            .lock()
+                            .unwrap()
+                            .subtree(layer, built.root(j), path);
+                    }
                 }
-            }
-        });
-        for &(flat, _) in groups.iter().copied().flatten() {
-            subtree_dep[flat] = Some(node);
-        }
-    }
+            })
+        })
+        .collect();
 
     // WOTS+ chain groups: layer 0 signs the FORS pk, layer l > 0 signs
     // the layer-(l−1) subtree root; each group depends on exactly the
     // nodes producing its inputs.
     let flat_layers = m * d;
-    let mut start = 0usize;
-    while start < flat_layers {
-        let end = (start + wg).min(flat_layers);
-        let (pk_slots, layer_slots, wots_slots, stages) =
-            (&pk_slots, &layer_slots, &wots_slots, &stages);
-        let node = graph.task(move || {
-            crate::faults::stage(crate::faults::PLAN_STAGE);
-            // Own the messages first (copied out of the slots into one
-            // n-stride buffer), then borrow them into the chain-group
-            // items.
-            let mut inputs = vec![0u8; (end - start) * n];
-            for (flat, input) in (start..end).zip(inputs.chunks_exact_mut(n)) {
-                let (mi, layer) = (flat / d, flat % d);
-                if layer == 0 {
-                    pk_slots.with(mi, |pk| input.copy_from_slice(pk));
-                } else {
-                    layer_slots.with(mi * d + layer - 1, |lt| input.copy_from_slice(&lt.root));
+    let chain_nodes: Vec<NodeId> = (0..flat_layers)
+        .step_by(wg)
+        .map(|start| {
+            let end = (start + wg).min(flat_layers);
+            let pending = &pending;
+            let node = graph.task(move || {
+                crate::faults::stage(crate::faults::PLAN_STAGE);
+                // Own the messages first (copied out of the signatures'
+                // stage values into one n-stride buffer), then borrow
+                // them into the chain-group items.
+                let mut inputs = vec![0u8; (end - start) * n];
+                for (flat, input) in (start..end).zip(inputs.chunks_exact_mut(n)) {
+                    let (mi, layer) = (flat / d, flat % d);
+                    input.copy_from_slice(&pending[mi].lock().unwrap().signed[layer * n..][..n]);
                 }
-            }
-            let items: Vec<ChainGroupItem<'_>> = (start..end)
-                .zip(inputs.chunks_exact(n))
-                .map(|(flat, msg)| stages[flat / d].subtrees[flat % d].chains(msg))
-                .collect();
-            for (off, sig) in wots::sign_chain_groups(ctx, sk_seed, &items)
-                .into_iter()
-                .enumerate()
-            {
-                wots_slots.set(start + off, sig);
-            }
-        });
-        // Distinct producers of this group's inputs; groups are small
-        // (`wg` entries), so a linear-scan dedup suffices.
-        let mut deps: Vec<NodeId> = Vec::with_capacity(end - start);
-        for flat in start..end {
-            let (mi, layer) = (flat / d, flat % d);
-            let dep = if layer == 0 {
-                Some(pk_nodes[mi])
-            } else {
-                subtree_dep[mi * d + layer - 1]
-            };
-            if let Some(dep) = dep {
-                if !deps.contains(&dep) {
-                    deps.push(dep);
+                let items: Vec<ChainGroupItem<'_>> = (start..end)
+                    .zip(inputs.chunks_exact(n))
+                    .map(|(flat, msg)| stages[flat / d].subtrees[flat % d].chains(msg))
+                    .collect();
+                let sigs = wots::sign_chain_groups(ctx, sk_seed, &items);
+                for (flat, sig) in (start..end).zip(sigs) {
+                    pending[flat / d].lock().unwrap().sig.ht.layers[flat % d].wots_sig = sig;
                 }
+            });
+            for &pk in &pk_nodes[start.div_ceil(d)..end.div_ceil(d)] {
+                graph.depends_on(node, pk);
             }
+            node
+        })
+        .collect();
+    // A build node's members feed the chain groups signing the layer
+    // above them (the top layer's root is the public key's).
+    let mut consumers = Vec::new();
+    for (members, &node) in build_runs(&order, tg, item).zip(&build_nodes) {
+        consumers.clear();
+        consumers.extend(
+            members
+                .iter()
+                .map(|&flat| flat as usize)
+                .filter(|flat| flat % d + 1 < d)
+                .map(|flat| (flat + 1) / wg),
+        );
+        consumers.sort_unstable();
+        consumers.dedup();
+        for &group in &consumers {
+            graph.depends_on(chain_nodes[group], node);
         }
-        for dep in deps {
-            graph.depends_on(node, dep);
-        }
-        start = end;
     }
 
     exec.run(graph)
         .expect("batch plan construction yields a DAG");
 
-    // Assembly: drain the slots message by message.
-    let mut fors_sigs = (0..fors_nodes.len()).flat_map(|c| fors_slots.take(c).0);
-    stages
-        .into_iter()
-        .enumerate()
-        .map(|(mi, lists)| {
-            let trees: Vec<ForsTreeSig> = fors_sigs.by_ref().take(k).collect();
-            let layers: Vec<XmssSig> = (0..d)
-                .map(|layer| XmssSig {
-                    wots_sig: wots_slots.take(mi * d + layer),
-                    auth_path: layer_slots.take(mi * d + layer).auth_path,
-                })
-                .collect();
-            Signature {
-                randomizer: lists.randomizer,
-                fors: ForsSignature { trees },
-                ht: HtSignature { layers },
-            }
-        })
-        .collect()
+    let mut sigs = Vec::with_capacity(m);
+    sigs.extend(pending.into_iter().map(|p| {
+        p.into_inner()
+            .expect("no node panicked holding a signature")
+            .sig
+    }));
+    sigs
 }
 
 /// Pre-fills `sk`'s memoizable upper hypertree layers
@@ -562,7 +615,10 @@ pub fn warm_cache(
     }
     let mut graph = TaskGraph::new();
     for chunk in items.chunks(PlanShape::for_batch(1).subtrees_per_item) {
-        build_node(&mut graph, ctx, sk_seed, key, cache, chunk, |_| {});
+        graph.task(move || {
+            crate::faults::stage(crate::faults::PLAN_STAGE);
+            build(ctx, sk_seed, key, cache, chunk);
+        });
     }
     exec.run(graph).expect("warm plan is a DAG");
     items.len()
@@ -669,6 +725,7 @@ pub fn verify_batch(
 mod tests {
     use super::*;
     use crate::cache::{CacheConfig, CacheStats};
+    use hero_sphincs::merkle::TreeHashOutput;
     use hero_sphincs::reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -802,7 +859,7 @@ mod tests {
             let ctx = ctx_for(&sk);
             warm_cache(&ctx, &sk, &exec, &cache);
             let leaves = 1u32 << params.tree_height();
-            let every_leaf: Vec<(usize, SubtreeItem)> = (0..params.d as u32)
+            let every_leaf: Vec<SubtreeItem> = (0..params.d as u32)
                 .flat_map(|layer| {
                     (0..leaves).map(move |leaf_idx| SubtreeItem {
                         layer,
@@ -810,17 +867,28 @@ mod tests {
                         leaf_idx,
                     })
                 })
-                .enumerate()
                 .collect();
             let mut served = vec![None; every_leaf.len()];
-            let unbuilt = settle_warm(&ctx, &cache, &KeyId::of(&sk), &every_leaf, |flat, out| {
-                served[flat] = Some(out)
-            });
+            let mut unbuilt: Vec<u32> = (0..every_leaf.len() as u32).collect();
+            let item = |flat: u32| every_leaf[flat as usize];
+            settle_warm(
+                &ctx,
+                &cache,
+                &KeyId::of(&sk),
+                &mut unbuilt,
+                item,
+                |flat, root, path| {
+                    served[flat as usize] = Some(TreeHashOutput {
+                        root: root.to_vec(),
+                        auth_path: path,
+                    })
+                },
+            );
             assert!(
                 unbuilt.is_empty(),
                 "{name}: tree 0 of every layer is resident"
             );
-            for (&(flat, item), out) in every_leaf.iter().zip(&served) {
+            for (flat, (&item, out)) in every_leaf.iter().zip(&served).enumerate() {
                 let fresh = hypertree::subtrees(&ctx, sk.sk_seed(), &[item]);
                 assert_eq!(
                     out.as_ref(),

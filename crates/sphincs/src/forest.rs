@@ -87,25 +87,30 @@ impl Kernel {
         body_for(tier::sha256_chain_tier(), n).map(|(lanes, body)| Kernel { lanes, body })
     }
 
-    /// Builds every tree of `trees` — `height` levels, `n`-byte nodes,
-    /// secrets from `sk_seed` — from the seeded SHA-256 state `iv`, a
-    /// group of lanes at a time: per tree, the secret under
-    /// [`Tree::leaf_idx`] with that leaf's siblings bottom up, and the
-    /// root.
+    /// Builds every tree of `trees` — `height` levels, nodes and
+    /// secrets of `sk_seed`'s width — from the seeded SHA-256 state `iv`,
+    /// a group of lanes at a time. Tree `j`'s root goes to
+    /// `roots[j·n..]`, and each tree that has a [`Tree::leaf_idx`]
+    /// appends to `sigs` the secret under it with that leaf's siblings
+    /// bottom up.
     pub(crate) fn run(
         &self,
         iv: &[u32; 8],
-        n: usize,
         height: usize,
         sk_seed: &[u8],
         trees: &[Tree],
-    ) -> Vec<(ForsTreeSig, Vec<u8>)> {
+        sigs: &mut Vec<ForsTreeSig>,
+        roots: &mut [u8],
+    ) {
+        let n = sk_seed.len();
         assert!(height <= MAX_HEIGHT, "tree taller than log_t may be");
-        assert_eq!(sk_seed.len(), n, "sk_seed must be n bytes");
+        assert_eq!(roots.len(), trees.len() * n, "one root per tree");
         let seed_words = seed_words(sk_seed);
 
-        let mut built = Vec::with_capacity(trees.len());
-        for members in trees.chunks(self.lanes) {
+        for (members, roots) in trees
+            .chunks(self.lanes)
+            .zip(roots.chunks_mut(self.lanes * n))
+        {
             let mut group = Group::default();
             for (lane, tree) in members.iter().enumerate() {
                 let leaf_idx = tree.leaf_idx.unwrap_or(NO_LEAF);
@@ -127,24 +132,23 @@ impl Kernel {
             // cache only ever holds a tier whose CPU features
             // `tier::supported` detected.
             unsafe { (self.body)(iv, &seed_words, height, &mut group) };
-            built.extend((0..members.len()).map(|lane| {
-                let node = |rows: &[Row]| {
-                    let mut bytes = vec![0u8; n];
-                    take_words(rows, lane, &mut bytes);
-                    bytes
-                };
+            for (lane, (tree, root)) in members.iter().zip(roots.chunks_exact_mut(n)).enumerate() {
+                take_words(&group.root, lane, root);
+                if tree.leaf_idx.is_none() {
+                    continue;
+                }
+                let mut sk = vec![0u8; n];
+                take_words(&group.sk, lane, &mut sk);
                 let mut auth_path = vec![0u8; height * n];
                 for (rows, node) in group.auth.iter().zip(auth_path.chunks_exact_mut(n)) {
                     take_words(rows, lane, node);
                 }
-                let sig = ForsTreeSig {
-                    sk: node(&group.sk),
+                sigs.push(ForsTreeSig {
+                    sk,
                     auth_path: Nodes::from_bytes(n, auth_path),
-                };
-                (sig, node(&group.root))
-            }));
+                });
+            }
         }
-        built
     }
 }
 

@@ -31,13 +31,14 @@
 //! // The message digest picks one leaf per tree (k·log_t = 32 bits).
 //! let md = [0b1011_0001u8, 0x7f, 0x33, 0x04];
 //! let reqs = fors::tree_requests(&params, &md, &adrs);
-//! let (trees, roots): (Vec<_>, Vec<_>) =
-//!     fors::tree_hash_many(&ctx, &[1u8; 16], &reqs).into_iter().unzip();
+//! // The trees' roots go to a buffer of the caller's, `n` bytes each.
+//! let mut roots = vec![0u8; params.k * params.n];
+//! let trees = fors::tree_hash_many(&ctx, &[1u8; 16], &reqs, &mut roots);
 //! let sig = fors::ForsSignature { trees };
 //! assert_eq!(sig.trees.len(), params.k);
 //! // The public key is `T_k` over the roots, and verification
 //! // recomputes the k roots and compresses them.
-//! let pk = fors::roots_to_pk(&ctx, &adrs, &roots.concat());
+//! let pk = fors::roots_to_pk(&ctx, &adrs, &roots);
 //! assert_eq!(reference::fors_pk_from_sig(&ctx, &sig, &md, &adrs), pk);
 //! ```
 //!
@@ -201,8 +202,10 @@ pub const FUSED_TREES: usize = 16;
 pub const LANE_SIGNATURES: usize = 16;
 
 /// Builds many trees — possibly belonging to different messages — in one
-/// pass: each request's revealed secret and authentication path, and its
-/// root. A request's output does not depend on what else is in the call.
+/// pass: each request's revealed secret and authentication path, in the
+/// order of `reqs` and held at their exact size, and its root, written to
+/// `roots[j·n..]` for request `j`. A request's output does not depend on
+/// what else is in the call.
 ///
 /// Under SHA-256, on a CPU the resident ladder has a body for
 /// ([`crate::tier::sha256_chain_tier`] above `scalar`), requests are
@@ -212,38 +215,58 @@ pub const LANE_SIGNATURES: usize = 16;
 /// last group share its lanes out among themselves, a subtree per lane,
 /// and only the few levels above the subtree roots go level by level.
 /// That is how everything goes under SHAKE-256, SHA-512 and the `scalar`
-/// rung ([`merkle::treehash_many`]: every reduction level hashes all
-/// requests' sibling pairs through one combined multi-lane batch).
+/// rung ([`merkle::treehash_many_levels`]: every reduction level hashes
+/// all requests' sibling pairs through one combined multi-lane batch).
+///
+/// # Panics
+///
+/// Panics if `roots` is not `n` bytes for each request.
 pub fn tree_hash_many(
     ctx: &HashCtx,
     sk_seed: &[u8],
     reqs: &[ForsTreeRequest],
-) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    roots: &mut [u8],
+) -> Vec<ForsTreeSig> {
+    let n = ctx.params().n;
+    assert_eq!(roots.len(), reqs.len() * n, "one n-byte root per request");
     #[cfg(target_arch = "x86_64")]
-    if let (Some(iv), Some(kernel)) = (
-        ctx.sha256_seed_state(),
-        forest::Kernel::active(ctx.params().n),
-    ) {
+    if let (Some(iv), Some(kernel)) = (ctx.sha256_seed_state(), forest::Kernel::active(n)) {
+        // Whole groups first, then the last group the requests do not
+        // fill.
         let full = reqs.len() - reqs.len() % kernel.lanes;
-        let mut out = fused_trees(ctx, &kernel, iv, sk_seed, &reqs[..full], 0);
-        let short = &reqs[full..];
-        if !short.is_empty() {
-            // A last group the requests do not fill gives each tree as
-            // many lanes as go round, a subtree to each.
-            let split = (kernel.lanes / short.len()).ilog2() as usize;
-            let split = split.min(ctx.params().log_t);
-            out.extend(fused_trees(ctx, &kernel, iv, sk_seed, short, split));
-        }
-        return out;
+        let mut sigs = Vec::with_capacity(reqs.len());
+        let (full_roots, short_roots) = roots.split_at_mut(full * n);
+        fused_trees(
+            ctx,
+            &kernel,
+            iv,
+            sk_seed,
+            &reqs[..full],
+            &mut sigs,
+            full_roots,
+        );
+        fused_trees(
+            ctx,
+            &kernel,
+            iv,
+            sk_seed,
+            &reqs[full..],
+            &mut sigs,
+            short_roots,
+        );
+        return sigs;
     }
-    tree_hash_sweep(ctx, sk_seed, reqs)
+    tree_hash_sweep(ctx, sk_seed, reqs, roots)
 }
 
-/// [`tree_hash_many`] in the fused kernel, each tree cut into `2^split`
-/// subtrees of equal height that a lane builds each: the secret and the
-/// lower part of the authentication path come from the lane whose
-/// subtree holds the revealed leaf, the levels above the subtree roots
-/// are halved across all trees at once ([`merkle::treehash_many`]).
+/// [`tree_hash_many`] in the fused kernel. Requests that do not fill a
+/// group give each tree as many lanes as go round: a tree is cut into
+/// `2^split` subtrees of equal height that a lane builds each, the secret
+/// and the lower part of the authentication path come from the lane
+/// whose subtree holds the revealed leaf, and the levels above the
+/// subtree roots are halved across all trees at once
+/// ([`merkle::treehash_many_levels`]). Appends a signature per request to
+/// `sigs` and writes the roots to `roots`.
 #[cfg(target_arch = "x86_64")]
 fn fused_trees(
     ctx: &HashCtx,
@@ -251,10 +274,16 @@ fn fused_trees(
     iv: &[u32; 8],
     sk_seed: &[u8],
     reqs: &[ForsTreeRequest],
-    split: usize,
-) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    sigs: &mut Vec<ForsTreeSig>,
+    roots: &mut [u8],
+) {
+    if reqs.is_empty() {
+        return;
+    }
     let params = *ctx.params();
     let n = params.n;
+    let split = (kernel.lanes / reqs.len()).checked_ilog2().unwrap_or(0) as usize;
+    let split = split.min(params.log_t);
     let height = params.log_t - split;
     let trees: Vec<forest::Tree> = reqs
         .iter()
@@ -268,9 +297,9 @@ fn fused_trees(
             })
         })
         .collect();
-    let mut built = kernel.run(iv, n, height, sk_seed, &trees);
     if split == 0 {
-        return built;
+        kernel.run(iv, height, sk_seed, &trees, sigs, roots);
+        return;
     }
 
     let jobs: Vec<merkle::TreeHashJob> = reqs
@@ -285,23 +314,21 @@ fn fused_trees(
             }
         })
         .collect();
-    let tops = merkle::treehash_many(ctx, split, &jobs, |buf| {
-        for (slot, (_, root)) in buf.chunks_exact_mut(n).zip(&built) {
-            slot.copy_from_slice(root);
-        }
+    // The lanes' subtree roots are the leaves of the levels above them.
+    let first = sigs.len();
+    let tops = merkle::treehash_many_levels(ctx, split, &jobs, |buf| {
+        kernel.run(iv, height, sk_seed, &trees, sigs, buf)
     });
-    reqs.iter()
-        .zip(tops)
-        .enumerate()
-        .map(|(j, (req, top))| {
-            let part = (j << split) + (req.leaf_idx >> height) as usize;
-            let mut sig = std::mem::take(&mut built[part].0);
-            for node in &top.auth_path {
-                sig.auth_path.push(node);
-            }
-            (sig, top.root)
-        })
-        .collect()
+    for (j, (job, root)) in jobs.iter().zip(roots.chunks_exact_mut(n)).enumerate() {
+        root.copy_from_slice(tops.root(j));
+        let sig = &mut sigs[first + j];
+        let mut path = Nodes::with_capacity(n, params.log_t);
+        for node in &sig.auth_path {
+            path.push(node);
+        }
+        tops.push_auth_path(j, job.leaf_idx, &mut path);
+        sig.auth_path = path;
+    }
 }
 
 /// [`tree_hash_many`] level by level: the secrets to reveal in one `PRF`
@@ -311,7 +338,8 @@ fn tree_hash_sweep(
     ctx: &HashCtx,
     sk_seed: &[u8],
     reqs: &[ForsTreeRequest],
-) -> Vec<(ForsTreeSig, Vec<u8>)> {
+    roots: &mut [u8],
+) -> Vec<ForsTreeSig> {
     let params = *ctx.params();
     let n = params.n;
     let sk_adrs: Vec<Address> = reqs
@@ -329,7 +357,7 @@ fn tree_hash_sweep(
             leaf_offset: req.leaf_offset(&params),
         })
         .collect();
-    let outs = merkle::treehash_many(ctx, params.log_t, &jobs, |buf| {
+    let built = merkle::treehash_many_levels(ctx, params.log_t, &jobs, |buf| {
         for (req, buf) in reqs.iter().zip(buf.chunks_exact_mut(params.t() * n)) {
             fill_tree_leaves(
                 ctx,
@@ -340,20 +368,24 @@ fn tree_hash_sweep(
             )
         }
     });
+    for (j, root) in roots.chunks_exact_mut(n).enumerate() {
+        root.copy_from_slice(built.root(j));
+    }
     sks.chunks_exact(n)
-        .zip(outs)
-        .map(|(sk, out)| {
-            let (sk, auth_path) = (sk.to_vec(), out.auth_path);
-            (ForsTreeSig { sk, auth_path }, out.root)
+        .zip(reqs)
+        .enumerate()
+        .map(|(j, (sk, req))| ForsTreeSig {
+            sk: sk.to_vec(),
+            auth_path: built.auth_path(j, req.leaf_idx),
         })
         .collect()
 }
 
 /// One [`ForsTreeRequest`] per tree of the forest at `keypair_adrs`, leaf
 /// indices decoded from `md`: the `FORS_Sign` stage list of one message.
-/// A signer builds them in one [`tree_hash_many`] call; the batch
-/// planner concatenates these lists across messages and cuts them into
-/// calls.
+/// Signers keep only the leaf indices ([`crate::sign::Stages`]) and
+/// spell out a request when its tree is built
+/// ([`crate::sign::Stages::fors_request`]).
 pub fn tree_requests(params: &Params, md: &[u8], keypair_adrs: &Address) -> Vec<ForsTreeRequest> {
     (0u32..)
         .zip(message_to_indices(params, md))
@@ -534,12 +566,9 @@ mod tests {
     /// [`tree_hash_many`] call, and `T_k` over their roots.
     fn sign(ctx: &HashCtx, md: &[u8], sk_seed: &[u8], adrs: &Address) -> (ForsSignature, Vec<u8>) {
         let reqs = tree_requests(ctx.params(), md, adrs);
-        let (trees, roots): (Vec<_>, Vec<Vec<u8>>) =
-            tree_hash_many(ctx, sk_seed, &reqs).into_iter().unzip();
-        (
-            ForsSignature { trees },
-            roots_to_pk(ctx, adrs, &roots.concat()),
-        )
+        let mut roots = vec![0u8; reqs.len() * ctx.params().n];
+        let trees = tree_hash_many(ctx, sk_seed, &reqs, &mut roots);
+        (ForsSignature { trees }, roots_to_pk(ctx, adrs, &roots))
     }
 
     fn setup() -> (Params, HashCtx, Vec<u8>, Address) {
@@ -643,12 +672,13 @@ mod tests {
                 leaf_idx: (i * 13) % params.t() as u32,
             })
             .collect();
-        let many = tree_hash_many(&ctx, &sk_seed, &reqs);
+        let mut roots = vec![0u8; reqs.len() * params.n];
+        let many = tree_hash_many(&ctx, &sk_seed, &reqs, &mut roots);
         for (i, req) in reqs.iter().enumerate() {
             let (keypair_adrs, tree, leaf) = (&req.keypair_adrs, req.tree_idx, req.leaf_idx);
             let (root, auth_path) = reference::fors_tree(&ctx, &sk_seed, keypair_adrs, tree, leaf);
-            let (sig, got_root) = &many[i];
-            assert_eq!(*got_root, root, "request {i}");
+            let sig = &many[i];
+            assert_eq!(roots[i * params.n..][..params.n], root, "request {i}");
             assert_eq!(sig.auth_path, auth_path, "request {i}");
             assert_eq!(
                 sig.sk,
@@ -656,7 +686,7 @@ mod tests {
                 "request {i} sk"
             );
         }
-        assert!(tree_hash_many(&ctx, &sk_seed, &[]).is_empty());
+        assert!(tree_hash_many(&ctx, &sk_seed, &[], &mut []).is_empty());
     }
 
     #[test]

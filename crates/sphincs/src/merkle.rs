@@ -247,16 +247,27 @@ impl TreeLevels {
     ///
     /// Panics if `tree >= self.len()` or `leaf_idx >= 2^height`.
     pub fn auth_path(&self, tree: usize, leaf_idx: u32) -> Nodes {
+        let mut path = Nodes::with_capacity(self.n, self.height);
+        self.push_auth_path(tree, leaf_idx, &mut path);
+        path
+    }
+
+    /// [`TreeLevels::auth_path`], appended to `path`: the upper part of a
+    /// path whose lower part comes from the trees these were built over.
+    ///
+    /// # Panics
+    ///
+    /// As [`TreeLevels::auth_path`], and if `path`'s nodes are not `n`
+    /// bytes.
+    pub(crate) fn push_auth_path(&self, tree: usize, leaf_idx: u32, path: &mut Nodes) {
         assert!(
             (leaf_idx as usize) < (1usize << self.height),
             "leaf index out of range"
         );
-        let mut path = Nodes::with_capacity(self.n, self.height);
         for z in 0..self.height {
             let sibling = (leaf_idx as usize >> z) ^ 1;
             path.push(&self.level(z, tree)[sibling * self.n..][..self.n]);
         }
-        path
     }
 
     /// Root plus `leaf_idx`'s authentication path of tree `tree`, as the

@@ -308,16 +308,35 @@ fn preamble(ctx: &HashCtx, pk_root: &[u8], randomizer: &[u8], msg: &[u8]) -> Pre
 /// [`SubtreeItem::chains`]). [`SigningKey::sign_with_rand`] runs each
 /// list in one call; a batch planner cuts many messages' lists into
 /// nodes.
+///
+/// The FORS list is kept as the digest's leaf indices, four bytes a
+/// tree; [`Stages::fors_request`] spells out a tree's request when it is
+/// built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Stages {
     /// The signature's randomizer `R`.
     pub randomizer: Vec<u8>,
     /// Address of the FORS key pair the digest selects.
     pub keypair_adrs: Address,
-    /// One request per FORS tree, leaf picked by the digest.
-    pub fors: Vec<ForsTreeRequest>,
+    /// The leaf the digest reveals in each FORS tree, `k` of them.
+    pub fors_leaves: Vec<u32>,
     /// One subtree per hypertree layer, bottom to top.
     pub subtrees: Vec<SubtreeItem>,
+}
+
+impl Stages {
+    /// The `FORS_Sign` request of tree `tree` (`0..k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree >= k`.
+    pub fn fors_request(&self, tree: usize) -> ForsTreeRequest {
+        ForsTreeRequest {
+            keypair_adrs: self.keypair_adrs,
+            tree_idx: tree as u32,
+            leaf_idx: self.fors_leaves[tree],
+        }
+    }
 }
 
 impl SigningKey {
@@ -376,7 +395,7 @@ impl SigningKey {
         Stages {
             randomizer,
             keypair_adrs,
-            fors: fors::tree_requests(params, &md, &keypair_adrs),
+            fors_leaves: fors::message_to_indices(params, &md),
             subtrees: hypertree::subtree_items(params, bottom.tree_idx, bottom.leaf_idx),
         }
     }
@@ -391,21 +410,17 @@ impl SigningKey {
     /// [`crate::reference::sign`] is the implementation it is held to.
     pub fn sign_with_rand(&self, msg: &[u8], opt_rand: &[u8]) -> Signature {
         let ctx = HashCtx::with_alg(self.params, &self.pk_seed, self.alg);
+        let stages = self.stages(&ctx, msg, opt_rand);
+        let k = self.params.k;
+        let reqs: Vec<ForsTreeRequest> = (0..k).map(|tree| stages.fors_request(tree)).collect();
+        let mut roots = vec![0u8; k * self.params.n];
+        let trees = fors::tree_hash_many(&ctx, &self.sk_seed, &reqs, &mut roots);
+        let fors_pk = fors::roots_to_pk(&ctx, &stages.keypair_adrs, &roots);
         let Stages {
             randomizer,
-            keypair_adrs,
-            fors,
             subtrees,
-        } = self.stages(&ctx, msg, opt_rand);
-        let mut roots = Vec::with_capacity(fors.len() * self.params.n);
-        let trees = fors::tree_hash_many(&ctx, &self.sk_seed, &fors)
-            .into_iter()
-            .map(|(tree, root)| {
-                roots.extend_from_slice(&root);
-                tree
-            })
-            .collect();
-        let fors_pk = fors::roots_to_pk(&ctx, &keypair_adrs, &roots);
+            ..
+        } = stages;
         let built = hypertree::subtrees(&ctx, &self.sk_seed, &subtrees);
         let signed = std::iter::once(&fors_pk[..]).chain((0..built.len()).map(|j| built.root(j)));
         let chains: Vec<ChainGroupItem> = subtrees

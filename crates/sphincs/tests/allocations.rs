@@ -39,12 +39,14 @@ const PER_SIGNATURE_IN_A_GROUP: u64 = 10;
 /// Allocations of one `verify`.
 const LONE_VERIFY: u64 = 60;
 
-/// Allocations of one 128f SHA-256 `sign`.
-const LONE_SIGN: u64 = 300;
+/// Allocations of one 128f SHA-256 `sign` (153 on every tier), plus
+/// about a tenth.
+const LONE_SIGN: u64 = 170;
 
-/// Heap a parsed signature may hold beyond its own bytes: the two lists
-/// of per-tree and per-layer handles.
-const SIGNATURE_OVERHEAD_BYTES: u64 = 4096;
+/// Heap a parsed 128f signature holds beyond its own bytes: the two
+/// lists of per-tree and per-layer handles, `k·size_of::<ForsTreeSig>()
+/// + d·size_of::<XmssSig>()` = 33 · 56 + 22 · 64 on a 64-bit target.
+const SIGNATURE_OVERHEAD_BYTES: u64 = 3256;
 
 /// Counts the calling thread's allocations, reallocations included, and
 /// the bytes they asked for.

@@ -64,12 +64,15 @@ fn random_requests(params: &Params, count: usize, rng: &mut Stream) -> Vec<ForsT
 /// Holds `tree_hash_many` over `reqs` to the reference, request by
 /// request.
 fn assert_matches_oracles(ctx: &HashCtx, sk_seed: &[u8], reqs: &[ForsTreeRequest], what: &str) {
-    let many = fors::tree_hash_many(ctx, sk_seed, reqs);
+    let n = ctx.params().n;
+    let mut roots = vec![0u8; reqs.len() * n];
+    let many = fors::tree_hash_many(ctx, sk_seed, reqs, &mut roots);
     assert_eq!(many.len(), reqs.len(), "{what}");
-    for (i, (req, (sig, root))) in reqs.iter().zip(&many).enumerate() {
+    let each = reqs.iter().zip(&many).zip(roots.chunks_exact(n));
+    for (i, ((req, sig), root)) in each.enumerate() {
         let (adrs, tree, leaf) = (&req.keypair_adrs, req.tree_idx, req.leaf_idx);
         let (oracle_root, oracle_path) = reference::fors_tree(ctx, sk_seed, adrs, tree, leaf);
-        assert_eq!(*root, oracle_root, "{what}: root of request {i}");
+        assert_eq!(root, oracle_root, "{what}: root of request {i}");
         assert_eq!(sig.auth_path, oracle_path, "{what}: path of request {i}");
         assert_eq!(
             sig.sk,
