@@ -6,7 +6,7 @@ use crate::{parse_alg, parse_device, parse_params, CliError, CmdResult};
 
 use hero_server::keyfile;
 use hero_sign::service::{ServiceConfig, SignService, SignTicket};
-use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
+use hero_sign::{HeroSigner, PipelineOptions, SimModel};
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::Signature;
 
@@ -361,7 +361,7 @@ fn throughput(args: &Args) -> CmdResult {
     let signer = Arc::new(signer(args, params)?);
     // Deterministic workload unless --seed says otherwise.
     let seed = args.get_u64("seed", 0x4845_524f)?;
-    let (sk, vk) = signer.keygen(&mut StdRng::seed_from_u64(seed))?;
+    let (sk, vk) = hero_sphincs::keygen(params, &mut StdRng::seed_from_u64(seed))?;
 
     let mut config = ServiceConfig::default();
     config.max_batch = args.get_number("max-batch")?.unwrap_or(config.max_batch);

@@ -11,7 +11,6 @@ use crate::builder::HeroSignerBuilder;
 use crate::cache::{CacheStats, HypertreeCache};
 use crate::error::HeroError;
 use crate::model::{PipelineOptions, PipelineReport, SimModel};
-use crate::signer::{check_key, Signer};
 
 use hero_gpu_sim::device::DeviceProps;
 use hero_task_graph::Executor;
@@ -182,34 +181,17 @@ impl HeroSigner {
     }
 }
 
-impl Signer for HeroSigner {
-    fn params(&self) -> &Params {
-        &self.params
-    }
-
-    fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
-        HeroSigner::sign(self, sk, msg)
-    }
-
-    fn sign_batch(&self, sk: &SigningKey, msgs: &[&[u8]]) -> Result<Vec<Signature>, HeroError> {
-        HeroSigner::sign_batch(self, sk, msgs)
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(HeroSigner::cache_stats(self))
-    }
-
-    fn warm_key(&self, sk: &SigningKey) -> Result<usize, HeroError> {
-        HeroSigner::warm_key(self, sk)
-    }
-
-    fn verify_batch(
-        &self,
-        vk: &hero_sphincs::VerifyingKey,
-        msgs: &[&[u8]],
-        sigs: &[Signature],
-    ) -> Result<Vec<crate::VerifyOutcome>, HeroError> {
-        HeroSigner::verify_batch(self, vk, msgs, sigs)
+/// Rejects keys generated for a different parameter set than the
+/// engine's: every [`Params`] field must match, not only the name.
+pub(crate) fn check_key(engine: &Params, key: &Params) -> Result<(), HeroError> {
+    if engine == key {
+        Ok(())
+    } else {
+        Err(crate::error::KeyMismatch {
+            engine: *engine,
+            key: *key,
+        }
+        .into_error())
     }
 }
 

@@ -1,8 +1,8 @@
 //! The typed error surface of the HERO-Sign engine.
 //!
 //! Every fallible operation in this crate — engine construction through
-//! [`crate::builder::HeroSignerBuilder`], signing through the
-//! [`crate::signer::Signer`] trait, and pipeline simulation — reports a
+//! [`crate::builder::HeroSignerBuilder`], signing and verifying through
+//! [`crate::HeroSigner`], and pipeline simulation — reports a
 //! [`HeroError`]. The CLI and services wrap it rather than matching on
 //! strings.
 

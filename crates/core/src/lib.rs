@@ -7,8 +7,6 @@
 //!
 //! ## What's here
 //!
-//! * [`signer`] — the [`Signer`] trait, what the service and the server
-//!   hold of a signer.
 //! * [`builder`] — fallible construction of [`HeroSigner`] engines
 //!   ([`HeroSigner::builder`]): parameters, workers, cache.
 //! * [`error`] — the typed [`HeroError`] every fallible operation
@@ -35,10 +33,11 @@
 //!   graph (FORS tree groups, subtree treehashes, WOTS+ chain groups
 //!   spanning messages) submitted onto the persistent
 //!   [`hero_task_graph::Executor`] runtime.
-//! * [`engine`] — [`HeroSigner`], the signer: plans and signs batches,
-//!   verifies them, warms keys; holds the stream runtime and the
-//!   hypertree cache in `Arc`s so clones and concurrent callers share one
-//!   worker pool. Reads nothing of the model below.
+//! * [`engine`] — [`HeroSigner`], the one signer: plans and signs
+//!   batches, verifies them, warms keys; holds the stream runtime and the
+//!   hypertree cache in `Arc`s so clones and concurrent callers — the
+//!   service, the server — share one worker pool. Reads nothing of the
+//!   model below.
 //! * [`model`] — [`SimModel`], the GPU pricing model: tune → select
 //!   branches → simulate [`PipelineOptions`] workloads (Figs. 11–14). No
 //!   worker pool, no cache; built only by whoever prices.
@@ -53,13 +52,13 @@
 //!
 //! ## Quickstart
 //!
-//! Build an engine through the fallible builder and sign through the
-//! [`Signer`] trait; build a [`SimModel`] to price the same workload on
-//! the modeled RTX 4090:
+//! Generate a key with [`hero_sphincs::keygen`], build an engine through
+//! the fallible builder and sign with it; build a [`SimModel`] to price
+//! the same workload on the modeled RTX 4090:
 //!
 //! ```
 //! use hero_gpu_sim::device::rtx_4090;
-//! use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
+//! use hero_sign::{HeroSigner, PipelineOptions, SimModel};
 //! use hero_sphincs::params::Params;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -71,7 +70,7 @@
 //! let engine = HeroSigner::builder(rtx_4090(), params).workers(4).build()?;
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let (sk, vk) = engine.keygen(&mut rng)?;
+//! let (sk, vk) = hero_sphincs::keygen(params, &mut rng)?;
 //! let sig = engine.sign(&sk, b"hello")?;
 //! vk.verify(b"hello", &sig)?;
 //!
@@ -101,7 +100,6 @@ pub mod par;
 pub mod plan;
 pub mod ptx;
 pub mod service;
-pub mod signer;
 pub mod stats;
 pub mod tuning;
 pub mod workload;
@@ -118,6 +116,5 @@ pub use ptx::{BranchSelection, KernelKind};
 pub use service::{
     ServiceConfig, ServiceError, ServiceStats, SignService, SignTicket, Ticket, VerifyTicket,
 };
-pub use signer::Signer;
 pub use stats::{LatencySummary, LatencyWindow};
 pub use tuning::{tune, tune_auto, tune_relax, FusionCandidate, TuningOptions, TuningResult};

@@ -39,8 +39,8 @@
 //! request carries `(message, signature)` and redeems a
 //! [`VerifyTicket`] for a typed [`VerifyOutcome`]. The verify lane is a
 //! second instance of the *same* bounded-queue machinery — its own
-//! queue and its own micro-batcher thread feeding the backend's planned
-//! [`Signer::verify_batch`] — while sharing the queue-depth bound,
+//! queue and its own micro-batcher thread feeding the engine's planned
+//! [`HeroSigner::verify_batch`] — while sharing the queue-depth bound,
 //! deadline expiry, ticket, and drain-on-shutdown machinery with sign
 //! traffic. Both lanes submit onto the same engine executor, so
 //! signature A's verification co-schedules with signature B's signing
@@ -61,7 +61,7 @@
 //! ```
 //! use hero_gpu_sim::device::rtx_4090;
 //! use hero_sign::service::{ServiceConfig, SignService};
-//! use hero_sign::{HeroSigner, Signer, VerifyOutcome};
+//! use hero_sign::{HeroSigner, VerifyOutcome};
 //! use hero_sphincs::params::Params;
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use std::sync::Arc;
@@ -72,7 +72,7 @@
 //! params.h = 6; params.d = 3; params.log_t = 4; params.k = 8;
 //!
 //! let engine = Arc::new(HeroSigner::builder(rtx_4090(), params).workers(4).build()?);
-//! let (sk, vk) = engine.keygen(&mut StdRng::seed_from_u64(1))?;
+//! let (sk, vk) = hero_sphincs::keygen(params, &mut StdRng::seed_from_u64(1))?;
 //!
 //! // One service per signing key; clients share it behind an Arc.
 //! let service = Arc::new(SignService::start(
@@ -102,9 +102,9 @@
 //! # }
 //! ```
 
+use crate::engine::{check_key, HeroSigner};
 use crate::error::HeroError;
 use crate::kernels::verify::VerifyOutcome;
-use crate::signer::{check_key, Signer};
 
 use hero_sphincs::sign::{Signature, SigningKey};
 
@@ -509,7 +509,7 @@ pub struct SignService {
 }
 
 impl SignService {
-    /// Validates `config`, checks `sk` against the signer's parameter
+    /// Validates `config`, checks `sk` against the engine's parameter
     /// set, and starts the lane threads (`hero-service-batcher` for the
     /// sign lane, `hero-service-verifier` for the verify lane; the
     /// verify lane's key is `sk.verifying_key()`).
@@ -518,36 +518,59 @@ impl SignService {
     ///
     /// [`HeroError::InvalidOptions`] for zero `max_batch`/`queue_depth`;
     /// [`HeroError::KeyMismatch`] when `sk` belongs to a different
-    /// parameter set than the signer.
+    /// parameter set than the engine.
     pub fn start(
-        signer: Arc<dyn Signer + Send + Sync>,
+        engine: Arc<HeroSigner>,
         sk: SigningKey,
         config: ServiceConfig,
     ) -> Result<Self, HeroError> {
         config.validate()?;
-        check_key(signer.params(), sk.params())?;
+        check_key(engine.params(), sk.params())?;
         let vk = sk.verifying_key();
+        let sk = Arc::new(sk);
+        let (warm_engine, warm_sk) = (Arc::clone(&engine), Arc::clone(&sk));
+        let sign_engine = Arc::clone(&engine);
+        Ok(Self::with_lanes(
+            config,
+            // Warm the engine's hypertree cache for the tenant's key
+            // before serving the first batch, so even the first request
+            // signs warm. Best-effort: a failed warm-up costs only the
+            // cold fill the first batch would have paid anyway.
+            move || {
+                let _ = warm_engine.warm_key(&warm_sk);
+            },
+            move |msgs| sign_engine.sign_batch(&sk, msgs),
+            move |msgs, sigs| engine.verify_batch(&vk, msgs, sigs),
+        ))
+    }
+
+    /// Starts the two lane threads over plain batch closures: the sign
+    /// lane's thread runs `warm` once (a panic in it is swallowed), then
+    /// hands every coalesced batch to `sign`; the verify lane's thread
+    /// hands its batches to `verify`. [`SignService::start`] passes
+    /// closures over a [`HeroSigner`]; the coalescing tests pass
+    /// closures that hold the batcher.
+    fn with_lanes(
+        config: ServiceConfig,
+        warm: impl FnOnce() + Send + 'static,
+        sign: impl Fn(&[&[u8]]) -> Result<Vec<Signature>, HeroError> + Send + 'static,
+        verify: impl Fn(&[&[u8]], &[Signature]) -> Result<Vec<VerifyOutcome>, HeroError>
+            + Send
+            + 'static,
+    ) -> Self {
         let shared = Arc::new(ServiceShared {
             sign: Lane::new(),
             verify: Lane::new(),
         });
         let batcher = {
             let shared = Arc::clone(&shared);
-            let signer = Arc::clone(&signer);
             std::thread::Builder::new()
                 .name("hero-service-batcher".to_string())
                 .spawn(move || {
-                    // Warm the backend's hypertree cache for the tenant's
-                    // key before serving the first batch, so even the
-                    // first request signs warm. Best-effort: a failed or
-                    // panicking warm-up costs only the cold fill the first
-                    // batch would have paid anyway.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        signer.warm_key(&sk)
-                    }));
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(warm));
                     lane_loop(&shared.sign, config.max_batch, |msgs| {
                         let msgs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-                        signer.sign_batch(&sk, &msgs)
+                        sign(&msgs)
                     })
                 })
                 .expect("spawn service batcher thread")
@@ -561,17 +584,17 @@ impl SignService {
                         let (msgs, sigs): (Vec<Vec<u8>>, Vec<Signature>) =
                             items.into_iter().map(|item| (item.msg, item.sig)).unzip();
                         let msgs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-                        signer.verify_batch(&vk, &msgs, &sigs)
+                        verify(&msgs, &sigs)
                     })
                 })
                 .expect("spawn service verifier thread")
         };
-        Ok(Self {
+        Self {
             shared,
             config,
             batcher: Mutex::new(Some(batcher)),
             verifier: Mutex::new(Some(verifier)),
-        })
+        }
     }
 
     /// The active configuration.
@@ -784,10 +807,8 @@ fn lane_loop<P, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HeroSigner;
     use hero_gpu_sim::device::rtx_4090;
     use hero_sphincs::params::Params;
-    use hero_sphincs::sign::VerifyingKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::mpsc;
@@ -815,7 +836,7 @@ mod tests {
     fn service_signs_byte_identical_to_direct_signing() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(21);
-        let (sk, vk) = engine.keygen(&mut rng).unwrap();
+        let (sk, vk) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service =
             SignService::start(engine.clone(), sk.clone(), ServiceConfig::default()).unwrap();
         let tickets: Vec<_> = (0..5u8)
@@ -840,7 +861,7 @@ mod tests {
     fn verify_lane_returns_scalar_verdicts() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(31);
-        let (sk, vk) = engine.keygen(&mut rng).unwrap();
+        let (sk, vk) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service =
             SignService::start(engine.clone(), sk.clone(), ServiceConfig::default()).unwrap();
 
@@ -874,7 +895,7 @@ mod tests {
     fn verify_lane_deadline_and_shutdown_semantics() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(32);
-        let (sk, _) = engine.keygen(&mut rng).unwrap();
+        let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let sig = sk.sign(b"v");
         let service = SignService::start(engine, sk, ServiceConfig::default()).unwrap();
         // Already-expired deadline: typed error at submit time.
@@ -902,7 +923,7 @@ mod tests {
     fn config_edge_cases_are_typed_errors() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(22);
-        let (sk, _) = engine.keygen(&mut rng).unwrap();
+        let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         for bad in [
             ServiceConfig {
                 max_batch: 0,
@@ -938,7 +959,7 @@ mod tests {
     fn submissions_after_shutdown_are_refused() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(24);
-        let (sk, _) = engine.keygen(&mut rng).unwrap();
+        let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service = SignService::start(engine, sk, ServiceConfig::default()).unwrap();
         let accepted = service.submit(b"before".to_vec()).unwrap();
         service.shutdown();
@@ -958,7 +979,7 @@ mod tests {
         // try_submit_many hits the bound.
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(25);
-        let (sk, _) = engine.keygen(&mut rng).unwrap();
+        let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service = SignService::start(
             engine,
             sk,
@@ -993,7 +1014,7 @@ mod tests {
     fn expired_deadline_rejected_at_submit() {
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(27);
-        let (sk, _) = engine.keygen(&mut rng).unwrap();
+        let (sk, _) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service = SignService::start(engine, sk, ServiceConfig::default()).unwrap();
         let past = Instant::now() - Duration::from_millis(1);
         assert_eq!(
@@ -1021,7 +1042,7 @@ mod tests {
         // time the blocking batch takes, so this is timing-robust.
         let engine = engine();
         let mut rng = StdRng::seed_from_u64(28);
-        let (sk, vk) = engine.keygen(&mut rng).unwrap();
+        let (sk, vk) = hero_sphincs::keygen(tiny_params(), &mut rng).unwrap();
         let service = SignService::start(
             engine,
             sk,
@@ -1063,19 +1084,18 @@ mod tests {
         assert_eq!(s.submitted, s.completed, "exactly-once accounting");
     }
 
-    /// Test signer that makes coalescing deterministic: it records
-    /// every batch it is handed (the first byte of each message), and
-    /// its first call announces itself on `entered` and then blocks on
-    /// `gate` — holding the lane's batcher inside the signer while the
-    /// test queues requests behind it.
-    struct GatedSigner {
-        inner: HeroSigner,
+    /// Makes coalescing deterministic: records every batch a lane hands
+    /// over (the first byte of each message), and the first one
+    /// announces itself on `entered` and then blocks on `gate` — holding
+    /// the lane's batcher inside its batch closure while the test queues
+    /// requests behind it.
+    struct Gate {
         seen: Mutex<Vec<Vec<u8>>>,
         entered: Mutex<mpsc::Sender<()>>,
         gate: Mutex<mpsc::Receiver<()>>,
     }
 
-    impl GatedSigner {
+    impl Gate {
         fn record(&self, msgs: &[&[u8]]) {
             let first = {
                 let mut seen = self.seen.lock().unwrap();
@@ -1089,67 +1109,60 @@ mod tests {
         }
     }
 
-    impl Signer for GatedSigner {
-        fn params(&self) -> &Params {
-            self.inner.params()
-        }
-
-        fn sign(&self, sk: &SigningKey, msg: &[u8]) -> Result<Signature, HeroError> {
-            self.inner.sign(sk, msg)
-        }
-
-        fn sign_batch(&self, sk: &SigningKey, msgs: &[&[u8]]) -> Result<Vec<Signature>, HeroError> {
-            self.record(msgs);
-            self.inner.sign_batch(sk, msgs)
-        }
-
-        fn verify_batch(
-            &self,
-            vk: &VerifyingKey,
-            msgs: &[&[u8]],
-            sigs: &[Signature],
-        ) -> Result<Vec<VerifyOutcome>, HeroError> {
-            self.record(msgs);
-            self.inner.verify_batch(vk, msgs, sigs)
-        }
-    }
-
     /// One lane, driven through its `try_submit*_many` face (`submit`
     /// maps one tag byte per request to tickets), with the batcher held
-    /// inside the signer: no sleep, no timing assumption anywhere.
+    /// inside the lane's batch closure: no sleep, no timing assumption
+    /// anywhere.
     fn held_batch_coalesces_what_queued_behind_it<T>(
         submit: impl Fn(&SignService, &SigningKey, &[u8]) -> Result<Vec<Ticket<T>>, ServiceError>,
     ) {
         let (entered_tx, entered) = mpsc::channel();
-        let (gate, gate_rx) = mpsc::channel();
-        let signer = Arc::new(GatedSigner {
-            inner: HeroSigner::builder(rtx_4090(), tiny_params())
-                .workers(1)
-                .build()
-                .unwrap(),
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let gate = Arc::new(Gate {
             seen: Mutex::new(Vec::new()),
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate_rx),
         });
-        let (sk, _) = signer.keygen(&mut StdRng::seed_from_u64(29)).unwrap();
+        let engine = Arc::new(
+            HeroSigner::builder(rtx_4090(), tiny_params())
+                .workers(1)
+                .build()
+                .unwrap(),
+        );
+        let (sk, vk) = hero_sphincs::keygen(tiny_params(), &mut StdRng::seed_from_u64(29)).unwrap();
         let config = ServiceConfig {
             max_batch: 4,
             queue_depth: 6,
         };
-        let service = SignService::start(signer.clone(), sk.clone(), config).unwrap();
+        let service = {
+            let (sign_gate, verify_gate) = (Arc::clone(&gate), Arc::clone(&gate));
+            let (sign_engine, sign_sk) = (Arc::clone(&engine), sk.clone());
+            SignService::with_lanes(
+                config,
+                || {},
+                move |msgs| {
+                    sign_gate.record(msgs);
+                    sign_engine.sign_batch(&sign_sk, msgs)
+                },
+                move |msgs, sigs| {
+                    verify_gate.record(msgs);
+                    engine.verify_batch(&vk, msgs, sigs)
+                },
+            )
+        };
         let submitted = || {
             let s = service.stats();
             s.submitted + s.verify_submitted
         };
 
-        // A lone request goes straight to the signer, alone: the
+        // A lone request goes straight to the engine, alone: the
         // batcher waits for nobody.
         let mut tickets = submit(&service, &sk, &[0]).unwrap();
         entered.recv().unwrap();
-        assert_eq!(*signer.seen.lock().unwrap(), [[0]]);
+        assert_eq!(*gate.seen.lock().unwrap(), [[0]]);
 
-        // The batcher is now held inside the signer; everything below
-        // queues behind the batch in flight.
+        // The batcher is now held inside its batch closure; everything
+        // below queues behind the batch in flight.
         tickets.extend(submit(&service, &sk, &[1, 2]).unwrap());
         // 2 queued + 5 > depth 6: refused whole, nothing left behind.
         assert_eq!(
@@ -1160,14 +1173,14 @@ mod tests {
         tickets.extend(submit(&service, &sk, &[3, 4, 5, 6]).unwrap());
         assert_eq!(submitted(), 7);
 
-        gate.send(()).unwrap();
+        gate_tx.send(()).unwrap();
         for ticket in tickets {
             ticket.wait().unwrap();
         }
         // Exactly one batch of max_batch in submission order, then the
         // rest — max_batch splits, nothing else does.
         assert_eq!(
-            *signer.seen.lock().unwrap(),
+            *gate.seen.lock().unwrap(),
             [vec![0], vec![1, 2, 3, 4], vec![5, 6]]
         );
         service.shutdown();

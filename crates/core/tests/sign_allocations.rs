@@ -17,11 +17,11 @@ use hero_sphincs::sign::keygen_from_seeds;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocations per signature of a warm 16-message batch: 293 under the
-/// resident lanes and 338 on the `scalar` rung, where the FORS sweep
+/// Allocations per signature of a warm 16-message batch: 275 under the
+/// resident lanes and 319 on the `scalar` rung, where the FORS sweep
 /// allocates per call what the fused kernel keeps in registers, plus
 /// about a tenth.
-const PER_SIGNATURE: u64 = 370;
+const PER_SIGNATURE: u64 = 350;
 
 /// Counts every thread's allocations, reallocations included.
 struct Counting;

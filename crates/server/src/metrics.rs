@@ -150,11 +150,11 @@ pub struct TenantRow {
 }
 
 /// Renders the plaintext metrics page. `shard_poison_recoveries` folds
-/// in the sharded maps' reclaim counters (keystore, tenants, engines),
+/// in the sharded maps' reclaim counters (keystore, tenants),
 /// which live outside [`Metrics`]; the rendered total also includes the
 /// latency-window recoveries counted internally. `cache` is the
 /// hypertree-memoization counter snapshot summed across the server's
-/// engines (all-zero when no engine exposes a cache).
+/// engines.
 pub fn render(
     metrics: &Metrics,
     tenants: &[TenantRow],

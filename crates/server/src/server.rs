@@ -5,9 +5,10 @@
 //!
 //! Every *tenant* gets its own [`SignService`] (own bounded queue, own
 //! micro-batcher thread) started lazily on the tenant's first request.
-//! All services share one engine per parameter set — and all engines
-//! share one persistent [`hero_task_graph::Executor`] worker
-//! pool — so coalesced batches from different tenants interleave on the
+//! All services share one [`HeroSigner`] per parameter set — keyed by
+//! the whole [`Params`] value, the way the engine checks a key — and all
+//! engines share one persistent [`hero_task_graph::Executor`] worker
+//! pool, so coalesced batches from different tenants interleave on the
 //! same workers the way streams share a device. Fairness falls out of
 //! the layering:
 //!
@@ -40,13 +41,14 @@ use crate::wire::{self, Frame, Op, Request, Response, DEFAULT_MAX_FRAME};
 
 use hero_gpu_sim::device::rtx_4090;
 use hero_sign::service::{ServiceConfig, SignService};
-use hero_sign::{CacheStats, HeroError, HeroSigner, Signer, VerifyOutcome};
+use hero_sign::{CacheStats, HeroError, HeroSigner, VerifyOutcome};
 use hero_sphincs::params::Params;
 use hero_task_graph::Executor;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -73,13 +75,12 @@ const LATENCY_WINDOW: usize = 4096;
 /// a stalled scraper fails fast instead of wedging the metrics thread.
 const METRICS_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Builds (or reuses) a signing backend for a parameter set. The server
-/// is multi-tenant across parameter sets, so engines are created on
+/// Builds the [`HeroSigner`] for a parameter set. The server is
+/// multi-tenant across parameter sets, so engines are created on
 /// demand, one per distinct [`Params`] among the loaded keys.
-pub type SignerFactory =
-    dyn Fn(Params) -> Result<Arc<dyn Signer + Send + Sync>, HeroError> + Send + Sync;
+pub type SignerFactory = dyn Fn(Params) -> Result<HeroSigner, HeroError> + Send + Sync;
 
-/// A [`SignerFactory`] building [`HeroSigner`] engines, all sharing one
+/// A [`SignerFactory`] whose engines all share one
 /// persistent worker pool (`workers` threads; `None` = the
 /// `HERO_WORKERS`-aware default).
 ///
@@ -95,10 +96,9 @@ pub fn hero_engine_factory(workers: Option<usize>) -> Result<Arc<SignerFactory>,
         None => Arc::clone(hero_sign::par::shared_executor()),
     };
     Ok(Arc::new(move |params: Params| {
-        let engine = HeroSigner::builder(rtx_4090(), params)
+        HeroSigner::builder(rtx_4090(), params)
             .runtime(Arc::clone(&runtime))
-            .build()?;
-        Ok(Arc::new(engine) as Arc<dyn Signer + Send + Sync>)
+            .build()
     }))
 }
 
@@ -199,8 +199,10 @@ struct ServerShared {
     factory: Arc<SignerFactory>,
     keystore: KeyStore,
     config: ServerConfig,
-    /// Engines by parameter set (distinct shapes among tenant keys).
-    engines: ShardedMap<Arc<dyn Signer + Send + Sync>>,
+    /// Engines by parameter set (distinct shapes among tenant keys):
+    /// keyed by the whole [`Params`] value, since two shapes may share a
+    /// name, and an engine accepts only keys of its own shape.
+    engines: Mutex<HashMap<Params, Arc<HeroSigner>>>,
     /// Live per-tenant state (service started on first request).
     tenants: ShardedMap<Arc<TenantState>>,
     metrics: Metrics,
@@ -212,13 +214,21 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn engine_for(&self, params: Params) -> Result<Arc<dyn Signer + Send + Sync>, WireError> {
-        // The constructor runs outside the shard lock (a factory may
-        // start a worker pool); a racing duplicate is dropped harmlessly
-        // in favor of the first insert.
-        self.engines.get_or_try_insert_with(params.name(), || {
-            (self.factory)(params).map_err(WireError::from)
-        })
+    fn engine_for(&self, params: Params) -> Result<Arc<HeroSigner>, WireError> {
+        if let Some(engine) = self.engines.lock().expect("engine map").get(&params) {
+            return Ok(Arc::clone(engine));
+        }
+        // The constructor runs outside the lock (a factory may start a
+        // worker pool); a racing duplicate is dropped harmlessly in
+        // favor of the first insert.
+        let made = Arc::new((self.factory)(params).map_err(WireError::from)?);
+        Ok(Arc::clone(
+            self.engines
+                .lock()
+                .expect("engine map")
+                .entry(params)
+                .or_insert(made),
+        ))
     }
 
     fn tenant_state(&self, tenant: &str, key: &TenantKey) -> Result<Arc<TenantState>, WireError> {
@@ -237,13 +247,11 @@ impl ServerShared {
     }
 
     /// Sums the hypertree-cache counters across every engine (one per
-    /// parameter set). Backends without a cache contribute nothing.
+    /// parameter set).
     fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for (_, engine) in self.engines.entries() {
-            if let Some(stats) = engine.cache_stats() {
-                total.merge(&stats);
-            }
+        for engine in self.engines.lock().expect("engine map").values() {
+            total.merge(&engine.cache_stats());
         }
         total
     }
@@ -270,8 +278,7 @@ impl ServerShared {
         let shard_recoveries = self
             .keystore
             .poison_recoveries()
-            .saturating_add(self.tenants.poison_recoveries())
-            .saturating_add(self.engines.poison_recoveries());
+            .saturating_add(self.tenants.poison_recoveries());
         crate::metrics::render(
             &self.metrics,
             &rows,
@@ -332,7 +339,7 @@ impl Server {
             keystore,
             metrics: Metrics::new(LATENCY_WINDOW),
             config,
-            engines: ShardedMap::new(),
+            engines: Mutex::new(HashMap::new()),
             tenants: ShardedMap::new(),
             draining: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),

@@ -30,7 +30,7 @@ use hero_server::ErrorCode;
 
 use hero_sign::faults::{self, FaultAction, FaultPlan, FaultSpec};
 use hero_sign::service::ServiceConfig;
-use hero_sign::{HeroSigner, Signer};
+use hero_sign::HeroSigner;
 use hero_sphincs::hash::HashAlg;
 use hero_sphincs::params::Params;
 use hero_sphincs::sign::{SigningKey, VerifyingKey};
@@ -77,10 +77,9 @@ fn pool_size() -> usize {
 fn introspectable_factory(runtime: &Arc<Executor>) -> Arc<SignerFactory> {
     let rt = Arc::clone(runtime);
     Arc::new(move |params: Params| {
-        let engine = HeroSigner::builder(rtx_4090(), params)
+        HeroSigner::builder(rtx_4090(), params)
             .runtime(Arc::clone(&rt))
-            .build()?;
-        Ok(Arc::new(engine) as Arc<dyn Signer + Send + Sync>)
+            .build()
     })
 }
 

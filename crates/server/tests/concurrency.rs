@@ -635,3 +635,42 @@ fn a_verdict_is_counted_as_an_answer_by_verify_and_verify_batch_alike() {
     );
     server.shutdown();
 }
+
+#[test]
+fn shapes_that_share_a_name_get_an_engine_each() {
+    // Two reduced SPHINCS+-128f shapes that differ only in `k`: one name,
+    // two parameter sets. Each tenant must be served by an engine of its
+    // own shape, not by whichever engine the name found first.
+    let mut wide = tiny_params();
+    wide.k = 9;
+    assert_eq!(wide.name(), tiny_params().name());
+    let keystore = KeyStore::new();
+    let mut keys = Vec::new();
+    for (tenant, params, seed) in [("narrow", tiny_params(), 61u8), ("wide", wide, 67)] {
+        let (sk, vk) = hero_sphincs::keygen_from_seeds_with_alg(
+            params,
+            HashAlg::Sha256,
+            vec![seed; params.n],
+            vec![seed.wrapping_add(1); params.n],
+            vec![seed.wrapping_add(2); params.n],
+        );
+        keystore.insert(tenant, sk.clone(), vk).unwrap();
+        keys.push((tenant, sk));
+    }
+    let server = Server::start(
+        hero_engine_factory(None).unwrap(),
+        keystore,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (tenant, sk) in &keys {
+        let msg = format!("{tenant} signs under its own shape").into_bytes();
+        let sig = client.sign(tenant, &msg).unwrap();
+        let oracle = hero_sphincs::reference::sign(sk, &msg).to_bytes(sk.params());
+        assert_eq!(sig, oracle, "{tenant}");
+    }
+    let page = client.stats().unwrap();
+    assert_eq!(page_value(&page, "hero_cache_resident_keys"), 2);
+    server.shutdown();
+}

@@ -123,12 +123,49 @@ struct Submission {
     /// Unfinished-dependency counts; a node is enqueued when its count
     /// hits zero.
     pending: Vec<AtomicUsize>,
-    dependents: Vec<Vec<usize>>,
+    dependents: Dependents,
     closures: Vec<Mutex<Option<ErasedFn>>>,
     progress: Mutex<Progress>,
     /// Signalled when the submission completes (or poisons to quiescence);
     /// the submitting thread waits here.
     finished_cv: Condvar,
+}
+
+/// Every node's dependents in compressed rows: node `i`'s are
+/// `targets[offsets[i]..offsets[i + 1]]`, one entry per edge, so a
+/// duplicate edge appears twice, as it counts twice in `pending`.
+struct Dependents {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Dependents {
+    /// The rows of `n` nodes' `(dep, node)` edges: count each node's
+    /// dependents into `offsets[dep]`, prefix-sum to row ends, then place
+    /// the edges back to front, which leaves each row's start in
+    /// `offsets[dep]` and each row in declaration order.
+    fn new(n: usize, edges: &[(usize, usize)]) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for &(dep, _) in edges {
+            offsets[dep] += 1;
+        }
+        let mut end = 0;
+        for row in &mut offsets {
+            end += *row;
+            *row = end;
+        }
+        let mut targets = vec![0usize; edges.len()];
+        for &(dep, node) in edges.iter().rev() {
+            offsets[dep] -= 1;
+            targets[offsets[dep]] = node;
+        }
+        Self { offsets, targets }
+    }
+
+    /// The nodes that wait on `node`.
+    fn of(&self, node: usize) -> &[usize] {
+        &self.targets[self.offsets[node]..self.offsets[node + 1]]
+    }
 }
 
 impl Submission {
@@ -361,20 +398,18 @@ impl Executor {
     /// nodes of that submission are cancelled. Other submissions and the
     /// pool itself are unaffected.
     pub fn run(&self, graph: TaskGraph<'_>) -> Result<(), GraphError> {
-        let nodes = graph.nodes;
+        let TaskGraph { nodes, edges } = graph;
         let n = nodes.len();
         if n == 0 {
             return Ok(());
         }
 
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let dependents = Dependents::new(n, &edges);
         let mut indegree = vec![0usize; n];
-        for (i, node) in nodes.iter().enumerate() {
-            for dep in &node.deps {
-                indegree[i] += 1;
-                dependents[dep.0].push(i);
-            }
+        for &(_, node) in &edges {
+            indegree[node] += 1;
         }
+        drop(edges);
         // Kahn dry-run on a copy: refuse cyclic graphs before any node runs.
         {
             let mut remaining = indegree.clone();
@@ -382,7 +417,7 @@ impl Executor {
             let mut seen = 0usize;
             while let Some(i) = queue.pop() {
                 seen += 1;
-                for &j in &dependents[i] {
+                for &j in dependents.of(i) {
                     remaining[j] -= 1;
                     if remaining[j] == 0 {
                         queue.push(j);
@@ -394,7 +429,7 @@ impl Executor {
             }
         }
 
-        let pending: Vec<AtomicUsize> = indegree.iter().copied().map(AtomicUsize::new).collect();
+        let pending: Vec<AtomicUsize> = indegree.into_iter().map(AtomicUsize::new).collect();
         let closures: Vec<Mutex<Option<ErasedFn>>> = nodes
             .into_iter()
             // SAFETY: the erased closure may borrow data with lifetime
@@ -408,7 +443,7 @@ impl Executor {
                     std::mem::transmute::<
                         Box<dyn FnOnce() + Send + '_>,
                         Box<dyn FnOnce() + Send + 'static>,
-                    >(node.run)
+                    >(node)
                 }))
             })
             .collect();
@@ -565,7 +600,7 @@ fn run_node(shared: &Shared, sub: &Arc<Submission>, idx: usize) {
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(()) => {
             let mut newly = Vec::new();
-            for &d in &sub.dependents[idx] {
+            for &d in sub.dependents.of(idx) {
                 if sub.pending[d].fetch_sub(1, Ordering::AcqRel) == 1 {
                     newly.push(d);
                 }

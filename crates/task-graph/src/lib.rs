@@ -66,12 +66,6 @@ impl std::error::Error for GraphError {}
 /// A boxed node work closure.
 type NodeFn<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// One functional node: the work closure plus its dependency edges.
-pub(crate) struct TaskNode<'a> {
-    pub(crate) run: NodeFn<'a>,
-    pub(crate) deps: Vec<NodeId>,
-}
-
 /// A task DAG whose nodes carry real work: each node is a closure, each
 /// edge a happens-before constraint. [`Executor::run`] submits the DAG to
 /// a persistent worker pool with ready-queue scheduling.
@@ -97,21 +91,23 @@ pub(crate) struct TaskNode<'a> {
 /// ```
 #[derive(Default)]
 pub struct TaskGraph<'a> {
-    pub(crate) nodes: Vec<TaskNode<'a>>,
+    /// Each node's work closure, indexed by [`NodeId`].
+    pub(crate) nodes: Vec<NodeFn<'a>>,
+    /// Every edge as `(dep, node)`, in declaration order: all of the
+    /// graph's edges in one list, which [`Executor::run`] turns into
+    /// one dependents list per submission.
+    pub(crate) edges: Vec<(usize, usize)>,
 }
 
 impl<'a> TaskGraph<'a> {
     /// Empty graph.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Adds a work node; returns its handle.
     pub fn task(&mut self, run: impl FnOnce() + Send + 'a) -> NodeId {
-        self.nodes.push(TaskNode {
-            run: Box::new(run),
-            deps: Vec::new(),
-        });
+        self.nodes.push(Box::new(run));
         NodeId(self.nodes.len() - 1)
     }
 
@@ -126,7 +122,7 @@ impl<'a> TaskGraph<'a> {
             node.0 < self.nodes.len() && dep.0 < self.nodes.len(),
             "foreign node handle"
         );
-        self.nodes[node.0].deps.push(dep);
+        self.edges.push((dep.0, node.0));
     }
 
     /// Number of nodes captured so far.
@@ -233,6 +229,30 @@ mod tests {
             g.depends_on(b, a);
             run_on(2, g).unwrap();
             assert_eq!(count.into_inner(), 2);
+        }
+
+        #[test]
+        fn duplicate_edges_still_wait_for_every_dependency() {
+            // `c` waits on `a` twice and on `b` once, and `b` waits on
+            // `x`. On one worker the queue runs `a`, then `x`: a
+            // duplicate edge counted twice on one side and once on the
+            // other would release `c` before `b` (or never).
+            for workers in [1usize, 4] {
+                let log = Mutex::new(Vec::new());
+                let mut g = TaskGraph::new();
+                let a = g.task(|| log.lock().unwrap().push('a'));
+                let x = g.task(|| log.lock().unwrap().push('x'));
+                let b = g.task(|| log.lock().unwrap().push('b'));
+                let c = g.task(|| log.lock().unwrap().push('c'));
+                g.depends_on(b, x);
+                g.depends_on(c, a);
+                g.depends_on(c, a);
+                g.depends_on(c, b);
+                run_on(workers, g).unwrap();
+                let log = log.into_inner().unwrap();
+                assert_eq!(log.len(), 4, "workers={workers}");
+                assert_eq!(log.last(), Some(&'c'), "workers={workers}: {log:?}");
+            }
         }
 
         #[test]

@@ -2,18 +2,17 @@
 //! the paper's intro motivates (block producers authenticating many
 //! transactions per second with post-quantum signatures).
 //!
-//! The service is written against `Box<dyn Signer>`, the surface a
-//! service holds of the HERO engine. It signs a queue of transactions
-//! functionally (real signatures, verified) while projecting what the
-//! same queue costs on the simulated RTX 4090 under baseline vs
-//! HERO-Sign execution.
+//! The service holds the HERO engine, `HeroSigner`, the one signer the
+//! stack has. It signs a queue of transactions functionally (real
+//! signatures, verified) while projecting what the same queue costs on
+//! the simulated RTX 4090 under baseline vs HERO-Sign execution.
 //!
 //! ```sh
 //! cargo run --release --example batch_signing_service
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, LaunchPolicy, PipelineOptions, Signer, SimModel};
+use hero_sign::{HeroSigner, LaunchPolicy, PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -45,20 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.log_t = 4;
     params.k = 8;
 
-    let signer: Box<dyn Signer> = Box::new(HeroSigner::builder(rtx_4090(), params).build()?);
+    let signer = HeroSigner::builder(rtx_4090(), params).build()?;
 
     let mut rng = StdRng::seed_from_u64(7);
-    let (sk, vk) = signer.keygen(&mut rng)?;
+    let (sk, vk) = hero_sphincs::keygen(params, &mut rng)?;
 
     let queue = make_queue(8, &mut rng);
     println!("signing a queue of {} transactions...", queue.len());
     let payloads: Vec<&[u8]> = queue.iter().map(|t| t.payload.as_slice()).collect();
     let signatures = signer.sign_batch(&sk, &payloads)?;
 
-    // Validator side: verify through the same trait surface.
+    // Validator side: a verifier needs only the public key.
     for (tx, (payload, sig)) in queue.iter().zip(payloads.iter().zip(&signatures)) {
-        signer
-            .verify(&vk, payload, sig)
+        vk.verify(payload, sig)
             .map_err(|e| format!("tx {} failed verification: {e}", tx.id))?;
     }
     println!("all {} transaction signatures verified", queue.len());

@@ -8,7 +8,7 @@
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
+use hero_sign::{HeroSigner, PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 use hero_sphincs::sha256::Sha256;
 use hero_sphincs::Signature;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = HeroSigner::builder(rtx_4090(), params).build()?;
     let mut rng = StdRng::seed_from_u64(99);
-    let (vendor_sk, vendor_vk) = engine.keygen(&mut rng)?;
+    let (vendor_sk, vendor_vk) = hero_sphincs::keygen(params, &mut rng)?;
 
     let releases: Vec<Release> = (1..=4)
         .map(|minor| Release {

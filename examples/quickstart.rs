@@ -1,5 +1,5 @@
 //! Quickstart: build a HERO-Sign engine through the fallible builder,
-//! generate a SPHINCS+ key pair through the `Signer` trait, sign with
+//! generate a SPHINCS+ key pair with `hero_sphincs::keygen`, sign with
 //! the three-kernel decomposition, cross-check against the scalar
 //! reference implementation, and price the same workload on a `SimModel`
 //! of the RTX 4090.
@@ -9,7 +9,7 @@
 //! ```
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroSigner, PipelineOptions, Signer, SimModel};
+use hero_sign::{HeroSigner, PipelineOptions, SimModel};
 use hero_sphincs::params::Params;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = HeroSigner::builder(rtx_4090(), params).workers(8).build()?;
 
     let mut rng = StdRng::seed_from_u64(2026);
-    let (sk, vk) = engine.keygen(&mut rng)?;
+    let (sk, vk) = hero_sphincs::keygen(params, &mut rng)?;
     println!("generated {} key pair", params.name());
 
     // Functional signing through the HERO kernel decomposition

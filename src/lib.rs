@@ -8,8 +8,8 @@
 //! * [`hero_sphincs`] — the functional SPHINCS+ substrate.
 //! * [`hero_gpu_sim`] — the analytical GPU execution model.
 //! * [`hero_task_graph`] — CUDA-Graph-style batch execution.
-//! * [`hero_sign`] — the HERO-Sign engine, tuning search and `Signer`
-//!   backends.
+//! * [`hero_sign`] — the HERO-Sign engine (`HeroSigner`, the one
+//!   signer), its service, and the tuning search and GPU model.
 
 #![warn(missing_docs)]
 

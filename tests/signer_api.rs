@@ -1,8 +1,8 @@
-//! Cross-crate tests of the public API: the `Signer` trait, the fallible
+//! Cross-crate tests of the public API: `HeroSigner`, its fallible
 //! builder, the typed `HeroError`, and `PipelineOptions`.
 
 use hero_gpu_sim::device::rtx_4090;
-use hero_sign::{HeroError, HeroSigner, LaunchPolicy, PipelineOptions, Signer, SimModel};
+use hero_sign::{HeroError, HeroSigner, LaunchPolicy, PipelineOptions, SimModel, VerifyOutcome};
 use hero_sphincs::params::Params;
 use hero_sphincs::reference;
 use rand::rngs::StdRng;
@@ -26,27 +26,28 @@ fn tiny_shake_params() -> Params {
     p
 }
 
-/// The signer as the service and the server hold it.
-fn signer(params: Params) -> Box<dyn Signer> {
-    Box::new(
-        HeroSigner::builder(rtx_4090(), params)
-            .workers(4)
-            .build()
-            .unwrap(),
-    )
+/// The signer the service and the server hold.
+fn signer(params: Params) -> HeroSigner {
+    HeroSigner::builder(rtx_4090(), params)
+        .workers(4)
+        .build()
+        .unwrap()
 }
 
 /// Signs three messages through `signer`'s batch, verifies them through
-/// it, and holds the bytes to the scalar reference, a second
-/// implementation that shares nothing with the planner.
-fn signs_the_reference_bytes(signer: &dyn Signer, seed: u64) -> hero_sphincs::SigningKey {
+/// its batch and through the verifying key, and holds the bytes to the
+/// scalar reference, a second implementation that shares nothing with
+/// the planner.
+fn signs_the_reference_bytes(signer: &HeroSigner, seed: u64) -> hero_sphincs::SigningKey {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (sk, vk) = signer.keygen(&mut rng).unwrap();
+    let (sk, vk) = hero_sphincs::keygen(*signer.params(), &mut rng).unwrap();
     let msgs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 24]).collect();
     let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
     let sigs = signer.sign_batch(&sk, &refs).unwrap();
+    let verdicts = signer.verify_batch(&vk, &refs, &sigs).unwrap();
+    assert_eq!(verdicts, vec![VerifyOutcome::Valid; refs.len()]);
     for (m, s) in refs.iter().zip(&sigs) {
-        signer.verify(&vk, m, s).unwrap();
+        vk.verify(m, s).unwrap();
         assert_eq!(*s, reference::sign(&sk, m), "byte for byte");
         reference::verify(&vk, m, s).unwrap();
     }
@@ -54,21 +55,21 @@ fn signs_the_reference_bytes(signer: &dyn Signer, seed: u64) -> hero_sphincs::Si
 }
 
 #[test]
-fn shake_shapes_run_on_every_backend() {
+fn hero_signer_signs_shake_shapes_to_the_reference_bytes() {
     // The SHAKE half of the parameter family through the whole stack:
-    // trait keygen yields a SHAKE-256 key for a shake shape, and the
-    // planned signer produces the scalar reference's bytes.
+    // keygen yields a SHAKE-256 key for a shake shape, and the planned
+    // signer produces the scalar reference's bytes.
     use hero_sphincs::hash::HashAlg;
-    let sk = signs_the_reference_bytes(&*signer(tiny_shake_params()), 23);
+    let sk = signs_the_reference_bytes(&signer(tiny_shake_params()), 23);
     assert_eq!(sk.alg(), HashAlg::Shake256, "shape implies primitive");
 }
 
 #[test]
-fn trait_objects_sign_the_reference_bytes() {
+fn hero_signer_signs_the_reference_bytes() {
     let params = tiny_params();
     let signer = signer(params);
     assert_eq!(signer.params(), &params);
-    signs_the_reference_bytes(&*signer, 11);
+    signs_the_reference_bytes(&signer, 11);
 }
 
 #[test]
@@ -82,7 +83,7 @@ fn builder_reports_invalid_params_instead_of_panicking() {
 }
 
 #[test]
-fn mismatched_keys_are_typed_errors_on_every_backend() {
+fn hero_signer_answers_foreign_keys_with_key_mismatch() {
     let engine_params = tiny_params();
     let mut key_params = engine_params;
     key_params.k = 9;
@@ -98,10 +99,6 @@ fn mismatched_keys_are_typed_errors_on_every_backend() {
         other => panic!("expected KeyMismatch, got {other:?}"),
     }
     let sig = sk.sign(b"foreign key");
-    assert!(matches!(
-        signer.verify(&vk, b"foreign key", &sig),
-        Err(HeroError::KeyMismatch(_))
-    ));
     let verdicts = signer.verify_batch(&vk, &[b"foreign key"], std::slice::from_ref(&sig));
     assert!(
         matches!(verdicts, Err(HeroError::KeyMismatch(_))),
@@ -114,14 +111,18 @@ fn verification_failures_are_typed() {
     let params = tiny_params();
     let signer = signer(params);
     let mut rng = StdRng::seed_from_u64(17);
-    let (sk, vk) = signer.keygen(&mut rng).unwrap();
+    let (sk, vk) = hero_sphincs::keygen(params, &mut rng).unwrap();
     let sig = signer.sign(&sk, b"payload").unwrap();
     assert!(matches!(
-        signer.verify(&vk, b"tampered payload", &sig),
-        Err(HeroError::Sphincs(
-            hero_sphincs::sign::SignError::VerificationFailed
-        ))
+        vk.verify(b"tampered payload", &sig),
+        Err(hero_sphincs::sign::SignError::VerificationFailed)
     ));
+    assert_eq!(
+        signer
+            .verify_batch(&vk, &[b"tampered payload"], std::slice::from_ref(&sig))
+            .unwrap(),
+        [VerifyOutcome::Invalid]
+    );
 }
 
 #[test]
